@@ -147,6 +147,23 @@ def _trajectory_rows(trajectory) -> list:
              r.step) for r in trajectory]
 
 
+def _certificate_record(B, kappa: complex, axis: bool) -> dict:
+    """JSON record of the axis residual, or of the switch-ray certificate."""
+    if axis:
+        theta, mismatch = nonlinear_residual(B, kappa)
+        return {"axis": True, "theta": theta, "nonlinear_mismatch": mismatch}
+    cert = switch_alignment(B, kappa)
+    return {
+        "omega": cert.omega,
+        "switch_points": list(cert.switch_xs),
+        "deviations": list(cert.deviations),
+        "max_deviation": cert.max_deviation,
+        "max_interval_variation": cert.max_interval_variation,
+        "theta": cert.theta,
+        "nonlinear_mismatch": cert.nonlinear_mismatch,
+    }
+
+
 def cmd_optimize(args) -> int:
     cfg, seed_structure, rng_seed = _config_from_json(args.config)
     os.makedirs(args.out_dir, exist_ok=True)
@@ -179,24 +196,11 @@ def cmd_optimize(args) -> int:
                                            0.05 * cfg.bounds.width),
     })
 
-    cert_obj: dict
     if final is None:
         cert_obj = {"error": "no bang-bang finalization available"}
-    elif cfg.alpha == 0.0 or final_kappa.real == 0.0:
-        theta, mismatch = nonlinear_residual(final, final_kappa)
-        cert_obj = {"axis": True, "theta": theta,
-                    "nonlinear_mismatch": mismatch}
     else:
-        cert = switch_alignment(final, final_kappa)
-        cert_obj = {
-            "omega": cert.omega,
-            "switch_points": list(cert.switch_xs),
-            "deviations": list(cert.deviations),
-            "max_deviation": cert.max_deviation,
-            "max_interval_variation": cert.max_interval_variation,
-            "theta": cert.theta,
-            "nonlinear_mismatch": cert.nonlinear_mismatch,
-        }
+        cert_obj = _certificate_record(
+            final, final_kappa, cfg.alpha == 0.0 or final_kappa.real == 0.0)
     _write_json(cert_path, cert_obj)
     _write_json(os.path.join(args.out_dir, "run.manifest.json"),
                 _manifest("optimize", args.config, [args.config],
@@ -208,21 +212,7 @@ def cmd_optimize(args) -> int:
 def cmd_certify(args) -> int:
     B = _load_structure(args)
     kappa = complex(args.kappa_re, args.kappa_im)
-    if kappa.real == 0.0:
-        theta, mismatch = nonlinear_residual(B, kappa)
-        obj = {"axis": True, "theta": theta, "nonlinear_mismatch": mismatch}
-    else:
-        cert = switch_alignment(B, kappa)
-        obj = {
-            "omega": cert.omega,
-            "switch_points": list(cert.switch_xs),
-            "deviations": list(cert.deviations),
-            "max_deviation": cert.max_deviation,
-            "max_interval_variation": cert.max_interval_variation,
-            "theta": cert.theta,
-            "nonlinear_mismatch": cert.nonlinear_mismatch,
-        }
-    _write_json(args.out, obj)
+    _write_json(args.out, _certificate_record(B, kappa, kappa.real == 0.0))
     _write_json(args.out + ".manifest.json",
                 _manifest("certify", None, [args.structure or "inline"],
                           [args.out], args.seed))

@@ -5,15 +5,19 @@ normalized solutions
 
     phi: phi(0) = 1, phi'(0) = 0        psi: psi(0) = 0, psi'(0) = 1.
 
-For piecewise-constant B both propagate exactly through closed-form layer
-matrices.  The characteristic function
+The characteristic function F(z; B) = phi(1, z) - i phi'(1, z) / z
+(F(0) = 1) is entire in z; its zeros in the upper half-plane are the
+quasi-normal eigenvalues.
 
-    F(z; B) = phi(1, z) - i phi'(1, z) / z          (F(0) = 1)
-
-is entire in z; its zeros in the upper half-plane are the quasi-normal
-eigenvalues.  The module also provides the z-derivative of F by variation
-of parameters (exact per layer, no quadrature error) and an independent
-power-series evaluation of phi used as a cross-check oracle.
+B is piecewise constant, so everything is one recurrence over its layers
+(`B.layers`): across a layer of length L and value b, with w = z sqrt(b),
+(y, y') moves by [[cos wL, sin(wL)/w], [-w sin wL, cos wL]].  The kernel
+`_sweep` takes those coefficients for all layers in one numpy pass and the
+states at every layer boundary in one sequential pass; every field quantity
+below reads from it, and the layer integrals (hence the exact dzF, by
+variation of parameters) are closed forms in those states.  layer_matrix,
+phi_series (the power series in z^2) and integral_residual stay outside
+the kernel as the references the tests check it against.
 """
 from __future__ import annotations
 
@@ -25,7 +29,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import TailNotConverged, ZeroFrequency
-from .medium import GridStructure, PiecewiseStructure, to_piecewise
 
 __all__ = [
     "BoundaryData", "CauchyState", "ModeTrace",
@@ -68,13 +71,9 @@ class BoundaryData:
 
 
 def _segments(B) -> list:
-    """(start, length, value) triples of a piecewise or grid structure."""
-    if isinstance(B, GridStructure):
-        B = to_piecewise(B)
-    if not isinstance(B, PiecewiseStructure):
-        raise TypeError(f"expected a structure, got {type(B)!r}")
-    xs = B.breakpoints
-    return [(xs[j], xs[j + 1] - xs[j], B.values[j]) for j in range(len(B.values))]
+    """(start, length, value) triples of the layers of B."""
+    xs, lengths, values = B.layers
+    return list(zip(xs[:-1].tolist(), lengths.tolist(), values.tolist()))
 
 
 def layer_matrix(b: float, length: float, z: complex) -> np.ndarray:
@@ -94,64 +93,117 @@ def layer_matrix(b: float, length: float, z: complex) -> np.ndarray:
     return np.array([[c, s / w], [-w * s, c]], dtype=complex)
 
 
+# -- the layer sweep -----------------------------------------------------------
+
+_SMALL = 1e-8      # |wL| below which sin(wL)/w equals L to double precision
+_CHUNK = 1 << 16   # layers x points held at once by charF_many
+
+
+def _coefficients(z, rootb, lengths) -> tuple:
+    """Per layer: w = z sqrt(b), the mask |wL| >= _SMALL, cos wL, sin(wL)/w.
+
+    sin(wL)/w is L where |wL| < _SMALL: one rule for b = 0, z = 0 and
+    subnormal w (where numpy's complex division returns inf+nanj).
+    """
+    w = z * rootb
+    wl = w * lengths
+    s = np.sin(wl)
+    big = np.abs(wl) >= _SMALL
+    sw = np.where(big, s, lengths)
+    np.divide(s, w, out=sw, where=big)
+    return w, big, np.cos(wl), sw
+
+
+def _states(c, a, m, y, dy) -> tuple:
+    """(y, dy) at every layer boundary under y <- c y + a dy, dy <- c dy - m y."""
+    ys, dys = [y], [dy]
+    for ci, ai, mi in zip(c, a, m):
+        y, dy = ci * y + ai * dy, ci * dy - mi * y
+        ys.append(y)
+        dys.append(dy)
+    return ys, dys
+
+
+class _Sweep(NamedTuple):
+    """One pass of a scalar z through a stack of layers."""
+    w: np.ndarray
+    big: np.ndarray
+    c: np.ndarray
+    sw: np.ndarray
+    phi: tuple          # (phi, phi'/z^2) lists at the n + 1 layer boundaries
+    psi: tuple | None   # (psi, psi') lists, when asked for
+
+
+def _sweep(z: complex, values, lengths, psi: bool = False) -> _Sweep:
+    """Coefficients at z and the states of phi (and psi) at every boundary.
+
+    phi is carried as (phi, e = phi'/z^2), propagated by
+    [[c, z^2 sw], [-b sw, c]]: nothing divides by z, so F = phi - i z e and
+    the overlap integrals hold at z = 0 and subnormal z alike.
+    """
+    w, big, c, sw = _coefficients(z, np.sqrt(values), lengths)
+    z2 = z * z
+    bsw = values * sw
+    c_ = c.tolist()
+    return _Sweep(w, big, c, sw,
+                  _states(c_, (z2 * sw).tolist(), bsw.tolist(), 1.0, 0.0),
+                  _states(c_, sw.tolist(), (z2 * bsw).tolist(), 0.0, 1.0)
+                  if psi else None)
+
+
+def _phi2_integrals(sweep: _Sweep, lengths, p, dp):
+    """Per layer, the integral of phi^2 for phi entering it with (p, dp).
+
+    phi = p cos wt + dp sin(wt)/w; int cos^2 = (L + c sw)/2,
+    int sin cos / w = sw^2/2 and int sin^2 / w^2 = (L - c sw)/(2 w^2),
+    which is L^3/3 where |wL| < _SMALL.
+    """
+    w, big, csw, sw = sweep.w, sweep.big, sweep.c * sweep.sw, sweep.sw
+    iss2 = np.where(big, lengths - csw, lengths ** 3 / 1.5)  # twice the last
+    np.divide(iss2, w * w, out=iss2, where=big)
+    return 0.5 * (p * p * (lengths + csw) + dp * dp * iss2) + p * dp * sw * sw
+
+
 def propagate(B, z: complex, trace: bool = False):
     """phi and psi pushed from x=0 to x=1 through the layers of B.
 
     Returns BoundaryData, or (BoundaryData, (phi_trace, psi_trace)) when
     trace is set.  Exact up to rounding for piecewise-constant B.
     """
-    p, dp = 1.0 + 0.0j, 0.0 + 0.0j
-    q, dq = 0.0 + 0.0j, 1.0 + 0.0j
-    phi_states = [CauchyState(0.0, p, dp)]
-    psi_states = [CauchyState(0.0, q, dq)]
-    for x0, length, b in _segments(B):
-        if b == 0.0 or z == 0:
-            p, dp = p + length * dp, dp
-            q, dq = q + length * dq, dq
-        else:
-            w = z * math.sqrt(b)
-            wl = w * length
-            c, s = cmath.cos(wl), cmath.sin(wl)
-            p, dp = c * p + (s / w) * dp, -w * s * p + c * dp
-            q, dq = c * q + (s / w) * dq, -w * s * q + c * dq
-        if trace:
-            x1 = x0 + length
-            phi_states.append(CauchyState(x1, p, dp))
-            psi_states.append(CauchyState(x1, q, dq))
-    bd = BoundaryData(p, dp, q, dq)
+    xs, lengths, values = B.layers
+    sweep = _sweep(z, values, lengths, psi=True)
+    (p, e), (q, dq) = sweep.phi, sweep.psi
+    z2 = z * z
+    bd = BoundaryData(p[-1], z2 * e[-1], q[-1], dq[-1])
     if trace:
-        return bd, (ModeTrace(tuple(phi_states)), ModeTrace(tuple(psi_states)))
+        xs = xs.tolist()
+        dp = [z2 * v for v in e]
+        return bd, (ModeTrace(tuple(map(CauchyState, xs, p, dp))),
+                    ModeTrace(tuple(map(CauchyState, xs, q, dq))))
     return bd
 
 
 def charF(z: complex, B) -> complex:
     """Characteristic function F(z; B); F(0) = 1 (removable singularity)."""
-    if z == 0:
-        return 1.0 + 0.0j
-    bd = propagate(B, z)
-    return bd.phi1 - 1j * bd.dphi1 / z
+    _, lengths, values = B.layers
+    p, e = _sweep(z, values, lengths).phi
+    return p[-1] - 1j * z * e[-1]
 
 
 def charF_many(zs, B) -> np.ndarray:
     """Vectorized F over an array of z (used by contour walks and scans)."""
     zs = np.asarray(zs, dtype=complex)
     flat = zs.ravel()
-    p = np.ones_like(flat)
-    dp = np.zeros_like(flat)
-    for _, length, b in _segments(B):
-        if b == 0.0:
-            p = p + length * dp
-            continue
-        w = flat * math.sqrt(b)
-        wl = w * length
-        c, s = np.cos(wl), np.sin(wl)
-        safe_w = np.where(w == 0, 1.0, w)
-        sl = np.where(w == 0, length, s / safe_w)
-        p, dp = c * p + sl * dp, -w * s * p + c * dp
+    _, lengths, values = B.layers
+    rootb, lengths, values = (np.sqrt(values)[:, None], lengths[:, None],
+                              values[:, None])
     out = np.empty_like(flat)
-    nz = flat != 0
-    out[nz] = p[nz] - 1j * dp[nz] / flat[nz]
-    out[~nz] = 1.0
+    step = max(1, _CHUNK // len(lengths))
+    for k in range(0, len(flat), step):
+        z = flat[k:k + step]
+        _, _, c, sw = _coefficients(z, rootb, lengths)
+        p, e = _states(c, z * z * sw, values * sw, 1.0, 0.0)
+        out[k:k + step] = p[-1] - 1j * z * e[-1]
     return out.reshape(zs.shape)
 
 
@@ -160,83 +212,35 @@ def mode_values(B, z: complex, xs) -> tuple:
     xs = np.asarray(xs, dtype=float)
     if np.any(np.diff(xs) < 0) or xs.min() < -1e-15 or xs.max() > 1 + 1e-15:
         raise ValueError("positions must be sorted inside [0, 1]")
-    phi = np.empty(len(xs), dtype=complex)
-    dphi = np.empty(len(xs), dtype=complex)
-    p, dp = 1.0 + 0.0j, 0.0 + 0.0j
-    k = 0
-    for x0, length, b in _segments(B):
-        x1 = x0 + length
-        in_seg = slice(k, int(np.searchsorted(xs, x1, side="left")))
-        t = xs[in_seg] - x0
-        if b == 0.0 or z == 0:
-            phi[in_seg] = p + t * dp
-            dphi[in_seg] = dp
-            p, dp = p + length * dp, dp
-        else:
-            w = z * math.sqrt(b)
-            c, s = np.cos(w * t), np.sin(w * t)
-            phi[in_seg] = c * p + (s / w) * dp
-            dphi[in_seg] = -w * s * p + c * dp
-            cl, sl = cmath.cos(w * length), cmath.sin(w * length)
-            p, dp = cl * p + (sl / w) * dp, -w * sl * p + cl * dp
-        k = in_seg.stop
-    # positions exactly at x = 1 (or within rounding of it)
-    if k < len(xs):
-        phi[k:] = p
-        dphi[k:] = dp
-    return phi, dphi
-
-
-# -- per-layer product quadratures ----------------------------------------
-
-def _trig_product_integrals(w: complex, length: float) -> tuple:
-    """(Icc, Isc, Iss) = integrals of cos^2, sin*cos, sin^2 of w*t over [0, length]."""
-    two_wl = 2.0 * w * length
-    s2, c2 = cmath.sin(two_wl), cmath.cos(two_wl)
-    icc = 0.5 * length + s2 / (4.0 * w)
-    iss = 0.5 * length - s2 / (4.0 * w)
-    isc = (1.0 - c2) / (4.0 * w)
-    return icc, isc, iss
-
-
-def _product_integral(w, length, a1, b1, a2, b2) -> complex:
-    """Integral over the layer of (a1 cos + b1 sin)(a2 cos + b2 sin) of w*t."""
-    icc, isc, iss = _trig_product_integrals(w, length)
-    return a1 * a2 * icc + (a1 * b2 + b1 * a2) * isc + b1 * b2 * iss
-
-
-def _linear_product_integral(length, p1, d1, p2, d2) -> complex:
-    """Integral of (p1 + d1 t)(p2 + d2 t) over [0, length] (b = 0 layers)."""
-    L = length
-    return (p1 * p2 * L + 0.5 * (p1 * d2 + d1 * p2) * L ** 2
-            + d1 * d2 * L ** 3 / 3.0)
+    bps, lengths, values = B.layers
+    p, e = (np.array(v) for v in _sweep(z, values, lengths).phi)
+    j = np.clip(np.searchsorted(bps, xs, side="right") - 1, 0, len(lengths) - 1)
+    b, p, e = values[j], p[j], e[j]
+    _, _, c, sw = _coefficients(z, np.sqrt(b), xs - bps[j])
+    z2 = z * z
+    return c * p + z2 * sw * e, z2 * (c * e - b * sw * p)
 
 
 def overlap_integrals(B, z: complex):
     """BoundaryData plus the B-weighted mode integrals.
 
-    Returns (bd, int_0^1 phi^2 B ds, int_0^1 phi psi B ds), all computed
-    with closed-form antiderivatives per layer.
+    Returns (bd, int_0^1 phi^2 B ds, int_0^1 phi psi B ds) in closed form.
+    On a layer u'v' + w^2 u v is constant, so 2 z^2 int b u v =
+    L (u'v' + w^2 u v) - [u v']; over all layers the brackets telescope to
+    phi'(1) v(1) (constant Wronskian, phi'(0) = 0).  Hence, with phi' = z^2 e,
+    int phi v B = (sum b L phi v + sum L e v' - e(1) v(1)) / 2.
     """
-    p, dp = 1.0 + 0.0j, 0.0 + 0.0j
-    q, dq = 0.0 + 0.0j, 1.0 + 0.0j
-    i_phi2 = 0.0 + 0.0j
-    i_phipsi = 0.0 + 0.0j
-    for _, length, b in _segments(B):
-        if b == 0.0 or z == 0:
-            p, dp = p + length * dp, dp
-            q, dq = q + length * dq, dq
-            continue
-        w = z * math.sqrt(b)
-        ap, bp = p, dp / w
-        aq, bq = q, dq / w
-        i_phi2 += b * _product_integral(w, length, ap, bp, ap, bp)
-        i_phipsi += b * _product_integral(w, length, ap, bp, aq, bq)
-        wl = w * length
-        c, s = cmath.cos(wl), cmath.sin(wl)
-        p, dp = c * p + (s / w) * dp, -w * s * p + c * dp
-        q, dq = c * q + (s / w) * dq, -w * s * q + c * dq
-    return BoundaryData(p, dp, q, dq), i_phi2, i_phipsi
+    _, lengths, values = B.layers
+    sweep = _sweep(z, values, lengths, psi=True)
+    (p, e), (q, dq) = sweep.phi, sweep.psi
+    y = np.array((p[:-1], q[:-1]))
+    d = np.array((e[:-1], dq[:-1]))
+    a2, apq = ((y * y[0]) @ (values * lengths)).tolist()
+    g2, gpq = ((d * d[0]) @ lengths).tolist()
+    z2 = z * z
+    i_phi2 = 0.5 * (a2 + z2 * g2 - e[-1] * p[-1])
+    i_phipsi = 0.5 * (apq + gpq - e[-1] * q[-1])
+    return BoundaryData(p[-1], z2 * e[-1], q[-1], dq[-1]), i_phi2, i_phipsi
 
 
 def phi2_cell_integrals(B, z: complex, edges) -> np.ndarray:
@@ -247,31 +251,19 @@ def phi2_cell_integrals(B, z: complex, edges) -> np.ndarray:
     closed form.
     """
     edges = np.asarray(edges, dtype=float)
-    cuts = np.union1d(edges, [s[0] for s in _segments(B)] + [1.0])
-    out = np.zeros(len(edges) - 1, dtype=complex)
-    p, dp = 1.0 + 0.0j, 0.0 + 0.0j
-    segs = _segments(B)
-    si = 0
-    for xa, xb in zip(cuts[:-1], cuts[1:]):
-        while xa >= segs[si][0] + segs[si][1] - 1e-15 and si < len(segs) - 1:
-            si += 1
-        b = segs[si][2]
-        length = xb - xa
-        if length <= 0:
-            continue
-        if b == 0.0 or z == 0:
-            val = _linear_product_integral(length, p, dp, p, dp)
-            p, dp = p + length * dp, dp
-        else:
-            w = z * math.sqrt(b)
-            val = _product_integral(w, length, p, dp / w, p, dp / w)
-            wl = w * length
-            c, s = cmath.cos(wl), cmath.sin(wl)
-            p, dp = c * p + (s / w) * dp, -w * s * p + c * dp
-        cell = int(np.searchsorted(edges, 0.5 * (xa + xb), side="right") - 1)
-        cell = min(max(cell, 0), len(out) - 1)
-        out[cell] += val
-    return out
+    bps, _, values = B.layers
+    cuts = np.union1d(edges, bps)
+    mids = 0.5 * (cuts[:-1] + cuts[1:])
+    layer = np.clip(np.searchsorted(bps, mids, side="right") - 1,
+                    0, len(values) - 1)
+    lengths = np.diff(cuts)
+    sweep = _sweep(z, values[layer], lengths)
+    p, e = (np.array(v[:-1]) for v in sweep.phi)
+    pieces = _phi2_integrals(sweep, lengths, p, z * z * e)
+    n = len(edges) - 1
+    cell = np.clip(np.searchsorted(edges, mids, side="right") - 1, 0, n - 1)
+    return (np.bincount(cell, pieces.real, n)
+            + 1j * np.bincount(cell, pieces.imag, n))
 
 
 # -- derivative of F --------------------------------------------------------
@@ -470,23 +462,10 @@ def integral_residual(B, kappa: complex, points_per_layer: int = 8) -> tuple:
 # -- imaginary-axis specialization ---------------------------------------------
 
 def axis_charF(beta: float, B) -> float:
-    """F(i beta; B) computed in real arithmetic (it is real for real B).
-
-    On the axis the layer propagators are hyperbolic: cosh/sinh of
-    beta * sqrt(b) * length.
-    """
+    """F(i beta; B), which is real for real B."""
     if beta <= 0:
         raise ZeroFrequency("axis evaluation needs beta > 0")
-    p, dp = 1.0, 0.0
-    for _, length, b in _segments(B):
-        if b == 0.0:
-            p, dp = p + length * dp, dp
-        else:
-            w = beta * math.sqrt(b)
-            wl = w * length
-            c, s = math.cosh(wl), math.sinh(wl)
-            p, dp = c * p + (s / w) * dp, w * s * p + c * dp
-    return p - dp / beta
+    return charF(1j * beta, B).real
 
 
 def axis_dcharF(beta: float, B) -> float:

@@ -5,12 +5,14 @@ representations are used: PiecewiseStructure (breakpoints + per-interval
 values; canonical form merges equal neighbours) and GridStructure (uniform
 cells, the optimizer's design variable).  Values at the breakpoints
 themselves carry no information (measure zero), so canonicalization is
-lossless for every operation in the package.
+lossless for every operation in the package.  Both expose the same merged
+`layers` arrays, built once per object, which is all the field solvers read.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -38,6 +40,14 @@ class AdmissibleBounds:
     def contains(self, v, tol: float = 1e-12) -> bool:
         v = np.asarray(v, dtype=float)
         return bool(np.all(v >= self.b1 - tol) and np.all(v <= self.b2 + tol))
+
+
+class Layers(NamedTuple):
+    """Merged layers of a medium: equal neighbours form one layer."""
+
+    breakpoints: np.ndarray  # n + 1 positions, 0 first and 1 last
+    lengths: np.ndarray      # n layer lengths
+    values: np.ndarray       # n layer values
 
 
 @dataclass(frozen=True)
@@ -72,6 +82,11 @@ class PiecewiseStructure:
         object.__setattr__(self, "values", tuple(float(v) for v in vs))
 
     # -- basic queries ---------------------------------------------------
+
+    @cached_property
+    def layers(self) -> Layers:
+        xs = np.asarray(self.breakpoints)
+        return Layers(xs, np.diff(xs), np.asarray(self.values))
 
     @property
     def n_intervals(self) -> int:
@@ -162,6 +177,16 @@ class GridStructure:
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.values, dtype=float)
+
+    @cached_property
+    def layers(self) -> Layers:
+        """The layers of to_piecewise(self), without building it."""
+        vs = self.as_array()
+        if not self.bounds.contains(vs):
+            raise InputError("values outside admissible bounds")
+        keep = np.concatenate(([True], vs[1:] != vs[:-1]))
+        xs = np.append(self.edges[:-1][keep], 1.0)
+        return Layers(xs, np.diff(xs), vs[keep])
 
     def with_values(self, vs) -> "GridStructure":
         return GridStructure(tuple(float(v) for v in vs), self.bounds)

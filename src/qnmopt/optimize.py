@@ -6,14 +6,16 @@ one-parameter family resolved by a scalar root solve), with Armijo
 backtracking on the tracked eigenvalue, a frequency re-pinning correction,
 and a finalization pass that rounds to a two-valued structure and then
 polishes the switch positions continuously.  Multiple-eigenvalue collisions
-are detected through |dF/dz| and handled by a Puiseux escape direction whose
-downward branch is chosen explicitly.
+are detected through |dF/dz|: the run stops with CollisionDetected, whose
+`.partial` holds the result so far.  multiple_eigenvalue_escape is a
+separate tool: it computes a feasible direction whose Puiseux branch
+points straight down, for a caller to step along.
 """
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.optimize import brentq
@@ -632,14 +634,13 @@ def multiple_eigenvalue_escape(B, kappa: complex, r: int,
     """
     if r < 2:
         raise InputError("escape applies to multiplicities r >= 2")
+    if isinstance(B, GridStructure):
+        B = to_piecewise(B)
     bd, _, _ = overlap_integrals(B, kappa)
     edges = np.linspace(0.0, 1.0, n_cells + 1)
     cells = phi2_cell_integrals(B, kappa, edges)
     mids = 0.5 * (edges[:-1] + edges[1:])
-    if isinstance(B, GridStructure):
-        bvals = np.asarray(B.values)
-    else:
-        bvals = np.array([B.value_at(x) for x in mids])
+    bvals = np.array([B.value_at(x) for x in mids])
     kM = kappa * (-kappa * bd.psi1 + 1j * bd.dpsi1)
     drf = dzF_higher(B, kappa, r)
     pref = -math.factorial(r) * kM / drf
@@ -728,19 +729,16 @@ class SweepEntry:
     error: str | None = None
 
 
-def sweep_I(alphas, config: OptimizeConfig, workers: int = 1) -> list:
+def sweep_I(alphas, config: OptimizeConfig) -> list:
     """Trace the optimal decay rate over a list of frequencies.
 
-    Per-alpha failures are recorded and the sweep continues; entries come
-    back sorted to match the input order.
+    Each alpha runs from its own best constant seed: the seed of `config`
+    belongs to its alpha and is dropped.  Per-alpha failures are recorded
+    and the sweep continues; entries come back in input order.
     """
     def run(alpha: float) -> SweepEntry:
-        cfg = OptimizeConfig(
-            alpha=alpha, bounds=config.bounds, n_cells=config.n_cells,
-            step0=config.step0, step_grow=config.step_grow,
-            step_shrink=config.step_shrink, max_iters=config.max_iters,
-            tol_freq=config.tol_freq, tol_grad=config.tol_grad,
-            round_threshold=config.round_threshold)
+        cfg = replace(config, alpha=alpha, seed_structure=None,
+                      seed_kappa=None)
         ub = constant_upper_bound(alpha, cfg.bounds)
         try:
             res = minimize_im_at_frequency(cfg)
@@ -749,8 +747,4 @@ def sweep_I(alphas, config: OptimizeConfig, workers: int = 1) -> list:
             return SweepEntry(alpha, math.nan, None, ub,
                               f"{type(exc).__name__}: {exc}")
 
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(run, alphas))
     return [run(a) for a in alphas]

@@ -21,7 +21,8 @@ import numpy as np
 from .errors import (BranchCountMismatch, InputError, NearMultiple,
                      NoConvergence, NotAtRoot)
 from .field import charF, dzF, overlap_integrals, phi2_cell_integrals
-from .medium import AdmissibleBounds, GridStructure, PiecewiseStructure
+from .medium import (AdmissibleBounds, GridStructure, PiecewiseStructure,
+                     to_piecewise)
 from .spectrum import newton_refine
 
 __all__ = [
@@ -174,6 +175,8 @@ def splitting_probe(B, kappa0: complex, r: int, direction: GridStructure,
     zetas = tuple(sorted((float(z) for z in zetas), reverse=True))
     if r < 2:
         raise InputError("splitting requires multiplicity r >= 2")
+    if isinstance(B, GridStructure):
+        B = to_piecewise(B)
     bd, _, _ = overlap_integrals(B, kappa0)
     cells = phi2_cell_integrals(B, kappa0, direction.edges)
     w = complex(np.dot(cells, direction.as_array()))
@@ -188,7 +191,7 @@ def splitting_probe(B, kappa0: complex, r: int, direction: GridStructure,
     branch_sets = []
     radii = []
     for zeta in zetas:
-        Bz = _perturbed(B if isinstance(B, PiecewiseStructure) else B, direction, zeta)
+        Bz = _perturbed(B, direction, zeta)
         scale = abs(c1_pred) * zeta ** (1.0 / r)
         roots = []
         for k in range(r):

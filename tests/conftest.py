@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qnmopt.medium import AdmissibleBounds, random_bang_bang
+from qnmopt.medium import AdmissibleBounds, PiecewiseStructure, random_bang_bang
 
 # ln 3 / 4: imaginary part of every eigenvalue of the constant medium B = 4
 LN3_4 = math.log(3.0) / 4.0
@@ -33,6 +33,32 @@ def random_structures(box14):
 def double_fixture():
     from qnmopt.sensitivity import find_double_eigenvalue
     return find_double_eigenvalue(DOUBLE_SEED, DOUBLE_KAPPA_SEED)
+
+
+@pytest.fixture(scope="session")
+def grid_double_fixture():
+    """Two-layer double eigenvalue with its interface on the grid edge 45/64.
+
+    The interface stays fixed and (v1, v2, kappa) solve F = dF/dz = 0, so
+    every grid of 64 * 2^k cells represents the structure exactly.
+    """
+    from scipy.optimize import root
+    from qnmopt.field import charF, dzF
+    bounds = AdmissibleBounds(0.0, 5.0)
+
+    def structure(q):
+        return PiecewiseStructure((0.0, 45 / 64, 1.0), (q[0], q[1]), bounds)
+
+    def residual(q):
+        z = complex(q[2], q[3])
+        f, df = charF(z, structure(q)), dzF(z, structure(q))
+        return [f.real, f.imag, df.real, df.imag]
+
+    sol = root(residual, [DOUBLE_SEED[1], DOUBLE_SEED[2],
+                          DOUBLE_KAPPA_SEED.real, DOUBLE_KAPPA_SEED.imag],
+               tol=1e-14)
+    assert max(abs(r) for r in residual(sol.x)) < 1e-12
+    return structure(sol.x), complex(sol.x[2], sol.x[3])
 
 
 @pytest.fixture(scope="session")

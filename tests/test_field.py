@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qnmopt.errors import TailNotConverged, ZeroFrequency
@@ -11,8 +11,8 @@ from qnmopt.field import (axis_charF, axis_dcharF, charF, charF_many, dzF,
                           dzF_at_root, integral_residual, layer_matrix,
                           mode_values, overlap_integrals, phi2_cell_integrals,
                           phi_series, propagate)
-from qnmopt.medium import (AdmissibleBounds, PiecewiseStructure, constant,
-                           random_bang_bang, to_grid)
+from qnmopt.medium import (AdmissibleBounds, GridStructure, PiecewiseStructure,
+                           constant, random_bang_bang, to_grid)
 from qnmopt.spectrum import SpectralWindow, locate
 
 LN3_4 = math.log(3.0) / 4.0
@@ -246,6 +246,55 @@ class TestFieldProperties:
         sr = phi_series(B, z)
         assert abs(bd.phi1 - sr.bd.phi1) < 1e-8 * max(1.0, abs(bd.phi1))
         assert abs(bd.dphi1 - sr.bd.dphi1) < 1e-8 * max(1.0, abs(bd.dphi1))
+
+
+# grid media with equal neighbours (merged into one layer) and b = 0 cells
+_grid_values = st.lists(st.sampled_from((0.0, 1.0, 2.5, 4.0)),
+                        min_size=1, max_size=12)
+_grid_z = st.complex_numbers(max_magnitude=6.0, allow_nan=False,
+                             allow_infinity=False)
+# at this z numpy's sin(w)/w is inf+nanj, Python's complex division is 1
+_SUBNORMAL_Z = 2.2250738585e-313 + 0j
+
+
+def _grid(values):
+    return GridStructure(tuple(values), AdmissibleBounds(0.0, 4.0))
+
+
+class TestGridSweepProperties:
+    """The layer sweep on grid media against the reference evaluations."""
+
+    @given(_grid_values, _grid_z)
+    @example([0.0, 4.0, 4.0, 1.0], _SUBNORMAL_Z)
+    @settings(max_examples=60, deadline=None)
+    def test_propagate_matches_series(self, values, z):
+        B = _grid(values)
+        bd = propagate(B, z)
+        sr = phi_series(B, z)
+        for a, b in ((bd.phi1, sr.bd.phi1), (bd.dphi1, sr.bd.dphi1),
+                     (bd.psi1, sr.bd.psi1), (bd.dpsi1, sr.bd.dpsi1)):
+            assert abs(a - b) < 1e-8 * max(1.0, abs(a))
+
+    @given(_grid_values, st.lists(_grid_z, min_size=1, max_size=6))
+    @example([0.0, 4.0, 4.0, 1.0], [_SUBNORMAL_Z, 0j, 2.0 + 0.5j])
+    @settings(max_examples=60, deadline=None)
+    def test_charF_many_matches_charF(self, values, zs):
+        B = _grid(values)
+        many = charF_many(np.array(zs), B)
+        for z, f in zip(zs, many):
+            one = charF(z, B)
+            scale = max(1.0, abs(one), abs(propagate(B, z).phi1))
+            assert abs(f - one) < 1e-12 * scale
+
+    @given(_grid_values, _grid_z)
+    @example([0.0, 4.0, 4.0, 1.0], _SUBNORMAL_Z)
+    @settings(max_examples=60, deadline=None)
+    def test_cell_integrals_sum_to_overlap(self, values, z):
+        B = _grid(values)
+        weighted = phi2_cell_integrals(B, z, B.edges) * np.asarray(values)
+        _, i_phi2b, _ = overlap_integrals(B, z)
+        scale = max(1.0, float(np.sum(np.abs(weighted))))
+        assert abs(np.sum(weighted) - i_phi2b) < 1e-12 * scale
 
 
 class TestAxisSpecialization:

@@ -176,6 +176,14 @@ class TestConversions:
         vals = [4.0 if (pattern >> (i % 12)) & 1 else 1.0 for i in range(n)]
         g = grid(vals, b)
         assert to_grid(to_piecewise(g), n).values == g.values
+        # the grid's own layers are those of its piecewise form
+        for mine, theirs in zip(g.layers, to_piecewise(g).layers):
+            assert np.array_equal(mine, theirs)
+
+    def test_grid_layers_check_bounds(self):
+        g = GridStructure((1.0, 5.0), AdmissibleBounds(1, 4))
+        with pytest.raises(InputError):
+            g.layers
 
     def test_aligned_refinement(self):
         b = AdmissibleBounds(1, 4)

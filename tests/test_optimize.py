@@ -7,7 +7,8 @@ import pytest
 from qnmopt.errors import InfeasibleError, InputError, StalledDirection
 from qnmopt.field import charF, dzF
 from qnmopt.medium import (AdmissibleBounds, GridStructure, constant,
-                           extremality_measure, random_bang_bang, to_grid)
+                           extremality_measure, random_bang_bang, to_grid,
+                           to_piecewise)
 from qnmopt.optimize import (OptimizeConfig, best_constant_seed,
                              constant_upper_bound, minimize_im_at_frequency,
                              multiple_eigenvalue_escape, step_direction,
@@ -125,6 +126,13 @@ class TestEscape:
         assert abs(cmath.phase(best - kappa) + math.pi / 2) < math.pi / 4
         assert best.imag < kappa.imag
 
+    def test_grid_medium_matches_piecewise(self, grid_double_fixture):
+        # a 256-cell grid under the 64-cell escape direction
+        B, kappa = grid_double_fixture
+        g = to_grid(B, 256)
+        assert multiple_eigenvalue_escape(g, kappa, 2, B.bounds) \
+            == multiple_eigenvalue_escape(to_piecewise(g), kappa, 2, B.bounds)
+
     def test_axis_branch_stays_on_axis(self):
         from qnmopt.sensitivity import find_double_eigenvalue
         from conftest import AXIS_DOUBLE_KAPPA_SEED, AXIS_DOUBLE_SEED
@@ -234,10 +242,3 @@ class TestSweep:
         entries = sweep_I([0.1], cfg)
         assert entries[0].error is not None
         assert math.isnan(entries[0].I_alpha)
-
-    def test_threaded_matches_serial(self, box14):
-        cfg = OptimizeConfig(alpha=0.0, bounds=box14, n_cells=32,
-                             max_iters=60)
-        a = sweep_I([math.pi], cfg)
-        b = sweep_I([math.pi], cfg, workers=2)
-        assert a[0].I_alpha == b[0].I_alpha

@@ -6,7 +6,8 @@ import pytest
 
 from qnmopt.errors import InputError, NotAtRoot
 from qnmopt.field import charF, dzF
-from qnmopt.medium import AdmissibleBounds, GridStructure, constant, to_grid
+from qnmopt.medium import (AdmissibleBounds, GridStructure, constant, to_grid,
+                           to_piecewise)
 from qnmopt.sensitivity import (dBF_direction, dzF_higher, eigenvalue_gradient,
                                 find_double_eigenvalue, splitting_probe,
                                 _perturbed)
@@ -126,6 +127,15 @@ class TestSplittingProbe:
         Bz = _perturbed(B, d, 1e-5)
         for z in branches:
             assert abs(dzF(z, Bz)) > 1e-6  # simple roots
+
+    def test_grid_medium_matches_piecewise(self, grid_double_fixture):
+        B, kappa = grid_double_fixture
+        g = to_grid(B, 256)
+        d = GridStructure(tuple(1.0 if i < 8 else 0.0 for i in range(16)),
+                          B.bounds)
+        pr = splitting_probe(g, kappa, 2, d, [1e-4, 1e-5])
+        assert pr == splitting_probe(to_piecewise(g), kappa, 2, d, [1e-4, 1e-5])
+        assert 0.45 <= pr.fitted_exponent <= 0.55
 
     def test_zeta_must_decrease(self, box14, double_fixture):
         B, kappa = double_fixture
