@@ -191,7 +191,7 @@ def nonlinear_residual(B: PiecewiseStructure, kappa: complex,
     phi, _ = mode_values(B, kappa, xs)
     y2 = (cmath.exp(1j * theta) ** 2) * phi * phi
     rebuilt = np.where(y2.imag > 0.0, b2, b1)
-    actual = np.array([B.value_at(x) for x in xs])
+    actual = B.layers.values_at(xs)
     mismatch = float(np.mean(np.abs(rebuilt - actual) > 1e-12))
     return float(theta), mismatch
 
@@ -208,32 +208,28 @@ class SelfConsistentResult:
 
 def _rebuild_structure(B: PiecewiseStructure, kappa: complex, theta: float,
                        bounds: AdmissibleBounds, n_grid: int) -> PiecewiseStructure:
-    """b1 + (b2-b1) chi_{C+}(y^2) as a structure with bisected switch points."""
-    xs = np.linspace(0.0, 1.0, n_grid + 1)
-    phi, _ = mode_values(B, kappa, xs)
-    s = ((cmath.exp(1j * theta) ** 2) * phi * phi).imag
+    """b1 + (b2-b1) chi_{C+}(y^2) as a structure with bisected switch points.
+
+    Every sign change of Im y^2 between grid nodes is bisected at once: each
+    of the 60 halvings evaluates the mode at all bracket midpoints together.
+    """
     rot = cmath.exp(1j * theta) ** 2
 
-    def im_y2(x: float) -> float:
-        p, _ = mode_values(B, kappa, np.array([x]))
-        return float((rot * p[0] * p[0]).imag)
+    def positive(xs: np.ndarray) -> np.ndarray:
+        phi, _ = mode_values(B, kappa, xs)
+        return (rot * phi * phi).imag > 0.0
 
-    cuts = []
-    for i in range(n_grid):
-        if (s[i] > 0.0) != (s[i + 1] > 0.0):
-            lo, hi = xs[i], xs[i + 1]
-            flo = s[i]
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                fm = im_y2(mid)
-                if (fm > 0.0) == (flo > 0.0):
-                    lo, flo = mid, fm
-                else:
-                    hi = mid
-            cuts.append(0.5 * (lo + hi))
-    pts = [0.0] + cuts + [1.0]
-    mids = [0.5 * (a + b) for a, b in zip(pts[:-1], pts[1:])]
-    vals = [bounds.b2 if im_y2(m) > 0.0 else bounds.b1 for m in mids]
+    xs = np.linspace(0.0, 1.0, n_grid + 1)
+    pos = positive(xs)
+    i = np.flatnonzero(pos[:-1] != pos[1:])
+    lo, hi, pos_lo = xs[i], xs[i + 1], pos[i]
+    for _ in range(60 if len(i) else 0):
+        mid = 0.5 * (lo + hi)
+        same = positive(mid) == pos_lo
+        lo = np.where(same, mid, lo)
+        hi = np.where(same, hi, mid)
+    pts = np.concatenate(([0.0], 0.5 * (lo + hi), [1.0]))
+    vals = np.where(positive(0.5 * (pts[:-1] + pts[1:])), bounds.b2, bounds.b1)
     return PiecewiseStructure(tuple(pts), tuple(vals), bounds)
 
 

@@ -224,12 +224,13 @@ def cmd_simulate(args) -> int:
     B = _load_structure(args)
     kappa = complex(args.kappa_re, args.kappa_im)
     m = args.cells
+    if m < 1:
+        raise InputError(f"--cells must be at least 1, not {m}")
+    xs = np.linspace(0.0, 1.0, m + 1)
     if args.mode_excitation:
-        xs = np.linspace(0.0, 1.0, m + 1)
         phi, _ = mode_values(B, kappa, xs)
         u0, v0 = phi.real.copy(), (1j * kappa * phi).real.copy()
     else:
-        xs = np.linspace(0.0, 1.0, m + 1)
         u0 = np.exp(-((xs - 0.35) / 0.07) ** 2)
         v0 = np.zeros_like(u0)
     sim = simulate(B, u0, v0, args.T, m)

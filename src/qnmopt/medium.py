@@ -49,6 +49,11 @@ class Layers(NamedTuple):
     lengths: np.ndarray      # n layer lengths
     values: np.ndarray       # n layer values
 
+    def values_at(self, xs):
+        """Values of the layers holding xs (right-open, clamped to [0, 1])."""
+        j = np.searchsorted(self.breakpoints, xs, side="right") - 1
+        return self.values[np.clip(j, 0, len(self.values) - 1)]
+
 
 @dataclass(frozen=True)
 class PiecewiseStructure:
@@ -94,10 +99,7 @@ class PiecewiseStructure:
 
     def value_at(self, x: float) -> float:
         """Value on the interval containing x (right-open convention)."""
-        xs = np.asarray(self.breakpoints)
-        j = int(np.searchsorted(xs, x, side="right") - 1)
-        j = min(max(j, 0), len(self.values) - 1)
-        return self.values[j]
+        return float(self.layers.values_at(x))
 
     def sup(self) -> float:
         return float(max(self.values))

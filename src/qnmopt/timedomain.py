@@ -3,26 +3,44 @@
 Explicit leapfrog for B u_tt = u_xx on [0,1] with a reflecting (Neumann)
 left end and a first-order absorbing right end (u_x = -u_t, discretized in
 the classic one-sided transparent form that is exact for unit-speed
-right-movers on the characteristic grid).  The discrete energy
-E = 1/2 int (B u_t^2 + u_x^2) is non-increasing, and a simulation excited
-with a frequency-domain mode must show log E decaying at twice the mode's
-imaginary part.
+right-movers on the characteristic grid; Mur, IEEE Trans. EMC 23(4), 1981).
+The discrete energy E = 1/2 int (B u_t^2 + u_x^2) is non-increasing, and a
+simulation excited with a frequency-domain mode must show log E decaying at
+twice the mode's imaginary part.
+
+The loop runs in velocity form: it carries V^n = u^{n+1} - u^n and
+D^n = diff(u^n), so a step is V^{n+1} = V^n + lam2 (D^{n+1}[1:] - D^{n+1}[:-1])
+on the interior, u^{n+2} = u^{n+1} + V^{n+1}, and two scalar updates at the
+Neumann and Mur nodes: five in-place array operations in all.  The
+staggered energy at t = (n + 1/2) dt,
+
+    E^n = h/2 (sum_i w_i B_i (V^n_i / dt)^2 + sum_i D^{n+1}_i D^n_i / h^2),
+
+with trapezoid weights w, is not formed per step: V and D rows of _BLOCK
+(16) consecutive steps are kept in preallocated buffers of
+(_BLOCK + 1) x (m_cells + 1) floats, and each block's energies come from
+one matrix-vector product and one row-wise dot.  The last V and D rows of a
+block carry over as row 0 of the next.
 """
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CFLViolation, DegenerateMedium, FitUnstable, InputError
 from .field import mode_values
-from .medium import PiecewiseStructure
+from .medium import GridStructure, PiecewiseStructure
 
 __all__ = ["SimResult", "simulate", "excite_and_fit", "FitResult",
            "CFL_SAFETY"]
 
 CFL_SAFETY = 0.9
+_BLOCK = 16   # time steps whose V and D rows are buffered between energy passes
+
+Medium = PiecewiseStructure | GridStructure
 
 
 @dataclass(frozen=True)
@@ -34,30 +52,47 @@ class SimResult:
     dx: float
 
 
-def _node_coefficients(B: PiecewiseStructure, m_cells: int) -> np.ndarray:
+def _node_coefficients(B: Medium, m_cells: int) -> np.ndarray:
     """B sampled at grid nodes (breakpoint nodes take the side average)."""
     xs = np.linspace(0.0, 1.0, m_cells + 1)
     h = 1.0 / m_cells
-    left = np.array([B.value_at(max(x - 0.25 * h, 0.0)) for x in xs])
-    right = np.array([B.value_at(min(x + 0.25 * h, 1.0)) for x in xs])
+    left = B.layers.values_at(np.maximum(xs - 0.25 * h, 0.0))
+    right = B.layers.values_at(np.minimum(xs + 0.25 * h, 1.0))
     return 0.5 * (left + right)
 
 
-def simulate(B: PiecewiseStructure, u0, v0, T: float, m_cells: int,
+def _is_int(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def simulate(B: Medium, u0, v0, T: float, m_cells: int,
              dt: float | None = None, probe_index: int = 0) -> SimResult:
     """Leapfrog run until time T on m_cells uniform cells.
 
     u0, v0 are node arrays of length m_cells + 1 (displacement and
     velocity).  dt defaults to the CFL-safe value 0.9 dx sqrt(min B);
-    a caller-supplied dt beyond that bound raises CFLViolation.
+    a caller-supplied dt beyond that bound raises CFLViolation.  T must be
+    finite and >= 0, m_cells a positive integer and probe_index a node
+    index (negative counts from the right end); anything else raises
+    InputError.
     """
-    bn = _node_coefficients(B, m_cells)
-    if float(np.min(bn)) <= 0.0 or B.inf() <= 0.0:
+    if not _is_int(m_cells) or m_cells < 1:
+        raise InputError(f"m_cells must be a positive integer, not {m_cells!r}")
+    if not math.isfinite(T) or T < 0.0:
+        raise InputError(f"T must be finite and >= 0, not {T!r}")
+    if not _is_int(probe_index) or not -m_cells - 1 <= probe_index <= m_cells:
+        raise InputError(f"probe_index {probe_index!r} is not a node of "
+                         f"the {m_cells}-cell grid")
+    b_min = float(B.layers.values.min())
+    if b_min <= 0.0:
         raise DegenerateMedium("simulation requires min B > 0")
+    bn = _node_coefficients(B, m_cells)
     h = 1.0 / m_cells
-    dt_max = CFL_SAFETY * h * math.sqrt(B.inf())
+    dt_max = CFL_SAFETY * h * math.sqrt(b_min)
     if dt is None:
         dt = dt_max
+    elif not (math.isfinite(dt) and dt > 0.0):
+        raise InputError(f"dt must be finite and > 0, not {dt!r}")
     elif dt > dt_max * (1.0 + 1e-12):
         raise CFLViolation(f"dt = {dt:.3e} exceeds {dt_max:.3e}")
 
@@ -71,37 +106,56 @@ def simulate(B: PiecewiseStructure, u0, v0, T: float, m_cells: int,
     # time-centered one-sided form (exact for B = 1 on the dt = h grid)
     mur = (dt - h) / (dt + h)
 
-    def lap(u: np.ndarray) -> np.ndarray:
-        out = np.empty_like(u)
-        out[1:-1] = u[2:] - 2.0 * u[1:-1] + u[:-2]
-        out[0] = 2.0 * (u[1] - u[0])        # Neumann ghost u[-1] = u[1]
-        out[-1] = 0.0                        # boundary handled by Mur update
-        return out
-
     # leapfrog start: u at t = dt from a Taylor step
-    u = u_prev + dt * v_init + 0.5 * lam2 * lap(u_prev)
+    lap = np.zeros_like(u_prev)
+    lap[1:-1] = u_prev[2:] - 2.0 * u_prev[1:-1] + u_prev[:-2]
+    lap[0] = 2.0 * (u_prev[1] - u_prev[0])    # Neumann ghost u[-1] = u[1]
+    u = u_prev + dt * v_init + 0.5 * lam2 * lap
     u[-1] = u_prev[-2] + mur * (u[-2] - u_prev[-1])
 
-    n_steps = int(math.ceil(T / dt))
-    times = np.empty(n_steps)
+    n_steps = math.ceil(T / dt)
+    times = (np.arange(n_steps) + 0.5) * dt
     energies = np.empty(n_steps)
     probe = np.empty(n_steps)
     w = np.ones(m_cells + 1)
     w[0] = w[-1] = 0.5
+    kin = w * bn / dt ** 2
 
-    for n in range(n_steps):
+    # row j of a block holds step n = n0 + j: V[j] = u^{n+1} - u^n and
+    # D[j] = diff(u^n); row 0 is carried over from the previous block
+    V = np.empty((_BLOCK + 1, m_cells + 1))
+    D = np.empty((_BLOCK + 1, m_cells))
+    VV = np.empty((_BLOCK, m_cells + 1))
+    V[0] = u - u_prev
+    D[0] = np.diff(u_prev)
+    V_in, V_head = V[:, 1:-1], V[:, :-1]
+    D_hi, D_lo = D[:, 1:], D[:, :-1]
+    u_hi, u_lo = u[1:], u[:-1]
+    lam2_in, lam2_0 = lam2[1:-1], 2.0 * lam2[0]
+    sub, mul, add = np.subtract, np.multiply, np.add
+    for n0 in range(0, n_steps, _BLOCK):
+        rows = min(_BLOCK, n_steps - n0)
+        for j in range(rows):
+            probe[n0 + j] = u[probe_index]
+            d = D[j + 1]
+            sub(u_hi, u_lo, d)
+            # V^{n+1} = V^n + lam2 lap(u^{n+1}) on the interior ...
+            v_in = V_in[j + 1]
+            sub(D_hi[j + 1], D_lo[j + 1], v_in)
+            mul(v_in, lam2_in, v_in)
+            add(v_in, V_in[j], v_in)
+            # ... and at the Neumann node, then u^{n+2} = u^{n+1} + V^{n+1}
+            v_new = V[j + 1]
+            v_new[0] = V[j, 0] + lam2_0 * d[0]
+            last, before = u[-1], u[-2]
+            add(u_lo, V_head[j + 1], u_lo)
+            u[-1] = before + mur * (u[-2] - last)
+            v_new[-1] = u[-1] - last
         # staggered (conserved-form) energy at t = (n + 1/2) dt
-        vt = (u - u_prev) / dt
-        du_new = np.diff(u) / h
-        du_old = np.diff(u_prev) / h
-        energies[n] = 0.5 * h * (float(np.dot(w * bn, vt * vt))
-                                 + float(np.dot(du_new, du_old)))
-        times[n] = (n + 0.5) * dt
-        probe[n] = u[probe_index]
-
-        u_next = 2.0 * u - u_prev + lam2 * lap(u)
-        u_next[-1] = u[-2] + mur * (u_next[-2] - u[-1])
-        u_prev, u = u, u_next
+        vv = np.multiply(V[:rows], V[:rows], out=VV[:rows])
+        grad = np.einsum("ij,ij->i", D[1:rows + 1], D[:rows])
+        energies[n0:n0 + rows] = 0.5 * h * (vv @ kin + grad / h ** 2)
+        V[0], D[0] = V[rows], D[rows]
 
     return SimResult(times, energies, probe, dt, h)
 
@@ -114,7 +168,7 @@ class FitResult:
     window: tuple
 
 
-def excite_and_fit(B: PiecewiseStructure, kappa: complex, T: float,
+def excite_and_fit(B: Medium, kappa: complex, T: float,
                    m_cells: int, fit_window: tuple = (0.15, 0.9),
                    max_rel_residual: float = 0.05) -> FitResult:
     """Initialize with Re(phi), Re(i kappa phi) and fit the energy decay.

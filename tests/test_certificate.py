@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -171,3 +173,71 @@ class TestSelfConsistent:
         assert abs(charF(res.kappa, res.B)) < 1e-8
         # y = e^{i theta} phi: y(0) = e^{i theta}
         assert abs(res.y[0] - np.exp(1j * res.theta)) < 1e-12
+
+
+def reference_rebuild(B, kappa, theta, bounds, n_grid):
+    """The per-switch scalar bisection that `_rebuild_structure` replaced."""
+    import cmath
+    from qnmopt.field import mode_values
+    xs = np.linspace(0.0, 1.0, n_grid + 1)
+    phi, _ = mode_values(B, kappa, xs)
+    s = ((cmath.exp(1j * theta) ** 2) * phi * phi).imag
+    rot = cmath.exp(1j * theta) ** 2
+
+    def im_y2(x: float) -> float:
+        p, _ = mode_values(B, kappa, np.array([x]))
+        return float((rot * p[0] * p[0]).imag)
+
+    cuts = []
+    for i in range(n_grid):
+        if (s[i] > 0.0) != (s[i + 1] > 0.0):
+            lo, hi = xs[i], xs[i + 1]
+            flo = s[i]
+            for _ in range(60):
+                mid = 0.5 * (lo + hi)
+                fm = im_y2(mid)
+                if (fm > 0.0) == (flo > 0.0):
+                    lo, flo = mid, fm
+                else:
+                    hi = mid
+            cuts.append(0.5 * (lo + hi))
+    pts = [0.0] + cuts + [1.0]
+    mids = [0.5 * (a + b) for a, b in zip(pts[:-1], pts[1:])]
+    vals = [bounds.b2 if im_y2(m) > 0.0 else bounds.b1 for m in mids]
+    return PiecewiseStructure(tuple(pts), tuple(vals), bounds)
+
+
+STORED_OPTIMA = (Path(__file__).resolve().parent.parent
+                 / "perfbench" / "data" / "optima.json")
+
+
+class TestRebuildStructure:
+    """The batched bisection reproduces the scalar one switch for switch."""
+
+    @pytest.mark.parametrize("index", range(3))
+    def test_matches_scalar_bisection_on_stored_optima(self, index):
+        from qnmopt.certificate import (_omega_from_trace, _rebuild_structure,
+                                        certificate_theta)
+        from qnmopt.medium import switch_points
+        rec = json.loads(STORED_OPTIMA.read_text(encoding="utf-8"))[index]
+        B = PiecewiseStructure.from_json_dict(rec["structure"])
+        kappa = newton_refine(B, complex(*rec["kappa"]), tol=1e-9,
+                              leash=1.0)[0]
+        omega = _omega_from_trace(phase_trace(B, kappa), switch_points(B),
+                                  B.bounds.b1)
+        theta = certificate_theta(kappa, omega, B.bounds.b1)
+        for n_grid in (256, 2048):
+            new = _rebuild_structure(B, kappa, theta, B.bounds, n_grid)
+            old = reference_rebuild(B, kappa, theta, B.bounds, n_grid)
+            assert len(new.breakpoints) > 2
+            assert new.breakpoints == old.breakpoints
+            assert new.values == old.values
+
+    def test_constant_rebuild_without_switches(self, box14):
+        from qnmopt.certificate import _rebuild_structure
+        B = constant(4.0, box14)
+        kappa = 1j * LN3_4
+        new = _rebuild_structure(B, kappa, 0.25 * math.pi, box14, 64)
+        old = reference_rebuild(B, kappa, 0.25 * math.pi, box14, 64)
+        assert new == old
+        assert new.values == (4.0,)

@@ -2,6 +2,8 @@ import json
 import math
 import os
 
+import pytest
+
 from qnmopt.cli import main
 
 from conftest import LN3_4
@@ -147,6 +149,18 @@ class TestSimulate:
         e0 = float(lines[1].split(",")[1])
         e_end = float(lines[-1].split(",")[1])
         assert e_end < e0
+
+    @pytest.mark.parametrize("bad", [["--cells", 0], ["--cells", -3],
+                                     ["--T", -1], ["--T", "nan"]])
+    def test_bad_run_exit_2(self, tmp_path, capsys, bad):
+        out = tmp_path / "decay.csv"
+        code = run(["simulate", "--preset-constant", 4, "--bounds", 1, 4,
+                    "--out", out, *bad])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("input error:")
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
 class TestSplittingProbe:
