@@ -50,7 +50,7 @@ class Layers(NamedTuple):
     values: np.ndarray       # n layer values
 
     def values_at(self, xs):
-        """Values of the layers holding xs (right-open, clamped to [0, 1])."""
+        """Values of the layers holding xs (right-open; end layers outside)."""
         j = np.searchsorted(self.breakpoints, xs, side="right") - 1
         return self.values[np.clip(j, 0, len(self.values) - 1)]
 
