@@ -9,15 +9,18 @@ simulation excited with a frequency-domain mode must show log E decaying at
 twice the mode's imaginary part.
 
 The loop runs in velocity form: it carries V^n = u^{n+1} - u^n and
-D^n = diff(u^n), so a step is V^{n+1} = V^n + lam2 (D^{n+1}[1:] - D^{n+1}[:-1])
-on the interior, u^{n+2} = u^{n+1} + V^{n+1}, and two scalar updates at the
-Neumann and Mur nodes: five in-place array operations in all.  The
-staggered energy at t = (n + 1/2) dt,
+D^n = diff(u^n), so a step is
+
+    V^{n+1} = V^n + lam2 (D^{n+1}[1:] - D^{n+1}[:-1])   (interior nodes),
+    u^{n+2} = u^{n+1} + V^{n+1},
+
+plus two scalar updates at the Neumann and Mur nodes: five in-place array
+operations in all.  The staggered energy at t = (n + 1/2) dt,
 
     E^n = h/2 (sum_i w_i B_i (V^n_i / dt)^2 + sum_i D^{n+1}_i D^n_i / h^2),
 
 with trapezoid weights w, is not formed per step: V and D rows of _BLOCK
-(16) consecutive steps are kept in preallocated buffers of
+(16) consecutive steps are kept in three preallocated buffers of at most
 (_BLOCK + 1) x (m_cells + 1) floats, and each block's energies come from
 one matrix-vector product and one row-wise dot.  The last V and D rows of a
 block carry over as row 0 of the next.
