@@ -223,7 +223,7 @@ def _rebuild_structure(B: PiecewiseStructure, kappa: complex, theta: float,
     pos = positive(xs)
     i = np.flatnonzero(pos[:-1] != pos[1:])
     lo, hi, pos_lo = xs[i], xs[i + 1], pos[i]
-    for _ in range(60 if len(i) else 0):
+    for _ in range(60):
         mid = 0.5 * (lo + hi)
         same = positive(mid) == pos_lo
         lo = np.where(same, mid, lo)

@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import TailNotConverged, ZeroFrequency
+from .errors import InputError, TailNotConverged, ZeroFrequency
 
 __all__ = [
     "BoundaryData", "CauchyState", "ModeTrace",
@@ -210,8 +210,10 @@ def charF_many(zs, B) -> np.ndarray:
 def mode_values(B, z: complex, xs) -> tuple:
     """(phi, phi') evaluated at sorted positions xs in [0, 1]."""
     xs = np.asarray(xs, dtype=float)
+    if not xs.size:
+        return np.zeros(0, complex), np.zeros(0, complex)
     if np.any(np.diff(xs) < 0) or xs.min() < -1e-15 or xs.max() > 1 + 1e-15:
-        raise ValueError("positions must be sorted inside [0, 1]")
+        raise InputError("positions must be sorted inside [0, 1]")
     bps, lengths, values = B.layers
     p, e = (np.array(v) for v in _sweep(z, values, lengths).phi)
     j = np.clip(np.searchsorted(bps, xs, side="right") - 1, 0, len(lengths) - 1)

@@ -5,11 +5,15 @@ clipped anti-gradient of Im kappa made first-order neutral for Re kappa (a
 one-parameter family resolved by a scalar root solve), with Armijo
 backtracking on the tracked eigenvalue, a frequency re-pinning correction,
 and a finalization pass that rounds to a two-valued structure and then
-polishes the switch positions continuously.  Multiple-eigenvalue collisions
-are detected through |dF/dz|: the run stops with CollisionDetected, whose
-`.partial` holds the result so far.  multiple_eigenvalue_escape is a
-separate tool: it computes a feasible direction whose Puiseux branch
-points straight down, for a caller to step along.
+polishes the switch positions continuously.  Re-pinning, and a step whose
+clipped family collapses, take the exact solution of a one-constraint box
+LP (_lp_direction, one sort of the ratios); the switch polish runs the
+damped-Newton driver of the sensitivity module.  Multiple-eigenvalue
+collisions are detected through |dF/dz|: the run stops with
+CollisionDetected, whose `.partial` holds the result so far.
+multiple_eigenvalue_escape is a separate tool: it computes a feasible
+direction whose Puiseux branch points straight down, for a caller to step
+along.
 """
 from __future__ import annotations
 
@@ -28,8 +32,8 @@ from .field import (axis_charF, axis_dcharF, charF, dzF, mode_values,
 from .medium import (AdmissibleBounds, GridStructure, PiecewiseStructure,
                      constant, extremality_measure, project_to_box,
                      round_to_extreme, switch_points, to_grid, to_piecewise)
-from .sensitivity import (GradientDensity, dzF_higher, eigenvalue_gradient,
-                          splitting_probe)
+from .sensitivity import (GradientDensity, _damped_newton, dzF_higher,
+                          eigenvalue_gradient, splitting_probe)
 from .spectrum import SpectralWindow, axis_offset, locate, newton_refine
 
 __all__ = [
@@ -223,41 +227,33 @@ def _lp_direction(obj: np.ndarray, con: np.ndarray, vals: np.ndarray,
                   bounds: AdmissibleBounds, act_tol: float = 1e-12) -> np.ndarray:
     """Feasible direction maximizing sum(obj * d) subject to sum(con * d) = 0.
 
-    One-constraint box LP (fractional knapsack): cells sit at their feasible
-    extreme by the sign of obj - nu * con, with nu bisected until the
-    constraint response crosses zero, and one marginal cell made fractional
-    to land on it exactly.
+    One-constraint box LP, a fractional knapsack solved exactly by sorting
+    (Dantzig, Oper. Res. 5(2), 1957).  At a multiplier nu each cell sits at
+    its upper room u where obj - nu * con > 0 and at its lower room l
+    otherwise; cells with con = 0 (and cells with no room) take u or l by the
+    sign of obj.  As nu rises past the ratio obj/con of a movable cell, the
+    cell flips to its other extreme and the response con . d drops by
+    |con| (u - l).  Since u >= 0 >= l the response starts >= 0 and ends
+    <= 0, so it always crosses: the movable cells flip in stable ratio
+    order up to the first prefix whose response is <= 0, and the last of
+    them, the marginal cell, is made fractional against the residual
+    con . d so that the constraint holds to rounding.
     """
     u = np.where(vals >= bounds.b2 - act_tol, 0.0, 1.0)
     l = np.where(vals <= bounds.b1 + act_tol, 0.0, -1.0)
-
-    def d_of(nu: float) -> np.ndarray:
-        return np.where(obj - nu * con > 0.0, u, l)
-
-    def h(nu: float) -> float:
-        return float(np.dot(con, d_of(nu)))
-
-    lo, hi = -1e12, 1e12
-    if h(lo) < 0.0 or h(hi) > 0.0:
-        return d_of(0.0)  # constraint response ~ 0 for every sign pattern
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if h(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    d = d_of(hi)
-    resid = float(np.dot(con, d))
-    if resid != 0.0:
-        # make the marginal cell fractional to cancel the constraint response
-        score = np.abs(obj - hi * con)
-        for m in np.argsort(score)[:8]:
-            if con[m] == 0.0 or u[m] <= l[m]:
-                continue
-            dm = d[m] - resid / con[m]
-            if l[m] - 1e-12 <= dm <= u[m] + 1e-12:
-                d[m] = min(max(dm, l[m]), u[m])
-                break
+    d = np.where(obj > 0.0, u, l)
+    move = np.flatnonzero((con != 0.0) & (u > l))
+    if not move.size:
+        return d
+    order = move[np.argsort(obj[move] / con[move], kind="stable")]
+    rising = con[order] > 0.0
+    d[order] = np.where(rising, u[order], l[order])  # nu -> -inf
+    after = np.dot(con, d) - np.cumsum(np.abs(con[order]) * (u - l)[order])
+    n_flip = min(np.count_nonzero(after > 0.0) + 1, len(order))
+    flip = order[:n_flip]
+    d[flip] = np.where(rising[:n_flip], l[flip], u[flip])
+    m = order[n_flip - 1]
+    d[m] = min(max(d[m] - np.dot(con, d) / con[m], l[m]), u[m])
     return d
 
 
@@ -540,8 +536,7 @@ def _polish_switches(B: PiecewiseStructure, kappa: complex,
 def _polish_newton(B: PiecewiseStructure, kappa: complex,
                    cfg: OptimizeConfig, max_iters: int = 60):
     """One damped-Newton pass on Im(dk/dx_j) = lam Re(dk/dx_j), Re k = alpha."""
-    n = len(B.breakpoints) - 2
-    if n == 0:
+    if len(B.breakpoints) == 2:
         return B, kappa
     vals = B.values
     bounds = B.bounds
@@ -553,63 +548,21 @@ def _polish_newton(B: PiecewiseStructure, kappa: complex,
         return PiecewiseStructure(pts, vals, bounds)
 
     def residual(q, kappa_near):
-        xs, lam = q[:-1], q[-1]
-        Bq = build(xs)
-        if Bq is None:
-            return None, None
-        res = newton_refine(Bq, kappa_near, tol=1e-9, leash=0.5)
+        Bq = build(q[:-1])
+        res = None if Bq is None else \
+            newton_refine(Bq, kappa_near, tol=1e-9, leash=0.5)
         if res is None:
-            return None, None
+            return None
         kq = res[0]
         sens = _switch_sensitivities(Bq, kq)
-        out = np.empty(n + 1)
-        out[:n] = sens.imag - lam * sens.real
-        out[n] = kq.real - cfg.alpha
-        return out, kq
+        return np.append(sens.imag - q[-1] * sens.real, kq.real - cfg.alpha), kq
 
-    q = np.array([*B.breakpoints[1:-1], 0.0])
-    r, kq = residual(q, kappa)
+    # keeps the last accepted iterate whatever stopped the iteration
+    q, r, kappa_cur, _ = _damped_newton(
+        residual, np.array([*B.breakpoints[1:-1], 0.0]), max_iters, kappa)
     if r is None:
         return B, kappa
-    kappa_cur = kq
-    for _ in range(max_iters):
-        nrm = float(np.linalg.norm(r))
-        if nrm < 1e-12:
-            break
-        J = np.empty((n + 1, n + 1))
-        ok = True
-        for j in range(n + 1):
-            h = 1e-7 * (1.0 + abs(q[j]))
-            qp, qm = q.copy(), q.copy()
-            qp[j] += h
-            qm[j] -= h
-            rp, _ = residual(qp, kappa_cur)
-            rm, _ = residual(qm, kappa_cur)
-            if rp is None or rm is None:
-                ok = False
-                break
-            J[:, j] = (rp - rm) / (2.0 * h)
-        if not ok:
-            break
-        try:
-            stepv = np.linalg.solve(J, r)
-        except np.linalg.LinAlgError:
-            break
-        lam_damp = 1.0
-        improved = False
-        for _ in range(25):
-            rq, kq = residual(q - lam_damp * stepv, kappa_cur)
-            if rq is not None and float(np.linalg.norm(rq)) < nrm:
-                q = q - lam_damp * stepv
-                r, kappa_cur = rq, kq
-                improved = True
-                break
-            lam_damp *= 0.5
-        if not improved:
-            break
     Bq = build(q[:-1])
-    if Bq is None:
-        return B, kappa
     res = newton_refine(Bq, kappa_cur, tol=1e-11, leash=0.5)
     if res is None:
         return B, kappa
@@ -640,7 +593,7 @@ def multiple_eigenvalue_escape(B, kappa: complex, r: int,
     edges = np.linspace(0.0, 1.0, n_cells + 1)
     cells = phi2_cell_integrals(B, kappa, edges)
     mids = 0.5 * (edges[:-1] + edges[1:])
-    bvals = np.array([B.value_at(x) for x in mids])
+    bvals = B.layers.values_at(mids)
     kM = kappa * (-kappa * bd.psi1 + 1j * bd.dpsi1)
     drf = dzF_higher(B, kappa, r)
     pref = -math.factorial(r) * kM / drf

@@ -8,7 +8,9 @@ realized here as a per-cell density (the adjoint gradient of the optimizer).
 Multiple eigenvalues instead split along r Puiseux branches ~ c1 zeta^(1/r);
 splitting_probe measures that exponent and leading coefficient against the
 formula, and find_double_eigenvalue constructs a two-layer double root used
-as the test fixture for all of it.
+as the test fixture for all of it.  That construction and the switch polish
+of the optimizer share one damped-Newton driver, _damped_newton, with a
+finite-difference Jacobian.
 """
 from __future__ import annotations
 
@@ -20,7 +22,8 @@ import numpy as np
 
 from .errors import (BranchCountMismatch, InputError, NearMultiple,
                      NoConvergence, NotAtRoot)
-from .field import charF, dzF, overlap_integrals, phi2_cell_integrals
+from .field import (axis_charF, charF, dzF, overlap_integrals,
+                    phi2_cell_integrals)
 from .medium import (AdmissibleBounds, GridStructure, PiecewiseStructure,
                      to_piecewise)
 from .spectrum import newton_refine
@@ -152,12 +155,11 @@ def _perturbed(B: PiecewiseStructure, direction: GridStructure,
     """B + zeta * direction as a piecewise structure with loose bounds."""
     edges = np.union1d(direction.edges, B.breakpoints)
     mids = 0.5 * (edges[:-1] + edges[1:])
-    dvals = direction.as_array()
-    vals = [B.value_at(x) + zeta * dvals[min(int(x * direction.n_cells),
-                                             direction.n_cells - 1)]
-            for x in mids]
-    lo = min(0.0, min(vals))
-    hi = max(1.0, max(vals))
+    n = direction.n_cells
+    cell = np.minimum((mids * n).astype(int), n - 1)
+    vals = B.layers.values_at(mids) + zeta * direction.as_array()[cell]
+    lo = min(0.0, vals.min())
+    hi = max(1.0, vals.max())
     return PiecewiseStructure(tuple(edges), tuple(vals),
                               AdmissibleBounds(lo, hi + 1.0))
 
@@ -225,6 +227,58 @@ def splitting_probe(B, kappa0: complex, r: int, direction: GridStructure,
                           c1_pred, c1_fit)
 
 
+# -- damped Newton ---------------------------------------------------------
+
+_NEWTON_TOL = 1e-12     # stop once |r| drops below this
+_FD_STEP = 1e-7         # relative central-difference step of the Jacobian
+_HALVINGS = 30          # step halvings tried before damping gives up
+
+
+def _damped_newton(residual, q: np.ndarray, max_iters: int, aux=None):
+    """Damped Newton on residual(q, aux) -> (r, aux), or None off the domain.
+
+    aux carries state from one residual call to the next (a root to track
+    from); the Jacobian is taken by central differences at the current
+    iterate's aux, and each Newton step is halved until |r| drops.  Returns
+    (q, r, aux, why) at the last accepted iterate: why is None once
+    |r| < _NEWTON_TOL, else the reason the iteration stopped, and r is None
+    when the start itself is infeasible.
+    """
+    out = residual(q, aux)
+    if out is None:
+        return q, None, aux, "infeasible start"
+    r, aux = out
+    for _ in range(max_iters):
+        nrm = float(np.linalg.norm(r))
+        if nrm < _NEWTON_TOL:
+            return q, r, aux, None
+        J = np.empty((len(r), len(q)))
+        for j in range(len(q)):
+            e = np.zeros(len(q))
+            e[j] = _FD_STEP * (1.0 + abs(q[j]))
+            rp, rm = residual(q + e, aux), residual(q - e, aux)
+            if rp is None or rm is None:
+                return q, r, aux, "infeasible difference point"
+            J[:, j] = (rp[0] - rm[0]) / (2.0 * e[j])
+        try:
+            step = np.linalg.solve(J, r)
+        except np.linalg.LinAlgError:
+            return q, r, aux, "singular Jacobian"
+        lam = 1.0
+        for _ in range(_HALVINGS):
+            out = residual(q - lam * step, aux)
+            if out is not None and float(np.linalg.norm(out[0])) < nrm:
+                break
+            lam *= 0.5
+        else:
+            return q, r, aux, "damping failed"
+        q = q - lam * step
+        r, aux = out
+    if float(np.linalg.norm(r)) < _NEWTON_TOL:
+        return q, r, aux, None
+    return q, r, aux, f"max_iters = {max_iters} reached"
+
+
 # -- double-eigenvalue fixture --------------------------------------------
 
 def _two_layer(a: float, v1: float, v2: float) -> PiecewiseStructure:
@@ -248,112 +302,28 @@ def find_double_eigenvalue(seed: tuple, kappa_seed: complex,
     equations F(i beta) = 0, Im dF/dz (i beta) = 0.
     """
     a, v1, v2 = (float(s) for s in seed)
-    if kappa_seed.real == 0.0:
-        return _find_axis_double(a, v1, v2, kappa_seed.imag, max_iters)
-    p = np.array([a, v2, kappa_seed.real, kappa_seed.imag])
+    axis = kappa_seed.real == 0.0
 
-    def residual(q):
-        aa, vv, re, im = q
-        if not (0.01 < aa < 0.99) or vv <= 0 or im <= 0:
+    def residual(q, _):
+        # q = (a, beta) on the axis, (a, v2, Re kappa, Im kappa) off it
+        if not 0.01 < q[0] < 0.99 or q[1] <= 0 or q[-1] <= 0:
             return None
-        B = _two_layer(aa, v1, vv)
-        z = complex(re, im)
-        f = charF(z, B)
-        df = dzF(z, B)
-        return np.array([f.real, f.imag, df.real, df.imag])
+        B = _two_layer(q[0], v1, v2 if axis else q[1])
+        if axis:
+            return np.array([axis_charF(q[1], B), dzF(1j * q[1], B).imag]), None
+        z = complex(q[2], q[3])
+        f, df = charF(z, B), dzF(z, B)
+        return np.array([f.real, f.imag, df.real, df.imag]), None
 
-    r = residual(p)
+    q0 = [a, kappa_seed.imag] if axis else \
+        [a, v2, kappa_seed.real, kappa_seed.imag]
+    q, r, _, why = _damped_newton(residual, np.array(q0), max_iters)
     if r is None:
         raise InputError("seed outside the feasible region")
-    for _ in range(max_iters):
-        nrm = float(np.linalg.norm(r))
-        if nrm < 1e-12:
-            break
-        # finite-difference Jacobian
-        J = np.empty((4, 4))
-        for j in range(4):
-            h = 1e-7 * (1.0 + abs(p[j]))
-            qp, qm = p.copy(), p.copy()
-            qp[j] += h
-            qm[j] -= h
-            rp, rm = residual(qp), residual(qm)
-            if rp is None or rm is None:
-                raise NoConvergence("stepped outside the feasible region")
-            J[:, j] = (rp - rm) / (2.0 * h)
-        try:
-            step = np.linalg.solve(J, r)
-        except np.linalg.LinAlgError as exc:
-            raise NoConvergence(f"singular Jacobian: {exc}") from exc
-        lam = 1.0
-        for _ in range(30):
-            rq = residual(p - lam * step)
-            if rq is not None and float(np.linalg.norm(rq)) < nrm:
-                p = p - lam * step
-                r = rq
-                break
-            lam *= 0.5
-        else:
-            raise NoConvergence("damping failed to reduce the residual")
-    else:
-        raise NoConvergence(f"no double root after {max_iters} iterations")
-
-    B = _two_layer(p[0], v1, p[1])
-    kappa = complex(p[2], p[3])
+    if why is not None:
+        raise NoConvergence(f"no double root: {why}")
+    B = _two_layer(q[0], v1, v2 if axis else q[1])
+    kappa = complex(0.0, q[1]) if axis else complex(q[2], q[3])
     if abs(charF(kappa, B)) + abs(dzF(kappa, B)) >= 1e-10:
         raise NoConvergence("residual stalled above 1e-10")
-    return B, kappa
-
-
-def _find_axis_double(a: float, v1: float, v2: float, beta: float,
-                      max_iters: int):
-    from .field import axis_charF
-
-    p = np.array([a, beta])
-
-    def residual(q):
-        aa, bb = q
-        if not (0.01 < aa < 0.99) or bb <= 0:
-            return None
-        B = _two_layer(aa, v1, v2)
-        return np.array([axis_charF(bb, B),
-                         dzF(1j * bb, B).imag])
-
-    r = residual(p)
-    if r is None:
-        raise InputError("axis seed outside the feasible region")
-    for _ in range(max_iters):
-        nrm = float(np.linalg.norm(r))
-        if nrm < 1e-12:
-            break
-        J = np.empty((2, 2))
-        for j in range(2):
-            h = 1e-7 * (1.0 + abs(p[j]))
-            qp, qm = p.copy(), p.copy()
-            qp[j] += h
-            qm[j] -= h
-            rp, rm = residual(qp), residual(qm)
-            if rp is None or rm is None:
-                raise NoConvergence("stepped outside the feasible region")
-            J[:, j] = (rp - rm) / (2.0 * h)
-        try:
-            step = np.linalg.solve(J, r)
-        except np.linalg.LinAlgError as exc:
-            raise NoConvergence(f"singular Jacobian: {exc}") from exc
-        lam = 1.0
-        for _ in range(30):
-            rq = residual(p - lam * step)
-            if rq is not None and float(np.linalg.norm(rq)) < nrm:
-                p = p - lam * step
-                r = rq
-                break
-            lam *= 0.5
-        else:
-            raise NoConvergence("damping failed to reduce the residual")
-    else:
-        raise NoConvergence(f"no axis double root after {max_iters} iterations")
-
-    B = _two_layer(p[0], v1, v2)
-    kappa = complex(0.0, p[1])
-    if abs(charF(kappa, B)) + abs(dzF(kappa, B)) >= 1e-10:
-        raise NoConvergence("axis residual stalled above 1e-10")
     return B, kappa

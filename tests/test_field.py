@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qnmopt.errors import TailNotConverged, ZeroFrequency
+from qnmopt.errors import InputError, TailNotConverged, ZeroFrequency
 from qnmopt.field import (axis_charF, axis_dcharF, charF, charF_many, dzF,
                           dzF_at_root, integral_residual, layer_matrix,
                           mode_values, overlap_integrals, phi2_cell_integrals,
@@ -91,6 +91,16 @@ class TestPropagate:
             phi, _ = mode_values(B, 2.3 + 0.8j, xs)
             assert np.min(np.abs(phi)) > 1e-6
 
+
+    @pytest.mark.parametrize("xs", [[0.5, 0.2], [1.5], [-0.1, 0.5]])
+    def test_mode_values_rejects_positions(self, xs):
+        with pytest.raises(InputError):
+            mode_values(constant(4.0), 2.0 + 0.5j, xs)
+
+    def test_mode_values_empty(self):
+        phi, dphi = mode_values(constant(4.0), 2.0 + 0.5j, [])
+        for v in (phi, dphi):
+            assert v.shape == (0,) and v.dtype == complex
 
 class TestCharF:
     def test_unit_medium_exponential(self):

@@ -3,14 +3,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qnmopt.errors import InfeasibleError, InputError, StalledDirection
 from qnmopt.field import charF, dzF
 from qnmopt.medium import (AdmissibleBounds, GridStructure, constant,
                            extremality_measure, random_bang_bang, to_grid,
                            to_piecewise)
-from qnmopt.optimize import (OptimizeConfig, best_constant_seed,
-                             constant_upper_bound, minimize_im_at_frequency,
+from qnmopt.optimize import (OptimizeConfig, _lp_direction,
+                             best_constant_seed, constant_upper_bound,
+                             minimize_im_at_frequency,
                              multiple_eigenvalue_escape, step_direction,
                              sweep_I)
 from qnmopt.sensitivity import GradientDensity, eigenvalue_gradient
@@ -63,6 +66,112 @@ class TestStepDirection:
         vals = B.as_array()
         assert np.all(d[vals <= box14.b1 + 1e-12] >= 0.0)
         assert np.all(d[vals >= box14.b2 - 1e-12] <= 0.0)
+
+
+def reference_lp_direction(obj, con, vals, bounds, act_tol=1e-12):
+    """The bisection that `_lp_direction` replaced, kept as a reference."""
+    u = np.where(vals >= bounds.b2 - act_tol, 0.0, 1.0)
+    l = np.where(vals <= bounds.b1 + act_tol, 0.0, -1.0)
+
+    def d_of(nu: float) -> np.ndarray:
+        return np.where(obj - nu * con > 0.0, u, l)
+
+    def h(nu: float) -> float:
+        return float(np.dot(con, d_of(nu)))
+
+    lo, hi = -1e12, 1e12
+    if h(lo) < 0.0 or h(hi) > 0.0:
+        return d_of(0.0)  # constraint response ~ 0 for every sign pattern
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if h(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    d = d_of(hi)
+    resid = float(np.dot(con, d))
+    if resid != 0.0:
+        # make the marginal cell fractional to cancel the constraint response
+        score = np.abs(obj - hi * con)
+        for m in np.argsort(score)[:8]:
+            if con[m] == 0.0 or u[m] <= l[m]:
+                continue
+            dm = d[m] - resid / con[m]
+            if l[m] - 1e-12 <= dm <= u[m] + 1e-12:
+                d[m] = min(max(dm, l[m]), u[m])
+                break
+    return d
+
+
+def assert_lp_optimal(obj, con, vals, bounds, d):
+    """KKT conditions of max obj.d s.t. con.d = 0, l <= d <= u."""
+    u = np.where(vals >= bounds.b2 - 1e-12, 0.0, 1.0)
+    l = np.where(vals <= bounds.b1 + 1e-12, 0.0, -1.0)
+    assert np.all(l <= d) and np.all(d <= u)
+    inside = (l < d) & (d < u)
+    assert np.count_nonzero(inside) <= 1
+    assert abs(np.dot(con, d)) <= 1e-12 * np.sum(np.abs(con))
+    # a multiplier nu with d = u where obj - nu con > 0 and d = l where < 0
+    lo, hi = -math.inf, math.inf
+    for o, c, di, ui, li, mid in zip(obj, con, d, u, l, inside):
+        if c == 0.0:
+            assert di == (ui if o > 0 else li) or o == 0.0
+            continue
+        ratio = o / c
+        if mid:
+            lo, hi = max(lo, ratio), min(hi, ratio)
+        elif (di == ui) == (c > 0):   # needs nu <= ratio
+            hi = min(hi, ratio)
+        else:                         # needs nu >= ratio
+            lo = max(lo, ratio)
+    assert lo <= hi
+
+
+_lp_cells = st.lists(
+    st.tuples(st.one_of(st.integers(-3, 3).map(float),
+                        st.floats(-5.0, 5.0, allow_subnormal=False)),
+              st.one_of(st.integers(-2, 2).map(float),
+                        st.floats(-3.0, 3.0, allow_subnormal=False)),
+              st.sampled_from((1.0, 1.7, 2.5, 4.0))),
+    min_size=1, max_size=16)
+
+
+class TestLpDirection:
+    @given(_lp_cells)
+    @example([(1.0, 1.0, 2.5)] * 4 + [(-0.5, 1.0, 2.5)])
+    @example([(1.0, 0.0, 1.0), (-1.0, 0.0, 4.0), (2.0, 2.0, 1.0),
+              (-1.0, -1.0, 4.0)])
+    @settings(max_examples=300, deadline=None)
+    def test_kkt_conditions(self, cells):
+        box = AdmissibleBounds(1.0, 4.0)
+        obj, con, vals = (np.array(c) for c in zip(*cells))
+        assert_lp_optimal(obj, con, vals, box,
+                          _lp_direction(obj, con, vals, box))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_objective_matches_bisection(self, seed):
+        box = AdmissibleBounds(1.0, 4.0)
+        rng = np.random.default_rng(seed)
+        n = 64
+        obj, con = rng.normal(size=n), rng.normal(size=n)
+        vals = rng.choice([1.0, 4.0, 2.0, 3.5], size=n, p=[0.3, 0.3, 0.2, 0.2])
+        d = _lp_direction(obj, con, vals, box)
+        ref = reference_lp_direction(obj, con, vals, box)
+        assert abs(np.dot(obj, d) - np.dot(obj, ref)) \
+            <= 1e-12 * np.sum(np.abs(obj))
+        assert_lp_optimal(obj, con, vals, box, d)
+
+    def test_tied_ratios(self):
+        # the bisection lands past the tie, finds no single cell to patch
+        # and returns d = -1: con.d = -5 and obj.d = -3.5, worse than d = 0
+        box = AdmissibleBounds(1.0, 4.0)
+        obj = np.array([1.0, 1.0, 1.0, 1.0, -0.5])
+        con, vals = np.ones(5), np.full(5, 2.5)
+        ref = reference_lp_direction(obj, con, vals, box)
+        assert np.dot(con, ref) == -5.0
+        d = _lp_direction(obj, con, vals, box)
+        assert np.dot(con, d) == 0.0
+        assert np.dot(obj, d) == 1.5
 
 
 class TestAxisOptimization:

@@ -4,16 +4,17 @@ import math
 import numpy as np
 import pytest
 
-from qnmopt.errors import InputError, NotAtRoot
+from qnmopt.errors import InputError, NoConvergence, NotAtRoot
 from qnmopt.field import charF, dzF
 from qnmopt.medium import (AdmissibleBounds, GridStructure, constant, to_grid,
                            to_piecewise)
-from qnmopt.sensitivity import (dBF_direction, dzF_higher, eigenvalue_gradient,
-                                find_double_eigenvalue, splitting_probe,
-                                _perturbed)
+from qnmopt.sensitivity import (_damped_newton, _perturbed, dBF_direction,
+                                dzF_higher, eigenvalue_gradient,
+                                find_double_eigenvalue, splitting_probe)
 from qnmopt.spectrum import SpectralWindow, locate, newton_refine
 
-from conftest import AXIS_DOUBLE_KAPPA_SEED, AXIS_DOUBLE_SEED, LN3_4
+from conftest import (AXIS_DOUBLE_KAPPA_SEED, AXIS_DOUBLE_SEED,
+                      DOUBLE_KAPPA_SEED, DOUBLE_SEED, LN3_4)
 
 
 def uniform_direction(n, bounds, value=1.0):
@@ -169,6 +170,75 @@ class TestFindDouble:
                                           AXIS_DOUBLE_KAPPA_SEED)
         assert kappa.real == 0.0
         assert abs(charF(kappa, B)) + abs(dzF(kappa, B)) < 1e-10
+
+    @pytest.mark.parametrize("seed,kappa_seed,want", [
+        (DOUBLE_SEED, DOUBLE_KAPPA_SEED,
+         ((0.0, 0.7072805106388309, 1.0), (4.0, 1.459553817454178),
+          4.441791631939977 + 1.0492974550506469j)),
+        (AXIS_DOUBLE_SEED, AXIS_DOUBLE_KAPPA_SEED,
+         ((0.0, 0.30310679528068857, 1.0), (9.0, 0.25),
+          0.7086155870683264j)),
+    ], ids=["complex", "axis"])
+    def test_fixtures_unchanged(self, seed, kappa_seed, want):
+        # the values the separate complex and axis Newton loops produced
+        B, kappa = find_double_eigenvalue(seed, kappa_seed)
+        assert (B.breakpoints, B.values, kappa) == want
+
+    @pytest.mark.parametrize("seed,kappa_seed", [
+        ((0.0, *DOUBLE_SEED[1:]), DOUBLE_KAPPA_SEED),
+        (DOUBLE_SEED, DOUBLE_KAPPA_SEED.conjugate()),
+        ((0.0, *AXIS_DOUBLE_SEED[1:]), AXIS_DOUBLE_KAPPA_SEED),
+        (AXIS_DOUBLE_SEED, -AXIS_DOUBLE_KAPPA_SEED),
+    ], ids=["complex-interface", "complex-lower", "axis-interface",
+            "axis-lower"])
+    def test_infeasible_seed(self, seed, kappa_seed):
+        with pytest.raises(InputError):
+            find_double_eigenvalue(seed, kappa_seed)
+
+    @pytest.mark.parametrize("seed,kappa_seed", [
+        (DOUBLE_SEED, DOUBLE_KAPPA_SEED),
+        (AXIS_DOUBLE_SEED, AXIS_DOUBLE_KAPPA_SEED),
+    ], ids=["complex", "axis"])
+    def test_iteration_budget(self, seed, kappa_seed):
+        with pytest.raises(NoConvergence):
+            find_double_eigenvalue(seed, kappa_seed, max_iters=1)
+
+
+def _scalar(f, domain=lambda x: True):
+    """A one-unknown residual for _damped_newton."""
+    def residual(q, aux):
+        return (np.array([f(q[0])]), aux) if domain(q[0]) else None
+    return residual
+
+
+class TestDampedNewton:
+    @pytest.mark.parametrize("residual,q0,max_iters,why", [
+        (_scalar(lambda x: x ** 3 - 8.0), 3.0, 60, None),
+        # a step that converges counts even when it is the last allowed
+        (_scalar(lambda x: x - 2.0), 5.0, 2, None),
+        (_scalar(lambda x: x - 1.0, lambda x: x > 0), -1.0, 60,
+         "infeasible start"),
+        (_scalar(lambda x: x - 1.0, lambda x: x >= 0), 0.0, 60,
+         "infeasible difference point"),
+        (_scalar(lambda x: x * x + 1.0), 0.0, 60, "singular Jacobian"),
+        # the kink at 0 makes the difference Jacobian point uphill
+        (_scalar(lambda x: 2.0 + x + 2.0 * abs(x)), 0.0, 60,
+         "damping failed"),
+        (_scalar(lambda x: x ** 3 - 8.0), 3.0, 1, "max_iters = 1 reached"),
+    ], ids=["converged", "last-step", "start", "difference", "singular", "damping",
+            "budget"])
+    def test_stop_reasons(self, residual, q0, max_iters, why):
+        q, r, aux, got = _damped_newton(residual, np.array([q0]), max_iters,
+                                        aux="kept")
+        assert got == why
+        assert aux == "kept"
+        if why is None:
+            assert abs(q[0] - 2.0) < 1e-12 and abs(r[0]) < 1e-12
+        elif why == "infeasible start":
+            assert r is None and q[0] == q0
+        else:
+            # the last accepted iterate comes back with its residual
+            assert r[0] == residual(q, None)[0][0]
 
 
 class TestHigherDerivatives:
