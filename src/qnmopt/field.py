@@ -15,9 +15,12 @@ B is piecewise constant, so everything is one recurrence over its layers
 `_sweep` takes those coefficients for all layers in one numpy pass and the
 states at every layer boundary in one sequential pass; every field quantity
 below reads from it, and the layer integrals (hence the exact dzF, by
-variation of parameters) are closed forms in those states.  layer_matrix,
-phi_series (the power series in z^2) and integral_residual stay outside
-the kernel as the references the tests check it against.
+variation of parameters) are closed forms in those states.  One sweep of
+phi and psi (`_overlaps`) yields F, the boundary data and the B-weighted
+integrals together, so charF_dzF, dzF and overlap_integrals all read the
+same pass, and a Newton step or a gradient needs one sweep, not two.
+layer_matrix, phi_series (the power series in z^2) and integral_residual
+stay outside the kernel as the references the tests check it against.
 """
 from __future__ import annotations
 
@@ -32,7 +35,8 @@ from .errors import InputError, TailNotConverged, ZeroFrequency
 
 __all__ = [
     "BoundaryData", "CauchyState", "ModeTrace",
-    "layer_matrix", "propagate", "charF", "charF_many", "dzF", "dzF_at_root",
+    "layer_matrix", "propagate", "charF", "charF_many", "charF_dzF", "dzF",
+    "dzF_at_root",
     "phi_series", "SeriesResult", "overlap_integrals", "phi2_cell_integrals",
     "mode_values", "integral_residual", "axis_charF", "axis_dcharF",
 ]
@@ -223,15 +227,38 @@ def mode_values(B, z: complex, xs) -> tuple:
     return c * p + z2 * sw * e, z2 * (c * e - b * sw * p)
 
 
-def overlap_integrals(B, z: complex):
-    """BoundaryData plus the B-weighted mode integrals.
+class _Overlaps(NamedTuple):
+    """F, the boundary data and the B-weighted mode integrals at one z.
 
-    Returns (bd, int_0^1 phi^2 B ds, int_0^1 phi psi B ds) in closed form.
     On a layer u'v' + w^2 u v is constant, so 2 z^2 int b u v =
     L (u'v' + w^2 u v) - [u v']; over all layers the brackets telescope to
     phi'(1) v(1) (constant Wronskian, phi'(0) = 0).  Hence, with phi' = z^2 e,
     int phi v B = (sum b L phi v + sum L e v' - e(1) v(1)) / 2.
     """
+    z: complex
+    F: complex
+    bd: BoundaryData
+    i_phi2: complex     # int_0^1 phi^2 B ds
+    i_phipsi: complex   # int_0^1 phi psi B ds
+
+    def dF(self) -> complex:
+        """dF/dz by variation of parameters (exact for piecewise-constant B).
+
+        d_z phi solves the same equation with source -2 z B phi and zero
+        initial data, so d_z phi(1) = psi(1) I1 - phi(1) I2 with
+        I1 = -2z int phi^2 B and I2 = -2z int phi psi B; similarly for the
+        x-derivative.  Needs z^2 != 0.
+        """
+        z, bd = self.z, self.bd
+        i1 = -2.0 * z * self.i_phi2
+        i2 = -2.0 * z * self.i_phipsi
+        dzphi1 = bd.psi1 * i1 - bd.phi1 * i2
+        dzdxphi1 = bd.dpsi1 * i1 - bd.dphi1 * i2
+        return dzphi1 - 1j * dzdxphi1 / z + 1j * bd.dphi1 / z ** 2
+
+
+def _overlaps(z: complex, B) -> _Overlaps:
+    """One sweep of phi and psi at z, read out as F, dF/dz and the integrals."""
     _, lengths, values = B.layers
     sweep = _sweep(z, values, lengths, psi=True)
     (p, e), (q, dq) = sweep.phi, sweep.psi
@@ -240,9 +267,19 @@ def overlap_integrals(B, z: complex):
     a2, apq = ((y * y[0]) @ (values * lengths)).tolist()
     g2, gpq = ((d * d[0]) @ lengths).tolist()
     z2 = z * z
-    i_phi2 = 0.5 * (a2 + z2 * g2 - e[-1] * p[-1])
-    i_phipsi = 0.5 * (apq + gpq - e[-1] * q[-1])
-    return BoundaryData(p[-1], z2 * e[-1], q[-1], dq[-1]), i_phi2, i_phipsi
+    return _Overlaps(z, p[-1] - 1j * z * e[-1],
+                     BoundaryData(p[-1], z2 * e[-1], q[-1], dq[-1]),
+                     0.5 * (a2 + z2 * g2 - e[-1] * p[-1]),
+                     0.5 * (apq + gpq - e[-1] * q[-1]))
+
+
+def overlap_integrals(B, z: complex):
+    """BoundaryData plus the B-weighted mode integrals.
+
+    Returns (bd, int_0^1 phi^2 B ds, int_0^1 phi psi B ds) in closed form
+    (see _Overlaps).
+    """
+    return _overlaps(z, B)[2:]
 
 
 def phi2_cell_integrals(B, z: complex, edges) -> np.ndarray:
@@ -270,21 +307,21 @@ def phi2_cell_integrals(B, z: complex, edges) -> np.ndarray:
 
 # -- derivative of F --------------------------------------------------------
 
-def dzF(z: complex, B) -> complex:
-    """dF/dz by variation of parameters (exact for piecewise-constant B).
+def charF_dzF(z: complex, B) -> tuple:
+    """(F, dF/dz) at z from one sweep, bit-equal to (charF, dzF).
 
-    d_z phi solves the same equation with source -2 z B phi and zero initial
-    data, so d_z phi(1) = psi(1) I1 - phi(1) I2 with I1 = -2z int phi^2 B and
-    I2 = -2z int phi psi B; similarly for the x-derivative.
+    dF/dz divides by z^2, so z = 0 and z whose square underflows to 0
+    (|z| below about 1e-154) raise ZeroFrequency.
     """
-    if z == 0:
-        raise ZeroFrequency("dF/dz is not defined at z = 0")
-    bd, i_phi2, i_phipsi = overlap_integrals(B, z)
-    i1 = -2.0 * z * i_phi2
-    i2 = -2.0 * z * i_phipsi
-    dzphi1 = bd.psi1 * i1 - bd.phi1 * i2
-    dzdxphi1 = bd.dpsi1 * i1 - bd.dphi1 * i2
-    return dzphi1 - 1j * dzdxphi1 / z + 1j * bd.dphi1 / z ** 2
+    if z * z == 0:
+        raise ZeroFrequency(f"dF/dz is not defined where z^2 = 0 (z = {z})")
+    ov = _overlaps(z, B)
+    return ov.F, ov.dF()
+
+
+def dzF(z: complex, B) -> complex:
+    """dF/dz by variation of parameters (exact for piecewise-constant B)."""
+    return charF_dzF(z, B)[1]
 
 
 def dzF_at_root(kappa: complex, B) -> complex:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import (BranchCountMismatch, InputError, NearMultiple,
                      NoConvergence, NotAtRoot)
-from .field import (axis_charF, charF, dzF, overlap_integrals,
+from .field import (_overlaps, charF_dzF, dzF, overlap_integrals,
                     phi2_cell_integrals)
 from .medium import (AdmissibleBounds, GridStructure, PiecewiseStructure,
                      to_piecewise)
@@ -65,10 +65,13 @@ class GradientDensity:
         return complex(np.dot(self.as_array(), d) / self.n_cells)
 
 
-def _require_root(B, kappa: complex, tol: float = _ROOT_TOL) -> None:
-    r = abs(charF(kappa, B))
+def _require_root(B, kappa: complex, tol: float = _ROOT_TOL):
+    """The one-sweep overlaps at kappa, or NotAtRoot if |F(kappa)| >= tol."""
+    ov = _overlaps(kappa, B)
+    r = abs(ov.F)
     if r >= tol:
         raise NotAtRoot(f"|F({kappa})| = {r:.3e} >= {tol:.0e}")
+    return ov
 
 
 def dBF_direction(B, kappa: complex, direction: GridStructure) -> complex:
@@ -77,8 +80,7 @@ def dBF_direction(B, kappa: complex, direction: GridStructure) -> complex:
     Equals kappa [-kappa psi(1) + i psi'(1)] * int phi^2 d; linear in the
     direction.
     """
-    _require_root(B, kappa)
-    bd, _, _ = overlap_integrals(B, kappa)
+    bd = _require_root(B, kappa).bd
     cells = phi2_cell_integrals(B, kappa, direction.edges)
     w = complex(np.dot(cells, direction.as_array()))
     return kappa * (-kappa * bd.psi1 + 1j * bd.dpsi1) * w
@@ -117,8 +119,8 @@ def eigenvalue_gradient(B, kappa: complex, n_cells: int | None = None) -> Gradie
     Raises NearMultiple when |dzF| sits under the simple-root floor, in which
     case the splitting machinery applies instead.
     """
-    _require_root(B, kappa)
-    dz = abs(dzF(kappa, B))
+    ov = _require_root(B, kappa)
+    dz = abs(ov.dF())
     if dz < simple_root_floor(B, kappa):
         raise NearMultiple(f"|dF/dz| = {dz:.3e} below the simple-root floor")
     if n_cells is None:
@@ -126,8 +128,7 @@ def eigenvalue_gradient(B, kappa: complex, n_cells: int | None = None) -> Gradie
             raise InputError("n_cells required for piecewise structures")
         n_cells = B.n_cells
     edges = np.linspace(0.0, 1.0, n_cells + 1)
-    bd, i_phi2b, _ = overlap_integrals(B, kappa)
-    denom = 2.0 * kappa * i_phi2b - 1j * bd.phi1 ** 2
+    denom = 2.0 * kappa * ov.i_phi2 - 1j * ov.bd.phi1 ** 2
     cells = phi2_cell_integrals(B, kappa, edges)
     g = -kappa ** 2 * cells / denom * n_cells  # cell averages of the density
     return GradientDensity(kappa, tuple(complex(v) for v in g), abs(denom))
@@ -310,9 +311,9 @@ def find_double_eigenvalue(seed: tuple, kappa_seed: complex,
             return None
         B = _two_layer(q[0], v1, v2 if axis else q[1])
         if axis:
-            return np.array([axis_charF(q[1], B), dzF(1j * q[1], B).imag]), None
-        z = complex(q[2], q[3])
-        f, df = charF(z, B), dzF(z, B)
+            f, df = charF_dzF(1j * q[1], B)
+            return np.array([f.real, df.imag]), None
+        f, df = charF_dzF(complex(q[2], q[3]), B)
         return np.array([f.real, f.imag, df.real, df.imag]), None
 
     q0 = [a, kappa_seed.imag] if axis else \
@@ -324,6 +325,7 @@ def find_double_eigenvalue(seed: tuple, kappa_seed: complex,
         raise NoConvergence(f"no double root: {why}")
     B = _two_layer(q[0], v1, v2 if axis else q[1])
     kappa = complex(0.0, q[1]) if axis else complex(q[2], q[3])
-    if abs(charF(kappa, B)) + abs(dzF(kappa, B)) >= 1e-10:
+    f, df = charF_dzF(kappa, B)
+    if abs(f) + abs(df) >= 1e-10:
         raise NoConvergence("residual stalled above 1e-10")
     return B, kappa

@@ -2,9 +2,13 @@
 
 The characteristic function F(.; B) is entire, so zeros inside a rectangle
 are counted by the winding number of F along the boundary (argument
-principle), with adaptive contour refinement.  locate() combines recursive
-window bisection with Newton iteration driven by the exact derivative dzF.
-Constant media have a closed-form spectrum that serves as the golden oracle.
+principle), with adaptive contour refinement: F is taken on all contour
+points in one charF_many call, and the midpoints of every segment that
+turns too far are inserted at once.  A contour on which F overflows raises
+NumericalError.  locate() combines recursive window bisection with Newton
+iteration driven by the exact derivative; each Newton step takes F and
+dF/dz from one layer sweep (charF_dzF).  Constant media have a closed-form
+spectrum that serves as the golden oracle.
 """
 from __future__ import annotations
 
@@ -15,7 +19,7 @@ import numpy as np
 
 from .errors import (InputError, MaxDepthExceeded, NotIsolated,
                      NumericalError, ZeroOnContour)
-from .field import charF, charF_many, dzF
+from .field import charF, charF_dzF, charF_many
 
 
 __all__ = [
@@ -26,6 +30,8 @@ __all__ = [
 _CONTOUR_FLOOR = 1e-12   # relative |F| floor on contours
 _DILATE = 1.37           # window growth factor on ZeroOnContour retries
 _MAX_DEPTH = 64
+_EDGE = np.arange(16) / 16   # fractions k/16 along each rectangle edge
+_UNIT_CIRCLE = np.exp(1j * np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False))
 
 
 @dataclass(frozen=True)
@@ -82,11 +88,13 @@ def _phase_winding(points: np.ndarray, B, max_rounds: int = 40) -> int:
     pts = np.asarray(points, dtype=complex)
     for _ in range(max_rounds):
         fv = charF_many(pts, B)
-        fmax = np.max(np.abs(fv))
-        if fmax == 0.0 or np.min(np.abs(fv)) < _CONTOUR_FLOOR * fmax:
+        af = np.abs(fv)
+        fmax = af.max()
+        if not math.isfinite(fmax):
+            raise NumericalError("F is not finite on the contour")
+        if fmax == 0.0 or af.min() < _CONTOUR_FLOOR * fmax:
             raise ZeroOnContour("|F| collapsed on the contour")
-        ratio = fv[np.r_[1:len(fv), 0]] / fv
-        dtheta = np.angle(ratio)
+        dtheta = np.angle(np.concatenate((fv[1:], fv[:1])) / fv)
         bad = np.abs(dtheta) >= 0.5 * math.pi
         if not bad.any():
             total = float(np.sum(dtheta))
@@ -94,29 +102,18 @@ def _phase_winding(points: np.ndarray, B, max_rounds: int = 40) -> int:
             if abs(total - 2.0 * math.pi * n) > 0.5:
                 raise NumericalError("contour phase sum far from a multiple of 2 pi")
             return int(n)
-        nxt = pts[np.r_[1:len(pts), 0]]
-        mids = 0.5 * (pts + nxt)
-        out = np.empty(len(pts) + int(bad.sum()), dtype=complex)
-        k = 0
-        for p, m, flag in zip(pts, mids, bad):
-            out[k] = p
-            k += 1
-            if flag:
-                out[k] = m
-                k += 1
-        pts = out
+        # midpoint of every segment that turns too far, after its start
+        i = np.flatnonzero(bad)
+        pts = np.insert(pts, i + 1, 0.5 * (pts[i] + pts[(i + 1) % len(pts)]))
         if len(pts) > 400_000:
             break
     raise NumericalError("contour refinement did not converge")
 
 
-def _rect_points(w: SpectralWindow, per_edge: int = 16) -> np.ndarray:
-    cs = w.corners()
-    pts = []
-    for a, b in zip(cs, cs[1:] + cs[:1]):
-        ts = np.linspace(0.0, 1.0, per_edge, endpoint=False)
-        pts.append(a + ts * (b - a))
-    return np.concatenate(pts)
+def _rect_points(w: SpectralWindow) -> np.ndarray:
+    a = np.array(w.corners())
+    b = np.concatenate((a[1:], a[:1]))
+    return (a[:, None] + _EDGE * (b - a)[:, None]).ravel()
 
 
 def winding_count(B, w: SpectralWindow) -> int:
@@ -125,23 +122,22 @@ def winding_count(B, w: SpectralWindow) -> int:
 
 
 def _circle_winding(B, center: complex, radius: float) -> int:
-    ts = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
-    pts = center + radius * np.exp(1j * ts)
-    return _phase_winding(pts, B)
+    return _phase_winding(center + radius * _UNIT_CIRCLE, B)
 
 
 def newton_refine(B, z0: complex, tol: float = 1e-12, max_iter: int = 60,
                   leash: float = math.inf):
     """Newton iteration for F(., B) from z0; returns (kappa, iters) or None.
 
-    leash bounds |kappa - z0|; exceeding it counts as divergence.
+    Each step takes F and dF/dz from one sweep (charF_dzF); z = 0, a zero
+    derivative, or |kappa - z0| beyond leash count as divergence.  Once the
+    step is below 1e-14 (1 + |z|), kappa is accepted if |F(kappa)| < tol.
     """
     z = complex(z0)
     for it in range(1, max_iter + 1):
-        f = charF(z, B)
         if z == 0:
             return None
-        df = dzF(z, B)
+        f, df = charF_dzF(z, B)
         if df == 0:
             return None
         step = f / df
@@ -264,8 +260,10 @@ def multiplicity(B, kappa0: complex, radius: float) -> int:
     """Zero count of F on the disc of given radius around a located zero.
 
     Demands an empty annulus radius..2*radius so the answer is attributable
-    to the single zero at kappa0.
+    to the single zero at kappa0.  radius must be finite and positive.
     """
+    if not (math.isfinite(radius) and radius > 0):
+        raise InputError(f"radius must be finite and positive, got {radius}")
     inner = _circle_winding(B, kappa0, radius)
     outer = _circle_winding(B, kappa0, 2.0 * radius)
     if outer != inner:

@@ -44,6 +44,17 @@ class TestSpectrum:
         assert run(args + [b]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_window_exit_4(self, tmp_path, capsys):
+        # F overflows on a window 400 tall: a numerical failure, not a crash
+        out = tmp_path / "spectrum.csv"
+        code = run(["spectrum", "--preset-constant", 4,
+                    "--window", 0.1, 12, 0.05, 400, "--out", out])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert err.startswith("numerical failure:")
+        assert "Traceback" not in err
+
 
 class TestOptimize:
     def test_axis_run_outputs(self, tmp_path):

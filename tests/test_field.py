@@ -7,7 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qnmopt.errors import InputError, TailNotConverged, ZeroFrequency
-from qnmopt.field import (axis_charF, axis_dcharF, charF, charF_many, dzF,
+from qnmopt.field import (axis_charF, axis_dcharF, charF, charF_dzF,
+                          charF_many, dzF,
                           dzF_at_root, integral_residual, layer_matrix,
                           mode_values, overlap_integrals, phi2_cell_integrals,
                           phi_series, propagate)
@@ -305,6 +306,63 @@ class TestGridSweepProperties:
         _, i_phi2b, _ = overlap_integrals(B, z)
         scale = max(1.0, float(np.sum(np.abs(weighted))))
         assert abs(np.sum(weighted) - i_phi2b) < 1e-12 * scale
+
+
+def reference_dzF(z, B):
+    """dzF as it was before the fused sweep: overlap_integrals plus the
+    variation-of-parameters formula."""
+    if z == 0:
+        raise ZeroFrequency("dF/dz is not defined at z = 0")
+    bd, i_phi2, i_phipsi = overlap_integrals(B, z)
+    i1 = -2.0 * z * i_phi2
+    i2 = -2.0 * z * i_phipsi
+    dzphi1 = bd.psi1 * i1 - bd.phi1 * i2
+    dzdxphi1 = bd.dpsi1 * i1 - bd.dphi1 * i2
+    return dzphi1 - 1j * dzdxphi1 / z + 1j * bd.dphi1 / z ** 2
+
+
+def _bits(*zs):
+    return [(complex(z).real.hex(), complex(z).imag.hex()) for z in zs]
+
+
+def _check_fused(B, z):
+    if z * z == 0:
+        # dF/dz divides by z^2; F itself is defined (and 1 at z = 0)
+        assert np.isfinite(charF(z, B))
+        with pytest.raises(ZeroFrequency):
+            charF_dzF(z, B)
+        with pytest.raises(ZeroFrequency):
+            dzF(z, B)
+        return
+    f, df = charF_dzF(z, B)
+    assert _bits(f, df) == _bits(charF(z, B), dzF(z, B))
+    assert _bits(df) == _bits(reference_dzF(z, B))
+
+
+class TestFusedSweep:
+    """charF_dzF reads F and dF/dz off one sweep, bit-equal to the pair."""
+
+    @given(st.lists(st.floats(0.02, 0.98), min_size=0, max_size=7),
+           st.booleans(), _grid_z)
+    @example([0.3, 0.6], True, 0.7j)
+    @example([0.3, 0.6], False, 1e-150 + 0j)
+    @example([0.5], True, _SUBNORMAL_Z)
+    @settings(max_examples=80, deadline=None)
+    def test_piecewise(self, cuts, first_high, z):
+        _check_fused(_structure_from_bits(cuts, first_high), z)
+
+    @given(_grid_values, _grid_z)
+    @example([0.0, 4.0, 4.0, 1.0], _SUBNORMAL_Z)
+    @example([0.0, 4.0, 4.0, 1.0], 2.5j)
+    @example([1.0, 2.5, 4.0], -1.3j)
+    @settings(max_examples=80, deadline=None)
+    def test_grid(self, values, z):
+        _check_fused(_grid(values), z)
+
+    @pytest.mark.parametrize("z", [0, 0.0, 0j, -0.0 + 0j])
+    def test_zero_frequency(self, z):
+        with pytest.raises(ZeroFrequency):
+            charF_dzF(z, constant(2.0))
 
 
 class TestAxisSpecialization:

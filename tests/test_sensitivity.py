@@ -1,16 +1,20 @@
 import cmath
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qnmopt.errors import InputError, NoConvergence, NotAtRoot
-from qnmopt.field import charF, dzF
-from qnmopt.medium import (AdmissibleBounds, GridStructure, constant, to_grid,
-                           to_piecewise)
-from qnmopt.sensitivity import (_damped_newton, _perturbed, dBF_direction,
-                                dzF_higher, eigenvalue_gradient,
-                                find_double_eigenvalue, splitting_probe)
+from qnmopt.errors import InputError, NearMultiple, NoConvergence, NotAtRoot
+from qnmopt.field import (charF, dzF, overlap_integrals,
+                          phi2_cell_integrals)
+from qnmopt.medium import (AdmissibleBounds, GridStructure, PiecewiseStructure,
+                           constant, to_grid, to_piecewise)
+from qnmopt.sensitivity import (GradientDensity, _damped_newton, _perturbed,
+                                dBF_direction, dzF_higher, eigenvalue_gradient,
+                                find_double_eigenvalue, simple_root_floor,
+                                splitting_probe)
 from qnmopt.spectrum import SpectralWindow, locate, newton_refine
 
 from conftest import (AXIS_DOUBLE_KAPPA_SEED, AXIS_DOUBLE_SEED,
@@ -100,6 +104,63 @@ class TestEigenvalueGradient:
                     assert abs(pred - fd) / max(abs(pred), 1e-14) < 1e-3
                     checked += 1
         assert checked >= 20
+
+
+STORED_OPTIMA = (Path(__file__).resolve().parent.parent
+                 / "perfbench" / "data" / "optima.json")
+
+
+def reference_require_root(B, kappa, tol=1e-8):
+    r = abs(charF(kappa, B))
+    if r >= tol:
+        raise NotAtRoot(f"|F({kappa})| = {r:.3e} >= {tol:.0e}")
+
+
+def reference_eigenvalue_gradient(B, kappa, n_cells=None):
+    """eigenvalue_gradient before the one-sweep overlaps, verbatim."""
+    reference_require_root(B, kappa)
+    dz = abs(dzF(kappa, B))
+    if dz < simple_root_floor(B, kappa):
+        raise NearMultiple(f"|dF/dz| = {dz:.3e} below the simple-root floor")
+    if n_cells is None:
+        if not isinstance(B, GridStructure):
+            raise InputError("n_cells required for piecewise structures")
+        n_cells = B.n_cells
+    edges = np.linspace(0.0, 1.0, n_cells + 1)
+    bd, i_phi2b, _ = overlap_integrals(B, kappa)
+    denom = 2.0 * kappa * i_phi2b - 1j * bd.phi1 ** 2
+    cells = phi2_cell_integrals(B, kappa, edges)
+    g = -kappa ** 2 * cells / denom * n_cells  # cell averages of the density
+    return GradientDensity(kappa, tuple(complex(v) for v in g), abs(denom))
+
+
+class TestGradientOneSweep:
+    """The gradient read off one sweep equals the four-sweep original."""
+
+    @pytest.mark.parametrize("index", range(3))
+    def test_stored_optima_equal_reference(self, index):
+        rec = json.loads(STORED_OPTIMA.read_text(encoding="utf-8"))[index]
+        B = PiecewiseStructure.from_json_dict(rec["structure"])
+        kappa = newton_refine(B, complex(*rec["kappa"]), tol=1e-9,
+                              leash=1.0)[0]
+        for n_cells in (64, 256):
+            assert eigenvalue_gradient(B, kappa, n_cells) \
+                == reference_eigenvalue_gradient(B, kappa, n_cells)
+
+    def test_grid_medium_equal_reference(self, box14):
+        B = to_grid(constant(4.0, box14), 32)
+        kappa = newton_refine(B, math.pi + 1j * LN3_4)[0]
+        assert eigenvalue_gradient(B, kappa) \
+            == reference_eigenvalue_gradient(B, kappa)
+
+    @pytest.mark.parametrize("kappa", [0, 0j, 1.0 + 1.0j, -2.0 + 0.3j])
+    def test_off_root_raises_not_at_root(self, box14, kappa):
+        for B in (constant(4.0, box14), to_grid(constant(4.0, box14), 16)):
+            with pytest.raises(NotAtRoot) as exc:
+                eigenvalue_gradient(B, kappa, n_cells=16)
+            with pytest.raises(NotAtRoot) as ref:
+                reference_eigenvalue_gradient(B, kappa, n_cells=16)
+            assert str(exc.value) == str(ref.value)
 
 
 class TestSplittingProbe:
