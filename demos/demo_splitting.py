@@ -1,10 +1,9 @@
-"""Perturbing a double eigenvalue: Puiseux branches and the escape step.
+"""Perturbing a double eigenvalue: Puiseux branches.
 
 At a multiplicity-2 eigenvalue the gradient formula fails; the eigenvalue
 splits along two branches ~ +-c1 sqrt(zeta).  This demo builds a two-layer
-structure with a genuine double eigenvalue, measures the splitting exponent
-and leading coefficient, and then asks the escape logic for a perturbation
-whose branch points straight down (the move a decay-rate minimizer needs).
+structure with a genuine double eigenvalue and measures the splitting
+exponent and leading coefficient.
 
 Run:  python3 demos/demo_splitting.py
 """
@@ -12,7 +11,7 @@ import cmath
 import math
 
 from qnmopt import (GridStructure, find_double_eigenvalue, multiplicity,
-                    multiple_eigenvalue_escape, splitting_probe)
+                    splitting_probe)
 
 # damped Newton on (interface, second value, kappa) from a frozen seed
 B, kappa = find_double_eigenvalue((0.7125, 4.0, 1.4792), 4.44244 + 1.03017j)
@@ -35,12 +34,3 @@ for zeta, branches in zip(probe.zeta_values, probe.branch_points):
     spread = abs(cmath.phase((branches[0] - kappa) / (branches[1] - kappa)))
     print(f"   zeta = {zeta:.0e}: branch gap angle {spread:.4f} "
           f"(antipodal = {math.pi:.4f})")
-
-# --- the escape direction -------------------------------------------------------
-
-direction, zeta, branches = multiple_eigenvalue_escape(B, kappa, 2, B.bounds)
-down = min(branches, key=lambda z: z.imag)
-print(f"\nescape step at zeta = {zeta:.2e}:")
-for z in branches:
-    print(f"   branch {z:.8f} (arg {cmath.phase(z - kappa):+.4f})")
-print(f"   downward branch lowers Im kappa by {kappa.imag - down.imag:.2e}")

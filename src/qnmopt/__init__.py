@@ -15,8 +15,7 @@ from .sensitivity import (GradientDensity, SplittingProbe, dBF_direction,
                           splitting_probe)
 from .optimize import (IterationRecord, OptimizeConfig, OptimizeResult,
                        best_constant_seed, constant_upper_bound,
-                       minimize_im_at_frequency, multiple_eigenvalue_escape,
-                       step_direction, sweep_I)
+                       minimize_im_at_frequency, step_direction, sweep_I)
 from .certificate import (PhaseTrace, SelfConsistentResult, SwitchCertificate,
                           nonlinear_residual, phase_trace,
                           self_consistent_solve, switch_alignment)

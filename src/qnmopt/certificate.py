@@ -32,6 +32,11 @@ __all__ = [
 ]
 
 _ROOT_TOL = 1e-7
+_MAX_TRACE_POINTS = 200_000   # phase-trace samples before refinement stops
+_MISMATCH_SAMPLES = 4096      # midpoint samples of the nonlinear mismatch
+_FIXED_POINT_ITERS = 40       # rounds of self_consistent_solve
+_SWITCH_TOL = 1e-8            # fixed point: switch movement below this
+_KAPPA_TOL = 1e-10            # fixed point: eigenvalue movement below this
 
 
 def _wrap_pi(x: float) -> float:
@@ -57,8 +62,7 @@ class PhaseTrace:
         return float(np.interp(x, self.xs, self.xi))
 
 
-def phase_trace(B: PiecewiseStructure, kappa: complex,
-                max_points: int = 200_000) -> PhaseTrace:
+def phase_trace(B: PiecewiseStructure, kappa: complex) -> PhaseTrace:
     """Unwrapped phase of phi^2 with adaptive refinement.
 
     Refines until adjacent samples differ by under pi/2; a persistent jump
@@ -87,7 +91,7 @@ def phase_trace(B: PiecewiseStructure, kappa: complex,
             xi = np.concatenate(([0.0], np.cumsum(dphase)))
             sign = -1 if kappa.real > 0 else (1 if kappa.real < 0 else 0)
             return PhaseTrace(xs, xi, a1, sign)
-        if len(xs) > max_points:
+        if len(xs) > _MAX_TRACE_POINTS:
             break
         mids = 0.5 * (xs[:-1] + xs[1:])
         gaps = xs[1:] - xs[:-1]
@@ -136,8 +140,7 @@ def certificate_theta(kappa: complex, omega: float, b1: float,
     return -0.5 * omega
 
 
-def switch_alignment(B: PiecewiseStructure, kappa: complex,
-                     n_mismatch: int = 4096) -> SwitchCertificate:
+def switch_alignment(B: PiecewiseStructure, kappa: complex) -> SwitchCertificate:
     """Verify the ray alignment of switches and the per-interval phase bound.
 
     omega follows the first switch (its phase for an up switch, shifted by
@@ -159,8 +162,7 @@ def switch_alignment(B: PiecewiseStructure, kappa: complex,
     variation = max(abs(trace.value(b) - trace.value(a))
                     for a, b in zip(nodes[:-1], nodes[1:]))
 
-    theta, mismatch = nonlinear_residual(B, kappa, omega=omega,
-                                         n_samples=n_mismatch)
+    theta, mismatch = nonlinear_residual(B, kappa, omega=omega)
     return SwitchCertificate(
         omega=omega, switch_xs=tuple(x for x, _ in sw),
         deviations=tuple(devs),
@@ -170,8 +172,7 @@ def switch_alignment(B: PiecewiseStructure, kappa: complex,
 
 
 def nonlinear_residual(B: PiecewiseStructure, kappa: complex,
-                       omega: float | None = None,
-                       n_samples: int = 4096) -> tuple:
+                       omega: float | None = None) -> tuple:
     """(theta, mismatch): does chi_{C+}((e^{i theta} phi)^2) rebuild B?
 
     The indicator takes 1 only on Im > 0 (zero on the closed lower
@@ -187,7 +188,7 @@ def nonlinear_residual(B: PiecewiseStructure, kappa: complex,
         omega = _omega_from_trace(phase_trace(B, kappa), sw, b1)
     theta = certificate_theta(kappa, omega if omega is not None else 0.0,
                               b1, a1)
-    xs = (np.arange(n_samples) + 0.5) / n_samples
+    xs = (np.arange(_MISMATCH_SAMPLES) + 0.5) / _MISMATCH_SAMPLES
     phi, _ = mode_values(B, kappa, xs)
     y2 = (cmath.exp(1j * theta) ** 2) * phi * phi
     rebuilt = np.where(y2.imag > 0.0, b2, b1)
@@ -234,16 +235,15 @@ def _rebuild_structure(B: PiecewiseStructure, kappa: complex, theta: float,
 
 
 def self_consistent_solve(kappa_seed: complex, bounds: AdmissibleBounds,
-                          n_grid: int = 2048, max_iters: int = 40,
-                          B0: PiecewiseStructure | None = None,
-                          switch_tol: float = 1e-8,
-                          kappa_tol: float = 1e-10) -> SelfConsistentResult:
+                          n_grid: int = 2048,
+                          B0: PiecewiseStructure | None = None
+                          ) -> SelfConsistentResult:
     """Fixed point of the nonlinear reconstruction B <- chi_{C+}(y^2).
 
     Per round: Newton-locate kappa on the current structure, rotate the mode
     by the certificate angle, rebuild the two-valued coefficient from the
-    sign of Im y^2, and stop once switch points move under switch_tol and
-    kappa under kappa_tol.  The seed structure defaults to the constant b2
+    sign of Im y^2, and stop once switch points move under _SWITCH_TOL and
+    kappa under _KAPPA_TOL.  The seed structure defaults to the constant b2
     preset.
     """
     if not bounds.b1 < bounds.b2:
@@ -251,7 +251,7 @@ def self_consistent_solve(kappa_seed: complex, bounds: AdmissibleBounds,
     B = B0 if B0 is not None else constant(bounds.b2, bounds)
     kappa = kappa_seed
     history = []
-    for it in range(1, max_iters + 1):
+    for it in range(1, _FIXED_POINT_ITERS + 1):
         res = newton_refine(B, kappa, tol=1e-9, leash=1.0)
         if res is None:
             raise LostEigenvalue(f"eigenvalue lost at iteration {it}")
@@ -277,8 +277,8 @@ def self_consistent_solve(kappa_seed: complex, bounds: AdmissibleBounds,
         converged = (sw_old is not None and len(sw_old) == len(sw_new)
                      and (len(sw_new) == 0
                           or max(abs(a - b) for a, b in zip(sw_old, sw_new))
-                          < switch_tol)
-                     and abs(kappa_new - kappa) < kappa_tol)
+                          < _SWITCH_TOL)
+                     and abs(kappa_new - kappa) < _KAPPA_TOL)
         B, kappa = B_new, kappa_new
         if converged:
             final = newton_refine(B, kappa, tol=1e-10, leash=0.1)
@@ -289,6 +289,6 @@ def self_consistent_solve(kappa_seed: complex, bounds: AdmissibleBounds,
             y = cmath.exp(1j * theta) * phi
             return SelfConsistentResult(B, kappa, theta, xs, y,
                                         tuple(history))
-    err = NoConvergence(f"no fixed point after {max_iters} iterations")
+    err = NoConvergence(f"no fixed point after {_FIXED_POINT_ITERS} iterations")
     err.history = tuple(history)
     raise err

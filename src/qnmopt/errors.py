@@ -84,10 +84,6 @@ class CollisionDetected(NumericalError):
     """Tracked eigenvalue is merging with another (near-multiple)."""
 
 
-class NoFeasibleDirection(NumericalError):
-    """All candidate escape directions are degenerate."""
-
-
 # -- certificate --------------------------------------------------------------
 
 class PhaseJump(NumericalError):

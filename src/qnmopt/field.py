@@ -34,32 +34,11 @@ import numpy as np
 from .errors import InputError, TailNotConverged, ZeroFrequency
 
 __all__ = [
-    "BoundaryData", "CauchyState", "ModeTrace",
-    "layer_matrix", "propagate", "charF", "charF_many", "charF_dzF", "dzF",
-    "dzF_at_root",
-    "phi_series", "SeriesResult", "overlap_integrals", "phi2_cell_integrals",
-    "mode_values", "integral_residual", "axis_charF", "axis_dcharF",
+    "BoundaryData", "layer_matrix", "propagate", "charF", "charF_many",
+    "charF_dzF", "dzF", "dzF_at_root", "phi_series", "SeriesResult",
+    "overlap_integrals", "phi2_cell_integrals", "mode_values",
+    "integral_residual",
 ]
-
-
-@dataclass(frozen=True)
-class CauchyState:
-    """Solution pair (y, y') at a position x."""
-    x: float
-    y: complex
-    dy: complex
-
-
-@dataclass(frozen=True)
-class ModeTrace:
-    """Sampled solution along [0,1]; samples include every breakpoint of B."""
-    samples: tuple
-
-    def xs(self) -> np.ndarray:
-        return np.array([s.x for s in self.samples])
-
-    def ys(self) -> np.ndarray:
-        return np.array([s.y for s in self.samples])
 
 
 @dataclass(frozen=True)
@@ -168,23 +147,15 @@ def _phi2_integrals(sweep: _Sweep, lengths, p, dp):
     return 0.5 * (p * p * (lengths + csw) + dp * dp * iss2) + p * dp * sw * sw
 
 
-def propagate(B, z: complex, trace: bool = False):
+def propagate(B, z: complex) -> BoundaryData:
     """phi and psi pushed from x=0 to x=1 through the layers of B.
 
-    Returns BoundaryData, or (BoundaryData, (phi_trace, psi_trace)) when
-    trace is set.  Exact up to rounding for piecewise-constant B.
+    Exact up to rounding for piecewise-constant B.
     """
-    xs, lengths, values = B.layers
+    _, lengths, values = B.layers
     sweep = _sweep(z, values, lengths, psi=True)
     (p, e), (q, dq) = sweep.phi, sweep.psi
-    z2 = z * z
-    bd = BoundaryData(p[-1], z2 * e[-1], q[-1], dq[-1])
-    if trace:
-        xs = xs.tolist()
-        dp = [z2 * v for v in e]
-        return bd, (ModeTrace(tuple(map(CauchyState, xs, p, dp))),
-                    ModeTrace(tuple(map(CauchyState, xs, q, dq))))
-    return bd
+    return BoundaryData(p[-1], z * z * e[-1], q[-1], dq[-1])
 
 
 def charF(z: complex, B) -> complex:
@@ -447,6 +418,9 @@ def phi_series(B, z: complex, terms: int = 200, tol: float = 1e-16) -> SeriesRes
 
 # -- integral-form residuals ---------------------------------------------------
 
+_RESIDUAL_POINTS = 8   # sample points per layer of the r1 defect
+
+
 def _layer_first_moments(w, length, p, dp):
     """(int phi dt, int t phi dt) over a layer from its entry state."""
     a, b = p, dp / w
@@ -457,7 +431,7 @@ def _layer_first_moments(w, length, p, dp):
     return i0, i_t
 
 
-def integral_residual(B, kappa: complex, points_per_layer: int = 8) -> tuple:
+def integral_residual(B, kappa: complex) -> tuple:
     """Residuals of the integral form of the eigenvalue problem.
 
     r1 is the sup-norm defect of y(x) = 1 - kappa^2 int_0^x (x-s) B y ds with
@@ -472,7 +446,7 @@ def integral_residual(B, kappa: complex, points_per_layer: int = 8) -> tuple:
     c2 = 0.0 + 0.0j  # int_0^x s B phi
     p, dp = 1.0 + 0.0j, 0.0 + 0.0j
     for x0, length, b in segs:
-        ts = np.linspace(0.0, length, points_per_layer + 1)[1:]
+        ts = np.linspace(0.0, length, _RESIDUAL_POINTS + 1)[1:]
         if b == 0.0:
             for t in ts:
                 x = x0 + t
@@ -496,17 +470,3 @@ def integral_residual(B, kappa: complex, points_per_layer: int = 8) -> tuple:
         p, dp = c * p + (s / w) * dp, -w * s * p + c * dp
     r2 = abs(p + 1j * kappa * c1)
     return float(r1), float(r2)
-
-
-# -- imaginary-axis specialization ---------------------------------------------
-
-def axis_charF(beta: float, B) -> float:
-    """F(i beta; B), which is real for real B."""
-    if beta <= 0:
-        raise ZeroFrequency("axis evaluation needs beta > 0")
-    return charF(1j * beta, B).real
-
-
-def axis_dcharF(beta: float, B) -> float:
-    """d/d beta of F(i beta; B), real-valued."""
-    return (1j * dzF(1j * beta, B)).real

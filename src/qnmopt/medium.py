@@ -20,6 +20,7 @@ import numpy as np
 from .errors import InputError, NotBangBang
 
 _MERGE_TOL = 0.0  # exact equality; callers quantize before merging if needed
+_BANG_TOL = 1e-12  # distance from a bound that still counts as on it
 
 
 @dataclass(frozen=True)
@@ -107,9 +108,10 @@ class PiecewiseStructure:
     def inf(self) -> float:
         return float(min(self.values))
 
-    def is_bang_bang(self, tol: float = 1e-12) -> bool:
+    def is_bang_bang(self) -> bool:
         b1, b2 = self.bounds.b1, self.bounds.b2
-        return all(abs(v - b1) <= tol or abs(v - b2) <= tol for v in self.values)
+        return all(abs(v - b1) <= _BANG_TOL or abs(v - b2) <= _BANG_TOL
+                   for v in self.values)
 
     def leading_zero_interval(self) -> float:
         """a1 = sup { x : B = 0 a.e. on [0, x] } (0 unless the first value is 0)."""
@@ -259,13 +261,13 @@ def round_to_extreme(g: GridStructure, bounds: AdmissibleBounds,
     return RoundingResult(pc, report)
 
 
-def switch_points(p: PiecewiseStructure, tol: float = 1e-12) -> list:
+def switch_points(p: PiecewiseStructure) -> list:
     """Interior breakpoints where a bang-bang structure changes value.
 
     Returns ordered (x, direction) pairs with direction 'up' for b1->b2.
     Raises NotBangBang for values off the bounds.
     """
-    if not p.is_bang_bang(tol):
+    if not p.is_bang_bang():
         raise NotBangBang(f"values {p.values} not all in "
                           f"{{{p.bounds.b1}, {p.bounds.b2}}}")
     out = []

@@ -11,36 +11,36 @@ LP (_lp_direction, one sort of the ratios); the switch polish runs the
 damped-Newton driver of the sensitivity module.  Multiple-eigenvalue
 collisions are detected through |dF/dz|: the run stops with
 CollisionDetected, whose `.partial` holds the result so far.
-multiple_eigenvalue_escape is a separate tool: it computes a feasible
-direction whose Puiseux branch points straight down, for a caller to step
-along.
 """
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import brentq
 
 from .errors import (CollisionDetected, InfeasibleError, InputError,
-                     LostEigenvalue, NearMultiple, NoFeasibleDirection,
-                     NumericalError, QnmOptError, StalledDirection)
-from .field import (axis_charF, axis_dcharF, charF, dzF, mode_values,
+                     LostEigenvalue, NearMultiple, NumericalError, QnmOptError,
+                     StalledDirection, ZeroFrequency)
+from .field import (charF, charF_dzF, charF_many, mode_values,
                     overlap_integrals, phi2_cell_integrals)
 from .medium import (AdmissibleBounds, GridStructure, PiecewiseStructure,
                      constant, extremality_measure, project_to_box,
-                     round_to_extreme, switch_points, to_grid, to_piecewise)
-from .sensitivity import (GradientDensity, _damped_newton, dzF_higher,
-                          eigenvalue_gradient, splitting_probe)
+                     round_to_extreme, to_grid)
+from .sensitivity import GradientDensity, _damped_newton, eigenvalue_gradient
 from .spectrum import SpectralWindow, axis_offset, locate, newton_refine
 
 __all__ = [
     "OptimizeConfig", "IterationRecord", "OptimizeResult", "step_direction",
-    "minimize_im_at_frequency", "multiple_eigenvalue_escape", "sweep_I",
+    "minimize_im_at_frequency", "sweep_I",
     "constant_upper_bound", "best_constant_seed",
 ]
+
+_PIN_ROUNDS = 12          # frequency re-pinning rounds per call
+_POLISH_ITERS = 60        # damped-Newton iterations of the switch polish
+_AXIS_NEWTON_ITERS = 60   # Newton iterations on the imaginary axis
+_AXIS_SCAN = np.geomspace(1e-3, 50.0, 400)   # beta grid of the axis-root scan
 
 
 @dataclass(frozen=True)
@@ -257,8 +257,7 @@ def _lp_direction(obj: np.ndarray, con: np.ndarray, vals: np.ndarray,
     return d
 
 
-def _pin_frequency(B: GridStructure, kappa: complex, cfg: OptimizeConfig,
-                   max_rounds: int = 12):
+def _pin_frequency(B: GridStructure, kappa: complex, cfg: OptimizeConfig):
     """Pull Re kappa back to alpha along an Im-neutral feasible direction.
 
     Returns (B, kappa, ok); ok=False means the feasible cone cannot reach
@@ -266,7 +265,7 @@ def _pin_frequency(B: GridStructure, kappa: complex, cfg: OptimizeConfig,
     """
     bounds = cfg.bounds
     n = B.n_cells
-    for _ in range(max_rounds):
+    for _ in range(_PIN_ROUNDS):
         drift = kappa.real - cfg.alpha
         if abs(drift) <= 0.5 * cfg.tol_freq:
             return B, kappa, True
@@ -431,20 +430,22 @@ def _axis_root(B, seed: float | None = None) -> float:
         out = _axis_newton(B, seed)
         if out is not None:
             return out
-    bs = np.geomspace(1e-3, 50.0, 400)
-    gs = np.array([axis_charF(b, B) for b in bs])
-    for i in range(len(bs) - 1):
-        if gs[i] * gs[i + 1] < 0:
-            return brentq(lambda b: axis_charF(b, B), bs[i], bs[i + 1],
-                          xtol=1e-14)
-    raise InfeasibleError("structure has no eigenvalue on the imaginary axis")
+    gs = charF_many(1j * _AXIS_SCAN, B).real
+    i = np.flatnonzero(gs[:-1] * gs[1:] < 0)
+    if not i.size:
+        raise InfeasibleError("structure has no eigenvalue on the imaginary axis")
+    return brentq(lambda b: charF(1j * b, B).real, _AXIS_SCAN[i[0]],
+                  _AXIS_SCAN[i[0] + 1], xtol=1e-14)
 
 
-def _axis_newton(B, beta0: float, max_iter: int = 60) -> float | None:
+def _axis_newton(B, beta0: float) -> float | None:
+    """Newton on the real g(beta) = F(i beta); g' = Re(i dF/dz), same sweep."""
+    if beta0 <= 0:
+        raise ZeroFrequency("axis evaluation needs beta > 0")
     b = beta0
-    for _ in range(max_iter):
-        g = axis_charF(b, B)
-        dg = axis_dcharF(b, B)
+    for _ in range(_AXIS_NEWTON_ITERS):
+        F, dF = charF_dzF(1j * b, B)
+        g, dg = F.real, (1j * dF).real
         if dg == 0.0:
             return None
         step = g / dg
@@ -514,7 +515,7 @@ def _drop_thin_layers(B: PiecewiseStructure, min_width: float = 1e-4):
 
 
 def _polish_switches(B: PiecewiseStructure, kappa: complex,
-                     cfg: OptimizeConfig, max_iters: int = 60):
+                     cfg: OptimizeConfig):
     """Continuum refinement of switch positions at fixed values.
 
     Runs the stationarity Newton solve, and whenever it drives a pair of
@@ -522,7 +523,7 @@ def _polish_switches(B: PiecewiseStructure, kappa: complex,
     the collapsed layer and re-solves with the reduced switch count.
     """
     for _ in range(4):
-        B2, k2 = _polish_newton(B, kappa, cfg, max_iters)
+        B2, k2 = _polish_newton(B, kappa, cfg)
         cleaned = _drop_thin_layers(B2)
         if cleaned == B2:
             return B2, k2
@@ -534,7 +535,7 @@ def _polish_switches(B: PiecewiseStructure, kappa: complex,
 
 
 def _polish_newton(B: PiecewiseStructure, kappa: complex,
-                   cfg: OptimizeConfig, max_iters: int = 60):
+                   cfg: OptimizeConfig):
     """One damped-Newton pass on Im(dk/dx_j) = lam Re(dk/dx_j), Re k = alpha."""
     if len(B.breakpoints) == 2:
         return B, kappa
@@ -559,7 +560,7 @@ def _polish_newton(B: PiecewiseStructure, kappa: complex,
 
     # keeps the last accepted iterate whatever stopped the iteration
     q, r, kappa_cur, _ = _damped_newton(
-        residual, np.array([*B.breakpoints[1:-1], 0.0]), max_iters, kappa)
+        residual, np.array([*B.breakpoints[1:-1], 0.0]), _POLISH_ITERS, kappa)
     if r is None:
         return B, kappa
     Bq = build(q[:-1])
@@ -572,103 +573,6 @@ def _polish_newton(B: PiecewiseStructure, kappa: complex,
     if kp.imag <= 0 or kp.imag > kappa.imag + 0.02 or abs(kp - kappa) > 0.3:
         return B, kappa
     return Bq, kp
-
-
-# -- multiple-eigenvalue escape ----------------------------------------------------
-
-def multiple_eigenvalue_escape(B, kappa: complex, r: int,
-                               bounds: AdmissibleBounds,
-                               n_cells: int = 64):
-    """Feasible direction whose Puiseux branch points straight down.
-
-    Steers W = int phi^2 d so that the r-th root of
-    -r! dBF(d)/d^r F has argument -pi/2; returns (direction, zeta, branches)
-    with the located branches at the recommended zeta as verification.
-    """
-    if r < 2:
-        raise InputError("escape applies to multiplicities r >= 2")
-    if isinstance(B, GridStructure):
-        B = to_piecewise(B)
-    bd, _, _ = overlap_integrals(B, kappa)
-    edges = np.linspace(0.0, 1.0, n_cells + 1)
-    cells = phi2_cell_integrals(B, kappa, edges)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    bvals = B.layers.values_at(mids)
-    kM = kappa * (-kappa * bd.psi1 + 1j * bd.dpsi1)
-    drf = dzF_higher(B, kappa, r)
-    pref = -math.factorial(r) * kM / drf
-    # need arg(pref * W) = -r pi/2 (mod 2 pi)
-    t_star = (-r * math.pi / 2.0 - cmath.phase(pref)) % (2.0 * math.pi)
-
-    gens = []  # (complex generator, cell index, sign)
-    up_room = bvals < bounds.b2 - 1e-9
-    dn_room = bvals > bounds.b1 + 1e-9
-    scale = float(np.max(np.abs(cells)))
-    if scale < 1e-14:
-        raise NoFeasibleDirection("phi^2 cell integrals all vanish")
-    for i in range(n_cells):
-        if abs(cells[i]) < 1e-12 * scale:
-            continue
-        if up_room[i]:
-            gens.append((cells[i], i, +1.0))
-        if dn_room[i]:
-            gens.append((-cells[i], i, -1.0))
-    if not gens:
-        raise NoFeasibleDirection("box active everywhere")
-
-    def angdist(a, b):
-        return abs((a - b + math.pi) % (2.0 * math.pi) - math.pi)
-
-    target = cmath.exp(1j * t_star)
-    gens.sort(key=lambda t: angdist(cmath.phase(t[0]), t_star))
-    g0 = gens[0]
-    dvals = np.zeros(n_cells)
-    if angdist(cmath.phase(g0[0]), t_star) < 1e-9:
-        dvals[g0[1]] = g0[2]
-        W = g0[0]
-    else:
-        # bracket the target ray with two generators and mix them
-        lefts = [g for g in gens
-                 if 0 < (t_star - cmath.phase(g[0])) % (2 * math.pi) < math.pi]
-        rights = [g for g in gens
-                  if 0 < (cmath.phase(g[0]) - t_star) % (2 * math.pi) < math.pi]
-        if not lefts or not rights:
-            raise NoFeasibleDirection("target ray not in the feasible cone")
-        ga = min(lefts, key=lambda g: angdist(cmath.phase(g[0]), t_star))
-        gb = min(rights, key=lambda g: angdist(cmath.phase(g[0]), t_star))
-        M = np.array([[ga[0].real, gb[0].real], [ga[0].imag, gb[0].imag]])
-        try:
-            c = np.linalg.solve(M, np.array([target.real, target.imag]))
-        except np.linalg.LinAlgError as exc:
-            raise NoFeasibleDirection("degenerate generator pair") from exc
-        if c[0] < 0 or c[1] < 0:
-            raise NoFeasibleDirection("target ray not in the feasible cone")
-        dvals[ga[1]] += c[0] * ga[2]
-        dvals[gb[1]] += c[1] * gb[2]
-        W = c[0] * ga[0] + c[1] * gb[0]
-    nrm = float(np.max(np.abs(dvals)))
-    dvals /= nrm
-    W /= nrm
-
-    direction = GridStructure(tuple(dvals), bounds)
-    c1 = (pref * W) ** (1.0 / r)
-    # zeta: branch displacement ~ 1e-3, limited by box feasibility
-    zeta = (1e-3 / abs(c1)) ** r
-    room = math.inf
-    for i in range(n_cells):
-        if dvals[i] > 0:
-            room = min(room, (bounds.b2 - bvals[i]) / dvals[i])
-        elif dvals[i] < 0:
-            room = min(room, (bvals[i] - bounds.b1) / (-dvals[i]))
-    zeta = min(zeta, 0.9 * room)
-
-    probe = splitting_probe(B, kappa, r, direction, [zeta])
-    branches = probe.branch_points[0]
-    best = min(branches, key=lambda z: angdist(cmath.phase(z - kappa),
-                                               -math.pi / 2.0))
-    if angdist(cmath.phase(best - kappa), -math.pi / 2.0) > math.pi / (2.0 * r):
-        raise NoFeasibleDirection("no branch points downward at the probe zeta")
-    return direction, zeta, branches
 
 
 # -- frequency sweeps ---------------------------------------------------------------

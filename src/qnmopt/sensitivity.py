@@ -86,16 +86,16 @@ def dBF_direction(B, kappa: complex, direction: GridStructure) -> complex:
     return kappa * (-kappa * bd.psi1 + 1j * bd.dpsi1) * w
 
 
-def dzF_higher(B, kappa: complex, order: int,
-               step: float | None = None) -> complex:
+def dzF_higher(B, kappa: complex, order: int) -> complex:
     """d^order F / dz^order from central differences of the exact dzF.
 
-    order >= 2; one layer of numerical differentiation on top of the exact
-    first derivative keeps the error near 1e-8 for order 2.
+    order >= 2, step 1e-4 (1 + |kappa|); one layer of numerical
+    differentiation on top of the exact first derivative keeps the error
+    near 1e-8 for order 2.
     """
     if order < 2:
         raise InputError("use dzF for the first derivative")
-    h = step if step is not None else 1e-4 * (1.0 + abs(kappa))
+    h = 1e-4 * (1.0 + abs(kappa))
     if order == 2:
         # 5-point first derivative of dzF
         vals = [dzF(kappa + k * h, B) for k in (-2, -1, 1, 2)]

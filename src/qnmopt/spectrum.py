@@ -30,6 +30,8 @@ __all__ = [
 _CONTOUR_FLOOR = 1e-12   # relative |F| floor on contours
 _DILATE = 1.37           # window growth factor on ZeroOnContour retries
 _MAX_DEPTH = 64
+_WINDING_ROUNDS = 40     # contour refinement rounds before giving up
+_NEWTON_ITERS = 60       # iteration cap of newton_refine
 _EDGE = np.arange(16) / 16   # fractions k/16 along each rectangle edge
 _UNIT_CIRCLE = np.exp(1j * np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False))
 
@@ -82,11 +84,15 @@ class QuasiEigenvalue:
     newton_iters: int
 
 
-def _phase_winding(points: np.ndarray, B, max_rounds: int = 40) -> int:
+def _phase_winding(points: np.ndarray, B) -> int:
     """Winding number of F along a closed polyline, refining until every
-    segment turns by less than pi/2."""
+    segment turns by less than pi/2.
+
+    Every contour here is positively oriented and F is entire, so a
+    negative count can only come from under-sampling and is refused.
+    """
     pts = np.asarray(points, dtype=complex)
-    for _ in range(max_rounds):
+    for _ in range(_WINDING_ROUNDS):
         fv = charF_many(pts, B)
         af = np.abs(fv)
         fmax = af.max()
@@ -101,6 +107,8 @@ def _phase_winding(points: np.ndarray, B, max_rounds: int = 40) -> int:
             n = round(total / (2.0 * math.pi))
             if abs(total - 2.0 * math.pi * n) > 0.5:
                 raise NumericalError("contour phase sum far from a multiple of 2 pi")
+            if n < 0:
+                raise NumericalError("negative winding: contour under-sampled")
             return int(n)
         # midpoint of every segment that turns too far, after its start
         i = np.flatnonzero(bad)
@@ -125,7 +133,7 @@ def _circle_winding(B, center: complex, radius: float) -> int:
     return _phase_winding(center + radius * _UNIT_CIRCLE, B)
 
 
-def newton_refine(B, z0: complex, tol: float = 1e-12, max_iter: int = 60,
+def newton_refine(B, z0: complex, tol: float = 1e-12,
                   leash: float = math.inf):
     """Newton iteration for F(., B) from z0; returns (kappa, iters) or None.
 
@@ -134,7 +142,7 @@ def newton_refine(B, z0: complex, tol: float = 1e-12, max_iter: int = 60,
     step is below 1e-14 (1 + |z|), kappa is accepted if |F(kappa)| < tol.
     """
     z = complex(z0)
-    for it in range(1, max_iter + 1):
+    for it in range(1, _NEWTON_ITERS + 1):
         if z == 0:
             return None
         f, df = charF_dzF(z, B)
@@ -151,7 +159,7 @@ def newton_refine(B, z0: complex, tol: float = 1e-12, max_iter: int = 60,
             return None
     fz = abs(charF(z, B))
     if fz < tol:
-        return z, max_iter
+        return z, _NEWTON_ITERS
     return None
 
 

@@ -1,21 +1,20 @@
-import cmath
 import math
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
-from qnmopt.errors import InfeasibleError, InputError, StalledDirection
-from qnmopt.field import charF, dzF
+from qnmopt.errors import (InfeasibleError, InputError, StalledDirection,
+                           ZeroFrequency)
+from qnmopt.field import charF, charF_many, dzF
 from qnmopt.medium import (AdmissibleBounds, GridStructure, constant,
-                           extremality_measure, random_bang_bang, to_grid,
-                           to_piecewise)
-from qnmopt.optimize import (OptimizeConfig, _lp_direction,
-                             best_constant_seed, constant_upper_bound,
-                             minimize_im_at_frequency,
-                             multiple_eigenvalue_escape, step_direction,
-                             sweep_I)
+                           extremality_measure, random_bang_bang, to_grid)
+from qnmopt.optimize import (_AXIS_SCAN, OptimizeConfig, _axis_newton,
+                             _axis_root, _lp_direction, best_constant_seed,
+                             constant_upper_bound, minimize_im_at_frequency,
+                             step_direction, sweep_I)
 from qnmopt.sensitivity import GradientDensity, eigenvalue_gradient
 from qnmopt.spectrum import SpectralWindow, locate
 
@@ -200,6 +199,107 @@ class TestAxisOptimization:
         assert abs(res.kappa.imag - want) < 1e-6
 
 
+# The alpha = 0 root solvers as they stood before they ran on the fused
+# sweep: one charF and one dzF sweep per Newton step, a per-point scan.
+
+def reference_axis_charF(beta, B):
+    """F(i beta; B), which is real for real B."""
+    if beta <= 0:
+        raise ZeroFrequency("axis evaluation needs beta > 0")
+    return charF(1j * beta, B).real
+
+
+def reference_axis_dcharF(beta, B):
+    """d/d beta of F(i beta; B), real-valued."""
+    return (1j * dzF(1j * beta, B)).real
+
+
+def reference_axis_root(B, seed=None):
+    """Smallest axis root of the real characteristic function."""
+    if seed is not None:
+        out = reference_axis_newton(B, seed)
+        if out is not None:
+            return out
+    bs = np.geomspace(1e-3, 50.0, 400)
+    gs = np.array([reference_axis_charF(b, B) for b in bs])
+    for i in range(len(bs) - 1):
+        if gs[i] * gs[i + 1] < 0:
+            return brentq(lambda b: reference_axis_charF(b, B), bs[i],
+                          bs[i + 1], xtol=1e-14)
+    raise InfeasibleError("structure has no eigenvalue on the imaginary axis")
+
+
+def reference_axis_newton(B, beta0, max_iter=60):
+    b = beta0
+    for _ in range(max_iter):
+        g = reference_axis_charF(b, B)
+        dg = reference_axis_dcharF(b, B)
+        if dg == 0.0:
+            return None
+        step = g / dg
+        b -= step
+        if b <= 0 or abs(b - beta0) > 5.0 * (1.0 + beta0):
+            return None
+        if abs(step) < 1e-14 * (1.0 + abs(b)):
+            return b
+    return None
+
+
+def _axis_media():
+    """Bang-bang and 256-cell grid media on boxes with and without axis
+    roots, plus the c03 start."""
+    rng = np.random.default_rng(2718)
+    media = [to_grid(constant(2.5, AdmissibleBounds(1.0, 4.0)), 256)]
+    for box in (AdmissibleBounds(1.0, 4.0), AdmissibleBounds(0.0, 9.0),
+                AdmissibleBounds(0.2, 0.9)):
+        media += [random_bang_bang(box, rng, max_switches=7)
+                  for _ in range(6)]
+        media += [GridStructure(tuple(rng.uniform(box.b1, box.b2, 256)), box)
+                  for _ in range(2)]
+    return media
+
+
+def _outcome(fn, *args):
+    try:
+        return repr(fn(*args))
+    except InfeasibleError as exc:
+        return f"InfeasibleError: {exc}"
+
+
+class TestAxisAgainstReference:
+    @pytest.mark.parametrize("i", range(25))
+    def test_root_and_newton_repr_equal(self, i):
+        B = _axis_media()[i]
+        assert _outcome(_axis_root, B) == _outcome(reference_axis_root, B)
+        seeds = np.random.default_rng([i, 31]).uniform(0.02, 4.0, 6)
+        for b0 in seeds:
+            assert repr(_axis_newton(B, b0)) \
+                == repr(reference_axis_newton(B, b0))
+            assert _outcome(_axis_root, B, b0) \
+                == _outcome(reference_axis_root, B, b0)
+
+    def test_covers_converging_and_diverging_seeds(self):
+        outs = [_axis_newton(B, b0) for B in _axis_media()[:9]
+                for b0 in (0.05, 0.3, 1.0, 3.0)]
+        assert any(o is None for o in outs)
+        assert any(o is not None for o in outs)
+
+    def test_scan_matches_pointwise(self):
+        for B in _axis_media():
+            gs = charF_many(1j * _AXIS_SCAN, B).real
+            ref = np.array([reference_axis_charF(b, B) for b in _AXIS_SCAN])
+            assert gs.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("seed_kappa", [-0.5j, 0j])
+    def test_nonpositive_seed_is_zero_frequency(self, box14, seed_kappa):
+        cfg = OptimizeConfig(alpha=0.0, bounds=box14, n_cells=32,
+                             seed_kappa=seed_kappa)
+        with pytest.raises(ZeroFrequency):
+            minimize_im_at_frequency(cfg)
+        with pytest.raises(ZeroFrequency):
+            _axis_newton(constant(4.0, box14), seed_kappa.imag)
+
+
 class TestFrequencyPinning:
     def test_small_run_stays_pinned(self, box14):
         cfg = OptimizeConfig(alpha=math.pi, bounds=box14, n_cells=48,
@@ -218,42 +318,6 @@ class TestFrequencyPinning:
         assert abs(res.polished_kappa.real - math.pi) < 1e-9
 
 
-class TestEscape:
-    def test_requires_multiplicity(self, box14, double_fixture):
-        B, kappa = double_fixture
-        with pytest.raises(InputError):
-            multiple_eigenvalue_escape(B, kappa, 1, B.bounds)
-
-    def test_downward_branch_on_fixture(self, double_fixture):
-        B, kappa = double_fixture
-        direction, zeta, branches = multiple_eigenvalue_escape(
-            B, kappa, 2, B.bounds)
-        assert zeta > 0
-        assert len(branches) == 2
-        best = min(branches, key=lambda z: abs(cmath.phase(z - kappa)
-                                               + math.pi / 2))
-        assert abs(cmath.phase(best - kappa) + math.pi / 2) < math.pi / 4
-        assert best.imag < kappa.imag
-
-    def test_grid_medium_matches_piecewise(self, grid_double_fixture):
-        # a 256-cell grid under the 64-cell escape direction
-        B, kappa = grid_double_fixture
-        g = to_grid(B, 256)
-        assert multiple_eigenvalue_escape(g, kappa, 2, B.bounds) \
-            == multiple_eigenvalue_escape(to_piecewise(g), kappa, 2, B.bounds)
-
-    def test_axis_branch_stays_on_axis(self):
-        from qnmopt.sensitivity import find_double_eigenvalue
-        from conftest import AXIS_DOUBLE_KAPPA_SEED, AXIS_DOUBLE_SEED
-        B, kappa = find_double_eigenvalue(AXIS_DOUBLE_SEED,
-                                          AXIS_DOUBLE_KAPPA_SEED)
-        direction, zeta, branches = multiple_eigenvalue_escape(
-            B, kappa, 2, B.bounds)
-        downward = [z for z in branches if z.imag < kappa.imag]
-        assert downward
-        assert min(abs(z.real) for z in downward) < 1e-8
-
-
 class TestConfigValidation:
     def test_invariants(self, box14):
         with pytest.raises(InputError):
@@ -267,13 +331,12 @@ class TestConfigValidation:
 class TestSubUnitBoxSanity:
     def test_no_axis_spectrum_when_b2_below_one(self):
         # desk-scale absence check over the axis segment i [0.05, 20]
-        from qnmopt.field import axis_charF
         bounds = AdmissibleBounds(0.2, 0.9)
         rng = np.random.default_rng(77)
         betas = np.linspace(0.05, 20.0, 2000)
         for _ in range(20):
             B = random_bang_bang(bounds, rng)
-            gs = np.array([axis_charF(b, B) for b in betas])
+            gs = charF_many(1j * betas, B).real
             assert np.all(gs > 0.0)  # no sign change: no axis eigenvalue
 
 

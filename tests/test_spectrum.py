@@ -389,3 +389,26 @@ class TestNonFiniteContour:
     def test_multiplicity_radius(self, radius):
         with pytest.raises(InputError):
             multiplicity(constant(4.0), math.pi / 2 + 1j * LN3_4, radius)
+
+
+class TestNegativeWinding:
+    """F is entire and every contour is positively oriented, so a negative
+    count means the phase walk aliased; it is refused, not returned."""
+
+    def test_constant_wide_window(self):
+        # 16 points per edge alias the 25 zeros of this window to -1
+        w = SpectralWindow(0.1, 40.0, 0.05, 3.0)
+        assert len(constant_spectrum(4.0, w)) == 25
+        B = constant(4.0)
+        assert reference_phase_winding(spectrum._rect_points(w), B) == -1
+        with pytest.raises(NumericalError, match="negative winding"):
+            winding_count(B, w)
+        with pytest.raises(NumericalError):
+            locate(B, w)
+
+    def test_random_bang_bang(self, box14):
+        w = SpectralWindow(-30.0, 30.0, 0.05, 6.0)
+        B = random_bang_bang(box14, np.random.default_rng(17))
+        assert reference_phase_winding(spectrum._rect_points(w), B) == -1
+        with pytest.raises(NumericalError, match="negative winding"):
+            winding_count(B, w)
