@@ -80,6 +80,7 @@ def layer_matrix(b: float, length: float, z: complex) -> np.ndarray:
 
 _SMALL = 1e-8      # |wL| below which sin(wL)/w equals L to double precision
 _CHUNK = 1 << 16   # layers x points held at once by charF_many
+_SERIES_TOL = 1e-16   # term bound at which phi_series stops summing
 
 
 def _coefficients(z, rootb, lengths) -> tuple:
@@ -356,15 +357,15 @@ def _double_integrate_sourced(source_coeffs, lengths, bvals):
     return out
 
 
-def phi_series(B, z: complex, terms: int = 200, tol: float = 1e-16) -> SeriesResult:
+def phi_series(B, z: complex, terms: int = 200) -> SeriesResult:
     """phi and psi at x = 1 from the Maclaurin series in z^2.
 
     The iterates solve y_j'' = B y_{j-1} with zero initial data and are
     nonnegative piecewise polynomials, integrated exactly per layer, so each
     coefficient carries full double precision.  Summation stops once the
-    a-priori term bound (sup B |z|^2)^j / (2j)! drops below tol; the result
-    reports that tail bound and a roundoff majorant eps * sum |term| for the
-    alternating sum itself.
+    a-priori term bound (sup B |z|^2)^j / (2j)! drops below _SERIES_TOL;
+    the result reports that tail bound and a roundoff majorant
+    eps * sum |term| for the alternating sum itself.
     """
     segs = _segments(B)
     lengths = [s[1] for s in segs]
@@ -392,7 +393,8 @@ def phi_series(B, z: complex, terms: int = 200, tol: float = 1e-16) -> SeriesRes
         n += 1
         if n > terms:
             raise TailNotConverged(
-                f"term bound {bound:.3e} still above {tol:.1e} after {terms} terms")
+                f"term bound {bound:.3e} still above {_SERIES_TOL:.1e} "
+                f"after {terms} terms")
         phi_c = _double_integrate_sourced(phi_c, lengths, bvals)
         psi_c = _double_integrate_sourced(psi_c, lengths, bvals)
         zpow *= -z2
@@ -406,7 +408,7 @@ def phi_series(B, z: complex, terms: int = 200, tol: float = 1e-16) -> SeriesRes
         # a-priori bound (sup B |z|^2)^n / (2n)!
         fact_arg += 2
         bound *= az2 / (fact_arg * (fact_arg - 1))
-        if bound < tol and n >= 2:
+        if bound < _SERIES_TOL and n >= 2:
             break
 
     tail = bound / max(1e-300, 1.0 - az2 / ((fact_arg + 1) * (fact_arg + 2))) \

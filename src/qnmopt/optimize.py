@@ -40,6 +40,8 @@ __all__ = [
 _PIN_ROUNDS = 12          # frequency re-pinning rounds per call
 _POLISH_ITERS = 60        # damped-Newton iterations of the switch polish
 _AXIS_NEWTON_ITERS = 60   # Newton iterations on the imaginary axis
+_ACT_TOL = 1e-12          # distance from a bound at which a cell is railed
+_MIN_LAYER_WIDTH = 1e-4   # the polish drops layers thinner than this
 _AXIS_SCAN = np.geomspace(1e-3, 50.0, 400)   # beta grid of the axis-root scan
 
 
@@ -141,16 +143,16 @@ def best_constant_seed(alpha: float, bounds: AdmissibleBounds):
 # -- step direction --------------------------------------------------------------
 
 def _clipped_direction(raw: np.ndarray, vals: np.ndarray,
-                       bounds: AdmissibleBounds, act_tol: float) -> np.ndarray:
+                       bounds: AdmissibleBounds) -> np.ndarray:
     d = np.clip(raw, -1.0, 1.0)
-    d = np.where(vals <= bounds.b1 + act_tol, np.maximum(d, 0.0), d)
-    d = np.where(vals >= bounds.b2 - act_tol, np.minimum(d, 0.0), d)
+    d = np.where(vals <= bounds.b1 + _ACT_TOL, np.maximum(d, 0.0), d)
+    d = np.where(vals >= bounds.b2 - _ACT_TOL, np.minimum(d, 0.0), d)
     return d
 
 
 def step_direction(g: GradientDensity, B: GridStructure,
-                   bounds: AdmissibleBounds, tol_grad: float = 1e-10,
-                   act_tol: float = 1e-12) -> GridStructure:
+                   bounds: AdmissibleBounds,
+                   tol_grad: float = 1e-10) -> GridStructure:
     """Feasible direction of steepest Im-descent that is Re-neutral.
 
     delta B = clip(-Im g + lambda Re g) with the multiplier fixed by
@@ -165,7 +167,7 @@ def step_direction(g: GradientDensity, B: GridStructure,
     n = len(vals)
 
     def h(lam: float) -> float:
-        d = _clipped_direction(-im + lam * re, vals, bounds, act_tol)
+        d = _clipped_direction(-im + lam * re, vals, bounds)
         return float(np.dot(re, d)) / n
 
     if np.max(np.abs(re)) < 1e-300:
@@ -186,12 +188,12 @@ def step_direction(g: GradientDensity, B: GridStructure,
             raise StalledDirection("cannot make the step frequency-neutral")
         lam = brentq(h, lo, hi, xtol=1e-15 * max(1.0, abs(lo), abs(hi)))
 
-    d = _clipped_direction(-im + lam * re, vals, bounds, act_tol)
+    d = _clipped_direction(-im + lam * re, vals, bounds)
     slope = float(np.dot(im, d)) / n
     if slope >= -tol_grad:
         # clipping can collapse the whole lambda family to d = 0 at a railed
         # structure; the saturated LP direction resolves that degeneracy
-        d = _lp_direction(-im, re, vals, bounds, act_tol)
+        d = _lp_direction(-im, re, vals, bounds)
         slope = float(np.dot(im, d)) / n
         if slope >= -tol_grad:
             raise StalledDirection(
@@ -224,7 +226,7 @@ def _track(B, kappa_prev: complex, trust: float) -> complex:
 
 
 def _lp_direction(obj: np.ndarray, con: np.ndarray, vals: np.ndarray,
-                  bounds: AdmissibleBounds, act_tol: float = 1e-12) -> np.ndarray:
+                  bounds: AdmissibleBounds) -> np.ndarray:
     """Feasible direction maximizing sum(obj * d) subject to sum(con * d) = 0.
 
     One-constraint box LP, a fractional knapsack solved exactly by sorting
@@ -239,8 +241,8 @@ def _lp_direction(obj: np.ndarray, con: np.ndarray, vals: np.ndarray,
     them, the marginal cell, is made fractional against the residual
     con . d so that the constraint holds to rounding.
     """
-    u = np.where(vals >= bounds.b2 - act_tol, 0.0, 1.0)
-    l = np.where(vals <= bounds.b1 + act_tol, 0.0, -1.0)
+    u = np.where(vals >= bounds.b2 - _ACT_TOL, 0.0, 1.0)
+    l = np.where(vals <= bounds.b1 + _ACT_TOL, 0.0, -1.0)
     d = np.where(obj > 0.0, u, l)
     move = np.flatnonzero((con != 0.0) & (u > l))
     if not move.size:
@@ -400,7 +402,7 @@ def _minimize_axis(cfg: OptimizeConfig, B0: GridStructure | None) -> OptimizeRes
     for it in range(1, cfg.max_iters + 1):
         grad = _axis_gradient(B, beta)  # d beta / d B_i (cell averages)
         d = _clipped_direction(-grad / max(np.max(np.abs(grad)), 1e-300),
-                               B.as_array(), bounds, 1e-12)
+                               B.as_array(), bounds)
         slope = float(np.dot(grad, d)) / B.n_cells
         if slope >= -cfg.tol_grad:
             status = "stalled"
@@ -497,14 +499,14 @@ def _switch_sensitivities(B: PiecewiseStructure, kappa: complex) -> np.ndarray:
     return (vals[:-1] - vals[1:]) * dens
 
 
-def _drop_thin_layers(B: PiecewiseStructure, min_width: float = 1e-4):
-    """Remove layers narrower than min_width (collapsed switch pairs the
+def _drop_thin_layers(B: PiecewiseStructure):
+    """Remove layers narrower than _MIN_LAYER_WIDTH (collapsed switch pairs the
     continuum optimum wants gone); equal-valued neighbours re-merge."""
     while len(B.values) > 1:
         pts = list(B.breakpoints)
         vals = list(B.values)
         widths = [b - a for a, b in zip(pts[:-1], pts[1:])]
-        thin = [j for j, w in enumerate(widths) if w < min_width]
+        thin = [j for j, w in enumerate(widths) if w < _MIN_LAYER_WIDTH]
         if not thin:
             return B
         j = thin[0]

@@ -65,12 +65,12 @@ class GradientDensity:
         return complex(np.dot(self.as_array(), d) / self.n_cells)
 
 
-def _require_root(B, kappa: complex, tol: float = _ROOT_TOL):
-    """The one-sweep overlaps at kappa, or NotAtRoot if |F(kappa)| >= tol."""
+def _require_root(B, kappa: complex):
+    """The one-sweep overlaps at kappa; NotAtRoot if |F(kappa)| >= _ROOT_TOL."""
     ov = _overlaps(kappa, B)
     r = abs(ov.F)
-    if r >= tol:
-        raise NotAtRoot(f"|F({kappa})| = {r:.3e} >= {tol:.0e}")
+    if r >= _ROOT_TOL:
+        raise NotAtRoot(f"|F({kappa})| = {r:.3e} >= {_ROOT_TOL:.0e}")
     return ov
 
 

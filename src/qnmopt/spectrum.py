@@ -2,13 +2,18 @@
 
 The characteristic function F(.; B) is entire, so zeros inside a rectangle
 are counted by the winding number of F along the boundary (argument
-principle), with adaptive contour refinement: F is taken on all contour
-points in one charF_many call, and the midpoints of every segment that
-turns too far are inserted at once.  A contour on which F overflows raises
-NumericalError.  locate() combines recursive window bisection with Newton
-iteration driven by the exact derivative; each Newton step takes F and
-dF/dz from one layer sweep (charF_dzF).  Constant media have a closed-form
-spectrum that serves as the golden oracle.
+principle), with adaptive contour refinement.  The walk takes the new points
+of all its contours in one charF_many call per round and inserts the
+midpoint of every segment that turns too far.  Each rectangle edge refines
+on its own, so one locate() call keeps every finished edge by its corner
+pair, as (turn, min |F|, max |F|): a child window reuses its parent's two
+uncut edges, and the two halves of a split are walked together and
+evaluate their shared edge once.  The cut half-edges are sampled anew, so
+the children's counts still check the parent's.  A contour on which F
+overflows raises NumericalError.  locate() combines recursive window
+bisection with Newton iteration driven by the exact derivative; each Newton
+step takes F and dF/dz from one layer sweep (charF_dzF).  Constant media
+have a closed-form spectrum that serves as the golden oracle.
 """
 from __future__ import annotations
 
@@ -84,53 +89,122 @@ class QuasiEigenvalue:
     newton_iters: int
 
 
-def _phase_winding(points: np.ndarray, B) -> int:
-    """Winding number of F along a closed polyline, refining until every
-    segment turns by less than pi/2.
+def _rect_edges(w: SpectralWindow) -> list:
+    c = w.corners()
+    return list(zip(c, c[1:] + c[:1]))
+
+
+def _walk(B, contours: list, done: dict) -> list:
+    """Zero counts of F inside closed contours, None where |F| collapses.
+
+    A contour is a list of rectangle edges, corner pairs (a, b) standing for
+    a + k/16 (b - a), k < 16, and b, or one closed point array (a circle,
+    never cached).  An edge whose corner pair is in done, either way round,
+    costs no evaluation; the other edges share one flat point array, so a
+    round makes one charF_many call for all contours, on the new points
+    only, and gives the midpoint to every segment that turns by pi/2 or
+    more.  A converged contour stores its edges in done as
+    (turn, min |F|, max |F|).
 
     Every contour here is positively oriented and F is entire, so a
     negative count can only come from under-sampling and is refused.
     """
-    pts = np.asarray(points, dtype=complex)
-    for _ in range(_WINDING_ROUNDS):
-        fv = charF_many(pts, B)
+    loops = [c for c in contours if isinstance(c, np.ndarray)]
+    keys = [None] * len(loops)   # corner pair of each new edge
+    loop_ids, index, plan = iter(range(len(loops))), {}, []
+    for c in contours:
+        # the new edges with their signs; turn and |F| range of cached ones
+        e, sgn, t0, lo0, hi0 = [], [], 0.0, math.inf, -math.inf
+        if isinstance(c, np.ndarray):
+            e, sgn, c = [next(loop_ids)], [1.0], []
+        for key in c:
+            rev = key[::-1]
+            if key in done or rev in done:
+                t, l, h = done[key] if key in done else done[rev]
+                t0 += t if key in done else -t
+                lo0, hi0 = min(lo0, l), max(hi0, h)
+                continue
+            if key not in index and rev not in index:
+                index[key] = len(keys)
+                keys.append(key)
+            e.append(index[key] if key in index else index[rev])
+            sgn.append(1.0 if key in index else -1.0)
+        plan.append((np.array(e, dtype=int), np.array(sgn), t0, lo0, hi0))
+    ab = np.array(keys[len(loops):], dtype=complex).reshape(-1, 2)
+    a, b = ab[:, :1], ab[:, 1:]
+    pts = np.concatenate([np.append(p, p[0]) for p in loops]
+                         + [np.concatenate((a + _EDGE * (b - a), b),
+                                           axis=1).ravel()])
+    starts = np.cumsum([0] + [len(p) + 1 for p in loops]
+                       + [len(_EDGE) + 1] * len(ab))[:-1]
+    counts: list = [None] * len(contours)
+    pending = list(range(len(contours)))
+    fv = charF_many(pts, B) if len(pts) else pts
+    for rnd in range(_WINDING_ROUNDS):
         af = np.abs(fv)
-        fmax = af.max()
-        if not math.isfinite(fmax):
-            raise NumericalError("F is not finite on the contour")
-        if fmax == 0.0 or af.min() < _CONTOUR_FLOOR * fmax:
-            raise ZeroOnContour("|F| collapsed on the contour")
-        dtheta = np.angle(np.concatenate((fv[1:], fv[:1])) / fv)
+        lo = np.minimum.reduceat(af, starts)
+        hi = np.maximum.reduceat(af, starts)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dtheta = np.angle(fv[1:] / fv[:-1])
+        dtheta[starts[1:] - 1] = 0.0      # no segment joins two edges
         bad = np.abs(dtheta) >= 0.5 * math.pi
-        if not bad.any():
-            total = float(np.sum(dtheta))
+        turn = np.add.reduceat(dtheta, starts)
+        rough = np.logical_or.reduceat(bad, starts)
+        for c in list(pending):
+            e, sgn, t, l, h = plan[c]
+            fmax = hi[e].max(initial=h)
+            if not math.isfinite(fmax):
+                raise NumericalError("F is not finite on the contour")
+            if fmax == 0.0 or lo[e].min(initial=l) < _CONTOUR_FLOOR * fmax:
+                pending.remove(c)
+                continue
+            if rough[e].any():
+                continue
+            total = float(np.dot(turn[e], sgn)) + t
             n = round(total / (2.0 * math.pi))
             if abs(total - 2.0 * math.pi * n) > 0.5:
                 raise NumericalError("contour phase sum far from a multiple of 2 pi")
             if n < 0:
                 raise NumericalError("negative winding: contour under-sampled")
-            return int(n)
-        # midpoint of every segment that turns too far, after its start
-        i = np.flatnonzero(bad)
-        pts = np.insert(pts, i + 1, 0.5 * (pts[i] + pts[(i + 1) % len(pts)]))
-        if len(pts) > 400_000:
+            counts[c] = int(n)
+            pending.remove(c)
+            for j in e.tolist():
+                if keys[j] is not None:
+                    done[keys[j]] = (float(turn[j]), float(lo[j]), float(hi[j]))
+        if not pending:
+            return counts
+        # midpoint of every segment that turns too far on a pending contour
+        live = np.zeros(len(starts), dtype=bool)
+        for c in pending:
+            live[plan[c][0]] = True
+        sizes = np.diff(starts, append=len(pts))
+        i = np.flatnonzero(bad & np.repeat(live, sizes)[:-1])
+        mids = 0.5 * (pts[i] + pts[i + 1])
+        pts = np.insert(pts, i + 1, mids)
+        if rnd == _WINDING_ROUNDS - 1 or len(pts) - len(starts) > 400_000:
             break
+        fv = np.insert(fv, i + 1, charF_many(mids, B))
+        starts += np.searchsorted(i, starts)
     raise NumericalError("contour refinement did not converge")
 
 
-def _rect_points(w: SpectralWindow) -> np.ndarray:
-    a = np.array(w.corners())
-    b = np.concatenate((a[1:], a[:1]))
-    return (a[:, None] + _EDGE * (b - a)[:, None]).ravel()
+def _counted(counts: list) -> list:
+    if None in counts:
+        raise ZeroOnContour("|F| collapsed on the contour")
+    return counts
 
 
 def winding_count(B, w: SpectralWindow) -> int:
     """Number of zeros of F inside w, counted with multiplicity."""
-    return _phase_winding(_rect_points(w), B)
+    return _counted(_walk(B, [_rect_edges(w)], {}))[0]
+
+
+def _circle(center: complex, radius: float) -> np.ndarray:
+    return center + radius * _UNIT_CIRCLE
 
 
 def _circle_winding(B, center: complex, radius: float) -> int:
-    return _phase_winding(center + radius * _UNIT_CIRCLE, B)
+    return _counted(_walk(B, [_circle(center, radius)], {}))[0]
 
 
 def newton_refine(B, z0: complex, tol: float = 1e-12,
@@ -174,20 +248,22 @@ def _split(w: SpectralWindow, frac: float) -> tuple:
             SpectralWindow(w.re_min, w.re_max, ym, w.im_max))
 
 
-def _winding_with_jitter(B, w: SpectralWindow) -> tuple:
-    """Winding of w, re-splitting on contours that graze a zero.
+def _halves(B, w: SpectralWindow, frac: float, done: dict) -> list:
+    """[(count, window)] of the two halves of w, walked together.
 
-    Returns (count, window); the window may be jittered slightly when the
-    original boundary passed through a zero.
+    A half whose contour grazes a zero is dilated alone, slightly more on
+    each of up to 5 retries; the retries walk only that half.
     """
-    last = None
-    for k in range(6):
-        try:
-            return _phase_winding(_rect_points(w), B), w
-        except ZeroOnContour as exc:
-            last = exc
-            w = w.dilated(1.0 + 0.004 * (k + 1))
-    raise last
+    out = []
+    halves = _split(w, frac)
+    for n, h in zip(_walk(B, [_rect_edges(h) for h in halves], done), halves):
+        for k in range(1, 6):
+            if n is not None:
+                break
+            h = h.dilated(1.0 + 0.004 * k)
+            n = _walk(B, [_rect_edges(h)], done)[0]
+        out.append((_counted([n])[0], h))
+    return out
 
 
 def locate(B, w: SpectralWindow, tol: float = 1e-12) -> list:
@@ -198,17 +274,14 @@ def locate(B, w: SpectralWindow, tol: float = 1e-12) -> list:
     eigenvalue whose multiplicity is the cluster's total (exactly what the
     circle count of a true multiple zero gives).
     """
-    w_orig = w
+    w_orig, done = w, {}
     for attempt in range(6):
-        try:
-            total = winding_count(B, w)
+        total = _walk(B, [_rect_edges(w)], done)[0]
+        if total is not None or attempt == 5:
             break
-        except ZeroOnContour:
-            if attempt == 5:
-                raise
-            w = w.dilated(_DILATE)
+        w = w.dilated(_DILATE)
     found: list = []
-    _locate_rec(B, w, total, tol, 0, found)
+    _locate_rec(B, w, _counted([total])[0], tol, 0, found, done)
     found = [ev for ev in found if w_orig.contains(ev.kappa, pad=1e-9)]
     found.sort(key=lambda ev: (ev.kappa.real, ev.kappa.imag))
     # sub-resolution clusters merge with their multiplicities summed
@@ -227,7 +300,7 @@ def locate(B, w: SpectralWindow, tol: float = 1e-12) -> list:
 
 
 def _locate_rec(B, w: SpectralWindow, count: int, tol: float, depth: int,
-                found: list) -> None:
+                found: list, done: dict) -> None:
     if count == 0:
         return
     if depth > _MAX_DEPTH:
@@ -251,15 +324,13 @@ def _locate_rec(B, w: SpectralWindow, count: int, tol: float, depth: int,
                 return
         raise MaxDepthExceeded(f"cluster of {count} zeros near {w.center}")
     for frac in (0.5, 0.5321, 0.4717, 0.5613):
-        a, b = _split(w, frac)
         try:
-            ca, wa = _winding_with_jitter(B, a)
-            cb, wb = _winding_with_jitter(B, b)
+            (ca, wa), (cb, wb) = _halves(B, w, frac, done)
         except ZeroOnContour:
             continue
         if ca + cb == count:
-            _locate_rec(B, wa, ca, tol, depth + 1, found)
-            _locate_rec(B, wb, cb, tol, depth + 1, found)
+            _locate_rec(B, wa, ca, tol, depth + 1, found, done)
+            _locate_rec(B, wb, cb, tol, depth + 1, found, done)
             return
     raise NumericalError(f"child windings never matched parent near {w.center}")
 
@@ -272,8 +343,8 @@ def multiplicity(B, kappa0: complex, radius: float) -> int:
     """
     if not (math.isfinite(radius) and radius > 0):
         raise InputError(f"radius must be finite and positive, got {radius}")
-    inner = _circle_winding(B, kappa0, radius)
-    outer = _circle_winding(B, kappa0, 2.0 * radius)
+    inner, outer = _counted(_walk(B, [_circle(kappa0, radius),
+                                      _circle(kappa0, 2.0 * radius)], {}))
     if outer != inner:
         raise NotIsolated(
             f"{outer - inner} extra zeros in the annulus around {kappa0}")

@@ -42,6 +42,8 @@ __all__ = ["SimResult", "simulate", "excite_and_fit", "FitResult",
 
 CFL_SAFETY = 0.9
 _BLOCK = 16   # time steps whose V and D rows are buffered between energy passes
+_FIT_WINDOW = (0.15, 0.9)   # fraction of T over which log E is fitted
+_MAX_REL_RESIDUAL = 0.05    # largest rms misfit / slope span of a stable fit
 
 Medium = PiecewiseStructure | GridStructure
 
@@ -172,8 +174,7 @@ class FitResult:
 
 
 def excite_and_fit(B: Medium, kappa: complex, T: float,
-                   m_cells: int, fit_window: tuple = (0.15, 0.9),
-                   max_rel_residual: float = 0.05) -> FitResult:
+                   m_cells: int) -> FitResult:
     """Initialize with Re(phi), Re(i kappa phi) and fit the energy decay.
 
     The fitted slope of log E approximates 2 Im kappa (energy is quadratic
@@ -197,7 +198,7 @@ def excite_and_fit(B: Medium, kappa: complex, T: float,
             energies = np.convolve(energies, kern, mode="valid")
             times = times[p - 1:] - 0.5 * (p - 1) * sim.dt
 
-    t0, t1 = fit_window[0] * T, fit_window[1] * T
+    t0, t1 = _FIT_WINDOW[0] * T, _FIT_WINDOW[1] * T
     sel = (times >= t0) & (times <= t1)
     ts = times[sel]
     es = energies[sel]
@@ -208,7 +209,7 @@ def excite_and_fit(B: Medium, kappa: complex, T: float,
     resid = logs - (a * ts + b)
     span = abs(a) * (ts[-1] - ts[0])
     rel = float(np.sqrt(np.mean(resid ** 2))) / max(span, 1e-300)
-    if rel > max_rel_residual:
+    if rel > _MAX_REL_RESIDUAL:
         raise FitUnstable(
             f"log-energy trace nonlinear (rel residual {rel:.3e})")
     return FitResult(beta=float(-a), expected=2.0 * kappa.imag,

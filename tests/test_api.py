@@ -1,4 +1,5 @@
-"""Public-surface guard: every exported and every traced name resolves.
+"""Public-surface guard: every exported and every traced name resolves, and
+the number of options stays capped.
 
 The benchmark tracer (perfbench/tracer.py) patches library functions by
 name, so deleting or renaming one of them breaks `Tracer.install` with an
@@ -50,3 +51,27 @@ def test_traced_names_exist(monkeypatch):
                for attr in attrs
                if not hasattr(importlib.import_module(f"qnmopt.{layer}"), attr)]
     assert missing == []
+
+
+# defaulted parameters over src/qnmopt; a new option is a deliberate edit here
+MAX_PUBLIC_DEFAULTS = 20
+MAX_PRIVATE_DEFAULTS = 3
+
+
+def _defaulted_parameters():
+    """(public, private) counts of parameters with a default value; a
+    function or method is private when its name starts with '_'."""
+    counts = [0, 0]
+    for path in Path(qnmopt.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                n = len(node.args.defaults) \
+                    + sum(d is not None for d in node.args.kw_defaults)
+                counts[node.name.startswith("_")] += n
+    return tuple(counts)
+
+
+def test_option_count_ratchet():
+    public, private = _defaulted_parameters()
+    assert public <= MAX_PUBLIC_DEFAULTS
+    assert private <= MAX_PRIVATE_DEFAULTS

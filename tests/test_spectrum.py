@@ -290,10 +290,22 @@ def _contour_media():
             (grid, SpectralWindow(0.1, 40.0, 0.05, 3.0))]
 
 
-class TestContourAgainstReference:
-    """The array contour walk visits the same points as the per-point loop."""
+def _multiset(*arrays):
+    """Sorted exact bits of the complex numbers in all arrays."""
+    flat = np.concatenate([np.asarray(a, dtype=complex).ravel()
+                           for a in arrays])
+    return sorted(map(tuple, flat.view(np.uint64).reshape(-1, 2).tolist()))
 
-    def test_rect_points_equal(self):
+
+class _Stop(Exception):
+    pass
+
+
+class TestContourAgainstReference:
+    """The edge walk evaluates the final points of the per-point loop, each
+    once, in as many charF_many calls as the loop has rounds."""
+
+    def test_rect_points_equal(self, monkeypatch):
         rng = np.random.default_rng(11)
         wins = [SpectralWindow(*w) for w in
                 ((0.1, 12.0, 0.05, 3.0), (-12.0, -0.1, 0.05, 3.0),
@@ -302,20 +314,31 @@ class TestContourAgainstReference:
             re = np.sort(rng.uniform(-50, 50, 2))
             im = np.sort(rng.uniform(1e-3, 20, 2))
             wins.append(SpectralWindow(re[0], re[1], im[0], im[1]))
+        seen = []
+
+        def first_round(zs, B):
+            seen.append(np.array(zs))
+            raise _Stop
+
+        monkeypatch.setattr(spectrum, "charF_many", first_round)
         for w in wins:
-            assert _bits(spectrum._rect_points(w)) \
+            with pytest.raises(_Stop):
+                winding_count(constant(4.0), w)
+            edges = seen.pop().reshape(4, 17)
+            assert _bits(edges[:, :16].ravel()) \
                 == _bits(reference_rect_points(w))
+            assert _bits(edges[:, 16].copy()) == _bits(np.roll(w.corners(), -1))
 
     def test_refinement_rounds_equal(self, contour_log):
         for B, w in _contour_media():
-            pts = reference_rect_points(w)
-            ref = reference_phase_winding(pts, B)
+            ref = reference_phase_winding(reference_rect_points(w), B)
             ref_log = list(contour_log)
             contour_log.clear()
             assert winding_count(B, w) == ref
             assert len(contour_log) == len(ref_log) >= 3
-            for new, old in zip(contour_log, ref_log):
-                assert _bits(new) == _bits(old)
+            # every final point once, and the 4 corners as both edge ends
+            assert _multiset(*contour_log) \
+                == _multiset(ref_log[-1], w.corners())
             contour_log.clear()
 
     def test_double_root_circle(self, double_fixture, contour_log):
@@ -328,10 +351,177 @@ class TestContourAgainstReference:
             contour_log.clear()
             counts.append(spectrum._circle_winding(B, kappa, radius))
             assert counts[-1] == ref
-            assert [_bits(p) for p in contour_log] \
-                == [_bits(p) for p in ref_log]
+            assert len(contour_log) == len(ref_log)
+            # every final point once, the closing point twice
+            assert _multiset(*contour_log) \
+                == _multiset(ref_log[-1], ref_log[0][:1])
             contour_log.clear()
         assert counts[:2] == [2, 2]
+
+
+def _edge_interior(a, b):
+    """The 15 sampled points of edge (a, b) strictly between its corners."""
+    return a + np.arange(1, 16) / 16 * (b - a)
+
+
+class TestEdgeReuse:
+    """Within one locate call an edge with the same corners is walked once."""
+
+    def test_halves_reuse_parent_and_shared_edges(self, contour_log):
+        box = AdmissibleBounds(1.0, 4.0)
+        bb = random_bang_bang(box, np.random.default_rng(3), max_switches=7)
+        grid = GridStructure(tuple(np.random.default_rng(7).uniform(1, 4, 256)),
+                             box)
+        for B, w in [(bb, SpectralWindow(0.1, 12.0, 0.05, 3.0)),
+                     (grid, SpectralWindow(0.1, 12.0, 0.05, 3.0)),
+                     (bb, SpectralWindow(0.1, 2.0, 0.05, 8.0))]:
+            done = {}
+            count = spectrum._walk(B, [spectrum._rect_edges(w)], done)[0]
+            contour_log.clear()
+            # the parent again: all four edges from done
+            assert spectrum._walk(B, [spectrum._rect_edges(w)], done) \
+                == [count]
+            assert contour_log == []
+            halves = spectrum._halves(B, w, 0.5, done)
+            new = np.concatenate(contour_log)
+            rounds = len(contour_log)
+            a, b = spectrum._split(w, 0.5)
+            assert [h for _, h in halves] == [a, b]
+            # each half walked alone, without the cache, gives the same count
+            alone = []
+            for h in (a, b):
+                contour_log.clear()
+                alone.append((winding_count(B, h), len(contour_log)))
+            assert [n for n, _ in halves] == [n for n, _ in alone]
+            assert sum(n for n, _ in alone) == count
+            # both halves share each round's call
+            assert rounds <= max(r for _, r in alone)
+            parent = spectrum._rect_edges(w)
+            ea, eb = spectrum._rect_edges(a), spectrum._rect_edges(b)
+            shared = [e for e in ea if e[::-1] in eb]
+            cut = [e for e in ea + eb if e not in parent + shared
+                   and e[::-1] not in shared]
+            assert len(shared) == 1 and len(cut) == 4
+            got = _multiset(new)
+            # the parent's two uncut edges: none of their inner points
+            for p, q in parent:
+                if (p, q) in ea + eb:
+                    inner = _multiset(_edge_interior(p, q))
+                    assert not set(inner) & set(got)
+            # the shared edge: each sampled point once
+            (p, q), = shared
+            inner = _multiset(_edge_interior(p, q))
+            assert all(got.count(z) == 1 for z in inner)
+            # the four half-edges: their 15 inner samples taken anew
+            for p, q in cut:
+                assert set(_multiset(_edge_interior(p, q))) <= set(got)
+
+    def test_sibling_reuses_edge_reversed(self, contour_log):
+        B = random_bang_bang(AdmissibleBounds(1.0, 4.0),
+                             np.random.default_rng(3), max_switches=7)
+        a, b = spectrum._split(SpectralWindow(0.1, 12.0, 0.05, 3.0), 0.5)
+        done = {}
+        ca = spectrum._walk(B, [spectrum._rect_edges(a)], done)[0]
+        contour_log.clear()
+        cb = spectrum._walk(B, [spectrum._rect_edges(b)], done)[0]
+        calls = list(contour_log)
+        assert (ca, cb) == (winding_count(B, a), winding_count(B, b))
+        # b's left edge is a's right edge walked backwards, from done
+        (p, q), = [e for e in spectrum._rect_edges(b)
+                   if e[::-1] in spectrum._rect_edges(a)]
+        assert (q, p) in done and (p, q) not in done
+        assert len(calls[0]) == 3 * 17
+        got = set(_multiset(*calls))
+        assert not set(_multiset(_edge_interior(p, q))) & got
+
+    def test_only_the_grazing_half_dilates(self, contour_log):
+        # the middle sample of the left edge of the parent, and of its left
+        # half only, lands on the root pi/2 + i ln3/4 of B = 4; the right
+        # half needs a second round
+        B = constant(4.0)
+        w = SpectralWindow(math.pi / 2, 20.0, LN3_4 - 0.2, LN3_4 + 0.2)
+        a, b = spectrum._split(w, 0.5)
+        with pytest.raises(ZeroOnContour):
+            reference_phase_winding(reference_rect_points(a), B)
+        failed = contour_log[-1]
+        contour_log.clear()
+        done = {}
+        (ca, wa), (cb, wb) = spectrum._halves(B, w, 0.5, done)
+        calls = list(contour_log)
+        assert wa == a.dilated(1.004) and wb == b
+        # of the grazing half's edges only the one b finished is kept
+        ea = spectrum._rect_edges(a)
+        assert [e for e in ea if e in done] \
+            == [e for e in ea if e[::-1] in spectrum._rect_edges(b)]
+        assert (ca, cb) == (6, 6) == (winding_count(B, wa), winding_count(B, b))
+        assert (ca, cb) == (len(constant_spectrum(4.0, wa)),
+                            len(constant_spectrum(4.0, b)))
+        # the first call holds both halves, their shared edge once; the
+        # retry walks the dilated left half alone
+        assert len(calls[0]) == 7 * 17
+        retry = [len(z) for z in calls].index(4 * 17, 1)
+        # the grazing edge is refined as far as the loop got, no further
+        batch = np.concatenate(calls[:retry])
+        on_edge = [z[(z.real == w.re_min) & (z.imag > w.im_min)
+                     & (z.imag < w.im_max)] for z in (batch, failed)]
+        assert _multiset(on_edge[0]) == _multiset(on_edge[1])
+        later = np.concatenate(calls[retry:])
+        assert np.all((later.real >= wa.re_min) & (later.real <= wa.re_max))
+        assert np.any(later.real == wa.re_max)
+
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_nan_on_third_edge_raises(self, monkeypatch, which):
+        B = constant(4.0)
+        w = SpectralWindow(0.1, 12.0, 0.05, 3.0)
+        a, b = spectrum._split(w, 0.5)
+        h = (a, b)[which]
+        p, q = spectrum._rect_edges(h)[2]
+        bad = p + 8 / 16 * (q - p)
+        original = spectrum.charF_many
+
+        def planted(zs, B):
+            out = original(zs, B)
+            out[zs == bad] = math.nan
+            return out
+
+        monkeypatch.setattr(spectrum, "charF_many", planted)
+        with pytest.raises(NumericalError, match="not finite"):
+            spectrum._halves(B, w, 0.5, {})
+        with pytest.raises(NumericalError, match="not finite"):
+            winding_count(B, h)
+        assert winding_count(B, (b, a)[which]) >= 0
+
+
+class TestRefinementBudget:
+    """Round budget and point cap stop the walk where they stopped the loop."""
+
+    @pytest.mark.parametrize("fake, capped", [
+        # a sign jump at Re z = 5 that no refinement resolves: 2 points a round
+        (lambda zs: np.where(zs.real < 5.0, 1.0, -1.0) + 0j, False),
+        # one of three phases, set by the bits of z: a rough segment has
+        # two rough halves a third of the time, so the points hit the cap
+        (lambda zs: np.exp(2j * np.pi / 3 * ((zs.real.view(np.uint64)
+                                              ^ zs.imag.view(np.uint64)) % 3)),
+         True),
+    ], ids=["round-budget", "point-cap"])
+    def test_gives_up_like_the_reference(self, monkeypatch, fake, capped):
+        calls = []
+
+        def logged(zs, B):
+            calls.append(len(zs))
+            return fake(np.asarray(zs))
+
+        monkeypatch.setattr(spectrum, "charF_many", logged)
+        monkeypatch.setitem(globals(), "charF_many", logged)
+        w = SpectralWindow(0.1, 12.0, 0.05, 3.0)
+        with pytest.raises(NumericalError, match="did not converge"):
+            reference_phase_winding(reference_rect_points(w), None)
+        rounds = len(calls)
+        assert (rounds < spectrum._WINDING_ROUNDS) == capped
+        calls.clear()
+        with pytest.raises(NumericalError, match="did not converge"):
+            winding_count(None, w)
+        assert len(calls) == rounds
 
 
 class TestNewtonAgainstReference:
@@ -400,7 +590,7 @@ class TestNegativeWinding:
         w = SpectralWindow(0.1, 40.0, 0.05, 3.0)
         assert len(constant_spectrum(4.0, w)) == 25
         B = constant(4.0)
-        assert reference_phase_winding(spectrum._rect_points(w), B) == -1
+        assert reference_phase_winding(reference_rect_points(w), B) == -1
         with pytest.raises(NumericalError, match="negative winding"):
             winding_count(B, w)
         with pytest.raises(NumericalError):
@@ -409,6 +599,6 @@ class TestNegativeWinding:
     def test_random_bang_bang(self, box14):
         w = SpectralWindow(-30.0, 30.0, 0.05, 6.0)
         B = random_bang_bang(box14, np.random.default_rng(17))
-        assert reference_phase_winding(spectrum._rect_points(w), B) == -1
+        assert reference_phase_winding(reference_rect_points(w), B) == -1
         with pytest.raises(NumericalError, match="negative winding"):
             winding_count(B, w)
