@@ -39,9 +39,9 @@ print(f"nonlinear mismatch {cert.nonlinear_mismatch:.2e} "
 
 # --- negative control: break one switch ---------------------------------------
 
-pts = list(B.breakpoints)
+pts = B.breakpoints.copy()
 pts[1] += 0.05
-bad = PiecewiseStructure(tuple(pts), B.values, bounds)
+bad = PiecewiseStructure(pts, B.values, bounds)
 k_bad = newton_refine(bad, kappa, tol=1e-10, leash=0.5)[0]
 cert_bad = switch_alignment(bad, k_bad)
 print(f"\nafter displacing the first switch by 0.05:")

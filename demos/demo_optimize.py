@@ -22,7 +22,7 @@ res0 = minimize_im_at_frequency(cfg0, to_grid(constant(2.5, bounds), 128))
 print("alpha = 0 from B = 2.5:")
 print(f"   final Im kappa = {res0.kappa.imag:.12f}")
 print(f"   exact ln(3)/4  = {math.log(3) / 4:.12f}")
-print(f"   structure collapsed to B = {set(res0.B.values)}")
+print(f"   structure collapsed to B = {set(res0.B.values.tolist())}")
 
 # --- alpha = pi: nontrivial bang-bang optimum ---------------------------------
 
@@ -37,7 +37,7 @@ print(f"   rounded:       Im = {res.rounded_kappa.imag:.8f}")
 print(f"   polished:      Im = {res.polished_kappa.imag:.10f}, "
       f"Re drift = {abs(res.polished_kappa.real - math.pi):.1e}")
 print("   switch points:", [f"{x:.6f}" for x in res.polished.breakpoints[1:-1]])
-print("   layer values: ", res.polished.values)
+print("   layer values: ", res.polished.values.tolist())
 q = abs(res.polished_kappa.real) / (2 * res.polished_kappa.imag)
 print(f"   Q factor {q:.2f} vs constant-medium {math.pi / (2 * ub):.2f}")
 

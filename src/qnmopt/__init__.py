@@ -6,11 +6,10 @@ from .medium import (AdmissibleBounds, GridStructure, PiecewiseStructure,
                      random_bang_bang, round_to_extreme, switch_points,
                      to_grid, to_piecewise)
 from .field import (BoundaryData, charF, charF_dzF, charF_many, dzF,
-                    dzF_at_root, integral_residual, layer_matrix, mode_values,
-                    phi_series, propagate)
+                    mode_values, phi_series, propagate)
 from .spectrum import (QuasiEigenvalue, SpectralWindow, axis_offset,
                        constant_spectrum, locate, multiplicity, winding_count)
-from .sensitivity import (GradientDensity, SplittingProbe, dBF_direction,
+from .sensitivity import (GradientDensity, SplittingProbe,
                           eigenvalue_gradient, find_double_eigenvalue,
                           splitting_probe)
 from .optimize import (IterationRecord, OptimizeConfig, OptimizeResult,

@@ -78,7 +78,7 @@ def phase_trace(B: PiecewiseStructure, kappa: complex) -> PhaseTrace:
     for x0, x1 in zip(B.breakpoints[:-1], B.breakpoints[1:]):
         n = 24
         xs.extend(np.linspace(x0, x1, n + 1)[1:])
-    xs = np.unique(np.concatenate((np.asarray(xs), np.asarray(B.breakpoints))))
+    xs = np.unique(np.concatenate((xs, B.breakpoints)))
 
     for _ in range(40):
         phi, _ = mode_values(B, kappa, xs)
@@ -126,6 +126,15 @@ def _omega_from_trace(trace: PhaseTrace, sw: list,
     if direction == "down":
         omega += math.pi
     return _wrap_pi(omega)
+
+
+def _omega(B: PiecewiseStructure, kappa: complex, b1: float) -> float:
+    """omega of B at kappa: 0 on the imaginary axis and for a leading
+    vacuum layer (b1 = 0), where the switches sit on the real rays."""
+    if kappa.real == 0.0 or (b1 == 0.0 and B.leading_zero_interval() > 0.0):
+        return 0.0
+    sw = switch_points(B)  # NotBangBang before any phase work
+    return _omega_from_trace(phase_trace(B, kappa), sw, b1)
 
 
 def certificate_theta(kappa: complex, omega: float, b1: float,
@@ -182,12 +191,9 @@ def nonlinear_residual(B: PiecewiseStructure, kappa: complex,
     if abs(charF(kappa, B)) >= _ROOT_TOL:
         raise NotAtRoot(f"kappa = {kappa} is not an eigenvalue")
     b1, b2 = B.bounds.b1, B.bounds.b2
-    a1 = B.leading_zero_interval()
-    if omega is None and kappa.real != 0.0 and not (b1 == 0.0 and a1 > 0.0):
-        sw = switch_points(B)
-        omega = _omega_from_trace(phase_trace(B, kappa), sw, b1)
-    theta = certificate_theta(kappa, omega if omega is not None else 0.0,
-                              b1, a1)
+    if omega is None:
+        omega = _omega(B, kappa, b1)
+    theta = certificate_theta(kappa, omega, b1, B.leading_zero_interval())
     xs = (np.arange(_MISMATCH_SAMPLES) + 0.5) / _MISMATCH_SAMPLES
     phi, _ = mode_values(B, kappa, xs)
     y2 = (cmath.exp(1j * theta) ** 2) * phi * phi
@@ -204,7 +210,7 @@ class SelfConsistentResult:
     theta: float
     xs: np.ndarray
     y: np.ndarray               # e^{i theta} phi on xs
-    history: tuple               # (iteration, kappa, switch tuple) records
+    history: tuple               # (iteration, kappa, switch array) records
 
 
 def _rebuild_structure(B: PiecewiseStructure, kappa: complex, theta: float,
@@ -231,7 +237,7 @@ def _rebuild_structure(B: PiecewiseStructure, kappa: complex, theta: float,
         hi = np.where(same, hi, mid)
     pts = np.concatenate(([0.0], 0.5 * (lo + hi), [1.0]))
     vals = np.where(positive(0.5 * (pts[:-1] + pts[1:])), bounds.b2, bounds.b1)
-    return PiecewiseStructure(tuple(pts), tuple(vals), bounds)
+    return PiecewiseStructure(pts, vals, bounds)
 
 
 def self_consistent_solve(kappa_seed: complex, bounds: AdmissibleBounds,
@@ -258,17 +264,12 @@ def self_consistent_solve(kappa_seed: complex, bounds: AdmissibleBounds,
         kappa_new = res[0]
         sw_old = B.breakpoints[1:-1] if it > 1 else None
 
-        b1 = bounds.b1
-        a1 = B.leading_zero_interval()
-        if kappa_new.real != 0.0 and not (b1 == 0.0 and a1 > 0.0):
-            try:
-                sw = switch_points(B)
-                omega = _omega_from_trace(phase_trace(B, kappa_new), sw, b1)
-            except (InputError, NumericalError):
-                omega = 0.0
-        else:
+        try:
+            omega = _omega(B, kappa_new, bounds.b1)
+        except (InputError, NumericalError):
             omega = 0.0
-        theta = certificate_theta(kappa_new, omega, b1, a1)
+        theta = certificate_theta(kappa_new, omega, bounds.b1,
+                                  B.leading_zero_interval())
 
         B_new = _rebuild_structure(B, kappa_new, theta, bounds, n_grid)
         sw_new = B_new.breakpoints[1:-1]
@@ -276,8 +277,7 @@ def self_consistent_solve(kappa_seed: complex, bounds: AdmissibleBounds,
 
         converged = (sw_old is not None and len(sw_old) == len(sw_new)
                      and (len(sw_new) == 0
-                          or max(abs(a - b) for a, b in zip(sw_old, sw_new))
-                          < _SWITCH_TOL)
+                          or np.max(np.abs(sw_old - sw_new)) < _SWITCH_TOL)
                      and abs(kappa_new - kappa) < _KAPPA_TOL)
         B, kappa = B_new, kappa_new
         if converged:

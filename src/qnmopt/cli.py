@@ -33,6 +33,12 @@ FLOAT_FMT = "%.12e"
 FIXTURE_SEED = (0.7125, 4.0, 1.4792)
 FIXTURE_KAPPA = 4.44244 + 1.03017j
 
+# optional OptimizeConfig keys of a config file and their converters; an
+# absent key keeps the OptimizeConfig default
+_CONFIG_OPTIONS = {"n_cells": int, "step0": float, "step_grow": float,
+                   "step_shrink": float, "max_iters": int, "tol_freq": float,
+                   "tol_grad": float, "round_threshold": float}
+
 
 def _atomic_write(path: str, text: str) -> None:
     d = os.path.dirname(os.path.abspath(path)) or "."
@@ -113,22 +119,11 @@ def _config_from_json(path: str) -> tuple:
         raise InputError(f"cannot read config {path}: {exc}") from exc
     try:
         bounds = AdmissibleBounds(*map(float, raw["bounds"]))
-        seed_kappa = None
+        opts = {k: conv(raw[k]) for k, conv in _CONFIG_OPTIONS.items()
+                if k in raw}
         if raw.get("seed_kappa") is not None:
-            seed_kappa = complex(*map(float, raw["seed_kappa"]))
-        cfg = OptimizeConfig(
-            alpha=float(raw["alpha"]),
-            bounds=bounds,
-            n_cells=int(raw.get("n_cells", 256)),
-            step0=float(raw.get("step0", 0.2)),
-            step_grow=float(raw.get("step_grow", 1.5)),
-            step_shrink=float(raw.get("step_shrink", 0.5)),
-            max_iters=int(raw.get("max_iters", 400)),
-            tol_freq=float(raw.get("tol_freq", 1e-8)),
-            tol_grad=float(raw.get("tol_grad", 1e-10)),
-            round_threshold=float(raw.get("round_threshold", 0.25)),
-            seed_kappa=seed_kappa,
-        )
+            opts["seed_kappa"] = complex(*map(float, raw["seed_kappa"]))
+        cfg = OptimizeConfig(alpha=float(raw["alpha"]), bounds=bounds, **opts)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad config: {exc}") from exc
     seed_structure = None
@@ -258,8 +253,7 @@ def cmd_splitting_probe(args) -> int:
                       if args.kappa_re or args.kappa_im else FIXTURE_KAPPA)
         B, kappa = find_double_eigenvalue(seed, kappa_seed)
     n = 16
-    direction = GridStructure(
-        tuple(1.0 if i < n // 2 else 0.0 for i in range(n)), B.bounds)
+    direction = GridStructure(np.arange(n) < n // 2, B.bounds)
     zetas = args.zetas or [1e-4, 1e-5, 1e-6, 1e-7]
     probe = splitting_probe(B, kappa, args.multiplicity, direction, zetas)
     rows = []

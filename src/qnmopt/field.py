@@ -19,12 +19,11 @@ variation of parameters) are closed forms in those states.  One sweep of
 phi and psi (`_overlaps`) yields F, the boundary data and the B-weighted
 integrals together, so charF_dzF, dzF and overlap_integrals all read the
 same pass, and a Newton step or a gradient needs one sweep, not two.
-layer_matrix, phi_series (the power series in z^2) and integral_residual
-stay outside the kernel as the references the tests check it against.
+phi_series (the power series in z^2) stays outside the kernel as the
+oracle the tests check it against.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -34,10 +33,9 @@ import numpy as np
 from .errors import InputError, TailNotConverged, ZeroFrequency
 
 __all__ = [
-    "BoundaryData", "layer_matrix", "propagate", "charF", "charF_many",
-    "charF_dzF", "dzF", "dzF_at_root", "phi_series", "SeriesResult",
-    "overlap_integrals", "phi2_cell_integrals", "mode_values",
-    "integral_residual",
+    "BoundaryData", "propagate", "charF", "charF_many", "charF_dzF", "dzF",
+    "phi_series", "SeriesResult", "overlap_integrals", "phi2_cell_integrals",
+    "mode_values",
 ]
 
 
@@ -51,29 +49,6 @@ class BoundaryData:
 
     def wronskian(self) -> complex:
         return self.phi1 * self.dpsi1 - self.dphi1 * self.psi1
-
-
-def _segments(B) -> list:
-    """(start, length, value) triples of the layers of B."""
-    xs, lengths, values = B.layers
-    return list(zip(xs[:-1].tolist(), lengths.tolist(), values.tolist()))
-
-
-def layer_matrix(b: float, length: float, z: complex) -> np.ndarray:
-    """Propagator of (y, y') across a constant layer.
-
-    For w = z*sqrt(b) != 0 the matrix is [[cos wL, sin wL / w],
-    [-w sin wL, cos wL]]; for b = 0 or z = 0 it degenerates to free
-    propagation [[1, L], [0, 1]].  det = 1 always (Wronskian).
-    """
-    if length <= 0:
-        raise ValueError("layer length must be positive")
-    if b == 0.0 or z == 0:
-        return np.array([[1.0, length], [0.0, 1.0]], dtype=complex)
-    w = z * math.sqrt(b)
-    wl = w * length
-    c, s = cmath.cos(wl), cmath.sin(wl)
-    return np.array([[c, s / w], [-w * s, c]], dtype=complex)
 
 
 # -- the layer sweep -----------------------------------------------------------
@@ -296,18 +271,6 @@ def dzF(z: complex, B) -> complex:
     return charF_dzF(z, B)[1]
 
 
-def dzF_at_root(kappa: complex, B) -> complex:
-    """dF/dz at a zero of F via the root-specialized closed form.
-
-    Independent of dzF's variational route; the two must agree at roots.
-    """
-    if kappa == 0:
-        raise ZeroFrequency("dF/dz is not defined at z = 0")
-    bd, i_phi2, _ = overlap_integrals(B, kappa)
-    bracket = -kappa * bd.psi1 + 1j * bd.dpsi1
-    return 2.0 * bracket * i_phi2 + bd.phi1 / kappa
-
-
 # -- power-series oracle ------------------------------------------------------
 
 class SeriesResult(NamedTuple):
@@ -367,16 +330,12 @@ def phi_series(B, z: complex, terms: int = 200) -> SeriesResult:
     the result reports that tail bound and a roundoff majorant
     eps * sum |term| for the alternating sum itself.
     """
-    segs = _segments(B)
-    lengths = [s[1] for s in segs]
-    bvals = [s[2] for s in segs]
-    starts = [s[0] for s in segs]
-    sup_b = max(bvals) if bvals else 0.0
-    az2 = (abs(z) ** 2) * sup_b
+    xs, lengths, bvals = (a.tolist() for a in B.layers)
+    az2 = (abs(z) ** 2) * max(bvals)
 
     # j = 0 iterates: phi_0 = 1, psi_0 = x (local form x0 + t per layer)
-    phi_c = [np.array([1.0]) for _ in segs]
-    psi_c = [np.array([x0, 1.0]) for x0 in starts]
+    phi_c = [np.array([1.0]) for _ in lengths]
+    psi_c = [np.array([x0, 1.0]) for x0 in xs[:-1]]
 
     z2 = z * z
     zpow = 1.0 + 0.0j
@@ -416,59 +375,3 @@ def phi_series(B, z: complex, terms: int = 200) -> SeriesResult:
     roundoff = 8.0 * np.finfo(float).eps * abs_sum
     return SeriesResult(BoundaryData(phi1, dphi1, psi1, dpsi1),
                         n, float(tail), float(roundoff))
-
-
-# -- integral-form residuals ---------------------------------------------------
-
-_RESIDUAL_POINTS = 8   # sample points per layer of the r1 defect
-
-
-def _layer_first_moments(w, length, p, dp):
-    """(int phi dt, int t phi dt) over a layer from its entry state."""
-    a, b = p, dp / w
-    wl = w * length
-    c, s = cmath.cos(wl), cmath.sin(wl)
-    i0 = a * s / w + b * (1.0 - c) / w
-    i_t = a * (c + wl * s - 1.0) / w ** 2 + b * (s - wl * c) / w ** 2
-    return i0, i_t
-
-
-def integral_residual(B, kappa: complex) -> tuple:
-    """Residuals of the integral form of the eigenvalue problem.
-
-    r1 is the sup-norm defect of y(x) = 1 - kappa^2 int_0^x (x-s) B y ds with
-    y = phi (an identity, so r1 is a pure consistency number), and r2 is
-    |y(1) + i kappa int_0^1 B y ds|, which vanishes exactly on the spectrum.
-    """
-    if kappa == 0:
-        raise ZeroFrequency("integral form requires kappa != 0")
-    segs = _segments(B)
-    r1 = 0.0
-    c1 = 0.0 + 0.0j  # int_0^x B phi
-    c2 = 0.0 + 0.0j  # int_0^x s B phi
-    p, dp = 1.0 + 0.0j, 0.0 + 0.0j
-    for x0, length, b in segs:
-        ts = np.linspace(0.0, length, _RESIDUAL_POINTS + 1)[1:]
-        if b == 0.0:
-            for t in ts:
-                x = x0 + t
-                y = p + t * dp
-                r1 = max(r1, abs(y - 1.0 + kappa ** 2 * (x * c1 - c2)))
-            p, dp = p + length * dp, dp
-            continue
-        w = kappa * math.sqrt(b)
-        for t in ts:
-            x = x0 + t
-            i0, i_t = _layer_first_moments(w, t, p, dp)
-            part1 = c1 + b * i0
-            part2 = c2 + b * (x0 * i0 + i_t)
-            y = cmath.cos(w * t) * p + cmath.sin(w * t) / w * dp
-            r1 = max(r1, abs(y - 1.0 + kappa ** 2 * (x * part1 - part2)))
-        i0, i_t = _layer_first_moments(w, length, p, dp)
-        c1 += b * i0
-        c2 += b * (x0 * i0 + i_t)
-        wl = w * length
-        c, s = cmath.cos(wl), cmath.sin(wl)
-        p, dp = c * p + (s / w) * dp, -w * s * p + c * dp
-    r2 = abs(p + 1j * kappa * c1)
-    return float(r1), float(r2)

@@ -5,8 +5,11 @@ representations are used: PiecewiseStructure (breakpoints + per-interval
 values; canonical form merges equal neighbours) and GridStructure (uniform
 cells, the optimizer's design variable).  Values at the breakpoints
 themselves carry no information (measure zero), so canonicalization is
-lossless for every operation in the package.  Both expose the same merged
-`layers` arrays, built once per object, which is all the field solvers read.
+lossless for every operation in the package.  Both store read-only 1-D
+float arrays, copied once on construction, and expose the same merged
+`layers` arrays, which is all the field solvers read.  One rule merges
+equal neighbours for both (`_merged_layers`); media compare equal when their
+bounds and arrays are equal, element for element.
 """
 from __future__ import annotations
 
@@ -19,7 +22,6 @@ import numpy as np
 
 from .errors import InputError, NotBangBang
 
-_MERGE_TOL = 0.0  # exact equality; callers quantize before merging if needed
 _BANG_TOL = 1e-12  # distance from a bound that still counts as on it
 
 
@@ -56,43 +58,60 @@ class Layers(NamedTuple):
         return self.values[np.clip(j, 0, len(self.values) - 1)]
 
 
-@dataclass(frozen=True)
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _merged_layers(xs: np.ndarray, vs: np.ndarray,
+                   bounds: AdmissibleBounds) -> Layers:
+    """Read-only layers of the values vs between breakpoints xs (last 1).
+
+    Equal neighbours merge exactly (callers quantize first if they want
+    near-equal ones merged); values outside bounds raise InputError.
+    """
+    if not bounds.contains(vs):
+        raise InputError("values outside admissible bounds")
+    keep = np.concatenate(([True], vs[1:] != vs[:-1]))
+    xs = np.append(xs[:-1][keep], 1.0)
+    return Layers(*map(_read_only, (xs, np.diff(xs), vs[keep])))
+
+
+@dataclass(frozen=True, eq=False)
 class PiecewiseStructure:
     """Piecewise-constant medium: value[j] on (x_j, x_{j+1}).
 
     breakpoints are strictly increasing with first 0 and last 1; adjacent
-    intervals with equal values are merged on construction.
+    intervals with equal values are merged on construction, and `layers`
+    holds the same arrays.
     """
 
-    breakpoints: tuple
-    values: tuple
+    breakpoints: np.ndarray
+    values: np.ndarray
     bounds: AdmissibleBounds
 
     def __post_init__(self):
-        xs = np.asarray(self.breakpoints, dtype=float)
-        vs = np.asarray(self.values, dtype=float)
+        xs = np.array(self.breakpoints, dtype=float)
+        vs = np.array(self.values, dtype=float)
         if xs.ndim != 1 or vs.ndim != 1 or len(xs) != len(vs) + 1:
             raise InputError("need n+1 breakpoints for n interval values")
         if abs(xs[0]) > 0 or abs(xs[-1] - 1.0) > 0:
             raise InputError("breakpoints must start at 0 and end at 1")
         if np.any(np.diff(xs) <= 0):
             raise InputError("breakpoints must be strictly increasing")
-        if not self.bounds.contains(vs):
-            raise InputError("values outside admissible bounds")
-        # canonical form: merge equal neighbours
-        keep = np.concatenate(([True], np.abs(np.diff(vs)) > _MERGE_TOL))
-        if not keep.all():
-            vs = vs[keep]
-            xs = np.concatenate((xs[:-1][keep], [1.0]))
-        object.__setattr__(self, "breakpoints", tuple(float(x) for x in xs))
-        object.__setattr__(self, "values", tuple(float(v) for v in vs))
+        layers = _merged_layers(xs, vs, self.bounds)
+        object.__setattr__(self, "breakpoints", layers.breakpoints)
+        object.__setattr__(self, "values", layers.values)
+        object.__setattr__(self, "layers", layers)
+
+    def __eq__(self, other):
+        if not isinstance(other, PiecewiseStructure):
+            return NotImplemented
+        return (self.bounds == other.bounds
+                and np.array_equal(self.breakpoints, other.breakpoints)
+                and np.array_equal(self.values, other.values))
 
     # -- basic queries ---------------------------------------------------
-
-    @cached_property
-    def layers(self) -> Layers:
-        xs = np.asarray(self.breakpoints)
-        return Layers(xs, np.diff(xs), np.asarray(self.values))
 
     @property
     def n_intervals(self) -> int:
@@ -103,36 +122,36 @@ class PiecewiseStructure:
         return float(self.layers.values_at(x))
 
     def sup(self) -> float:
-        return float(max(self.values))
+        return float(self.values.max())
 
     def inf(self) -> float:
-        return float(min(self.values))
+        return float(self.values.min())
 
     def is_bang_bang(self) -> bool:
-        b1, b2 = self.bounds.b1, self.bounds.b2
-        return all(abs(v - b1) <= _BANG_TOL or abs(v - b2) <= _BANG_TOL
-                   for v in self.values)
+        vs = self.values
+        return bool(np.all((np.abs(vs - self.bounds.b1) <= _BANG_TOL)
+                           | (np.abs(vs - self.bounds.b2) <= _BANG_TOL)))
 
     def leading_zero_interval(self) -> float:
         """a1 = sup { x : B = 0 a.e. on [0, x] } (0 unless the first value is 0)."""
         if self.bounds.b1 > 0 or self.values[0] != 0.0:
             return 0.0
-        return self.breakpoints[1]
+        return float(self.breakpoints[1])
 
     # -- serialization ----------------------------------------------------
 
     def to_json_dict(self) -> dict:
         return {
             "bounds": [self.bounds.b1, self.bounds.b2],
-            "breakpoints": list(self.breakpoints),
-            "values": list(self.values),
+            "breakpoints": self.breakpoints.tolist(),
+            "values": self.values.tolist(),
         }
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "PiecewiseStructure":
         try:
             bounds = AdmissibleBounds(*map(float, d["bounds"]))
-            return cls(tuple(d["breakpoints"]), tuple(d["values"]), bounds)
+            return cls(d["breakpoints"], d["values"], bounds)
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad structure record: {exc}") from exc
 
@@ -158,18 +177,28 @@ def constant(b: float, bounds: AdmissibleBounds | None = None) -> PiecewiseStruc
     return PiecewiseStructure((0.0, 1.0), (float(b),), bounds)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridStructure:
-    """Medium sampled on N uniform cells: value[i] on (i/N, (i+1)/N)."""
+    """Medium sampled on N uniform cells: value[i] on (i/N, (i+1)/N).
 
-    values: tuple
+    The bounds are checked when `layers` is first read, so the optimizer can
+    build out-of-box grids on purpose (before `project_to_box`).
+    """
+
+    values: np.ndarray
     bounds: AdmissibleBounds
 
     def __post_init__(self):
-        vs = np.asarray(self.values, dtype=float)
+        vs = np.array(self.values, dtype=float)
         if vs.ndim != 1 or len(vs) < 1:
             raise InputError("need at least one cell")
-        object.__setattr__(self, "values", tuple(float(v) for v in vs))
+        object.__setattr__(self, "values", _read_only(vs))
+
+    def __eq__(self, other):
+        if not isinstance(other, GridStructure):
+            return NotImplemented
+        return (self.bounds == other.bounds
+                and np.array_equal(self.values, other.values))
 
     @property
     def n_cells(self) -> int:
@@ -179,21 +208,13 @@ class GridStructure:
     def edges(self) -> np.ndarray:
         return np.linspace(0.0, 1.0, self.n_cells + 1)
 
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=float)
-
     @cached_property
     def layers(self) -> Layers:
         """The layers of to_piecewise(self), without building it."""
-        vs = self.as_array()
-        if not self.bounds.contains(vs):
-            raise InputError("values outside admissible bounds")
-        keep = np.concatenate(([True], vs[1:] != vs[:-1]))
-        xs = np.append(self.edges[:-1][keep], 1.0)
-        return Layers(xs, np.diff(xs), vs[keep])
+        return _merged_layers(self.edges, self.values, self.bounds)
 
     def with_values(self, vs) -> "GridStructure":
-        return GridStructure(tuple(float(v) for v in vs), self.bounds)
+        return GridStructure(vs, self.bounds)
 
 
 # -- conversions ---------------------------------------------------------
@@ -201,21 +222,20 @@ class GridStructure:
 
 def to_piecewise(g: GridStructure) -> PiecewiseStructure:
     """Exact piecewise form of a grid structure (equal neighbours merged)."""
-    return PiecewiseStructure(tuple(g.edges), g.values, g.bounds)
+    return PiecewiseStructure(g.edges, g.values, g.bounds)
 
 
 def to_grid(p: PiecewiseStructure, n_cells: int) -> GridStructure:
     """Cell averages of p on a uniform grid; exact when breakpoints align."""
     edges = np.linspace(0.0, 1.0, n_cells + 1)
-    xs = np.asarray(p.breakpoints)
-    vs = np.asarray(p.values)
+    xs, vs = p.breakpoints, p.values
     # length of overlap of each (breakpoint) interval with each cell
     out = np.zeros(n_cells)
     for x0, x1, v in zip(xs[:-1], xs[1:], vs):
         lo = np.clip(edges[:-1], x0, x1)
         hi = np.clip(edges[1:], x0, x1)
         out += v * np.maximum(hi - lo, 0.0)
-    return GridStructure(tuple(out * n_cells), p.bounds)
+    return GridStructure(out * n_cells, p.bounds)
 
 
 # -- operations ----------------------------------------------------------
@@ -223,8 +243,7 @@ def to_grid(p: PiecewiseStructure, n_cells: int) -> GridStructure:
 
 def project_to_box(g: GridStructure, bounds: AdmissibleBounds) -> GridStructure:
     """Clip every cell value into [b1, b2]; idempotent."""
-    vs = np.clip(g.as_array(), bounds.b1, bounds.b2)
-    return GridStructure(tuple(vs), bounds)
+    return GridStructure(np.clip(g.values, bounds.b1, bounds.b2), bounds)
 
 
 class RoundingReport(NamedTuple):
@@ -246,7 +265,7 @@ def round_to_extreme(g: GridStructure, bounds: AdmissibleBounds,
     """
     if not (0.0 < threshold < 0.5):
         raise InputError("threshold must lie in (0, 0.5)")
-    vs = g.as_array()
+    vs = g.values
     b1, b2, w = bounds.b1, bounds.b2, bounds.width
     lo_edge = b1 + threshold * w
     hi_edge = b2 - threshold * w
@@ -257,7 +276,7 @@ def round_to_extreme(g: GridStructure, bounds: AdmissibleBounds,
     snapped = np.where(band, nearer, snapped)
     report = RoundingReport(tuple(bool(b) for b in band),
                             float(np.mean(band)))
-    pc = PiecewiseStructure(tuple(g.edges), tuple(snapped), bounds)
+    pc = PiecewiseStructure(g.edges, snapped, bounds)
     return RoundingResult(pc, report)
 
 
@@ -268,21 +287,18 @@ def switch_points(p: PiecewiseStructure) -> list:
     Raises NotBangBang for values off the bounds.
     """
     if not p.is_bang_bang():
-        raise NotBangBang(f"values {p.values} not all in "
+        raise NotBangBang(f"values {p.values.tolist()} not all in "
                           f"{{{p.bounds.b1}, {p.bounds.b2}}}")
-    out = []
-    for x, va, vb in zip(p.breakpoints[1:-1], p.values[:-1], p.values[1:]):
-        if vb > va:
-            out.append((x, "up"))
-        elif vb < va:
-            out.append((x, "down"))
-    return out
+    # merged neighbours differ, so every interior breakpoint is a switch
+    up = (np.diff(p.values) > 0).tolist()
+    return [(x, "up" if u else "down")
+            for x, u in zip(p.breakpoints[1:-1].tolist(), up)]
 
 
 def extremality_measure(g: GridStructure, bounds: AdmissibleBounds,
                         eps: float) -> float:
     """Measure of { x : b1 + eps < B(x) < b2 - eps } (cell-count fraction)."""
-    vs = g.as_array()
+    vs = g.values
     interior = (vs > bounds.b1 + eps) & (vs < bounds.b2 - eps)
     return float(np.mean(interior))
 
@@ -296,4 +312,4 @@ def random_bang_bang(bounds: AdmissibleBounds, rng,
     xs = np.unique(np.round(xs, 12))
     vals = [bounds.b1, bounds.b2] if rng.integers(2) else [bounds.b2, bounds.b1]
     values = [vals[i % 2] for i in range(len(xs) + 1)]
-    return PiecewiseStructure((0.0, *xs, 1.0), tuple(values), bounds)
+    return PiecewiseStructure((0.0, *xs, 1.0), values, bounds)

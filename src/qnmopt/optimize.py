@@ -152,18 +152,18 @@ def _clipped_direction(raw: np.ndarray, vals: np.ndarray,
 
 def step_direction(g: GradientDensity, B: GridStructure,
                    bounds: AdmissibleBounds,
-                   tol_grad: float = 1e-10) -> GridStructure:
+                   tol_grad: float = 1e-10) -> np.ndarray:
     """Feasible direction of steepest Im-descent that is Re-neutral.
 
     delta B = clip(-Im g + lambda Re g) with the multiplier fixed by
     int Re(g) delta B = 0 under the active-set clipping; the map
     lambda -> int Re(g) delta B is monotone piecewise linear, so a scalar
-    bracketing solve suffices.  StalledDirection signals first-order
-    optimality (or an incompatible constraint).
+    bracketing solve suffices.  Returns delta B as a float array over the
+    cells of B.  StalledDirection signals first-order optimality (or an
+    incompatible constraint).
     """
-    ga = g.as_array()
-    re, im = ga.real, ga.imag
-    vals = B.as_array()
+    re, im = g.g.real, g.g.imag
+    vals = B.values
     n = len(vals)
 
     def h(lam: float) -> float:
@@ -198,13 +198,13 @@ def step_direction(g: GradientDensity, B: GridStructure,
         if slope >= -tol_grad:
             raise StalledDirection(
                 f"predicted Im decrease {slope:.3e} above -{tol_grad:.0e}")
-    return B.with_values(d)
+    return d
 
 
 # -- eigenvalue tracking ----------------------------------------------------------
 
 def _trust_radius(B: GridStructure) -> float:
-    mean_b = float(np.mean(B.as_array()))
+    mean_b = float(np.mean(B.values))
     return 0.35 * math.pi / math.sqrt(max(mean_b, 1e-6))
 
 
@@ -271,9 +271,8 @@ def _pin_frequency(B: GridStructure, kappa: complex, cfg: OptimizeConfig):
         drift = kappa.real - cfg.alpha
         if abs(drift) <= 0.5 * cfg.tol_freq:
             return B, kappa, True
-        g = eigenvalue_gradient(B, kappa)
-        ga = g.as_array()
-        vals = B.as_array()
+        ga = eigenvalue_gradient(B, kappa).g
+        vals = B.values
         want = -drift  # desired Re move
         sgn = 1.0 if want >= 0 else -1.0
         d = _lp_direction(sgn * ga.real, ga.imag, vals, bounds)
@@ -348,17 +347,16 @@ def minimize_im_at_frequency(config: OptimizeConfig,
             err.partial = _finalize(B, kappa, cfg, trajectory, "collision")
             raise err from exc
         try:
-            direction = step_direction(g, B, bounds, cfg.tol_grad)
+            d = step_direction(g, B, bounds, cfg.tol_grad)
         except StalledDirection:
             status = "stalled"
             break
-        d = direction.as_array()
-        slope = float(np.dot(g.as_array().imag, d)) / B.n_cells
+        slope = float(np.dot(g.g.imag, d)) / B.n_cells
 
         accepted = False
         while step >= step_min:
             try:
-                Bt = project_to_box(B.with_values(B.as_array() + step * d), bounds)
+                Bt = project_to_box(B.with_values(B.values + step * d), bounds)
                 kt = _track(Bt, kappa, _trust_radius(B))
                 Bt, kt, pinned = _pin_frequency(Bt, kt, cfg)
             except (LostEigenvalue, NearMultiple):
@@ -402,14 +400,14 @@ def _minimize_axis(cfg: OptimizeConfig, B0: GridStructure | None) -> OptimizeRes
     for it in range(1, cfg.max_iters + 1):
         grad = _axis_gradient(B, beta)  # d beta / d B_i (cell averages)
         d = _clipped_direction(-grad / max(np.max(np.abs(grad)), 1e-300),
-                               B.as_array(), bounds)
+                               B.values, bounds)
         slope = float(np.dot(grad, d)) / B.n_cells
         if slope >= -cfg.tol_grad:
             status = "stalled"
             break
         accepted = False
         while step >= step_min:
-            Bt = project_to_box(B.with_values(B.as_array() + step * d), bounds)
+            Bt = project_to_box(B.with_values(B.values + step * d), bounds)
             bt = _axis_newton(Bt, beta)
             if bt is not None and bt <= beta + 1e-4 * step * slope:
                 B, beta = Bt, bt
@@ -490,8 +488,7 @@ def _finalize(B: GridStructure, kappa: complex, cfg: OptimizeConfig,
 
 def _switch_sensitivities(B: PiecewiseStructure, kappa: complex) -> np.ndarray:
     """d kappa / d x_j for each interior breakpoint (value jump * density)."""
-    xs = np.asarray(B.breakpoints[1:-1])
-    vals = np.asarray(B.values)
+    xs, vals = B.breakpoints[1:-1], B.values
     bd, i_phi2b, _ = overlap_integrals(B, kappa)
     denom = 2.0 * kappa * i_phi2b - 1j * bd.phi1 ** 2
     phi, _ = mode_values(B, kappa, xs)
@@ -502,17 +499,14 @@ def _switch_sensitivities(B: PiecewiseStructure, kappa: complex) -> np.ndarray:
 def _drop_thin_layers(B: PiecewiseStructure):
     """Remove layers narrower than _MIN_LAYER_WIDTH (collapsed switch pairs the
     continuum optimum wants gone); equal-valued neighbours re-merge."""
-    while len(B.values) > 1:
-        pts = list(B.breakpoints)
-        vals = list(B.values)
-        widths = [b - a for a, b in zip(pts[:-1], pts[1:])]
-        thin = [j for j, w in enumerate(widths) if w < _MIN_LAYER_WIDTH]
-        if not thin:
+    while B.n_intervals > 1:
+        thin = np.flatnonzero(B.layers.lengths < _MIN_LAYER_WIDTH)
+        if not thin.size:
             return B
         j = thin[0]
-        del vals[j]
-        del pts[j if j > 0 else 1]  # the sliver merges into a neighbour
-        B = PiecewiseStructure(tuple(pts), tuple(vals), B.bounds)
+        # the sliver merges into a neighbour
+        B = PiecewiseStructure(np.delete(B.breakpoints, max(j, 1)),
+                               np.delete(B.values, j), B.bounds)
     return B
 
 
@@ -527,7 +521,7 @@ def _polish_switches(B: PiecewiseStructure, kappa: complex,
     for _ in range(4):
         B2, k2 = _polish_newton(B, kappa, cfg)
         cleaned = _drop_thin_layers(B2)
-        if cleaned == B2:
+        if cleaned is B2:
             return B2, k2
         res = newton_refine(cleaned, k2, tol=1e-9, leash=0.3)
         if res is None:
@@ -539,14 +533,14 @@ def _polish_switches(B: PiecewiseStructure, kappa: complex,
 def _polish_newton(B: PiecewiseStructure, kappa: complex,
                    cfg: OptimizeConfig):
     """One damped-Newton pass on Im(dk/dx_j) = lam Re(dk/dx_j), Re k = alpha."""
-    if len(B.breakpoints) == 2:
+    if B.n_intervals == 1:
         return B, kappa
     vals = B.values
     bounds = B.bounds
 
     def build(xs):
-        pts = (0.0, *sorted(float(x) for x in xs), 1.0)
-        if any(b - a < 1e-9 for a, b in zip(pts[:-1], pts[1:])):
+        pts = np.concatenate(([0.0], np.sort(xs), [1.0]))
+        if np.any(np.diff(pts) < 1e-9):
             return None
         return PiecewiseStructure(pts, vals, bounds)
 
@@ -562,7 +556,7 @@ def _polish_newton(B: PiecewiseStructure, kappa: complex,
 
     # keeps the last accepted iterate whatever stopped the iteration
     q, r, kappa_cur, _ = _damped_newton(
-        residual, np.array([*B.breakpoints[1:-1], 0.0]), _POLISH_ITERS, kappa)
+        residual, np.append(B.breakpoints[1:-1], 0.0), _POLISH_ITERS, kappa)
     if r is None:
         return B, kappa
     Bq = build(q[:-1])

@@ -25,11 +25,11 @@ from .errors import (BranchCountMismatch, InputError, NearMultiple,
 from .field import (_overlaps, charF_dzF, dzF, overlap_integrals,
                     phi2_cell_integrals)
 from .medium import (AdmissibleBounds, GridStructure, PiecewiseStructure,
-                     to_piecewise)
+                     _read_only, to_piecewise)
 from .spectrum import newton_refine
 
 __all__ = [
-    "GradientDensity", "SplittingProbe", "dBF_direction",
+    "GradientDensity", "SplittingProbe",
     "eigenvalue_gradient", "splitting_probe", "find_double_eigenvalue",
     "dzF_higher", "simple_root_floor",
 ]
@@ -37,32 +37,34 @@ __all__ = [
 _ROOT_TOL = 1e-8   # |F| above this is "not at a root"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GradientDensity:
     """Cell-averaged gradient density g of the tracked eigenvalue.
 
     The directional derivative along a cellwise-constant direction d is
     sum_i g[i] d[i] / N (exact: the per-cell integrals of phi^2 are closed
-    form).  denom_abs records |D| with D = 2 kappa int phi^2 B - i phi^2(1).
+    form).  g is a read-only complex array, copied once on construction.
+    denom_abs records |D| with D = 2 kappa int phi^2 B - i phi^2(1).
     """
 
     kappa: complex
-    g: tuple
+    g: np.ndarray
     denom_abs: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "g",
+                           _read_only(np.array(self.g, dtype=complex)))
 
     @property
     def n_cells(self) -> int:
         return len(self.g)
 
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.g, dtype=complex)
-
     def directional(self, direction) -> complex:
-        d = direction.as_array() if isinstance(direction, GridStructure) \
+        d = direction.values if isinstance(direction, GridStructure) \
             else np.asarray(direction, dtype=float)
         if len(d) != self.n_cells:
             raise InputError("direction grid does not match gradient grid")
-        return complex(np.dot(self.as_array(), d) / self.n_cells)
+        return complex(np.dot(self.g, d) / self.n_cells)
 
 
 def _require_root(B, kappa: complex):
@@ -72,18 +74,6 @@ def _require_root(B, kappa: complex):
     if r >= _ROOT_TOL:
         raise NotAtRoot(f"|F({kappa})| = {r:.3e} >= {_ROOT_TOL:.0e}")
     return ov
-
-
-def dBF_direction(B, kappa: complex, direction: GridStructure) -> complex:
-    """Directional derivative of F with respect to the medium at a root.
-
-    Equals kappa [-kappa psi(1) + i psi'(1)] * int phi^2 d; linear in the
-    direction.
-    """
-    bd = _require_root(B, kappa).bd
-    cells = phi2_cell_integrals(B, kappa, direction.edges)
-    w = complex(np.dot(cells, direction.as_array()))
-    return kappa * (-kappa * bd.psi1 + 1j * bd.dpsi1) * w
 
 
 def dzF_higher(B, kappa: complex, order: int) -> complex:
@@ -131,7 +121,7 @@ def eigenvalue_gradient(B, kappa: complex, n_cells: int | None = None) -> Gradie
     denom = 2.0 * kappa * ov.i_phi2 - 1j * ov.bd.phi1 ** 2
     cells = phi2_cell_integrals(B, kappa, edges)
     g = -kappa ** 2 * cells / denom * n_cells  # cell averages of the density
-    return GradientDensity(kappa, tuple(complex(v) for v in g), abs(denom))
+    return GradientDensity(kappa, g, abs(denom))
 
 
 @dataclass(frozen=True)
@@ -158,11 +148,10 @@ def _perturbed(B: PiecewiseStructure, direction: GridStructure,
     mids = 0.5 * (edges[:-1] + edges[1:])
     n = direction.n_cells
     cell = np.minimum((mids * n).astype(int), n - 1)
-    vals = B.layers.values_at(mids) + zeta * direction.as_array()[cell]
+    vals = B.layers.values_at(mids) + zeta * direction.values[cell]
     lo = min(0.0, vals.min())
     hi = max(1.0, vals.max())
-    return PiecewiseStructure(tuple(edges), tuple(vals),
-                              AdmissibleBounds(lo, hi + 1.0))
+    return PiecewiseStructure(edges, vals, AdmissibleBounds(lo, hi + 1.0))
 
 
 def splitting_probe(B, kappa0: complex, r: int, direction: GridStructure,
@@ -182,9 +171,9 @@ def splitting_probe(B, kappa0: complex, r: int, direction: GridStructure,
         B = to_piecewise(B)
     bd, _, _ = overlap_integrals(B, kappa0)
     cells = phi2_cell_integrals(B, kappa0, direction.edges)
-    w = complex(np.dot(cells, direction.as_array()))
+    w = complex(np.dot(cells, direction.values))
     if abs(w) < 1e-12 * max(1.0, float(np.max(np.abs(cells)))
-                            * float(np.max(np.abs(direction.as_array())))):
+                            * float(np.max(np.abs(direction.values)))):
         raise InputError("int phi^2 * direction vanishes; pick another direction")
     dbf = kappa0 * (-kappa0 * bd.psi1 + 1j * bd.dpsi1) * w
     drf = dzF_higher(B, kappa0, r)

@@ -75,7 +75,7 @@ def test_c03_axis_optimum(box14):
     err = abs(res.kappa.imag - LN3_4)
     elapsed = time.perf_counter() - t0
     assert err < 1e-6
-    assert np.allclose(res.B.as_array(), 4.0)
+    assert np.allclose(res.B.values, 4.0)
     assert elapsed < 60.0
     _report(3, "alpha = 0 optimum is B = b2",
             f"|Im k - ln3/4| = {err:.2e}, {elapsed:.1f}s")

@@ -1,5 +1,5 @@
 """Public-surface guard: every exported and every traced name resolves, and
-the number of options stays capped.
+the number of package names and of options stays capped.
 
 The benchmark tracer (perfbench/tracer.py) patches library functions by
 name, so deleting or renaming one of them breaks `Tracer.install` with an
@@ -27,12 +27,24 @@ def test_module_all_resolves(name):
     assert missing == []
 
 
-def test_package_imports_resolve():
+# names qnmopt/__init__.py imports; a new public name is a deliberate edit here
+MAX_PACKAGE_NAMES = 50
+
+
+def _package_names() -> list:
     tree = ast.parse(Path(qnmopt.__file__).read_text(encoding="utf-8"))
-    names = [a.asname or a.name for node in ast.walk(tree)
-             if isinstance(node, ast.ImportFrom) for a in node.names]
+    return [a.asname or a.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) for a in node.names]
+
+
+def test_package_imports_resolve():
+    names = _package_names()
     assert names
     assert [n for n in names if not hasattr(qnmopt, n)] == []
+
+
+def test_package_name_ratchet():
+    assert len(_package_names()) <= MAX_PACKAGE_NAMES
 
 
 def _load_tracer(monkeypatch):

@@ -163,7 +163,7 @@ class TestSelfConsistent:
 
     def test_axis_seed_reaches_constant_b2(self, box14):
         res = self_consistent_solve(0.27j, box14, n_grid=512)
-        assert res.B.values == (4.0,)
+        assert res.B.values.tolist() == [4.0]
         assert abs(res.kappa - 1j * LN3_4) < 1e-10
 
     def test_y_satisfies_boundary_conditions(self, box14, pi_optimum):
@@ -230,8 +230,8 @@ class TestRebuildStructure:
             new = _rebuild_structure(B, kappa, theta, B.bounds, n_grid)
             old = reference_rebuild(B, kappa, theta, B.bounds, n_grid)
             assert len(new.breakpoints) > 2
-            assert new.breakpoints == old.breakpoints
-            assert new.values == old.values
+            assert new.breakpoints.tolist() == old.breakpoints.tolist()
+            assert new.values.tolist() == old.values.tolist()
 
     def test_constant_rebuild_without_switches(self, box14):
         from qnmopt.certificate import _rebuild_structure
@@ -240,4 +240,4 @@ class TestRebuildStructure:
         new = _rebuild_structure(B, kappa, 0.25 * math.pi, box14, 64)
         old = reference_rebuild(B, kappa, 0.25 * math.pi, box14, 64)
         assert new == old
-        assert new.values == (4.0,)
+        assert new.values.tolist() == [4.0]

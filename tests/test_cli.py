@@ -4,7 +4,9 @@ import os
 
 import pytest
 
-from qnmopt.cli import main
+from qnmopt.cli import _CONFIG_OPTIONS, _config_from_json, main
+from qnmopt.medium import AdmissibleBounds
+from qnmopt.optimize import OptimizeConfig
 
 from conftest import LN3_4
 
@@ -84,6 +86,39 @@ class TestOptimize:
     def test_bad_config_exit_2(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"bounds": [1, 4]}))  # missing alpha
+        assert run(["optimize", "--config", cfg,
+                    "--out-dir", tmp_path / "r"]) == 2
+
+    def test_config_defaults_are_optimize_config_defaults(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"alpha": 1.5, "bounds": [1, 4]}))
+        got, seed_structure, rng_seed = _config_from_json(str(cfg))
+        assert got == OptimizeConfig(alpha=1.5,
+                                     bounds=AdmissibleBounds(1.0, 4.0))
+        assert seed_structure is None and rng_seed == 0
+
+    def test_config_options_converted(self, tmp_path):
+        opts = {"n_cells": 64, "step0": 0.3, "step_grow": 2.0,
+                "step_shrink": 0.25, "max_iters": 7, "tol_freq": 1e-7,
+                "tol_grad": 1e-9, "round_threshold": 0.2}
+        assert set(opts) == set(_CONFIG_OPTIONS)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"alpha": 1.5, "bounds": [1, 4],
+                                   "seed_kappa": [1.5, 0.25],
+                                   **{k: str(v) for k, v in opts.items()}}))
+        got = _config_from_json(str(cfg))[0]
+        assert got == OptimizeConfig(alpha=1.5,
+                                     bounds=AdmissibleBounds(1.0, 4.0),
+                                     seed_kappa=1.5 + 0.25j, **opts)
+
+    @pytest.mark.parametrize("raw", [
+        {"bounds": [1, 4]}, {"alpha": 1.5},
+        {"alpha": None, "bounds": [1, 4]}, {"alpha": 1.5, "bounds": None},
+        *({"alpha": 1.5, "bounds": [1, 4], k: None} for k in _CONFIG_OPTIONS),
+    ])
+    def test_missing_or_null_exit_2(self, tmp_path, raw):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
         assert run(["optimize", "--config", cfg,
                     "--out-dir", tmp_path / "r"]) == 2
 

@@ -7,9 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qnmopt.errors import InputError, TailNotConverged, ZeroFrequency
-from qnmopt.field import (charF, charF_dzF, charF_many, dzF, dzF_at_root, integral_residual, layer_matrix,
-                          mode_values, overlap_integrals, phi2_cell_integrals,
-                          phi_series, propagate)
+from qnmopt.field import (charF, charF_dzF, charF_many, dzF, mode_values,
+                          overlap_integrals, phi2_cell_integrals, phi_series,
+                          propagate)
 from qnmopt.medium import (AdmissibleBounds, GridStructure, PiecewiseStructure,
                            constant, random_bang_bang, to_grid)
 from qnmopt.spectrum import SpectralWindow, locate
@@ -19,6 +19,91 @@ LN3_4 = math.log(3.0) / 4.0
 
 def two_layer(a, v1, v2, bounds):
     return PiecewiseStructure((0.0, a, 1.0), (v1, v2), bounds)
+
+
+# -- references the layer-sweep kernel is checked against ----------------------
+
+def layer_matrix(b: float, length: float, z: complex) -> np.ndarray:
+    """Propagator of (y, y') across a constant layer.
+
+    For w = z*sqrt(b) != 0 the matrix is [[cos wL, sin wL / w],
+    [-w sin wL, cos wL]]; for b = 0 or z = 0 it degenerates to free
+    propagation [[1, L], [0, 1]].  det = 1 always (Wronskian).
+    """
+    if length <= 0:
+        raise ValueError("layer length must be positive")
+    if b == 0.0 or z == 0:
+        return np.array([[1.0, length], [0.0, 1.0]], dtype=complex)
+    w = z * math.sqrt(b)
+    wl = w * length
+    c, s = cmath.cos(wl), cmath.sin(wl)
+    return np.array([[c, s / w], [-w * s, c]], dtype=complex)
+
+
+def dzF_at_root(kappa: complex, B) -> complex:
+    """dF/dz at a zero of F via the root-specialized closed form.
+
+    Independent of dzF's variational route; the two must agree at roots.
+    """
+    if kappa == 0:
+        raise ZeroFrequency("dF/dz is not defined at z = 0")
+    bd, i_phi2, _ = overlap_integrals(B, kappa)
+    bracket = -kappa * bd.psi1 + 1j * bd.dpsi1
+    return 2.0 * bracket * i_phi2 + bd.phi1 / kappa
+
+
+_RESIDUAL_POINTS = 8   # sample points per layer of the r1 defect
+
+
+def _layer_first_moments(w, length, p, dp):
+    """(int phi dt, int t phi dt) over a layer from its entry state."""
+    a, b = p, dp / w
+    wl = w * length
+    c, s = cmath.cos(wl), cmath.sin(wl)
+    i0 = a * s / w + b * (1.0 - c) / w
+    i_t = a * (c + wl * s - 1.0) / w ** 2 + b * (s - wl * c) / w ** 2
+    return i0, i_t
+
+
+def integral_residual(B, kappa: complex) -> tuple:
+    """Residuals of the integral form of the eigenvalue problem.
+
+    r1 is the sup-norm defect of y(x) = 1 - kappa^2 int_0^x (x-s) B y ds with
+    y = phi (an identity, so r1 is a pure consistency number), and r2 is
+    |y(1) + i kappa int_0^1 B y ds|, which vanishes exactly on the spectrum.
+    """
+    if kappa == 0:
+        raise ZeroFrequency("integral form requires kappa != 0")
+    xs, lengths, values = (a.tolist() for a in B.layers)
+    r1 = 0.0
+    c1 = 0.0 + 0.0j  # int_0^x B phi
+    c2 = 0.0 + 0.0j  # int_0^x s B phi
+    p, dp = 1.0 + 0.0j, 0.0 + 0.0j
+    for x0, length, b in zip(xs, lengths, values):
+        ts = np.linspace(0.0, length, _RESIDUAL_POINTS + 1)[1:]
+        if b == 0.0:
+            for t in ts:
+                x = x0 + t
+                y = p + t * dp
+                r1 = max(r1, abs(y - 1.0 + kappa ** 2 * (x * c1 - c2)))
+            p, dp = p + length * dp, dp
+            continue
+        w = kappa * math.sqrt(b)
+        for t in ts:
+            x = x0 + t
+            i0, i_t = _layer_first_moments(w, t, p, dp)
+            part1 = c1 + b * i0
+            part2 = c2 + b * (x0 * i0 + i_t)
+            y = cmath.cos(w * t) * p + cmath.sin(w * t) / w * dp
+            r1 = max(r1, abs(y - 1.0 + kappa ** 2 * (x * part1 - part2)))
+        i0, i_t = _layer_first_moments(w, length, p, dp)
+        c1 += b * i0
+        c2 += b * (x0 * i0 + i_t)
+        wl = w * length
+        c, s = cmath.cos(wl), cmath.sin(wl)
+        p, dp = c * p + (s / w) * dp, -w * s * p + c * dp
+    r2 = abs(p + 1j * kappa * c1)
+    return float(r1), float(r2)
 
 
 class TestLayerMatrix:

@@ -33,8 +33,8 @@ class TestPiecewise:
     def test_canonical_merge(self):
         b = AdmissibleBounds(1, 4)
         p = PiecewiseStructure((0, 0.3, 0.7, 1.0), (4.0, 4.0, 1.0), b)
-        assert p.breakpoints == (0.0, 0.7, 1.0)
-        assert p.values == (4.0, 1.0)
+        assert p.breakpoints.tolist() == [0.0, 0.7, 1.0]
+        assert p.values.tolist() == [4.0, 1.0]
 
     def test_invalid_breakpoints(self):
         b = AdmissibleBounds(1, 4)
@@ -71,19 +71,57 @@ class TestPiecewise:
         assert r.leading_zero_interval() == 0.0
 
 
+class TestArrayStorage:
+    """Media store read-only arrays, copied once on construction."""
+
+    def test_read_only(self):
+        b = AdmissibleBounds(1, 4)
+        p = PiecewiseStructure((0, 0.5, 1.0), (1.0, 4.0), b)
+        g = grid([1.0, 4.0], b)
+        for a in (p.breakpoints, p.values, g.values, *p.layers, *g.layers):
+            with pytest.raises(ValueError):
+                a[0] = 2.0
+
+    def test_source_mutation_ignored(self):
+        b = AdmissibleBounds(1, 4)
+        xs, vs = np.array([0.0, 0.5, 1.0]), np.array([1.0, 4.0])
+        p = PiecewiseStructure(xs, vs, b)
+        g = GridStructure(vs, b)
+        layers = (p.layers, g.layers)  # cached before the sources change
+        xs[1] = 0.25
+        vs[:] = 2.0
+        assert p.breakpoints.tolist() == [0.0, 0.5, 1.0]
+        assert p.values.tolist() == g.values.tolist() == [1.0, 4.0]
+        for la in layers + (p.layers, g.layers):
+            assert la.breakpoints.tolist() == [0.0, 0.5, 1.0]
+            assert la.values.tolist() == [1.0, 4.0]
+
+
+    def test_value_equality(self):
+        b = AdmissibleBounds(1, 4)
+        g = grid([1.0, 4.0], b)
+        assert g == GridStructure(np.array([1.0, 4.0]), b)
+        assert g != grid([1.0, 4.0, 4.0], b)
+        assert g != grid([1.0, 4.0], AdmissibleBounds(1, 5))
+        p = PiecewiseStructure((0, 0.5, 1), (1, 4), b)
+        assert to_piecewise(g) == p
+        assert p != PiecewiseStructure((0, 0.25, 1), (1, 4), b)
+        assert g != p
+
+
 class TestProject:
     def test_clipping(self):
         b = AdmissibleBounds(1, 4)
         g = grid([0.5, 5.0], b)
-        assert project_to_box(g, b).values == (1.0, 4.0)
+        assert project_to_box(g, b).values.tolist() == [1.0, 4.0]
 
     def test_interior_unchanged(self):
         b = AdmissibleBounds(1, 4)
-        assert project_to_box(grid([2.0, 3.0], b), b).values == (2.0, 3.0)
+        assert project_to_box(grid([2.0, 3.0], b), b).values.tolist() == [2.0, 3.0]
 
     def test_boundary_fixed_point(self):
         b = AdmissibleBounds(1, 4)
-        assert project_to_box(grid([1.0, 4.0], b), b).values == (1.0, 4.0)
+        assert project_to_box(grid([1.0, 4.0], b), b).values.tolist() == [1.0, 4.0]
 
     @given(st.lists(st.floats(-10, 10), min_size=1, max_size=40))
     @settings(max_examples=60, deadline=None)
@@ -91,27 +129,27 @@ class TestProject:
         b = AdmissibleBounds(1, 4)
         once = project_to_box(grid(vals, b), b)
         twice = project_to_box(once, b)
-        assert once.values == twice.values
+        assert np.array_equal(once.values, twice.values)
 
 
 class TestRoundToExtreme:
     def test_near_extreme(self):
         b = AdmissibleBounds(1, 4)
         res = round_to_extreme(grid([1.01, 3.99], b), b, threshold=0.1)
-        assert res.structure.breakpoints == (0.0, 0.5, 1.0)
-        assert res.structure.values == (1.0, 4.0)
+        assert res.structure.breakpoints.tolist() == [0.0, 0.5, 1.0]
+        assert res.structure.values.tolist() == [1.0, 4.0]
         assert res.report.forced_fraction == 0.0
 
     def test_merge_to_constant(self):
         b = AdmissibleBounds(1, 4)
         res = round_to_extreme(grid([4.0] * 4, b), b, threshold=0.1)
-        assert res.structure.values == (4.0,)
-        assert res.structure.breakpoints == (0.0, 1.0)
+        assert res.structure.values.tolist() == [4.0]
+        assert res.structure.breakpoints.tolist() == [0.0, 1.0]
 
     def test_midband_tie_goes_low(self):
         b = AdmissibleBounds(1, 4)
         res = round_to_extreme(grid([2.5], b), b, threshold=0.1)
-        assert res.structure.values == (1.0,)
+        assert res.structure.values.tolist() == [1.0]
         assert res.report.forced == (True,)
         assert res.report.forced_fraction == 1.0
 
@@ -175,7 +213,7 @@ class TestConversions:
         b = AdmissibleBounds(1, 4)
         vals = [4.0 if (pattern >> (i % 12)) & 1 else 1.0 for i in range(n)]
         g = grid(vals, b)
-        assert to_grid(to_piecewise(g), n).values == g.values
+        assert np.array_equal(to_grid(to_piecewise(g), n).values, g.values)
         # the grid's own layers are those of its piecewise form
         for mine, theirs in zip(g.layers, to_piecewise(g).layers):
             assert np.array_equal(mine, theirs)
@@ -189,7 +227,7 @@ class TestConversions:
         b = AdmissibleBounds(1, 4)
         p = PiecewiseStructure((0, 0.25, 1.0), (1.0, 4.0), b)
         g = to_grid(p, 8)
-        assert g.values == (1.0, 1.0, 4.0, 4.0, 4.0, 4.0, 4.0, 4.0)
+        assert g.values.tolist() == [1.0, 1.0, 4.0, 4.0, 4.0, 4.0, 4.0, 4.0]
 
     def test_unaligned_average(self):
         b = AdmissibleBounds(1, 4)

@@ -38,7 +38,7 @@ class TestStepDirection:
         # Re g and Im g orthogonal in L2: lambda = 0, direction = -Im g
         g = GradientDensity(1 + 1j, (1.0 + 1.0j, -1.0 + 1.0j), 1.0)
         B = GridStructure((2.0, 2.0), box14)
-        d = step_direction(g, B, box14).as_array()
+        d = step_direction(g, B, box14)
         assert np.allclose(d, [-1.0, -1.0])
 
     def test_blocked_at_upper_bound(self, box14):
@@ -57,12 +57,12 @@ class TestStepDirection:
         B = to_grid(B_pc, n)  # cell averages shift the root slightly
         kappa = newton_refine(B, ev.kappa, tol=1e-12, leash=0.3)[0]
         g = eigenvalue_gradient(B, kappa)
-        d = step_direction(g, B, box14).as_array()
-        ga = g.as_array()
+        d = step_direction(g, B, box14)
+        ga = g.g
         assert abs(float(np.dot(ga.real, d)) / n) < 1e-10
         assert float(np.dot(ga.imag, d)) / n < 0.0
         assert np.max(np.abs(d)) <= 1.0 + 1e-12
-        vals = B.as_array()
+        vals = B.values
         assert np.all(d[vals <= box14.b1 + 1e-12] >= 0.0)
         assert np.all(d[vals >= box14.b2 - 1e-12] <= 0.0)
 
@@ -180,7 +180,7 @@ class TestAxisOptimization:
         res = minimize_im_at_frequency(cfg, to_grid(constant(2.5, box14), 64))
         assert abs(res.kappa.imag - LN3_4) < 1e-6
         assert res.kappa.real == 0.0
-        assert np.allclose(res.B.as_array(), 4.0)
+        assert np.allclose(res.B.values, 4.0)
         objs = [r.objective for r in res.trajectory]
         assert all(b <= a + 1e-12 for a, b in zip(objs, objs[1:]))
 
