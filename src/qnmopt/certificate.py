@@ -71,7 +71,7 @@ def phase_trace(B: PiecewiseStructure, kappa: complex) -> PhaseTrace:
     """
     if kappa.real == 0.0:
         raise OnImaginaryAxis("phi is real on the axis; the phase is 0 or pi")
-    if abs(charF(kappa, B)) >= _ROOT_TOL:
+    if not abs(charF(kappa, B)) < _ROOT_TOL:
         raise NotAtRoot(f"kappa = {kappa} is not an eigenvalue")
     a1 = B.leading_zero_interval()
     xs = [0.0]
@@ -188,7 +188,7 @@ def nonlinear_residual(B: PiecewiseStructure, kappa: complex,
     half-plane including the reals), and the mismatch is the measure of the
     sample cells where the rebuilt two-valued coefficient disagrees with B.
     """
-    if abs(charF(kappa, B)) >= _ROOT_TOL:
+    if not abs(charF(kappa, B)) < _ROOT_TOL:
         raise NotAtRoot(f"kappa = {kappa} is not an eigenvalue")
     b1, b2 = B.bounds.b1, B.bounds.b2
     if omega is None:

@@ -27,13 +27,13 @@ _BANG_TOL = 1e-12  # distance from a bound that still counts as on it
 
 @dataclass(frozen=True)
 class AdmissibleBounds:
-    """Box constraints 0 <= b1 <= B(x) <= b2, b2 > 0."""
+    """Box constraints 0 <= b1 <= B(x) <= b2, b2 > 0 finite."""
 
     b1: float
     b2: float
 
     def __post_init__(self):
-        if not (0.0 <= self.b1 <= self.b2) or not self.b2 > 0.0:
+        if not (0.0 <= self.b1 <= self.b2 < np.inf and self.b2 > 0.0):
             raise InputError(f"invalid bounds ({self.b1}, {self.b2})")
 
     @property
@@ -95,9 +95,9 @@ class PiecewiseStructure:
         vs = np.array(self.values, dtype=float)
         if xs.ndim != 1 or vs.ndim != 1 or len(xs) != len(vs) + 1:
             raise InputError("need n+1 breakpoints for n interval values")
-        if abs(xs[0]) > 0 or abs(xs[-1] - 1.0) > 0:
+        if not (xs[0] == 0 and xs[-1] == 1):
             raise InputError("breakpoints must start at 0 and end at 1")
-        if np.any(np.diff(xs) <= 0):
+        if not np.all(np.diff(xs) > 0):
             raise InputError("breakpoints must be strictly increasing")
         layers = _merged_layers(xs, vs, self.bounds)
         object.__setattr__(self, "breakpoints", layers.breakpoints)

@@ -7,10 +7,12 @@ A simple eigenvalue kappa(B) is analytic in B with directional derivative
 realized here as a per-cell density (the adjoint gradient of the optimizer).
 Multiple eigenvalues instead split along r Puiseux branches ~ c1 zeta^(1/r);
 splitting_probe measures that exponent and leading coefficient against the
-formula, and find_double_eigenvalue constructs a two-layer double root used
-as the test fixture for all of it.  That construction and the switch polish
-of the optimizer share one damped-Newton driver, _damped_newton, with a
-finite-difference Jacobian.
+formula, whose F^(r) (2 <= r <= 6) dzF_higher reads off Cauchy's integral:
+an FFT of F on 16 points of the circle of radius 0.5 / max(1, sum sqrt(b) L)
+around kappa, from one charF_many call.  find_double_eigenvalue constructs a
+two-layer double root used as the test fixture for all of it.  That
+construction and the switch polish of the optimizer share one damped-Newton
+driver, _damped_newton, with a finite-difference Jacobian.
 """
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ import numpy as np
 
 from .errors import (BranchCountMismatch, InputError, NearMultiple,
                      NoConvergence, NotAtRoot)
-from .field import (_overlaps, charF_dzF, dzF, overlap_integrals,
+from .field import (_overlaps, charF_dzF, charF_many, overlap_integrals,
                     phi2_cell_integrals)
 from .medium import (AdmissibleBounds, GridStructure, PiecewiseStructure,
                      _read_only, to_piecewise)
@@ -35,6 +37,8 @@ __all__ = [
 ]
 
 _ROOT_TOL = 1e-8   # |F| above this is "not at a root"
+_CAUCHY_NODES = np.exp(2j * np.pi * np.arange(16) / 16)  # of dzF_higher
+_MAX_ORDER = 6     # highest z-derivative the 16 nodes resolve to 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,33 +72,31 @@ class GradientDensity:
 
 
 def _require_root(B, kappa: complex):
-    """The one-sweep overlaps at kappa; NotAtRoot if |F(kappa)| >= _ROOT_TOL."""
+    """The one-sweep overlaps at kappa; NotAtRoot unless |F| < _ROOT_TOL."""
     ov = _overlaps(kappa, B)
     r = abs(ov.F)
-    if r >= _ROOT_TOL:
+    if not r < _ROOT_TOL:
         raise NotAtRoot(f"|F({kappa})| = {r:.3e} >= {_ROOT_TOL:.0e}")
     return ov
 
 
 def dzF_higher(B, kappa: complex, order: int) -> complex:
-    """d^order F / dz^order from central differences of the exact dzF.
+    """d^order F / dz^order for 2 <= order <= 6, from Cauchy's integral.
 
-    order >= 2, step 1e-4 (1 + |kappa|); one layer of numerical
-    differentiation on top of the exact first derivative keeps the error
-    near 1e-8 for order 2.
+    The trapezoid rule on the 16 points f_k = F(kappa + rho e^{2 pi i k/16}),
+    rho = 0.5 / max(1, sum sqrt(b_j) L_j), gives the Taylor coefficient c_r
+    of F at kappa as c_r rho^r = fft(f)[r] / 16, and F^(r) = r! c_r.  The
+    aliased c_{r+16} rho^16 lies far below rounding, which grows like
+    eps max|f| r! / rho^r: past order 6 it exceeds about 1e-9 relative.
     """
-    if order < 2:
-        raise InputError("use dzF for the first derivative")
-    h = 1e-4 * (1.0 + abs(kappa))
-    if order == 2:
-        # 5-point first derivative of dzF
-        vals = [dzF(kappa + k * h, B) for k in (-2, -1, 1, 2)]
-        return (vals[0] - 8 * vals[1] + 8 * vals[2] - vals[3]) / (12 * h)
-    m = order - 1  # central difference of dzF of order m
-    offsets = [m / 2.0 - j for j in range(m + 1)]
-    coef = [(-1) ** j * math.comb(m, j) for j in range(m + 1)]
-    vals = [dzF(kappa + o * h, B) for o in offsets]
-    return sum(c * v for c, v in zip(coef, vals)) / h ** m
+    if not 2 <= order <= _MAX_ORDER:
+        raise InputError(f"order {order} outside 2..{_MAX_ORDER} "
+                         "(dzF gives the first derivative)")
+    _, lengths, values = B.layers
+    rho = 0.5 / max(1.0, float(np.dot(np.sqrt(values), lengths)))
+    f = charF_many(kappa + rho * _CAUCHY_NODES, B)
+    c = np.fft.fft(f)[order] / len(_CAUCHY_NODES)
+    return complex(math.factorial(order) * c / rho ** order)
 
 
 def simple_root_floor(B, kappa: complex) -> float:
@@ -149,9 +151,8 @@ def _perturbed(B: PiecewiseStructure, direction: GridStructure,
     n = direction.n_cells
     cell = np.minimum((mids * n).astype(int), n - 1)
     vals = B.layers.values_at(mids) + zeta * direction.values[cell]
-    lo = min(0.0, vals.min())
-    hi = max(1.0, vals.max())
-    return PiecewiseStructure(edges, vals, AdmissibleBounds(lo, hi + 1.0))
+    bounds = AdmissibleBounds(min(0.0, vals.min()), max(1.0, vals.max()) + 1.0)
+    return PiecewiseStructure(edges, vals, bounds)
 
 
 def splitting_probe(B, kappa0: complex, r: int, direction: GridStructure,
@@ -272,10 +273,8 @@ def _damped_newton(residual, q: np.ndarray, max_iters: int, aux=None):
 # -- double-eigenvalue fixture --------------------------------------------
 
 def _two_layer(a: float, v1: float, v2: float) -> PiecewiseStructure:
-    lo = min(0.0, v1, v2)
-    hi = max(1.0, v1, v2)
-    return PiecewiseStructure((0.0, a, 1.0), (v1, v2),
-                              AdmissibleBounds(lo, hi + 1.0))
+    bounds = AdmissibleBounds(min(0.0, v1, v2), max(1.0, v1, v2) + 1.0)
+    return PiecewiseStructure((0.0, a, 1.0), (v1, v2), bounds)
 
 
 def find_double_eigenvalue(seed: tuple, kappa_seed: complex,

@@ -77,9 +77,9 @@ def simulate(B: Medium, u0, v0, T: float, m_cells: int,
     u0, v0 are node arrays of length m_cells + 1 (displacement and
     velocity).  dt defaults to the CFL-safe value 0.9 dx sqrt(min B);
     a caller-supplied dt beyond that bound raises CFLViolation.  T must be
-    finite and >= 0, m_cells a positive integer and probe_index a node
-    index (negative counts from the right end); anything else raises
-    InputError.
+    finite and >= 0, m_cells a positive integer, u0 and v0 finite and
+    probe_index a node index (negative counts from the right end); anything
+    else raises InputError.
     """
     if not _is_int(m_cells) or m_cells < 1:
         raise InputError(f"m_cells must be a positive integer, not {m_cells!r}")
@@ -105,6 +105,8 @@ def simulate(B: Medium, u0, v0, T: float, m_cells: int,
     v_init = np.asarray(v0, dtype=float)
     if u_prev.shape != (m_cells + 1,) or v_init.shape != (m_cells + 1,):
         raise InputError("u0 and v0 must be node arrays of length m_cells+1")
+    if not (np.all(np.isfinite(u_prev)) and np.all(np.isfinite(v_init))):
+        raise InputError("u0 and v0 must be finite")
 
     lam2 = dt ** 2 / (h ** 2 * bn)
     # radiating end: u_x = -u_t with unit impedance irrespective of B(1);

@@ -17,6 +17,10 @@ DOUBLE_KAPPA_SEED = 4.44244 + 1.03017j
 AXIS_DOUBLE_SEED = (0.3, 9.0, 0.25)
 AXIS_DOUBLE_KAPPA_SEED = 0.70637j
 
+# three-layer seed (a1, a2, v2, v3, Re kappa, Im kappa) of a triple eigenvalue
+# with the first layer fixed at 4, in the box (0, 5)
+TRIPLE_SEED = (0.536, 0.741, 1.707, 1.070, 5.862, 1.974)
+
 
 @pytest.fixture(scope="session")
 def box14() -> AdmissibleBounds:
@@ -59,6 +63,35 @@ def grid_double_fixture():
                tol=1e-14)
     assert max(abs(r) for r in residual(sol.x)) < 1e-12
     return structure(sol.x), complex(sol.x[2], sol.x[3])
+
+
+@pytest.fixture(scope="session")
+def triple_fixture():
+    """(B, kappa, why): F = F' = F'' = 0 solved by _damped_newton.
+
+    The unknowns are the two interfaces, the two free layer values and
+    kappa; why is None when the solve converged.
+    """
+    from qnmopt.field import charF_dzF
+    from qnmopt.sensitivity import _damped_newton, dzF_higher
+
+    def structure(q):
+        return PiecewiseStructure((0.0, q[0], q[1], 1.0), (4.0, q[2], q[3]),
+                                  AdmissibleBounds(0.0, 5.0))
+
+    def residual(q, _):
+        a1, a2, v2, v3 = q[:4]
+        if not (0.01 < a1 < a2 - 0.01 and a2 < 0.99 and 0 < v2 < 5
+                and 0 < v3 < 5 and q[5] > 0):
+            return None
+        B, z = structure(q), complex(q[4], q[5])
+        f, df = charF_dzF(z, B)
+        d2 = dzF_higher(B, z, 2)
+        return np.array([f.real, f.imag, df.real, df.imag,
+                         d2.real, d2.imag]), None
+
+    q, _, _, why = _damped_newton(residual, np.array(TRIPLE_SEED), 40)
+    return structure(q), complex(q[4], q[5]), why
 
 
 @pytest.fixture(scope="session")

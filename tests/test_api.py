@@ -1,5 +1,6 @@
-"""Public-surface guard: every exported and every traced name resolves, and
-the number of package names and of options stays capped.
+"""Public-surface guard: every exported and every traced name resolves, the
+number of package names and of options stays capped, and no module imports
+a name it never reads.
 
 The benchmark tracer (perfbench/tracer.py) patches library functions by
 name, so deleting or renaming one of them breaks `Tracer.install` with an
@@ -87,3 +88,31 @@ def test_option_count_ratchet():
     public, private = _defaulted_parameters()
     assert public <= MAX_PUBLIC_DEFAULTS
     assert private <= MAX_PRIVATE_DEFAULTS
+
+
+def _unused_imports(path: Path) -> list:
+    """Names a module imports but never reads (an __all__ entry is a read)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                imported[a.asname or a.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for a in node.names:
+                imported[a.asname or a.name] = node.lineno
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            read.update(ast.literal_eval(node.value))
+    return sorted(f"{path.name}:{line} {name}"
+                  for name, line in imported.items() if name not in read)
+
+
+def test_no_unused_imports():
+    paths = sorted(p for p in Path(qnmopt.__file__).parent.glob("*.py")
+                   if p.name != "__init__.py")
+    assert paths
+    assert [u for p in paths for u in _unused_imports(p)] == []

@@ -111,6 +111,16 @@ class TestNonlinearResidual:
         assert mismatch > 0.05  # diagnostic only: clearly non-optimal
 
 
+class TestNonFiniteKappa:
+    def test_phase_trace_and_residual_reject_nan(self, box14):
+        B = constant(4.0, box14)
+        for kappa in (complex(math.nan, 0.3), complex(1.0, math.nan)):
+            with pytest.raises(NotAtRoot):
+                phase_trace(B, kappa)
+            with pytest.raises(NotAtRoot):
+                nonlinear_residual(B, kappa)
+
+
 class TestDegenerateLowerBound:
     """b1 = 0 media: leading zero intervals and the real-ray convention."""
 

@@ -220,3 +220,51 @@ class TestSplittingProbe:
         summary = json.loads((str(out) + ".summary.json")
                              and open(str(out) + ".summary.json").read())
         assert abs(summary["fitted_exponent"] - 0.5) < 0.05
+
+    def test_triple_root_structure(self, tmp_path, triple_fixture):
+        B, kappa, _ = triple_fixture
+        struct = tmp_path / "triple.json"
+        B.save(struct)
+        out = tmp_path / "split.csv"
+        assert run(["splitting-probe", "--structure", struct,
+                    "--kappa-re", kappa.real, "--kappa-im", kappa.imag,
+                    "--multiplicity", 3, "--out", out]) == 0
+        assert len(out.read_text().splitlines()) == 1 + 4 * 3
+        summary = json.loads(open(str(out) + ".summary.json").read())
+        assert abs(summary["fitted_exponent"] - 1 / 3) < 0.05
+
+
+class TestNonFiniteInput:
+    """NaN and infinity in a structure, a bound or kappa exit 2."""
+
+    @pytest.mark.parametrize("breakpoints", [[math.nan, 0.5, 1.0],
+                                             [0.0, math.nan, 1.0]])
+    def test_structure_breakpoints(self, tmp_path, capsys, breakpoints):
+        struct = tmp_path / "s.json"
+        struct.write_text(json.dumps({"bounds": [1, 4], "values": [1, 4],
+                                      "breakpoints": breakpoints}))
+        self.check(tmp_path, capsys, ["spectrum", "--structure", struct,
+                                      "--window", 0.1, 12, 0.05, 3])
+
+    def test_infinite_preset(self, tmp_path, capsys):
+        self.check(tmp_path, capsys, ["spectrum", "--preset-constant", "inf",
+                                      "--window", 0.1, 12, 0.05, 3])
+
+    def test_certify_nan_kappa(self, tmp_path, capsys):
+        self.check(tmp_path, capsys, ["certify", "--preset-constant", 4,
+                                      "--kappa-re", "nan", "--kappa-im", 0.3])
+
+    def test_simulate_nan_mode(self, tmp_path, capsys):
+        self.check(tmp_path, capsys, ["simulate", "--preset-constant", 4,
+                                      "--cells", 64, "--T", 1, "--kappa-re",
+                                      "nan", "--mode-excitation"])
+
+    @staticmethod
+    def check(tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        code = run(argv + ["--out", out])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("input error:")
+        assert "Traceback" not in err
+        assert not out.exists()

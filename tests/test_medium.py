@@ -28,6 +28,13 @@ class TestBounds:
         with pytest.raises(InputError):
             AdmissibleBounds(0.0, 0.0)
 
+    @pytest.mark.parametrize("b1, b2", [(0.0, math.inf), (1.0, math.inf),
+                                        (math.nan, 4.0), (1.0, math.nan),
+                                        (math.inf, math.inf)])
+    def test_non_finite_rejected(self, b1, b2):
+        with pytest.raises(InputError):
+            AdmissibleBounds(b1, b2)
+
 
 class TestPiecewise:
     def test_canonical_merge(self):
@@ -44,6 +51,14 @@ class TestPiecewise:
             PiecewiseStructure((0.1, 1.0), (2.0,), b)
         with pytest.raises(InputError):
             PiecewiseStructure((0, 1.0), (5.0,), b)  # out of bounds
+
+    @pytest.mark.parametrize("xs", [(math.nan, 0.5, 1.0), (0.0, math.nan, 1.0),
+                                    (0.0, 0.5, math.nan),
+                                    (0.0, math.inf, 1.0)])
+    def test_non_finite_breakpoints(self, xs):
+        d = {"bounds": [1, 4], "breakpoints": list(xs), "values": [1, 4]}
+        with pytest.raises(InputError):
+            PiecewiseStructure.from_json_dict(d)
 
     def test_value_at(self):
         b = AdmissibleBounds(1, 4)

@@ -6,17 +6,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from qnmopt.errors import (InfeasibleError, InputError, StalledDirection,
-                           ZeroFrequency)
+from qnmopt.errors import (InfeasibleError, InputError, LostEigenvalue,
+                           StalledDirection, ZeroFrequency)
 from qnmopt.field import charF, charF_many, dzF
-from qnmopt.medium import (AdmissibleBounds, GridStructure, constant,
-                           extremality_measure, random_bang_bang, to_grid)
+from qnmopt.medium import (AdmissibleBounds, GridStructure, PiecewiseStructure,
+                           constant, extremality_measure, random_bang_bang,
+                           to_grid)
 from qnmopt.optimize import (_AXIS_SCAN, OptimizeConfig, _axis_newton,
-                             _axis_root, _lp_direction, best_constant_seed,
-                             constant_upper_bound, minimize_im_at_frequency,
-                             step_direction, sweep_I)
+                             _axis_root, _drop_thin_layers, _lp_direction,
+                             _track, best_constant_seed, constant_upper_bound,
+                             minimize_im_at_frequency, step_direction, sweep_I)
 from qnmopt.sensitivity import GradientDensity, eigenvalue_gradient
-from qnmopt.spectrum import SpectralWindow, locate
+from qnmopt.spectrum import SpectralWindow, locate, newton_refine
 
 from conftest import LN3_4
 
@@ -316,6 +317,40 @@ class TestFrequencyPinning:
         assert res.polished is not None and res.polished_kappa is not None
         assert res.polished.is_bang_bang()
         assert abs(res.polished_kappa.real - math.pi) < 1e-9
+
+
+class TestTrackFallback:
+    """_track falls back to locate when Newton leaves its trust radius."""
+
+    ROOT = math.pi / 2 + 1j * LN3_4
+
+    @pytest.mark.parametrize("offset", [0.2, 0.2j, -0.15 + 0.1j])
+    def test_locate_recovers_root(self, box14, offset):
+        B = to_grid(constant(4.0, box14), 32)
+        trust = 0.6 * abs(offset)
+        assert newton_refine(B, self.ROOT + offset, tol=1e-10,
+                             leash=trust) is None
+        assert abs(_track(B, self.ROOT + offset, trust) - self.ROOT) < 1e-12
+
+    def test_empty_window_is_lost(self, box14):
+        B = to_grid(constant(4.0, box14), 32)
+        with pytest.raises(LostEigenvalue):
+            _track(B, self.ROOT + 1.0, 0.05)
+
+
+class TestDropThinLayers:
+    def test_interior_sliver(self, box14):
+        B = PiecewiseStructure((0.0, 0.3, 0.30005, 0.6, 1.0),
+                               (1.0, 4.0, 1.0, 4.0), box14)
+        out = _drop_thin_layers(B)
+        assert out.breakpoints.tolist() == [0.0, 0.6, 1.0]
+        assert out.values.tolist() == [1.0, 4.0]
+
+    def test_leading_sliver(self, box14):
+        B = PiecewiseStructure((0.0, 5e-5, 0.5, 1.0), (4.0, 1.0, 4.0), box14)
+        out = _drop_thin_layers(B)
+        assert out.breakpoints.tolist() == [0.0, 0.5, 1.0]
+        assert out.values.tolist() == [1.0, 4.0]
 
 
 class TestConfigValidation:

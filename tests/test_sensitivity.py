@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qnmopt import field, sensitivity
 from qnmopt.errors import InputError, NearMultiple, NoConvergence, NotAtRoot
 from qnmopt.field import (charF, dzF, overlap_integrals,
                           phi2_cell_integrals)
@@ -15,7 +16,7 @@ from qnmopt.sensitivity import (GradientDensity, _damped_newton, _perturbed,
                                 _require_root, dzF_higher, eigenvalue_gradient,
                                 find_double_eigenvalue, simple_root_floor,
                                 splitting_probe)
-from qnmopt.spectrum import SpectralWindow, locate, newton_refine
+from qnmopt.spectrum import SpectralWindow, locate, multiplicity, newton_refine
 
 from conftest import (AXIS_DOUBLE_KAPPA_SEED, AXIS_DOUBLE_SEED,
                       DOUBLE_KAPPA_SEED, DOUBLE_SEED, LN3_4)
@@ -353,3 +354,117 @@ class TestHigherDerivatives:
     def test_order_validation(self):
         with pytest.raises(InputError):
             dzF_higher(constant(1.0), 1.0, 1)
+
+
+def reference_dzF_higher(B, kappa: complex, order: int) -> complex:
+    """dzF_higher before the Cauchy contour: finite differences of dzF.
+
+    A 5-point stencil for order 2, else the (order - 1)-th central
+    difference, with step 1e-4 (1 + |kappa|).
+    """
+    h = 1e-4 * (1.0 + abs(kappa))
+    if order == 2:
+        vals = [dzF(kappa + k * h, B) for k in (-2, -1, 1, 2)]
+        return (vals[0] - 8 * vals[1] + 8 * vals[2] - vals[3]) / (12 * h)
+    m = order - 1
+    offsets = [m / 2.0 - j for j in range(m + 1)]
+    coef = [(-1) ** j * math.comb(m, j) for j in range(m + 1)]
+    vals = [dzF(kappa + o * h, B) for o in offsets]
+    return sum(c * v for c, v in zip(coef, vals)) / h ** m
+
+
+def constant_dzF(b: float, z: complex, order: int) -> complex:
+    """d^order F / dz^order of the constant medium B = b in closed form.
+
+    F(z) = cos(sz) + i s sin(sz) with s = sqrt(b).
+    """
+    s = math.sqrt(b)
+    a = s * z + order * math.pi / 2
+    return s ** order * (cmath.cos(a) + 1j * s * cmath.sin(a))
+
+
+class TestCauchyDerivative:
+    @pytest.mark.parametrize("b", [0.25, 4.0, 9.0, 100.0])
+    def test_constant_media_closed_form(self, b):
+        for z in (0.3 + 0.2j, 3 + 1j, 20 + 0.5j, 0.001 + 0.01j, 40 + 3j,
+                  -5 + 0.7j):
+            for order in range(2, 7):
+                want = constant_dzF(b, z, order)
+                err = abs(dzF_higher(constant(b), z, order) - want) / abs(want)
+                assert err <= (1e-10 if order <= 4 else 1e-8), (z, order)
+
+    def test_second_order_matches_reference(self, double_fixture,
+                                            grid_double_fixture):
+        cases = [double_fixture, grid_double_fixture]
+        for rec in json.loads(STORED_OPTIMA.read_text(encoding="utf-8")):
+            B = PiecewiseStructure.from_json_dict(rec["structure"])
+            cases.append((B, newton_refine(B, complex(*rec["kappa"]),
+                                           tol=1e-9, leash=1.0)[0]))
+        for B, kappa in cases:
+            assert abs(dzF_higher(B, kappa, 2)
+                       - reference_dzF_higher(B, kappa, 2)) <= 1e-8
+
+    def test_one_many_z_sweep(self, monkeypatch, random_structures):
+        calls = {"charF_many": 0, "dzF": 0, "charF_dzF": 0}
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(sensitivity, "charF_many")
+        for name in ("dzF", "charF_dzF"):
+            counted(field, name)
+        counted(sensitivity, "charF_dzF")
+        B = random_structures[0]
+        for order in range(2, 7):
+            dzF_higher(B, 2.0 + 0.5j, order)
+            assert calls == {"charF_many": order - 1, "dzF": 0,
+                             "charF_dzF": 0}
+
+    @pytest.mark.parametrize("order", [1, 7])
+    def test_order_range(self, order):
+        with pytest.raises(InputError):
+            dzF_higher(constant(4.0), 1.0 + 0.5j, order)
+
+    def test_splitting_order_range(self, triple_fixture):
+        B, kappa, _ = triple_fixture
+        d = GridStructure(np.arange(16) < 8, B.bounds)
+        with pytest.raises(InputError):
+            splitting_probe(B, kappa, 7, d, [1e-4, 1e-5])
+
+
+class TestTripleRoot:
+    """F = F' = F'' = 0 on three layers (4, v2, v3) in the box (0, 5)."""
+
+    def test_solve_converges(self, triple_fixture):
+        B, kappa, why = triple_fixture
+        assert why is None
+        np.testing.assert_allclose(
+            B.breakpoints[1:3].tolist() + B.values[1:].tolist()
+            + [kappa.real, kappa.imag],
+            [0.53588608543013, 0.74096273829851, 1.70707471072542,
+             1.06994262295816, 5.86242624879545, 1.97356983068325],
+            rtol=0, atol=1e-10)
+        assert abs(dzF_higher(B, kappa, 3)) > 1.0
+
+    def test_multiplicity_three(self, triple_fixture):
+        B, kappa, _ = triple_fixture
+        assert multiplicity(B, kappa, 0.05) == 3
+
+    def test_puiseux_exponent(self, triple_fixture):
+        B, kappa, _ = triple_fixture
+        d = GridStructure(np.arange(16) < 8, B.bounds)
+        pr = splitting_probe(B, kappa, 3, d, [1e-4, 1e-5, 1e-6, 1e-7])
+        assert abs(pr.fitted_exponent - 1 / 3) <= 0.05
+        assert all(len(br) == 3 for br in pr.branch_points)
+
+
+class TestNonFiniteKappa:
+    def test_gradient_at_nan_raises(self, box14):
+        B = to_grid(constant(4.0, box14), 16)
+        with pytest.raises(NotAtRoot):
+            eigenvalue_gradient(B, complex(math.nan, 0.3))

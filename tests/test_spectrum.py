@@ -107,6 +107,15 @@ class TestLocate:
         for z in minima:
             assert min(abs(z - ev.kappa) for ev in evs) < 0.05
 
+    def test_double_root_cluster(self, double_fixture):
+        B, kappa = double_fixture
+        w = SpectralWindow(kappa.real - 0.3, kappa.real + 0.3,
+                           kappa.imag - 0.3, kappa.imag + 0.3)
+        evs = locate(B, w)
+        assert len(evs) == 1
+        assert evs[0].multiplicity == 2 == winding_count(B, w)
+        assert abs(evs[0].kappa - kappa) < 1e-6
+
     def test_window_sum_rule(self, random_structures):
         w = SpectralWindow(0.3, 7.0, 0.05, 2.5)
         for B in random_structures[:4]:

@@ -168,6 +168,14 @@ class TestInputErrors:
         with pytest.raises(InputError):
             simulate(self.B, np.zeros(65), np.zeros(65), 1.0, 64, dt=dt)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_initial_data(self, bad):
+        u = np.zeros(65)
+        u[3] = bad
+        for u0, v0 in ((u, np.zeros(65)), (np.zeros(65), u)):
+            with pytest.raises(InputError):
+                simulate(self.B, u0, v0, 1.0, 64)
+
     def test_excite_and_fit_without_cells(self):
         with pytest.raises(InputError):
             excite_and_fit(self.B, math.pi + 1j * LN3_4, 5.0, 0)
