@@ -11,6 +11,12 @@ LP (_lp_direction, one sort of the ratios); the switch polish runs the
 damped-Newton driver of the sensitivity module.  Multiple-eigenvalue
 collisions are detected through |dF/dz|: the run stops with
 CollisionDetected, whose `.partial` holds the result so far.
+
+alpha = 0 runs the same loop.  For a real medium F(i beta) is real and
+dF/dz(i beta) imaginary, so a Newton step from an axis point lands exactly
+on the axis: Re kappa stays 0.0, the pin sees no drift, Re g vanishes so the
+step direction takes lambda = 0, and the switch polish, whose Jacobian is
+singular there, keeps the rounded medium.
 """
 from __future__ import annotations
 
@@ -23,8 +29,7 @@ from scipy.optimize import brentq
 from .errors import (CollisionDetected, InfeasibleError, InputError,
                      LostEigenvalue, NearMultiple, NumericalError, QnmOptError,
                      StalledDirection, ZeroFrequency)
-from .field import (charF, charF_dzF, charF_many, mode_values,
-                    overlap_integrals, phi2_cell_integrals)
+from .field import mode_values, overlap_integrals
 from .medium import (AdmissibleBounds, GridStructure, PiecewiseStructure,
                      constant, extremality_measure, project_to_box,
                      round_to_extreme, to_grid)
@@ -39,10 +44,8 @@ __all__ = [
 
 _PIN_ROUNDS = 12          # frequency re-pinning rounds per call
 _POLISH_ITERS = 60        # damped-Newton iterations of the switch polish
-_AXIS_NEWTON_ITERS = 60   # Newton iterations on the imaginary axis
 _ACT_TOL = 1e-12          # distance from a bound at which a cell is railed
 _MIN_LAYER_WIDTH = 1e-4   # the polish drops layers thinner than this
-_AXIS_SCAN = np.geomspace(1e-3, 50.0, 400)   # beta grid of the axis-root scan
 
 
 @dataclass(frozen=True)
@@ -98,20 +101,23 @@ def _constant_candidates(alpha: float, bounds: AdmissibleBounds) -> list:
 
     From the closed form Re = pi (n + shift) / sqrt(b), each integer n yields
     b = (pi (n + shift) / alpha)^2; keep those inside the box (b = 1 has no
-    spectrum).
+    spectrum).  The ratio is compared with sqrt(b2) before it is squared, so
+    a tiny alpha finds no candidate instead of overflowing.
     """
     if alpha == 0.0:
         bs = [bounds.b2] if bounds.b2 > 1.0 else []
         return [(b, complex(0.0, axis_offset(b))) for b in bs]
     out = []
     a = abs(alpha)
+    r_max = math.sqrt(bounds.b2 + 1e-12)
     for shift in (0.0, 0.5):
         n = 1 if shift == 0.0 else 0
         while True:
-            b = (math.pi * (n + shift) / a) ** 2
+            r = math.pi * (n + shift) / a
             n += 1
-            if b > bounds.b2 + 1e-12:
+            if r > r_max:
                 break
+            b = r ** 2
             if b < bounds.b1 - 1e-12 or abs(b - 1.0) < 1e-9:
                 continue
             # the n-offset family lives above 1, the half-shift family below
@@ -294,13 +300,13 @@ def minimize_im_at_frequency(config: OptimizeConfig,
 
     Returns the final grid structure, tracked eigenvalue, per-iteration
     trajectory, and the rounded + switch-polished bang-bang finalization.
-    Raises LostEigenvalue / CollisionDetected with a .partial attribute
-    carrying the trajectory so far.
+    Raises ZeroFrequency for a seed_kappa with Im <= 0, and LostEigenvalue /
+    CollisionDetected with a .partial attribute carrying the trajectory so
+    far.
     """
     cfg = config
-    if cfg.alpha == 0.0:
-        return _minimize_axis(cfg, B0)
-
+    if cfg.seed_kappa is not None and not cfg.seed_kappa.imag > 0:
+        raise ZeroFrequency("a seed eigenvalue needs Im kappa > 0")
     bounds = cfg.bounds
     if B0 is None:
         B0 = cfg.seed_structure
@@ -378,94 +384,6 @@ def minimize_im_at_frequency(config: OptimizeConfig,
     return _finalize(B, kappa, cfg, trajectory, status)
 
 
-def _minimize_axis(cfg: OptimizeConfig, B0: GridStructure | None) -> OptimizeResult:
-    """alpha = 0: the tracked root lives on the imaginary axis and the
-    whole iteration runs in real arithmetic."""
-    bounds = cfg.bounds
-    if B0 is None:
-        B0 = cfg.seed_structure
-    if B0 is None:
-        if bounds.b2 <= 1.0:
-            raise InfeasibleError("no axis eigenvalues when b2 <= 1")
-        B0 = to_grid(constant(bounds.b2, bounds), cfg.n_cells)
-    B = project_to_box(B0, bounds)
-    beta = _axis_root(
-        B, seed=cfg.seed_kappa.imag if cfg.seed_kappa is not None else None)
-    eps_ext = 0.05 * bounds.width
-    step = cfg.step0
-    trajectory = [IterationRecord(0, complex(0.0, beta), beta, 0.0,
-                                  extremality_measure(B, bounds, eps_ext), 0.0)]
-    status = "max_iters"
-    step_min = 1e-9 * bounds.width
-    for it in range(1, cfg.max_iters + 1):
-        grad = _axis_gradient(B, beta)  # d beta / d B_i (cell averages)
-        d = _clipped_direction(-grad / max(np.max(np.abs(grad)), 1e-300),
-                               B.values, bounds)
-        slope = float(np.dot(grad, d)) / B.n_cells
-        if slope >= -cfg.tol_grad:
-            status = "stalled"
-            break
-        accepted = False
-        while step >= step_min:
-            Bt = project_to_box(B.with_values(B.values + step * d), bounds)
-            bt = _axis_newton(Bt, beta)
-            if bt is not None and bt <= beta + 1e-4 * step * slope:
-                B, beta = Bt, bt
-                step = min(step * cfg.step_grow, 2.0 * bounds.width)
-                accepted = True
-                break
-            step *= cfg.step_shrink
-        if not accepted:
-            status = "stalled"
-            break
-        trajectory.append(IterationRecord(
-            it, complex(0.0, beta), beta, 0.0,
-            extremality_measure(B, bounds, eps_ext), step))
-    return _finalize(B, complex(0.0, beta), cfg, trajectory, status)
-
-
-def _axis_root(B, seed: float | None = None) -> float:
-    """Smallest axis root of the real characteristic function."""
-    if seed is not None:
-        out = _axis_newton(B, seed)
-        if out is not None:
-            return out
-    gs = charF_many(1j * _AXIS_SCAN, B).real
-    i = np.flatnonzero(gs[:-1] * gs[1:] < 0)
-    if not i.size:
-        raise InfeasibleError("structure has no eigenvalue on the imaginary axis")
-    return brentq(lambda b: charF(1j * b, B).real, _AXIS_SCAN[i[0]],
-                  _AXIS_SCAN[i[0] + 1], xtol=1e-14)
-
-
-def _axis_newton(B, beta0: float) -> float | None:
-    """Newton on the real g(beta) = F(i beta); g' = Re(i dF/dz), same sweep."""
-    if beta0 <= 0:
-        raise ZeroFrequency("axis evaluation needs beta > 0")
-    b = beta0
-    for _ in range(_AXIS_NEWTON_ITERS):
-        F, dF = charF_dzF(1j * b, B)
-        g, dg = F.real, (1j * dF).real
-        if dg == 0.0:
-            return None
-        step = g / dg
-        b -= step
-        if b <= 0 or abs(b - beta0) > 5.0 * (1.0 + beta0):
-            return None
-        if abs(step) < 1e-14 * (1.0 + abs(b)):
-            return b
-    return None
-
-
-def _axis_gradient(B: GridStructure, beta: float) -> np.ndarray:
-    """d beta / d B as real cell averages: -beta^2 int_cell phi^2 / R."""
-    kappa = 1j * beta
-    bd, i_phi2b, _ = overlap_integrals(B, kappa)
-    R = (2.0 * kappa * i_phi2b - 1j * bd.phi1 ** 2).imag  # D = i R
-    cells = phi2_cell_integrals(B, kappa, B.edges).real
-    return -beta ** 2 * cells / R * B.n_cells
-
-
 # -- finalization -----------------------------------------------------------------
 
 def _finalize(B: GridStructure, kappa: complex, cfg: OptimizeConfig,
@@ -473,11 +391,6 @@ def _finalize(B: GridStructure, kappa: complex, cfg: OptimizeConfig,
     rounded, _ = round_to_extreme(B, cfg.bounds, cfg.round_threshold)
     out = OptimizeResult(B, kappa, tuple(trajectory), status)
     try:
-        if cfg.alpha == 0.0:
-            b_r = _axis_root(rounded, seed=kappa.imag)
-            k_r = complex(0.0, b_r)
-            return OptimizeResult(B, kappa, tuple(trajectory), status,
-                                  rounded, k_r, rounded, k_r)
         k_r = _track(rounded, kappa, _trust_radius(B))
         polished, k_p = _polish_switches(rounded, k_r, cfg)
         return OptimizeResult(B, kappa, tuple(trajectory), status,

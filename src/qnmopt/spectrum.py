@@ -209,7 +209,7 @@ def _circle_winding(B, center: complex, radius: float) -> int:
 
 def newton_refine(B, z0: complex, tol: float = 1e-12,
                   leash: float = math.inf):
-    """Newton iteration for F(., B) from z0; returns (kappa, iters) or None.
+    """Newton iteration for F(., B) from z0; (kappa, iters, |F(kappa)|) or None.
 
     Each step takes F and dF/dz from one sweep (charF_dzF); z = 0, a zero
     derivative, or |kappa - z0| beyond leash count as divergence.  Once the
@@ -229,11 +229,11 @@ def newton_refine(B, z0: complex, tol: float = 1e-12,
         if abs(step) < 1e-14 * (1.0 + abs(z)):
             fz = abs(charF(z, B))
             if fz < tol:
-                return z, it
+                return z, it, fz
             return None
     fz = abs(charF(z, B))
     if fz < tol:
-        return z, _NEWTON_ITERS
+        return z, _NEWTON_ITERS, fz
     return None
 
 
@@ -309,18 +309,17 @@ def _locate_rec(B, w: SpectralWindow, count: int, tol: float, depth: int,
     if count == 1:
         res = newton_refine(B, w.center, tol=tol, leash=4.0 * diam + 1.0)
         if res is not None and w.contains(res[0], pad=1e-12):
-            kappa, iters = res
-            found.append(QuasiEigenvalue(kappa, 1, abs(charF(kappa, B)), iters))
+            kappa, iters, fz = res
+            found.append(QuasiEigenvalue(kappa, 1, fz, iters))
             return
     elif diam < 1e-5:
         # suspected multiple zero: Newton pulls to the cluster centroid
         res = newton_refine(B, w.center, tol=math.inf, leash=4.0 * diam + 1.0)
         if res is not None and w.contains(res[0], pad=diam):
-            kappa, iters = res
+            kappa, iters, fz = res
             mult = _circle_winding(B, kappa, 2.0 * diam + 1e-7)
             if mult == count:
-                found.append(QuasiEigenvalue(kappa, mult, abs(charF(kappa, B)),
-                                             iters))
+                found.append(QuasiEigenvalue(kappa, mult, fz, iters))
                 return
         raise MaxDepthExceeded(f"cluster of {count} zeros near {w.center}")
     for frac in (0.5, 0.5321, 0.4717, 0.5613):

@@ -83,6 +83,16 @@ class TestOptimize:
         assert run(["optimize", "--config", cfg,
                     "--out-dir", tmp_path / "r"]) == 3
 
+    def test_tiny_frequency_infeasible_exit_3(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"alpha": 1e-300, "bounds": [1, 4],
+                                   "n_cells": 32}))
+        code = run(["optimize", "--config", cfg, "--out-dir", tmp_path / "r"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("infeasible:")
+        assert "Traceback" not in err
+
     def test_bad_config_exit_2(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"bounds": [1, 4]}))  # missing alpha

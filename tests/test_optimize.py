@@ -4,16 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.optimize import brentq
 
 from qnmopt.errors import (InfeasibleError, InputError, LostEigenvalue,
                            StalledDirection, ZeroFrequency)
-from qnmopt.field import charF, charF_many, dzF
+from qnmopt.field import charF_many
 from qnmopt.medium import (AdmissibleBounds, GridStructure, PiecewiseStructure,
-                           constant, extremality_measure, random_bang_bang,
-                           to_grid)
-from qnmopt.optimize import (_AXIS_SCAN, OptimizeConfig, _axis_newton,
-                             _axis_root, _drop_thin_layers, _lp_direction,
+                           constant, random_bang_bang, to_grid)
+from qnmopt.optimize import (OptimizeConfig, _drop_thin_layers, _lp_direction,
                              _track, best_constant_seed, constant_upper_bound,
                              minimize_im_at_frequency, step_direction, sweep_I)
 from qnmopt.sensitivity import GradientDensity, eigenvalue_gradient
@@ -32,6 +29,11 @@ class TestSeeding:
     def test_infeasible_box(self):
         with pytest.raises(InfeasibleError):
             best_constant_seed(0.0, AdmissibleBounds(0.2, 0.9))
+
+    def test_tiny_frequency_is_infeasible(self, box14):
+        # pi n / alpha overflows when squared; no constant medium resonates
+        with pytest.raises(InfeasibleError):
+            best_constant_seed(1e-300, box14)
 
 
 class TestStepDirection:
@@ -199,106 +201,25 @@ class TestAxisOptimization:
         want = math.log((3.0 + 1) / (3.0 - 1)) / (2 * 3.0)  # b2 = 9
         assert abs(res.kappa.imag - want) < 1e-6
 
-
-# The alpha = 0 root solvers as they stood before they ran on the fused
-# sweep: one charF and one dzF sweep per Newton step, a per-point scan.
-
-def reference_axis_charF(beta, B):
-    """F(i beta; B), which is real for real B."""
-    if beta <= 0:
-        raise ZeroFrequency("axis evaluation needs beta > 0")
-    return charF(1j * beta, B).real
-
-
-def reference_axis_dcharF(beta, B):
-    """d/d beta of F(i beta; B), real-valued."""
-    return (1j * dzF(1j * beta, B)).real
-
-
-def reference_axis_root(B, seed=None):
-    """Smallest axis root of the real characteristic function."""
-    if seed is not None:
-        out = reference_axis_newton(B, seed)
-        if out is not None:
-            return out
-    bs = np.geomspace(1e-3, 50.0, 400)
-    gs = np.array([reference_axis_charF(b, B) for b in bs])
-    for i in range(len(bs) - 1):
-        if gs[i] * gs[i + 1] < 0:
-            return brentq(lambda b: reference_axis_charF(b, B), bs[i],
-                          bs[i + 1], xtol=1e-14)
-    raise InfeasibleError("structure has no eigenvalue on the imaginary axis")
-
-
-def reference_axis_newton(B, beta0, max_iter=60):
-    b = beta0
-    for _ in range(max_iter):
-        g = reference_axis_charF(b, B)
-        dg = reference_axis_dcharF(b, B)
-        if dg == 0.0:
-            return None
-        step = g / dg
-        b -= step
-        if b <= 0 or abs(b - beta0) > 5.0 * (1.0 + beta0):
-            return None
-        if abs(step) < 1e-14 * (1.0 + abs(b)):
-            return b
-    return None
-
-
-def _axis_media():
-    """Bang-bang and 256-cell grid media on boxes with and without axis
-    roots, plus the c03 start."""
-    rng = np.random.default_rng(2718)
-    media = [to_grid(constant(2.5, AdmissibleBounds(1.0, 4.0)), 256)]
-    for box in (AdmissibleBounds(1.0, 4.0), AdmissibleBounds(0.0, 9.0),
-                AdmissibleBounds(0.2, 0.9)):
-        media += [random_bang_bang(box, rng, max_switches=7)
-                  for _ in range(6)]
-        media += [GridStructure(tuple(rng.uniform(box.b1, box.b2, 256)), box)
-                  for _ in range(2)]
-    return media
-
-
-def _outcome(fn, *args):
-    try:
-        return repr(fn(*args))
-    except InfeasibleError as exc:
-        return f"InfeasibleError: {exc}"
-
-
-class TestAxisAgainstReference:
-    @pytest.mark.parametrize("i", range(25))
-    def test_root_and_newton_repr_equal(self, i):
-        B = _axis_media()[i]
-        assert _outcome(_axis_root, B) == _outcome(reference_axis_root, B)
-        seeds = np.random.default_rng([i, 31]).uniform(0.02, 4.0, 6)
-        for b0 in seeds:
-            assert repr(_axis_newton(B, b0)) \
-                == repr(reference_axis_newton(B, b0))
-            assert _outcome(_axis_root, B, b0) \
-                == _outcome(reference_axis_root, B, b0)
-
-    def test_covers_converging_and_diverging_seeds(self):
-        outs = [_axis_newton(B, b0) for B in _axis_media()[:9]
-                for b0 in (0.05, 0.3, 1.0, 3.0)]
-        assert any(o is None for o in outs)
-        assert any(o is not None for o in outs)
-
-    def test_scan_matches_pointwise(self):
-        for B in _axis_media():
-            gs = charF_many(1j * _AXIS_SCAN, B).real
-            ref = np.array([reference_axis_charF(b, B) for b in _AXIS_SCAN])
-            assert gs.tobytes() == ref.tobytes()
-
+    @pytest.mark.parametrize("alpha", [0.0, math.pi])
     @pytest.mark.parametrize("seed_kappa", [-0.5j, 0j])
-    def test_nonpositive_seed_is_zero_frequency(self, box14, seed_kappa):
-        cfg = OptimizeConfig(alpha=0.0, bounds=box14, n_cells=32,
+    def test_nonpositive_seed_is_zero_frequency(self, box14, seed_kappa,
+                                                alpha):
+        cfg = OptimizeConfig(alpha=alpha, bounds=box14, n_cells=32,
                              seed_kappa=seed_kappa)
         with pytest.raises(ZeroFrequency):
             minimize_im_at_frequency(cfg)
-        with pytest.raises(ZeroFrequency):
-            _axis_newton(constant(4.0, box14), seed_kappa.imag)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_finalization_with_switches_stays_on_axis(self, box14, seed):
+        B0 = GridStructure(
+            tuple(np.random.default_rng(seed).uniform(1.0, 4.0, 64)), box14)
+        cfg = OptimizeConfig(alpha=0.0, bounds=box14, n_cells=64, max_iters=1)
+        res = minimize_im_at_frequency(cfg, B0)
+        assert res.rounded.n_intervals > 2
+        assert res.rounded_kappa.real == 0.0
+        assert res.polished_kappa.real == 0.0
+        assert res.polished_kappa.imag <= res.rounded_kappa.imag + 1e-12
 
 
 class TestFrequencyPinning:

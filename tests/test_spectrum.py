@@ -259,11 +259,11 @@ def reference_newton_refine(B, z0, tol=1e-12, max_iter=60, leash=math.inf):
         if abs(step) < 1e-14 * (1.0 + abs(z)):
             fz = abs(charF(z, B))
             if fz < tol:
-                return z, it
+                return z, it, fz
             return None
     fz = abs(charF(z, B))
     if fz < tol:
-        return z, max_iter
+        return z, max_iter, fz
     return None
 
 
