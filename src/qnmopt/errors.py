@@ -35,7 +35,7 @@ class TailNotConverged(NumericalError):
 
 
 class ZeroFrequency(InputError):
-    """Operation undefined at z = 0."""
+    """A frequency the operation cannot take (z = 0, a seed with Im <= 0)."""
 
 
 # -- spectrum -----------------------------------------------------------------

@@ -11,16 +11,14 @@ quasi-normal eigenvalues.
 
 B is piecewise constant, so everything is one recurrence over its layers
 (`B.layers`): across a layer of length L and value b, with w = z sqrt(b),
-(y, y') moves by [[cos wL, sin(wL)/w], [-w sin wL, cos wL]].  The kernel
-`_sweep` takes those coefficients for all layers in one numpy pass and the
-states at every layer boundary in one sequential pass; every field quantity
-below reads from it, and the layer integrals (hence the exact dzF, by
-variation of parameters) are closed forms in those states.  One sweep of
-phi and psi (`_overlaps`) yields F, the boundary data and the B-weighted
-integrals together, so charF_dzF, dzF and overlap_integrals all read the
-same pass, and a Newton step or a gradient needs one sweep, not two.
-phi_series (the power series in z^2) stays outside the kernel as the
-oracle the tests check it against.
+(y, y') moves by [[cos wL, sin(wL)/w], [-w sin wL, cos wL]].  `_sweep`
+takes those coefficients for all layers in one numpy pass and the states at
+every layer boundary in one sequential pass; F, the boundary data and the
+closed-form layer integrals read from it.  The z-derivatives come from the
+same recurrence by forward differentiation (`_jet`): one sweep carries phi
+and its first (Newton steps, charF_dzF) or first and second (the gradient
+and its simple-root floor) z-derivatives.  phi_series (the power series in
+z^2) stays outside the kernel as the oracle the tests check it against.
 """
 from __future__ import annotations
 
@@ -30,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InputError, TailNotConverged, ZeroFrequency
+from .errors import InputError, TailNotConverged
 
 __all__ = [
     "BoundaryData", "propagate", "charF", "charF_many", "charF_dzF", "dzF",
@@ -54,6 +52,7 @@ class BoundaryData:
 # -- the layer sweep -----------------------------------------------------------
 
 _SMALL = 1e-8      # |wL| below which sin(wL)/w equals L to double precision
+_SERIES_X = 1e-4   # |wL|^2 below which _jet sums r as a series
 _CHUNK = 1 << 16   # layers x points held at once by charF_many
 _SERIES_TOL = 1e-16   # term bound at which phi_series stops summing
 
@@ -98,7 +97,7 @@ def _sweep(z: complex, values, lengths, psi: bool = False) -> _Sweep:
 
     phi is carried as (phi, e = phi'/z^2), propagated by
     [[c, z^2 sw], [-b sw, c]]: nothing divides by z, so F = phi - i z e and
-    the overlap integrals hold at z = 0 and subnormal z alike.
+    the layer integrals hold at z = 0 and subnormal z alike.
     """
     w, big, c, sw = _coefficients(z, np.sqrt(values), lengths)
     z2 = z * z
@@ -174,38 +173,15 @@ def mode_values(B, z: complex, xs) -> tuple:
     return c * p + z2 * sw * e, z2 * (c * e - b * sw * p)
 
 
-class _Overlaps(NamedTuple):
-    """F, the boundary data and the B-weighted mode integrals at one z.
+def overlap_integrals(B, z: complex):
+    """BoundaryData plus the B-weighted mode integrals.
 
+    Returns (bd, int_0^1 phi^2 B ds, int_0^1 phi psi B ds) in closed form.
     On a layer u'v' + w^2 u v is constant, so 2 z^2 int b u v =
     L (u'v' + w^2 u v) - [u v']; over all layers the brackets telescope to
     phi'(1) v(1) (constant Wronskian, phi'(0) = 0).  Hence, with phi' = z^2 e,
     int phi v B = (sum b L phi v + sum L e v' - e(1) v(1)) / 2.
     """
-    z: complex
-    F: complex
-    bd: BoundaryData
-    i_phi2: complex     # int_0^1 phi^2 B ds
-    i_phipsi: complex   # int_0^1 phi psi B ds
-
-    def dF(self) -> complex:
-        """dF/dz by variation of parameters (exact for piecewise-constant B).
-
-        d_z phi solves the same equation with source -2 z B phi and zero
-        initial data, so d_z phi(1) = psi(1) I1 - phi(1) I2 with
-        I1 = -2z int phi^2 B and I2 = -2z int phi psi B; similarly for the
-        x-derivative.  Needs z^2 != 0.
-        """
-        z, bd = self.z, self.bd
-        i1 = -2.0 * z * self.i_phi2
-        i2 = -2.0 * z * self.i_phipsi
-        dzphi1 = bd.psi1 * i1 - bd.phi1 * i2
-        dzdxphi1 = bd.dpsi1 * i1 - bd.dphi1 * i2
-        return dzphi1 - 1j * dzdxphi1 / z + 1j * bd.dphi1 / z ** 2
-
-
-def _overlaps(z: complex, B) -> _Overlaps:
-    """One sweep of phi and psi at z, read out as F, dF/dz and the integrals."""
     _, lengths, values = B.layers
     sweep = _sweep(z, values, lengths, psi=True)
     (p, e), (q, dq) = sweep.phi, sweep.psi
@@ -214,19 +190,9 @@ def _overlaps(z: complex, B) -> _Overlaps:
     a2, apq = ((y * y[0]) @ (values * lengths)).tolist()
     g2, gpq = ((d * d[0]) @ lengths).tolist()
     z2 = z * z
-    return _Overlaps(z, p[-1] - 1j * z * e[-1],
-                     BoundaryData(p[-1], z2 * e[-1], q[-1], dq[-1]),
-                     0.5 * (a2 + z2 * g2 - e[-1] * p[-1]),
-                     0.5 * (apq + gpq - e[-1] * q[-1]))
-
-
-def overlap_integrals(B, z: complex):
-    """BoundaryData plus the B-weighted mode integrals.
-
-    Returns (bd, int_0^1 phi^2 B ds, int_0^1 phi psi B ds) in closed form
-    (see _Overlaps).
-    """
-    return _overlaps(z, B)[2:]
+    return (BoundaryData(p[-1], z2 * e[-1], q[-1], dq[-1]),
+            0.5 * (a2 + z2 * g2 - e[-1] * p[-1]),
+            0.5 * (apq + gpq - e[-1] * q[-1]))
 
 
 def phi2_cell_integrals(B, z: complex, edges) -> np.ndarray:
@@ -252,23 +218,68 @@ def phi2_cell_integrals(B, z: complex, edges) -> np.ndarray:
             + 1j * np.bincount(cell, pieces.imag, n))
 
 
-# -- derivative of F --------------------------------------------------------
+# -- derivatives of F ------------------------------------------------------
+
+def _tangent(*coeffs) -> tuple:
+    """(y, e, y'/z, e'/z) at x = 1 under the layer map and its z-derivative."""
+    y, e, y1, e1 = 1.0, 0.0, 0.0, 0.0
+    for c, a, m, k, h, n in zip(*coeffs):
+        y, e, y1, e1 = (c * y + a * e, c * e - m * y,
+                        c * y1 + a * e1 + h * e - k * y,
+                        c * e1 - m * y1 + n * y - k * e)
+    return y, e, y1, e1
+
+
+def _curvature(t, *coeffs) -> tuple:
+    """(y, e, y'/z, e'/z, y'', e'') at x = 1 for t = 2 z^2 (see _jet)."""
+    y, e, y1, e1, y2, e2 = 1.0, 0.0, 0.0, 0.0, 0.0, 0.0
+    for c, a, m, k, h, n, c2, a2, m2 in zip(*coeffs):
+        y, e, y1, e1, y2, e2 = (
+            c * y + a * e, c * e - m * y,
+            c * y1 + a * e1 + h * e - k * y, c * e1 - m * y1 + n * y - k * e,
+            c * y2 + a * e2 + c2 * y + a2 * e + t * (h * e1 - k * y1),
+            c * e2 - m * y2 + c2 * e - m2 * y + t * (n * y1 - k * e1))
+    return y, e, y1, e1, y2, e2
+
+
+def _jet(z: complex, B, order: int) -> tuple:
+    """(F, F', F'', phi(1)) at z from one sweep; F'' is None at order 1.
+
+    Forward-mode differentiation of the layer map (Griewank & Walther,
+    *Evaluating Derivatives*, 2nd ed., SIAM 2008): (phi, e = phi'/z^2) and
+    their z-derivatives cross each layer under y <- c y + a e,
+    e <- c e - m y, with c = cos wL, a = z^2 sw and m = b sw.  With
+    r = (sw - L c) / w^2 (its series in x = (wL)^2 below _SERIES_X),
+        c' = -z k,  a' = z h,  m' = -z n;  k = b L sw, h = sw + L c, n = b^2 r,
+        c'' = -b L^2 c,  a'' = 2 L c - z^2 L k,  m'' = 2 n - b L k,
+    and the loop carries the first derivatives divided by z.  Nothing divides
+    by z, so F'(0) = i int B exactly, and F is bit-equal to charF.
+    """
+    _, lengths, values = B.layers
+    w, _, c, sw = _coefficients(z, np.sqrt(values), lengths)
+    x, lc = (w * lengths) ** 2, lengths * c
+    r = lengths ** 3 * (1 / 3 - x * (1 / 30 - x * (1 / 840 - x / 45360)))
+    np.divide(sw - lc, w * w, out=r, where=np.abs(x) >= _SERIES_X)
+    z2, m = z * z, values * sw
+    k, n = lengths * m, values * values * r
+    coeffs = [c, z2 * sw, m, k, sw + lc, n]
+    if order == 2:
+        bl = values * lengths
+        coeffs += [-bl * lc, 2.0 * lc - z2 * lengths * k, 2.0 * n - bl * k]
+    ls = [v.tolist() for v in coeffs]
+    y, e, y1, e1, *ys = _curvature(2 * z2, *ls) if order == 2 else _tangent(*ls)
+    d2f = ys[0] - 2j * z * e1 - 1j * z * ys[1] if ys else None
+    return y - 1j * z * e, z * y1 - 1j * e - 1j * z2 * e1, d2f, y
+
 
 def charF_dzF(z: complex, B) -> tuple:
-    """(F, dF/dz) at z from one sweep, bit-equal to (charF, dzF).
-
-    dF/dz divides by z^2, so z = 0 and z whose square underflows to 0
-    (|z| below about 1e-154) raise ZeroFrequency.
-    """
-    if z * z == 0:
-        raise ZeroFrequency(f"dF/dz is not defined where z^2 = 0 (z = {z})")
-    ov = _overlaps(z, B)
-    return ov.F, ov.dF()
+    """(F, dF/dz) at z from one tangent sweep (_jet); F is bit-equal to charF."""
+    return _jet(z, B, 1)[:2]
 
 
 def dzF(z: complex, B) -> complex:
-    """dF/dz by variation of parameters (exact for piecewise-constant B)."""
-    return charF_dzF(z, B)[1]
+    """dF/dz by forward differentiation of the layer map; dF/dz(0) = i int B."""
+    return _jet(z, B, 1)[1]
 
 
 # -- power-series oracle ------------------------------------------------------

@@ -29,7 +29,7 @@ from scipy.optimize import brentq
 from .errors import (CollisionDetected, InfeasibleError, InputError,
                      LostEigenvalue, NearMultiple, NumericalError, QnmOptError,
                      StalledDirection, ZeroFrequency)
-from .field import mode_values, overlap_integrals
+from .field import _jet, charF, mode_values
 from .medium import (AdmissibleBounds, GridStructure, PiecewiseStructure,
                      constant, extremality_measure, project_to_box,
                      round_to_extreme, to_grid)
@@ -46,6 +46,7 @@ _PIN_ROUNDS = 12          # frequency re-pinning rounds per call
 _POLISH_ITERS = 60        # damped-Newton iterations of the switch polish
 _ACT_TOL = 1e-12          # distance from a bound at which a cell is railed
 _MIN_LAYER_WIDTH = 1e-4   # the polish drops layers thinner than this
+_SEED_ROOT_TOL = 1e-12    # |F| below which the seed eigenvalue is kept as is
 
 
 @dataclass(frozen=True)
@@ -97,43 +98,46 @@ class OptimizeResult:
 # -- seeding -------------------------------------------------------------------
 
 def _constant_candidates(alpha: float, bounds: AdmissibleBounds) -> list:
-    """Constant media with an eigenvalue exactly at Re kappa = alpha.
+    """Constant media resonating at Re kappa = alpha, near each family's best.
 
-    From the closed form Re = pi (n + shift) / sqrt(b), each integer n yields
-    b = (pi (n + shift) / alpha)^2; keep those inside the box (b = 1 has no
-    spectrum).  The ratio is compared with sqrt(b2) before it is squared, so
-    a tiny alpha finds no candidate instead of overflowing.
+    Each integer n gives b = (pi (n + shift) / alpha)^2: shift 0 for b > 1,
+    1/2 for b < 1.  axis_offset falls with b above 1 and rises below it, so
+    a family's best is its largest or smallest admissible n, which lies
+    within a few ulps of its closed form: a window of 17 floats around that
+    finds it at any alpha (stepping by ulps past 2^53, where n + 1 == n).
+    The ratio meets sqrt(b2) before it is squared, so a tiny alpha finds no
+    candidate instead of overflowing.
     """
+    if not math.isfinite(alpha):
+        raise InputError(f"alpha must be finite, got {alpha}")
     if alpha == 0.0:
-        bs = [bounds.b2] if bounds.b2 > 1.0 else []
-        return [(b, complex(0.0, axis_offset(b))) for b in bs]
+        return [(bounds.b2, complex(0.0, axis_offset(bounds.b2)))] \
+            if bounds.b2 > 1.0 else []
     out = []
     a = abs(alpha)
     r_max = math.sqrt(bounds.b2 + 1e-12)
-    for shift in (0.0, 0.5):
-        n = 1 if shift == 0.0 else 0
-        while True:
-            r = math.pi * (n + shift) / a
-            n += 1
+    r_min = math.sqrt(max(bounds.b1 - 1e-12, 0.0))
+    for shift, edge in ((0.0, r_max), (0.5, r_min)):
+        n = math.floor(min(edge * a / math.pi - shift, 2.0 ** 1022))
+        step = max(1, int(math.ulp(n)))
+        for m in range(max(n - 8 * step, 0), n + 9 * step, step):
+            r = math.pi * (m + shift) / a
             if r > r_max:
-                break
+                continue
             b = r ** 2
-            if b < bounds.b1 - 1e-12 or abs(b - 1.0) < 1e-9:
-                continue
-            # the n-offset family lives above 1, the half-shift family below
-            if (shift == 0.0) != (b > 1.0):
-                continue
-            b = min(max(b, bounds.b1), bounds.b2)
-            out.append((b, complex(alpha, axis_offset(b))))
+            # the n-offset family lives above 1, the half-shift family below;
+            # b = 0 (r^2 underflows) has no spectrum either
+            if (b > 0.0 and b >= bounds.b1 - 1e-12 and abs(b - 1.0) >= 1e-9
+                    and (shift == 0.0) == (b > 1.0)):
+                b = min(max(b, bounds.b1), bounds.b2)
+                out.append((b, complex(alpha, axis_offset(b))))
     return out
 
 
 def constant_upper_bound(alpha: float, bounds: AdmissibleBounds) -> float:
     """min Im over constant media having an eigenvalue at frequency alpha."""
-    cands = _constant_candidates(alpha, bounds)
-    if not cands:
-        return math.inf
-    return min(k.imag for _, k in cands)
+    return min((k.imag for _, k in _constant_candidates(alpha, bounds)),
+               default=math.inf)
 
 
 def best_constant_seed(alpha: float, bounds: AdmissibleBounds):
@@ -311,19 +315,20 @@ def minimize_im_at_frequency(config: OptimizeConfig,
     if B0 is None:
         B0 = cfg.seed_structure
     if B0 is None:
-        b, k0 = best_constant_seed(cfg.alpha, bounds)
+        b, kappa = best_constant_seed(cfg.alpha, bounds)
         B0 = to_grid(constant(b, bounds), cfg.n_cells)
-        kappa = k0
     else:
         B0 = project_to_box(B0, bounds)
         kappa = cfg.seed_kappa
         if kappa is None:
-            _, k0 = best_constant_seed(cfg.alpha, bounds)
-            kappa = k0
-    res = newton_refine(B0, kappa, tol=1e-9, leash=1.0)
-    if res is None:
-        raise InfeasibleError(f"seed eigenvalue near {kappa} did not converge")
-    kappa = res[0]
+            kappa = best_constant_seed(cfg.alpha, bounds)[1]
+    # a seed that is already a root takes no step: at a multiple root the
+    # Newton step is rounding noise over rounding noise
+    if not abs(charF(kappa, B0)) < _SEED_ROOT_TOL:
+        res = newton_refine(B0, kappa, tol=1e-9, leash=1.0)
+        if res is None:
+            raise InfeasibleError(f"seed eigenvalue near {kappa} did not converge")
+        kappa = res[0]
 
     B = B0
     try:
@@ -402,8 +407,8 @@ def _finalize(B: GridStructure, kappa: complex, cfg: OptimizeConfig,
 def _switch_sensitivities(B: PiecewiseStructure, kappa: complex) -> np.ndarray:
     """d kappa / d x_j for each interior breakpoint (value jump * density)."""
     xs, vals = B.breakpoints[1:-1], B.values
-    bd, i_phi2b, _ = overlap_integrals(B, kappa)
-    denom = 2.0 * kappa * i_phi2b - 1j * bd.phi1 ** 2
+    _, df, _, phi1 = _jet(kappa, B, 1)
+    denom = -1j * kappa * phi1 * df   # D of sensitivity.eigenvalue_gradient
     phi, _ = mode_values(B, kappa, xs)
     dens = -kappa ** 2 * phi ** 2 / denom
     return (vals[:-1] - vals[1:]) * dens

@@ -5,14 +5,15 @@ A simple eigenvalue kappa(B) is analytic in B with directional derivative
     dkappa(B_D) = - kappa^2 int phi^2 B_D / (2 kappa int phi^2 B - i phi^2(1)),
 
 realized here as a per-cell density (the adjoint gradient of the optimizer).
-Multiple eigenvalues instead split along r Puiseux branches ~ c1 zeta^(1/r);
-splitting_probe measures that exponent and leading coefficient against the
-formula, whose F^(r) (2 <= r <= 6) dzF_higher reads off Cauchy's integral:
-an FFT of F on 16 points of the circle of radius 0.5 / max(1, sum sqrt(b) L)
-around kappa, from one charF_many call.  find_double_eigenvalue constructs a
-two-layer double root used as the test fixture for all of it.  That
-construction and the switch polish of the optimizer share one damped-Newton
-driver, _damped_newton, with a finite-difference Jacobian.
+At a root the denominator D equals -i kappa phi(1) F'(kappa), so one jet
+sweep of the field module (F, F', F'', phi(1)) and the closed-form cell
+integrals of phi^2 give the gradient, its root check and its simple-root
+floor.  Multiple eigenvalues instead split along r Puiseux branches
+~ c1 zeta^(1/r); splitting_probe measures that exponent and coefficient
+against the formula, whose F^(r) (2 <= r <= 6) dzF_higher reads off
+Cauchy's integral from one charF_many call.  find_double_eigenvalue builds
+the two-layer double root the tests use; it and the optimizer's switch
+polish share one damped-Newton driver, _damped_newton.
 """
 from __future__ import annotations
 
@@ -24,8 +25,7 @@ import numpy as np
 
 from .errors import (BranchCountMismatch, InputError, NearMultiple,
                      NoConvergence, NotAtRoot)
-from .field import (_overlaps, charF_dzF, charF_many, overlap_integrals,
-                    phi2_cell_integrals)
+from .field import _jet, charF_dzF, charF_many, phi2_cell_integrals, propagate
 from .medium import (AdmissibleBounds, GridStructure, PiecewiseStructure,
                      _read_only, to_piecewise)
 from .spectrum import newton_refine
@@ -33,7 +33,7 @@ from .spectrum import newton_refine
 __all__ = [
     "GradientDensity", "SplittingProbe",
     "eigenvalue_gradient", "splitting_probe", "find_double_eigenvalue",
-    "dzF_higher", "simple_root_floor",
+    "dzF_higher",
 ]
 
 _ROOT_TOL = 1e-8   # |F| above this is "not at a root"
@@ -48,7 +48,7 @@ class GradientDensity:
     The directional derivative along a cellwise-constant direction d is
     sum_i g[i] d[i] / N (exact: the per-cell integrals of phi^2 are closed
     form).  g is a read-only complex array, copied once on construction.
-    denom_abs records |D| with D = 2 kappa int phi^2 B - i phi^2(1).
+    denom_abs records |D|, D the denominator of the module docstring.
     """
 
     kappa: complex
@@ -71,15 +71,6 @@ class GradientDensity:
         return complex(np.dot(self.g, d) / self.n_cells)
 
 
-def _require_root(B, kappa: complex):
-    """The one-sweep overlaps at kappa; NotAtRoot unless |F| < _ROOT_TOL."""
-    ov = _overlaps(kappa, B)
-    r = abs(ov.F)
-    if not r < _ROOT_TOL:
-        raise NotAtRoot(f"|F({kappa})| = {r:.3e} >= {_ROOT_TOL:.0e}")
-    return ov
-
-
 def dzF_higher(B, kappa: complex, order: int) -> complex:
     """d^order F / dz^order for 2 <= order <= 6, from Cauchy's integral.
 
@@ -99,28 +90,25 @@ def dzF_higher(B, kappa: complex, order: int) -> complex:
     return complex(math.factorial(order) * c / rho ** order)
 
 
-def simple_root_floor(B, kappa: complex) -> float:
-    """Threshold on |dzF| separating simple roots from near-multiples."""
-    d2 = abs(dzF_higher(B, kappa, 2))
-    return 1e-6 * max(1.0, d2)
-
-
 def eigenvalue_gradient(B, kappa: complex, n_cells: int | None = None) -> GradientDensity:
     """Gradient density of a simple eigenvalue on a uniform cell grid.
 
-    Raises NearMultiple when |dzF| sits under the simple-root floor, in which
-    case the splitting machinery applies instead.
+    One order-2 jet at kappa gives the root check (NotAtRoot unless
+    |F| < _ROOT_TOL), the simple-root floor 1e-6 max(1, |F''|), under which
+    |F'| raises NearMultiple and the splitting machinery applies instead, and
+    the denominator D = -i kappa phi(1) F'(kappa) (F = 0 and the Wronskian).
     """
-    ov = _require_root(B, kappa)
-    dz = abs(ov.dF())
-    if dz < simple_root_floor(B, kappa):
-        raise NearMultiple(f"|dF/dz| = {dz:.3e} below the simple-root floor")
+    f, df, d2f, phi1 = _jet(kappa, B, 2)
+    if not abs(f) < _ROOT_TOL:
+        raise NotAtRoot(f"|F({kappa})| = {abs(f):.3e} >= {_ROOT_TOL:.0e}")
+    if abs(df) < 1e-6 * max(1.0, abs(d2f)):
+        raise NearMultiple(f"|dF/dz| = {abs(df):.3e} below the simple-root floor")
     if n_cells is None:
         if not isinstance(B, GridStructure):
             raise InputError("n_cells required for piecewise structures")
         n_cells = B.n_cells
     edges = np.linspace(0.0, 1.0, n_cells + 1)
-    denom = 2.0 * kappa * ov.i_phi2 - 1j * ov.bd.phi1 ** 2
+    denom = -1j * kappa * phi1 * df
     cells = phi2_cell_integrals(B, kappa, edges)
     g = -kappa ** 2 * cells / denom * n_cells  # cell averages of the density
     return GradientDensity(kappa, g, abs(denom))
@@ -170,7 +158,7 @@ def splitting_probe(B, kappa0: complex, r: int, direction: GridStructure,
         raise InputError("splitting requires multiplicity r >= 2")
     if isinstance(B, GridStructure):
         B = to_piecewise(B)
-    bd, _, _ = overlap_integrals(B, kappa0)
+    bd = propagate(B, kappa0)
     cells = phi2_cell_integrals(B, kappa0, direction.edges)
     w = complex(np.dot(cells, direction.values))
     if abs(w) < 1e-12 * max(1.0, float(np.max(np.abs(cells)))

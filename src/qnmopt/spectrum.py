@@ -11,9 +11,9 @@ uncut edges, and the two halves of a split are walked together and
 evaluate their shared edge once.  The cut half-edges are sampled anew, so
 the children's counts still check the parent's.  A contour on which F
 overflows raises NumericalError.  locate() combines recursive window
-bisection with Newton iteration driven by the exact derivative; each Newton
-step takes F and dF/dz from one layer sweep (charF_dzF).  Constant media
-have a closed-form spectrum that serves as the golden oracle.
+bisection with Newton iteration; each Newton step takes F and the exact
+dF/dz from one tangent sweep of the layer recurrence (charF_dzF).  Constant
+media have a closed-form spectrum that serves as the golden oracle.
 """
 from __future__ import annotations
 
@@ -211,14 +211,12 @@ def newton_refine(B, z0: complex, tol: float = 1e-12,
                   leash: float = math.inf):
     """Newton iteration for F(., B) from z0; (kappa, iters, |F(kappa)|) or None.
 
-    Each step takes F and dF/dz from one sweep (charF_dzF); z = 0, a zero
-    derivative, or |kappa - z0| beyond leash count as divergence.  Once the
+    Each step takes F and dF/dz from one sweep (charF_dzF); a zero
+    derivative, or |kappa - z0| beyond leash, counts as divergence.  Once the
     step is below 1e-14 (1 + |z|), kappa is accepted if |F(kappa)| < tol.
     """
     z = complex(z0)
     for it in range(1, _NEWTON_ITERS + 1):
-        if z == 0:
-            return None
         f, df = charF_dzF(z, B)
         if df == 0:
             return None
@@ -227,14 +225,9 @@ def newton_refine(B, z0: complex, tol: float = 1e-12,
         if abs(z - z0) > leash:
             return None
         if abs(step) < 1e-14 * (1.0 + abs(z)):
-            fz = abs(charF(z, B))
-            if fz < tol:
-                return z, it, fz
-            return None
+            break
     fz = abs(charF(z, B))
-    if fz < tol:
-        return z, _NEWTON_ITERS, fz
-    return None
+    return (z, it, fz) if fz < tol else None
 
 
 def _split(w: SpectralWindow, frac: float) -> tuple:
@@ -356,6 +349,8 @@ def axis_offset(b: float) -> float:
     if b in (0.0, 1.0):
         raise InputError("no eigenvalues for b in {0, 1}")
     s = math.sqrt(b)
+    if s < 1e-4:   # the log cancels; it equals atanh(s)/s = 1 + b/3 + b^2/5...
+        return 1.0 + b * (1.0 / 3.0 + b / 5.0)
     return math.log(abs((s + 1.0) / (s - 1.0))) / (2.0 * s)
 
 

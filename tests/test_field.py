@@ -1,13 +1,14 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qnmopt.errors import InputError, TailNotConverged, ZeroFrequency
-from qnmopt.field import (charF, charF_dzF, charF_many, dzF, mode_values,
+from qnmopt.field import (_jet, charF, charF_dzF, charF_many, dzF, mode_values,
                           overlap_integrals, phi2_cell_integrals, phi_series,
                           propagate)
 from qnmopt.medium import (AdmissibleBounds, GridStructure, PiecewiseStructure,
@@ -246,9 +247,23 @@ class TestDzF:
         for z in (1.3, 2 - 0.7j, 0.4 + 2j):
             assert abs(dzF(z, B) - 1j * cmath.exp(1j * z)) < 1e-12
 
-    def test_zero_frequency_rejected(self):
-        with pytest.raises(ZeroFrequency):
-            dzF(0.0, constant(2.0))
+    def test_zero_frequency_integral(self):
+        # F'(0) = i int B
+        assert dzF(0.0, constant(2.0)) == 2j
+        assert dzF(0.0, GridStructure((0.0, 1.0, 2.5, 4.0),
+                                      AdmissibleBounds(0.0, 4.0))) == 1.875j
+
+    @pytest.mark.parametrize("z", [40 + 3j, 40 + 8j])
+    def test_strong_medium_closed_form(self, z):
+        # b = 100: F = cos(10 z) + 10 i sin(10 z); the variation-of-parameters
+        # F' this replaced was off by 1.9e7 and 5.6e50 relative here
+        s = 10.0
+        want1 = -s * cmath.sin(s * z) + 1j * s * s * cmath.cos(s * z)
+        want2 = -s * s * cmath.cos(s * z) - 1j * s ** 3 * cmath.sin(s * z)
+        _, d1, d2, _ = _jet(z, constant(100.0), 2)
+        assert abs(dzF(z, constant(100.0)) - want1) <= 1e-12 * abs(want1)
+        assert abs(d1 - want1) <= 1e-12 * abs(want1)
+        assert abs(d2 - want2) <= 1e-12 * abs(want2)
 
     def test_finite_difference_oracle(self, random_structures):
         rng = np.random.default_rng(17)
@@ -381,39 +396,39 @@ class TestGridSweepProperties:
         assert abs(np.sum(weighted) - i_phi2b) < 1e-12 * scale
 
 
-def reference_dzF(z, B):
-    """dzF as it was before the fused sweep: overlap_integrals plus the
-    variation-of-parameters formula."""
-    if z == 0:
-        raise ZeroFrequency("dF/dz is not defined at z = 0")
-    bd, i_phi2, i_phipsi = overlap_integrals(B, z)
-    i1 = -2.0 * z * i_phi2
-    i2 = -2.0 * z * i_phipsi
-    dzphi1 = bd.psi1 * i1 - bd.phi1 * i2
-    dzdxphi1 = bd.dpsi1 * i1 - bd.dphi1 * i2
-    return dzphi1 - 1j * dzdxphi1 / z + 1j * bd.dphi1 / z ** 2
-
-
 def _bits(*zs):
     return [(complex(z).real.hex(), complex(z).imag.hex()) for z in zs]
 
 
+def mp_dzF(z, B):
+    """dF/dz of the same layer recurrence at 50 digits (mpmath.diff)."""
+    _, lengths, values = B.layers
+    layers = [(mpmath.mpf(L), mpmath.mpf(b))
+              for L, b in zip(lengths.tolist(), values.tolist())]
+
+    def F(zz):
+        y, e = mpmath.mpf(1), mpmath.mpf(0)
+        for L, b in layers:
+            w = zz * mpmath.sqrt(b)
+            sw = mpmath.sin(w * L) / w if w != 0 else L
+            c = mpmath.cos(w * L)
+            y, e = c * y + zz * zz * sw * e, c * e - b * sw * y
+        return y - 1j * zz * e
+
+    with mpmath.workdps(50):
+        return complex(mpmath.diff(F, mpmath.mpc(z.real, z.imag)))
+
+
 def _check_fused(B, z):
-    if z * z == 0:
-        # dF/dz divides by z^2; F itself is defined (and 1 at z = 0)
-        assert np.isfinite(charF(z, B))
-        with pytest.raises(ZeroFrequency):
-            charF_dzF(z, B)
-        with pytest.raises(ZeroFrequency):
-            dzF(z, B)
-        return
     f, df = charF_dzF(z, B)
     assert _bits(f, df) == _bits(charF(z, B), dzF(z, B))
-    assert _bits(df) == _bits(reference_dzF(z, B))
+    want = mp_dzF(complex(z), B)
+    assert abs(df - want) <= 1e-12 * max(1.0, abs(want))
 
 
 class TestFusedSweep:
-    """charF_dzF reads F and dF/dz off one sweep, bit-equal to the pair."""
+    """charF_dzF reads F and dF/dz off one sweep, bit-equal to the pair,
+    and dF/dz matches a 50-digit derivative of the same recurrence."""
 
     @given(st.lists(st.floats(0.02, 0.98), min_size=0, max_size=7),
            st.booleans(), _grid_z)
@@ -434,8 +449,9 @@ class TestFusedSweep:
 
     @pytest.mark.parametrize("z", [0, 0.0, 0j, -0.0 + 0j])
     def test_zero_frequency(self, z):
-        with pytest.raises(ZeroFrequency):
-            charF_dzF(z, constant(2.0))
+        # the jet never divides by z: F(0) = 1 and F'(0) = i int B exactly
+        B = two_layer(0.25, 2.0, 0.5, AdmissibleBounds(0.0, 4.0))
+        assert charF_dzF(z, B) == (1.0, 0.875j)
 
 
 class TestAxisSpecialization:

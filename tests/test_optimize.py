@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from qnmopt.optimize import (OptimizeConfig, _drop_thin_layers, _lp_direction,
                              _track, best_constant_seed, constant_upper_bound,
                              minimize_im_at_frequency, step_direction, sweep_I)
 from qnmopt.sensitivity import GradientDensity, eigenvalue_gradient
-from qnmopt.spectrum import SpectralWindow, locate, newton_refine
+from qnmopt.spectrum import SpectralWindow, axis_offset, locate, newton_refine
 
 from conftest import LN3_4
 
@@ -34,6 +35,79 @@ class TestSeeding:
         # pi n / alpha overflows when squared; no constant medium resonates
         with pytest.raises(InfeasibleError):
             best_constant_seed(1e-300, box14)
+
+    @pytest.mark.parametrize("alpha,b1", [(1e12, 1.0), (1e300, 1.0),
+                                          (1e200, 0.0)])
+    def test_huge_frequency_is_fast(self, alpha, b1):
+        # walking n one by one took 1 s at alpha = 1e6 and never ended at
+        # 1e300; with b1 = 0 its first b, (pi / 2e200)^2, underflowed to 0
+        bounds = AdmissibleBounds(b1, 4.0)
+
+        def timed():
+            t0 = time.perf_counter()
+            b, kappa = best_constant_seed(alpha, bounds)
+            return time.perf_counter() - t0, b, kappa
+        elapsed, b, kappa = min(timed() for _ in range(3))
+        assert elapsed < 0.01
+        assert 4.0 - 1e-10 < b <= 4.0 and kappa.real == alpha
+        assert kappa.imag == constant_upper_bound(alpha, bounds)
+
+    @pytest.mark.parametrize("alpha", [math.inf, -math.inf, math.nan])
+    def test_nonfinite_frequency_rejected(self, box14, alpha):
+        with pytest.raises(InputError):
+            best_constant_seed(alpha, box14)
+
+    def test_closed_form_equals_enumeration(self):
+        rng = np.random.default_rng(11)
+        draws = 0
+        for _ in range(400):
+            b1 = float(rng.choice([0.0, 0.25, 1.0, rng.uniform(0.0, 3.0)]))
+            b2 = b1 + float(rng.choice([1.0, 3.0, rng.uniform(0.01, 20.0)]))
+            s = math.sqrt(b2)
+            alpha = float(rng.choice([
+                rng.uniform(-60.0, 60.0), math.exp(rng.uniform(-5.0, 8.0)),
+                # exactly on the upper bound, where the 1e-12 pads decide
+                math.pi * rng.integers(1, 20) / s,
+                math.pi * (rng.integers(0, 20) + 0.5) / s]))
+            bounds = AdmissibleBounds(b1, b2)
+            want = reference_constant_candidates(alpha, bounds)
+            if want:
+                assert repr(best_constant_seed(alpha, bounds)) \
+                    == repr(min(want, key=lambda t: t[1].imag))
+                assert repr(constant_upper_bound(alpha, bounds)) \
+                    == repr(min(k.imag for _, k in want))
+                draws += 1
+            else:
+                with pytest.raises(InfeasibleError):
+                    best_constant_seed(alpha, bounds)
+                assert constant_upper_bound(alpha, bounds) == math.inf
+        assert draws > 300
+
+
+def reference_constant_candidates(alpha, bounds):
+    """Every constant medium with an eigenvalue at Re kappa = alpha, found by
+    walking n = 0, 1, 2, ... (the closed form picks the best of these)."""
+    if alpha == 0.0:
+        bs = [bounds.b2] if bounds.b2 > 1.0 else []
+        return [(b, complex(0.0, axis_offset(b))) for b in bs]
+    out = []
+    a = abs(alpha)
+    r_max = math.sqrt(bounds.b2 + 1e-12)
+    for shift in (0.0, 0.5):
+        n = 1 if shift == 0.0 else 0
+        while True:
+            r = math.pi * (n + shift) / a
+            n += 1
+            if r > r_max:
+                break
+            b = r ** 2
+            if b < bounds.b1 - 1e-12 or abs(b - 1.0) < 1e-9:
+                continue
+            if (shift == 0.0) != (b > 1.0):
+                continue
+            b = min(max(b, bounds.b1), bounds.b2)
+            out.append((b, complex(alpha, axis_offset(b))))
+    return out
 
 
 class TestStepDirection:
@@ -345,6 +419,34 @@ class TestCollisionPath:
         partial = getattr(exc_info.value, "partial", None)
         assert partial is not None
         assert partial.status == "collision"
+
+    def test_collision_from_seeds_ulps_off_the_root(self):
+        # from a seed that is already a root no Newton step is taken: at a
+        # double root that step is rounding noise over rounding noise, and
+        # it used to throw a few of these seeds past the leash
+        from qnmopt.errors import CollisionDetected, QnmOptError
+
+        def ulps(x, k):
+            for _ in range(abs(k)):
+                x = math.nextafter(x, math.copysign(math.inf, k))
+            return x
+
+        B, kappa = self._grid_aligned_double_root()
+        seed = to_grid(B, 32)
+        outcomes = []
+        for i in range(-3, 4):
+            for j in range(-3, 4):
+                k0 = complex(ulps(kappa.real, i), ulps(kappa.imag, j))
+                cfg = OptimizeConfig(alpha=kappa.real, bounds=B.bounds,
+                                     n_cells=32, max_iters=20, seed_kappa=k0)
+                try:
+                    minimize_im_at_frequency(cfg, seed)
+                    outcomes.append("returned")
+                except QnmOptError as exc:
+                    outcomes.append(type(exc).__name__)
+                    if isinstance(exc, CollisionDetected):
+                        assert exc.partial.status == "collision"
+        assert outcomes == ["CollisionDetected"] * 49
 
 
 class TestSweep:

@@ -196,6 +196,9 @@ class TestAxisOffset:
         assert abs(axis_offset(4.0) - LN3_4) < 1e-15
         assert abs(axis_offset(9.0) - math.log(2.0) / 6.0) < 1e-15
         assert abs(axis_offset(0.25) - math.log(3.0)) < 1e-15
+        # atanh(s)/s -> 1 as b -> 0, where the log form cancels to 0
+        assert axis_offset(1e-12) == 1.0 + 1e-12 / 3.0
+        assert axis_offset(5e-324) == 1.0
         with pytest.raises(InputError):
             axis_offset(1.0)
 
@@ -247,8 +250,6 @@ def reference_newton_refine(B, z0, tol=1e-12, max_iter=60, leash=math.inf):
     z = complex(z0)
     for it in range(1, max_iter + 1):
         f = charF(z, B)
-        if z == 0:
-            return None
         df = dzF(z, B)
         if df == 0:
             return None
@@ -558,9 +559,11 @@ class TestNewtonAgainstReference:
         assert found > 20 and failed > 10
 
     def test_zero_start_and_leash(self):
+        # F'(0) = i int B = 4i: the first step lands on the axis at i/4
         B = constant(4.0)
-        assert newton_refine(B, 0j) is None
-        assert reference_newton_refine(B, 0j) is None
+        kappa = newton_refine(B, 0j)[0]
+        assert kappa.real == 0.0 and abs(kappa.imag - LN3_4) < 1e-14
+        assert repr(newton_refine(B, 0j)) == repr(reference_newton_refine(B, 0j))
         # the nearest root is 0.05 away; a 1e-3 leash is exceeded
         z0 = math.pi / 2 + 0.05 + 1j * LN3_4
         assert newton_refine(B, z0, leash=1e-3) is None
