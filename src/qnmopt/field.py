@@ -336,13 +336,23 @@ def phi_series(B, z: complex, terms: int = 200) -> SeriesResult:
 
     The iterates solve y_j'' = B y_{j-1} with zero initial data and are
     nonnegative piecewise polynomials, integrated exactly per layer, so each
-    coefficient carries full double precision.  Summation stops once the
-    a-priori term bound (sup B |z|^2)^j / (2j)! drops below _SERIES_TOL;
-    the result reports that tail bound and a roundoff majorant
-    eps * sum |term| for the alternating sum itself.
+    coefficient carries full double precision.  The sum runs to the first
+    n >= 2 at which the a-priori term bound (sup B |z|^2)^n / (2n)! drops
+    below _SERIES_TOL, counted before any term is formed (TailNotConverged
+    when that exceeds `terms`); the result reports that tail bound and a
+    roundoff majorant eps * sum |term| for the alternating sum itself.
     """
     xs, lengths, bvals = (a.tolist() for a in B.layers)
     az2 = (abs(z) ** 2) * max(bvals)
+    # a series that cannot converge raises before its terms overflow
+    n, bound = 0, 1.0
+    while n < 2 or not bound < _SERIES_TOL:
+        n += 1
+        if n > terms:
+            raise TailNotConverged(
+                f"term bound {bound:.3e} still above {_SERIES_TOL:.1e} "
+                f"after {terms} terms")
+        bound *= az2 / (2 * n * (2 * n - 1))
 
     # j = 0 iterates: phi_0 = 1, psi_0 = x (local form x0 + t per layer)
     phi_c = [np.array([1.0]) for _ in lengths]
@@ -355,16 +365,7 @@ def phi_series(B, z: complex, terms: int = 200) -> SeriesResult:
     psi1, dpsi1 = (complex(v) for v in
                    _PiecewisePoly(psi_c).end_values(lengths))
     abs_sum = abs(phi1)
-
-    n = 0
-    bound = 1.0
-    fact_arg = 0
-    while True:
-        n += 1
-        if n > terms:
-            raise TailNotConverged(
-                f"term bound {bound:.3e} still above {_SERIES_TOL:.1e} "
-                f"after {terms} terms")
+    for _ in range(n):
         phi_c = _double_integrate_sourced(phi_c, lengths, bvals)
         psi_c = _double_integrate_sourced(psi_c, lengths, bvals)
         zpow *= -z2
@@ -375,14 +376,9 @@ def phi_series(B, z: complex, terms: int = 200) -> SeriesResult:
         psi1 += zpow * qv
         dpsi1 += zpow * qd
         abs_sum += abs(zpow) * abs(pv)
-        # a-priori bound (sup B |z|^2)^n / (2n)!
-        fact_arg += 2
-        bound *= az2 / (fact_arg * (fact_arg - 1))
-        if bound < _SERIES_TOL and n >= 2:
-            break
 
-    tail = bound / max(1e-300, 1.0 - az2 / ((fact_arg + 1) * (fact_arg + 2))) \
-        if az2 < (fact_arg + 1) * (fact_arg + 2) else math.inf
+    m = (2 * n + 1) * (2 * n + 2)
+    tail = bound / max(1e-300, 1.0 - az2 / m) if az2 < m else math.inf
     roundoff = 8.0 * np.finfo(float).eps * abs_sum
     return SeriesResult(BoundaryData(phi1, dphi1, psi1, dpsi1),
                         n, float(tail), float(roundoff))

@@ -1,16 +1,15 @@
 """Minimizing the decay rate Im kappa at a prescribed frequency.
 
 Projected gradient flow on a uniform-cell medium: the step direction is the
-clipped anti-gradient of Im kappa made first-order neutral for Re kappa (a
-one-parameter family resolved by a scalar root solve), with Armijo
-backtracking on the tracked eigenvalue, a frequency re-pinning correction,
-and a finalization pass that rounds to a two-valued structure and then
-polishes the switch positions continuously.  Re-pinning, and a step whose
-clipped family collapses, take the exact solution of a one-constraint box
-LP (_lp_direction, one sort of the ratios); the switch polish runs the
-damped-Newton driver of the sensitivity module.  Multiple-eigenvalue
-collisions are detected through |dF/dz|: the run stops with
-CollisionDetected, whose `.partial` holds the result so far.
+clipped anti-gradient of Im kappa made first-order neutral for Re kappa,
+with Armijo backtracking on the tracked eigenvalue, a frequency re-pinning
+correction, and a finalization pass that rounds to a two-valued structure
+and then polishes the switch positions continuously.  Re-pinning takes the
+exact solution of a one-constraint box LP (_lp_direction, one sort of the
+ratios); the switch polish runs the damped-Newton driver of the
+sensitivity module.  Multiple-eigenvalue collisions are detected through
+|dF/dz|: the run stops with CollisionDetected, whose `.partial` holds the
+result so far.
 
 alpha = 0 runs the same loop.  For a real medium F(i beta) is real and
 dF/dz(i beta) imaginary, so a Newton step from an axis point lands exactly
@@ -24,7 +23,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (CollisionDetected, InfeasibleError, InputError,
                      LostEigenvalue, NearMultiple, NumericalError, QnmOptError,
@@ -152,12 +150,48 @@ def best_constant_seed(alpha: float, bounds: AdmissibleBounds):
 
 # -- step direction --------------------------------------------------------------
 
-def _clipped_direction(raw: np.ndarray, vals: np.ndarray,
-                       bounds: AdmissibleBounds) -> np.ndarray:
-    d = np.clip(raw, -1.0, 1.0)
-    d = np.where(vals <= bounds.b1 + _ACT_TOL, np.maximum(d, 0.0), d)
-    d = np.where(vals >= bounds.b2 - _ACT_TOL, np.minimum(d, 0.0), d)
-    return d
+def _room(vals: np.ndarray, bounds: AdmissibleBounds):
+    """Room of a unit step per cell: [0 at b1 else -1, 0 at b2 else 1]."""
+    lo = np.where(vals <= bounds.b1 + _ACT_TOL, 0.0, -1.0)
+    hi = np.where(vals >= bounds.b2 - _ACT_TOL, 0.0, 1.0)
+    return lo, hi
+
+
+def _neutral_projection(v: np.ndarray, r: np.ndarray, lo: np.ndarray,
+                        hi: np.ndarray) -> np.ndarray:
+    """clip(v + lambda r, lo, hi) at the lambda where its dot with r is 0.
+
+    h(lambda) = r . clip(v + lambda r, lo, hi) is nondecreasing, piecewise
+    linear with kinks at (lo - v)/r and (hi - v)/r, and lo <= 0 <= hi gives
+    h(-inf) <= 0 <= h(+inf); bisection over the sorted kinks finds the piece
+    where h crosses 0.  r is scaled to max |r| = 1; kinks that still
+    overflow belong to cells with |r| < 1e-308, which move h by nothing.
+    """
+    scale = np.max(np.abs(r))
+    if scale == 0.0:
+        return np.clip(v, lo, hi)
+    r = r / scale
+    with np.errstate(all="ignore"):   # r = 0 cells have no kink
+        kinks = np.concatenate(((lo - v) / r, (hi - v) / r))
+    kinks = np.sort(kinks[np.isfinite(kinks)])
+
+    def h(lam: float) -> float:
+        return float(np.dot(r, np.clip(v + lam * r, lo, hi)))
+
+    i, j = -1, len(kinks)   # h(kinks[i]) <= 0 < h(kinks[j]), ends at +-inf
+    while j - i > 1:
+        m = (i + j) // 2
+        if h(kinks[m]) <= 0.0:
+            i = m
+        else:
+            j = m
+    if i < 0 or j == len(kinks):   # h is flat outside the kinks
+        lam = kinks[max(i, 0)]
+    else:
+        a, b = kinks[i], kinks[j]
+        h_a, h_b = h(a), h(b)
+        lam = a - h_a * (b - a) / (h_b - h_a)
+    return np.clip(v + lam * r, lo, hi)
 
 
 def step_direction(g: GradientDensity, B: GridStructure,
@@ -165,49 +199,19 @@ def step_direction(g: GradientDensity, B: GridStructure,
                    tol_grad: float = 1e-10) -> np.ndarray:
     """Feasible direction of steepest Im-descent that is Re-neutral.
 
-    delta B = clip(-Im g + lambda Re g) with the multiplier fixed by
-    int Re(g) delta B = 0 under the active-set clipping; the map
-    lambda -> int Re(g) delta B is monotone piecewise linear, so a scalar
-    bracketing solve suffices.  Returns delta B as a float array over the
-    cells of B.  StalledDirection signals first-order optimality (or an
-    incompatible constraint).
+    delta B = clip(-Im g + lambda Re g) with lambda fixed in closed form by
+    int Re(g) delta B = 0: the l2 projection of -Im g onto the box cut by
+    that plane (Rosen, J. SIAM 8(1), 1960).  Returns delta B as a float
+    array over the cells of B.  StalledDirection signals first-order
+    optimality: a predicted Im decrease no larger than tol_grad.
     """
     re, im = g.g.real, g.g.imag
-    vals = B.values
-    n = len(vals)
-
-    def h(lam: float) -> float:
-        d = _clipped_direction(-im + lam * re, vals, bounds)
-        return float(np.dot(re, d)) / n
-
-    if np.max(np.abs(re)) < 1e-300:
-        lam = 0.0
-    else:
-        lo, hi = -1.0, 1.0
-        scale = (np.max(np.abs(im)) + 1.0) / max(np.max(np.abs(re)), 1e-300)
-        bracketed = False
-        for _ in range(80):
-            if h(lo) <= 0.0 <= h(hi):
-                bracketed = True
-                break
-            lo *= 2.0
-            hi *= 2.0
-            if hi > 1e9 * scale:
-                break
-        if not bracketed:
-            raise StalledDirection("cannot make the step frequency-neutral")
-        lam = brentq(h, lo, hi, xtol=1e-15 * max(1.0, abs(lo), abs(hi)))
-
-    d = _clipped_direction(-im + lam * re, vals, bounds)
-    slope = float(np.dot(im, d)) / n
+    lo, hi = _room(B.values, bounds)
+    d = _neutral_projection(-im, re, lo, hi)
+    slope = float(np.dot(im, d)) / len(d)
     if slope >= -tol_grad:
-        # clipping can collapse the whole lambda family to d = 0 at a railed
-        # structure; the saturated LP direction resolves that degeneracy
-        d = _lp_direction(-im, re, vals, bounds)
-        slope = float(np.dot(im, d)) / n
-        if slope >= -tol_grad:
-            raise StalledDirection(
-                f"predicted Im decrease {slope:.3e} above -{tol_grad:.0e}")
+        raise StalledDirection(
+            f"predicted Im decrease {slope:.3e} above -{tol_grad:.0e}")
     return d
 
 
@@ -251,8 +255,7 @@ def _lp_direction(obj: np.ndarray, con: np.ndarray, vals: np.ndarray,
     them, the marginal cell, is made fractional against the residual
     con . d so that the constraint holds to rounding.
     """
-    u = np.where(vals >= bounds.b2 - _ACT_TOL, 0.0, 1.0)
-    l = np.where(vals <= bounds.b1 + _ACT_TOL, 0.0, -1.0)
+    l, u = _room(vals, bounds)
     d = np.where(obj > 0.0, u, l)
     move = np.flatnonzero((con != 0.0) & (u > l))
     if not move.size:

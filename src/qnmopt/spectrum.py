@@ -345,13 +345,12 @@ def multiplicity(B, kappa0: complex, radius: float) -> int:
 
 def axis_offset(b: float) -> float:
     """Imaginary part of every constant-medium eigenvalue: the decay floor
-    log|(sqrt b + 1)/(sqrt b - 1)| / (2 sqrt b)."""
+    log|(s + 1)/(s - 1)| / (2 s), s = sqrt b, as atanh(min(s, 1/s)) / s,
+    which keeps full precision at small and large b."""
     if b in (0.0, 1.0):
         raise InputError("no eigenvalues for b in {0, 1}")
     s = math.sqrt(b)
-    if s < 1e-4:   # the log cancels; it equals atanh(s)/s = 1 + b/3 + b^2/5...
-        return 1.0 + b * (1.0 / 3.0 + b / 5.0)
-    return math.log(abs((s + 1.0) / (s - 1.0))) / (2.0 * s)
+    return math.atanh(min(s, 1.0 / s)) / s
 
 
 def constant_spectrum(b: float, w: SpectralWindow) -> list:

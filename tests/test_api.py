@@ -1,6 +1,6 @@
 """Public-surface guard: every exported and every traced name resolves, the
-number of package names and of options stays capped, and no module imports
-a name it never reads.
+number of package names and of options stays capped, no module imports
+a name it never reads, and importing the package needs numpy alone.
 
 The benchmark tracer (perfbench/tracer.py) patches library functions by
 name, so deleting or renaming one of them breaks `Tracer.install` with an
@@ -9,7 +9,9 @@ AttributeError long after the change that caused it.
 import ast
 import importlib
 import importlib.util
+import os
 import pkgutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -116,3 +118,14 @@ def test_no_unused_imports():
                    if p.name != "__init__.py")
     assert paths
     assert [u for p in paths for u in _unused_imports(p)] == []
+
+
+def test_import_loads_no_scipy():
+    # numpy is the only runtime dependency; scipy serves the tests
+    code = ("import sys, qnmopt; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(Path(qnmopt.__file__).parents[1])})
+    assert out.stdout.strip() == "[]"

@@ -240,6 +240,13 @@ class TestPhiSeries:
         with pytest.raises(TailNotConverged):
             phi_series(constant(4.0), 20.0, terms=5)
 
+    def test_divergent_terms_raise_before_overflow(self):
+        # sup B |z|^2 = 7.1e4 needs ~360 terms; summing the first 200
+        # overflowed a float before the term count was checked
+        B = GridStructure(np.linspace(0, 148, 23), AdmissibleBounds(0, 148))
+        with pytest.raises(TailNotConverged):
+            phi_series(B, 19.55 + 9.88j)
+
 
 class TestDzF:
     def test_unit_medium(self):
@@ -423,7 +430,12 @@ def _check_fused(B, z):
     f, df = charF_dzF(z, B)
     assert _bits(f, df) == _bits(charF(z, B), dzF(z, B))
     want = mp_dzF(complex(z), B)
-    assert abs(df - want) <= 1e-12 * max(1.0, abs(want))
+    # the recurrence's rounding floor: eps G, where G = exp(|Im z| int sqrt B)
+    # is the growth of the layer map, times 1 + |z| for the derivative
+    grow = math.exp(abs(z.imag) * float(np.dot(B.layers.lengths,
+                                               np.sqrt(B.layers.values))))
+    assert abs(df - want) <= 8.0 * np.finfo(float).eps * grow \
+        * (1.0 + abs(z)) * max(1.0, abs(want))
 
 
 class TestFusedSweep:
@@ -435,6 +447,8 @@ class TestFusedSweep:
     @example([0.3, 0.6], True, 0.7j)
     @example([0.3, 0.6], False, 1e-150 + 0j)
     @example([0.5], True, _SUBNORMAL_Z)
+    @example([0.38156760665845413], True,
+             0.38156760665845413 + 5.852063152147856j)
     @settings(max_examples=80, deadline=None)
     def test_piecewise(self, cuts, first_high, z):
         _check_fused(_structure_from_bits(cuts, first_high), z)

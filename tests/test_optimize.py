@@ -250,6 +250,86 @@ class TestLpDirection:
         assert np.dot(obj, d) == 1.5
 
 
+def reference_step_direction(g, B, bounds):
+    """The doubling bracket and brentq solve that the closed-form multiplier
+    of `step_direction` replaced, without its slope test, kept as a
+    reference.  It reads max |Re g| < 1e-300 as Re g = 0, and returns None
+    where 80 doublings find no bracket."""
+    from scipy.optimize import brentq
+
+    re, im = g.g.real, g.g.imag
+    vals = B.values
+
+    def clipped(raw):
+        d = np.clip(raw, -1.0, 1.0)
+        d = np.where(vals <= bounds.b1 + 1e-12, np.maximum(d, 0.0), d)
+        return np.where(vals >= bounds.b2 - 1e-12, np.minimum(d, 0.0), d)
+
+    def h(lam):
+        return float(np.dot(re, clipped(-im + lam * re))) / len(vals)
+
+    if np.max(np.abs(re)) < 1e-300:
+        return clipped(-im)
+    lo, hi = -1.0, 1.0
+    scale = float((np.max(np.abs(im)) + 1.0) / np.max(np.abs(re)))
+    for _ in range(80):
+        if h(lo) <= 0.0 <= h(hi):
+            break
+        lo *= 2.0
+        hi *= 2.0
+        if hi > 1e9 * scale:
+            return None
+    else:
+        return None
+    lam = brentq(h, lo, hi, xtol=1e-15 * max(1.0, abs(lo), abs(hi)))
+    return clipped(-im + lam * re)
+
+
+class TestNeutralProjection:
+    """The step direction is the Re-neutral projection of -Im g onto the
+    box of feasible cell moves."""
+
+    @staticmethod
+    def _check(re, im, vals):
+        box = AdmissibleBounds(1.0, 4.0)
+        g = GradientDensity(1 + 1j, re + 1j * im, 1.0)
+        B = GridStructure(tuple(vals), box)
+        # tol_grad = -inf turns the slope test off: the property is about
+        # the direction itself, stalled or not
+        d = step_direction(g, B, box, -math.inf)
+        assert abs(np.dot(re, d)) <= 1e-12 * np.sum(np.abs(re))
+        assert np.all(d >= np.where(vals <= box.b1 + 1e-12, 0.0, -1.0))
+        assert np.all(d <= np.where(vals >= box.b2 - 1e-12, 0.0, 1.0))
+        return d, reference_step_direction(g, B, box)
+
+    @given(_lp_cells, st.booleans())
+    @example([(1.0, 1.0, 2.5)] * 4 + [(-0.5, 1.0, 2.5)], False)
+    @example([(1.0, 0.0, 1.0), (-1.0, 0.0, 4.0), (2.0, 2.0, 1.0),
+              (-1.0, -1.0, 4.0)], False)
+    @example([(1.0, 3.0, 1.0), (-2.0, -1.0, 4.0), (0.5, 2.0, 2.5)], True)
+    @example([(1.0, 1.0, 4.0), (1.0, 2.0, 4.0)], False)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_bracket_search(self, cells, flat):
+        im, re, vals = (np.array(c) for c in zip(*cells))
+        if flat:
+            re = np.zeros_like(re)
+        d, ref = self._check(re, im, vals)
+        if ref is not None and not 0.0 < np.max(np.abs(re)) < 1e-300:
+            assert np.max(np.abs(d - ref)) <= 1e-12
+
+    def test_tiny_re_scale(self):
+        # the bracket search read this Re g as 0 and returned d = -1; the
+        # closed form scales Re g to max 1 and keeps the step neutral
+        d, _ = self._check(np.array([2.2250738585072014e-308]),
+                           np.array([1.0]), np.array([1.7]))
+        assert d[0] == 0.0
+        # kinks of the 5e-324 cell overflow even after scaling
+        d, _ = self._check(np.array([1.0, 5e-324, 0.0]),
+                           np.array([2.0, 1.0, 0.0]),
+                           np.array([1.0, 1.7, 1.0]))
+        assert d[1] == -1.0
+
+
 class TestAxisOptimization:
     def test_reaches_b2_from_midpoint(self, box14):
         cfg = OptimizeConfig(alpha=0.0, bounds=box14, n_cells=64,

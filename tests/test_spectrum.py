@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -201,6 +202,14 @@ class TestAxisOffset:
         assert axis_offset(5e-324) == 1.0
         with pytest.raises(InputError):
             axis_offset(1.0)
+
+    @pytest.mark.parametrize("b", [1e-8, 1e8])
+    def test_far_from_one(self, b):
+        # the log form lost ~eps / sqrt(b) at small b: 2.8e-13 at b = 1e-8
+        with mpmath.workdps(50):
+            s = mpmath.sqrt(mpmath.mpf(b))
+            want = mpmath.log(abs((s + 1) / (s - 1))) / (2 * s)
+            assert abs(axis_offset(b) - want) <= 1e-15 * abs(want)
 
 
 # -- references: the contour walk and Newton step before the fused sweep ------
