@@ -1,6 +1,7 @@
 """Minimizing the decay rate of a resonance at a fixed frequency.
 
-Projected gradient flow over media constrained to 1 <= B <= 4, tracking the
+Conditional-gradient steps over media constrained to 1 <= B <= 4, each
+toward the bang-bang vertex of the linearised problem, tracking the
 eigenvalue pinned at Re kappa = alpha.  The optimum is a two-valued
 (bang-bang) structure; the finalization rounds the grid iterate and then
 polishes the switch positions in the continuum.

@@ -1,21 +1,25 @@
 """Minimizing the decay rate Im kappa at a prescribed frequency.
 
-Projected gradient flow on a uniform-cell medium: the step direction is the
-clipped anti-gradient of Im kappa made first-order neutral for Re kappa,
-with Armijo backtracking on the tracked eigenvalue, a frequency re-pinning
-correction, and a finalization pass that rounds to a two-valued structure
-and then polishes the switch positions continuously.  Re-pinning takes the
-exact solution of a one-constraint box LP (_lp_direction, one sort of the
-ratios); the switch polish runs the damped-Newton driver of the
-sensitivity module.  Multiple-eigenvalue collisions are detected through
-|dF/dz|: the run stops with CollisionDetected, whose `.partial` holds the
-result so far.
+Conditional-gradient flow on a uniform-cell medium (Frank & Wolfe, Naval
+Res. Logist. Q. 3, 1956): each step moves toward the vertex of the
+linearised problem, the box-constrained medium that decreases Im kappa
+fastest while leaving Re kappa unchanged to first order.  That vertex is
+the exact solution of a one-constraint box LP over each cell's true room
+(_lp_direction, one sort of the ratios): bang-bang but for one marginal
+cell, the structure the paper proves for optimal media.  Armijo
+backtracking on the tracked eigenvalue picks the fraction of the way to
+the vertex; a frequency re-pinning correction steps toward the vertex of
+the Im-neutral LP that moves Re kappa back to alpha; a finalization pass
+rounds to a two-valued structure and then polishes the switch positions
+continuously with the damped-Newton driver of the sensitivity module.
+Multiple-eigenvalue collisions are detected through |dF/dz|: the run stops
+with CollisionDetected, whose `.partial` holds the result so far.
 
 alpha = 0 runs the same loop.  For a real medium F(i beta) is real and
 dF/dz(i beta) imaginary, so a Newton step from an axis point lands exactly
-on the axis: Re kappa stays 0.0, the pin sees no drift, Re g vanishes so the
-step direction takes lambda = 0, and the switch polish, whose Jacobian is
-singular there, keeps the rounded medium.
+on the axis: Re kappa stays 0.0, the pin sees no drift, Re g vanishes so
+every cell heads to the bound that the sign of -Im g picks, and the switch
+polish, whose Jacobian is singular there, keeps the rounded medium.
 """
 from __future__ import annotations
 
@@ -42,7 +46,6 @@ __all__ = [
 
 _PIN_ROUNDS = 12          # frequency re-pinning rounds per call
 _POLISH_ITERS = 60        # damped-Newton iterations of the switch polish
-_ACT_TOL = 1e-12          # distance from a bound at which a cell is railed
 _MIN_LAYER_WIDTH = 1e-4   # the polish drops layers thinner than this
 _SEED_ROOT_TOL = 1e-12    # |F| below which the seed eigenvalue is kept as is
 
@@ -60,7 +63,6 @@ class OptimizeConfig:
     max_iters: int = 400
     tol_freq: float = 1e-8
     tol_grad: float = 1e-10
-    seed_structure: GridStructure | None = None
     seed_kappa: complex | None = None
     round_threshold: float = 0.25
 
@@ -78,7 +80,7 @@ class IterationRecord:
     objective: float      # Im kappa
     drift: float          # |Re kappa - alpha|
     extremality: float
-    step: float
+    step: float           # fraction of the way to the LP vertex
 
 
 @dataclass(frozen=True)
@@ -150,65 +152,21 @@ def best_constant_seed(alpha: float, bounds: AdmissibleBounds):
 
 # -- step direction --------------------------------------------------------------
 
-def _room(vals: np.ndarray, bounds: AdmissibleBounds):
-    """Room of a unit step per cell: [0 at b1 else -1, 0 at b2 else 1]."""
-    lo = np.where(vals <= bounds.b1 + _ACT_TOL, 0.0, -1.0)
-    hi = np.where(vals >= bounds.b2 - _ACT_TOL, 0.0, 1.0)
-    return lo, hi
-
-
-def _neutral_projection(v: np.ndarray, r: np.ndarray, lo: np.ndarray,
-                        hi: np.ndarray) -> np.ndarray:
-    """clip(v + lambda r, lo, hi) at the lambda where its dot with r is 0.
-
-    h(lambda) = r . clip(v + lambda r, lo, hi) is nondecreasing, piecewise
-    linear with kinks at (lo - v)/r and (hi - v)/r, and lo <= 0 <= hi gives
-    h(-inf) <= 0 <= h(+inf); bisection over the sorted kinks finds the piece
-    where h crosses 0.  r is scaled to max |r| = 1; kinks that still
-    overflow belong to cells with |r| < 1e-308, which move h by nothing.
-    """
-    scale = np.max(np.abs(r))
-    if scale == 0.0:
-        return np.clip(v, lo, hi)
-    r = r / scale
-    with np.errstate(all="ignore"):   # r = 0 cells have no kink
-        kinks = np.concatenate(((lo - v) / r, (hi - v) / r))
-    kinks = np.sort(kinks[np.isfinite(kinks)])
-
-    def h(lam: float) -> float:
-        return float(np.dot(r, np.clip(v + lam * r, lo, hi)))
-
-    i, j = -1, len(kinks)   # h(kinks[i]) <= 0 < h(kinks[j]), ends at +-inf
-    while j - i > 1:
-        m = (i + j) // 2
-        if h(kinks[m]) <= 0.0:
-            i = m
-        else:
-            j = m
-    if i < 0 or j == len(kinks):   # h is flat outside the kinks
-        lam = kinks[max(i, 0)]
-    else:
-        a, b = kinks[i], kinks[j]
-        h_a, h_b = h(a), h(b)
-        lam = a - h_a * (b - a) / (h_b - h_a)
-    return np.clip(v + lam * r, lo, hi)
-
-
 def step_direction(g: GradientDensity, B: GridStructure,
                    bounds: AdmissibleBounds,
                    tol_grad: float = 1e-10) -> np.ndarray:
-    """Feasible direction of steepest Im-descent that is Re-neutral.
+    """Conditional-gradient step of Im kappa that is Re-neutral.
 
-    delta B = clip(-Im g + lambda Re g) with lambda fixed in closed form by
-    int Re(g) delta B = 0: the l2 projection of -Im g onto the box cut by
-    that plane (Rosen, J. SIAM 8(1), 1960).  Returns delta B as a float
-    array over the cells of B.  StalledDirection signals first-order
-    optimality: a predicted Im decrease no larger than tol_grad.
+    delta B takes B to the vertex of the linearised problem: minimize
+    int Im(g) delta B subject to int Re(g) delta B = 0 over the box
+    b1 <= B + delta B <= b2, solved exactly by _lp_direction (Frank & Wolfe,
+    Naval Res. Logist. Q. 3, 1956).  B + delta B is bang-bang except for at
+    most one marginal cell.  Returns delta B as a float array over the cells
+    of B.  StalledDirection signals first-order optimality: a predicted Im
+    decrease no larger than tol_grad.
     """
-    re, im = g.g.real, g.g.imag
-    lo, hi = _room(B.values, bounds)
-    d = _neutral_projection(-im, re, lo, hi)
-    slope = float(np.dot(im, d)) / len(d)
+    d = _lp_direction(-g.g.imag, g.g.real, B.values, bounds)
+    slope = float(np.dot(g.g.imag, d)) / len(d)
     if slope >= -tol_grad:
         raise StalledDirection(
             f"predicted Im decrease {slope:.3e} above -{tol_grad:.0e}")
@@ -243,24 +201,26 @@ def _lp_direction(obj: np.ndarray, con: np.ndarray, vals: np.ndarray,
                   bounds: AdmissibleBounds) -> np.ndarray:
     """Feasible direction maximizing sum(obj * d) subject to sum(con * d) = 0.
 
+    Each cell moves within its true room l = b1 - vals <= d <= u = b2 - vals.
     One-constraint box LP, a fractional knapsack solved exactly by sorting
     (Dantzig, Oper. Res. 5(2), 1957).  At a multiplier nu each cell sits at
     its upper room u where obj - nu * con > 0 and at its lower room l
-    otherwise; cells with con = 0 (and cells with no room) take u or l by the
-    sign of obj.  As nu rises past the ratio obj/con of a movable cell, the
-    cell flips to its other extreme and the response con . d drops by
-    |con| (u - l).  Since u >= 0 >= l the response starts >= 0 and ends
-    <= 0, so it always crosses: the movable cells flip in stable ratio
-    order up to the first prefix whose response is <= 0, and the last of
-    them, the marginal cell, is made fractional against the residual
-    con . d so that the constraint holds to rounding.
+    otherwise; cells with con = 0 take u or l by the sign of obj.  As nu
+    rises past the ratio obj/con of a cell, the cell flips to its other
+    extreme and the response con . d drops by |con| (u - l).  Since
+    u >= 0 >= l the response starts >= 0 and ends <= 0, so it always
+    crosses: the cells flip in stable ratio order up to the first prefix
+    whose response is <= 0, and the last of them, the marginal cell, is made
+    fractional against the residual con . d so that the constraint holds to
+    rounding.  vals + d is therefore bang-bang but for the marginal cell.
     """
-    l, u = _room(vals, bounds)
+    l, u = bounds.b1 - vals, bounds.b2 - vals
     d = np.where(obj > 0.0, u, l)
-    move = np.flatnonzero((con != 0.0) & (u > l))
+    move = np.flatnonzero(con != 0.0)
     if not move.size:
         return d
-    order = move[np.argsort(obj[move] / con[move], kind="stable")]
+    with np.errstate(over="ignore"):   # a ratio past the float range is +-inf
+        order = move[np.argsort(obj[move] / con[move], kind="stable")]
     rising = con[order] > 0.0
     d[order] = np.where(rising, u[order], l[order])  # nu -> -inf
     after = np.dot(con, d) - np.cumsum(np.abs(con[order]) * (u - l)[order])
@@ -273,10 +233,12 @@ def _lp_direction(obj: np.ndarray, con: np.ndarray, vals: np.ndarray,
 
 
 def _pin_frequency(B: GridStructure, kappa: complex, cfg: OptimizeConfig):
-    """Pull Re kappa back to alpha along an Im-neutral feasible direction.
+    """Pull Re kappa back to alpha toward the vertex of the Im-neutral LP.
 
-    Returns (B, kappa, ok); ok=False means the feasible cone cannot reach
-    the target frequency from here (caller should reject the step).
+    Each round moves the linearly predicted fraction s of the way to the
+    vertex that moves Re kappa toward alpha fastest, s at most 1.  Returns
+    (B, kappa, ok); ok=False means the feasible cone cannot reach the target
+    frequency from here (caller should reject the step).
     """
     bounds = cfg.bounds
     n = B.n_cells
@@ -292,8 +254,7 @@ def _pin_frequency(B: GridStructure, kappa: complex, cfg: OptimizeConfig):
         dre = float(np.dot(ga.real, d)) / n
         if abs(dre) < 1e-14:
             return B, kappa, False
-        s = want / dre
-        s = max(min(s, 0.1 * bounds.width), -0.1 * bounds.width)
+        s = max(min(want / dre, 1.0), -1.0)
         B = project_to_box(B.with_values(vals + s * d), bounds)
         kappa = _track(B, kappa, _trust_radius(B))
     return B, kappa, abs(kappa.real - cfg.alpha) <= 0.5 * cfg.tol_freq
@@ -303,7 +264,7 @@ def _pin_frequency(B: GridStructure, kappa: complex, cfg: OptimizeConfig):
 
 def minimize_im_at_frequency(config: OptimizeConfig,
                              B0: GridStructure | None = None) -> OptimizeResult:
-    """Projected gradient minimization of Im kappa with Re kappa = alpha.
+    """Conditional-gradient minimization of Im kappa with Re kappa = alpha.
 
     Returns the final grid structure, tracked eigenvalue, per-iteration
     trajectory, and the rounded + switch-polished bang-bang finalization.
@@ -315,8 +276,6 @@ def minimize_im_at_frequency(config: OptimizeConfig,
     if cfg.seed_kappa is not None and not cfg.seed_kappa.imag > 0:
         raise ZeroFrequency("a seed eigenvalue needs Im kappa > 0")
     bounds = cfg.bounds
-    if B0 is None:
-        B0 = cfg.seed_structure
     if B0 is None:
         b, kappa = best_constant_seed(cfg.alpha, bounds)
         B0 = to_grid(constant(b, bounds), cfg.n_cells)
@@ -349,7 +308,7 @@ def minimize_im_at_frequency(config: OptimizeConfig,
                                   abs(kappa.real - cfg.alpha),
                                   extremality_measure(B, bounds, eps_ext), 0.0)]
     status = "max_iters"
-    step_min = 1e-7 * bounds.width
+    step_min = 1e-7
 
     for it in range(1, cfg.max_iters + 1):
         if kappa.imag <= 0:
@@ -379,7 +338,7 @@ def minimize_im_at_frequency(config: OptimizeConfig,
             if pinned and kt.imag <= kappa.imag + 1e-4 * step * slope:
                 B, kappa = Bt, kt
                 accepted = True
-                step = min(step * cfg.step_grow, 2.0 * bounds.width)
+                step = min(step * cfg.step_grow, 1.0)
                 break
             step *= cfg.step_shrink
         if not accepted:
@@ -511,8 +470,7 @@ def sweep_I(alphas, config: OptimizeConfig) -> list:
     and the sweep continues; entries come back in input order.
     """
     def run(alpha: float) -> SweepEntry:
-        cfg = replace(config, alpha=alpha, seed_structure=None,
-                      seed_kappa=None)
+        cfg = replace(config, alpha=alpha, seed_kappa=None)
         ub = constant_upper_bound(alpha, cfg.bounds)
         try:
             res = minimize_im_at_frequency(cfg)

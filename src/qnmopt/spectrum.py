@@ -346,11 +346,17 @@ def multiplicity(B, kappa0: complex, radius: float) -> int:
 def axis_offset(b: float) -> float:
     """Imaginary part of every constant-medium eigenvalue: the decay floor
     log|(s + 1)/(s - 1)| / (2 s), s = sqrt b, as atanh(min(s, 1/s)) / s,
-    which keeps full precision at small and large b."""
+    which keeps full precision at small and large b.  Near b = 1, where
+    min(s, 1/s) rounds toward 1, 1 - x comes from the exact b - 1 and
+    atanh x = log1p(2 x / (1 - x)) / 2."""
     if b in (0.0, 1.0):
         raise InputError("no eigenvalues for b in {0, 1}")
     s = math.sqrt(b)
-    return math.atanh(min(s, 1.0 / s)) / s
+    x = min(s, 1.0 / s)
+    if abs(b - 1.0) >= 0.5:
+        return math.atanh(x) / s
+    one_minus_x = abs(b - 1.0) / ((1.0 + s) * max(1.0, s))
+    return 0.5 * math.log1p(2.0 * x / one_minus_x) / s
 
 
 def constant_spectrum(b: float, w: SpectralWindow) -> list:

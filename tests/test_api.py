@@ -13,11 +13,13 @@ import os
 import pkgutil
 import subprocess
 import sys
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import pytest
 
 import qnmopt
+from qnmopt.optimize import OptimizeConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = [m.name for m in pkgutil.iter_modules(qnmopt.__path__)]
@@ -86,10 +88,19 @@ def _defaulted_parameters():
     return tuple(counts)
 
 
+# defaulted fields of OptimizeConfig, options that no signature counts
+MAX_CONFIG_DEFAULTS = 9
+
+
+def _config_defaults() -> int:
+    return sum(f.default is not MISSING for f in fields(OptimizeConfig))
+
+
 def test_option_count_ratchet():
     public, private = _defaulted_parameters()
     assert public <= MAX_PUBLIC_DEFAULTS
     assert private <= MAX_PRIVATE_DEFAULTS
+    assert _config_defaults() <= MAX_CONFIG_DEFAULTS
 
 
 def _unused_imports(path: Path) -> list:

@@ -112,7 +112,7 @@ def reference_constant_candidates(alpha, bounds):
 
 class TestStepDirection:
     def test_orthogonal_interior(self, box14):
-        # Re g and Im g orthogonal in L2: lambda = 0, direction = -Im g
+        # Re-neutral needs d1 = d2, and -Im g < 0 sends both cells to b1
         g = GradientDensity(1 + 1j, (1.0 + 1.0j, -1.0 + 1.0j), 1.0)
         B = GridStructure((2.0, 2.0), box14)
         d = step_direction(g, B, box14)
@@ -138,16 +138,18 @@ class TestStepDirection:
         ga = g.g
         assert abs(float(np.dot(ga.real, d)) / n) < 1e-10
         assert float(np.dot(ga.imag, d)) / n < 0.0
-        assert np.max(np.abs(d)) <= 1.0 + 1e-12
-        vals = B.values
-        assert np.all(d[vals <= box14.b1 + 1e-12] >= 0.0)
-        assert np.all(d[vals >= box14.b2 - 1e-12] <= 0.0)
+        # B + d is the box vertex: bang-bang but for one marginal cell
+        after = B.values + d
+        assert np.all(after >= box14.b1 - 1e-12)
+        assert np.all(after <= box14.b2 + 1e-12)
+        off = (after > box14.b1 + 1e-12) & (after < box14.b2 - 1e-12)
+        assert np.count_nonzero(off) <= 1
 
 
-def reference_lp_direction(obj, con, vals, bounds, act_tol=1e-12):
-    """The bisection that `_lp_direction` replaced, kept as a reference."""
-    u = np.where(vals >= bounds.b2 - act_tol, 0.0, 1.0)
-    l = np.where(vals <= bounds.b1 + act_tol, 0.0, -1.0)
+def reference_lp_direction(obj, con, vals, bounds):
+    """The bisection that `_lp_direction` replaced, kept as a reference, over
+    each cell's true room [b1 - vals, b2 - vals]."""
+    u, l = bounds.b2 - vals, bounds.b1 - vals
 
     def d_of(nu: float) -> np.ndarray:
         return np.where(obj - nu * con > 0.0, u, l)
@@ -180,9 +182,9 @@ def reference_lp_direction(obj, con, vals, bounds, act_tol=1e-12):
 
 
 def assert_lp_optimal(obj, con, vals, bounds, d):
-    """KKT conditions of max obj.d s.t. con.d = 0, l <= d <= u."""
-    u = np.where(vals >= bounds.b2 - 1e-12, 0.0, 1.0)
-    l = np.where(vals <= bounds.b1 + 1e-12, 0.0, -1.0)
+    """KKT conditions of max obj.d s.t. con.d = 0, l <= d <= u, over the true
+    room l = b1 - vals, u = b2 - vals."""
+    u, l = bounds.b2 - vals, bounds.b1 - vals
     assert np.all(l <= d) and np.all(d <= u)
     inside = (l < d) & (d < u)
     assert np.count_nonzero(inside) <= 1
@@ -193,7 +195,8 @@ def assert_lp_optimal(obj, con, vals, bounds, d):
         if c == 0.0:
             assert di == (ui if o > 0 else li) or o == 0.0
             continue
-        ratio = o / c
+        with np.errstate(over="ignore"):
+            ratio = o / c
         if mid:
             lo, hi = max(lo, ratio), min(hi, ratio)
         elif (di == ui) == (c > 0):   # needs nu <= ratio
@@ -239,95 +242,59 @@ class TestLpDirection:
 
     def test_tied_ratios(self):
         # the bisection lands past the tie, finds no single cell to patch
-        # and returns d = -1: con.d = -5 and obj.d = -3.5, worse than d = 0
+        # and returns d = l = -1.5: con.d = -7.5 and obj.d = -5.25, worse
+        # than d = 0
         box = AdmissibleBounds(1.0, 4.0)
         obj = np.array([1.0, 1.0, 1.0, 1.0, -0.5])
         con, vals = np.ones(5), np.full(5, 2.5)
         ref = reference_lp_direction(obj, con, vals, box)
-        assert np.dot(con, ref) == -5.0
+        assert np.dot(con, ref) == -7.5
         d = _lp_direction(obj, con, vals, box)
         assert np.dot(con, d) == 0.0
-        assert np.dot(obj, d) == 1.5
+        assert np.dot(obj, d) == 1.5 * 1.5
 
 
-def reference_step_direction(g, B, bounds):
-    """The doubling bracket and brentq solve that the closed-form multiplier
-    of `step_direction` replaced, without its slope test, kept as a
-    reference.  It reads max |Re g| < 1e-300 as Re g = 0, and returns None
-    where 80 doublings find no bracket."""
-    from scipy.optimize import brentq
+class TestStepIsLpVertex:
+    """The step direction is the vertex of the Re-neutral box LP that
+    minimizes the linearised Im kappa."""
 
-    re, im = g.g.real, g.g.imag
-    vals = B.values
-
-    def clipped(raw):
-        d = np.clip(raw, -1.0, 1.0)
-        d = np.where(vals <= bounds.b1 + 1e-12, np.maximum(d, 0.0), d)
-        return np.where(vals >= bounds.b2 - 1e-12, np.minimum(d, 0.0), d)
-
-    def h(lam):
-        return float(np.dot(re, clipped(-im + lam * re))) / len(vals)
-
-    if np.max(np.abs(re)) < 1e-300:
-        return clipped(-im)
-    lo, hi = -1.0, 1.0
-    scale = float((np.max(np.abs(im)) + 1.0) / np.max(np.abs(re)))
-    for _ in range(80):
-        if h(lo) <= 0.0 <= h(hi):
-            break
-        lo *= 2.0
-        hi *= 2.0
-        if hi > 1e9 * scale:
-            return None
-    else:
-        return None
-    lam = brentq(h, lo, hi, xtol=1e-15 * max(1.0, abs(lo), abs(hi)))
-    return clipped(-im + lam * re)
-
-
-class TestNeutralProjection:
-    """The step direction is the Re-neutral projection of -Im g onto the
-    box of feasible cell moves."""
-
-    @staticmethod
-    def _check(re, im, vals):
+    @given(_lp_cells)
+    @example([(1.0, 1.0, 2.5)] * 4 + [(-0.5, 1.0, 2.5)])
+    @example([(1.0, 0.0, 1.0), (-1.0, 0.0, 4.0), (2.0, 2.0, 1.0),
+              (-1.0, -1.0, 4.0)])
+    # a tiny Re g, and one whose ratio overflows
+    @example([(1.0, 2.2250738585072014e-308, 1.7)])
+    @example([(2.0, 1.0, 1.0), (1.0, 5e-324, 1.7), (0.0, 0.0, 1.0)])
+    @settings(max_examples=300, deadline=None)
+    def test_matches_lp(self, cells):
         box = AdmissibleBounds(1.0, 4.0)
+        im, re, vals = (np.array(c) for c in zip(*cells))
         g = GradientDensity(1 + 1j, re + 1j * im, 1.0)
         B = GridStructure(tuple(vals), box)
         # tol_grad = -inf turns the slope test off: the property is about
         # the direction itself, stalled or not
         d = step_direction(g, B, box, -math.inf)
+        assert np.array_equal(
+            d, _lp_direction(-g.g.imag, g.g.real, B.values, box))
+        assert_lp_optimal(-im, re, vals, box, d)
         assert abs(np.dot(re, d)) <= 1e-12 * np.sum(np.abs(re))
-        assert np.all(d >= np.where(vals <= box.b1 + 1e-12, 0.0, -1.0))
-        assert np.all(d <= np.where(vals >= box.b2 - 1e-12, 0.0, 1.0))
-        return d, reference_step_direction(g, B, box)
 
-    @given(_lp_cells, st.booleans())
-    @example([(1.0, 1.0, 2.5)] * 4 + [(-0.5, 1.0, 2.5)], False)
-    @example([(1.0, 0.0, 1.0), (-1.0, 0.0, 4.0), (2.0, 2.0, 1.0),
-              (-1.0, -1.0, 4.0)], False)
-    @example([(1.0, 3.0, 1.0), (-2.0, -1.0, 4.0), (0.5, 2.0, 2.5)], True)
-    @example([(1.0, 1.0, 4.0), (1.0, 2.0, 4.0)], False)
-    @settings(max_examples=300, deadline=None)
-    def test_matches_bracket_search(self, cells, flat):
-        im, re, vals = (np.array(c) for c in zip(*cells))
-        if flat:
-            re = np.zeros_like(re)
-        d, ref = self._check(re, im, vals)
-        if ref is not None and not 0.0 < np.max(np.abs(re)) < 1e-300:
-            assert np.max(np.abs(d - ref)) <= 1e-12
 
-    def test_tiny_re_scale(self):
-        # the bracket search read this Re g as 0 and returned d = -1; the
-        # closed form scales Re g to max 1 and keeps the step neutral
-        d, _ = self._check(np.array([2.2250738585072014e-308]),
-                           np.array([1.0]), np.array([1.7]))
-        assert d[0] == 0.0
-        # kinks of the 5e-324 cell overflow even after scaling
-        d, _ = self._check(np.array([1.0, 5e-324, 0.0]),
-                           np.array([2.0, 1.0, 0.0]),
-                           np.array([1.0, 1.7, 1.0]))
-        assert d[1] == -1.0
+class TestGradientBudget:
+    @pytest.mark.parametrize("alpha", [math.pi / 2, math.pi, 2 * math.pi])
+    def test_acceptance_alphas(self, box14, monkeypatch, alpha):
+        # the unit-room step and its 0.1-width pin spent 359, 770 and 644
+        # gradients here, 88 % of them in pins that often ended unpinned
+        import qnmopt.optimize as opt
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return eigenvalue_gradient(*args, **kwargs)
+        monkeypatch.setattr(opt, "eigenvalue_gradient", counted)
+        minimize_im_at_frequency(
+            OptimizeConfig(alpha=alpha, bounds=box14, n_cells=256))
+        assert 0 < len(calls) < 100
 
 
 class TestAxisOptimization:

@@ -202,6 +202,14 @@ class TestAxisOffset:
         assert axis_offset(5e-324) == 1.0
         with pytest.raises(InputError):
             axis_offset(1.0)
+        # near b = 1, sqrt(b) rounds to 1 and atanh met its pole (a bare
+        # ValueError at 1 + 2^-52, 18.71497 for 19.06155 at 1 - 2^-53)
+        with mpmath.workdps(50):
+            for b in (1 + 2 ** -52, 1 - 2 ** -52, 1 - 2 ** -53, 1 + 1e-10,
+                      1 - 1e-10, 1 + 1e-4, 1 - 1e-4, 0.51, 1.49):
+                s = mpmath.sqrt(mpmath.mpf(b))
+                want = mpmath.log(abs((s + 1) / (s - 1))) / (2 * s)
+                assert abs(axis_offset(b) - want) <= 4.4e-16 * want
 
     @pytest.mark.parametrize("b", [1e-8, 1e8])
     def test_far_from_one(self, b):
