@@ -14,11 +14,15 @@ B is piecewise constant, so everything is one recurrence over its layers
 (y, y') moves by [[cos wL, sin(wL)/w], [-w sin wL, cos wL]].  `_sweep`
 takes those coefficients for all layers in one numpy pass and the states at
 every layer boundary in one sequential pass; F, the boundary data and the
-closed-form layer integrals read from it.  The z-derivatives come from the
-same recurrence by forward differentiation (`_jet`): one sweep carries phi
-and its first (Newton steps, charF_dzF) or first and second (the gradient
-and its simple-root floor) z-derivatives.  phi_series (the power series in
-z^2) stays outside the kernel as the oracle the tests check it against.
+closed-form layer integrals read from it.  charF_many, F over many z at
+once, builds the layer maps from real sin, cos, sinh and cosh of the real
+and imaginary parts of wL, multiplies adjacent maps pairwise while more
+than eight layers remain, and sweeps the rest.  The z-derivatives come
+from the same recurrence by forward differentiation (`_jet`): one sweep
+carries phi and its first (Newton steps, charF_dzF) or first and second
+(the gradient and its simple-root floor) z-derivatives.  phi_series (the
+power series in z^2) stays outside the kernel as the oracle the tests
+check it against.
 """
 from __future__ import annotations
 
@@ -53,7 +57,9 @@ class BoundaryData:
 
 _SMALL = 1e-8      # |wL| below which sin(wL)/w equals L to double precision
 _SERIES_X = 1e-4   # |wL|^2 below which _jet sums r as a series
-_CHUNK = 1 << 16   # layers x points held at once by charF_many
+_CHUNK = 1 << 11   # layers x points per charF_many chunk; at 1 << 12 and up
+                   # glibc gave its temporaries back to the OS per chunk
+_PAIR_STOP = 8     # layers charF_many sweeps instead of pairing
 _SERIES_TOL = 1e-16   # term bound at which phi_series stops summing
 
 
@@ -140,20 +146,80 @@ def charF(z: complex, B) -> complex:
     return p[-1] - 1j * z * e[-1]
 
 
+def _layer_matrices(z, rootb, lengths, values) -> np.ndarray:
+    """Per layer and z, the map [[c, a], [-m, c]] of (phi, phi'/z^2).
+
+    z is a column of points and rootb, lengths, values are rows of layers;
+    the result has shape (2, 2, points, layers).  c = cos wL, and with no
+    complex division a = z^2 sw = z sin(wL)/sqrt(b), m = b sw =
+    sqrt(b) sin(wL)/z, except sw = L where |wL| < _SMALL as in _coefficients.
+    cos and sin of wL = x + iy come from real trig (Kahan, "Branch cuts for
+    complex elementary functions", 1987), a quarter of the cost of numpy's
+    complex sin and cos:
+        cos wL = cos x cosh y - i sin x sinh y,
+        sin wL = sin x cosh y + i cos x sinh y.
+    """
+    rl = rootb * lengths
+    x, y = z.real * rl, z.imag * rl
+    t = np.empty((2, 2) + x.shape, complex)
+    c, s = t[0, 0], t[0, 1]
+    np.cos(x, out=c.real)
+    np.sin(x, out=s.real)
+    sh = np.sinh(y)
+    np.multiply(c.real, sh, out=s.imag)
+    np.multiply(s.real, sh, out=c.imag)
+    np.negative(c.imag, out=c.imag)
+    ch = np.cosh(y)
+    c.real *= ch
+    s.real *= ch
+    np.multiply(s, -rootb * (1 / z), out=t[1, 0])
+    s *= z * (1 / rootb)
+    t[1, 1] = c
+    if np.abs(z).min() * rl.min() < _SMALL:
+        small = np.abs(z) * rl < _SMALL
+        np.copyto(t[0, 1], z * z * lengths, where=small)
+        np.copyto(t[1, 0], -values * lengths, where=small)
+    return t
+
+
+def _pair(t) -> np.ndarray:
+    """Products of adjacent layer maps, later times earlier; an odd last
+    layer is carried forward."""
+    n = t.shape[3]
+    lo, hi = t[..., 0:n - 1:2], t[..., 1::2]
+    p = hi[:, :1] * lo[:1]
+    p += hi[:, 1:] * lo[1:]
+    return np.concatenate((p, t[..., -1:]), axis=3) if n % 2 else p
+
+
 def charF_many(zs, B) -> np.ndarray:
-    """Vectorized F over an array of z (used by contour walks and scans)."""
+    """Vectorized F over an array of z (used by contour walks and scans).
+
+    Per chunk of points: the layer maps (_layer_matrices), adjacent maps
+    multiplied pairwise while more than _PAIR_STOP layers remain (_pair: a
+    few numpy calls per round, where the sweep takes six per layer; same
+    rounding bound, Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2nd ed., 2002, sec. 3.5), the rest swept onto (1, 0).
+    F is bit-equal whatever the batch around z (the contour walk caches it
+    per point); overflow returns inf or nan, without a warning.
+    """
     zs = np.asarray(zs, dtype=complex)
     flat = zs.ravel()
     _, lengths, values = B.layers
-    rootb, lengths, values = (np.sqrt(values)[:, None], lengths[:, None],
-                              values[:, None])
+    rootb = np.sqrt(values)
     out = np.empty_like(flat)
     step = max(1, _CHUNK // len(lengths))
-    for k in range(0, len(flat), step):
-        z = flat[k:k + step]
-        _, _, c, sw = _coefficients(z, rootb, lengths)
-        p, e = _states(c, z * z * sw, values * sw, 1.0, 0.0)
-        out[k:k + step] = p[-1] - 1j * z * e[-1]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for k in range(0, len(flat), step):
+            z = flat[k:k + step, None]
+            t = _layer_matrices(z, rootb, lengths, values)
+            while t.shape[3] > _PAIR_STOP:
+                t = _pair(t)
+            y, e = t[0, 0, :, 0], t[1, 0, :, 0]
+            for j in range(1, t.shape[3]):
+                y, e = (t[0, 0, :, j] * y + t[0, 1, :, j] * e,
+                        t[1, 0, :, j] * y + t[1, 1, :, j] * e)
+            out[k:k + step] = y - 1j * z[:, 0] * e
     return out.reshape(zs.shape)
 
 

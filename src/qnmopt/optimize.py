@@ -434,10 +434,10 @@ def _polish_newton(B: PiecewiseStructure, kappa: complex,
         sens = _switch_sensitivities(Bq, kq)
         return np.append(sens.imag - q[-1] * sens.real, kq.real - cfg.alpha), kq
 
-    # keeps the last accepted iterate whatever stopped the iteration
-    q, r, kappa_cur, _ = _damped_newton(
+    # only a converged polish replaces the rounded medium
+    q, _, kappa_cur, why = _damped_newton(
         residual, np.append(B.breakpoints[1:-1], 0.0), _POLISH_ITERS, kappa)
-    if r is None:
+    if why is not None:
         return B, kappa
     Bq = build(q[:-1])
     res = newton_refine(Bq, kappa_cur, tol=1e-11, leash=0.5)

@@ -46,7 +46,6 @@ class TestSpectrum:
         assert run(args + [b]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_window_exit_4(self, tmp_path, capsys):
         # F overflows on a window 400 tall: a numerical failure, not a crash
         out = tmp_path / "spectrum.csv"

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qnmopt import field
 from qnmopt.errors import InputError, TailNotConverged, ZeroFrequency
 from qnmopt.field import (_jet, charF, charF_dzF, charF_many, dzF, mode_values,
                           overlap_integrals, phi2_cell_integrals, phi_series,
@@ -401,6 +402,45 @@ class TestGridSweepProperties:
         _, i_phi2b, _ = overlap_integrals(B, z)
         scale = max(1.0, float(np.sum(np.abs(weighted))))
         assert abs(np.sum(weighted) - i_phi2b) < 1e-12 * scale
+
+
+# long grid media: more layers than charF_many sweeps without pairing
+_long_grid_values = st.lists(st.sampled_from((0.0, 1.0, 2.5, 4.0)),
+                             min_size=9, max_size=300)
+
+
+class TestManyKernel:
+    """charF_many (real trig, pairwise layer products, chunks of points)
+    against the scalar sweep, and free of any batch effect."""
+
+    @given(_long_grid_values, st.lists(_grid_z, min_size=1, max_size=4),
+           st.integers(0, 2))
+    @example([1.0, 4.0] * 5, [2.0 + 0.5j], 1)           # 10 layers
+    @example([1.0, 4.0] * 4 + [1.0], [-3.0 + 2.0j], 2)  # 9 layers
+    @example([0.0, 2.5, 4.0] * 100, [5.9 + 5.9j], 1)    # 300 layers
+    @settings(max_examples=40, deadline=None)
+    def test_matches_charF(self, values, zs, chunks):
+        B = _grid(values)
+        pool = zs + [0j, _SUBNORMAL_Z]
+        step = max(1, field._CHUNK // len(B.layers.lengths))
+        batch = np.resize(np.array(pool), len(pool) + chunks * step)
+        many = charF_many(batch, B)
+        for i, z in enumerate(pool):
+            one = charF(z, B)
+            scale = max(1.0, abs(one), abs(propagate(B, z).phi1))
+            assert np.all(np.abs(many[i::len(pool)] - one) < 1e-12 * scale)
+
+    @pytest.mark.parametrize("cells", [9, 256, 257])
+    def test_batch_invariant(self, cells):
+        # the contour walk caches F per point, so F may depend on z alone
+        rng = np.random.default_rng(cells)
+        B = _grid(rng.uniform(0.0, 4.0, cells))
+        zs = np.concatenate((rng.uniform(-12, 12, 600)
+                             + 1j * rng.uniform(-3, 3, 600),
+                             [0j, _SUBNORMAL_Z, 1e-300j, 1e-150 + 0j]))
+        many = charF_many(zs, B)
+        alone = [charF_many(zs[i:i + 1], B)[0] for i in range(len(zs))]
+        assert _bits(*many) == _bits(*alone)
 
 
 def _bits(*zs):

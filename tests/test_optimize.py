@@ -395,6 +395,19 @@ class TestDropThinLayers:
         assert out.values.tolist() == [1.0, 4.0]
 
 
+class TestPolishAcceptance:
+    """Only a converged switch polish replaces the rounded medium.  On these
+    runs Newton stops with "damping failed"; the iterate it stopped at held
+    a 1.9e-9 layer and re-solved to a larger Im k than the grid's."""
+
+    @pytest.mark.parametrize("alpha", [5.3, 7.7])
+    def test_failed_polish_is_not_kept(self, alpha):
+        cfg = OptimizeConfig(alpha=alpha, bounds=AdmissibleBounds(1.0, 9.0),
+                             n_cells=128)
+        res = minimize_im_at_frequency(cfg)
+        assert res.polished_kappa.imag <= res.kappa.imag
+
+
 class TestConfigValidation:
     def test_invariants(self, box14):
         with pytest.raises(InputError):

@@ -592,16 +592,21 @@ class TestNonFiniteContour:
 
     TALL = SpectralWindow(0.1, 12.0, 0.05, 400.0)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_winding_count_raises(self):
         with pytest.raises(NumericalError, match="not finite"):
             winding_count(constant(4.0), self.TALL)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_locate_raises_without_dilating(self, contour_log):
         with pytest.raises(NumericalError, match="not finite"):
             locate(constant(4.0), self.TALL)
         assert len(contour_log) == 1
+
+    @pytest.mark.parametrize("find", [winding_count, locate])
+    def test_overflow_raises_without_warning(self, find):
+        # sin wL overflows on this window; charF_many returns inf or nan
+        # and the walk's finiteness check raises, with no RuntimeWarning
+        with pytest.raises(NumericalError, match="not finite"):
+            find(constant(4.0), SpectralWindow(0.1, 5.0, 300.0, 420.0))
 
     @pytest.mark.parametrize("radius", [math.nan, math.inf, -math.inf,
                                         0.0, -0.1])
