@@ -16,13 +16,12 @@ takes those coefficients for all layers in one numpy pass and the states at
 every layer boundary in one sequential pass; F, the boundary data and the
 closed-form layer integrals read from it.  charF_many, F over many z at
 once, builds the layer maps from real sin, cos, sinh and cosh of the real
-and imaginary parts of wL, multiplies adjacent maps pairwise while more
-than eight layers remain, and sweeps the rest.  The z-derivatives come
-from the same recurrence by forward differentiation (`_jet`): one sweep
-carries phi and its first (Newton steps, charF_dzF) or first and second
-(the gradient and its simple-root floor) z-derivatives.  phi_series (the
-power series in z^2) stays outside the kernel as the oracle the tests
-check it against.
+and imaginary parts of wL and multiplies adjacent maps pairwise down to
+one.  The z-derivatives come from the same recurrence by forward
+differentiation (`_jet`): one sweep carries phi and its first (Newton
+steps, charF_dzF) or first and second (the gradient and its simple-root
+floor) z-derivatives.  phi_series (the power series in z^2) stays
+outside the kernel as the oracle the tests check it against.
 """
 from __future__ import annotations
 
@@ -59,7 +58,6 @@ _SMALL = 1e-8      # |wL| below which sin(wL)/w equals L to double precision
 _SERIES_X = 1e-4   # |wL|^2 below which _jet sums r as a series
 _CHUNK = 1 << 11   # layers x points per charF_many chunk; at 1 << 12 and up
                    # glibc gave its temporaries back to the OS per chunk
-_PAIR_STOP = 8     # layers charF_many sweeps instead of pairing
 _SERIES_TOL = 1e-16   # term bound at which phi_series stops summing
 
 
@@ -152,7 +150,8 @@ def _layer_matrices(z, rootb, lengths, values) -> np.ndarray:
     z is a column of points and rootb, lengths, values are rows of layers;
     the result has shape (2, 2, points, layers).  c = cos wL, and with no
     complex division a = z^2 sw = z sin(wL)/sqrt(b), m = b sw =
-    sqrt(b) sin(wL)/z, except sw = L where |wL| < _SMALL as in _coefficients.
+    sqrt(b) sin(wL)/z, except sw = L where |z| sqrt(b) L < _SMALL, the rule
+    of _coefficients up to rounding.
     cos and sin of wL = x + iy come from real trig (Kahan, "Branch cuts for
     complex elementary functions", 1987), a quarter of the cost of numpy's
     complex sin and cos:
@@ -175,6 +174,8 @@ def _layer_matrices(z, rootb, lengths, values) -> np.ndarray:
     np.multiply(s, -rootb * (1 / z), out=t[1, 0])
     s *= z * (1 / rootb)
     t[1, 1] = c
+    # min|z| min(sqrt(b) L) bounds every |z| sqrt(b) L from below, so this
+    # skips only masks that are all False
     if np.abs(z).min() * rl.min() < _SMALL:
         small = np.abs(z) * rl < _SMALL
         np.copyto(t[0, 1], z * z * lengths, where=small)
@@ -195,11 +196,11 @@ def _pair(t) -> np.ndarray:
 def charF_many(zs, B) -> np.ndarray:
     """Vectorized F over an array of z (used by contour walks and scans).
 
-    Per chunk of points: the layer maps (_layer_matrices), adjacent maps
-    multiplied pairwise while more than _PAIR_STOP layers remain (_pair: a
-    few numpy calls per round, where the sweep takes six per layer; same
-    rounding bound, Higham, *Accuracy and Stability of Numerical
-    Algorithms*, 2nd ed., 2002, sec. 3.5), the rest swept onto (1, 0).
+    Per chunk of points: the layer maps (_layer_matrices), multiplied
+    pairwise down to one map (_pair: a few numpy calls per round, log2 of
+    the layer count rounds; the sequential product's rounding bound,
+    Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
+    2002, sec. 3.5), whose first column is (phi, phi'/z^2) at x = 1.
     F is bit-equal whatever the batch around z (the contour walk caches it
     per point); overflow returns inf or nan, without a warning.
     """
@@ -213,13 +214,9 @@ def charF_many(zs, B) -> np.ndarray:
         for k in range(0, len(flat), step):
             z = flat[k:k + step, None]
             t = _layer_matrices(z, rootb, lengths, values)
-            while t.shape[3] > _PAIR_STOP:
+            while t.shape[3] > 1:
                 t = _pair(t)
-            y, e = t[0, 0, :, 0], t[1, 0, :, 0]
-            for j in range(1, t.shape[3]):
-                y, e = (t[0, 0, :, j] * y + t[0, 1, :, j] * e,
-                        t[1, 0, :, j] * y + t[1, 1, :, j] * e)
-            out[k:k + step] = y - 1j * z[:, 0] * e
+            out[k:k + step] = t[0, 0, :, 0] - 1j * z[:, 0] * t[1, 0, :, 0]
     return out.reshape(zs.shape)
 
 

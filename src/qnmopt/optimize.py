@@ -434,10 +434,13 @@ def _polish_newton(B: PiecewiseStructure, kappa: complex,
         sens = _switch_sensitivities(Bq, kq)
         return np.append(sens.imag - q[-1] * sens.real, kq.real - cfg.alpha), kq
 
-    # only a converged polish replaces the rounded medium
-    q, _, kappa_cur, why = _damped_newton(
+    # keep the rounded medium after an infeasible start or failed damping
+    # (an iterate away from any stationary point); one stopped by an
+    # infeasible difference point has collapsing switches, which
+    # _polish_switches drops before it polishes again
+    q, r, kappa_cur, why = _damped_newton(
         residual, np.append(B.breakpoints[1:-1], 0.0), _POLISH_ITERS, kappa)
-    if why is not None:
+    if r is None or why == "damping failed":
         return B, kappa
     Bq = build(q[:-1])
     res = newton_refine(Bq, kappa_cur, tol=1e-11, leash=0.5)

@@ -430,7 +430,7 @@ class TestManyKernel:
             scale = max(1.0, abs(one), abs(propagate(B, z).phi1))
             assert np.all(np.abs(many[i::len(pool)] - one) < 1e-12 * scale)
 
-    @pytest.mark.parametrize("cells", [9, 256, 257])
+    @pytest.mark.parametrize("cells", [1, 9, 256, 257])
     def test_batch_invariant(self, cells):
         # the contour walk caches F per point, so F may depend on z alone
         rng = np.random.default_rng(cells)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qnmopt.certificate import switch_alignment
 from qnmopt.errors import (InfeasibleError, InputError, LostEigenvalue,
                            StalledDirection, ZeroFrequency)
 from qnmopt.field import charF_many
@@ -396,9 +397,9 @@ class TestDropThinLayers:
 
 
 class TestPolishAcceptance:
-    """Only a converged switch polish replaces the rounded medium.  On these
-    runs Newton stops with "damping failed"; the iterate it stopped at held
-    a 1.9e-9 layer and re-solved to a larger Im k than the grid's."""
+    """A switch polish whose damping failed does not replace the rounded
+    medium.  On bounds (1, 9) the iterate it stopped at held a 1.9e-9 layer
+    and re-solved to a larger Im k than the grid's."""
 
     @pytest.mark.parametrize("alpha", [5.3, 7.7])
     def test_failed_polish_is_not_kept(self, alpha):
@@ -406,6 +407,19 @@ class TestPolishAcceptance:
                              n_cells=128)
         res = minimize_im_at_frequency(cfg)
         assert res.polished_kappa.imag <= res.kappa.imag
+
+    def test_collapsing_polish_is_kept(self):
+        """Here the polish stops at an infeasible difference point: two
+        switches collapse, the sliver is dropped and the re-polish lands on
+        a three-interval medium at Re k = alpha that passes the switch
+        certificate."""
+        cfg = OptimizeConfig(alpha=2.2, bounds=AdmissibleBounds(1.0, 4.0),
+                             n_cells=128)
+        res = minimize_im_at_frequency(cfg)
+        assert res.polished.n_intervals == 3
+        assert abs(res.polished_kappa.real - 2.2) <= 1e-8
+        cert = switch_alignment(res.polished, res.polished_kappa)
+        assert cert.max_deviation < 0.05
 
 
 class TestConfigValidation:
