@@ -11,20 +11,20 @@ quasi-normal eigenvalues.
 
 B is piecewise constant, so everything is one recurrence over its layers
 (`B.layers`): across a layer of length L and value b, with w = z sqrt(b),
-(y, y') moves by [[cos wL, sin(wL)/w], [-w sin wL, cos wL]].  `_sweep`
-takes those coefficients for all layers in one numpy pass and the states at
-every layer boundary in one sequential pass; F, the boundary data and the
-closed-form layer integrals read from it.  charF_many, F over many z at
-once, builds the layer maps from real sin, cos, sinh and cosh of the real
-and imaginary parts of wL and multiplies adjacent maps pairwise down to
-one.  The z-derivatives come from the same recurrence by forward
-differentiation (`_jet`): one sweep carries phi and its first (Newton
-steps, charF_dzF) or first and second (the gradient and its simple-root
-floor) z-derivatives.  phi_series (the power series in z^2) stays
-outside the kernel as the oracle the tests check it against.
+(phi, phi'/z) moves by [[cos wL, sin(wL)/sqrt(b)], [-sqrt(b) sin wL, cos wL]],
+entire in z.  F and its z-derivatives come from one pairwise product of
+those maps' truncated Taylor series in z (`_jet`: charF, charF_dzF, dzF,
+the gradient's F'' and the splitting probe's F^(r)).  charF_many multiplies
+the same maps pairwise for many z at once, built from real trig of the
+real and imaginary parts of wL.  `_sweep` keeps the states at every layer
+boundary, which a pairwise product does not give, for the boundary data,
+the mode values and the closed-form layer integrals.  phi_series (the
+power series in z^2) stays outside the kernel as the oracle the tests
+check it against.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -55,7 +55,6 @@ class BoundaryData:
 # -- the layer sweep -----------------------------------------------------------
 
 _SMALL = 1e-8      # |wL| below which sin(wL)/w equals L to double precision
-_SERIES_X = 1e-4   # |wL|^2 below which _jet sums r as a series
 _CHUNK = 1 << 11   # layers x points per charF_many chunk; at 1 << 12 and up
                    # glibc gave its temporaries back to the OS per chunk
 _SERIES_TOL = 1e-16   # term bound at which phi_series stops summing
@@ -137,21 +136,92 @@ def propagate(B, z: complex) -> BoundaryData:
     return BoundaryData(p[-1], z * z * e[-1], q[-1], dq[-1])
 
 
-def charF(z: complex, B) -> complex:
-    """Characteristic function F(z; B); F(0) = 1 (removable singularity)."""
+# -- F and its z-derivatives -------------------------------------------------
+
+@functools.cache
+def _toeplitz_slots(k: int) -> np.ndarray:
+    """Row of (c_0..c_r, a_0..a_r, -m_0..-m_r, 0), r = k - 1, for each entry
+    of the 2k x 2k block upper-triangular Toeplitz matrix whose block (p, q)
+    is [[c_j, a_j], [-m_j, c_j]] with j = q - p >= 0 (zero below)."""
+    p = np.arange(k)
+    j = p - p[:, None]
+    slots = np.where(j >= 0, np.array([[j, j + k], [j + 2 * k, j]]), 3 * k)
+    slots = slots.transpose(2, 0, 3, 1).reshape(2 * k, 2 * k)
+    slots.flags.writeable = False   # shared by every call
+    return slots
+
+
+def _jet(z: complex, B, order: int) -> tuple:
+    """(F, F', ..., F^(order), phi(1)) at z from one pairwise product.
+
+    With beta = sqrt(b) L, the layer map of (phi, u = phi'/z) has the Taylor
+    coefficients c_j = beta^j/j! cos(wL + j pi/2) on its diagonal and
+    a_j = L beta^(j-1)/j! sin(wL + j pi/2) and -m_j = -b a_j off it (j >= 1;
+    a_0 = sin(wL)/sqrt(b), zL at b = 0, and m_0 = sqrt(b) sin wL).  Nothing
+    divides by z, and a_1 = L cos wL gives F'(0) = i int B exactly.
+    Truncated Taylor series multiply as block upper-triangular Toeplitz
+    matrices (Griewank & Walther, *Evaluating Derivatives*, 2nd ed., SIAM
+    2008, ch. 13): the layers' blocks are multiplied pairwise, later times
+    earlier, and F^(j) = j! (phi_j - i u_j) is read off the first block row.
+    """
     _, lengths, values = B.layers
-    p, e = _sweep(z, values, lengths).phi
-    return p[-1] - 1j * z * e[-1]
+    k = order + 1
+    rootb = np.sqrt(values)
+    beta = rootb * lengths
+    wl = complex(z) * beta
+    g = np.empty((3 * k + 1, len(lengths)), complex)  # rows c_j, a_j, -m_j, 0
+    c, s = np.cos(wl, out=g[0]), np.sin(wl)
+    # a_0; a masked divide costs a third of the build, so only with b = 0
+    if np.count_nonzero(rootb) < len(rootb):
+        np.divide(s, rootb, out=g[k], where=rootb > 0)
+        np.copyto(g[k], z * lengths, where=rootb == 0)
+    else:
+        np.divide(s, rootb, out=g[k])
+    np.multiply(rootb, s, out=g[2 * k])
+    # with s_j = beta^j/j! sin(wL + j pi/2): c_j = -(beta/j) s_(j-1),
+    # s_j = (beta/j) c_(j-1) and a_j = (L/j) c_(j-1)
+    for j in range(1, k):
+        np.multiply(lengths / j, c, out=g[k + j])         # a_j
+        np.multiply(values, g[k + j], out=g[2 * k + j])   # m_j
+        bj = beta / j
+        c, s = np.multiply(bj, s, out=g[j]), bj * c       # -c_j, s_j
+        np.negative(c, out=c)
+    np.negative(g[2 * k:3 * k], out=g[2 * k:3 * k])
+    g[3 * k] = 0
+    t = g.T[:, _toeplitz_slots(k)]
+    while len(t) > 1:
+        n = len(t)
+        p = t[1::2] @ t[0:n - 1:2]
+        if n % 2:
+            p[-1] = t[-1] @ p[-1]
+        t = p
+    ys, us = t[0, :2, ::2].tolist()
+    return (*((y - 1j * u) * math.factorial(j)
+              for j, (y, u) in enumerate(zip(ys, us))), ys[0])
 
 
-def _layer_matrices(z, rootb, lengths, values) -> np.ndarray:
-    """Per layer and z, the map [[c, a], [-m, c]] of (phi, phi'/z^2).
+def charF(z: complex, B) -> complex:
+    """Characteristic function F(z; B); F(0) = 1 (removable singularity).
+    The order-1 product of charF_dzF, so the two agree bit for bit."""
+    return _jet(z, B, 1)[0]
 
-    z is a column of points and rootb, lengths, values are rows of layers;
-    the result has shape (2, 2, points, layers).  c = cos wL, and with no
-    complex division a = z^2 sw = z sin(wL)/sqrt(b), m = b sw =
-    sqrt(b) sin(wL)/z, except sw = L where |z| sqrt(b) L < _SMALL, the rule
-    of _coefficients up to rounding.
+
+def charF_dzF(z: complex, B) -> tuple:
+    """(F, dF/dz) at z from one order-1 product (_jet); dF/dz(0) = i int B."""
+    return _jet(z, B, 1)[:2]
+
+
+def dzF(z: complex, B) -> complex:
+    """dF/dz from the order-1 product (_jet); dF/dz(0) = i int B."""
+    return _jet(z, B, 1)[1]
+
+
+def _layer_matrices(z, rootb, lengths) -> np.ndarray:
+    """Per layer and z, the map [[c, a], [-m, c]] of (phi, phi'/z) (_jet).
+
+    z is a column of points and rootb, lengths are rows of layers; the
+    result has shape (2, 2, points, layers).  c = cos wL, a = sin(wL)/sqrt(b)
+    (zL at b = 0) and m = sqrt(b) sin wL.
     cos and sin of wL = x + iy come from real trig (Kahan, "Branch cuts for
     complex elementary functions", 1987), a quarter of the cost of numpy's
     complex sin and cos:
@@ -171,15 +241,11 @@ def _layer_matrices(z, rootb, lengths, values) -> np.ndarray:
     ch = np.cosh(y)
     c.real *= ch
     s.real *= ch
-    np.multiply(s, -rootb * (1 / z), out=t[1, 0])
-    s *= z * (1 / rootb)
+    np.multiply(s, -rootb, out=t[1, 0])
+    s *= 1 / rootb
     t[1, 1] = c
-    # min|z| min(sqrt(b) L) bounds every |z| sqrt(b) L from below, so this
-    # skips only masks that are all False
-    if np.abs(z).min() * rl.min() < _SMALL:
-        small = np.abs(z) * rl < _SMALL
-        np.copyto(t[0, 1], z * z * lengths, where=small)
-        np.copyto(t[1, 0], -values * lengths, where=small)
+    if not rootb.all():
+        np.copyto(s, z * lengths, where=rootb == 0)
     return t
 
 
@@ -200,7 +266,7 @@ def charF_many(zs, B) -> np.ndarray:
     pairwise down to one map (_pair: a few numpy calls per round, log2 of
     the layer count rounds; the sequential product's rounding bound,
     Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
-    2002, sec. 3.5), whose first column is (phi, phi'/z^2) at x = 1.
+    2002, sec. 3.5), whose first column is (phi, phi'/z) at x = 1.
     F is bit-equal whatever the batch around z (the contour walk caches it
     per point); overflow returns inf or nan, without a warning.
     """
@@ -213,10 +279,10 @@ def charF_many(zs, B) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for k in range(0, len(flat), step):
             z = flat[k:k + step, None]
-            t = _layer_matrices(z, rootb, lengths, values)
+            t = _layer_matrices(z, rootb, lengths)
             while t.shape[3] > 1:
                 t = _pair(t)
-            out[k:k + step] = t[0, 0, :, 0] - 1j * z[:, 0] * t[1, 0, :, 0]
+            out[k:k + step] = t[0, 0, :, 0] - 1j * t[1, 0, :, 0]
     return out.reshape(zs.shape)
 
 
@@ -279,70 +345,6 @@ def phi2_cell_integrals(B, z: complex, edges) -> np.ndarray:
     cell = np.clip(np.searchsorted(edges, mids, side="right") - 1, 0, n - 1)
     return (np.bincount(cell, pieces.real, n)
             + 1j * np.bincount(cell, pieces.imag, n))
-
-
-# -- derivatives of F ------------------------------------------------------
-
-def _tangent(*coeffs) -> tuple:
-    """(y, e, y'/z, e'/z) at x = 1 under the layer map and its z-derivative."""
-    y, e, y1, e1 = 1.0, 0.0, 0.0, 0.0
-    for c, a, m, k, h, n in zip(*coeffs):
-        y, e, y1, e1 = (c * y + a * e, c * e - m * y,
-                        c * y1 + a * e1 + h * e - k * y,
-                        c * e1 - m * y1 + n * y - k * e)
-    return y, e, y1, e1
-
-
-def _curvature(t, *coeffs) -> tuple:
-    """(y, e, y'/z, e'/z, y'', e'') at x = 1 for t = 2 z^2 (see _jet)."""
-    y, e, y1, e1, y2, e2 = 1.0, 0.0, 0.0, 0.0, 0.0, 0.0
-    for c, a, m, k, h, n, c2, a2, m2 in zip(*coeffs):
-        y, e, y1, e1, y2, e2 = (
-            c * y + a * e, c * e - m * y,
-            c * y1 + a * e1 + h * e - k * y, c * e1 - m * y1 + n * y - k * e,
-            c * y2 + a * e2 + c2 * y + a2 * e + t * (h * e1 - k * y1),
-            c * e2 - m * y2 + c2 * e - m2 * y + t * (n * y1 - k * e1))
-    return y, e, y1, e1, y2, e2
-
-
-def _jet(z: complex, B, order: int) -> tuple:
-    """(F, F', F'', phi(1)) at z from one sweep; F'' is None at order 1.
-
-    Forward-mode differentiation of the layer map (Griewank & Walther,
-    *Evaluating Derivatives*, 2nd ed., SIAM 2008): (phi, e = phi'/z^2) and
-    their z-derivatives cross each layer under y <- c y + a e,
-    e <- c e - m y, with c = cos wL, a = z^2 sw and m = b sw.  With
-    r = (sw - L c) / w^2 (its series in x = (wL)^2 below _SERIES_X),
-        c' = -z k,  a' = z h,  m' = -z n;  k = b L sw, h = sw + L c, n = b^2 r,
-        c'' = -b L^2 c,  a'' = 2 L c - z^2 L k,  m'' = 2 n - b L k,
-    and the loop carries the first derivatives divided by z.  Nothing divides
-    by z, so F'(0) = i int B exactly, and F is bit-equal to charF.
-    """
-    _, lengths, values = B.layers
-    w, _, c, sw = _coefficients(z, np.sqrt(values), lengths)
-    x, lc = (w * lengths) ** 2, lengths * c
-    r = lengths ** 3 * (1 / 3 - x * (1 / 30 - x * (1 / 840 - x / 45360)))
-    np.divide(sw - lc, w * w, out=r, where=np.abs(x) >= _SERIES_X)
-    z2, m = z * z, values * sw
-    k, n = lengths * m, values * values * r
-    coeffs = [c, z2 * sw, m, k, sw + lc, n]
-    if order == 2:
-        bl = values * lengths
-        coeffs += [-bl * lc, 2.0 * lc - z2 * lengths * k, 2.0 * n - bl * k]
-    ls = [v.tolist() for v in coeffs]
-    y, e, y1, e1, *ys = _curvature(2 * z2, *ls) if order == 2 else _tangent(*ls)
-    d2f = ys[0] - 2j * z * e1 - 1j * z * ys[1] if ys else None
-    return y - 1j * z * e, z * y1 - 1j * e - 1j * z2 * e1, d2f, y
-
-
-def charF_dzF(z: complex, B) -> tuple:
-    """(F, dF/dz) at z from one tangent sweep (_jet); F is bit-equal to charF."""
-    return _jet(z, B, 1)[:2]
-
-
-def dzF(z: complex, B) -> complex:
-    """dF/dz by forward differentiation of the layer map; dF/dz(0) = i int B."""
-    return _jet(z, B, 1)[1]
 
 
 # -- power-series oracle ------------------------------------------------------

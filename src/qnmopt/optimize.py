@@ -369,7 +369,7 @@ def _finalize(B: GridStructure, kappa: complex, cfg: OptimizeConfig,
 def _switch_sensitivities(B: PiecewiseStructure, kappa: complex) -> np.ndarray:
     """d kappa / d x_j for each interior breakpoint (value jump * density)."""
     xs, vals = B.breakpoints[1:-1], B.values
-    _, df, _, phi1 = _jet(kappa, B, 1)
+    _, df, phi1 = _jet(kappa, B, 1)
     denom = -1j * kappa * phi1 * df   # D of sensitivity.eigenvalue_gradient
     phi, _ = mode_values(B, kappa, xs)
     dens = -kappa ** 2 * phi ** 2 / denom

@@ -5,15 +5,15 @@ A simple eigenvalue kappa(B) is analytic in B with directional derivative
     dkappa(B_D) = - kappa^2 int phi^2 B_D / (2 kappa int phi^2 B - i phi^2(1)),
 
 realized here as a per-cell density (the adjoint gradient of the optimizer).
-At a root the denominator D equals -i kappa phi(1) F'(kappa), so one jet
-sweep of the field module (F, F', F'', phi(1)) and the closed-form cell
-integrals of phi^2 give the gradient, its root check and its simple-root
-floor.  Multiple eigenvalues instead split along r Puiseux branches
-~ c1 zeta^(1/r); splitting_probe measures that exponent and coefficient
-against the formula, whose F^(r) (2 <= r <= 6) dzF_higher reads off
-Cauchy's integral from one charF_many call.  find_double_eigenvalue builds
-the two-layer double root the tests use; it and the optimizer's switch
-polish share one damped-Newton driver, _damped_newton.
+At a root the denominator D equals -i kappa phi(1) F'(kappa), so one
+order-2 jet of the field module (F, F', F'', phi(1)) and the closed-form
+cell integrals of phi^2 give the gradient, its root check and its
+simple-root floor.  Multiple eigenvalues instead split along r Puiseux
+branches ~ c1 zeta^(1/r); splitting_probe measures that exponent and
+coefficient against the formula, whose F^(r) (2 <= r <= 6) dzF_higher
+reads off the order-r jet, exact to rounding.  find_double_eigenvalue
+builds the two-layer double root the tests use; it and the optimizer's
+switch polish share one damped-Newton driver, _damped_newton.
 """
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import (BranchCountMismatch, InputError, NearMultiple,
                      NoConvergence, NotAtRoot)
-from .field import _jet, charF_dzF, charF_many, phi2_cell_integrals, propagate
+from .field import _jet, charF_dzF, phi2_cell_integrals, propagate
 from .medium import (AdmissibleBounds, GridStructure, PiecewiseStructure,
                      _read_only, to_piecewise)
 from .spectrum import newton_refine
@@ -37,8 +37,7 @@ __all__ = [
 ]
 
 _ROOT_TOL = 1e-8   # |F| above this is "not at a root"
-_CAUCHY_NODES = np.exp(2j * np.pi * np.arange(16) / 16)  # of dzF_higher
-_MAX_ORDER = 6     # highest z-derivative the 16 nodes resolve to 1e-9
+_MAX_ORDER = 6     # highest order checked against closed forms and 50 digits
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,22 +71,12 @@ class GradientDensity:
 
 
 def dzF_higher(B, kappa: complex, order: int) -> complex:
-    """d^order F / dz^order for 2 <= order <= 6, from Cauchy's integral.
-
-    The trapezoid rule on the 16 points f_k = F(kappa + rho e^{2 pi i k/16}),
-    rho = 0.5 / max(1, sum sqrt(b_j) L_j), gives the Taylor coefficient c_r
-    of F at kappa as c_r rho^r = fft(f)[r] / 16, and F^(r) = r! c_r.  The
-    aliased c_{r+16} rho^16 lies far below rounding, which grows like
-    eps max|f| r! / rho^r: past order 6 it exceeds about 1e-9 relative.
-    """
+    """d^order F / dz^order for 2 <= order <= 6, exact to rounding: read off
+    one pairwise product of the layer maps' Taylor series (field._jet)."""
     if not 2 <= order <= _MAX_ORDER:
         raise InputError(f"order {order} outside 2..{_MAX_ORDER} "
                          "(dzF gives the first derivative)")
-    _, lengths, values = B.layers
-    rho = 0.5 / max(1.0, float(np.dot(np.sqrt(values), lengths)))
-    f = charF_many(kappa + rho * _CAUCHY_NODES, B)
-    c = np.fft.fft(f)[order] / len(_CAUCHY_NODES)
-    return complex(math.factorial(order) * c / rho ** order)
+    return _jet(kappa, B, order)[order]
 
 
 def eigenvalue_gradient(B, kappa: complex, n_cells: int | None = None) -> GradientDensity:

@@ -12,8 +12,8 @@ evaluate their shared edge once.  The cut half-edges are sampled anew, so
 the children's counts still check the parent's.  A contour on which F
 overflows raises NumericalError.  locate() combines recursive window
 bisection with Newton iteration; each Newton step takes F and the exact
-dF/dz from one tangent sweep of the layer recurrence (charF_dzF).  Constant
-media have a closed-form spectrum that serves as the golden oracle.
+dF/dz from one order-1 Taylor product of the layer maps (charF_dzF).
+Constant media have a closed-form spectrum that serves as the golden oracle.
 """
 from __future__ import annotations
 
@@ -211,19 +211,23 @@ def newton_refine(B, z0: complex, tol: float = 1e-12,
                   leash: float = math.inf):
     """Newton iteration for F(., B) from z0; (kappa, iters, |F(kappa)|) or None.
 
-    Each step takes F and dF/dz from one sweep (charF_dzF); a zero
+    Each step takes F and dF/dz from one product (charF_dzF); a zero
     derivative, or |kappa - z0| beyond leash, counts as divergence.  Once the
-    step is below 1e-14 (1 + |z|), kappa is accepted if |F(kappa)| < tol.
+    step is below 1e-14 (1 + |z|), kappa is accepted if |F(kappa)| < tol; a
+    step below 1e-15 (1 + |z|) moves z by a few ulps, so kappa is then the
+    point it left, whose F is in hand, and no charF is taken.
     """
     z = complex(z0)
     for it in range(1, _NEWTON_ITERS + 1):
         f, df = charF_dzF(z, B)
         if df == 0:
             return None
-        step = f / df
+        prev, step = z, f / df
         z -= step
         if abs(z - z0) > leash:
             return None
+        if abs(step) < 1e-15 * (1.0 + abs(z)) and abs(f) < tol:
+            return prev, it, abs(f)
         if abs(step) < 1e-14 * (1.0 + abs(z)):
             break
     fz = abs(charF(z, B))

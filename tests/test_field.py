@@ -368,6 +368,17 @@ def _grid(values):
     return GridStructure(tuple(values), AdmissibleBounds(0.0, 4.0))
 
 
+def _check_against_sequential(B, z, fs, scale):
+    """charF and charF_many multiply the same layer maps pairwise; check
+    their F against phi(1) - i phi'(1)/z from the sequential sweep."""
+    if z == 0:
+        return
+    bd = propagate(B, z)
+    want = bd.phi1 - 1j * bd.dphi1 / z
+    for f in fs:
+        assert abs(f - want) < 1e-12 * scale
+
+
 class TestGridSweepProperties:
     """The layer sweep on grid media against the reference evaluations."""
 
@@ -392,6 +403,7 @@ class TestGridSweepProperties:
             one = charF(z, B)
             scale = max(1.0, abs(one), abs(propagate(B, z).phi1))
             assert abs(f - one) < 1e-12 * scale
+            _check_against_sequential(B, z, (f, one), scale)
 
     @given(_grid_values, _grid_z)
     @example([0.0, 4.0, 4.0, 1.0], _SUBNORMAL_Z)
@@ -404,7 +416,8 @@ class TestGridSweepProperties:
         assert abs(np.sum(weighted) - i_phi2b) < 1e-12 * scale
 
 
-# long grid media: more layers than charF_many sweeps without pairing
+# long grid media: several rounds of charF_many's pairwise products, with
+# odd layer counts carried forward
 _long_grid_values = st.lists(st.sampled_from((0.0, 1.0, 2.5, 4.0)),
                              min_size=9, max_size=300)
 
@@ -429,6 +442,7 @@ class TestManyKernel:
             one = charF(z, B)
             scale = max(1.0, abs(one), abs(propagate(B, z).phi1))
             assert np.all(np.abs(many[i::len(pool)] - one) < 1e-12 * scale)
+            _check_against_sequential(B, z, (many[i], one), scale)
 
     @pytest.mark.parametrize("cells", [1, 9, 256, 257])
     def test_batch_invariant(self, cells):
@@ -447,8 +461,9 @@ def _bits(*zs):
     return [(complex(z).real.hex(), complex(z).imag.hex()) for z in zs]
 
 
-def mp_dzF(z, B):
-    """dF/dz of the same layer recurrence at 50 digits (mpmath.diff)."""
+def mp_dzF(z, B, order: int = 1):
+    """d^order F/dz^order of the same layer recurrence at 50 digits
+    (mpmath.diff)."""
     _, lengths, values = B.layers
     layers = [(mpmath.mpf(L), mpmath.mpf(b))
               for L, b in zip(lengths.tolist(), values.tolist())]
@@ -463,7 +478,7 @@ def mp_dzF(z, B):
         return y - 1j * zz * e
 
     with mpmath.workdps(50):
-        return complex(mpmath.diff(F, mpmath.mpc(z.real, z.imag)))
+        return complex(mpmath.diff(F, mpmath.mpc(z.real, z.imag), order))
 
 
 def _check_fused(B, z):
@@ -506,6 +521,39 @@ class TestFusedSweep:
         # the jet never divides by z: F(0) = 1 and F'(0) = i int B exactly
         B = two_layer(0.25, 2.0, 0.5, AdmissibleBounds(0.0, 4.0))
         assert charF_dzF(z, B) == (1.0, 0.875j)
+
+
+def _check_taylor(B, z):
+    # the rounding floor eps G (G = exp(|Im z| S), S = int sqrt B, the growth
+    # of the layer map) times (1 + S)^r: the r-th Taylor coefficient of a
+    # layer map scales as (sqrt(b) L)^r / r!
+    s = float(np.dot(B.layers.lengths, np.sqrt(B.layers.values)))
+    grow = math.exp(abs(z.imag) * s)
+    for r in range(1, 7):
+        got = _jet(z, B, r)[r]
+        want = mp_dzF(complex(z), B, r)
+        assert abs(got - want) <= 8.0 * np.finfo(float).eps * grow \
+            * (1.0 + s) ** r * max(1.0, abs(want)), r
+
+
+class TestTaylorDerivatives:
+    """F', ..., F^(6) from the pairwise Taylor product against 50-digit
+    derivatives of the same recurrence."""
+
+    @given(st.lists(st.floats(0.02, 0.98), min_size=0, max_size=7),
+           st.booleans(), _grid_z)
+    @example([0.3, 0.6], True, 0j)
+    @example([0.5], True, _SUBNORMAL_Z)
+    @settings(max_examples=25, deadline=None)
+    def test_piecewise(self, cuts, first_high, z):
+        _check_taylor(_structure_from_bits(cuts, first_high), z)
+
+    @given(_grid_values, _grid_z)
+    @example([0.0, 4.0, 4.0, 1.0], 2.5j)
+    @example([1.0, 2.5, 4.0, 0.0, 2.5], 5.5 - 2.0j)
+    @settings(max_examples=25, deadline=None)
+    def test_grid(self, values, z):
+        _check_taylor(_grid(values), z)
 
 
 class TestAxisSpecialization:

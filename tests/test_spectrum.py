@@ -270,10 +270,12 @@ def reference_newton_refine(B, z0, tol=1e-12, max_iter=60, leash=math.inf):
         df = dzF(z, B)
         if df == 0:
             return None
-        step = f / df
+        prev, step = z, f / df
         z -= step
         if abs(z - z0) > leash:
             return None
+        if abs(step) < 1e-15 * (1.0 + abs(z)) and abs(f) < tol:
+            return prev, it, abs(f)
         if abs(step) < 1e-14 * (1.0 + abs(z)):
             fz = abs(charF(z, B))
             if fz < tol:
@@ -585,6 +587,30 @@ class TestNewtonAgainstReference:
         z0 = math.pi / 2 + 0.05 + 1j * LN3_4
         assert newton_refine(B, z0, leash=1e-3) is None
         assert newton_refine(B, z0)[0] == reference_newton_refine(B, z0)[0]
+
+
+class TestNewtonResidual:
+    """A last step of a few ulps returns the point it started from, with the
+    |F| its product already gave, and takes no charF."""
+
+    def test_residual_is_charF_without_a_sweep(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        box = AdmissibleBounds(1.0, 4.0)
+        w = SpectralWindow(0.1, 12.0, 0.05, 3.0)
+        media = [random_bang_bang(box, rng, max_switches=7) for _ in range(6)]
+        starts = [(B, ev.kappa + 1e-3 * (1 + 1j))
+                  for B in media for ev in locate(B, w)]
+        sweeps = []
+
+        def counted(z, B):
+            sweeps.append(z)
+            return charF(z, B)
+        monkeypatch.setattr(spectrum, "charF", counted)
+        for B, z0 in starts:
+            kappa, _, fz = newton_refine(B, z0)
+            assert fz == abs(charF(kappa, B))
+        assert len(starts) >= 20
+        assert len(sweeps) <= len(starts) // 3
 
 
 class TestNonFiniteContour:
