@@ -106,7 +106,8 @@ def _constant_candidates(alpha: float, bounds: AdmissibleBounds) -> list:
     within a few ulps of its closed form: a window of 17 floats around that
     finds it at any alpha (stepping by ulps past 2^53, where n + 1 == n).
     The ratio meets sqrt(b2) before it is squared, so a tiny alpha finds no
-    candidate instead of overflowing.
+    candidate instead of overflowing.  Near the largest floats, where
+    edge alpha or pi (m + shift) overflows, pi / alpha is taken first.
     """
     if not math.isfinite(alpha):
         raise InputError(f"alpha must be finite, got {alpha}")
@@ -118,10 +119,15 @@ def _constant_candidates(alpha: float, bounds: AdmissibleBounds) -> list:
     r_max = math.sqrt(bounds.b2 + 1e-12)
     r_min = math.sqrt(max(bounds.b1 - 1e-12, 0.0))
     for shift, edge in ((0.0, r_max), (0.5, r_min)):
-        n = math.floor(min(edge * a / math.pi - shift, 2.0 ** 1022))
+        top = edge * a / math.pi
+        if top == math.inf:
+            top = edge / (math.pi / a)
+        n = math.floor(min(top - shift, 1.9 * 2.0 ** 1023))
         step = max(1, int(math.ulp(n)))
         for m in range(max(n - 8 * step, 0), n + 9 * step, step):
             r = math.pi * (m + shift) / a
+            if r == math.inf:
+                r = (m + shift) * (math.pi / a)
             if r > r_max:
                 continue
             b = r ** 2

@@ -2,16 +2,27 @@
 
 The characteristic function F(.; B) is entire, so zeros inside a rectangle
 are counted by the winding number of F along the boundary (argument
-principle), with adaptive contour refinement.  The walk takes the new points
-of all its contours in one charF_many call per round and inserts the
-midpoint of every segment that turns too far.  Each rectangle edge refines
-on its own, so one locate() call keeps every finished edge by its corner
-pair, as (turn, min |F|, max |F|): a child window reuses its parent's two
+principle), with adaptive contour refinement.  An edge of length l starts
+from max(16, ceil(2 l int sqrt(B) / pi)) samples, about a quarter turn of F
+apart, so wide windows do not alias.  The walk takes the new points of all
+its contours in one charF_many call per round and inserts the midpoint of
+every segment that turns too far.  Each rectangle edge refines on its own,
+so one locate() call keeps every finished edge by its corner pair, as
+(turn, min |F|, max |F|) and the trapezoid sums of (z - a)^q log F dz,
+q < 4, from its first corner a: a child window reuses its parent's two
 uncut edges, and the two halves of a split are walked together and
 evaluate their shared edge once.  The cut half-edges are sampled anew, so
 the children's counts still check the parent's.  A contour on which F
-overflows raises NumericalError.  locate() combines recursive window
-bisection with Newton iteration; each Newton step takes F and the exact
+overflows raises NumericalError.
+
+locate() combines recursive window bisection with Newton iteration.  A
+window holding one to four zeros first takes Newton starts from its
+contour moments: by parts, the cached edge sums give the power sums of its
+zeros (Delves & Lyness, Math. Comp. 21, 1967; Kravanja & Van Barel,
+Computing the Zeros of Analytic Functions, LNM 1727, 2000), Newton's
+identities the polynomial with those zeros, and Durand-Kerner iteration its
+roots.  The window is bisected only when a Newton run fails, leaves it or
+lands on a zero already found.  Each Newton step takes F and the exact
 dF/dz from one order-1 Taylor product of the layer maps (charF_dzF).
 Constant media have a closed-form spectrum that serves as the golden oracle.
 """
@@ -36,8 +47,10 @@ _CONTOUR_FLOOR = 1e-12   # relative |F| floor on contours
 _DILATE = 1.37           # window growth factor on ZeroOnContour retries
 _MAX_DEPTH = 64
 _WINDING_ROUNDS = 40     # contour refinement rounds before giving up
+_MAX_POINTS = 400_000    # contour points a walk may hold
 _NEWTON_ITERS = 60       # iteration cap of newton_refine
-_EDGE = np.arange(16) / 16   # fractions k/16 along each rectangle edge
+_EDGE_MIN = 16           # fewest segments on a rectangle edge
+_MOMENTS = 4             # most zeros a window takes from its moments
 _UNIT_CIRCLE = np.exp(1j * np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False))
 
 
@@ -94,17 +107,63 @@ def _rect_edges(w: SpectralWindow) -> list:
     return list(zip(c, c[1:] + c[:1]))
 
 
+def _edge_points(B, ab: np.ndarray) -> tuple:
+    """Starting samples of the edges ab[:, 0] -> ab[:, 1], end to end, and
+    the number of segments of each.
+
+    An edge (a, b) of n segments holds a + k/n (b - a), k < n, and b.  Along
+    a horizontal edge F turns by about |b - a| int sqrt(B) (the phase of
+    exp(+-i z int sqrt B)), so n = max(16, ceil(2 |b - a| int sqrt(B) / pi))
+    starts every segment at most a quarter turn long; a fixed 16 let wide
+    windows alias to a wrong count.
+    """
+    _, lengths, values = B.layers
+    a, b = ab[:, 0], ab[:, 1]
+    with np.errstate(over="ignore"):    # b - a = inf is caught below
+        turn = np.abs(b - a) * float(np.dot(lengths, np.sqrt(values)))
+    n = np.maximum(np.ceil(turn * (2.0 / math.pi)), _EDGE_MIN)
+    if not n.sum() <= _MAX_POINTS:
+        raise NumericalError(f"contour needs more than {_MAX_POINTS} points")
+    n = n.astype(int)
+    size = n + 1
+    ends = np.cumsum(size) - 1
+    k = np.arange(size.sum()) - np.repeat(ends - n, size)
+    pts = np.repeat(a, size) + k / np.repeat(n, size) * np.repeat(b - a, size)
+    pts[ends] = b
+    return pts, n
+
+
+def _log_sums(pts, af, dtheta, starts) -> list:
+    """Per contour piece from its first sample p, the trapezoid sums of
+    (z - p)^q log F dz, q < _MOMENTS.
+
+    log F = log|F| + i theta with theta unwrapped from p, where it is 0;
+    the reader adds the phase its contour has reached at p.
+    """
+    sizes = np.diff(starts, append=len(pts))
+    first = np.repeat(starts, sizes)
+    theta = np.concatenate(([0.0], np.cumsum(np.nan_to_num(dtheta))))
+    with np.errstate(all="ignore"):
+        logf = np.log(af) + 1j * (theta - theta[first])
+        g = logf[:, None] * np.vander(pts - pts[first], _MOMENTS,
+                                      increasing=True)
+        seg = 0.5 * np.diff(pts)[:, None] * (g[:-1] + g[1:])
+    seg[starts[1:] - 1] = 0.0     # no segment joins two pieces
+    return np.add.reduceat(seg, starts).tolist()
+
+
 def _walk(B, contours: list, done: dict) -> list:
     """Zero counts of F inside closed contours, None where |F| collapses.
 
-    A contour is a list of rectangle edges, corner pairs (a, b) standing for
-    a + k/16 (b - a), k < 16, and b, or one closed point array (a circle,
-    never cached).  An edge whose corner pair is in done, either way round,
-    costs no evaluation; the other edges share one flat point array, so a
-    round makes one charF_many call for all contours, on the new points
-    only, and gives the midpoint to every segment that turns by pi/2 or
-    more.  A converged contour stores its edges in done as
-    (turn, min |F|, max |F|).
+    A contour is a list of rectangle edges, corner pairs (a, b) sampled by
+    _edge_points, or one closed point array (a circle, never cached).  An
+    edge whose corner pair is in done, either way round, costs no
+    evaluation; the other edges share one flat point array, so a round
+    makes one charF_many call for all contours, on the new points only, and
+    gives the midpoint to every segment that turns by pi/2 or more.  A
+    converged contour stores its edges in done as (turn, min |F|,
+    max |F|, G_0, .., G_3), G_q the _log_sums of the edge from a; they
+    are taken once per round in which some contour converges.
 
     Every contour here is positively oriented and F is entire, so a
     negative count can only come from under-sampling and is refused.
@@ -120,7 +179,7 @@ def _walk(B, contours: list, done: dict) -> list:
         for key in c:
             rev = key[::-1]
             if key in done or rev in done:
-                t, l, h = done[key] if key in done else done[rev]
+                t, l, h = (done[key] if key in done else done[rev])[:3]
                 t0 += t if key in done else -t
                 lo0, hi0 = min(lo0, l), max(hi0, h)
                 continue
@@ -131,12 +190,10 @@ def _walk(B, contours: list, done: dict) -> list:
             sgn.append(1.0 if key in index else -1.0)
         plan.append((np.array(e, dtype=int), np.array(sgn), t0, lo0, hi0))
     ab = np.array(keys[len(loops):], dtype=complex).reshape(-1, 2)
-    a, b = ab[:, :1], ab[:, 1:]
-    pts = np.concatenate([np.append(p, p[0]) for p in loops]
-                         + [np.concatenate((a + _EDGE * (b - a), b),
-                                           axis=1).ravel()])
+    edges, segments = _edge_points(B, ab)
+    pts = np.concatenate([np.append(p, p[0]) for p in loops] + [edges])
     starts = np.cumsum([0] + [len(p) + 1 for p in loops]
-                       + [len(_EDGE) + 1] * len(ab))[:-1]
+                       + (segments + 1).tolist())[:-1]
     counts: list = [None] * len(contours)
     pending = list(range(len(contours)))
     fv = charF_many(pts, B) if len(pts) else pts
@@ -150,6 +207,7 @@ def _walk(B, contours: list, done: dict) -> list:
         bad = np.abs(dtheta) >= 0.5 * math.pi
         turn = np.add.reduceat(dtheta, starts)
         rough = np.logical_or.reduceat(bad, starts)
+        sums = None
         for c in list(pending):
             e, sgn, t, l, h = plan[c]
             fmax = hi[e].max(initial=h)
@@ -168,9 +226,12 @@ def _walk(B, contours: list, done: dict) -> list:
                 raise NumericalError("negative winding: contour under-sampled")
             counts[c] = int(n)
             pending.remove(c)
+            if sums is None:
+                sums = _log_sums(pts, af, dtheta, starts)
             for j in e.tolist():
                 if keys[j] is not None:
-                    done[keys[j]] = (float(turn[j]), float(lo[j]), float(hi[j]))
+                    done[keys[j]] = (float(turn[j]), float(lo[j]),
+                                     float(hi[j]), *sums[j])
         if not pending:
             return counts
         # midpoint of every segment that turns too far on a pending contour
@@ -181,7 +242,7 @@ def _walk(B, contours: list, done: dict) -> list:
         i = np.flatnonzero(bad & np.repeat(live, sizes)[:-1])
         mids = 0.5 * (pts[i] + pts[i + 1])
         pts = np.insert(pts, i + 1, mids)
-        if rnd == _WINDING_ROUNDS - 1 or len(pts) - len(starts) > 400_000:
+        if rnd == _WINDING_ROUNDS - 1 or len(pts) - len(starts) > _MAX_POINTS:
             break
         fv = np.insert(fv, i + 1, charF_many(mids, B))
         starts += np.searchsorted(i, starts)
@@ -296,6 +357,71 @@ def locate(B, w: SpectralWindow, tol: float = 1e-12) -> list:
     return out
 
 
+def _power_sums(w: SpectralWindow, n: int, done: dict) -> list:
+    """s_1 .. s_n: the sums of ((zeta - c) / r)^p over the n zeros zeta of
+    F in the counted window w, c its centre and r its half-diagonal.
+
+    By parts from the argument principle (Delves & Lyness, Math. Comp. 21,
+    1967), s_p = n u0^p - p / (2 pi i r^p) oint (z - c)^(p-1) log F dz, with
+    u0 = (z0 - c) / r at the first corner z0 and log F continued from it.
+    The edge sums in done give the integral without a new evaluation:
+    (z - c)^m is expanded about each edge's first sample, a corner within r
+    of c, so the expansion does not cancel.
+    """
+    c, r = w.center, 0.5 * math.hypot(*w.widths)
+    phase, acc = 0.0, [0j] * n   # acc[m] = oint (z - c)^m log F dz / r^(m+1)
+    inv = 1.0 / r   # its powers underflow where r's would overflow
+    for a, b in _rect_edges(w):
+        sgn = 1.0 if (a, b) in done else -1.0
+        p, q = (a, b) if sgn > 0 else (b, a)
+        turn, _, _, *g = done[p, q]
+        # along p -> q, log F = log|F| + i (at_p + theta), as G_q assumes
+        at_p = phase if sgn > 0 else phase - turn
+        phase += sgn * turn
+        d, h = (p - c) / r, (q - p) / r
+        edge = [g[j] * inv ** (j + 1) + 1j * at_p * h ** (j + 1) / (j + 1)
+                for j in range(n)]
+        for m in range(n):
+            acc[m] += sgn * sum(math.comb(m, j) * d ** (m - j) * edge[j]
+                                for j in range(m + 1))
+    u0 = (w.corners()[0] - c) / r
+    return [n * u0 ** p - p * acc[p - 1] / (2j * math.pi)
+            for p in range(1, n + 1)]
+
+
+def _moment_starts(w: SpectralWindow, n: int, done: dict) -> list:
+    """Newton starts for the n zeros of F in the counted window w.
+
+    They are the roots of the monic polynomial whose power sums are
+    _power_sums (its coefficients by Newton's identities), found by
+    Durand-Kerner iteration in the scaled variable (z - c) / r.  Empty if
+    the iteration meets two equal roots.
+    """
+    s = _power_sums(w, n, done)
+    e = [1.0]    # elementary symmetric functions of the scaled zeros
+    for k in range(1, n + 1):
+        e.append(sum((-1) ** (i - 1) * e[k - i] * s[i - 1]
+                     for i in range(1, k + 1)) / k)
+    coef = [(-1) ** k * e[k] for k in range(n + 1)]
+    xs = [(0.4 + 0.9j) ** k for k in range(n)]
+    for _ in range(64):
+        moved = 0.0
+        for i, x in enumerate(xs):
+            f, d = 0j, 1.0
+            for a in coef:
+                f = f * x + a
+            for y in xs[:i] + xs[i + 1:]:
+                d *= x - y
+            if d == 0:
+                return []
+            xs[i] = x - f / d
+            moved = max(moved, abs(f / d))
+        if moved < 1e-12:
+            break
+    c, r = w.center, 0.5 * math.hypot(*w.widths)
+    return [c + r * x for x in xs]
+
+
 def _locate_rec(B, w: SpectralWindow, count: int, tol: float, depth: int,
                 found: list, done: dict) -> None:
     if count == 0:
@@ -303,12 +429,12 @@ def _locate_rec(B, w: SpectralWindow, count: int, tol: float, depth: int,
     if depth > _MAX_DEPTH:
         raise MaxDepthExceeded(f"cannot isolate {count} zeros near {w.center}")
     diam = math.hypot(*w.widths)
-    if count == 1:
-        res = newton_refine(B, w.center, tol=tol, leash=4.0 * diam + 1.0)
-        if res is not None and w.contains(res[0], pad=1e-12):
-            kappa, iters, fz = res
-            found.append(QuasiEigenvalue(kappa, 1, fz, iters))
-            return
+    if count <= _MOMENTS and diam >= 1e-5:
+        starts = _moment_starts(w, count, done)
+        if count == 1 and not w.contains(starts[0]):
+            starts = [w.center]
+    elif count == 1:
+        starts = [w.center]
     elif diam < 1e-5:
         # suspected multiple zero: Newton pulls to the cluster centroid
         res = newton_refine(B, w.center, tol=math.inf, leash=4.0 * diam + 1.0)
@@ -319,6 +445,21 @@ def _locate_rec(B, w: SpectralWindow, count: int, tol: float, depth: int,
                 found.append(QuasiEigenvalue(kappa, mult, fz, iters))
                 return
         raise MaxDepthExceeded(f"cluster of {count} zeros near {w.center}")
+    else:
+        starts = []
+    # all count zeros, each simple and inside w, or else the split below
+    roots: list = []
+    for z in starts:
+        res = newton_refine(B, z, tol=tol, leash=4.0 * diam + 1.0)
+        if res is None or not w.contains(res[0], pad=1e-12) or any(
+                abs(res[0] - ev.kappa) < 1e-6 * (1.0 + abs(res[0]))
+                for ev in roots):
+            break
+        kappa, iters, fz = res
+        roots.append(QuasiEigenvalue(kappa, 1, fz, iters))
+    if len(roots) == count:
+        found.extend(roots)
+        return
     for frac in (0.5, 0.5321, 0.4717, 0.5613):
         try:
             (ca, wa), (cb, wb) = _halves(B, w, frac, done)

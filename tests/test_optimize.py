@@ -53,6 +53,14 @@ class TestSeeding:
         assert 4.0 - 1e-10 < b <= 4.0 and kappa.real == alpha
         assert kappa.imag == constant_upper_bound(alpha, bounds)
 
+    def test_largest_frequencies_seed(self, box14):
+        # pi (n + shift) overflowed before the ratio reached sqrt(b2), so no
+        # candidate was found and the seed raised InfeasibleError
+        for alpha in (1.7e308, -1.7e308, float(np.finfo(float).max)):
+            b, kappa = best_constant_seed(alpha, box14)
+            assert 1.0 <= b <= 4.0 and kappa.real == alpha
+            assert kappa.imag == axis_offset(b)
+
     @pytest.mark.parametrize("alpha", [math.inf, -math.inf, math.nan])
     def test_nonfinite_frequency_rejected(self, box14, alpha):
         with pytest.raises(InputError):

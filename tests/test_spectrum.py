@@ -1,16 +1,19 @@
 import math
+from unittest import mock
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qnmopt import spectrum
-from qnmopt.errors import (InputError, NotIsolated, NumericalError,
-                           ZeroOnContour)
+from qnmopt.errors import (InputError, MaxDepthExceeded, NotIsolated,
+                           NumericalError, QnmOptError, ZeroOnContour)
 from qnmopt.field import charF, charF_many, dzF
 from qnmopt.medium import (AdmissibleBounds, GridStructure, PiecewiseStructure,
                            constant, random_bang_bang)
-from qnmopt.spectrum import (SpectralWindow, axis_offset,
+from qnmopt.spectrum import (QuasiEigenvalue, SpectralWindow, axis_offset,
                              constant_spectrum, locate, multiplicity,
                              newton_refine, winding_count)
 
@@ -222,12 +225,22 @@ class TestAxisOffset:
 
 # -- references: the contour walk and Newton step before the fused sweep ------
 
-def reference_rect_points(w, per_edge=16):
+def reference_edge_count(a, b, B):
+    """Segments of edge (a, b): 16, or the optical length's 2 |b - a| int
+    sqrt(B) / pi where that is more."""
+    optical = sum(L * math.sqrt(v) for L, v in zip(B.layers.lengths.tolist(),
+                                                   B.layers.values.tolist()))
+    return max(16, math.ceil(2.0 * abs(b - a) * optical / math.pi))
+
+
+def reference_rect_points(w, B=None):
+    """The walk's first samples of w: 16 per edge, or with B as many as
+    reference_edge_count gives."""
     cs = w.corners()
     pts = []
     for a, b in zip(cs, cs[1:] + cs[:1]):
-        ts = np.linspace(0.0, 1.0, per_edge, endpoint=False)
-        pts.append(a + ts * (b - a))
+        n = 16 if B is None else reference_edge_count(a, b, B)
+        pts.append(a + np.arange(n) / n * (b - a))
     return np.concatenate(pts)
 
 
@@ -312,8 +325,8 @@ def _contour_media():
     bb = random_bang_bang(box, np.random.default_rng(3), max_switches=7)
     grid = GridStructure(tuple(np.random.default_rng(7).uniform(1, 4, 256)),
                          box)
-    # windows wide or tall enough that 16 points per edge need 3-5 rounds
-    return [(constant(4.0), SpectralWindow(-30.0, 30.0, 0.05, 6.0)),
+    # windows wide or tall enough that their first samples need 3-6 rounds
+    return [(constant(9.0), SpectralWindow(-30.0, 30.0, 0.05, 6.0)),
             (bb, SpectralWindow(0.1, 40.0, 0.05, 3.0)),
             (bb, SpectralWindow(0.1, 12.0, 0.05, 8.0)),
             (grid, SpectralWindow(0.1, 40.0, 0.05, 3.0))]
@@ -350,17 +363,25 @@ class TestContourAgainstReference:
             raise _Stop
 
         monkeypatch.setattr(spectrum, "charF_many", first_round)
+        B = constant(4.0)
+        longest = 0
         for w in wins:
             with pytest.raises(_Stop):
-                winding_count(constant(4.0), w)
-            edges = seen.pop().reshape(4, 17)
-            assert _bits(edges[:, :16].ravel()) \
-                == _bits(reference_rect_points(w))
-            assert _bits(edges[:, 16].copy()) == _bits(np.roll(w.corners(), -1))
+                winding_count(B, w)
+            cs = w.corners()
+            sizes = [reference_edge_count(a, b, B) + 1
+                     for a, b in zip(cs, cs[1:] + cs[:1])]
+            edges = np.split(seen.pop(), np.cumsum(sizes))
+            assert len(edges.pop()) == 0
+            assert _bits(np.concatenate([e[:-1] for e in edges])) \
+                == _bits(reference_rect_points(w, B))
+            assert _bits([e[-1] for e in edges]) == _bits(np.roll(cs, -1))
+            longest = max(longest, *sizes)
+        assert longest > 100
 
     def test_refinement_rounds_equal(self, contour_log):
         for B, w in _contour_media():
-            ref = reference_phase_winding(reference_rect_points(w), B)
+            ref = reference_phase_winding(reference_rect_points(w, B), B)
             ref_log = list(contour_log)
             contour_log.clear()
             assert winding_count(B, w) == ref
@@ -471,7 +492,7 @@ class TestEdgeReuse:
         w = SpectralWindow(math.pi / 2, 20.0, LN3_4 - 0.2, LN3_4 + 0.2)
         a, b = spectrum._split(w, 0.5)
         with pytest.raises(ZeroOnContour):
-            reference_phase_winding(reference_rect_points(a), B)
+            reference_phase_winding(reference_rect_points(a, B), B)
         failed = contour_log[-1]
         contour_log.clear()
         done = {}
@@ -543,13 +564,14 @@ class TestRefinementBudget:
         monkeypatch.setattr(spectrum, "charF_many", logged)
         monkeypatch.setitem(globals(), "charF_many", logged)
         w = SpectralWindow(0.1, 12.0, 0.05, 3.0)
+        B = constant(4.0)   # sets the 16 samples per edge; F is the fake
         with pytest.raises(NumericalError, match="did not converge"):
-            reference_phase_winding(reference_rect_points(w), None)
+            reference_phase_winding(reference_rect_points(w, B), B)
         rounds = len(calls)
         assert (rounds < spectrum._WINDING_ROUNDS) == capped
         calls.clear()
         with pytest.raises(NumericalError, match="did not converge"):
-            winding_count(None, w)
+            winding_count(B, w)
         assert len(calls) == rounds
 
 
@@ -634,6 +656,14 @@ class TestNonFiniteContour:
         with pytest.raises(NumericalError, match="not finite"):
             find(constant(4.0), SpectralWindow(0.1, 5.0, 300.0, 420.0))
 
+    @pytest.mark.parametrize("find", [winding_count, locate])
+    @pytest.mark.parametrize("re_min, re_max", [(0.0, 1e10),
+                                                (-1e308, 1e308)])
+    def test_too_many_edge_samples_raise(self, find, re_min, re_max):
+        # the optical length asks for more samples than a walk may hold
+        with pytest.raises(NumericalError, match="400000 points"):
+            find(constant(4.0), SpectralWindow(re_min, re_max, 0.05, 3.0))
+
     @pytest.mark.parametrize("radius", [math.nan, math.inf, -math.inf,
                                         0.0, -0.1])
     def test_multiplicity_radius(self, radius):
@@ -643,22 +673,190 @@ class TestNonFiniteContour:
 
 class TestNegativeWinding:
     """F is entire and every contour is positively oriented, so a negative
-    count means the phase walk aliased; it is refused, not returned."""
+    count means the phase walk aliased; it is refused, not returned.  Edges
+    sampled by their optical length no longer alias these windows."""
 
     def test_constant_wide_window(self):
         # 16 points per edge alias the 25 zeros of this window to -1
         w = SpectralWindow(0.1, 40.0, 0.05, 3.0)
-        assert len(constant_spectrum(4.0, w)) == 25
+        want = constant_spectrum(4.0, w)
+        assert len(want) == 25
         B = constant(4.0)
         assert reference_phase_winding(reference_rect_points(w), B) == -1
-        with pytest.raises(NumericalError, match="negative winding"):
-            winding_count(B, w)
-        with pytest.raises(NumericalError):
-            locate(B, w)
+        assert winding_count(B, w) == 25
+        got = locate(B, w)
+        assert [ev.multiplicity for ev in got] == [1] * 25
+        assert max(abs(ev.kappa - z) for ev, z in zip(got, want)) < 1e-10
 
     def test_random_bang_bang(self, box14):
         w = SpectralWindow(-30.0, 30.0, 0.05, 6.0)
         B = random_bang_bang(box14, np.random.default_rng(17))
         assert reference_phase_winding(reference_rect_points(w), B) == -1
+        # the per-point loop on 256 points per edge counts 29
+        assert winding_count(B, w) == 29
+        assert sum(ev.multiplicity for ev in locate(B, w)) == 29
+
+    def test_negative_count_refused(self, monkeypatch):
+        # 1 / (z - c) winds once backwards around its pole c
+        c = 6.0 + 1.5j
+        monkeypatch.setattr(spectrum, "charF_many",
+                            lambda zs, B: 1.0 / (np.asarray(zs) - c))
         with pytest.raises(NumericalError, match="negative winding"):
-            winding_count(B, w)
+            winding_count(constant(4.0), SpectralWindow(0.1, 12.0, 0.05, 3.0))
+
+
+# -- reference: locate by bisection alone ---------------------------------------
+
+def reference_locate_rec(B, w, count, tol, depth, found, done):
+    """The recursion before moment starts: Newton from the centre of a
+    window holding one zero, bisection of every other window."""
+    if count == 0:
+        return
+    if depth > spectrum._MAX_DEPTH:
+        raise MaxDepthExceeded(f"cannot isolate {count} zeros near {w.center}")
+    diam = math.hypot(*w.widths)
+    if count == 1:
+        res = newton_refine(B, w.center, tol=tol, leash=4.0 * diam + 1.0)
+        if res is not None and w.contains(res[0], pad=1e-12):
+            found.append(QuasiEigenvalue(res[0], 1, res[2], res[1]))
+            return
+    elif diam < 1e-5:
+        res = newton_refine(B, w.center, tol=math.inf, leash=4.0 * diam + 1.0)
+        if res is not None and w.contains(res[0], pad=diam):
+            mult = spectrum._circle_winding(B, res[0], 2.0 * diam + 1e-7)
+            if mult == count:
+                found.append(QuasiEigenvalue(res[0], mult, res[2], res[1]))
+                return
+        raise MaxDepthExceeded(f"cluster of {count} zeros near {w.center}")
+    for frac in (0.5, 0.5321, 0.4717, 0.5613):
+        try:
+            (ca, wa), (cb, wb) = spectrum._halves(B, w, frac, done)
+        except ZeroOnContour:
+            continue
+        if ca + cb == count:
+            reference_locate_rec(B, wa, ca, tol, depth + 1, found, done)
+            reference_locate_rec(B, wb, cb, tol, depth + 1, found, done)
+            return
+    raise NumericalError(f"child windings never matched parent near {w.center}")
+
+
+def reference_locate(B, w):
+    """locate with the bisection-only recursion in place of its own."""
+    with mock.patch.object(spectrum, "_locate_rec", reference_locate_rec):
+        return locate(B, w)
+
+
+@st.composite
+def layered_media(draw):
+    k = draw(st.integers(2, 8))
+    cuts = draw(st.lists(st.floats(0.02, 0.98), min_size=k - 1,
+                         max_size=k - 1, unique=True))
+    values = draw(st.lists(st.floats(0.3, 9.0), min_size=k, max_size=k))
+    return PiecewiseStructure((0.0, *sorted(cuts), 1.0), tuple(values),
+                              AdmissibleBounds(0.3, 9.0))
+
+
+@st.composite
+def windows(draw):
+    re_min, im_min = draw(st.floats(-12.0, 8.0)), draw(st.floats(0.02, 0.3))
+    return SpectralWindow(re_min, re_min + draw(st.floats(2.0, 12.0)),
+                          im_min, im_min + draw(st.floats(0.5, 3.0)))
+
+
+class TestMomentStarts:
+    """Newton starts from the contour moments of log F: the roots of a
+    window holding up to four zeros, without bisecting it."""
+
+    @pytest.mark.parametrize("b", [0.25, 4.0, 9.0])
+    def test_starts_near_constant_zeros(self, b):
+        B = constant(b)
+        zs = constant_spectrum(b, SpectralWindow(0.1, 40.0, 0.05, 3.0))
+        step = math.pi / math.sqrt(b)
+        for n in (1, 2, 3, 4):
+            for first, left in ((0, 0.3), (1, 0.2)):
+                group = zs[first:first + n]
+                im = group[0].imag
+                w = SpectralWindow(group[0].real - left * step,
+                                   group[-1].real + 0.45 * step,
+                                   0.4 * im, im + 0.35 * step)
+                # walked after its left neighbour, w reads their shared
+                # edge reversed
+                wl = SpectralWindow(2 * w.re_min - w.re_max, w.re_min,
+                                    w.im_min, w.im_max)
+                done = {}
+                assert spectrum._walk(B, [spectrum._rect_edges(v)
+                                          for v in (wl, w)], done)[1] == n
+                assert (w.corners()[3], w.corners()[0]) not in done
+                starts = spectrum._moment_starts(w, n, done)
+                r = 0.5 * math.hypot(*w.widths)
+                assert len(starts) == n
+                for z in group:
+                    assert min(abs(z - s) for s in starts) < 0.1 * r
+
+    def test_triple_root_window(self, triple_fixture):
+        # bisection never matched the children's counts to the parent's 3
+        B, kappa, why = triple_fixture
+        assert why is None
+        w = SpectralWindow(kappa.real - 0.3, kappa.real + 0.3,
+                           kappa.imag - 0.3, kappa.imag + 0.3)
+        with pytest.raises(NumericalError, match="never matched"):
+            reference_locate(B, w)
+        evs = locate(B, w)
+        assert sum(ev.multiplicity for ev in evs) == 3 == winding_count(B, w)
+        for ev in evs:
+            assert abs(ev.kappa - kappa) < 1e-4
+            assert abs(charF(ev.kappa, B)) < 1e-12
+
+    def test_failed_starts_fall_back_to_split(self, monkeypatch):
+        # both starts lead Newton to the first zero, so the window is split
+        B = constant(4.0)
+        w = SpectralWindow(1.0, 4.0, 0.05, 1.0)
+        want = constant_spectrum(4.0, w)
+        assert len(want) == 2
+        original = spectrum._moment_starts
+
+        def same_zero(v, n, done):
+            if n == 2:
+                return [want[0] + 1e-3, want[0] - 1e-3j]
+            return original(v, n, done)
+
+        monkeypatch.setattr(spectrum, "_moment_starts", same_zero)
+        got = locate(B, w)
+        assert [ev.multiplicity for ev in got] == [1, 1]
+        assert max(abs(ev.kappa - z) for ev, z in zip(got, want)) < 1e-10
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(B=layered_media(), w=windows())
+    def test_agrees_with_bisection(self, B, w):
+        try:
+            want = reference_locate(B, w)
+        except QnmOptError:
+            assume(False)
+        got = locate(B, w)
+        # matched by distance: zeros on the imaginary axis sort by the sign
+        # of a Re kappa of 1e-19 or so
+        assert len(got) == len(want)
+        for ev in got:
+            near = min(want, key=lambda v: abs(v.kappa - ev.kappa))
+            assert abs(near.kappa - ev.kappa) < 1e-10
+            assert near.multiplicity == ev.multiplicity
+
+    def test_newton_sweeps_per_root(self, monkeypatch):
+        # a guard on the work: from window centres these media take 6.4
+        # sweeps per root
+        rng = np.random.default_rng(256)
+        box = AdmissibleBounds(1.0, 4.0)
+        w = SpectralWindow(0.1, 12.0, 0.05, 3.0)
+        media = [GridStructure(tuple(rng.uniform(1.0, 4.0, 256)), box)
+                 for _ in range(8)]
+        sweeps = []
+        original = spectrum.charF_dzF
+
+        def counted(z, B):
+            sweeps.append(z)
+            return original(z, B)
+
+        monkeypatch.setattr(spectrum, "charF_dzF", counted)
+        roots = sum(ev.multiplicity for B in media for ev in locate(B, w))
+        assert roots >= 40
+        assert len(sweeps) <= 4.5 * roots
