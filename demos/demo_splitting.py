@@ -17,7 +17,7 @@ from qnmopt import (GridStructure, find_double_eigenvalue, multiplicity,
 B, kappa = find_double_eigenvalue((0.7125, 4.0, 1.4792), 4.44244 + 1.03017j)
 print(f"double eigenvalue at {kappa:.10f}")
 print(f"   interface {B.breakpoints[1]:.8f}, layer values {B.values.tolist()}")
-print(f"   circle count: multiplicity = {multiplicity(B, kappa, 0.05)}")
+print(f"   square count: multiplicity = {multiplicity(B, kappa, 0.05)}")
 
 # --- measure the splitting law --------------------------------------------------
 

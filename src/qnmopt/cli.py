@@ -38,6 +38,9 @@ FIXTURE_KAPPA = 4.44244 + 1.03017j
 _CONFIG_OPTIONS = {"n_cells": int, "step0": float, "step_grow": float,
                    "step_shrink": float, "max_iters": int, "tol_freq": float,
                    "tol_grad": float, "round_threshold": float}
+# every key a config file may hold
+_CONFIG_KEYS = {"alpha", "bounds", "seed_kappa", "seed_structure",
+                "seed_constant", *_CONFIG_OPTIONS}
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -70,8 +73,7 @@ def _write_json(path: str, obj) -> None:
     _atomic_write(path, json.dumps(obj, indent=2) + "\n")
 
 
-def _manifest(command: str, config_path, inputs: list, outputs: list,
-              seed: int) -> dict:
+def _manifest(command: str, config_path, inputs: list, outputs: list) -> dict:
     return {
         "command": command,
         "config": config_path,
@@ -79,7 +81,6 @@ def _manifest(command: str, config_path, inputs: list, outputs: list,
         "outputs": outputs,
         "version": __version__,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "seed": seed,
     }
 
 
@@ -106,7 +107,7 @@ def cmd_spectrum(args) -> int:
     _write_json(args.out + ".manifest.json",
                 _manifest("spectrum", None,
                           [args.structure or f"constant:{args.preset_constant}"],
-                          [args.out], args.seed))
+                          [args.out]))
     print(f"{len(evs)} eigenvalues -> {args.out}")
     return 0
 
@@ -117,6 +118,11 @@ def _config_from_json(path: str) -> tuple:
             raw = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise InputError(f"config {path} is not a JSON object")
+    unknown = sorted(set(raw) - _CONFIG_KEYS)
+    if unknown:
+        raise InputError(f"unknown config keys {unknown} in {path}")
     try:
         bounds = AdmissibleBounds(*map(float, raw["bounds"]))
         opts = {k: conv(raw[k]) for k, conv in _CONFIG_OPTIONS.items()
@@ -133,8 +139,7 @@ def _config_from_json(path: str) -> tuple:
     elif raw.get("seed_constant") is not None:
         seed_structure = to_grid(constant(float(raw["seed_constant"]), bounds),
                                  cfg.n_cells)
-    rng_seed = int(raw.get("seed", 0))
-    return cfg, seed_structure, rng_seed
+    return cfg, seed_structure
 
 
 def _trajectory_rows(trajectory) -> list:
@@ -160,7 +165,7 @@ def _certificate_record(B, kappa: complex, axis: bool) -> dict:
 
 
 def cmd_optimize(args) -> int:
-    cfg, seed_structure, rng_seed = _config_from_json(args.config)
+    cfg, seed_structure = _config_from_json(args.config)
     os.makedirs(args.out_dir, exist_ok=True)
     traj_path = os.path.join(args.out_dir, "trajectory.csv")
     struct_path = os.path.join(args.out_dir, "structure.json")
@@ -199,7 +204,7 @@ def cmd_optimize(args) -> int:
     _write_json(cert_path, cert_obj)
     _write_json(os.path.join(args.out_dir, "run.manifest.json"),
                 _manifest("optimize", args.config, [args.config],
-                          [traj_path, struct_path, cert_path], rng_seed))
+                          [traj_path, struct_path, cert_path]))
     print(f"status={res.status} kappa={final_kappa:.12g} -> {args.out_dir}")
     return 0
 
@@ -210,7 +215,7 @@ def cmd_certify(args) -> int:
     _write_json(args.out, _certificate_record(B, kappa, kappa.real == 0.0))
     _write_json(args.out + ".manifest.json",
                 _manifest("certify", None, [args.structure or "inline"],
-                          [args.out], args.seed))
+                          [args.out]))
     print(f"certificate -> {args.out}")
     return 0
 
@@ -235,7 +240,7 @@ def cmd_simulate(args) -> int:
     _write_json(args.out + ".manifest.json",
                 _manifest("simulate", None,
                           [args.structure or f"constant:{args.preset_constant}"],
-                          [args.out], args.seed))
+                          [args.out]))
     if args.fit_decay:
         fit = excite_and_fit(B, kappa, args.T, m)
         print(f"fitted beta={fit.beta:.6g} expected={fit.expected:.6g}")
@@ -271,7 +276,7 @@ def cmd_splitting_probe(args) -> int:
     _write_json(args.out + ".manifest.json",
                 _manifest("splitting-probe", None,
                           [args.structure or "fixture"],
-                          [args.out, args.out + ".summary.json"], args.seed))
+                          [args.out, args.out + ".summary.json"]))
     print(f"fitted exponent {probe.fitted_exponent:.4f} -> {args.out}")
     return 0
 
@@ -300,7 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar=("RE_MIN", "RE_MAX", "IM_MIN", "IM_MAX"))
     p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--out", default="spectrum.csv")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("optimize", help="minimize Im kappa at a frequency")
@@ -313,7 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kappa-re", type=float, required=True)
     p.add_argument("--kappa-im", type=float, required=True)
     p.add_argument("--out", default="certificate.json")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("simulate", help="time-domain energy decay")
@@ -325,7 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--T", type=float, default=10.0)
     p.add_argument("--cells", type=int, default=2048)
     p.add_argument("--out", default="decay.csv")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("splitting-probe",
@@ -338,7 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--multiplicity", type=int, default=2)
     p.add_argument("--zetas", type=float, nargs="+", default=None)
     p.add_argument("--out", default="splitting.csv")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_splitting_probe)
 
     return ap

@@ -49,7 +49,7 @@ class MaxDepthExceeded(NumericalError):
 
 
 class NotIsolated(NumericalError):
-    """Another zero sits within the isolation annulus."""
+    """Another zero sits between the isolation squares of half-side r and 2 r."""
 
 
 # -- sensitivity --------------------------------------------------------------

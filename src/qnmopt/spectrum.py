@@ -2,18 +2,22 @@
 
 The characteristic function F(.; B) is entire, so zeros inside a rectangle
 are counted by the winding number of F along the boundary (argument
-principle), with adaptive contour refinement.  An edge of length l starts
-from max(16, ceil(2 l int sqrt(B) / pi)) samples, about a quarter turn of F
-apart, so wide windows do not alias.  The walk takes the new points of all
-its contours in one charF_many call per round and inserts the midpoint of
-every segment that turns too far.  Each rectangle edge refines on its own,
-so one locate() call keeps every finished edge by its corner pair, as
-(turn, min |F|, max |F|) and the trapezoid sums of (z - a)^q log F dz,
-q < 4, from its first corner a: a child window reuses its parent's two
-uncut edges, and the two halves of a split are walked together and
-evaluate their shared edge once.  The cut half-edges are sampled anew, so
-the children's counts still check the parent's.  A contour on which F
-overflows raises NumericalError.
+principle), with adaptive contour refinement.  Every count is taken on
+rectangles; multiplicity() and locate()'s cluster check count on squares
+about a zero.  An edge of length l starts from max(16, ceil(2 l int
+sqrt(B) / pi)) samples, about a quarter turn of F apart, so wide windows
+do not alias.  The walk takes the new points of all its contours in one
+charF_many call per round and inserts the midpoint of every segment that
+turns too far.  Each edge refines on its own, so one locate() call keeps
+every finished edge by its corner pair, as (turn, |F| range) and the
+trapezoid sums of (z - a)^q log F dz, q < 4, from its first corner a: a
+child window reuses its parent's two uncut edges, and the two halves of a
+split are walked together and evaluate their shared edge once.  The cut
+half-edges are sampled anew, so the children's counts still check the
+parent's.  |F| collapses on a contour where its minimum is below 1e-12 of
+its maximum once its growth exp(|Im z| int sqrt B) is divided out; such a
+window is dilated by 1 + 0.004 k and walked again, k = 1, .., 5, before
+ZeroOnContour.  A contour on which F overflows raises NumericalError.
 
 locate() combines recursive window bisection with Newton iteration.  A
 window holding one to four zeros first takes Newton starts from its
@@ -44,14 +48,12 @@ __all__ = [
 ]
 
 _CONTOUR_FLOOR = 1e-12   # relative |F| floor on contours
-_DILATE = 1.37           # window growth factor on ZeroOnContour retries
 _MAX_DEPTH = 64
 _WINDING_ROUNDS = 40     # contour refinement rounds before giving up
 _MAX_POINTS = 400_000    # contour points a walk may hold
 _NEWTON_ITERS = 60       # iteration cap of newton_refine
 _EDGE_MIN = 16           # fewest segments on a rectangle edge
 _MOMENTS = 4             # most zeros a window takes from its moments
-_UNIT_CIRCLE = np.exp(1j * np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False))
 
 
 @dataclass(frozen=True)
@@ -107,9 +109,16 @@ def _rect_edges(w: SpectralWindow) -> list:
     return list(zip(c, c[1:] + c[:1]))
 
 
-def _edge_points(B, ab: np.ndarray) -> tuple:
+def _square_edges(c: complex, h: float) -> list:
+    """The edges of the square of half-side h about c, corners ordered as in
+    SpectralWindow; it may reach below the real axis."""
+    cs = [c + h * d for d in (-1 - 1j, 1 - 1j, 1 + 1j, -1 + 1j)]
+    return list(zip(cs, cs[1:] + cs[:1]))
+
+
+def _edge_points(ab: np.ndarray, optical: float) -> tuple:
     """Starting samples of the edges ab[:, 0] -> ab[:, 1], end to end, and
-    the number of segments of each.
+    the index of the first sample of each.
 
     An edge (a, b) of n segments holds a + k/n (b - a), k < n, and b.  Along
     a horizontal edge F turns by about |b - a| int sqrt(B) (the phase of
@@ -117,10 +126,9 @@ def _edge_points(B, ab: np.ndarray) -> tuple:
     starts every segment at most a quarter turn long; a fixed 16 let wide
     windows alias to a wrong count.
     """
-    _, lengths, values = B.layers
     a, b = ab[:, 0], ab[:, 1]
     with np.errstate(over="ignore"):    # b - a = inf is caught below
-        turn = np.abs(b - a) * float(np.dot(lengths, np.sqrt(values)))
+        turn = np.abs(b - a) * optical
     n = np.maximum(np.ceil(turn * (2.0 / math.pi)), _EDGE_MIN)
     if not n.sum() <= _MAX_POINTS:
         raise NumericalError(f"contour needs more than {_MAX_POINTS} points")
@@ -130,7 +138,7 @@ def _edge_points(B, ab: np.ndarray) -> tuple:
     k = np.arange(size.sum()) - np.repeat(ends - n, size)
     pts = np.repeat(a, size) + k / np.repeat(n, size) * np.repeat(b - a, size)
     pts[ends] = b
-    return pts, n
+    return pts, ends - n
 
 
 def _log_sums(pts, af, dtheta, starts) -> list:
@@ -155,27 +163,25 @@ def _log_sums(pts, af, dtheta, starts) -> list:
 def _walk(B, contours: list, done: dict) -> list:
     """Zero counts of F inside closed contours, None where |F| collapses.
 
-    A contour is a list of rectangle edges, corner pairs (a, b) sampled by
-    _edge_points, or one closed point array (a circle, never cached).  An
-    edge whose corner pair is in done, either way round, costs no
-    evaluation; the other edges share one flat point array, so a round
-    makes one charF_many call for all contours, on the new points only, and
-    gives the midpoint to every segment that turns by pi/2 or more.  A
-    converged contour stores its edges in done as (turn, min |F|,
-    max |F|, G_0, .., G_3), G_q the _log_sums of the edge from a; they
-    are taken once per round in which some contour converges.
+    A contour is a list of edges, corner pairs (a, b) sampled by
+    _edge_points.  An edge whose corner pair is in done, either way round,
+    costs no evaluation; the other edges share one flat point array, so a
+    round makes one charF_many call for all contours, on the new points
+    only, and gives the midpoint to every segment that turns by pi/2 or
+    more.  A converged contour stores its edges in done as (turn, min, max,
+    G_0, .., G_3), G_q the _log_sums of the edge from a; they are taken
+    once per round in which some contour converges.
 
+    min and max are those of |F| exp(-|Im z| int sqrt B), F with its growth
+    taken out, and |F| collapses where min < 1e-12 max: on raw |F| a tall
+    contour on a strong medium spans more than 1e12 with no zero near it.
     Every contour here is positively oriented and F is entire, so a
     negative count can only come from under-sampling and is refused.
     """
-    loops = [c for c in contours if isinstance(c, np.ndarray)]
-    keys = [None] * len(loops)   # corner pair of each new edge
-    loop_ids, index, plan = iter(range(len(loops))), {}, []
+    keys, index, plan = [], {}, []   # keys: corner pair of each new edge
     for c in contours:
         # the new edges with their signs; turn and |F| range of cached ones
         e, sgn, t0, lo0, hi0 = [], [], 0.0, math.inf, -math.inf
-        if isinstance(c, np.ndarray):
-            e, sgn, c = [next(loop_ids)], [1.0], []
         for key in c:
             rev = key[::-1]
             if key in done or rev in done:
@@ -189,18 +195,19 @@ def _walk(B, contours: list, done: dict) -> list:
             e.append(index[key] if key in index else index[rev])
             sgn.append(1.0 if key in index else -1.0)
         plan.append((np.array(e, dtype=int), np.array(sgn), t0, lo0, hi0))
-    ab = np.array(keys[len(loops):], dtype=complex).reshape(-1, 2)
-    edges, segments = _edge_points(B, ab)
-    pts = np.concatenate([np.append(p, p[0]) for p in loops] + [edges])
-    starts = np.cumsum([0] + [len(p) + 1 for p in loops]
-                       + (segments + 1).tolist())[:-1]
+    _, lengths, values = B.layers
+    optical = float(np.dot(lengths, np.sqrt(values)))   # int sqrt(B)
+    pts, starts = _edge_points(np.array(keys, dtype=complex).reshape(-1, 2),
+                               optical)
     counts: list = [None] * len(contours)
     pending = list(range(len(contours)))
     fv = charF_many(pts, B) if len(pts) else pts
     for rnd in range(_WINDING_ROUNDS):
         af = np.abs(fv)
-        lo = np.minimum.reduceat(af, starts)
-        hi = np.maximum.reduceat(af, starts)
+        with np.errstate(invalid="ignore"):   # inf * 0 is caught below
+            scaled = af * np.exp(-optical * np.abs(pts.imag))
+        lo = np.minimum.reduceat(scaled, starts)
+        hi = np.maximum.reduceat(scaled, starts)
         with np.errstate(divide="ignore", invalid="ignore"):
             dtheta = np.angle(fv[1:] / fv[:-1])
         dtheta[starts[1:] - 1] = 0.0      # no segment joins two edges
@@ -229,9 +236,8 @@ def _walk(B, contours: list, done: dict) -> list:
             if sums is None:
                 sums = _log_sums(pts, af, dtheta, starts)
             for j in e.tolist():
-                if keys[j] is not None:
-                    done[keys[j]] = (float(turn[j]), float(lo[j]),
-                                     float(hi[j]), *sums[j])
+                done[keys[j]] = (float(turn[j]), float(lo[j]), float(hi[j]),
+                                 *sums[j])
         if not pending:
             return counts
         # midpoint of every segment that turns too far on a pending contour
@@ -258,14 +264,6 @@ def _counted(counts: list) -> list:
 def winding_count(B, w: SpectralWindow) -> int:
     """Number of zeros of F inside w, counted with multiplicity."""
     return _counted(_walk(B, [_rect_edges(w)], {}))[0]
-
-
-def _circle(center: complex, radius: float) -> np.ndarray:
-    return center + radius * _UNIT_CIRCLE
-
-
-def _circle_winding(B, center: complex, radius: float) -> int:
-    return _counted(_walk(B, [_circle(center, radius)], {}))[0]
 
 
 def newton_refine(B, z0: complex, tol: float = 1e-12,
@@ -306,21 +304,20 @@ def _split(w: SpectralWindow, frac: float) -> tuple:
             SpectralWindow(w.re_min, w.re_max, ym, w.im_max))
 
 
-def _halves(B, w: SpectralWindow, frac: float, done: dict) -> list:
-    """[(count, window)] of the two halves of w, walked together.
+def _window_counts(B, ws: list, done: dict) -> list:
+    """[(count, window)] of the windows ws, walked together.
 
-    A half whose contour grazes a zero is dilated alone, slightly more on
-    each of up to 5 retries; the retries walk only that half.
+    A window whose contour grazes a zero is dilated alone, slightly more on
+    each of up to 5 retries; the retries walk only that window.
     """
     out = []
-    halves = _split(w, frac)
-    for n, h in zip(_walk(B, [_rect_edges(h) for h in halves], done), halves):
+    for n, w in zip(_walk(B, [_rect_edges(w) for w in ws], done), ws):
         for k in range(1, 6):
             if n is not None:
                 break
-            h = h.dilated(1.0 + 0.004 * k)
-            n = _walk(B, [_rect_edges(h)], done)[0]
-        out.append((_counted([n])[0], h))
+            w = w.dilated(1.0 + 0.004 * k)
+            n = _walk(B, [_rect_edges(w)], done)[0]
+        out.append((_counted([n])[0], w))
     return out
 
 
@@ -330,17 +327,13 @@ def locate(B, w: SpectralWindow, tol: float = 1e-12) -> list:
     Counts stay consistent with winding_count.  Zeros closer together than
     about 1e-6 are below the isolation resolution and come back as a single
     eigenvalue whose multiplicity is the cluster's total (exactly what the
-    circle count of a true multiple zero gives).
+    square count of a true multiple zero gives).
     """
-    w_orig, done = w, {}
-    for attempt in range(6):
-        total = _walk(B, [_rect_edges(w)], done)[0]
-        if total is not None or attempt == 5:
-            break
-        w = w.dilated(_DILATE)
+    done: dict = {}
+    (total, walked), = _window_counts(B, [w], done)
     found: list = []
-    _locate_rec(B, w, _counted([total])[0], tol, 0, found, done)
-    found = [ev for ev in found if w_orig.contains(ev.kappa, pad=1e-9)]
+    _locate_rec(B, walked, total, tol, 0, found, done)
+    found = [ev for ev in found if w.contains(ev.kappa, pad=1e-9)]
     found.sort(key=lambda ev: (ev.kappa.real, ev.kappa.imag))
     # sub-resolution clusters merge with their multiplicities summed
     out: list = []
@@ -440,7 +433,8 @@ def _locate_rec(B, w: SpectralWindow, count: int, tol: float, depth: int,
         res = newton_refine(B, w.center, tol=math.inf, leash=4.0 * diam + 1.0)
         if res is not None and w.contains(res[0], pad=diam):
             kappa, iters, fz = res
-            mult = _circle_winding(B, kappa, 2.0 * diam + 1e-7)
+            mult = _counted(_walk(B, [_square_edges(kappa, 2.0 * diam + 1e-7)],
+                                  {}))[0]
             if mult == count:
                 found.append(QuasiEigenvalue(kappa, mult, fz, iters))
                 return
@@ -462,7 +456,7 @@ def _locate_rec(B, w: SpectralWindow, count: int, tol: float, depth: int,
         return
     for frac in (0.5, 0.5321, 0.4717, 0.5613):
         try:
-            (ca, wa), (cb, wb) = _halves(B, w, frac, done)
+            (ca, wa), (cb, wb) = _window_counts(B, _split(w, frac), done)
         except ZeroOnContour:
             continue
         if ca + cb == count:
@@ -473,18 +467,21 @@ def _locate_rec(B, w: SpectralWindow, count: int, tol: float, depth: int,
 
 
 def multiplicity(B, kappa0: complex, radius: float) -> int:
-    """Zero count of F on the disc of given radius around a located zero.
+    """Zero count of F inside the square of half-side radius about a located
+    zero.
 
-    Demands an empty annulus radius..2*radius so the answer is attributable
-    to the single zero at kappa0.  radius must be finite and positive.
+    Demands no zero between it and the square of half-side 2*radius, so
+    the answer is attributable to the single zero at kappa0.  radius must
+    be finite and positive.
     """
     if not (math.isfinite(radius) and radius > 0):
         raise InputError(f"radius must be finite and positive, got {radius}")
-    inner, outer = _counted(_walk(B, [_circle(kappa0, radius),
-                                      _circle(kappa0, 2.0 * radius)], {}))
+    inner, outer = _counted(_walk(B, [_square_edges(kappa0, radius),
+                                      _square_edges(kappa0, 2.0 * radius)],
+                                  {}))
     if outer != inner:
         raise NotIsolated(
-            f"{outer - inner} extra zeros in the annulus around {kappa0}")
+            f"{outer - inner} extra zeros between the squares about {kappa0}")
     return inner
 
 

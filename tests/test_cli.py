@@ -23,7 +23,20 @@ class TestSpectrum:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "re,im,multiplicity,residual"
         assert len(lines) == 4
-        assert os.path.exists(str(out) + ".manifest.json")
+        manifest = json.loads(open(str(out) + ".manifest.json").read())
+        assert set(manifest) == {"command", "config", "inputs", "outputs",
+                                 "version", "timestamp"}
+
+    @pytest.mark.parametrize("command", [
+        ["spectrum", "--window", 0.1, 5, 0.1, 1],
+        ["certify", "--kappa-re", 1, "--kappa-im", 0.5],
+        ["simulate"], ["splitting-probe"]])
+    def test_no_seed_option(self, command, capsys):
+        # --seed only ever reached the manifest
+        with pytest.raises(SystemExit) as exc:
+            run([*command, "--seed", 0])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed" in capsys.readouterr().err
 
     def test_b1_preset_empty(self, tmp_path):
         out = tmp_path / "spectrum.csv"
@@ -101,10 +114,33 @@ class TestOptimize:
     def test_config_defaults_are_optimize_config_defaults(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"alpha": 1.5, "bounds": [1, 4]}))
-        got, seed_structure, rng_seed = _config_from_json(str(cfg))
+        got, seed_structure = _config_from_json(str(cfg))
         assert got == OptimizeConfig(alpha=1.5,
                                      bounds=AdmissibleBounds(1.0, 4.0))
-        assert seed_structure is None and rng_seed == 0
+        assert seed_structure is None
+
+    @pytest.mark.parametrize("extra, named", [
+        ({"max_iter": 5, "n_cell": 32}, "['max_iter', 'n_cell']"),
+        ({"seed": 0}, "['seed']"),
+    ])
+    def test_unknown_config_keys_exit_2(self, tmp_path, capsys, extra,
+                                        named):
+        # misspelt options used to be ignored: 400 iterations on 256 cells
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"alpha": 1.5, "bounds": [1, 4], **extra}))
+        code = run(["optimize", "--config", cfg, "--out-dir", tmp_path / "r"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("input error: unknown config keys " + named)
+        assert "Traceback" not in err
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("raw", [[1, 2], "alpha", 1.5])
+    def test_config_not_an_object_exit_2(self, tmp_path, raw):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        assert run(["optimize", "--config", cfg,
+                    "--out-dir", tmp_path / "r"]) == 2
 
     def test_config_options_converted(self, tmp_path):
         opts = {"n_cells": 64, "step0": 0.3, "step_grow": 2.0,

@@ -233,15 +233,25 @@ def reference_edge_count(a, b, B):
     return max(16, math.ceil(2.0 * abs(b - a) * optical / math.pi))
 
 
-def reference_rect_points(w, B=None):
-    """The walk's first samples of w: 16 per edge, or with B as many as
-    reference_edge_count gives."""
-    cs = w.corners()
+def reference_polygon_points(cs, B=None):
+    """The walk's first samples of the closed polygon cs: 16 per edge, or
+    with B as many as reference_edge_count gives."""
     pts = []
     for a, b in zip(cs, cs[1:] + cs[:1]):
         n = 16 if B is None else reference_edge_count(a, b, B)
         pts.append(a + np.arange(n) / n * (b - a))
     return np.concatenate(pts)
+
+
+def reference_rect_points(w, B=None):
+    return reference_polygon_points(w.corners(), B)
+
+
+def reference_square(c, h):
+    """Corners of the square of half-side h about c, as SpectralWindow
+    orders them."""
+    return [complex(c.real - h, c.imag - h), complex(c.real + h, c.imag - h),
+            complex(c.real + h, c.imag + h), complex(c.real - h, c.imag + h)]
 
 
 def reference_phase_winding(points, B, max_rounds=40):
@@ -391,22 +401,24 @@ class TestContourAgainstReference:
                 == _multiset(ref_log[-1], w.corners())
             contour_log.clear()
 
-    def test_double_root_circle(self, double_fixture, contour_log):
+    def test_double_root_square(self, double_fixture, contour_log):
         B, kappa = double_fixture
         counts = []
-        for radius in (1e-3, 0.05, 0.3):
-            ts = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
-            ref = reference_phase_winding(kappa + radius * np.exp(1j * ts), B)
+        for h in (1e-3, 0.05, 0.3):
+            cs = reference_square(kappa, h)
+            ref = reference_phase_winding(reference_polygon_points(cs, B), B)
             ref_log = list(contour_log)
             contour_log.clear()
-            counts.append(spectrum._circle_winding(B, kappa, radius))
+            edges = spectrum._square_edges(kappa, h)
+            assert [a for a, _ in edges] == cs
+            counts.append(spectrum._counted(spectrum._walk(B, [edges], {}))[0])
             assert counts[-1] == ref
             assert len(contour_log) == len(ref_log)
-            # every final point once, the closing point twice
-            assert _multiset(*contour_log) \
-                == _multiset(ref_log[-1], ref_log[0][:1])
+            # every final point once, and the 4 corners as both edge ends
+            assert _multiset(*contour_log) == _multiset(ref_log[-1], cs)
             contour_log.clear()
         assert counts[:2] == [2, 2]
+        assert [multiplicity(B, kappa, h) for h in (1e-3, 0.05)] == [2, 2]
 
 
 def _edge_interior(a, b):
@@ -432,7 +444,7 @@ class TestEdgeReuse:
             assert spectrum._walk(B, [spectrum._rect_edges(w)], done) \
                 == [count]
             assert contour_log == []
-            halves = spectrum._halves(B, w, 0.5, done)
+            halves = spectrum._window_counts(B, spectrum._split(w, 0.5), done)
             new = np.concatenate(contour_log)
             rounds = len(contour_log)
             a, b = spectrum._split(w, 0.5)
@@ -496,7 +508,8 @@ class TestEdgeReuse:
         failed = contour_log[-1]
         contour_log.clear()
         done = {}
-        (ca, wa), (cb, wb) = spectrum._halves(B, w, 0.5, done)
+        (ca, wa), (cb, wb) = spectrum._window_counts(B, spectrum._split(w, 0.5),
+                                                     done)
         calls = list(contour_log)
         assert wa == a.dilated(1.004) and wb == b
         # of the grazing half's edges only the one b finished is kept
@@ -536,7 +549,7 @@ class TestEdgeReuse:
 
         monkeypatch.setattr(spectrum, "charF_many", planted)
         with pytest.raises(NumericalError, match="not finite"):
-            spectrum._halves(B, w, 0.5, {})
+            spectrum._window_counts(B, spectrum._split(w, 0.5), {})
         with pytest.raises(NumericalError, match="not finite"):
             winding_count(B, h)
         assert winding_count(B, (b, a)[which]) >= 0
@@ -635,6 +648,51 @@ class TestNewtonResidual:
         assert len(sweeps) <= len(starts) // 3
 
 
+class TestGrowthFloor:
+    """|F| grows like exp(|Im z| int sqrt B), so the collapse floor is taken
+    with that growth divided out: on raw |F| these tall windows spanned more
+    than 1e12 and raised ZeroOnContour with no zero near their contours."""
+
+    @pytest.mark.parametrize("find", [winding_count, locate])
+    @pytest.mark.parametrize("b, window", [
+        (100.0, (0.1, 12.0, 0.05, 3.0)),
+        (9.0, (0.1, 12.0, 0.05, 9.5)),
+        (2500.0, (0.1, 2.0, 0.001, 0.5)),
+    ])
+    def test_tall_windows_count(self, find, b, window):
+        w = SpectralWindow(*window)
+        want = constant_spectrum(b, w)
+        assert len(want) == (11 if b == 9.0 else 0)
+        got = find(constant(b), w)
+        if find is winding_count:
+            assert got == len(want)
+        else:
+            assert [ev.multiplicity for ev in got] == [1] * len(want)
+            assert max((abs(ev.kappa - z) for ev, z in zip(got, want)),
+                       default=0.0) < 1e-10
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(log_b=st.floats(math.log(0.25), math.log(1e4)),
+           re=st.floats(-20.0, 20.0), u=st.floats(-1.5, 1.5),
+           log_h=st.floats(math.log(1e-3), math.log(2.0)))
+    def test_square_counts_constant_zeros(self, log_b, re, u, log_h):
+        # squares about the axis Im = axis_offset(b) of the zeros, many
+        # reaching below the real axis
+        b, h = math.exp(log_b), math.exp(log_h)
+        assume(abs(b - 1.0) > 1e-3)
+        off = axis_offset(b)
+        c = complex(re, off + u * h)
+        # sup-norm distances from c of the zeros in the square of half-side
+        # 2 h; a zero within 1e-6 h of the square's edges may collapse |F|
+        near = constant_spectrum(b, SpectralWindow(
+            c.real - 2.0 * h, c.real + 2.0 * h, 0.5 * off, 2.0 * off))
+        dist = [max(abs(z.real - c.real), abs(z.imag - c.imag)) for z in near]
+        assume(all(abs(d - h) > 1e-6 * h for d in dist))
+        edges = spectrum._square_edges(c, h)
+        assert spectrum._counted(spectrum._walk(constant(b), [edges], {})) \
+            == [sum(d < h for d in dist)]
+
+
 class TestNonFiniteContour:
     """F overflows on very tall windows; that is a numerical failure."""
 
@@ -707,9 +765,13 @@ class TestNegativeWinding:
 
 # -- reference: locate by bisection alone ---------------------------------------
 
+UNIT_CIRCLE = np.exp(1j * np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False))
+
+
 def reference_locate_rec(B, w, count, tol, depth, found, done):
     """The recursion before moment starts: Newton from the centre of a
-    window holding one zero, bisection of every other window."""
+    window holding one zero, bisection of every other window.  A cluster is
+    counted on a 64-point circle, by the per-point loop."""
     if count == 0:
         return
     if depth > spectrum._MAX_DEPTH:
@@ -723,14 +785,16 @@ def reference_locate_rec(B, w, count, tol, depth, found, done):
     elif diam < 1e-5:
         res = newton_refine(B, w.center, tol=math.inf, leash=4.0 * diam + 1.0)
         if res is not None and w.contains(res[0], pad=diam):
-            mult = spectrum._circle_winding(B, res[0], 2.0 * diam + 1e-7)
+            mult = reference_phase_winding(
+                res[0] + (2.0 * diam + 1e-7) * UNIT_CIRCLE, B)
             if mult == count:
                 found.append(QuasiEigenvalue(res[0], mult, res[2], res[1]))
                 return
         raise MaxDepthExceeded(f"cluster of {count} zeros near {w.center}")
     for frac in (0.5, 0.5321, 0.4717, 0.5613):
         try:
-            (ca, wa), (cb, wb) = spectrum._halves(B, w, frac, done)
+            (ca, wa), (cb, wb) = spectrum._window_counts(B, spectrum._split(w, frac),
+                                                    done)
         except ZeroOnContour:
             continue
         if ca + cb == count:
