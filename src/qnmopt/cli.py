@@ -24,7 +24,7 @@ from .optimize import OptimizeConfig, minimize_im_at_frequency
 from .certificate import nonlinear_residual, switch_alignment
 from .sensitivity import find_double_eigenvalue, splitting_probe
 from .spectrum import SpectralWindow, locate
-from .timedomain import excite_and_fit, simulate
+from .timedomain import _plan, excite_and_fit, simulate
 from .field import mode_values
 
 FLOAT_FMT = "%.12e"
@@ -224,8 +224,7 @@ def cmd_simulate(args) -> int:
     B = _load_structure(args)
     kappa = complex(args.kappa_re, args.kappa_im)
     m = args.cells
-    if m < 1:
-        raise InputError(f"--cells must be at least 1, not {m}")
+    _plan(B, args.T, m, None)      # refuse a bad or oversized run up front
     xs = np.linspace(0.0, 1.0, m + 1)
     if args.mode_excitation:
         phi, _ = mode_values(B, kappa, xs)

@@ -24,6 +24,7 @@ check it against.
 """
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -31,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InputError, TailNotConverged
+from .errors import InputError, NumericalError, TailNotConverged
 
 __all__ = [
     "BoundaryData", "propagate", "charF", "charF_many", "charF_dzF", "dzF",
@@ -287,19 +288,30 @@ def charF_many(zs, B) -> np.ndarray:
 
 
 def mode_values(B, z: complex, xs) -> tuple:
-    """(phi, phi') evaluated at sorted positions xs in [0, 1]."""
+    """(phi, phi') evaluated at sorted positions xs in [0, 1].
+
+    A non-finite z raises InputError, values past the float range
+    NumericalError.
+    """
+    if not cmath.isfinite(z):
+        raise InputError(f"z must be finite, not {z!r}")
     xs = np.asarray(xs, dtype=float)
     if not xs.size:
         return np.zeros(0, complex), np.zeros(0, complex)
     if np.any(np.diff(xs) < 0) or xs.min() < -1e-15 or xs.max() > 1 + 1e-15:
         raise InputError("positions must be sorted inside [0, 1]")
     bps, lengths, values = B.layers
-    p, e = (np.array(v) for v in _sweep(z, values, lengths).phi)
-    j = np.clip(np.searchsorted(bps, xs, side="right") - 1, 0, len(lengths) - 1)
-    b, p, e = values[j], p[j], e[j]
-    _, _, c, sw = _coefficients(z, np.sqrt(b), xs - bps[j])
-    z2 = z * z
-    return c * p + z2 * sw * e, z2 * (c * e - b * sw * p)
+    with np.errstate(over="ignore", invalid="ignore"):   # caught below
+        p, e = (np.array(v) for v in _sweep(z, values, lengths).phi)
+        j = np.clip(np.searchsorted(bps, xs, side="right") - 1, 0,
+                    len(lengths) - 1)
+        b, p, e = values[j], p[j], e[j]
+        _, _, c, sw = _coefficients(z, np.sqrt(b), xs - bps[j])
+        z2 = z * z
+        phi, dphi = c * p + z2 * sw * e, z2 * (c * e - b * sw * p)
+    if not (np.isfinite(phi).all() and np.isfinite(dphi).all()):
+        raise NumericalError(f"mode values at z = {z!r} overflow")
+    return phi, dphi
 
 
 def overlap_integrals(B, z: complex):

@@ -11,19 +11,26 @@ twice the mode's imaginary part.
 The loop runs in velocity form: it carries V^n = u^{n+1} - u^n and
 D^n = diff(u^n), so a step is
 
-    V^{n+1} = V^n + lam2 (D^{n+1}[1:] - D^{n+1}[:-1])   (interior nodes),
+    V^{n+1} = V^n + lam2 (D^{n+1}[1:] - D^{n+1}[:-1])   (nodes 0..m-1),
     u^{n+2} = u^{n+1} + V^{n+1},
 
-plus two scalar updates at the Neumann and Mur nodes: five in-place array
-operations in all.  The staggered energy at t = (n + 1/2) dt,
+five in-place array operations on row views built once per call.  Row
+D^{n+1} carries a ghost entry -D^{n+1}[0] in front (the Neumann mirror
+u[-1] = u[1]), so the Neumann node takes the interior update:
+lam2 (d + d) equals the one-sided 2 lam2 d to the bit.  The Mur node is a
+scalar update whose previous value and neighbour are carried as Python
+floats.  The staggered energy at t = (n + 1/2) dt,
 
     E^n = h/2 (sum_i w_i B_i (V^n_i / dt)^2 + sum_i D^{n+1}_i D^n_i / h^2),
 
 with trapezoid weights w, is not formed per step: V and D rows of _BLOCK
-(16) consecutive steps are kept in three preallocated buffers of at most
-(_BLOCK + 1) x (m_cells + 1) floats, and each block's energies come from
-one matrix-vector product and one row-wise dot.  The last V and D rows of a
-block carry over as row 0 of the next.
+(16) consecutive steps are kept in three preallocated buffers of
+(_BLOCK + 1) x (m_cells + 1) floats.  Each block's energies come from one
+squaring pass, one matrix-vector product and one stacked row-dot matmul,
+always over all _BLOCK rows, so a step's energy does not depend on where
+the run stops.  The last V and D rows of a block carry over as row 0 of the
+next.  `excite_and_fit` therefore runs only as far as its fit reads: to the
+end of the 0.9 T window plus half an averaging period and two steps.
 """
 from __future__ import annotations
 
@@ -33,7 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CFLViolation, DegenerateMedium, FitUnstable, InputError
+from .errors import (CFLViolation, DegenerateMedium, FitUnstable, InputError,
+                     NumericalError)
 from .field import mode_values
 from .medium import GridStructure, PiecewiseStructure
 
@@ -44,6 +52,8 @@ CFL_SAFETY = 0.9
 _BLOCK = 16   # time steps whose V and D rows are buffered between energy passes
 _FIT_WINDOW = (0.15, 0.9)   # fraction of T over which log E is fitted
 _MAX_REL_RESIDUAL = 0.05    # largest rms misfit / slope span of a stable fit
+_MAX_FLOATS = 1 << 26       # floats a run may hold: 3 traces + node-length rows
+_NODE_ROWS = 3 * _BLOCK + 16   # node-length arrays a run holds, buffers included
 
 Medium = PiecewiseStructure | GridStructure
 
@@ -70,6 +80,55 @@ def _is_int(v) -> bool:
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
+def _is_real(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+def _plan(B: Medium, T, m_cells, dt) -> tuple:
+    """(dt, steps) of a run until T on m_cells cells, checked before any
+    allocation: InputError for a bad T, m_cells or dt or a run of more than
+    _MAX_FLOATS floats, DegenerateMedium for min B <= 0, CFLViolation for
+    a dt beyond 0.9 dx sqrt(min B), which is the default."""
+    if not _is_int(m_cells) or m_cells < 1:
+        raise InputError(f"m_cells must be a positive integer, not {m_cells!r}")
+    if m_cells >= _MAX_FLOATS // _NODE_ROWS:
+        raise InputError(f"{m_cells} cells exceed the run size limit")
+    if not _is_real(T) or not math.isfinite(T) or T < 0.0:
+        raise InputError(f"T must be finite and >= 0, not {T!r}")
+    b_min = float(B.layers.values.min())
+    if b_min <= 0.0:
+        raise DegenerateMedium("simulation requires min B > 0")
+    h = 1.0 / m_cells
+    dt_max = CFL_SAFETY * h * math.sqrt(b_min)
+    if dt is None:
+        dt = dt_max
+    elif not (_is_real(dt) and math.isfinite(dt) and dt > 0.0):
+        raise InputError(f"dt must be finite and > 0, not {dt!r}")
+    elif dt > dt_max * (1.0 + 1e-12):
+        raise CFLViolation(f"dt = {dt:.3e} exceeds {dt_max:.3e}")
+    steps = T / dt
+    if not 3.0 * steps + _NODE_ROWS * (m_cells + 1) <= _MAX_FLOATS:
+        raise InputError(f"{steps:.3g} steps on {m_cells} cells exceed the "
+                         f"run size limit")
+    return dt, math.ceil(steps)
+
+
+def _node_array(a, m_cells: int) -> np.ndarray:
+    """A float copy of real, finite node data of length m_cells + 1."""
+    try:
+        a = np.asarray(a)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"u0 and v0 must be real node arrays: {exc}") from exc
+    if a.dtype.kind not in "iuf" or a.shape != (m_cells + 1,):
+        raise InputError("u0 and v0 must be real node arrays of length "
+                         "m_cells+1")
+    a = a.astype(float)     # a long double past the float range is inf
+    if not np.all(np.isfinite(a)):
+        raise InputError("u0 and v0 must be finite")
+    return a
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def simulate(B: Medium, u0, v0, T: float, m_cells: int,
              dt: float | None = None, probe_index: int = 0) -> SimResult:
     """Leapfrog run until time T on m_cells uniform cells.
@@ -77,36 +136,20 @@ def simulate(B: Medium, u0, v0, T: float, m_cells: int,
     u0, v0 are node arrays of length m_cells + 1 (displacement and
     velocity).  dt defaults to the CFL-safe value 0.9 dx sqrt(min B);
     a caller-supplied dt beyond that bound raises CFLViolation.  T must be
-    finite and >= 0, m_cells a positive integer, u0 and v0 finite and
-    probe_index a node index (negative counts from the right end); anything
-    else raises InputError.
+    finite and >= 0, m_cells a positive integer, u0 and v0 real and finite,
+    probe_index a node index (negative counts from the right end), and the
+    run must fit in _MAX_FLOATS floats; anything else raises InputError.
+    A run that overflows (huge data, or a dt whose square underflows)
+    raises NumericalError after its loop instead of warning at every step.
     """
-    if not _is_int(m_cells) or m_cells < 1:
-        raise InputError(f"m_cells must be a positive integer, not {m_cells!r}")
-    if not math.isfinite(T) or T < 0.0:
-        raise InputError(f"T must be finite and >= 0, not {T!r}")
+    dt, n_steps = _plan(B, T, m_cells, dt)
     if not _is_int(probe_index) or not -m_cells - 1 <= probe_index <= m_cells:
         raise InputError(f"probe_index {probe_index!r} is not a node of "
                          f"the {m_cells}-cell grid")
-    b_min = float(B.layers.values.min())
-    if b_min <= 0.0:
-        raise DegenerateMedium("simulation requires min B > 0")
+    u_prev = _node_array(u0, m_cells)
+    v_init = _node_array(v0, m_cells)
     bn = _node_coefficients(B, m_cells)
     h = 1.0 / m_cells
-    dt_max = CFL_SAFETY * h * math.sqrt(b_min)
-    if dt is None:
-        dt = dt_max
-    elif not (math.isfinite(dt) and dt > 0.0):
-        raise InputError(f"dt must be finite and > 0, not {dt!r}")
-    elif dt > dt_max * (1.0 + 1e-12):
-        raise CFLViolation(f"dt = {dt:.3e} exceeds {dt_max:.3e}")
-
-    u_prev = np.asarray(u0, dtype=float).copy()
-    v_init = np.asarray(v0, dtype=float)
-    if u_prev.shape != (m_cells + 1,) or v_init.shape != (m_cells + 1,):
-        raise InputError("u0 and v0 must be node arrays of length m_cells+1")
-    if not (np.all(np.isfinite(u_prev)) and np.all(np.isfinite(v_init))):
-        raise InputError("u0 and v0 must be finite")
 
     lam2 = dt ** 2 / (h ** 2 * bn)
     # radiating end: u_x = -u_t with unit impedance irrespective of B(1);
@@ -120,7 +163,6 @@ def simulate(B: Medium, u0, v0, T: float, m_cells: int,
     u = u_prev + dt * v_init + 0.5 * lam2 * lap
     u[-1] = u_prev[-2] + mur * (u[-2] - u_prev[-1])
 
-    n_steps = math.ceil(T / dt)
     times = (np.arange(n_steps) + 0.5) * dt
     energies = np.empty(n_steps)
     probe = np.empty(n_steps)
@@ -129,40 +171,45 @@ def simulate(B: Medium, u0, v0, T: float, m_cells: int,
     kin = w * bn / dt ** 2
 
     # row j of a block holds step n = n0 + j: V[j] = u^{n+1} - u^n and
-    # D[j] = diff(u^n); row 0 is carried over from the previous block
-    V = np.empty((_BLOCK + 1, m_cells + 1))
-    D = np.empty((_BLOCK + 1, m_cells))
+    # D[j, 1:] = diff(u^n) behind the Neumann ghost D[j, 0]; row 0 is carried
+    # over from the previous block.  Rows past a short last block hold stale
+    # values, whose energies are dropped.
+    V = np.zeros((_BLOCK + 1, m_cells + 1))
+    D = np.zeros((_BLOCK + 1, m_cells + 1))
     VV = np.empty((_BLOCK, m_cells + 1))
     V[0] = u - u_prev
-    D[0] = np.diff(u_prev)
-    V_in, V_head = V[:, 1:-1], V[:, :-1]
-    D_hi, D_lo = D[:, 1:], D[:, :-1]
-    u_hi, u_lo = u[1:], u[:-1]
-    lam2_in, lam2_0 = lam2[1:-1], 2.0 * lam2[0]
+    D[0, 1:] = np.diff(u_prev)
+    rows = [(D[j + 1], D[j + 1, 1:], D[j + 1, :-1], V[j + 1], V[j + 1, :-1],
+             V[j, :-1]) for j in range(_BLOCK)]
+    d_new, d_old = D[1:, None, 1:], D[:-1, 1:, None]
+    u_hi, u_lo, lam2_lo = u[1:], u[:-1], lam2[:-1]
+    end, pre = u.item(-1), u.item(-2)     # the Mur node and its neighbour
     sub, mul, add = np.subtract, np.multiply, np.add
     for n0 in range(0, n_steps, _BLOCK):
-        rows = min(_BLOCK, n_steps - n0)
-        for j in range(rows):
-            probe[n0 + j] = u[probe_index]
-            d = D[j + 1]
+        for n, (d_row, d, d_lo, v_row, v, v_old) in zip(range(n0, n_steps),
+                                                        rows):
+            probe[n] = u[probe_index]
             sub(u_hi, u_lo, d)
-            # V^{n+1} = V^n + lam2 lap(u^{n+1}) on the interior ...
-            v_in = V_in[j + 1]
-            sub(D_hi[j + 1], D_lo[j + 1], v_in)
-            mul(v_in, lam2_in, v_in)
-            add(v_in, V_in[j], v_in)
-            # ... and at the Neumann node, then u^{n+2} = u^{n+1} + V^{n+1}
-            v_new = V[j + 1]
-            v_new[0] = V[j, 0] + lam2_0 * d[0]
-            last, before = u[-1], u[-2]
-            add(u_lo, V_head[j + 1], u_lo)
-            u[-1] = before + mur * (u[-2] - last)
-            v_new[-1] = u[-1] - last
+            d_row[0] = -d_row[1]
+            # V^{n+1} = V^n + lam2 lap(u^{n+1}) on nodes 0..m-1, then
+            # u^{n+2} = u^{n+1} + V^{n+1} there and Mur's update at the end
+            sub(d, d_lo, v)
+            mul(v, lam2_lo, v)
+            add(v, v_old, v)
+            add(u_lo, v, u_lo)
+            mid = u.item(-2)
+            new = pre + mur * (mid - end)
+            u[-1] = new
+            v_row[-1] = new - end
+            end, pre = new, mid
         # staggered (conserved-form) energy at t = (n + 1/2) dt
-        vv = np.multiply(V[:rows], V[:rows], out=VV[:rows])
-        grad = np.einsum("ij,ij->i", D[1:rows + 1], D[:rows])
-        energies[n0:n0 + rows] = 0.5 * h * (vv @ kin + grad / h ** 2)
-        V[0], D[0] = V[rows], D[rows]
+        np.square(V[:-1], out=VV)
+        e = 0.5 * h * (VV @ kin + (d_new @ d_old)[:, 0, 0] / h ** 2)
+        k = min(_BLOCK, n_steps - n0)
+        energies[n0:n0 + k] = e[:k]
+        V[0], D[0] = V[k], D[k]
+    if not (np.all(np.isfinite(energies)) and np.all(np.isfinite(probe))):
+        raise NumericalError("the run overflowed the float range")
 
     return SimResult(times, energies, probe, dt, h)
 
@@ -181,26 +228,42 @@ def excite_and_fit(B: Medium, kappa: complex, T: float,
 
     The fitted slope of log E approximates 2 Im kappa (energy is quadratic
     in amplitude).  A log-energy trace that is not straight over the fit
-    window (mode mixing, under-resolved grid) raises FitUnstable.
+    window (mode mixing, under-resolved grid), or one shorter than the
+    averaging period, raises FitUnstable.  The run stops after the last
+    step the fit reads, with the same result as a run until T.
     """
+    if not isinstance(kappa, numbers.Complex):
+        raise InputError(f"kappa must be a complex number, not {kappa!r}")
+    kappa = complex(kappa)
+    if not (math.isfinite(kappa.real) and math.isfinite(kappa.imag)):
+        raise InputError(f"kappa must be finite, not {kappa!r}")
+    dt, n_steps = _plan(B, T, m_cells, None)
+
+    # the real field carries an interference term at frequency 2 Re kappa;
+    # averaging E over exactly one oscillation period (p steps) leaves the
+    # pure decay
+    p = 0
+    if kappa.real != 0.0:
+        period = math.pi / abs(kappa.real) / dt
+        if not period <= n_steps:
+            raise FitUnstable(f"averaging period of {period:.3g} steps is "
+                              f"longer than the {n_steps}-step run")
+        p = round(period)
+    # an averaged sample at time t reads the steps within p/2 of it
+    t0, t1 = _FIT_WINDOW[0] * T, _FIT_WINDOW[1] * T
+    t_stop = min(T, t1 + (0.5 * p + 2.0) * dt)
+
     xs = np.linspace(0.0, 1.0, m_cells + 1)
     phi, _ = mode_values(B, kappa, xs)
     u0 = phi.real.copy()
     v0 = (1j * kappa * phi).real.copy()
-    sim = simulate(B, u0, v0, T, m_cells)
+    sim = simulate(B, u0, v0, t_stop, m_cells)
 
-    # the real field carries an interference term at frequency 2 Re kappa;
-    # averaging E over exactly one oscillation period leaves the pure decay
     times, energies = sim.times, sim.energies
-    if kappa.real != 0.0:
-        period = math.pi / abs(kappa.real)
-        p = int(round(period / sim.dt))
-        if p >= 2:
-            kern = np.ones(p) / p
-            energies = np.convolve(energies, kern, mode="valid")
-            times = times[p - 1:] - 0.5 * (p - 1) * sim.dt
-
-    t0, t1 = _FIT_WINDOW[0] * T, _FIT_WINDOW[1] * T
+    if p >= 2:
+        kern = np.ones(p) / p
+        energies = np.convolve(energies, kern, mode="valid")
+        times = times[p - 1:] - 0.5 * (p - 1) * sim.dt
     sel = (times >= t0) & (times <= t1)
     ts = times[sel]
     es = energies[sel]

@@ -254,6 +254,21 @@ class TestSimulate:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("bad, code", [
+        (["--T", "1e300"], 2),
+        (["--cells", 10 ** 12], 2),
+        (["--T", 0, "--fit-decay", "--kappa-re", 1, "--kappa-im", 0.3,
+          "--cells", 64], 4),
+        (["--T", 1, "--fit-decay", "--kappa-re", "1e-300", "--kappa-im", 0.3,
+          "--cells", 64], 4)])
+    def test_oversized_or_unfittable_run(self, tmp_path, capsys, bad, code):
+        assert run(["simulate", "--preset-constant", 4,
+                    "--out", tmp_path / "decay.csv", *bad]) == code
+        err = capsys.readouterr().err
+        assert err.startswith(("input error:", "numerical failure:"))
+        assert "Traceback" not in err
+
+
 class TestSplittingProbe:
     def test_fixture_csv_and_summary(self, tmp_path):
         out = tmp_path / "split.csv"
