@@ -232,6 +232,8 @@ def cmd_simulate(args) -> int:
     else:
         u0 = np.exp(-((xs - 0.35) / 0.07) ** 2)
         v0 = np.zeros_like(u0)
+    # a fit that fails exits before anything is written
+    fit = excite_and_fit(B, kappa, args.T, m) if args.fit_decay else None
     sim = simulate(B, u0, v0, args.T, m)
     rows = list(zip(sim.times.tolist(), sim.energies.tolist(),
                     sim.probe.tolist()))
@@ -240,8 +242,7 @@ def cmd_simulate(args) -> int:
                 _manifest("simulate", None,
                           [args.structure or f"constant:{args.preset_constant}"],
                           [args.out]))
-    if args.fit_decay:
-        fit = excite_and_fit(B, kappa, args.T, m)
+    if fit is not None:
         print(f"fitted beta={fit.beta:.6g} expected={fit.expected:.6g}")
     print(f"{len(rows)} steps -> {args.out}")
     return 0

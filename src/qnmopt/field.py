@@ -14,12 +14,13 @@ B is piecewise constant, so everything is one recurrence over its layers
 (phi, phi'/z) moves by [[cos wL, sin(wL)/sqrt(b)], [-sqrt(b) sin wL, cos wL]],
 entire in z.  F and its z-derivatives come from one pairwise product of
 those maps' truncated Taylor series in z (`_jet`: charF, charF_dzF, dzF,
-the gradient's F'' and the splitting probe's F^(r)).  charF_many multiplies
-the same maps pairwise for many z at once, built from real trig of the
-real and imaginary parts of wL.  `_sweep` keeps the states at every layer
-boundary, which a pairwise product does not give, for the boundary data,
-the mode values and the closed-form layer integrals.  phi_series (the
-power series in z^2) stays outside the kernel as the oracle the tests
+the gradient's F'', the splitting probe's F^(r) and, with several points
+stacked behind the layers, locate's lockstep Newton steps).  charF_many
+multiplies the same maps pairwise for many z at once, built from real trig
+of the real and imaginary parts of wL.  `_sweep` keeps the states at every
+layer boundary, which a pairwise product does not give, for the boundary
+data, the mode values and the closed-form layer integrals.  phi_series
+(the power series in z^2) stays outside the kernel as the oracle the tests
 check it against.
 """
 from __future__ import annotations
@@ -152,7 +153,7 @@ def _toeplitz_slots(k: int) -> np.ndarray:
     return slots
 
 
-def _jet(z: complex, B, order: int) -> tuple:
+def _jet(z, B, order: int):
     """(F, F', ..., F^(order), phi(1)) at z from one pairwise product.
 
     With beta = sqrt(b) L, the layer map of (phi, u = phi'/z) has the Taylor
@@ -164,18 +165,36 @@ def _jet(z: complex, B, order: int) -> tuple:
     matrices (Griewank & Walther, *Evaluating Derivatives*, 2nd ed., SIAM
     2008, ch. 13): the layers' blocks are multiplied pairwise, later times
     earlier, and F^(j) = j! (phi_j - i u_j) is read off the first block row.
+
+    z may also be a 1-D numpy array of points: the result is then the list
+    of their tuples.  The points are stacked behind the layers, so each @ of
+    the product multiplies the same blocks as the scalar call and every
+    point's tuple is bit-equal to it; a product takes at most
+    max(1, _CHUNK // layers) points at a time.
     """
     _, lengths, values = B.layers
     k = order + 1
     rootb = np.sqrt(values)
     beta = rootb * lengths
-    wl = complex(z) * beta
-    g = np.empty((3 * k + 1, len(lengths)), complex)  # rows c_j, a_j, -m_j, 0
+    many = isinstance(z, np.ndarray) and z.ndim > 0
+    if many:
+        step = max(1, _CHUNK // len(lengths))
+        if len(z) > step:
+            return [v for i in range(0, len(z), step)
+                    for v in _jet(z[i:i + step], B, order)]
+        z = z.astype(complex)
+        wl = z[:, None] * beta
+        shape = (3 * k + 1, len(z), len(beta))
+    else:
+        z = complex(z)
+        wl = z * beta
+        shape = (3 * k + 1, len(beta))
+    g = np.empty(shape, complex)  # rows c_j, a_j, -m_j, 0
     c, s = np.cos(wl, out=g[0]), np.sin(wl)
     # a_0; a masked divide costs a third of the build, so only with b = 0
     if np.count_nonzero(rootb) < len(rootb):
         np.divide(s, rootb, out=g[k], where=rootb > 0)
-        np.copyto(g[k], z * lengths, where=rootb == 0)
+        np.copyto(g[k], np.multiply.outer(z, lengths), where=rootb == 0)
     else:
         np.divide(s, rootb, out=g[k])
     np.multiply(rootb, s, out=g[2 * k])
@@ -189,14 +208,21 @@ def _jet(z: complex, B, order: int) -> tuple:
         np.negative(c, out=c)
     np.negative(g[2 * k:3 * k], out=g[2 * k:3 * k])
     g[3 * k] = 0
-    t = g.T[:, _toeplitz_slots(k)]
+    # (layers, [points,] 2k, 2k)
+    t = g.T[..., _toeplitz_slots(k)]
     while len(t) > 1:
         n = len(t)
         p = t[1::2] @ t[0:n - 1:2]
         if n % 2:
             p[-1] = t[-1] @ p[-1]
         t = p
-    ys, us = t[0, :2, ::2].tolist()
+    if many:
+        return [_read_jet(*r) for r in t[0, :, :2, ::2].tolist()]
+    return _read_jet(*t[0, :2, ::2].tolist())
+
+
+def _read_jet(ys: list, us: list) -> tuple:
+    """(F, F', ..., phi(1)) from the Taylor coefficients of phi and u."""
     return (*((y - 1j * u) * math.factorial(j)
               for j, (y, u) in enumerate(zip(ys, us))), ys[0])
 

@@ -19,19 +19,24 @@ its maximum once its growth exp(|Im z| int sqrt B) is divided out; such a
 window is dilated by 1 + 0.004 k and walked again, k = 1, .., 5, before
 ZeroOnContour.  A contour on which F overflows raises NumericalError.
 
-locate() combines recursive window bisection with Newton iteration.  A
-window holding one to four zeros first takes Newton starts from its
-contour moments: by parts, the cached edge sums give the power sums of its
-zeros (Delves & Lyness, Math. Comp. 21, 1967; Kravanja & Van Barel,
+locate() combines window bisection with Newton iteration, one depth at a
+time.  A window holding one to four zeros first takes Newton starts from
+its contour moments: by parts, the cached edge sums give the power sums of
+its zeros (Delves & Lyness, Math. Comp. 21, 1967; Kravanja & Van Barel,
 Computing the Zeros of Analytic Functions, LNM 1727, 2000), Newton's
 identities the polynomial with those zeros, and Durand-Kerner iteration its
 roots.  The window is bisected only when a Newton run fails, leaves it or
-lands on a zero already found.  Each Newton step takes F and the exact
-dF/dz from one order-1 Taylor product of the layer maps (charF_dzF).
+lands on a zero already found.  The runs of every window at one depth step
+in lockstep: each step takes F and the exact dF/dz at all their points
+from one order-1 Taylor product of the layer maps (field._jet), and each
+run keeps the rules of newton_refine, its one-start case.  The windows
+left are then split one at a time, in order, and their halves make the
+next depth.
 Constant media have a closed-form spectrum that serves as the golden oracle.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -39,7 +44,7 @@ import numpy as np
 
 from .errors import (InputError, MaxDepthExceeded, NotIsolated,
                      NumericalError, ZeroOnContour)
-from .field import charF, charF_dzF, charF_many
+from .field import _jet, charF_many
 
 
 __all__ = [
@@ -66,6 +71,9 @@ class SpectralWindow:
     im_max: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.re_min, self.re_max, self.im_min,
+                                       self.im_max))):
+            raise InputError("window bounds must be finite")
         if not self.re_min < self.re_max:
             raise InputError("need re_min < re_max")
         if not (0.0 < self.im_min < self.im_max):
@@ -127,7 +135,7 @@ def _edge_points(ab: np.ndarray, optical: float) -> tuple:
     windows alias to a wrong count.
     """
     a, b = ab[:, 0], ab[:, 1]
-    with np.errstate(over="ignore"):    # b - a = inf is caught below
+    with np.errstate(over="ignore", invalid="ignore"):   # caught below
         turn = np.abs(b - a) * optical
     n = np.maximum(np.ceil(turn * (2.0 / math.pi)), _EDGE_MIN)
     if not n.sum() <= _MAX_POINTS:
@@ -204,11 +212,11 @@ def _walk(B, contours: list, done: dict) -> list:
     fv = charF_many(pts, B) if len(pts) else pts
     for rnd in range(_WINDING_ROUNDS):
         af = np.abs(fv)
-        with np.errstate(invalid="ignore"):   # inf * 0 is caught below
+        with np.errstate(over="ignore", invalid="ignore"):   # caught below
             scaled = af * np.exp(-optical * np.abs(pts.imag))
         lo = np.minimum.reduceat(scaled, starts)
         hi = np.maximum.reduceat(scaled, starts)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(all="ignore"):
             dtheta = np.angle(fv[1:] / fv[:-1])
         dtheta[starts[1:] - 1] = 0.0      # no segment joins two edges
         bad = np.abs(dtheta) >= 0.5 * math.pi
@@ -266,31 +274,61 @@ def winding_count(B, w: SpectralWindow) -> int:
     return _counted(_walk(B, [_rect_edges(w)], {}))[0]
 
 
+@np.errstate(all="ignore")   # a product that overflows ends its run
+def _newton_lockstep(B, starts: list, tol: float, leashes: list) -> list:
+    """newton_refine from every start in lockstep; its result for each.
+
+    Each step takes F and dF/dz at all live points from one order-1 product
+    (_jet), the scalar one when a single point is left, so every run steps
+    exactly as it would alone.  A run that needs its closing |F| rides in
+    the next step's product.
+    """
+    z0s = list(map(complex, starts))
+    zs, out = list(z0s), [None] * len(z0s)
+    live, last = list(range(len(zs))), []   # last: runs to close
+    for it in range(1, _NEWTON_ITERS + 2):
+        ask = live + last
+        if len(ask) == 1:
+            jets = [_jet(zs[ask[0]], B, 1)]
+        elif ask:
+            jets = _jet(np.array([zs[i] for i in ask]), B, 1)
+        else:
+            break
+        if last:   # runs that stopped a step ago close on |F|
+            for i, (f, _, _) in zip(last, jets[len(live):]):
+                if abs(f) < tol:
+                    out[i] = (zs[i], it - 1, abs(f))
+            last = []
+        still = []
+        for i, (f, df, _) in zip(live, jets):
+            if df == 0 or not (cmath.isfinite(f) and cmath.isfinite(df)):
+                continue
+            prev, step = zs[i], f / df
+            z = zs[i] = prev - step
+            if abs(z - z0s[i]) > leashes[i]:
+                continue
+            if abs(step) < 1e-15 * (1.0 + abs(z)) and abs(f) < tol:
+                out[i] = (prev, it, abs(f))
+            elif abs(step) < 1e-14 * (1.0 + abs(z)) or it == _NEWTON_ITERS:
+                last.append(i)
+            else:
+                still.append(i)
+        live = still
+    return out
+
+
 def newton_refine(B, z0: complex, tol: float = 1e-12,
                   leash: float = math.inf):
     """Newton iteration for F(., B) from z0; (kappa, iters, |F(kappa)|) or None.
 
-    Each step takes F and dF/dz from one product (charF_dzF); a zero
+    Each step takes F and dF/dz from one order-1 product (_jet); a zero
     derivative, or |kappa - z0| beyond leash, counts as divergence.  Once the
-    step is below 1e-14 (1 + |z|), kappa is accepted if |F(kappa)| < tol; a
-    step below 1e-15 (1 + |z|) moves z by a few ulps, so kappa is then the
-    point it left, whose F is in hand, and no charF is taken.
+    step is below 1e-14 (1 + |z|), or after 60 steps, kappa is accepted if
+    |F(kappa)| < tol; a step below 1e-15 (1 + |z|) moves z by a few ulps, so
+    kappa is then the point it left, whose F is in hand, and no product is
+    taken to close.  The one-start case of _newton_lockstep.
     """
-    z = complex(z0)
-    for it in range(1, _NEWTON_ITERS + 1):
-        f, df = charF_dzF(z, B)
-        if df == 0:
-            return None
-        prev, step = z, f / df
-        z -= step
-        if abs(z - z0) > leash:
-            return None
-        if abs(step) < 1e-15 * (1.0 + abs(z)) and abs(f) < tol:
-            return prev, it, abs(f)
-        if abs(step) < 1e-14 * (1.0 + abs(z)):
-            break
-    fz = abs(charF(z, B))
-    return (z, it, fz) if fz < tol else None
+    return _newton_lockstep(B, [z0], tol, [leash])[0]
 
 
 def _split(w: SpectralWindow, frac: float) -> tuple:
@@ -330,9 +368,12 @@ def locate(B, w: SpectralWindow, tol: float = 1e-12) -> list:
     square count of a true multiple zero gives).
     """
     done: dict = {}
-    (total, walked), = _window_counts(B, [w], done)
+    level = _window_counts(B, [w], done)
     found: list = []
-    _locate_rec(B, walked, total, tol, 0, found, done)
+    depth = 0
+    while level:
+        level = _locate_level(B, level, tol, depth, found, done)
+        depth += 1
     found = [ev for ev in found if w.contains(ev.kappa, pad=1e-9)]
     found.sort(key=lambda ev: (ev.kappa.real, ev.kappa.imag))
     # sub-resolution clusters merge with their multiplicities summed
@@ -415,54 +456,78 @@ def _moment_starts(w: SpectralWindow, n: int, done: dict) -> list:
     return [c + r * x for x in xs]
 
 
-def _locate_rec(B, w: SpectralWindow, count: int, tol: float, depth: int,
-                found: list, done: dict) -> None:
-    if count == 0:
-        return
-    if depth > _MAX_DEPTH:
-        raise MaxDepthExceeded(f"cannot isolate {count} zeros near {w.center}")
-    diam = math.hypot(*w.widths)
-    if count <= _MOMENTS and diam >= 1e-5:
-        starts = _moment_starts(w, count, done)
-        if count == 1 and not w.contains(starts[0]):
-            starts = [w.center]
-    elif count == 1:
-        starts = [w.center]
-    elif diam < 1e-5:
-        # suspected multiple zero: Newton pulls to the cluster centroid
-        res = newton_refine(B, w.center, tol=math.inf, leash=4.0 * diam + 1.0)
-        if res is not None and w.contains(res[0], pad=diam):
+def _locate_level(B, level: list, tol: float, depth: int, found: list,
+                  done: dict) -> list:
+    """One depth of locate's bisection over the [(count, window)] of level.
+
+    The Newton starts of all its windows run in one lockstep run.  A window
+    whose runs give all its zeros, each simple and inside it, adds them to
+    found; the others are split one at a time, in order, and the halves
+    come back as the next depth's level.
+    """
+    plan, starts, leashes = [], [], []
+    for count, w in level:
+        if count == 0:
+            continue
+        if depth > _MAX_DEPTH:
+            raise MaxDepthExceeded(f"cannot isolate {count} zeros near {w.center}")
+        diam = math.hypot(*w.widths)
+        if count <= _MOMENTS and diam >= 1e-5:
+            zs = _moment_starts(w, count, done)
+            if count == 1 and not w.contains(zs[0]):
+                zs = [w.center]
+        elif count == 1:
+            zs = [w.center]
+        elif diam < 1e-5:
+            found.append(_cluster(B, w, count, diam))
+            continue
+        else:
+            zs = []
+        plan.append((count, w, len(zs)))
+        starts += zs
+        leashes += [4.0 * diam + 1.0] * len(zs)
+    runs = iter(_newton_lockstep(B, starts, tol, leashes))
+    out = []
+    for count, w, n in plan:
+        # all count zeros, each simple and inside w, or else a split
+        roots: list = []
+        for res in [next(runs) for _ in range(n)]:
+            if res is None or not w.contains(res[0], pad=1e-12) or any(
+                    abs(res[0] - ev.kappa) < 1e-6 * (1.0 + abs(res[0]))
+                    for ev in roots):
+                break
             kappa, iters, fz = res
-            mult = _counted(_walk(B, [_square_edges(kappa, 2.0 * diam + 1e-7)],
-                                  {}))[0]
-            if mult == count:
-                found.append(QuasiEigenvalue(kappa, mult, fz, iters))
-                return
-        raise MaxDepthExceeded(f"cluster of {count} zeros near {w.center}")
-    else:
-        starts = []
-    # all count zeros, each simple and inside w, or else the split below
-    roots: list = []
-    for z in starts:
-        res = newton_refine(B, z, tol=tol, leash=4.0 * diam + 1.0)
-        if res is None or not w.contains(res[0], pad=1e-12) or any(
-                abs(res[0] - ev.kappa) < 1e-6 * (1.0 + abs(res[0]))
-                for ev in roots):
-            break
+            roots.append(QuasiEigenvalue(kappa, 1, fz, iters))
+        if len(roots) == count:
+            found.extend(roots)
+        else:
+            out += _bisect(B, w, count, done)
+    return out
+
+
+def _cluster(B, w: SpectralWindow, count: int, diam: float) -> QuasiEigenvalue:
+    """The suspected multiple zero of a window below 1e-5 across: Newton
+    pulls to the cluster centroid, whose square count must be count."""
+    res = newton_refine(B, w.center, tol=math.inf, leash=4.0 * diam + 1.0)
+    if res is not None and w.contains(res[0], pad=diam):
         kappa, iters, fz = res
-        roots.append(QuasiEigenvalue(kappa, 1, fz, iters))
-    if len(roots) == count:
-        found.extend(roots)
-        return
+        mult = _counted(_walk(B, [_square_edges(kappa, 2.0 * diam + 1e-7)],
+                              {}))[0]
+        if mult == count:
+            return QuasiEigenvalue(kappa, mult, fz, iters)
+    raise MaxDepthExceeded(f"cluster of {count} zeros near {w.center}")
+
+
+def _bisect(B, w: SpectralWindow, count: int, done: dict) -> list:
+    """[(count, half)] of the first split of w whose halves' counts add up
+    to count."""
     for frac in (0.5, 0.5321, 0.4717, 0.5613):
         try:
-            (ca, wa), (cb, wb) = _window_counts(B, _split(w, frac), done)
+            halves = _window_counts(B, _split(w, frac), done)
         except ZeroOnContour:
             continue
-        if ca + cb == count:
-            _locate_rec(B, wa, ca, tol, depth + 1, found, done)
-            _locate_rec(B, wb, cb, tol, depth + 1, found, done)
-            return
+        if sum(n for n, _ in halves) == count:
+            return halves
     raise NumericalError(f"child windings never matched parent near {w.center}")
 
 
@@ -471,11 +536,13 @@ def multiplicity(B, kappa0: complex, radius: float) -> int:
     zero.
 
     Demands no zero between it and the square of half-side 2*radius, so
-    the answer is attributable to the single zero at kappa0.  radius must
-    be finite and positive.
+    the answer is attributable to the single zero at kappa0.  kappa0 must
+    be finite, and radius finite and positive.
     """
     if not (math.isfinite(radius) and radius > 0):
         raise InputError(f"radius must be finite and positive, got {radius}")
+    if not cmath.isfinite(kappa0):
+        raise InputError(f"kappa0 must be finite, not {kappa0!r}")
     inner, outer = _counted(_walk(B, [_square_edges(kappa0, radius),
                                       _square_edges(kappa0, 2.0 * radius)],
                                   {}))

@@ -273,9 +273,9 @@ def excite_and_fit(B: Medium, kappa: complex, T: float,
     a, b = np.polyfit(ts, logs, 1)
     resid = logs - (a * ts + b)
     span = abs(a) * (ts[-1] - ts[0])
-    rel = float(np.sqrt(np.mean(resid ** 2))) / max(span, 1e-300)
+    rel = float(np.sqrt(np.mean(resid ** 2)) / max(span, 1e-300))
     if rel > _MAX_REL_RESIDUAL:
         raise FitUnstable(
             f"log-energy trace nonlinear (rel residual {rel:.3e})")
     return FitResult(beta=float(-a), expected=2.0 * kappa.imag,
-                     rel_residual=rel, window=(t0, t1))
+                     rel_residual=rel, window=(float(t0), float(t1)))

@@ -269,6 +269,24 @@ class TestSimulate:
         assert "Traceback" not in err
 
 
+    def test_failed_fit_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        # the CSV and its manifest were written before the fit failed
+        monkeypatch.chdir(tmp_path)
+        assert run(["simulate", "--preset-constant", 4, "--T", 0,
+                    "--fit-decay", "--kappa-re", 1, "--kappa-im", 0.3,
+                    "--cells", 64, "--out", "d.csv"]) == 4
+        assert "Traceback" not in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
+    def test_fit_decay_writes_and_reports(self, tmp_path, capsys):
+        out = tmp_path / "d.csv"
+        assert run(["simulate", "--preset-constant", 4, "--T", 6,
+                    "--fit-decay", "--kappa-re", math.pi, "--kappa-im", LN3_4,
+                    "--cells", 256, "--out", out]) == 0
+        assert "fitted beta=" in capsys.readouterr().out
+        assert out.exists() and os.path.exists(str(out) + ".manifest.json")
+
+
 class TestSplittingProbe:
     def test_fixture_csv_and_summary(self, tmp_path):
         out = tmp_path / "split.csv"

@@ -556,6 +556,36 @@ class TestTaylorDerivatives:
         _check_taylor(_grid(values), z)
 
 
+class TestManyPointJet:
+    """_jet over an array of points stacks them behind the layers, so every
+    point's tuple is bit-equal to the scalar product's, across chunks."""
+
+    @pytest.mark.parametrize("B", [
+        constant(4.0),
+        PiecewiseStructure((0.0, 0.3, 1.0), (0.0, 4.0),
+                           AdmissibleBounds(0.0, 4.0)),
+        GridStructure((0.0,) * 3 + (2.5,) * 5, AdmissibleBounds(0.0, 4.0)),
+        GridStructure(tuple(np.random.default_rng(4).uniform(1.0, 4.0, 700)),
+                      AdmissibleBounds(1.0, 4.0))])
+    @pytest.mark.parametrize("order", [0, 1, 2, 5])
+    def test_bit_equal_to_scalar(self, B, order):
+        rng = np.random.default_rng(order)
+        # 700 layers take 2 points a product: the 7 points span 4 chunks
+        zs = rng.uniform(-20.0, 20.0, 7) + 1j * rng.uniform(-1.0, 5.0, 7)
+        zs[:3] = (0j, _SUBNORMAL_Z, 1e-150 + 0j)
+        many = _jet(zs, B, order)
+        assert len(many) == len(zs)
+        for z, got in zip(zs.tolist(), many):
+            want = _jet(z, B, order)
+            assert np.array(got).view(np.uint64).tolist() \
+                == np.array(want).view(np.uint64).tolist()
+
+    def test_one_point_array(self):
+        B = constant(4.0)
+        assert _jet(np.array([1.0 + 0.5j]), B, 1) == [_jet(1.0 + 0.5j, B, 1)]
+        assert _jet(np.zeros(0, complex), B, 1) == []
+
+
 class TestAxisSpecialization:
     def test_matches_complex_evaluation(self, random_structures):
         # F(i beta) is real for real B: the alpha = 0 optimizer reads F.real

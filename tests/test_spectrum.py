@@ -1,5 +1,4 @@
 import math
-from unittest import mock
 
 import mpmath
 import numpy as np
@@ -612,6 +611,27 @@ class TestNewtonAgainstReference:
                 failed += new is None
         assert found > 20 and failed > 10
 
+    def test_lockstep_runs_equal_single_runs(self, jet_log):
+        # runs that stop, close and diverge at different steps share products
+        rng = np.random.default_rng(31)
+        box = AdmissibleBounds(1.0, 4.0)
+        w = SpectralWindow(0.1, 12.0, 0.05, 3.0)
+        for B in [random_bang_bang(box, rng, max_switches=7) for _ in range(4)] \
+                + [GridStructure(tuple(rng.uniform(1, 4, 256)), box)]:
+            roots = [ev.kappa for ev in locate(B, w)]
+            starts = [z + complex(*rng.normal(0.0, 0.05, 2)) for z in roots]
+            starts += [complex(rng.uniform(-12, 12), rng.uniform(0.05, 3))
+                       for _ in range(6)] + [0j]
+            leashes = rng.choice([1e-3, 0.3, math.inf], len(starts)).tolist()
+            for tol in (1e-12, 1e-9, math.inf):
+                jet_log.clear()
+                got = spectrum._newton_lockstep(B, starts, tol, leashes)
+                want = [reference_newton_refine(B, z, tol=tol, leash=r)
+                        for z, r in zip(starts, leashes)]
+                assert repr(got) == repr(want)
+                # the first product takes every start
+                assert jet_log[0] == len(starts) and len(jet_log) <= 61
+
     def test_zero_start_and_leash(self):
         # F'(0) = i int B = 4i: the first step lands on the axis at i/4
         B = constant(4.0)
@@ -624,28 +644,41 @@ class TestNewtonAgainstReference:
         assert newton_refine(B, z0)[0] == reference_newton_refine(B, z0)[0]
 
 
+@pytest.fixture
+def jet_log(monkeypatch):
+    """The number of points of every product Newton takes (spectrum._jet)."""
+    log = []
+    original = spectrum._jet
+
+    def recorded(z, B, order):
+        log.append(np.size(z))
+        return original(z, B, order)
+
+    monkeypatch.setattr(spectrum, "_jet", recorded)
+    return log
+
+
 class TestNewtonResidual:
     """A last step of a few ulps returns the point it started from, with the
-    |F| its product already gave, and takes no charF."""
+    |F| its product already gave, and takes no closing product."""
 
-    def test_residual_is_charF_without_a_sweep(self, monkeypatch):
+    def test_residual_is_charF_without_a_sweep(self, jet_log):
         rng = np.random.default_rng(7)
         box = AdmissibleBounds(1.0, 4.0)
         w = SpectralWindow(0.1, 12.0, 0.05, 3.0)
         media = [random_bang_bang(box, rng, max_switches=7) for _ in range(6)]
         starts = [(B, ev.kappa + 1e-3 * (1 + 1j))
                   for B in media for ev in locate(B, w)]
-        sweeps = []
-
-        def counted(z, B):
-            sweeps.append(z)
-            return charF(z, B)
-        monkeypatch.setattr(spectrum, "charF", counted)
+        jet_log.clear()
+        iters = 0
         for B, z0 in starts:
-            kappa, _, fz = newton_refine(B, z0)
+            kappa, n, fz = newton_refine(B, z0)
             assert fz == abs(charF(kappa, B))
+            iters += n
         assert len(starts) >= 20
-        assert len(sweeps) <= len(starts) // 3
+        # one point a step; the rest closed a run with a |F| of its own
+        assert set(jet_log) == {1}
+        assert len(jet_log) - iters <= len(starts) // 3
 
 
 class TestGrowthFloor:
@@ -804,10 +837,27 @@ def reference_locate_rec(B, w, count, tol, depth, found, done):
     raise NumericalError(f"child windings never matched parent near {w.center}")
 
 
-def reference_locate(B, w):
-    """locate with the bisection-only recursion in place of its own."""
-    with mock.patch.object(spectrum, "_locate_rec", reference_locate_rec):
-        return locate(B, w)
+def reference_locate(B, w, tol=1e-12):
+    """locate with the bisection-only recursion: the zeros of the walked
+    window, kept inside w, sorted, and sub-resolution clusters merged."""
+    done = {}
+    (total, walked), = spectrum._window_counts(B, [w], done)
+    found = []
+    reference_locate_rec(B, walked, total, tol, 0, found, done)
+    found = sorted((ev for ev in found if w.contains(ev.kappa, pad=1e-9)),
+                   key=lambda ev: (ev.kappa.real, ev.kappa.imag))
+    out = []
+    for ev in found:
+        if out and abs(ev.kappa - out[-1].kappa) < 1e-6 * (1.0 + abs(ev.kappa)):
+            prev = out[-1]
+            best = ev if ev.residual < prev.residual else prev
+            out[-1] = QuasiEigenvalue(best.kappa,
+                                      prev.multiplicity + ev.multiplicity,
+                                      best.residual,
+                                      max(prev.newton_iters, ev.newton_iters))
+        else:
+            out.append(ev)
+    return out
 
 
 @st.composite
@@ -857,7 +907,7 @@ class TestMomentStarts:
                 for z in group:
                     assert min(abs(z - s) for s in starts) < 0.1 * r
 
-    def test_triple_root_window(self, triple_fixture):
+    def test_triple_root_window(self, triple_fixture, jet_log):
         # bisection never matched the children's counts to the parent's 3
         B, kappa, why = triple_fixture
         assert why is None
@@ -865,11 +915,16 @@ class TestMomentStarts:
                            kappa.imag - 0.3, kappa.imag + 0.3)
         with pytest.raises(NumericalError, match="never matched"):
             reference_locate(B, w)
+        jet_log.clear()
         evs = locate(B, w)
         assert sum(ev.multiplicity for ev in evs) == 3 == winding_count(B, w)
         for ev in evs:
             assert abs(ev.kappa - kappa) < 1e-4
             assert abs(charF(ev.kappa, B)) < 1e-12
+        # Newton converges linearly at a triple zero: two of the three runs
+        # take all 60 steps, in lockstep, and one product closes them
+        assert max(ev.newton_iters for ev in evs) == 60
+        assert len(jet_log) <= 61 < 2 * 60 < sum(jet_log)
 
     def test_failed_starts_fall_back_to_split(self, monkeypatch):
         # both starts lead Newton to the first zero, so the window is split
@@ -905,22 +960,126 @@ class TestMomentStarts:
             assert abs(near.kappa - ev.kappa) < 1e-10
             assert near.multiplicity == ev.multiplicity
 
-    def test_newton_sweeps_per_root(self, monkeypatch):
+    def test_newton_sweeps_per_root(self, jet_log):
         # a guard on the work: from window centres these media take 6.4
-        # sweeps per root
+        # swept points per root
         rng = np.random.default_rng(256)
         box = AdmissibleBounds(1.0, 4.0)
         w = SpectralWindow(0.1, 12.0, 0.05, 3.0)
         media = [GridStructure(tuple(rng.uniform(1.0, 4.0, 256)), box)
                  for _ in range(8)]
-        sweeps = []
-        original = spectrum.charF_dzF
-
-        def counted(z, B):
-            sweeps.append(z)
-            return original(z, B)
-
-        monkeypatch.setattr(spectrum, "charF_dzF", counted)
         roots = sum(ev.multiplicity for B in media for ev in locate(B, w))
         assert roots >= 40
-        assert len(sweeps) <= 4.5 * roots
+        assert sum(jet_log) <= 4.5 * roots
+
+    def test_products_per_bang_bang_locate(self, jet_log):
+        # a guard on the lockstep: one start at a time takes a product per
+        # swept point, about 4.9 per root on these media
+        rng = np.random.default_rng(5)
+        box = AdmissibleBounds(1.0, 4.0)
+        w = SpectralWindow(0.1, 12.0, 0.05, 3.0)
+        roots = sum(ev.multiplicity for _ in range(20) for ev in
+                    locate(random_bang_bang(box, rng, max_switches=7), w))
+        assert roots >= 80
+        assert len(jet_log) <= 2 * roots
+        assert 3 * len(jet_log) <= sum(jet_log)
+
+
+# -- the error contract ---------------------------------------------------------
+
+_WIDE = AdmissibleBounds(0.0, 1e4)
+_REALS = [0.0, 1e-300, 0.7, 3.0, -12.0, 50.0, 1e6, -1e300, 1e308, math.inf,
+          -math.inf, math.nan]
+_IMAGS = [5e-324, 1e-9, 0.05, 0.4, 1.5, 6.0, 80.0, 1e3, 1e300, 1.7e308,
+          math.inf, math.nan, -0.5]
+_SIZES = [0.0, 5e-324, 1e-12, 1e-6, 0.01, 0.3, 2.0, 1e3, 1e300, math.inf,
+          math.nan]
+
+
+@st.composite
+def contract_media(draw):
+    values = draw(st.lists(st.sampled_from([0.0, 1e-300, 0.25, 1.0, 4.0, 9.0,
+                                            100.0, 1e4])
+                           | st.floats(0.0, 1e4), min_size=1, max_size=8))
+    if draw(st.booleans()):
+        return GridStructure(tuple(values), _WIDE)
+    cuts = draw(st.lists(st.floats(1e-9, 1.0 - 1e-9), min_size=len(values) - 1,
+                         max_size=len(values) - 1, unique=True))
+    return PiecewiseStructure((0.0, *sorted(cuts), 1.0), tuple(values), _WIDE)
+
+
+def _point(draw):
+    return complex(draw(st.sampled_from(_REALS) | st.floats(-20.0, 20.0)),
+                   draw(st.sampled_from(_IMAGS) | st.floats(0.0, 10.0)))
+
+
+class TestErrorContract:
+    """Every public entry point of spectrum ends in a result or a QnmOptError
+    on grid and piecewise media with 0 <= B <= 1e4, windows and points
+    anywhere in the plane (far up it F overflows) and sizes from 0 to
+    infinite; no other exception and no RuntimeWarning escapes."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(B=contract_media(), data=st.data())
+    def test_only_qnmopt_errors_escape(self, B, data):
+        draw = data.draw
+        corner = _point(draw)
+        w_size = [draw(st.sampled_from(_SIZES)) for _ in range(2)]
+        z0 = _point(draw)
+        radius = draw(st.sampled_from(_SIZES + [-1.0]))
+        leash = draw(st.sampled_from([0.0, 1e-3, 1.0, math.inf, math.nan]))
+        tol = draw(st.sampled_from([1e-12, 1e-3, 0.0, math.inf]))
+        zs = [_point(draw) for _ in range(draw(st.integers(0, 4)))]
+
+        def calls():
+            w = SpectralWindow(corner.real, corner.real + w_size[0],
+                               corner.imag, corner.imag + w_size[1])
+            yield lambda: winding_count(B, w)
+            yield lambda: locate(B, w, tol=tol)
+            yield lambda: multiplicity(B, z0, radius)
+            yield lambda: newton_refine(B, z0, tol=tol, leash=leash)
+            yield lambda: charF_many(np.array(zs, dtype=complex), B)
+
+        gen = calls()
+        while True:
+            try:
+                call = next(gen)
+            except QnmOptError:     # the window itself was refused
+                break
+            except StopIteration:
+                break
+            try:
+                call()
+            except QnmOptError:
+                pass
+
+    @pytest.mark.parametrize("bounds", [(0.0, math.inf, 0.05, 3.0),
+                                        (0.0, 1.0, 0.05, math.inf),
+                                        (-math.inf, 1.0, 0.05, 3.0)])
+    def test_infinite_window_refused(self, bounds):
+        # its edge samples were inf - inf: a RuntimeWarning, then a bogus
+        # "more than 400000 points"
+        with pytest.raises(InputError, match="finite"):
+            SpectralWindow(*bounds)
+
+    @pytest.mark.parametrize("kappa0, radius", [(1j, 1000.0),
+                                                (1.7e308j, 5e-324)])
+    def test_overflowing_squares_raise(self, kappa0, radius):
+        # F, its ratios or its growth overflowed with a RuntimeWarning
+        B = PiecewiseStructure((0.0, 0.3125, 1.0), (0.0, 4.0), _WIDE)
+        with pytest.raises(NumericalError, match="not finite"):
+            multiplicity(B, kappa0, radius)
+
+    @pytest.mark.parametrize("kappa0", [complex(math.nan, 1.0),
+                                        complex(1.0, math.inf)])
+    def test_multiplicity_needs_finite_centre(self, kappa0):
+        with pytest.raises(InputError, match="finite"):
+            multiplicity(constant(4.0), kappa0, 0.1)
+
+    @pytest.mark.parametrize("z0", [10.0 + 800.0j, 3.0 + 1e300j,
+                                    complex(math.nan, 1.0)])
+    def test_newton_beyond_the_float_range_diverges(self, z0, jet_log):
+        # the products overflowed with a RuntimeWarning and Newton stepped on
+        # through nan for all 60 steps
+        assert newton_refine(constant(4.0), z0) is None
+        assert len(jet_log) == 1

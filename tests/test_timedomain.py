@@ -145,8 +145,8 @@ def full_run_fit(B, kappa, T, m_cells):
     ts, logs = times[sel], np.log(energies[sel])
     a, b = np.polyfit(ts, logs, 1)
     resid = logs - (a * ts + b)
-    rel = float(np.sqrt(np.mean(resid ** 2))) / max(abs(a) * (ts[-1] - ts[0]),
-                                                    1e-300)
+    rel = float(np.sqrt(np.mean(resid ** 2)) / max(abs(a) * (ts[-1] - ts[0]),
+                                                   1e-300))
     return FitResult(beta=float(-a), expected=2.0 * kappa.imag,
                      rel_residual=rel, window=(t0, t1))
 
@@ -425,6 +425,16 @@ class TestExciteAndFit:
             kappa = min(locate_golden(B), key=lambda k: k.imag)
         fit = excite_and_fit(B, kappa, T, m)
         assert repr(fit) == repr(full_run_fit(B, kappa, T, m))
+
+    @pytest.mark.parametrize("T", [15.0, np.float64(15.0), 15])
+    def test_fields_are_python_floats(self, T):
+        # rel_residual came back as np.float64 and printed so in its repr
+        fit = excite_and_fit(constant(4.0, AdmissibleBounds(1, 4)),
+                             math.pi + 1j * LN3_4, T, 256)
+        values = (fit.beta, fit.expected, fit.rel_residual, *fit.window)
+        assert [type(v) for v in values] == [float] * 5
+        assert type(fit.window) is tuple and len(fit.window) == 2
+        assert "np." not in repr(fit)
 
     def test_refinement_improves(self):
         B = constant(4.0, AdmissibleBounds(1, 4))
