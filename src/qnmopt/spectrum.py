@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import (InputError, MaxDepthExceeded, NotIsolated,
                      NumericalError, ZeroOnContour)
-from .field import _jet, charF_many
+from .field import _jet, charF, charF_many
 
 
 __all__ = [
@@ -274,61 +274,79 @@ def winding_count(B, w: SpectralWindow) -> int:
     return _counted(_walk(B, [_rect_edges(w)], {}))[0]
 
 
+def _newton_run(z0: complex, tol: float, leash: float):
+    """The rules of newton_refine as a generator of (z, closing) requests.
+
+    It is sent the order-1 product (_jet) at z, or only F at z when
+    closing, and returns newton_refine's result.
+    """
+    z = complex(z0)
+    for it in range(1, _NEWTON_ITERS + 1):
+        f, df, _ = yield z, False
+        if df == 0 or not (cmath.isfinite(f) and cmath.isfinite(df)):
+            return None
+        prev, step = z, f / df
+        z -= step
+        if abs(z - z0) > leash:
+            return None
+        if abs(step) < 1e-15 * (1.0 + abs(z)) and abs(f) < tol:
+            return prev, it, abs(f)
+        if abs(step) < 1e-14 * (1.0 + abs(z)):
+            break
+    fz = abs((yield z, True))
+    return (z, it, fz) if fz < tol else None
+
+
 @np.errstate(all="ignore")   # a product that overflows ends its run
 def _newton_lockstep(B, starts: list, tol: float, leashes: list) -> list:
     """newton_refine from every start in lockstep; its result for each.
 
-    Each step takes F and dF/dz at all live points from one order-1 product
-    (_jet), the scalar one when a single point is left, so every run steps
-    exactly as it would alone.  A run that needs its closing |F| rides in
-    the next step's product.
+    Each step answers the requests of all live runs (_newton_run) with one
+    many-point product (_jet), so every run steps exactly as it would
+    alone; a request left on its own takes the scalar product, or charF
+    when it is a closing |F|.
     """
-    z0s = list(map(complex, starts))
-    zs, out = list(z0s), [None] * len(z0s)
-    live, last = list(range(len(zs))), []   # last: runs to close
-    for it in range(1, _NEWTON_ITERS + 2):
-        ask = live + last
-        if len(ask) == 1:
-            jets = [_jet(zs[ask[0]], B, 1)]
-        elif ask:
-            jets = _jet(np.array([zs[i] for i in ask]), B, 1)
+    runs = [_newton_run(z0, tol, leash) for z0, leash in zip(starts, leashes)]
+    out = [None] * len(runs)
+    asks = [(run, i, next(run)) for i, run in enumerate(runs)]
+    while asks:
+        if len(asks) == 1:
+            (_, _, (z, closing)), = asks
+            answers = [charF(z, B) if closing else _jet(z, B, 1)]
         else:
-            break
-        if last:   # runs that stopped a step ago close on |F|
-            for i, (f, _, _) in zip(last, jets[len(live):]):
-                if abs(f) < tol:
-                    out[i] = (zs[i], it - 1, abs(f))
-            last = []
+            jets = _jet(np.array([z for _, _, (z, _) in asks]), B, 1)
+            answers = [jet[0] if closing else jet
+                       for (_, _, (_, closing)), jet in zip(asks, jets)]
         still = []
-        for i, (f, df, _) in zip(live, jets):
-            if df == 0 or not (cmath.isfinite(f) and cmath.isfinite(df)):
-                continue
-            prev, step = zs[i], f / df
-            z = zs[i] = prev - step
-            if abs(z - z0s[i]) > leashes[i]:
-                continue
-            if abs(step) < 1e-15 * (1.0 + abs(z)) and abs(f) < tol:
-                out[i] = (prev, it, abs(f))
-            elif abs(step) < 1e-14 * (1.0 + abs(z)) or it == _NEWTON_ITERS:
-                last.append(i)
-            else:
-                still.append(i)
-        live = still
+        for (run, i, _), answer in zip(asks, answers):
+            try:
+                still.append((run, i, run.send(answer)))
+            except StopIteration as stop:
+                out[i] = stop.value
+        asks = still
     return out
 
 
+@np.errstate(all="ignore")   # a product that overflows ends the run
 def newton_refine(B, z0: complex, tol: float = 1e-12,
                   leash: float = math.inf):
     """Newton iteration for F(., B) from z0; (kappa, iters, |F(kappa)|) or None.
 
     Each step takes F and dF/dz from one order-1 product (_jet); a zero
-    derivative, or |kappa - z0| beyond leash, counts as divergence.  Once the
-    step is below 1e-14 (1 + |z|), or after 60 steps, kappa is accepted if
-    |F(kappa)| < tol; a step below 1e-15 (1 + |z|) moves z by a few ulps, so
-    kappa is then the point it left, whose F is in hand, and no product is
-    taken to close.  The one-start case of _newton_lockstep.
+    derivative, a product that is not finite, or |kappa - z0| beyond leash,
+    counts as divergence.  Once the step is below 1e-14 (1 + |z|), or after
+    60 steps, kappa is accepted if |F(kappa)| (charF) < tol; a step below
+    1e-15 (1 + |z|) moves z by a few ulps, so kappa is then the point it
+    left, whose F is in hand, and no charF is taken.  The one-start case of
+    _newton_lockstep, driven without its bookkeeping.
     """
-    return _newton_lockstep(B, [z0], tol, [leash])[0]
+    run = _newton_run(z0, tol, leash)
+    z, closing = next(run)
+    try:
+        while True:
+            z, closing = run.send(charF(z, B) if closing else _jet(z, B, 1))
+    except StopIteration as stop:
+        return stop.value
 
 
 def _split(w: SpectralWindow, frac: float) -> tuple:

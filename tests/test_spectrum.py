@@ -646,15 +646,36 @@ class TestNewtonAgainstReference:
 
 @pytest.fixture
 def jet_log(monkeypatch):
-    """The number of points of every product Newton takes (spectrum._jet)."""
+    """The number of points of every product Newton takes: spectrum._jet,
+    and spectrum.charF for a lone closing |F|."""
     log = []
-    original = spectrum._jet
+    original, original_F = spectrum._jet, spectrum.charF
 
     def recorded(z, B, order):
         log.append(np.size(z))
         return original(z, B, order)
 
+    def closing(z, B):
+        log.append(1)
+        return original_F(z, B)
+
     monkeypatch.setattr(spectrum, "_jet", recorded)
+    monkeypatch.setattr(spectrum, "charF", closing)
+    return log
+
+
+@pytest.fixture
+def closing_log(jet_log, monkeypatch):
+    """The points at which Newton takes charF for a lone closing |F|; each
+    is also one point of jet_log."""
+    log = []
+    logged = spectrum.charF
+
+    def recorded(z, B):
+        log.append(z)
+        return logged(z, B)
+
+    monkeypatch.setattr(spectrum, "charF", recorded)
     return log
 
 
@@ -662,7 +683,7 @@ class TestNewtonResidual:
     """A last step of a few ulps returns the point it started from, with the
     |F| its product already gave, and takes no closing product."""
 
-    def test_residual_is_charF_without_a_sweep(self, jet_log):
+    def test_residual_is_charF_without_a_sweep(self, jet_log, closing_log):
         rng = np.random.default_rng(7)
         box = AdmissibleBounds(1.0, 4.0)
         w = SpectralWindow(0.1, 12.0, 0.05, 3.0)
@@ -670,15 +691,16 @@ class TestNewtonResidual:
         starts = [(B, ev.kappa + 1e-3 * (1 + 1j))
                   for B in media for ev in locate(B, w)]
         jet_log.clear()
+        closing_log.clear()
         iters = 0
         for B, z0 in starts:
             kappa, n, fz = newton_refine(B, z0)
             assert fz == abs(charF(kappa, B))
             iters += n
         assert len(starts) >= 20
-        # one point a step; the rest closed a run with a |F| of its own
+        # one point a step; the rest closed a run with a charF of its own
         assert set(jet_log) == {1}
-        assert len(jet_log) - iters <= len(starts) // 3
+        assert 0 < len(closing_log) == len(jet_log) - iters <= len(starts) // 3
 
 
 class TestGrowthFloor:
@@ -972,7 +994,7 @@ class TestMomentStarts:
         assert roots >= 40
         assert sum(jet_log) <= 4.5 * roots
 
-    def test_products_per_bang_bang_locate(self, jet_log):
+    def test_products_per_bang_bang_locate(self, jet_log, closing_log):
         # a guard on the lockstep: one start at a time takes a product per
         # swept point, about 4.9 per root on these media
         rng = np.random.default_rng(5)
@@ -983,6 +1005,8 @@ class TestMomentStarts:
         assert roots >= 80
         assert len(jet_log) <= 2 * roots
         assert 3 * len(jet_log) <= sum(jet_log)
+        # a closing |F| left on its own is one charF, as in newton_refine
+        assert 0 < len(closing_log) < len(jet_log) // 4
 
 
 # -- the error contract ---------------------------------------------------------
@@ -1031,23 +1055,18 @@ class TestErrorContract:
         tol = draw(st.sampled_from([1e-12, 1e-3, 0.0, math.inf]))
         zs = [_point(draw) for _ in range(draw(st.integers(0, 4)))]
 
-        def calls():
+        calls = [lambda: multiplicity(B, z0, radius),
+                 lambda: newton_refine(B, z0, tol=tol, leash=leash),
+                 lambda: charF_many(np.array(zs, dtype=complex), B)]
+        try:
             w = SpectralWindow(corner.real, corner.real + w_size[0],
                                corner.imag, corner.imag + w_size[1])
-            yield lambda: winding_count(B, w)
-            yield lambda: locate(B, w, tol=tol)
-            yield lambda: multiplicity(B, z0, radius)
-            yield lambda: newton_refine(B, z0, tol=tol, leash=leash)
-            yield lambda: charF_many(np.array(zs, dtype=complex), B)
-
-        gen = calls()
-        while True:
-            try:
-                call = next(gen)
-            except QnmOptError:     # the window itself was refused
-                break
-            except StopIteration:
-                break
+        except QnmOptError:         # the window itself was refused
+            pass
+        else:
+            calls += [lambda: winding_count(B, w),
+                      lambda: locate(B, w, tol=tol)]
+        for call in calls:
             try:
                 call()
             except QnmOptError:
