@@ -35,9 +35,7 @@ FIXTURE_KAPPA = 4.44244 + 1.03017j
 
 # optional OptimizeConfig keys of a config file and their converters; an
 # absent key keeps the OptimizeConfig default
-_CONFIG_OPTIONS = {"n_cells": int, "step0": float, "step_grow": float,
-                   "step_shrink": float, "max_iters": int, "tol_freq": float,
-                   "tol_grad": float, "round_threshold": float}
+_CONFIG_OPTIONS = {"n_cells": int, "max_iters": int}
 # every key a config file may hold
 _CONFIG_KEYS = {"alpha", "bounds", "seed_kappa", "seed_structure",
                 "seed_constant", *_CONFIG_OPTIONS}

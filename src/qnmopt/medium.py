@@ -9,11 +9,14 @@ lossless for every operation in the package.  Both store read-only 1-D
 float arrays, copied once on construction, and expose the same merged
 `layers` arrays, which is all the field solvers read.  One rule merges
 equal neighbours for both (`_merged_layers`); media compare equal when their
-bounds and arrays are equal, element for element.
+bounds and arrays are equal, element for element.  round_to_extreme snaps a
+grid to a bang-bang medium, each cell to its nearer bound (ties to b1);
+extremality_measure gives the measure of the cells away from both bounds.
 """
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -56,6 +59,14 @@ class Layers(NamedTuple):
         """Values of the layers holding xs (right-open; end layers outside)."""
         j = np.searchsorted(self.breakpoints, xs, side="right") - 1
         return self.values[np.clip(j, 0, len(self.values) - 1)]
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -227,6 +238,8 @@ def to_piecewise(g: GridStructure) -> PiecewiseStructure:
 
 def to_grid(p: PiecewiseStructure, n_cells: int) -> GridStructure:
     """Cell averages of p on a uniform grid; exact when breakpoints align."""
+    if not (_is_int(n_cells) and n_cells >= 1):
+        raise InputError(f"n_cells must be an integer >= 1, got {n_cells!r}")
     edges = np.linspace(0.0, 1.0, n_cells + 1)
     xs, vs = p.breakpoints, p.values
     # length of overlap of each (breakpoint) interval with each cell
@@ -246,38 +259,12 @@ def project_to_box(g: GridStructure, bounds: AdmissibleBounds) -> GridStructure:
     return GridStructure(np.clip(g.values, bounds.b1, bounds.b2), bounds)
 
 
-class RoundingReport(NamedTuple):
-    forced: tuple          # per-cell flag: cell sat in the middle band
-    forced_fraction: float  # Lebesgue measure of forced cells
-
-
-class RoundingResult(NamedTuple):
-    structure: PiecewiseStructure
-    report: RoundingReport
-
-
-def round_to_extreme(g: GridStructure, bounds: AdmissibleBounds,
-                     threshold: float = 0.1) -> RoundingResult:
-    """Snap every cell to b1 or b2.
-
-    Cells within threshold*(b2-b1) of a bound go to that bound; cells in the
-    middle band go to the nearer bound (ties to b1) and are flagged forced.
-    """
-    if not (0.0 < threshold < 0.5):
-        raise InputError("threshold must lie in (0, 0.5)")
+def round_to_extreme(g: GridStructure,
+                     bounds: AdmissibleBounds) -> PiecewiseStructure:
+    """Snap every cell to its nearer bound, ties to b1."""
     vs = g.values
-    b1, b2, w = bounds.b1, bounds.b2, bounds.width
-    lo_edge = b1 + threshold * w
-    hi_edge = b2 - threshold * w
-    snapped = np.where(vs < lo_edge, b1, np.where(vs > hi_edge, b2, np.nan))
-    band = np.isnan(snapped)
-    # middle band: nearer bound, tie -> b1
-    nearer = np.where(vs - b1 <= b2 - vs, b1, b2)
-    snapped = np.where(band, nearer, snapped)
-    report = RoundingReport(tuple(bool(b) for b in band),
-                            float(np.mean(band)))
-    pc = PiecewiseStructure(g.edges, snapped, bounds)
-    return RoundingResult(pc, report)
+    snapped = np.where(vs - bounds.b1 <= bounds.b2 - vs, bounds.b1, bounds.b2)
+    return PiecewiseStructure(g.edges, snapped, bounds)
 
 
 def switch_points(p: PiecewiseStructure) -> list:

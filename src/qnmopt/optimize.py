@@ -9,9 +9,11 @@ the exact solution of a one-constraint box LP over each cell's true room
 cell, the structure the paper proves for optimal media.  Armijo
 backtracking on the tracked eigenvalue picks the fraction of the way to
 the vertex; a frequency re-pinning correction steps toward the vertex of
-the Im-neutral LP that moves Re kappa back to alpha; a finalization pass
-rounds to a two-valued structure and then polishes the switch positions
-continuously with the damped-Newton driver of the sensitivity module.
+the Im-neutral LP that moves Re kappa back to alpha.  Step sizes and
+tolerances are fixed module constants.  Optimal media take only the values
+b1 and b2, so finalization snaps every cell to its nearer bound and then
+polishes the switch positions continuously with the damped Newton of the
+sensitivity module (_damped_newton).
 Multiple-eigenvalue collisions are detected through |dF/dz|: the run stops
 with CollisionDetected, whose `.partial` holds the result so far.
 
@@ -23,6 +25,7 @@ polish, whose Jacobian is singular there, keeps the rounded medium.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, replace
 
@@ -33,8 +36,8 @@ from .errors import (CollisionDetected, InfeasibleError, InputError,
                      StalledDirection, ZeroFrequency)
 from .field import _jet, charF, mode_values
 from .medium import (AdmissibleBounds, GridStructure, PiecewiseStructure,
-                     constant, extremality_measure, project_to_box,
-                     round_to_extreme, to_grid)
+                     _is_int, _is_real, constant, extremality_measure,
+                     project_to_box, round_to_extreme, to_grid)
 from .sensitivity import GradientDensity, _damped_newton, eigenvalue_gradient
 from .spectrum import SpectralWindow, axis_offset, locate, newton_refine
 
@@ -44,6 +47,11 @@ __all__ = [
     "constant_upper_bound", "best_constant_seed",
 ]
 
+_STEP0 = 0.2              # first fraction of the way to the LP vertex
+_STEP_GROW = 1.5          # step factor after an accepted trial (capped at 1)
+_STEP_SHRINK = 0.5        # Armijo backtracking factor after a rejected one
+_TOL_FREQ = 1e-8          # a pin stops within half of this of alpha
+_TOL_GRAD = 1e-10         # predicted Im decrease at which the flow stalls
 _PIN_ROUNDS = 12          # frequency re-pinning rounds per call
 _POLISH_ITERS = 60        # damped-Newton iterations of the switch polish
 _MIN_LAYER_WIDTH = 1e-4   # the polish drops layers thinner than this
@@ -52,25 +60,28 @@ _SEED_ROOT_TOL = 1e-12    # |F| below which the seed eigenvalue is kept as is
 
 @dataclass(frozen=True)
 class OptimizeConfig:
-    """Knobs of one optimization run at a fixed target frequency alpha."""
+    """One optimization run at a fixed target frequency alpha.
+
+    The target, the box, the grid of at least 16 cells, the iteration cap
+    and an optional seed eigenvalue, which needs a seed medium B0.  Step
+    sizes and tolerances are the module constants _STEP0 to _TOL_GRAD.
+    """
 
     alpha: float
     bounds: AdmissibleBounds
     n_cells: int = 256
-    step0: float = 0.2
-    step_grow: float = 1.5
-    step_shrink: float = 0.5
     max_iters: int = 400
-    tol_freq: float = 1e-8
-    tol_grad: float = 1e-10
     seed_kappa: complex | None = None
-    round_threshold: float = 0.25
 
     def __post_init__(self):
-        if self.n_cells < 16:
-            raise InputError("need at least 16 grid cells")
-        if self.step0 <= 0 or self.tol_freq <= 0:
-            raise InputError("step0 and tol_freq must be positive")
+        if not (_is_real(self.alpha) and math.isfinite(self.alpha)):
+            raise InputError(f"alpha must be a finite real, got {self.alpha!r}")
+        if not (_is_int(self.n_cells) and self.n_cells >= 16):
+            raise InputError(
+                f"n_cells must be an integer >= 16, got {self.n_cells!r}")
+        if not (_is_int(self.max_iters) and self.max_iters >= 0):
+            raise InputError(
+                f"max_iters must be an integer >= 0, got {self.max_iters!r}")
 
 
 @dataclass(frozen=True)
@@ -159,8 +170,7 @@ def best_constant_seed(alpha: float, bounds: AdmissibleBounds):
 # -- step direction --------------------------------------------------------------
 
 def step_direction(g: GradientDensity, B: GridStructure,
-                   bounds: AdmissibleBounds,
-                   tol_grad: float = 1e-10) -> np.ndarray:
+                   bounds: AdmissibleBounds) -> np.ndarray:
     """Conditional-gradient step of Im kappa that is Re-neutral.
 
     delta B takes B to the vertex of the linearised problem: minimize
@@ -169,13 +179,13 @@ def step_direction(g: GradientDensity, B: GridStructure,
     Naval Res. Logist. Q. 3, 1956).  B + delta B is bang-bang except for at
     most one marginal cell.  Returns delta B as a float array over the cells
     of B.  StalledDirection signals first-order optimality: a predicted Im
-    decrease no larger than tol_grad.
+    decrease no larger than _TOL_GRAD.
     """
     d = _lp_direction(-g.g.imag, g.g.real, B.values, bounds)
     slope = float(np.dot(g.g.imag, d)) / len(d)
-    if slope >= -tol_grad:
+    if slope >= -_TOL_GRAD:
         raise StalledDirection(
-            f"predicted Im decrease {slope:.3e} above -{tol_grad:.0e}")
+            f"predicted Im decrease {slope:.3e} above -{_TOL_GRAD:.0e}")
     return d
 
 
@@ -250,7 +260,7 @@ def _pin_frequency(B: GridStructure, kappa: complex, cfg: OptimizeConfig):
     n = B.n_cells
     for _ in range(_PIN_ROUNDS):
         drift = kappa.real - cfg.alpha
-        if abs(drift) <= 0.5 * cfg.tol_freq:
+        if abs(drift) <= 0.5 * _TOL_FREQ:
             return B, kappa, True
         ga = eigenvalue_gradient(B, kappa).g
         vals = B.values
@@ -263,7 +273,7 @@ def _pin_frequency(B: GridStructure, kappa: complex, cfg: OptimizeConfig):
         s = max(min(want / dre, 1.0), -1.0)
         B = project_to_box(B.with_values(vals + s * d), bounds)
         kappa = _track(B, kappa, _trust_radius(B))
-    return B, kappa, abs(kappa.real - cfg.alpha) <= 0.5 * cfg.tol_freq
+    return B, kappa, abs(kappa.real - cfg.alpha) <= 0.5 * _TOL_FREQ
 
 
 # -- main loop ---------------------------------------------------------------------
@@ -274,13 +284,19 @@ def minimize_im_at_frequency(config: OptimizeConfig,
 
     Returns the final grid structure, tracked eigenvalue, per-iteration
     trajectory, and the rounded + switch-polished bang-bang finalization.
-    Raises ZeroFrequency for a seed_kappa with Im <= 0, and LostEigenvalue /
+    Raises ZeroFrequency for a seed_kappa with Im <= 0, InputError for a
+    non-finite one or one without B0, and LostEigenvalue /
     CollisionDetected with a .partial attribute carrying the trajectory so
     far.
     """
     cfg = config
-    if cfg.seed_kappa is not None and not cfg.seed_kappa.imag > 0:
-        raise ZeroFrequency("a seed eigenvalue needs Im kappa > 0")
+    if cfg.seed_kappa is not None:
+        if not cfg.seed_kappa.imag > 0:
+            raise ZeroFrequency("a seed eigenvalue needs Im kappa > 0")
+        if not cmath.isfinite(cfg.seed_kappa):
+            raise InputError(f"seed_kappa must be finite, got {cfg.seed_kappa}")
+        if B0 is None:
+            raise InputError("seed_kappa needs a seed medium B0")
     bounds = cfg.bounds
     if B0 is None:
         b, kappa = best_constant_seed(cfg.alpha, bounds)
@@ -309,7 +325,7 @@ def minimize_im_at_frequency(config: OptimizeConfig,
         raise InfeasibleError(
             f"seed cannot be pinned to frequency {cfg.alpha}")
     eps_ext = 0.05 * bounds.width
-    step = cfg.step0
+    step = _STEP0
     trajectory = [IterationRecord(0, kappa, kappa.imag,
                                   abs(kappa.real - cfg.alpha),
                                   extremality_measure(B, bounds, eps_ext), 0.0)]
@@ -326,7 +342,7 @@ def minimize_im_at_frequency(config: OptimizeConfig,
             err.partial = _finalize(B, kappa, cfg, trajectory, "collision")
             raise err from exc
         try:
-            d = step_direction(g, B, bounds, cfg.tol_grad)
+            d = step_direction(g, B, bounds)
         except StalledDirection:
             status = "stalled"
             break
@@ -339,14 +355,14 @@ def minimize_im_at_frequency(config: OptimizeConfig,
                 kt = _track(Bt, kappa, _trust_radius(B))
                 Bt, kt, pinned = _pin_frequency(Bt, kt, cfg)
             except (LostEigenvalue, NearMultiple):
-                step *= cfg.step_shrink
+                step *= _STEP_SHRINK
                 continue
             if pinned and kt.imag <= kappa.imag + 1e-4 * step * slope:
                 B, kappa = Bt, kt
                 accepted = True
-                step = min(step * cfg.step_grow, 1.0)
+                step = min(step * _STEP_GROW, 1.0)
                 break
-            step *= cfg.step_shrink
+            step *= _STEP_SHRINK
         if not accepted:
             status = "stalled"
             break
@@ -361,7 +377,7 @@ def minimize_im_at_frequency(config: OptimizeConfig,
 
 def _finalize(B: GridStructure, kappa: complex, cfg: OptimizeConfig,
               trajectory: list, status: str) -> OptimizeResult:
-    rounded, _ = round_to_extreme(B, cfg.bounds, cfg.round_threshold)
+    rounded = round_to_extreme(B, cfg.bounds)
     out = OptimizeResult(B, kappa, tuple(trajectory), status)
     try:
         k_r = _track(rounded, kappa, _trust_radius(B))

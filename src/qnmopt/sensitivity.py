@@ -27,7 +27,7 @@ from .errors import (BranchCountMismatch, InputError, NearMultiple,
                      NoConvergence, NotAtRoot)
 from .field import _jet, charF_dzF, phi2_cell_integrals, propagate
 from .medium import (AdmissibleBounds, GridStructure, PiecewiseStructure,
-                     _read_only, to_piecewise)
+                     _is_int, _read_only, to_piecewise)
 from .spectrum import newton_refine
 
 __all__ = [
@@ -87,15 +87,17 @@ def eigenvalue_gradient(B, kappa: complex, n_cells: int | None = None) -> Gradie
     |F'| raises NearMultiple and the splitting machinery applies instead, and
     the denominator D = -i kappa phi(1) F'(kappa) (F = 0 and the Wronskian).
     """
+    if n_cells is None:
+        if not isinstance(B, GridStructure):
+            raise InputError("n_cells required for piecewise structures")
+        n_cells = B.n_cells
+    elif not (_is_int(n_cells) and n_cells >= 1):
+        raise InputError(f"n_cells must be an integer >= 1, got {n_cells!r}")
     f, df, d2f, phi1 = _jet(kappa, B, 2)
     if not abs(f) < _ROOT_TOL:
         raise NotAtRoot(f"|F({kappa})| = {abs(f):.3e} >= {_ROOT_TOL:.0e}")
     if abs(df) < 1e-6 * max(1.0, abs(d2f)):
         raise NearMultiple(f"|dF/dz| = {abs(df):.3e} below the simple-root floor")
-    if n_cells is None:
-        if not isinstance(B, GridStructure):
-            raise InputError("n_cells required for piecewise structures")
-        n_cells = B.n_cells
     edges = np.linspace(0.0, 1.0, n_cells + 1)
     denom = -1j * kappa * phi1 * df
     cells = phi2_cell_integrals(B, kappa, edges)

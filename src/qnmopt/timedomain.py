@@ -43,7 +43,7 @@ import numpy as np
 from .errors import (CFLViolation, DegenerateMedium, FitUnstable, InputError,
                      NumericalError)
 from .field import mode_values
-from .medium import GridStructure, PiecewiseStructure
+from .medium import GridStructure, PiecewiseStructure, _is_int, _is_real
 
 __all__ = ["SimResult", "simulate", "excite_and_fit", "FitResult",
            "CFL_SAFETY"]
@@ -74,14 +74,6 @@ def _node_coefficients(B: Medium, m_cells: int) -> np.ndarray:
     left = B.layers.values_at(np.maximum(xs - 0.25 * h, 0.0))
     right = B.layers.values_at(np.minimum(xs + 0.25 * h, 1.0))
     return 0.5 * (left + right)
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
-
-
-def _is_real(v) -> bool:
-    return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
 def _plan(B: Medium, T, m_cells, dt) -> tuple:

@@ -71,7 +71,7 @@ def test_traced_names_exist(monkeypatch):
 
 
 # defaulted parameters over src/qnmopt; a new option is a deliberate edit here
-MAX_PUBLIC_DEFAULTS = 20
+MAX_PUBLIC_DEFAULTS = 18
 MAX_PRIVATE_DEFAULTS = 2
 
 
@@ -89,7 +89,7 @@ def _defaulted_parameters():
 
 
 # defaulted fields of OptimizeConfig, options that no signature counts
-MAX_CONFIG_DEFAULTS = 9
+MAX_CONFIG_DEFAULTS = 3
 
 
 def _config_defaults() -> int:

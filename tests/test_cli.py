@@ -11,6 +11,11 @@ from qnmopt.optimize import OptimizeConfig
 from conftest import LN3_4
 
 
+# OptimizeConfig fields that became module constants, at their old defaults
+REMOVED_OPTIONS = {"step0": 0.2, "step_grow": 1.5, "step_shrink": 0.5,
+                   "tol_freq": 1e-8, "tol_grad": 1e-10, "round_threshold": 0.25}
+
+
 def run(argv):
     return main([str(a) for a in argv])
 
@@ -142,10 +147,38 @@ class TestOptimize:
         assert run(["optimize", "--config", cfg,
                     "--out-dir", tmp_path / "r"]) == 2
 
+    @pytest.mark.parametrize("key, value", REMOVED_OPTIONS.items())
+    def test_removed_options_exit_2(self, tmp_path, capsys, key, value):
+        # step sizes, tolerances and the rounding threshold are constants
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"alpha": 1.5, "bounds": [1, 4],
+                                   key: value}))
+        code = run(["optimize", "--config", cfg, "--out-dir", tmp_path / "r"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"input error: unknown config keys ['{key}']")
+        assert "Traceback" not in err
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("extra", [
+        {"n_cells": 8}, {"n_cells": 0}, {"n_cells": 1.5}, {"max_iters": -1},
+        {"alpha": math.nan}, {"alpha": math.inf},
+        {"seed_kappa": [1.5, 0.25]},
+        {"seed_kappa": [math.nan, 0.25], "seed_constant": 4},
+        {"seed_kappa": [1.5, math.inf], "seed_constant": 4},
+    ])
+    def test_invalid_run_exit_2(self, tmp_path, capsys, extra):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"alpha": 1.5, "bounds": [1, 4],
+                                   "n_cells": 32, **extra}))
+        code = run(["optimize", "--config", cfg, "--out-dir", tmp_path / "r"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("input error:")
+        assert "Traceback" not in err
+
     def test_config_options_converted(self, tmp_path):
-        opts = {"n_cells": 64, "step0": 0.3, "step_grow": 2.0,
-                "step_shrink": 0.25, "max_iters": 7, "tol_freq": 1e-7,
-                "tol_grad": 1e-9, "round_threshold": 0.2}
+        opts = {"n_cells": 64, "max_iters": 7}
         assert set(opts) == set(_CONFIG_OPTIONS)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"alpha": 1.5, "bounds": [1, 4],
@@ -159,7 +192,8 @@ class TestOptimize:
     @pytest.mark.parametrize("raw", [
         {"bounds": [1, 4]}, {"alpha": 1.5},
         {"alpha": None, "bounds": [1, 4]}, {"alpha": 1.5, "bounds": None},
-        *({"alpha": 1.5, "bounds": [1, 4], k: None} for k in _CONFIG_OPTIONS),
+        *({"alpha": 1.5, "bounds": [1, 4], k: None}
+          for k in (*_CONFIG_OPTIONS, *REMOVED_OPTIONS)),
     ])
     def test_missing_or_null_exit_2(self, tmp_path, raw):
         cfg = tmp_path / "cfg.json"

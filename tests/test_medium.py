@@ -150,36 +150,28 @@ class TestProject:
 class TestRoundToExtreme:
     def test_near_extreme(self):
         b = AdmissibleBounds(1, 4)
-        res = round_to_extreme(grid([1.01, 3.99], b), b, threshold=0.1)
-        assert res.structure.breakpoints.tolist() == [0.0, 0.5, 1.0]
-        assert res.structure.values.tolist() == [1.0, 4.0]
-        assert res.report.forced_fraction == 0.0
+        res = round_to_extreme(grid([1.01, 3.99], b), b)
+        assert res.breakpoints.tolist() == [0.0, 0.5, 1.0]
+        assert res.values.tolist() == [1.0, 4.0]
 
     def test_merge_to_constant(self):
         b = AdmissibleBounds(1, 4)
-        res = round_to_extreme(grid([4.0] * 4, b), b, threshold=0.1)
-        assert res.structure.values.tolist() == [4.0]
-        assert res.structure.breakpoints.tolist() == [0.0, 1.0]
+        res = round_to_extreme(grid([4.0] * 4, b), b)
+        assert res.values.tolist() == [4.0]
+        assert res.breakpoints.tolist() == [0.0, 1.0]
 
     def test_midband_tie_goes_low(self):
         b = AdmissibleBounds(1, 4)
-        res = round_to_extreme(grid([2.5], b), b, threshold=0.1)
-        assert res.structure.values.tolist() == [1.0]
-        assert res.report.forced == (True,)
-        assert res.report.forced_fraction == 1.0
-
-    def test_threshold_validated(self):
-        b = AdmissibleBounds(1, 4)
-        with pytest.raises(InputError):
-            round_to_extreme(grid([2.0], b), b, threshold=0.6)
+        res = round_to_extreme(grid([2.5], b), b)
+        assert res.values.tolist() == [1.0]
 
     @given(st.lists(st.floats(1, 4), min_size=1, max_size=60))
     @settings(max_examples=60, deadline=None)
     def test_output_is_bang_bang(self, vals):
         b = AdmissibleBounds(1, 4)
-        res = round_to_extreme(grid(vals, b), b, threshold=0.2)
-        switch_points(res.structure)  # must not raise
-        g = to_grid(res.structure, len(vals))
+        res = round_to_extreme(grid(vals, b), b)
+        switch_points(res)  # must not raise
+        g = to_grid(res, len(vals))
         assert extremality_measure(g, b, eps=0.1) == 0.0
 
 
@@ -232,6 +224,16 @@ class TestConversions:
         # the grid's own layers are those of its piecewise form
         for mine, theirs in zip(g.layers, to_piecewise(g).layers):
             assert np.array_equal(mine, theirs)
+
+    @pytest.mark.parametrize("n_cells", [0, -3, 1.5, 8.0, True, None, "8"])
+    def test_bad_cell_count_is_input_error(self, n_cells):
+        # 1.5 raised TypeError from np.linspace, 0 a bare ValueError
+        with pytest.raises(InputError):
+            to_grid(constant(4.0, AdmissibleBounds(1, 4)), n_cells)
+
+    def test_numpy_cell_count(self):
+        g = to_grid(constant(4.0, AdmissibleBounds(1, 4)), np.int64(4))
+        assert g.values.tolist() == [4.0] * 4
 
     def test_grid_layers_check_bounds(self):
         g = GridStructure((1.0, 5.0), AdmissibleBounds(1, 4))

@@ -1,5 +1,7 @@
+import inspect
 import math
 import time
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -12,8 +14,9 @@ from qnmopt.errors import (InfeasibleError, InputError, LostEigenvalue,
 from qnmopt.field import charF_many
 from qnmopt.medium import (AdmissibleBounds, GridStructure, PiecewiseStructure,
                            constant, random_bang_bang, to_grid)
-from qnmopt.optimize import (OptimizeConfig, _drop_thin_layers, _lp_direction,
-                             _track, best_constant_seed, constant_upper_bound,
+from qnmopt.optimize import (_TOL_FREQ, _TOL_GRAD, OptimizeConfig,
+                             _drop_thin_layers, _lp_direction, _track,
+                             best_constant_seed, constant_upper_bound,
                              minimize_im_at_frequency, step_direction, sweep_I)
 from qnmopt.sensitivity import GradientDensity, eigenvalue_gradient
 from qnmopt.spectrum import SpectralWindow, axis_offset, locate, newton_refine
@@ -280,13 +283,15 @@ class TestStepIsLpVertex:
         im, re, vals = (np.array(c) for c in zip(*cells))
         g = GradientDensity(1 + 1j, re + 1j * im, 1.0)
         B = GridStructure(tuple(vals), box)
-        # tol_grad = -inf turns the slope test off: the property is about
-        # the direction itself, stalled or not
-        d = step_direction(g, B, box, -math.inf)
-        assert np.array_equal(
-            d, _lp_direction(-g.g.imag, g.g.real, B.values, box))
+        d = _lp_direction(-g.g.imag, g.g.real, B.values, box)
         assert_lp_optimal(-im, re, vals, box, d)
         assert abs(np.dot(re, d)) <= 1e-12 * np.sum(np.abs(re))
+        # step_direction returns that vertex unless it predicts no decrease
+        if float(np.dot(im, d)) / len(d) < -_TOL_GRAD:
+            assert np.array_equal(step_direction(g, B, box), d)
+        else:
+            with pytest.raises(StalledDirection):
+                step_direction(g, B, box)
 
 
 class TestGradientBudget:
@@ -357,7 +362,7 @@ class TestFrequencyPinning:
         cfg = OptimizeConfig(alpha=math.pi, bounds=box14, n_cells=48,
                              max_iters=40)
         res = minimize_im_at_frequency(cfg)
-        assert abs(res.kappa.real - math.pi) <= cfg.tol_freq
+        assert abs(res.kappa.real - math.pi) <= _TOL_FREQ
         objs = [r.objective for r in res.trajectory]
         assert all(b <= a + 1e-12 for a, b in zip(objs, objs[1:]))
         assert all(r.objective > 0 for r in res.trajectory)
@@ -434,10 +439,42 @@ class TestConfigValidation:
     def test_invariants(self, box14):
         with pytest.raises(InputError):
             OptimizeConfig(alpha=0.0, bounds=box14, n_cells=8)
+        OptimizeConfig(alpha=1, bounds=box14, n_cells=np.int64(16),
+                       max_iters=0)
+
+    @pytest.mark.parametrize("bad", [
+        {"alpha": math.nan}, {"alpha": math.inf}, {"alpha": -math.inf},
+        {"alpha": 1 + 0j}, {"alpha": "1.5"}, {"alpha": True},
+        {"n_cells": 16.5}, {"n_cells": 16.0}, {"n_cells": True},
+        {"n_cells": "64"}, {"max_iters": 2.5}, {"max_iters": -1},
+        {"max_iters": False}, {"max_iters": None},
+    ])
+    def test_bad_field_is_input_error(self, box14, bad):
+        # n_cells = 16.5 and max_iters = 2.5 escaped as TypeError from deep
+        # inside the run, and alpha = nan was accepted
         with pytest.raises(InputError):
-            OptimizeConfig(alpha=0.0, bounds=box14, step0=0.0)
+            OptimizeConfig(**{"alpha": 1.5, "bounds": box14, **bad})
+
+    def test_knobs_are_constants(self):
+        assert [f.name for f in fields(OptimizeConfig)] == [
+            "alpha", "bounds", "n_cells", "max_iters", "seed_kappa"]
+        assert "tol_grad" not in inspect.signature(step_direction).parameters
+
+    @pytest.mark.parametrize("seed_kappa", [complex(math.nan, 1.0),
+                                            complex(1.0, math.inf),
+                                            complex(math.inf, 1.0)])
+    def test_nonfinite_seed_is_input_error(self, box14, seed_kappa):
+        cfg = OptimizeConfig(alpha=math.pi, bounds=box14, n_cells=32,
+                             seed_kappa=seed_kappa)
         with pytest.raises(InputError):
-            OptimizeConfig(alpha=0.0, bounds=box14, tol_freq=0.0)
+            minimize_im_at_frequency(cfg, to_grid(constant(4.0, box14), 32))
+
+    def test_seed_kappa_needs_seed_medium(self, box14):
+        # it was ignored: the run seeded from best_constant_seed instead
+        cfg = OptimizeConfig(alpha=math.pi, bounds=box14, n_cells=32,
+                             seed_kappa=math.pi + 0.3j)
+        with pytest.raises(InputError, match="seed medium"):
+            minimize_im_at_frequency(cfg)
 
 
 class TestSubUnitBoxSanity:

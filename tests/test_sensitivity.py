@@ -209,6 +209,13 @@ class TestGradientOneSweep:
                 reference_eigenvalue_gradient(B, kappa, n_cells=16)
             assert str(exc.value) == str(ref.value)
 
+    @pytest.mark.parametrize("n_cells", [0, -1, 2.5, 16.0, True, "16"])
+    def test_bad_cell_count_is_input_error(self, box14, n_cells):
+        # 0 raised a bare ValueError from np.linspace, 2.5 a TypeError
+        B = constant(4.0, box14)
+        with pytest.raises(InputError):
+            eigenvalue_gradient(B, math.pi + 1j * LN3_4, n_cells)
+
 
 class TestSplittingProbe:
     def test_exponent_and_coefficient(self, box14, double_fixture):
