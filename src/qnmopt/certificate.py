@@ -138,7 +138,7 @@ def _omega(B: PiecewiseStructure, kappa: complex, b1: float) -> float:
 
 
 def certificate_theta(kappa: complex, omega: float, b1: float,
-                      a1: float = 0.0) -> float:
+                      a1: float) -> float:
     """Rotation making y = e^{i theta} phi solve the nonlinear problem."""
     if kappa.real == 0.0:
         return 0.25 * math.pi  # any value in (0, pi/2) works on the axis

@@ -33,9 +33,9 @@ FLOAT_FMT = "%.12e"
 FIXTURE_SEED = (0.7125, 4.0, 1.4792)
 FIXTURE_KAPPA = 4.44244 + 1.03017j
 
-# optional OptimizeConfig keys of a config file and their converters; an
+# optional OptimizeConfig keys a config file passes through as they are; an
 # absent key keeps the OptimizeConfig default
-_CONFIG_OPTIONS = {"n_cells": int, "max_iters": int}
+_CONFIG_OPTIONS = {"n_cells", "max_iters"}
 # every key a config file may hold
 _CONFIG_KEYS = {"alpha", "bounds", "seed_kappa", "seed_structure",
                 "seed_constant", *_CONFIG_OPTIONS}
@@ -123,8 +123,7 @@ def _config_from_json(path: str) -> tuple:
         raise InputError(f"unknown config keys {unknown} in {path}")
     try:
         bounds = AdmissibleBounds(*map(float, raw["bounds"]))
-        opts = {k: conv(raw[k]) for k, conv in _CONFIG_OPTIONS.items()
-                if k in raw}
+        opts = {k: raw[k] for k in _CONFIG_OPTIONS if k in raw}
         if raw.get("seed_kappa") is not None:
             opts["seed_kappa"] = complex(*map(float, raw["seed_kappa"]))
         cfg = OptimizeConfig(alpha=float(raw["alpha"]), bounds=bounds, **opts)
@@ -164,7 +163,6 @@ def _certificate_record(B, kappa: complex, axis: bool) -> dict:
 
 def cmd_optimize(args) -> int:
     cfg, seed_structure = _config_from_json(args.config)
-    os.makedirs(args.out_dir, exist_ok=True)
     traj_path = os.path.join(args.out_dir, "trajectory.csv")
     struct_path = os.path.join(args.out_dir, "structure.json")
     cert_path = os.path.join(args.out_dir, "certificate.json")
@@ -175,9 +173,11 @@ def cmd_optimize(args) -> int:
     except QnmOptError as exc:
         partial = getattr(exc, "partial", None)
         if partial is not None:
+            os.makedirs(args.out_dir, exist_ok=True)
             _write_csv(traj_path, header, _trajectory_rows(partial.trajectory))
         raise
 
+    os.makedirs(args.out_dir, exist_ok=True)
     _write_csv(traj_path, header, _trajectory_rows(res.trajectory))
     final = res.polished if res.polished is not None else res.rounded
     final_kappa = (res.polished_kappa if res.polished_kappa is not None
@@ -222,7 +222,7 @@ def cmd_simulate(args) -> int:
     B = _load_structure(args)
     kappa = complex(args.kappa_re, args.kappa_im)
     m = args.cells
-    _plan(B, args.T, m, None)      # refuse a bad or oversized run up front
+    _plan(B, args.T, m)  # refuse a bad or oversized run up front
     xs = np.linspace(0.0, 1.0, m + 1)
     if args.mode_excitation:
         phi, _ = mode_values(B, kappa, xs)

@@ -96,10 +96,6 @@ class OnImaginaryAxis(InputError):
 
 # -- time domain --------------------------------------------------------------
 
-class CFLViolation(InputError):
-    """Requested time step violates the CFL bound."""
-
-
 class DegenerateMedium(InputError):
     """min B <= 0: wave speed unbounded, simulation refused."""
 

@@ -60,6 +60,7 @@ _SMALL = 1e-8      # |wL| below which sin(wL)/w equals L to double precision
 _CHUNK = 1 << 11   # layers x points per charF_many chunk; at 1 << 12 and up
                    # glibc gave its temporaries back to the OS per chunk
 _SERIES_TOL = 1e-16   # term bound at which phi_series stops summing
+_SERIES_TERMS = 200   # most terms phi_series sums before TailNotConverged
 
 
 def _coefficients(z, rootb, lengths) -> tuple:
@@ -394,21 +395,6 @@ class SeriesResult(NamedTuple):
     roundoff_bound: float   # double-precision floor of the alternating sum
 
 
-class _PiecewisePoly:
-    """Polynomial coefficients per layer in the local variable t."""
-
-    def __init__(self, coeffs: list):
-        self.coeffs = coeffs  # list of 1-D arrays, one per layer
-
-    def end_values(self, lengths) -> tuple:
-        """(value, derivative) at the right end of the last layer."""
-        c = self.coeffs[-1]
-        L = lengths[-1]
-        val = _polyval(c, L)
-        dval = _polyval(np.arange(1, len(c)) * c[1:], L)
-        return val, dval
-
-
 def _polyval(c, t):
     out = 0.0
     for ck in c[::-1]:
@@ -416,25 +402,29 @@ def _polyval(c, t):
     return out
 
 
+def _end_values(c, L) -> tuple:
+    """(value, derivative) at t = L of the polynomial with coefficients c."""
+    return _polyval(c, L), _polyval(np.arange(1, len(c)) * c[1:], L)
+
+
 def _double_integrate_sourced(source_coeffs, lengths, bvals):
     """Solve y'' = B * source, y(0) = y'(0) = 0, exactly per layer.
 
-    source_coeffs holds the polynomial of the previous iterate per layer;
-    returns the new per-layer polynomials.
+    source_coeffs holds the polynomial of the previous iterate per layer, in
+    the local variable t; returns the new per-layer polynomials and (y, y')
+    at x = 1.
     """
-    entry, dentry = 0.0, 0.0
+    end = 0.0, 0.0
     out = []
     for c, L, b in zip(source_coeffs, lengths, bvals):
         m = np.arange(len(c))
-        body = b * c / ((m + 1) * (m + 2))
-        new = np.concatenate(([entry, dentry], body))
+        new = np.concatenate((end, b * c / ((m + 1) * (m + 2))))
         out.append(new)
-        entry = _polyval(new, L)
-        dentry = _polyval(np.arange(1, len(new)) * new[1:], L)
-    return out
+        end = _end_values(new, L)
+    return out, end
 
 
-def phi_series(B, z: complex, terms: int = 200) -> SeriesResult:
+def phi_series(B, z: complex) -> SeriesResult:
     """phi and psi at x = 1 from the Maclaurin series in z^2.
 
     The iterates solve y_j'' = B y_{j-1} with zero initial data and are
@@ -442,8 +432,8 @@ def phi_series(B, z: complex, terms: int = 200) -> SeriesResult:
     coefficient carries full double precision.  The sum runs to the first
     n >= 2 at which the a-priori term bound (sup B |z|^2)^n / (2n)! drops
     below _SERIES_TOL, counted before any term is formed (TailNotConverged
-    when that exceeds `terms`); the result reports that tail bound and a
-    roundoff majorant eps * sum |term| for the alternating sum itself.
+    when that exceeds _SERIES_TERMS); the result reports that tail bound and
+    a roundoff majorant eps * sum |term| for the alternating sum itself.
     """
     xs, lengths, bvals = (a.tolist() for a in B.layers)
     az2 = (abs(z) ** 2) * max(bvals)
@@ -451,10 +441,10 @@ def phi_series(B, z: complex, terms: int = 200) -> SeriesResult:
     n, bound = 0, 1.0
     while n < 2 or not bound < _SERIES_TOL:
         n += 1
-        if n > terms:
+        if n > _SERIES_TERMS:
             raise TailNotConverged(
                 f"term bound {bound:.3e} still above {_SERIES_TOL:.1e} "
-                f"after {terms} terms")
+                f"after {_SERIES_TERMS} terms")
         bound *= az2 / (2 * n * (2 * n - 1))
 
     # j = 0 iterates: phi_0 = 1, psi_0 = x (local form x0 + t per layer)
@@ -463,17 +453,13 @@ def phi_series(B, z: complex, terms: int = 200) -> SeriesResult:
 
     z2 = z * z
     zpow = 1.0 + 0.0j
-    phi1 = complex(_polyval(phi_c[-1], lengths[-1]))
-    dphi1 = 0.0 + 0.0j
-    psi1, dpsi1 = (complex(v) for v in
-                   _PiecewisePoly(psi_c).end_values(lengths))
+    phi1, dphi1 = 1.0 + 0.0j, 0.0 + 0.0j
+    psi1, dpsi1 = map(complex, _end_values(psi_c[-1], lengths[-1]))
     abs_sum = abs(phi1)
     for _ in range(n):
-        phi_c = _double_integrate_sourced(phi_c, lengths, bvals)
-        psi_c = _double_integrate_sourced(psi_c, lengths, bvals)
+        phi_c, (pv, pd) = _double_integrate_sourced(phi_c, lengths, bvals)
+        psi_c, (qv, qd) = _double_integrate_sourced(psi_c, lengths, bvals)
         zpow *= -z2
-        pv, pd = _PiecewisePoly(phi_c).end_values(lengths)
-        qv, qd = _PiecewisePoly(psi_c).end_values(lengths)
         phi1 += zpow * pv
         dphi1 += zpow * pd
         psi1 += zpow * qv

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import InputError, NotBangBang
 
-_BANG_TOL = 1e-12  # distance from a bound that still counts as on it
+_BOUND_SLACK = 1e-12  # distance past or from a bound that counts as on it
 
 
 @dataclass(frozen=True)
@@ -43,9 +43,10 @@ class AdmissibleBounds:
     def width(self) -> float:
         return self.b2 - self.b1
 
-    def contains(self, v, tol: float = 1e-12) -> bool:
+    def contains(self, v) -> bool:
         v = np.asarray(v, dtype=float)
-        return bool(np.all(v >= self.b1 - tol) and np.all(v <= self.b2 + tol))
+        return bool(np.all(v >= self.b1 - _BOUND_SLACK)
+                    and np.all(v <= self.b2 + _BOUND_SLACK))
 
 
 class Layers(NamedTuple):
@@ -140,8 +141,8 @@ class PiecewiseStructure:
 
     def is_bang_bang(self) -> bool:
         vs = self.values
-        return bool(np.all((np.abs(vs - self.bounds.b1) <= _BANG_TOL)
-                           | (np.abs(vs - self.bounds.b2) <= _BANG_TOL)))
+        return bool(np.all((np.abs(vs - self.bounds.b1) <= _BOUND_SLACK)
+                           | (np.abs(vs - self.bounds.b2) <= _BOUND_SLACK)))
 
     def leading_zero_interval(self) -> float:
         """a1 = sup { x : B = 0 a.e. on [0, x] } (0 unless the first value is 0)."""
@@ -192,8 +193,8 @@ def constant(b: float, bounds: AdmissibleBounds | None = None) -> PiecewiseStruc
 class GridStructure:
     """Medium sampled on N uniform cells: value[i] on (i/N, (i+1)/N).
 
-    The bounds are checked when `layers` is first read, so the optimizer can
-    build out-of-box grids on purpose (before `project_to_box`).
+    Values must be finite; the bounds are checked when `layers` is first
+    read, so the optimizer may build out-of-box grids (`project_to_box`).
     """
 
     values: np.ndarray
@@ -203,6 +204,8 @@ class GridStructure:
         vs = np.array(self.values, dtype=float)
         if vs.ndim != 1 or len(vs) < 1:
             raise InputError("need at least one cell")
+        if not np.isfinite(vs).all():
+            raise InputError("cell values must be finite")
         object.__setattr__(self, "values", _read_only(vs))
 
     def __eq__(self, other):
@@ -293,6 +296,9 @@ def extremality_measure(g: GridStructure, bounds: AdmissibleBounds,
 def random_bang_bang(bounds: AdmissibleBounds, rng,
                      max_switches: int = 6) -> PiecewiseStructure:
     """Random bang-bang structure: helper for tests and sanity scans."""
+    if not (_is_int(max_switches) and max_switches >= 1):
+        raise InputError(
+            f"max_switches must be an integer >= 1, got {max_switches!r}")
     k = int(rng.integers(1, max_switches + 1))
     xs = np.sort(rng.uniform(0.05, 0.95, size=k))
     # guard against numerically coincident switch points

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -76,12 +77,18 @@ class OptimizeConfig:
     def __post_init__(self):
         if not (_is_real(self.alpha) and math.isfinite(self.alpha)):
             raise InputError(f"alpha must be a finite real, got {self.alpha!r}")
+        if not isinstance(self.bounds, AdmissibleBounds):
+            raise InputError(
+                f"bounds must be AdmissibleBounds, got {self.bounds!r}")
         if not (_is_int(self.n_cells) and self.n_cells >= 16):
             raise InputError(
                 f"n_cells must be an integer >= 16, got {self.n_cells!r}")
         if not (_is_int(self.max_iters) and self.max_iters >= 0):
             raise InputError(
                 f"max_iters must be an integer >= 0, got {self.max_iters!r}")
+        if not isinstance(self.seed_kappa, (numbers.Complex, type(None))):
+            raise InputError(
+                f"seed_kappa must be complex or None, got {self.seed_kappa!r}")
 
 
 @dataclass(frozen=True)

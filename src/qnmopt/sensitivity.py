@@ -10,8 +10,8 @@ order-2 jet of the field module (F, F', F'', phi(1)) and the closed-form
 cell integrals of phi^2 give the gradient, its root check and its
 simple-root floor.  Multiple eigenvalues instead split along r Puiseux
 branches ~ c1 zeta^(1/r); splitting_probe measures that exponent and
-coefficient against the formula, whose F^(r) (2 <= r <= 6) dzF_higher
-reads off the order-r jet, exact to rounding.  find_double_eigenvalue
+coefficient against the formula, whose F^(r) (2 <= r <= 6; dzF_higher)
+and phi(1) come off one order-r jet, exact to rounding.  find_double_eigenvalue
 builds the two-layer double root the tests use; it and the optimizer's
 switch polish share one damped-Newton driver, _damped_newton.
 """
@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import (BranchCountMismatch, InputError, NearMultiple,
                      NoConvergence, NotAtRoot)
-from .field import _jet, charF_dzF, phi2_cell_integrals, propagate
+from .field import _jet, charF_dzF, phi2_cell_integrals
 from .medium import (AdmissibleBounds, GridStructure, PiecewiseStructure,
                      _is_int, _read_only, to_piecewise)
 from .spectrum import newton_refine
@@ -38,6 +38,7 @@ __all__ = [
 
 _ROOT_TOL = 1e-8   # |F| above this is "not at a root"
 _MAX_ORDER = 6     # highest order checked against closed forms and 50 digits
+_DOUBLE_ITERS = 80  # damped-Newton iterations of find_double_eigenvalue
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,13 +71,18 @@ class GradientDensity:
         return complex(np.dot(self.g, d) / self.n_cells)
 
 
+def _order_jet(B, kappa: complex, order) -> tuple:
+    """field._jet at an order that must be an integer in 2.._MAX_ORDER."""
+    if not (_is_int(order) and 2 <= order <= _MAX_ORDER):
+        raise InputError(f"order {order!r} is not an integer in "
+                         f"2..{_MAX_ORDER}")
+    return _jet(kappa, B, order)
+
+
 def dzF_higher(B, kappa: complex, order: int) -> complex:
     """d^order F / dz^order for 2 <= order <= 6, exact to rounding: read off
     one pairwise product of the layer maps' Taylor series (field._jet)."""
-    if not 2 <= order <= _MAX_ORDER:
-        raise InputError(f"order {order} outside 2..{_MAX_ORDER} "
-                         "(dzF gives the first derivative)")
-    return _jet(kappa, B, order)[order]
+    return _order_jet(B, kappa, order)[order]
 
 
 def eigenvalue_gradient(B, kappa: complex, n_cells: int | None = None) -> GradientDensity:
@@ -142,22 +148,24 @@ def splitting_probe(B, kappa0: complex, r: int, direction: GridStructure,
     by Newton from the predicted branch positions; the radii are regressed
     against zeta on log-log axes (slope ~ 1/r) and the fitted leading
     coefficient is compared with
-    c1 = (-r! dBF(direction) / d^r F/dz^r)^(1/r).
+    c1 = (-r! dBF(direction) / d^r F/dz^r)^(1/r).  At a root the Wronskian
+    gives dBF = i kappa0 int phi^2 direction / phi(1), so one order-r jet
+    holds phi(1) and F^(r).  r must be an integer in 2..6 and zetas
+    non-empty, else InputError.
     """
     zetas = tuple(sorted((float(z) for z in zetas), reverse=True))
-    if r < 2:
-        raise InputError("splitting requires multiplicity r >= 2")
+    if not zetas:
+        raise InputError("splitting needs at least one zeta")
     if isinstance(B, GridStructure):
         B = to_piecewise(B)
-    bd = propagate(B, kappa0)
     cells = phi2_cell_integrals(B, kappa0, direction.edges)
     w = complex(np.dot(cells, direction.values))
     if abs(w) < 1e-12 * max(1.0, float(np.max(np.abs(cells)))
                             * float(np.max(np.abs(direction.values)))):
         raise InputError("int phi^2 * direction vanishes; pick another direction")
-    dbf = kappa0 * (-kappa0 * bd.psi1 + 1j * bd.dpsi1) * w
-    drf = dzF_higher(B, kappa0, r)
-    eta = -math.factorial(r) * dbf / drf
+    jet = _order_jet(B, kappa0, r)
+    dbf = 1j * kappa0 * w / jet[-1]
+    eta = -math.factorial(r) * dbf / jet[r]
     c1_pred = eta ** (1.0 / r)
 
     branch_sets = []
@@ -256,14 +264,13 @@ def _two_layer(a: float, v1: float, v2: float) -> PiecewiseStructure:
     return PiecewiseStructure((0.0, a, 1.0), (v1, v2), bounds)
 
 
-def find_double_eigenvalue(seed: tuple, kappa_seed: complex,
-                           max_iters: int = 80):
+def find_double_eigenvalue(seed: tuple, kappa_seed: complex):
     """Construct a two-layer structure with a genuine double eigenvalue.
 
     seed = (a, v1, v2): interface position and the two layer values; v1 stays
     fixed while (a, v2, Re kappa, Im kappa) solve F = dF/dz = 0 by damped
-    Newton.  Bounds of the returned structure are relaxed around the layer
-    values (diagnostic fixture only).
+    Newton of at most _DOUBLE_ITERS iterations.  Bounds of the returned
+    structure are relaxed around the layer values (diagnostic fixture only).
 
     A purely imaginary kappa_seed requests a double root on the axis: there
     both layer values stay fixed and (a, Im kappa) solve the two real
@@ -285,7 +292,7 @@ def find_double_eigenvalue(seed: tuple, kappa_seed: complex,
 
     q0 = [a, kappa_seed.imag] if axis else \
         [a, v2, kappa_seed.real, kappa_seed.imag]
-    q, r, _, why = _damped_newton(residual, np.array(q0), max_iters)
+    q, r, _, why = _damped_newton(residual, np.array(q0), _DOUBLE_ITERS)
     if r is None:
         raise InputError("seed outside the feasible region")
     if why is not None:

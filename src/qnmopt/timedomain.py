@@ -6,7 +6,8 @@ the classic one-sided transparent form that is exact for unit-speed
 right-movers on the characteristic grid; Mur, IEEE Trans. EMC 23(4), 1981).
 The discrete energy E = 1/2 int (B u_t^2 + u_x^2) is non-increasing, and a
 simulation excited with a frequency-domain mode must show log E decaying at
-twice the mode's imaginary part.
+twice the mode's imaginary part.  Runs take the CFL-safe step
+dt = CFL_SAFETY h sqrt(min B), h = 1/m_cells, and probe the wall node x = 0.
 
 The loop runs in velocity form: it carries V^n = u^{n+1} - u^n and
 D^n = diff(u^n), so a step is
@@ -40,8 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (CFLViolation, DegenerateMedium, FitUnstable, InputError,
-                     NumericalError)
+from .errors import DegenerateMedium, FitUnstable, InputError, NumericalError
 from .field import mode_values
 from .medium import GridStructure, PiecewiseStructure, _is_int, _is_real
 
@@ -62,7 +62,7 @@ Medium = PiecewiseStructure | GridStructure
 class SimResult:
     times: np.ndarray
     energies: np.ndarray
-    probe: np.ndarray            # u at the probe node per recorded step
+    probe: np.ndarray            # u at the wall node x = 0 per step
     dt: float
     dx: float
 
@@ -76,11 +76,11 @@ def _node_coefficients(B: Medium, m_cells: int) -> np.ndarray:
     return 0.5 * (left + right)
 
 
-def _plan(B: Medium, T, m_cells, dt) -> tuple:
-    """(dt, steps) of a run until T on m_cells cells, checked before any
-    allocation: InputError for a bad T, m_cells or dt or a run of more than
-    _MAX_FLOATS floats, DegenerateMedium for min B <= 0, CFLViolation for
-    a dt beyond 0.9 dx sqrt(min B), which is the default."""
+def _plan(B: Medium, T, m_cells) -> tuple:
+    """(dt, steps) of a run until T on m_cells cells at the CFL-safe step
+    dt = CFL_SAFETY dx sqrt(min B), checked before any allocation:
+    InputError for a bad T or m_cells or a run of more than _MAX_FLOATS
+    floats, DegenerateMedium for min B <= 0."""
     if not _is_int(m_cells) or m_cells < 1:
         raise InputError(f"m_cells must be a positive integer, not {m_cells!r}")
     if m_cells >= _MAX_FLOATS // _NODE_ROWS:
@@ -91,13 +91,7 @@ def _plan(B: Medium, T, m_cells, dt) -> tuple:
     if b_min <= 0.0:
         raise DegenerateMedium("simulation requires min B > 0")
     h = 1.0 / m_cells
-    dt_max = CFL_SAFETY * h * math.sqrt(b_min)
-    if dt is None:
-        dt = dt_max
-    elif not (_is_real(dt) and math.isfinite(dt) and dt > 0.0):
-        raise InputError(f"dt must be finite and > 0, not {dt!r}")
-    elif dt > dt_max * (1.0 + 1e-12):
-        raise CFLViolation(f"dt = {dt:.3e} exceeds {dt_max:.3e}")
+    dt = CFL_SAFETY * h * math.sqrt(b_min)
     steps = T / dt
     if not 3.0 * steps + _NODE_ROWS * (m_cells + 1) <= _MAX_FLOATS:
         raise InputError(f"{steps:.3g} steps on {m_cells} cells exceed the "
@@ -121,23 +115,18 @@ def _node_array(a, m_cells: int) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def simulate(B: Medium, u0, v0, T: float, m_cells: int,
-             dt: float | None = None, probe_index: int = 0) -> SimResult:
+def simulate(B: Medium, u0, v0, T: float, m_cells: int) -> SimResult:
     """Leapfrog run until time T on m_cells uniform cells.
 
     u0, v0 are node arrays of length m_cells + 1 (displacement and
-    velocity).  dt defaults to the CFL-safe value 0.9 dx sqrt(min B);
-    a caller-supplied dt beyond that bound raises CFLViolation.  T must be
-    finite and >= 0, m_cells a positive integer, u0 and v0 real and finite,
-    probe_index a node index (negative counts from the right end), and the
-    run must fit in _MAX_FLOATS floats; anything else raises InputError.
-    A run that overflows (huge data, or a dt whose square underflows)
-    raises NumericalError after its loop instead of warning at every step.
+    velocity).  The run takes the CFL-safe step dt = 0.9 dx sqrt(min B)
+    and probes the wall node x = 0.  T must be finite and >= 0, m_cells a
+    positive integer, u0 and v0 real and finite, and the run must fit in
+    _MAX_FLOATS floats; anything else raises InputError.  A run that
+    overflows (huge data) raises NumericalError after its loop instead of
+    warning at every step.
     """
-    dt, n_steps = _plan(B, T, m_cells, dt)
-    if not _is_int(probe_index) or not -m_cells - 1 <= probe_index <= m_cells:
-        raise InputError(f"probe_index {probe_index!r} is not a node of "
-                         f"the {m_cells}-cell grid")
+    dt, n_steps = _plan(B, T, m_cells)
     u_prev = _node_array(u0, m_cells)
     v_init = _node_array(v0, m_cells)
     bn = _node_coefficients(B, m_cells)
@@ -180,7 +169,7 @@ def simulate(B: Medium, u0, v0, T: float, m_cells: int,
     for n0 in range(0, n_steps, _BLOCK):
         for n, (d_row, d, d_lo, v_row, v, v_old) in zip(range(n0, n_steps),
                                                         rows):
-            probe[n] = u[probe_index]
+            probe[n] = u[0]
             sub(u_hi, u_lo, d)
             d_row[0] = -d_row[1]
             # V^{n+1} = V^n + lam2 lap(u^{n+1}) on nodes 0..m-1, then
@@ -229,7 +218,7 @@ def excite_and_fit(B: Medium, kappa: complex, T: float,
     kappa = complex(kappa)
     if not (math.isfinite(kappa.real) and math.isfinite(kappa.imag)):
         raise InputError(f"kappa must be finite, not {kappa!r}")
-    dt, n_steps = _plan(B, T, m_cells, None)
+    dt, n_steps = _plan(B, T, m_cells)
 
     # the real field carries an interference term at frequency 2 Re kappa;
     # averaging E over exactly one oscillation period (p steps) leaves the

@@ -235,7 +235,8 @@ class TestRebuildStructure:
                               leash=1.0)[0]
         omega = _omega_from_trace(phase_trace(B, kappa), switch_points(B),
                                   B.bounds.b1)
-        theta = certificate_theta(kappa, omega, B.bounds.b1)
+        theta = certificate_theta(kappa, omega, B.bounds.b1,
+                                  B.leading_zero_interval())
         for n_grid in (256, 2048):
             new = _rebuild_structure(B, kappa, theta, B.bounds, n_grid)
             old = reference_rebuild(B, kappa, theta, B.bounds, n_grid)

@@ -166,6 +166,9 @@ class TestOptimize:
         {"seed_kappa": [1.5, 0.25]},
         {"seed_kappa": [math.nan, 0.25], "seed_constant": 4},
         {"seed_kappa": [1.5, math.inf], "seed_constant": 4},
+        # int() loaded these as 64 cells and 2 iterations without a word
+        {"n_cells": 64.7}, {"max_iters": 2.9}, {"n_cells": "64"},
+        {"max_iters": True},
     ])
     def test_invalid_run_exit_2(self, tmp_path, capsys, extra):
         cfg = tmp_path / "cfg.json"
@@ -176,14 +179,15 @@ class TestOptimize:
         assert code == 2
         assert err.startswith("input error:")
         assert "Traceback" not in err
+        # a refused run writes nothing, not even the output directory
+        assert not (tmp_path / "r").exists()
 
     def test_config_options_converted(self, tmp_path):
         opts = {"n_cells": 64, "max_iters": 7}
-        assert set(opts) == set(_CONFIG_OPTIONS)
+        assert set(opts) == _CONFIG_OPTIONS
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"alpha": 1.5, "bounds": [1, 4],
-                                   "seed_kappa": [1.5, 0.25],
-                                   **{k: str(v) for k, v in opts.items()}}))
+                                   "seed_kappa": [1.5, 0.25], **opts}))
         got = _config_from_json(str(cfg))[0]
         assert got == OptimizeConfig(alpha=1.5,
                                      bounds=AdmissibleBounds(1.0, 4.0),

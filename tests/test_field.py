@@ -238,8 +238,9 @@ class TestPhiSeries:
         assert res.roundoff_bound < 1e-8
 
     def test_tail_not_converged(self):
-        with pytest.raises(TailNotConverged):
-            phi_series(constant(4.0), 20.0, terms=5)
+        # sup B |z|^2 = 4e4 needs ~280 terms, past the 200-term cap
+        with pytest.raises(TailNotConverged, match="after 200 terms"):
+            phi_series(constant(4.0), 100.0)
 
     def test_divergent_terms_raise_before_overflow(self):
         # sup B |z|^2 = 7.1e4 needs ~360 terms; summing the first 200

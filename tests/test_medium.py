@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from qnmopt.errors import InputError, NotBangBang
 from qnmopt.medium import (AdmissibleBounds, GridStructure, PiecewiseStructure,
                            constant, extremality_measure, project_to_box,
-                           round_to_extreme, switch_points, to_grid,
-                           to_piecewise)
+                           random_bang_bang, round_to_extreme, switch_points,
+                           to_grid, to_piecewise)
 
 
 def grid(vals, bounds):
@@ -240,6 +240,12 @@ class TestConversions:
         with pytest.raises(InputError):
             g.layers
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_grid_refused_on_construction(self, bad):
+        # a nan cell was accepted until `layers` was first read
+        with pytest.raises(InputError, match="finite"):
+            GridStructure((2.0, bad), AdmissibleBounds(1, 4))
+
     def test_aligned_refinement(self):
         b = AdmissibleBounds(1, 4)
         p = PiecewiseStructure((0, 0.25, 1.0), (1.0, 4.0), b)
@@ -256,3 +262,12 @@ class TestConversions:
                             rel_tol=0, abs_tol=1e-12) or True
         # middle cell spans [1/3, 2/3]: half at 1, half at 4
         assert math.isclose(g.values[1], 2.5, abs_tol=1e-12)
+
+
+class TestRandomBangBang:
+    @pytest.mark.parametrize("max_switches", [0, -1, 2.5, True, None])
+    def test_bad_switch_count_is_input_error(self, max_switches):
+        # 0 raised a bare ValueError from rng.integers
+        with pytest.raises(InputError):
+            random_bang_bang(AdmissibleBounds(1, 4), np.random.default_rng(0),
+                             max_switches=max_switches)

@@ -448,10 +448,13 @@ class TestConfigValidation:
         {"n_cells": 16.5}, {"n_cells": 16.0}, {"n_cells": True},
         {"n_cells": "64"}, {"max_iters": 2.5}, {"max_iters": -1},
         {"max_iters": False}, {"max_iters": None},
+        {"bounds": (1, 4)}, {"bounds": None},
+        {"seed_kappa": "x"}, {"seed_kappa": [1.5, 0.25]},
     ])
     def test_bad_field_is_input_error(self, box14, bad):
         # n_cells = 16.5 and max_iters = 2.5 escaped as TypeError from deep
-        # inside the run, and alpha = nan was accepted
+        # inside the run, bounds = (1, 4) and seed_kappa = "x" as
+        # AttributeError, and alpha = nan was accepted
         with pytest.raises(InputError):
             OptimizeConfig(**{"alpha": 1.5, "bounds": box14, **bad})
 

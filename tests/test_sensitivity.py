@@ -35,7 +35,8 @@ def dBF_direction(B, kappa: complex, direction: GridStructure) -> complex:
     """Directional derivative of F with respect to the medium at a root.
 
     Equals kappa [-kappa psi(1) + i psi'(1)] * int phi^2 d; linear in the
-    direction.  splitting_probe inlines the same formula for its dbf term.
+    direction.  splitting_probe takes the Wronskian form i kappa int phi^2 d
+    / phi(1) instead.
     """
     reference_require_root(B, kappa)
     bd = propagate(B, kappa)
@@ -253,6 +254,28 @@ class TestSplittingProbe:
         assert pr == splitting_probe(to_piecewise(g), kappa, 2, d, [1e-4, 1e-5])
         assert 0.45 <= pr.fitted_exponent <= 0.55
 
+    @pytest.mark.parametrize("fixture", ["double_fixture",
+                                         "grid_double_fixture"])
+    def test_predicted_coefficient_matches_boundary_data(self, request,
+                                                          fixture):
+        # the Wronskian form of dBF agrees with the psi(1), psi'(1) form
+        B, kappa = request.getfixturevalue(fixture)
+        d = GridStructure(np.arange(16) < 8, B.bounds)
+        pr = splitting_probe(B, kappa, 2, d, [1e-5])
+        eta = -2.0 * dBF_direction(B, kappa, d) / dzF_higher(B, kappa, 2)
+        assert abs(pr.c1_predicted - eta ** 0.5) <= 1e-12 * abs(eta ** 0.5)
+
+    @pytest.mark.parametrize("r, zetas", [
+        (2, []), (2, ()), (1, [1e-5]), (2.5, [1e-5]), (True, [1e-5]),
+        (None, [1e-5])])
+    def test_bad_arguments_are_input_errors(self, box14, double_fixture, r,
+                                            zetas):
+        # no zetas raised IndexError after the Newton work, r = 2.5 TypeError
+        B, kappa = double_fixture
+        d = GridStructure((1.0,) * 8, box14)
+        with pytest.raises(InputError):
+            splitting_probe(B, kappa, r, d, zetas)
+
     def test_zeta_must_decrease(self, box14, double_fixture):
         B, kappa = double_fixture
         d = GridStructure((1.0,) * 8, box14)
@@ -318,9 +341,10 @@ class TestFindDouble:
         (DOUBLE_SEED, DOUBLE_KAPPA_SEED),
         (AXIS_DOUBLE_SEED, AXIS_DOUBLE_KAPPA_SEED),
     ], ids=["complex", "axis"])
-    def test_iteration_budget(self, seed, kappa_seed):
-        with pytest.raises(NoConvergence):
-            find_double_eigenvalue(seed, kappa_seed, max_iters=1)
+    def test_iteration_budget(self, monkeypatch, seed, kappa_seed):
+        monkeypatch.setattr(sensitivity, "_DOUBLE_ITERS", 1)
+        with pytest.raises(NoConvergence, match="max_iters = 1 reached"):
+            find_double_eigenvalue(seed, kappa_seed)
 
 
 def _scalar(f, domain=lambda x: True):
@@ -443,7 +467,7 @@ class TestCauchyDerivative:
             for order in range(2, 7):
                 assert np.isfinite(dzF_higher(B, 2.0 + 0.5j, order))
 
-    @pytest.mark.parametrize("order", [1, 7])
+    @pytest.mark.parametrize("order", [1, 7, 2.5, 2.0, True, "2"])
     def test_order_range(self, order):
         with pytest.raises(InputError):
             dzF_higher(constant(4.0), 1.0 + 0.5j, order)

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -5,8 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qnmopt.errors import (CFLViolation, DegenerateMedium, FitUnstable,
-                           InputError, QnmOptError)
+from qnmopt.errors import DegenerateMedium, FitUnstable, InputError, QnmOptError
 from qnmopt.field import mode_values
 from qnmopt.medium import (AdmissibleBounds, GridStructure, PiecewiseStructure,
                            constant, random_bang_bang, to_piecewise)
@@ -18,16 +18,14 @@ from qnmopt.timedomain import (_BLOCK, _FIT_WINDOW, _MAX_FLOATS, CFL_SAFETY,
 from conftest import LN3_4
 
 
-def reference_simulate(B, u0, v0, T, m_cells, dt=None, probe_index=0):
+def reference_simulate(B, u0, v0, T, m_cells):
     """The per-step leapfrog loop that `simulate` replaced, kept as the oracle."""
     xs = np.linspace(0.0, 1.0, m_cells + 1)
     h = 1.0 / m_cells
     left = np.array([B.value_at(max(x - 0.25 * h, 0.0)) for x in xs])
     right = np.array([B.value_at(min(x + 0.25 * h, 1.0)) for x in xs])
     bn = 0.5 * (left + right)
-    dt_max = CFL_SAFETY * h * math.sqrt(B.inf())
-    if dt is None:
-        dt = dt_max
+    dt = CFL_SAFETY * h * math.sqrt(B.inf())
 
     u_prev = np.asarray(u0, dtype=float).copy()
     v_init = np.asarray(v0, dtype=float)
@@ -60,7 +58,7 @@ def reference_simulate(B, u0, v0, T, m_cells, dt=None, probe_index=0):
         energies[n] = 0.5 * h * (float(np.dot(w * bn, vt * vt))
                                  + float(np.dot(du_new, du_old)))
         times[n] = (n + 0.5) * dt
-        probe[n] = u[probe_index]
+        probe[n] = u[0]
 
         u_next = 2.0 * u - u_prev + lam2 * lap(u)
         u_next[-1] = u[-2] + mur * (u_next[-2] - u[-1])
@@ -69,7 +67,7 @@ def reference_simulate(B, u0, v0, T, m_cells, dt=None, probe_index=0):
     return SimResult(times, energies, probe, dt, h)
 
 
-def blocked_reference_simulate(B, u0, v0, T, m_cells, probe_index=0):
+def blocked_reference_simulate(B, u0, v0, T, m_cells):
     """The blocked velocity-form loop with a one-sided Neumann node and a
     row-wise einsum energy that the row-view loop replaced, kept as a
     second oracle: the dynamics must match it to the bit."""
@@ -106,7 +104,7 @@ def blocked_reference_simulate(B, u0, v0, T, m_cells, probe_index=0):
     for n0 in range(0, n_steps, _BLOCK):
         rows = min(_BLOCK, n_steps - n0)
         for j in range(rows):
-            probe[n0 + j] = u[probe_index]
+            probe[n0 + j] = u[0]
             d = D[j + 1]
             sub(u_hi, u_lo, d)
             v_in = V_in[j + 1]
@@ -155,10 +153,10 @@ def locate_golden(B):
     return [ev.kappa for ev in locate(B, SpectralWindow(0.1, 12.0, 0.05, 3.0))]
 
 
-def assert_matches_blocked(B, u0, v0, T, m, probe_index):
+def assert_matches_blocked(B, u0, v0, T, m):
     """Dynamics bit-equal to the blocked oracle, energies within 1e-14 E0."""
-    new = simulate(B, u0, v0, T, m, probe_index=probe_index)
-    ref = blocked_reference_simulate(B, u0, v0, T, m, probe_index)
+    new = simulate(B, u0, v0, T, m)
+    ref = blocked_reference_simulate(B, u0, v0, T, m)
     assert np.array_equal(new.probe, ref.probe)
     assert np.array_equal(new.times, ref.times)
     assert (new.dt, new.dx) == (ref.dt, ref.dx)
@@ -196,11 +194,18 @@ class TestSimulate:
         worst = np.max(np.diff(sim.energies))
         assert worst <= 1e-12 * sim.energies[0]
 
-    def test_cfl_violation(self):
-        B = constant(4.0, AdmissibleBounds(1, 4))
-        with pytest.raises(CFLViolation):
-            simulate(B, np.zeros(129), np.zeros(129), 1.0, 128,
-                     dt=1.0 / 128.0 * 2.1)
+    @pytest.mark.parametrize("B, m", [
+        (constant(4.0, AdmissibleBounds(1, 4)), 128),
+        (PiecewiseStructure((0.0, 0.4, 1.0), (2.5, 1.5),
+                            AdmissibleBounds(1, 4)), 97)])
+    def test_runs_at_the_cfl_step(self, B, m):
+        # no step or probe option: the step is always the CFL-safe one
+        assert list(inspect.signature(simulate).parameters) == [
+            "B", "u0", "v0", "T", "m_cells"]
+        u0, v0 = gaussian_pulse(m, center=0.2, width=0.1)
+        sim = simulate(B, u0, v0, 0.5, m)
+        assert sim.dt == CFL_SAFETY * (1.0 / m) * math.sqrt(B.inf())
+        assert len(sim.times) == math.ceil(0.5 / sim.dt)
 
     def test_degenerate_medium_refused(self):
         bounds = AdmissibleBounds(0.0, 4.0)
@@ -223,16 +228,15 @@ class TestAgainstReference:
         v0 = rng.normal(size=m + 1)
         dt = CFL_SAFETY * math.sqrt(B.inf()) / m
         T = (n_steps - 0.5) * dt
-        for probe_index in (0, int(rng.integers(1, m)), m, -2):
-            new = assert_matches_blocked(B, u0, v0, T, m, probe_index)
-            ref = reference_simulate(B, u0, v0, T, m, probe_index=probe_index)
-            assert len(new.times) == n_steps
-            assert np.array_equal(new.times, ref.times)
-            assert (new.dt, new.dx) == (ref.dt, ref.dx)
-            e0 = ref.energies[0]
-            assert np.max(np.abs(new.energies - ref.energies)) <= 1e-12 * e0
-            u_max = max(np.max(np.abs(u0)), np.max(np.abs(ref.probe)))
-            assert np.max(np.abs(new.probe - ref.probe)) <= 1e-12 * u_max
+        new = assert_matches_blocked(B, u0, v0, T, m)
+        ref = reference_simulate(B, u0, v0, T, m)
+        assert len(new.times) == n_steps
+        assert np.array_equal(new.times, ref.times)
+        assert (new.dt, new.dx) == (ref.dt, ref.dx)
+        e0 = ref.energies[0]
+        assert np.max(np.abs(new.energies - ref.energies)) <= 1e-12 * e0
+        u_max = max(np.max(np.abs(u0)), np.max(np.abs(ref.probe)))
+        assert np.max(np.abs(new.probe - ref.probe)) <= 1e-12 * u_max
 
     @pytest.mark.parametrize("n_steps", [1, _BLOCK, 2 * _BLOCK + 7])
     def test_grid_medium(self, n_steps):
@@ -242,19 +246,17 @@ class TestAgainstReference:
         m = 120
         u0, v0 = rng.normal(size=m + 1), rng.normal(size=m + 1)
         T = (n_steps - 0.5) * CFL_SAFETY / m
-        for probe_index in (0, 57, m, -1):
-            assert_matches_blocked(B, u0, v0, T, m, probe_index)
+        assert_matches_blocked(B, u0, v0, T, m)
 
     @pytest.mark.parametrize("n_steps", [1, _BLOCK + 1, 3 * _BLOCK])
     def test_single_cell(self, n_steps):
         B = constant(2.0, AdmissibleBounds(1, 4))
         T = (n_steps - 0.5) * CFL_SAFETY * math.sqrt(2.0)
         u0, v0 = np.array([1.0, -0.5]), np.array([0.25, 2.0])
-        for probe_index in (0, 1, -1, -2):
-            new = assert_matches_blocked(B, u0, v0, T, 1, probe_index)
-            ref = reference_simulate(B, u0, v0, T, 1, probe_index=probe_index)
-            assert np.array_equal(new.times, ref.times)
-            assert np.max(np.abs(new.probe - ref.probe)) <= 1e-12
+        new = assert_matches_blocked(B, u0, v0, T, 1)
+        ref = reference_simulate(B, u0, v0, T, 1)
+        assert np.array_equal(new.times, ref.times)
+        assert np.max(np.abs(new.probe - ref.probe)) <= 1e-12
 
     def test_energies_do_not_depend_on_the_stop(self):
         # a step's energy comes from a pass over a whole block, so a
@@ -276,8 +278,8 @@ class TestAgainstReference:
                                AdmissibleBounds(1, 4))
         m = 512
         u0, v0 = gaussian_pulse(m, center=0.5, width=0.1)
-        new = assert_matches_blocked(B, u0, v0, 2.0, m, 100)
-        ref = reference_simulate(B, u0, v0, 2.0, m, probe_index=100)
+        new = assert_matches_blocked(B, u0, v0, 2.0, m)
+        ref = reference_simulate(B, u0, v0, 2.0, m)
         assert len(new.times) > 50 * _BLOCK
         assert np.array_equal(new.times, ref.times)
         e0 = ref.energies[0]
@@ -297,17 +299,6 @@ class TestInputErrors:
     def test_bad_cell_count(self, m_cells):
         with pytest.raises(InputError):
             simulate(self.B, np.zeros(65), np.zeros(65), 1.0, m_cells)
-
-    @pytest.mark.parametrize("probe_index", [65, -66, 1000, 2.0])
-    def test_probe_outside_grid(self, probe_index):
-        with pytest.raises(InputError):
-            simulate(self.B, np.zeros(65), np.zeros(65), 1.0, 64,
-                     probe_index=probe_index)
-
-    @pytest.mark.parametrize("dt", [0.0, -1e-3, math.nan, math.inf])
-    def test_bad_time_step(self, dt):
-        with pytest.raises(InputError):
-            simulate(self.B, np.zeros(65), np.zeros(65), 1.0, 64, dt=dt)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_initial_data(self, bad):
@@ -390,8 +381,8 @@ class TestGridMedium:
         g = self.grid()
         m = 300
         u0, v0 = gaussian_pulse(m, center=0.4, width=0.08)
-        a = simulate(g, u0, v0, 1.5, m, probe_index=17)
-        b = simulate(to_piecewise(g), u0, v0, 1.5, m, probe_index=17)
+        a = simulate(g, u0, v0, 1.5, m)
+        b = simulate(to_piecewise(g), u0, v0, 1.5, m)
         for field in ("times", "energies", "probe"):
             assert np.array_equal(getattr(a, field), getattr(b, field))
         assert (a.dt, a.dx) == (b.dt, b.dx)
@@ -480,11 +471,6 @@ class TestErrorContract:
            m_cells=_mostly([1, 2, 17, 64, np.int64(8)],
                            [0, -3, 2.5, True, "8", 10 ** 7, 10 ** 12,
                             10 ** 400]),
-           dt=_mostly([None, 1e-3, 0.02],
-                      [5e-324, 1e-160, 1.0, 1e300, 0.0, -1e-3, math.nan,
-                       math.inf, "0.1"]),
-           probe_index=_mostly([0, 1, -1, -2],
-                               [10 ** 9, -10 ** 9, 2.0, None]),
            dtype=_mostly(["float64", "float32", "float16", "longdouble",
                           "int64", "uint8"],
                          ["complex128", "bool", "object", "str"]),
@@ -494,13 +480,12 @@ class TestErrorContract:
                          [1e-300 + 0.3j, 5e-324 + 0.3j, 1e300 + 0.3j,
                           1.0 + 800j, complex(math.nan, 1),
                           complex(0, math.inf), None, "1+1j"]))
-    def test_only_qnmopt_errors_escape(self, B, T, m_cells, dt, probe_index,
-                                       dtype, scale, kappa):
+    def test_only_qnmopt_errors_escape(self, B, T, m_cells, dtype, scale,
+                                       kappa):
         n = m_cells + 1 if m_cells in (1, 2, 17, 64, 8) else 3
         u0 = _node_data(n, dtype, scale)
         try:
-            sim = simulate(B, u0, u0[::-1], T, m_cells, dt=dt,
-                           probe_index=probe_index)
+            sim = simulate(B, u0, u0[::-1], T, m_cells)
         except QnmOptError:
             pass
         else:
