@@ -24,8 +24,8 @@ from .optimize import OptimizeConfig, minimize_im_at_frequency
 from .certificate import nonlinear_residual, switch_alignment
 from .sensitivity import find_double_eigenvalue, splitting_probe
 from .spectrum import SpectralWindow, locate
-from .timedomain import _plan, excite_and_fit, simulate
-from .field import mode_values
+from .timedomain import (_fit_decay, _mode_data, _plan, excite_and_fit,
+                         simulate)
 
 FLOAT_FMT = "%.12e"
 
@@ -223,16 +223,19 @@ def cmd_simulate(args) -> int:
     kappa = complex(args.kappa_re, args.kappa_im)
     m = args.cells
     _plan(B, args.T, m)  # refuse a bad or oversized run up front
-    xs = np.linspace(0.0, 1.0, m + 1)
     if args.mode_excitation:
-        phi, _ = mode_values(B, kappa, xs)
-        u0, v0 = phi.real.copy(), (1j * kappa * phi).real.copy()
+        u0, v0 = _mode_data(B, kappa, m)
     else:
-        u0 = np.exp(-((xs - 0.35) / 0.07) ** 2)
+        u0 = np.exp(-((np.linspace(0.0, 1.0, m + 1) - 0.35) / 0.07) ** 2)
         v0 = np.zeros_like(u0)
-    # a fit that fails exits before anything is written
-    fit = excite_and_fit(B, kappa, args.T, m) if args.fit_decay else None
+    # a fit that fails exits before anything is written; the mode's own run
+    # gives the fit excite_and_fit would
+    fit = None
+    if args.fit_decay and not args.mode_excitation:
+        fit = excite_and_fit(B, kappa, args.T, m)
     sim = simulate(B, u0, v0, args.T, m)
+    if args.fit_decay and args.mode_excitation:
+        fit = _fit_decay(sim, kappa, args.T)
     rows = list(zip(sim.times.tolist(), sim.energies.tolist(),
                     sim.probe.tolist()))
     _write_csv(args.out, ["t", "energy", "u_probe"], rows)

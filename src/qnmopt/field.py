@@ -366,11 +366,17 @@ def overlap_integrals(B, z: complex):
 def phi2_cell_integrals(B, z: complex, edges) -> np.ndarray:
     """Unweighted integrals of phi^2 between consecutive edges.
 
-    edges must be a sorted array starting at 0 and ending at 1; layer
-    boundaries of B are merged in internally so each piece is resolved in
-    closed form.
+    edges must be at least two reals increasing strictly from 0 to 1, else
+    InputError; layer boundaries of B are merged in internally so each
+    piece is resolved in closed form.
     """
-    edges = np.asarray(edges, dtype=float)
+    try:
+        edges = np.asarray(edges, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"edges must be real numbers: {exc}") from None
+    if not (edges.ndim == 1 and len(edges) >= 2 and edges[0] == 0.0
+            and edges[-1] == 1.0 and np.all(edges[1:] > edges[:-1])):
+        raise InputError("edges must increase strictly from 0 to 1")
     bps, _, values = B.layers
     cuts = np.union1d(edges, bps)
     mids = 0.5 * (cuts[:-1] + cuts[1:])

@@ -27,7 +27,7 @@ from .errors import (BranchCountMismatch, InputError, NearMultiple,
                      NoConvergence, NotAtRoot)
 from .field import _jet, charF_dzF, phi2_cell_integrals
 from .medium import (AdmissibleBounds, GridStructure, PiecewiseStructure,
-                     _is_int, _read_only, to_piecewise)
+                     _is_int, _is_real, _read_only, to_piecewise)
 from .spectrum import newton_refine
 
 __all__ = [
@@ -150,12 +150,21 @@ def splitting_probe(B, kappa0: complex, r: int, direction: GridStructure,
     coefficient is compared with
     c1 = (-r! dBF(direction) / d^r F/dz^r)^(1/r).  At a root the Wronskian
     gives dBF = i kappa0 int phi^2 direction / phi(1), so one order-r jet
-    holds phi(1) and F^(r).  r must be an integer in 2..6 and zetas
-    non-empty, else InputError.
+    holds phi(1) and F^(r).  r must be an integer in 2..6 and zetas a
+    non-empty sequence of distinct finite positive reals, else InputError
+    before any Newton run.
     """
-    zetas = tuple(sorted((float(z) for z in zetas), reverse=True))
+    try:
+        zetas = tuple(zetas)
+    except TypeError:
+        raise InputError(f"zetas must be a sequence, not {zetas!r}") from None
     if not zetas:
         raise InputError("splitting needs at least one zeta")
+    if not all(_is_real(z) and math.isfinite(z) and z > 0 for z in zetas):
+        raise InputError(f"zetas must be finite positive reals, not {zetas!r}")
+    zetas = tuple(sorted(map(float, zetas), reverse=True))
+    if len(set(zetas)) < len(zetas):
+        raise InputError(f"zetas must be distinct, not {zetas!r}")
     if isinstance(B, GridStructure):
         B = to_piecewise(B)
     cells = phi2_cell_integrals(B, kappa0, direction.edges)

@@ -9,29 +9,30 @@ sqrt(B) / pi)) samples, about a quarter turn of F apart, so wide windows
 do not alias.  The walk takes the new points of all its contours in one
 charF_many call per round and inserts the midpoint of every segment that
 turns too far.  Each edge refines on its own, so one locate() call keeps
-every finished edge by its corner pair, as (turn, |F| range) and the
-trapezoid sums of (z - a)^q log F dz, q < 4, from its first corner a: a
-child window reuses its parent's two uncut edges, and the two halves of a
-split are walked together and evaluate their shared edge once.  The cut
-half-edges are sampled anew, so the children's counts still check the
-parent's.  |F| collapses on a contour where its minimum is below 1e-12 of
-its maximum once its growth exp(|Im z| int sqrt B) is divided out; such a
-window is dilated by 1 + 0.004 k and walked again, k = 1, .., 5, before
+every finished edge by its corner pair, as (turn, |F| range) and the sums
+of (z - a)^q log F dz, q < 8, from its first corner a, by a fourth-order
+rule on the edge's own uneven samples (_cubic_weights): a child window
+reuses its parent's two uncut edges, and the two halves of a split are
+walked together and evaluate their shared edge once.  The cut half-edges
+are sampled anew, so the children's counts still check the parent's.  |F|
+collapses on a contour where its minimum is below 1e-12 of its maximum
+once its growth exp(|Im z| int sqrt B) is divided out; such a window is
+dilated by 1 + 0.004 k and walked again, k = 1, .., 5, before
 ZeroOnContour.  A contour on which F overflows raises NumericalError.
 
 locate() combines window bisection with Newton iteration, one depth at a
-time.  A window holding one to four zeros first takes Newton starts from
+time.  A window holding one to eight zeros first takes Newton starts from
 its contour moments: by parts, the cached edge sums give the power sums of
 its zeros (Delves & Lyness, Math. Comp. 21, 1967; Kravanja & Van Barel,
 Computing the Zeros of Analytic Functions, LNM 1727, 2000), Newton's
-identities the polynomial with those zeros, and Durand-Kerner iteration its
-roots.  The window is bisected only when a Newton run fails, leaves it or
-lands on a zero already found.  The runs of every window at one depth step
-in lockstep: each step takes F and the exact dF/dz at all their points
-from one order-1 Taylor product of the layer maps (field._jet), and each
-run keeps the rules of newton_refine, its one-start case.  The windows
-left are then split one at a time, in order, and their halves make the
-next depth.
+identities the polynomial with those zeros, and the eigenvalues of its
+companion matrix its roots.  The window is bisected only when a Newton run
+fails, leaves it or lands on a zero already found.  The runs of every
+window at one depth step in lockstep: each step takes F and the exact
+dF/dz at all their points from one order-1 Taylor product of the layer
+maps (field._jet), and each run keeps the rules of newton_refine, its
+one-start case.  The windows left are then split one at a time, in order,
+and their halves make the next depth.
 Constant media have a closed-form spectrum that serves as the golden oracle.
 """
 from __future__ import annotations
@@ -58,7 +59,7 @@ _WINDING_ROUNDS = 40     # contour refinement rounds before giving up
 _MAX_POINTS = 400_000    # contour points a walk may hold
 _NEWTON_ITERS = 60       # iteration cap of newton_refine
 _EDGE_MIN = 16           # fewest segments on a rectangle edge
-_MOMENTS = 4             # most zeros a window takes from its moments
+_MOMENTS = 8             # most zeros a window takes from its moments
 
 
 @dataclass(frozen=True)
@@ -149,9 +150,41 @@ def _edge_points(ab: np.ndarray, optical: float) -> tuple:
     return pts, ends - n
 
 
+def _cubic_weights(pts, starts) -> np.ndarray:
+    """Per sample, its weight in the fourth-order sums of g dz over each
+    contour piece: sum(w * g) over a piece integrates g along it.
+
+    Each segment integrates the cubic through four samples of its piece,
+    centred on it inside, one-sided at the piece's two ends.  A piece lies
+    on a line, so the Lagrange basis is real in the distance u from the
+    segment's midpoint; over a segment of length H the basis polynomial
+    prod_{j != i} (u - u_j) = u^3 - e1 u^2 + e2 u - e3 integrates to
+    -(e3 H + e1 H^3 / 12).  A uniform run gives (-1, 13, 13, -1) / 24.
+    Every piece needs at least three segments.
+    """
+    n = len(pts)
+    sizes = np.diff(starts, append=n)
+    first = np.repeat(starts, sizes)
+    last = first + np.repeat(sizes, sizes) - 1
+    seg = np.flatnonzero(np.arange(n) < last)   # no segment joins two pieces
+    stencil = np.clip(seg - 1, first[seg], last[seg] - 3)[:, None] + np.arange(4)
+    dz = np.diff(pts)
+    h = np.abs(dz)
+    u = np.zeros(stencil.shape)    # distances from the stencil's first sample
+    u[:, 1:] = np.cumsum(h[stencil[:, :3]], axis=1)
+    hs = h[seg]
+    u -= u[stencil == seg[:, None]][:, None] + 0.5 * hs[:, None]
+    e1 = u.sum(axis=1)[:, None] - u
+    e3 = u.prod(axis=1)[:, None] / u     # no midpoint is a sample
+    den = (u[:, :, None] - u[:, None, :] + np.eye(4)).prod(axis=2)
+    w = -(e3 + e1 * (hs * hs / 12.0)[:, None]) / den * dz[seg, None]
+    return (np.bincount(stencil.ravel(), w.real.ravel(), n)
+            + 1j * np.bincount(stencil.ravel(), w.imag.ravel(), n))
+
+
 def _log_sums(pts, af, dtheta, starts) -> list:
-    """Per contour piece from its first sample p, the trapezoid sums of
-    (z - p)^q log F dz, q < _MOMENTS.
+    """Per contour piece from its first sample p, the fourth-order sums
+    (_cubic_weights) of (z - p)^q log F dz, q < _MOMENTS.
 
     log F = log|F| + i theta with theta unwrapped from p, where it is 0;
     the reader adds the phase its contour has reached at p.
@@ -161,11 +194,9 @@ def _log_sums(pts, af, dtheta, starts) -> list:
     theta = np.concatenate(([0.0], np.cumsum(np.nan_to_num(dtheta))))
     with np.errstate(all="ignore"):
         logf = np.log(af) + 1j * (theta - theta[first])
-        g = logf[:, None] * np.vander(pts - pts[first], _MOMENTS,
-                                      increasing=True)
-        seg = 0.5 * np.diff(pts)[:, None] * (g[:-1] + g[1:])
-    seg[starts[1:] - 1] = 0.0     # no segment joins two pieces
-    return np.add.reduceat(seg, starts).tolist()
+        g = (logf * _cubic_weights(pts, starts))[:, None] * np.vander(
+            pts - pts[first], _MOMENTS, increasing=True)
+    return np.add.reduceat(g, starts).tolist()
 
 
 def _walk(B, contours: list, done: dict) -> list:
@@ -177,7 +208,7 @@ def _walk(B, contours: list, done: dict) -> list:
     round makes one charF_many call for all contours, on the new points
     only, and gives the midpoint to every segment that turns by pi/2 or
     more.  A converged contour stores its edges in done as (turn, min, max,
-    G_0, .., G_3), G_q the _log_sums of the edge from a; they are taken
+    G_0, .., G_7), G_q the _log_sums of the edge from a; they are taken
     once per round in which some contour converges.
 
     min and max are those of |F| exp(-|Im z| int sqrt B), F with its growth
@@ -409,7 +440,13 @@ def locate(B, w: SpectralWindow, tol: float = 1e-12) -> list:
     return out
 
 
-def _power_sums(w: SpectralWindow, n: int, done: dict) -> list:
+# (z - c)^m = sum_j _BINOM[m, j] (p - c)^_POWER[m, j] (z - p)^j
+_BINOM = np.array([[math.comb(m, j) for j in range(_MOMENTS)]
+                   for m in range(_MOMENTS)], dtype=float)
+_POWER = np.maximum(np.arange(_MOMENTS)[:, None] - np.arange(_MOMENTS), 0)
+
+
+def _power_sums(w: SpectralWindow, n: int, done: dict) -> np.ndarray:
     """s_1 .. s_n: the sums of ((zeta - c) / r)^p over the n zeros zeta of
     F in the counted window w, c its centre and r its half-diagonal.
 
@@ -421,8 +458,7 @@ def _power_sums(w: SpectralWindow, n: int, done: dict) -> list:
     of c, so the expansion does not cancel.
     """
     c, r = w.center, 0.5 * math.hypot(*w.widths)
-    phase, acc = 0.0, [0j] * n   # acc[m] = oint (z - c)^m log F dz / r^(m+1)
-    inv = 1.0 / r   # its powers underflow where r's would overflow
+    phase, rows = 0.0, []
     for a, b in _rect_edges(w):
         sgn = 1.0 if (a, b) in done else -1.0
         p, q = (a, b) if sgn > 0 else (b, a)
@@ -430,48 +466,39 @@ def _power_sums(w: SpectralWindow, n: int, done: dict) -> list:
         # along p -> q, log F = log|F| + i (at_p + theta), as G_q assumes
         at_p = phase if sgn > 0 else phase - turn
         phase += sgn * turn
-        d, h = (p - c) / r, (q - p) / r
-        edge = [g[j] * inv ** (j + 1) + 1j * at_p * h ** (j + 1) / (j + 1)
-                for j in range(n)]
-        for m in range(n):
-            acc[m] += sgn * sum(math.comb(m, j) * d ** (m - j) * edge[j]
-                                for j in range(m + 1))
+        rows.append((sgn, at_p, (p - c) / r, (q - p) / r, g[:n]))
+    sgn, at_p, d, h, g = map(np.array, zip(*rows))
+    j = np.arange(1, n + 1)
+    # per edge, oint (z - p)^(j-1) log F dz / r^j; the powers of 1/r
+    # underflow where those of r would overflow
+    edge = g * (1.0 / r) ** j + 1j * at_p[:, None] * h[:, None] ** j / j
+    # acc[m] = oint (z - c)^m log F dz / r^(m+1)
+    expand = _BINOM[:n, :n] * d[:, None, None] ** _POWER[:n, :n]
+    acc = np.einsum("e,emj,ej->m", sgn, expand, edge)
     u0 = (w.corners()[0] - c) / r
-    return [n * u0 ** p - p * acc[p - 1] / (2j * math.pi)
-            for p in range(1, n + 1)]
+    return n * u0 ** j - j * acc / (2j * math.pi)
 
 
+@np.errstate(all="ignore")   # sums that overflow give no starts
 def _moment_starts(w: SpectralWindow, n: int, done: dict) -> list:
     """Newton starts for the n zeros of F in the counted window w.
 
     They are the roots of the monic polynomial whose power sums are
-    _power_sums (its coefficients by Newton's identities), found by
-    Durand-Kerner iteration in the scaled variable (z - c) / r.  Empty if
-    the iteration meets two equal roots.
+    _power_sums (its coefficients by Newton's identities), in the scaled
+    variable (z - c) / r: the eigenvalues of its companion matrix, as
+    numpy.roots takes them.  Empty if the power sums are not finite.
     """
-    s = _power_sums(w, n, done)
+    s = _power_sums(w, n, done).tolist()
     e = [1.0]    # elementary symmetric functions of the scaled zeros
     for k in range(1, n + 1):
         e.append(sum((-1) ** (i - 1) * e[k - i] * s[i - 1]
                      for i in range(1, k + 1)) / k)
-    coef = [(-1) ** k * e[k] for k in range(n + 1)]
-    xs = [(0.4 + 0.9j) ** k for k in range(n)]
-    for _ in range(64):
-        moved = 0.0
-        for i, x in enumerate(xs):
-            f, d = 0j, 1.0
-            for a in coef:
-                f = f * x + a
-            for y in xs[:i] + xs[i + 1:]:
-                d *= x - y
-            if d == 0:
-                return []
-            xs[i] = x - f / d
-            moved = max(moved, abs(f / d))
-        if moved < 1e-12:
-            break
+    companion = np.eye(n, k=-1, dtype=complex)
+    companion[0] = [(-1) ** (k + 1) * e[k] for k in range(1, n + 1)]
+    if not np.isfinite(companion).all():
+        return []
     c, r = w.center, 0.5 * math.hypot(*w.widths)
-    return [c + r * x for x in xs]
+    return (c + r * np.linalg.eigvals(companion)).tolist()
 
 
 def _locate_level(B, level: list, tol: float, depth: int, found: list,
@@ -492,7 +519,7 @@ def _locate_level(B, level: list, tol: float, depth: int, found: list,
         diam = math.hypot(*w.widths)
         if count <= _MOMENTS and diam >= 1e-5:
             zs = _moment_starts(w, count, done)
-            if count == 1 and not w.contains(zs[0]):
+            if count == 1 and not (zs and w.contains(zs[0])):
                 zs = [w.center]
         elif count == 1:
             zs = [w.center]

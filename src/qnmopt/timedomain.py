@@ -218,33 +218,46 @@ def excite_and_fit(B: Medium, kappa: complex, T: float,
     kappa = complex(kappa)
     if not (math.isfinite(kappa.real) and math.isfinite(kappa.imag)):
         raise InputError(f"kappa must be finite, not {kappa!r}")
-    dt, n_steps = _plan(B, T, m_cells)
-
-    # the real field carries an interference term at frequency 2 Re kappa;
-    # averaging E over exactly one oscillation period (p steps) leaves the
-    # pure decay
-    p = 0
-    if kappa.real != 0.0:
-        period = math.pi / abs(kappa.real) / dt
-        if not period <= n_steps:
-            raise FitUnstable(f"averaging period of {period:.3g} steps is "
-                              f"longer than the {n_steps}-step run")
-        p = round(period)
+    dt, _ = _plan(B, T, m_cells)
+    p = _averaging_steps(kappa, dt, T)
     # an averaged sample at time t reads the steps within p/2 of it
-    t0, t1 = _FIT_WINDOW[0] * T, _FIT_WINDOW[1] * T
-    t_stop = min(T, t1 + (0.5 * p + 2.0) * dt)
+    t_stop = min(T, _FIT_WINDOW[1] * T + (0.5 * p + 2.0) * dt)
+    sim = simulate(B, *_mode_data(B, kappa, m_cells), t_stop, m_cells)
+    return _fit_decay(sim, kappa, T)
 
-    xs = np.linspace(0.0, 1.0, m_cells + 1)
-    phi, _ = mode_values(B, kappa, xs)
-    u0 = phi.real.copy()
-    v0 = (1j * kappa * phi).real.copy()
-    sim = simulate(B, u0, v0, t_stop, m_cells)
 
+def _mode_data(B: Medium, kappa: complex, m_cells: int) -> tuple:
+    """(u0, v0) = (Re phi, Re(i kappa phi)) at the m_cells + 1 nodes."""
+    phi, _ = mode_values(B, kappa, np.linspace(0.0, 1.0, m_cells + 1))
+    return phi.real.copy(), (1j * kappa * phi).real.copy()
+
+
+def _averaging_steps(kappa: complex, dt: float, T: float) -> int:
+    """Steps p in one period of the interference term of a run until T.
+
+    The real field carries an interference term at frequency 2 Re kappa;
+    averaging E over exactly one oscillation period leaves the pure decay.
+    A period longer than the run raises FitUnstable.
+    """
+    if kappa.real == 0.0:
+        return 0
+    period, n_steps = math.pi / abs(kappa.real) / dt, math.ceil(T / dt)
+    if not period <= n_steps:
+        raise FitUnstable(f"averaging period of {period:.3g} steps is "
+                          f"longer than the {n_steps}-step run")
+    return round(period)
+
+
+def _fit_decay(sim: SimResult, kappa: complex, T: float) -> FitResult:
+    """excite_and_fit's fit of sim, a run from _mode_data(B, kappa, m) that
+    reaches at least as far as the fit reads (a run until T does)."""
+    p = _averaging_steps(kappa, sim.dt, T)
     times, energies = sim.times, sim.energies
     if p >= 2:
         kern = np.ones(p) / p
         energies = np.convolve(energies, kern, mode="valid")
         times = times[p - 1:] - 0.5 * (p - 1) * sim.dt
+    t0, t1 = _FIT_WINDOW[0] * T, _FIT_WINDOW[1] * T
     sel = (times >= t0) & (times <= t1)
     ts = times[sel]
     es = energies[sel]

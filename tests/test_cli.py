@@ -5,7 +5,7 @@ import os
 import pytest
 
 from qnmopt.cli import _CONFIG_OPTIONS, _config_from_json, main
-from qnmopt.medium import AdmissibleBounds
+from qnmopt.medium import AdmissibleBounds, constant
 from qnmopt.optimize import OptimizeConfig
 
 from conftest import LN3_4
@@ -323,6 +323,38 @@ class TestSimulate:
                     "--cells", 256, "--out", out]) == 0
         assert "fitted beta=" in capsys.readouterr().out
         assert out.exists() and os.path.exists(str(out) + ".manifest.json")
+
+    @pytest.mark.parametrize("mode, runs", [(True, 1), (False, 2)])
+    def test_fit_decay_runs(self, tmp_path, capsys, monkeypatch, mode, runs):
+        # with --mode-excitation the fit reads the run the CSV holds; it ran
+        # excite_and_fit's own run and then that one
+        from qnmopt import cli, timedomain
+        kappa = complex(math.pi, LN3_4)
+        want = timedomain.excite_and_fit(constant(4.0), kappa, 6.0, 256)
+        calls = []
+        original = timedomain.simulate
+
+        def counted(*args):
+            calls.append(args[3])
+            return original(*args)
+
+        fits = []
+
+        def fit_decay(*args):
+            fits.append(timedomain._fit_decay(*args))
+            return fits[-1]
+
+        monkeypatch.setattr(timedomain, "simulate", counted)
+        monkeypatch.setattr(cli, "simulate", counted)
+        monkeypatch.setattr(cli, "_fit_decay", fit_decay)
+        assert run(["simulate", "--preset-constant", 4, "--T", 6,
+                    "--fit-decay", "--kappa-re", kappa.real,
+                    "--kappa-im", kappa.imag, "--cells", 256,
+                    *(["--mode-excitation"] if mode else []),
+                    "--out", tmp_path / "d.csv"]) == 0
+        assert len(calls) == runs and calls[-1] == 6.0
+        assert fits == ([want] if mode else [])
+        assert f"fitted beta={want.beta:.6g} " in capsys.readouterr().out
 
 
 class TestSplittingProbe:

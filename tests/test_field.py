@@ -622,3 +622,21 @@ class TestCellIntegrals:
         # phi = 1 on the empty half: integrals are the cell widths
         assert abs(cells[0] - 0.25) < 1e-12
         assert abs(cells[1] - 0.25) < 1e-12
+
+    @pytest.mark.parametrize("edges", [
+        [], [0.0], [1.0], [0.5, 0.2], [0.0, 0.5, 0.2, 1.0], [0.0, 0.5, 0.5, 1.0],
+        [1.0, 0.0], [0.1, 1.0], [0.0, 0.9], [-0.5, 1.0], [0.0, 1.5],
+        [0.0, math.nan, 1.0], [0.0, math.inf], [[0.0, 1.0]], ["x", 1.0],
+        [0.0, 1j, 1.0], None])
+    def test_bad_edges_are_input_errors(self, box14, edges):
+        # [] raised ValueError and [0.5, 0.2] returned a number
+        B = two_layer(0.37, 4.0, 1.0, box14)
+        with pytest.raises(InputError):
+            phi2_cell_integrals(B, 2.2 + 0.6j, edges)
+
+    def test_two_edges_give_the_whole_integral(self, box14):
+        B = two_layer(0.37, 4.0, 1.0, box14)
+        cells = phi2_cell_integrals(B, 2.2 + 0.6j, [0, 1])
+        four = phi2_cell_integrals(B, 2.2 + 0.6j, [0.0, 0.2, 0.37, 0.9, 1.0])
+        assert cells.shape == (1,)
+        assert abs(cells[0] - four.sum()) < 1e-12 * abs(cells[0])

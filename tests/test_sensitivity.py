@@ -276,6 +276,22 @@ class TestSplittingProbe:
         with pytest.raises(InputError):
             splitting_probe(B, kappa, r, d, zetas)
 
+    @pytest.mark.parametrize("zetas", [
+        ["x"], [-1e-5], [0.0], [math.inf], [math.nan], [1e-5, -1e-6],
+        [1e-5, 1e-6, 1e-5], [1e-5, 1e-5], [1e-5j], [True], [None], 1e-5])
+    def test_bad_zetas_refused_before_newton(self, box14, double_fixture,
+                                             monkeypatch, zetas):
+        # "x" escaped as ValueError, -1e-5 as TypeError and inf as a
+        # RuntimeWarning; a repeat was refused after its Newton runs
+        def no_newton(*args, **kwargs):
+            raise AssertionError("Newton ran before the zetas were checked")
+
+        monkeypatch.setattr(sensitivity, "newton_refine", no_newton)
+        B, kappa = double_fixture
+        d = GridStructure((1.0,) * 8, box14)
+        with pytest.raises(InputError):
+            splitting_probe(B, kappa, 2, d, zetas)
+
     def test_zeta_must_decrease(self, box14, double_fixture):
         B, kappa = double_fixture
         d = GridStructure((1.0,) * 8, box14)

@@ -899,16 +899,72 @@ def windows(draw):
                           im_min, im_min + draw(st.floats(0.5, 3.0)))
 
 
+class TestCubicWeights:
+    """The fourth-order rule behind the moment sums, on uneven samples."""
+
+    @staticmethod
+    def refined_edges():
+        # two edges, end to end, of 16 segments each; midpoint refinement
+        # halves some segments, and one of those halves again
+        pts, starts = spectrum._edge_points(
+            np.array([[0.3 + 0.2j, 4.0 + 0.2j], [4.0 + 0.2j, 4.0 + 2.5j]]), 1.0)
+        for i in ([0, 5, 6, 15, 17, 31], [7, 25]):
+            i = np.array(i)
+            pts = np.insert(pts, i + 1, 0.5 * (pts[i] + pts[i + 1]))
+            starts = starts + np.searchsorted(i, starts)
+        return pts, starts
+
+    def test_cubics_exact(self):
+        pts, starts = self.refined_edges()
+        assert len(np.unique(np.round(np.abs(np.diff(pts)), 12))) >= 4
+        w = spectrum._cubic_weights(pts, starts)
+        ends = pts[np.append(starts[1:] - 1, len(pts) - 1)]
+        rng = np.random.default_rng(3)
+        for _ in range(5):
+            c = rng.normal(size=4) + 1j * rng.normal(size=4)
+            cubic = np.polynomial.Polynomial(c)
+            prim = cubic.integ()
+            got = np.add.reduceat(w * cubic(pts), starts)
+            want = prim(ends) - prim(pts[starts])
+            assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
+
+    def test_fourth_order(self):
+        # halving every segment cuts the error on exp(z) about 16 times
+        errs = []
+        for k in (0, 1, 2):
+            pts, starts = self.refined_edges()
+            for _ in range(k):
+                i = np.setdiff1d(np.arange(len(pts) - 1), starts[1:] - 1)
+                pts = np.insert(pts, i + 1, 0.5 * (pts[i] + pts[i + 1]))
+                starts = starts + np.searchsorted(i, starts)
+            w = spectrum._cubic_weights(pts, starts)
+            got = np.add.reduceat(w * np.exp(pts), starts)
+            ends = pts[np.append(starts[1:] - 1, len(pts) - 1)]
+            errs.append(np.abs(got - (np.exp(ends) - np.exp(pts[starts]))).max())
+        assert 12.0 < errs[0] / errs[1] < 20.0
+        assert 12.0 < errs[1] / errs[2] < 20.0
+
+
+def grid256_media():
+    """Eight random 256-cell grid media in box (1, 4), whose golden windows
+    hold five or six zeros each."""
+    rng = np.random.default_rng(256)
+    box = AdmissibleBounds(1.0, 4.0)
+    return [GridStructure(tuple(rng.uniform(1.0, 4.0, 256)), box)
+            for _ in range(8)]
+
+
 class TestMomentStarts:
     """Newton starts from the contour moments of log F: the roots of a
-    window holding up to four zeros, without bisecting it."""
+    window holding up to eight zeros, without bisecting it."""
 
     @pytest.mark.parametrize("b", [0.25, 4.0, 9.0])
     def test_starts_near_constant_zeros(self, b):
+        # the trapezoid sums put the worst start at 0.26 r (n = 8, b = 0.25)
         B = constant(b)
-        zs = constant_spectrum(b, SpectralWindow(0.1, 40.0, 0.05, 3.0))
+        zs = constant_spectrum(b, SpectralWindow(0.1, 80.0, 0.05, 3.0))
         step = math.pi / math.sqrt(b)
-        for n in (1, 2, 3, 4):
+        for n in range(1, 9):
             for first, left in ((0, 0.3), (1, 0.2)):
                 group = zs[first:first + n]
                 im = group[0].imag
@@ -985,14 +1041,27 @@ class TestMomentStarts:
     def test_newton_sweeps_per_root(self, jet_log):
         # a guard on the work: from window centres these media take 6.4
         # swept points per root
-        rng = np.random.default_rng(256)
-        box = AdmissibleBounds(1.0, 4.0)
         w = SpectralWindow(0.1, 12.0, 0.05, 3.0)
-        media = [GridStructure(tuple(rng.uniform(1.0, 4.0, 256)), box)
-                 for _ in range(8)]
-        roots = sum(ev.multiplicity for B in media for ev in locate(B, w))
+        roots = sum(ev.multiplicity for B in grid256_media()
+                    for ev in locate(B, w))
         assert roots >= 40
         assert sum(jet_log) <= 4.5 * roots
+
+    def test_grid_windows_are_not_split(self, monkeypatch):
+        # with four moments every one of these windows was bisected once
+        calls = []
+        original = spectrum._bisect
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(spectrum, "_bisect", counted)
+        w = SpectralWindow(0.1, 12.0, 0.05, 3.0)
+        counts = [sum(ev.multiplicity for ev in locate(B, w))
+                  for B in grid256_media()]
+        assert min(counts) >= 5
+        assert calls == []
 
     def test_products_per_bang_bang_locate(self, jet_log, closing_log):
         # a guard on the lockstep: one start at a time takes a product per
