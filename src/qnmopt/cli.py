@@ -82,30 +82,28 @@ def _manifest(command: str, config_path, inputs: list, outputs: list) -> dict:
     }
 
 
-def _load_structure(args) -> PiecewiseStructure:
-    if getattr(args, "structure", None):
-        return PiecewiseStructure.load(args.structure)
-    if getattr(args, "preset_constant", None) is not None:
-        b = args.preset_constant
-        lo, hi = (args.bounds if args.bounds else
-                  (min(b, 0.0) if b < 0 else 0.0, max(b, 1.0)))
-        return constant(b, AdmissibleBounds(lo, hi))
+def _load_structure(args) -> tuple:
+    """(structure, its manifest input) from --structure or --preset-constant."""
+    if args.structure:
+        return PiecewiseStructure.load(args.structure), args.structure
+    if args.preset_constant is not None:
+        bounds = AdmissibleBounds(*args.bounds) if args.bounds else None
+        return (constant(args.preset_constant, bounds),
+                f"constant:{args.preset_constant}")
     raise InputError("provide --structure FILE or --preset-constant B")
 
 
 # -- subcommands --------------------------------------------------------------
 
 def cmd_spectrum(args) -> int:
-    B = _load_structure(args)
+    B, source = _load_structure(args)
     w = SpectralWindow(*args.window)
     evs = locate(B, w, tol=args.tol)
     rows = [(ev.kappa.real, ev.kappa.imag, ev.multiplicity, ev.residual)
             for ev in evs]
     _write_csv(args.out, ["re", "im", "multiplicity", "residual"], rows)
     _write_json(args.out + ".manifest.json",
-                _manifest("spectrum", None,
-                          [args.structure or f"constant:{args.preset_constant}"],
-                          [args.out]))
+                _manifest("spectrum", None, [source], [args.out]))
     print(f"{len(evs)} eigenvalues -> {args.out}")
     return 0
 
@@ -208,18 +206,17 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    B = _load_structure(args)
+    B, source = _load_structure(args)
     kappa = complex(args.kappa_re, args.kappa_im)
     _write_json(args.out, _certificate_record(B, kappa, kappa.real == 0.0))
     _write_json(args.out + ".manifest.json",
-                _manifest("certify", None, [args.structure or "inline"],
-                          [args.out]))
+                _manifest("certify", None, [source], [args.out]))
     print(f"certificate -> {args.out}")
     return 0
 
 
 def cmd_simulate(args) -> int:
-    B = _load_structure(args)
+    B, source = _load_structure(args)
     kappa = complex(args.kappa_re, args.kappa_im)
     m = args.cells
     _plan(B, args.T, m)  # refuse a bad or oversized run up front
@@ -240,9 +237,7 @@ def cmd_simulate(args) -> int:
                     sim.probe.tolist()))
     _write_csv(args.out, ["t", "energy", "u_probe"], rows)
     _write_json(args.out + ".manifest.json",
-                _manifest("simulate", None,
-                          [args.structure or f"constant:{args.preset_constant}"],
-                          [args.out]))
+                _manifest("simulate", None, [source], [args.out]))
     if fit is not None:
         print(f"fitted beta={fit.beta:.6g} expected={fit.expected:.6g}")
     print(f"{len(rows)} steps -> {args.out}")

@@ -128,15 +128,25 @@ def _phi2_integrals(sweep: _Sweep, lengths, p, dp):
     return 0.5 * (p * p * (lengths + csw) + dp * dp * iss2) + p * dp * sw * sw
 
 
+def _finite(z, *values) -> None:
+    """NumericalError unless every one of values is finite."""
+    if not all(np.isfinite(v).all() for v in values):
+        raise NumericalError(f"values at z = {z!r} are not finite")
+
+
 def propagate(B, z: complex) -> BoundaryData:
     """phi and psi pushed from x=0 to x=1 through the layers of B.
 
-    Exact up to rounding for piecewise-constant B.
+    Exact up to rounding for piecewise-constant B; values that are not
+    finite raise NumericalError.
     """
     _, lengths, values = B.layers
-    sweep = _sweep(z, values, lengths, psi=True)
+    with np.errstate(over="ignore", invalid="ignore"):   # caught below
+        sweep = _sweep(z, values, lengths, psi=True)
     (p, e), (q, dq) = sweep.phi, sweep.psi
-    return BoundaryData(p[-1], z * z * e[-1], q[-1], dq[-1])
+    bd = BoundaryData(p[-1], z * z * e[-1], q[-1], dq[-1])
+    _finite(z, list(vars(bd).values()))
+    return bd
 
 
 # -- F and its z-derivatives -------------------------------------------------
@@ -228,17 +238,20 @@ def _read_jet(ys: list, us: list) -> tuple:
               for j, (y, u) in enumerate(zip(ys, us))), ys[0])
 
 
+@np.errstate(all="ignore")   # overflow returns inf or nan, as in charF_many
 def charF(z: complex, B) -> complex:
     """Characteristic function F(z; B); F(0) = 1 (removable singularity).
     The order-1 product of charF_dzF, so the two agree bit for bit."""
     return _jet(z, B, 1)[0]
 
 
+@np.errstate(all="ignore")
 def charF_dzF(z: complex, B) -> tuple:
     """(F, dF/dz) at z from one order-1 product (_jet); dF/dz(0) = i int B."""
     return _jet(z, B, 1)[:2]
 
 
+@np.errstate(all="ignore")
 def dzF(z: complex, B) -> complex:
     """dF/dz from the order-1 product (_jet); dF/dz(0) = i int B."""
     return _jet(z, B, 1)[1]
@@ -336,8 +349,7 @@ def mode_values(B, z: complex, xs) -> tuple:
         _, _, c, sw = _coefficients(z, np.sqrt(b), xs - bps[j])
         z2 = z * z
         phi, dphi = c * p + z2 * sw * e, z2 * (c * e - b * sw * p)
-    if not (np.isfinite(phi).all() and np.isfinite(dphi).all()):
-        raise NumericalError(f"mode values at z = {z!r} overflow")
+    _finite(z, phi, dphi)
     return phi, dphi
 
 
@@ -349,18 +361,22 @@ def overlap_integrals(B, z: complex):
     L (u'v' + w^2 u v) - [u v']; over all layers the brackets telescope to
     phi'(1) v(1) (constant Wronskian, phi'(0) = 0).  Hence, with phi' = z^2 e,
     int phi v B = (sum b L phi v + sum L e v' - e(1) v(1)) / 2.
+    Values that are not finite raise NumericalError.
     """
     _, lengths, values = B.layers
-    sweep = _sweep(z, values, lengths, psi=True)
-    (p, e), (q, dq) = sweep.phi, sweep.psi
-    y = np.array((p[:-1], q[:-1]))
-    d = np.array((e[:-1], dq[:-1]))
-    a2, apq = ((y * y[0]) @ (values * lengths)).tolist()
-    g2, gpq = ((d * d[0]) @ lengths).tolist()
+    with np.errstate(over="ignore", invalid="ignore"):   # caught below
+        sweep = _sweep(z, values, lengths, psi=True)
+        (p, e), (q, dq) = sweep.phi, sweep.psi
+        y = np.array((p[:-1], q[:-1]))
+        d = np.array((e[:-1], dq[:-1]))
+        a2, apq = ((y * y[0]) @ (values * lengths)).tolist()
+        g2, gpq = ((d * d[0]) @ lengths).tolist()
     z2 = z * z
-    return (BoundaryData(p[-1], z2 * e[-1], q[-1], dq[-1]),
-            0.5 * (a2 + z2 * g2 - e[-1] * p[-1]),
-            0.5 * (apq + gpq - e[-1] * q[-1]))
+    bd = BoundaryData(p[-1], z2 * e[-1], q[-1], dq[-1])
+    i2 = 0.5 * (a2 + z2 * g2 - e[-1] * p[-1])
+    ipq = 0.5 * (apq + gpq - e[-1] * q[-1])
+    _finite(z, [*vars(bd).values(), i2, ipq])
+    return bd, i2, ipq
 
 
 def phi2_cell_integrals(B, z: complex, edges) -> np.ndarray:
@@ -368,7 +384,8 @@ def phi2_cell_integrals(B, z: complex, edges) -> np.ndarray:
 
     edges must be at least two reals increasing strictly from 0 to 1, else
     InputError; layer boundaries of B are merged in internally so each
-    piece is resolved in closed form.
+    piece is resolved in closed form.  Integrals that are not finite raise
+    NumericalError.
     """
     try:
         edges = np.asarray(edges, dtype=float)
@@ -383,9 +400,11 @@ def phi2_cell_integrals(B, z: complex, edges) -> np.ndarray:
     layer = np.clip(np.searchsorted(bps, mids, side="right") - 1,
                     0, len(values) - 1)
     lengths = np.diff(cuts)
-    sweep = _sweep(z, values[layer], lengths)
-    p, e = (np.array(v[:-1]) for v in sweep.phi)
-    pieces = _phi2_integrals(sweep, lengths, p, z * z * e)
+    with np.errstate(over="ignore", invalid="ignore"):   # caught below
+        sweep = _sweep(z, values[layer], lengths)
+        p, e = (np.array(v[:-1]) for v in sweep.phi)
+        pieces = _phi2_integrals(sweep, lengths, p, z * z * e)
+    _finite(z, pieces)
     n = len(edges) - 1
     cell = np.clip(np.searchsorted(edges, mids, side="right") - 1, 0, n - 1)
     return (np.bincount(cell, pieces.real, n)
@@ -438,11 +457,16 @@ def phi_series(B, z: complex) -> SeriesResult:
     coefficient carries full double precision.  The sum runs to the first
     n >= 2 at which the a-priori term bound (sup B |z|^2)^n / (2n)! drops
     below _SERIES_TOL, counted before any term is formed (TailNotConverged
-    when that exceeds _SERIES_TERMS); the result reports that tail bound and
-    a roundoff majorant eps * sum |term| for the alternating sum itself.
+    when that exceeds _SERIES_TERMS, or when |z|^(2n) passes the float
+    range); the result reports that tail bound and a roundoff majorant
+    eps * sum |term| for the alternating sum itself.
     """
     xs, lengths, bvals = (a.tolist() for a in B.layers)
-    az2 = (abs(z) ** 2) * max(bvals)
+    try:
+        r2 = abs(z) ** 2
+    except OverflowError:   # past the float range: no sum converges
+        r2 = math.inf
+    az2 = r2 * max(bvals)
     # a series that cannot converge raises before its terms overflow
     n, bound = 0, 1.0
     while n < 2 or not bound < _SERIES_TOL:
@@ -452,6 +476,8 @@ def phi_series(B, z: complex) -> SeriesResult:
                 f"term bound {bound:.3e} still above {_SERIES_TOL:.1e} "
                 f"after {_SERIES_TERMS} terms")
         bound *= az2 / (2 * n * (2 * n - 1))
+    if not n * math.log(max(r2, 1.0)) < 690.0:   # z^(2n) would overflow
+        raise TailNotConverged(f"|z|^{2 * n} is past the float range")
 
     # j = 0 iterates: phi_0 = 1, psi_0 = x (local form x0 + t per layer)
     phi_c = [np.array([1.0]) for _ in lengths]

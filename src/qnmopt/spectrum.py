@@ -3,7 +3,7 @@
 The characteristic function F(.; B) is entire, so zeros inside a rectangle
 are counted by the winding number of F along the boundary (argument
 principle), with adaptive contour refinement.  Every count is taken on
-rectangles; multiplicity() and locate()'s cluster check count on squares
+rectangles; multiplicity() counts on the squares of half-side r and 2r
 about a zero.  An edge of length l starts from max(16, ceil(2 l int
 sqrt(B) / pi)) samples, about a quarter turn of F apart, so wide windows
 do not alias.  The walk takes the new points of all its contours in one
@@ -25,14 +25,15 @@ time.  A window holding one to eight zeros first takes Newton starts from
 its contour moments: by parts, the cached edge sums give the power sums of
 its zeros (Delves & Lyness, Math. Comp. 21, 1967; Kravanja & Van Barel,
 Computing the Zeros of Analytic Functions, LNM 1727, 2000), Newton's
-identities the polynomial with those zeros, and the eigenvalues of its
-companion matrix its roots.  The window is bisected only when a Newton run
-fails, leaves it or lands on a zero already found.  The runs of every
-window at one depth step in lockstep: each step takes F and the exact
-dF/dz at all their points from one order-1 Taylor product of the layer
-maps (field._jet), and each run keeps the rules of newton_refine, its
-one-start case.  The windows left are then split one at a time, in order,
-and their halves make the next depth.
+identities the polynomial with those zeros, and numpy.roots its roots,
+whatever the window's size; a lone zero whose start falls outside starts
+from the centre.  The window is bisected only when a Newton run fails,
+leaves it or lands on a zero already found.  All Newton iteration is one
+loop, _newton_lockstep, which steps the runs of every window at one depth
+together: each step takes F and the exact dF/dz at all their points from
+one order-1 Taylor product of the layer maps (field._jet).  newton_refine
+is its one-start case.  The windows left are then split one at a time, in
+order, and their halves make the next depth.
 Constant media have a closed-form spectrum that serves as the golden oracle.
 """
 from __future__ import annotations
@@ -57,7 +58,7 @@ _CONTOUR_FLOOR = 1e-12   # relative |F| floor on contours
 _MAX_DEPTH = 64
 _WINDING_ROUNDS = 40     # contour refinement rounds before giving up
 _MAX_POINTS = 400_000    # contour points a walk may hold
-_NEWTON_ITERS = 60       # iteration cap of newton_refine
+_NEWTON_ITERS = 60       # iteration cap of a Newton run
 _EDGE_MIN = 16           # fewest segments on a rectangle edge
 _MOMENTS = 8             # most zeros a window takes from its moments
 
@@ -305,60 +306,52 @@ def winding_count(B, w: SpectralWindow) -> int:
     return _counted(_walk(B, [_rect_edges(w)], {}))[0]
 
 
-def _newton_run(z0: complex, tol: float, leash: float):
-    """The rules of newton_refine as a generator of (z, closing) requests.
-
-    It is sent the order-1 product (_jet) at z, or only F at z when
-    closing, and returns newton_refine's result.
-    """
-    z = complex(z0)
-    for it in range(1, _NEWTON_ITERS + 1):
-        f, df, _ = yield z, False
-        if df == 0 or not (cmath.isfinite(f) and cmath.isfinite(df)):
-            return None
-        prev, step = z, f / df
-        z -= step
-        if abs(z - z0) > leash:
-            return None
-        if abs(step) < 1e-15 * (1.0 + abs(z)) and abs(f) < tol:
-            return prev, it, abs(f)
-        if abs(step) < 1e-14 * (1.0 + abs(z)):
-            break
-    fz = abs((yield z, True))
-    return (z, it, fz) if fz < tol else None
-
-
 @np.errstate(all="ignore")   # a product that overflows ends its run
 def _newton_lockstep(B, starts: list, tol: float, leashes: list) -> list:
     """newton_refine from every start in lockstep; its result for each.
 
-    Each step answers the requests of all live runs (_newton_run) with one
-    many-point product (_jet), so every run steps exactly as it would
-    alone; a request left on its own takes the scalar product, or charF
-    when it is a closing |F|.
+    Each step takes F and dF/dz at every live point from one many-point
+    order-1 product (_jet), so every run steps exactly as it would alone; a
+    point left on its own takes the scalar product, or charF when it awaits
+    its closing |F|.
     """
-    runs = [_newton_run(z0, tol, leash) for z0, leash in zip(starts, leashes)]
-    out = [None] * len(runs)
-    asks = [(run, i, next(run)) for i, run in enumerate(runs)]
+    z0s = [complex(z) for z in starts]
+    zs, out = list(z0s), [None] * len(z0s)
+    asks, closing = list(range(len(zs))), set()   # runs awaiting F, in order
+    it = 0
     while asks:
         if len(asks) == 1:
-            (_, _, (z, closing)), = asks
-            answers = [charF(z, B) if closing else _jet(z, B, 1)]
+            i, = asks
+            jets = [(charF(zs[i], B),) if i in closing else _jet(zs[i], B, 1)]
         else:
-            jets = _jet(np.array([z for _, _, (z, _) in asks]), B, 1)
-            answers = [jet[0] if closing else jet
-                       for (_, _, (_, closing)), jet in zip(asks, jets)]
+            jets = _jet(np.array([zs[i] for i in asks]), B, 1)
+        it += 1   # the step of every run but the closing ones
         still = []
-        for (run, i, _), answer in zip(asks, answers):
-            try:
-                still.append((run, i, run.send(answer)))
-            except StopIteration as stop:
-                out[i] = stop.value
+        for i, jet in zip(asks, jets):
+            z = zs[i]
+            if i in closing:   # its last step was step it - 1
+                fz = abs(jet[0])
+                if fz < tol:
+                    out[i] = (z, it - 1, fz)
+                continue
+            f, df, _ = jet
+            if df == 0 or not (cmath.isfinite(f) and cmath.isfinite(df)):
+                continue
+            step = f / df
+            zs[i] = z - step
+            if abs(zs[i] - z0s[i]) > leashes[i]:
+                continue
+            scale = 1.0 + abs(zs[i])
+            if abs(step) < 1e-15 * scale and abs(f) < tol:
+                out[i] = (z, it, abs(f))
+                continue
+            if abs(step) < 1e-14 * scale or it == _NEWTON_ITERS:
+                closing.add(i)
+            still.append(i)
         asks = still
     return out
 
 
-@np.errstate(all="ignore")   # a product that overflows ends the run
 def newton_refine(B, z0: complex, tol: float = 1e-12,
                   leash: float = math.inf):
     """Newton iteration for F(., B) from z0; (kappa, iters, |F(kappa)|) or None.
@@ -369,15 +362,9 @@ def newton_refine(B, z0: complex, tol: float = 1e-12,
     60 steps, kappa is accepted if |F(kappa)| (charF) < tol; a step below
     1e-15 (1 + |z|) moves z by a few ulps, so kappa is then the point it
     left, whose F is in hand, and no charF is taken.  The one-start case of
-    _newton_lockstep, driven without its bookkeeping.
+    _newton_lockstep.
     """
-    run = _newton_run(z0, tol, leash)
-    z, closing = next(run)
-    try:
-        while True:
-            z, closing = run.send(charF(z, B) if closing else _jet(z, B, 1))
-    except StopIteration as stop:
-        return stop.value
+    return _newton_lockstep(B, [z0], tol, [leash])[0]
 
 
 def _split(w: SpectralWindow, frac: float) -> tuple:
@@ -483,22 +470,18 @@ def _power_sums(w: SpectralWindow, n: int, done: dict) -> np.ndarray:
 def _moment_starts(w: SpectralWindow, n: int, done: dict) -> list:
     """Newton starts for the n zeros of F in the counted window w.
 
-    They are the roots of the monic polynomial whose power sums are
-    _power_sums (its coefficients by Newton's identities), in the scaled
-    variable (z - c) / r: the eigenvalues of its companion matrix, as
-    numpy.roots takes them.  Empty if the power sums are not finite.
+    They are the roots (numpy.roots) of the monic polynomial whose power
+    sums are _power_sums, its coefficients by Newton's identities, in the
+    scaled variable (z - c) / r.  Empty if the power sums are not finite.
     """
     s = _power_sums(w, n, done).tolist()
-    e = [1.0]    # elementary symmetric functions of the scaled zeros
+    p = [1.0]   # (-1)^k e_k, e_k the elementary symmetric functions
     for k in range(1, n + 1):
-        e.append(sum((-1) ** (i - 1) * e[k - i] * s[i - 1]
-                     for i in range(1, k + 1)) / k)
-    companion = np.eye(n, k=-1, dtype=complex)
-    companion[0] = [(-1) ** (k + 1) * e[k] for k in range(1, n + 1)]
-    if not np.isfinite(companion).all():
+        p.append(-sum(p[k - i] * s[i - 1] for i in range(1, k + 1)) / k)
+    if not np.isfinite(p).all():
         return []
     c, r = w.center, 0.5 * math.hypot(*w.widths)
-    return (c + r * np.linalg.eigvals(companion)).tolist()
+    return (c + r * np.roots(p)).tolist()
 
 
 def _locate_level(B, level: list, tol: float, depth: int, found: list,
@@ -516,21 +499,12 @@ def _locate_level(B, level: list, tol: float, depth: int, found: list,
             continue
         if depth > _MAX_DEPTH:
             raise MaxDepthExceeded(f"cannot isolate {count} zeros near {w.center}")
-        diam = math.hypot(*w.widths)
-        if count <= _MOMENTS and diam >= 1e-5:
-            zs = _moment_starts(w, count, done)
-            if count == 1 and not (zs and w.contains(zs[0])):
-                zs = [w.center]
-        elif count == 1:
+        zs = _moment_starts(w, count, done) if count <= _MOMENTS else []
+        if count == 1 and not (zs and w.contains(zs[0])):
             zs = [w.center]
-        elif diam < 1e-5:
-            found.append(_cluster(B, w, count, diam))
-            continue
-        else:
-            zs = []
         plan.append((count, w, len(zs)))
         starts += zs
-        leashes += [4.0 * diam + 1.0] * len(zs)
+        leashes += [4.0 * math.hypot(*w.widths) + 1.0] * len(zs)
     runs = iter(_newton_lockstep(B, starts, tol, leashes))
     out = []
     for count, w, n in plan:
@@ -548,19 +522,6 @@ def _locate_level(B, level: list, tol: float, depth: int, found: list,
         else:
             out += _bisect(B, w, count, done)
     return out
-
-
-def _cluster(B, w: SpectralWindow, count: int, diam: float) -> QuasiEigenvalue:
-    """The suspected multiple zero of a window below 1e-5 across: Newton
-    pulls to the cluster centroid, whose square count must be count."""
-    res = newton_refine(B, w.center, tol=math.inf, leash=4.0 * diam + 1.0)
-    if res is not None and w.contains(res[0], pad=diam):
-        kappa, iters, fz = res
-        mult = _counted(_walk(B, [_square_edges(kappa, 2.0 * diam + 1e-7)],
-                              {}))[0]
-        if mult == count:
-            return QuasiEigenvalue(kappa, mult, fz, iters)
-    raise MaxDepthExceeded(f"cluster of {count} zeros near {w.center}")
 
 
 def _bisect(B, w: SpectralWindow, count: int, done: dict) -> list:

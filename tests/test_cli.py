@@ -258,6 +258,16 @@ class TestCertify:
         assert cert["max_interval_variation"] <= math.pi + 0.05
         assert cert["nonlinear_mismatch"] < 0.02
 
+    @pytest.mark.parametrize("bounds", [[], ["--bounds", 1, 4]])
+    def test_preset_manifest_names_the_constant(self, tmp_path, bounds):
+        # spectrum, certify and simulate name a preset medium alike
+        out = tmp_path / "cert.json"
+        assert run(["certify", "--preset-constant", 4, *bounds,
+                    "--kappa-re", math.pi, "--kappa-im", LN3_4,
+                    "--out", out]) == 0
+        manifest = json.loads(open(str(out) + ".manifest.json").read())
+        assert manifest["inputs"] == ["constant:4.0"]
+
     def test_not_at_root_exit_2(self, tmp_path):
         out = tmp_path / "cert.json"
         code = run(["certify", "--preset-constant", 4, "--bounds", 1, 4,

@@ -8,7 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qnmopt import field
-from qnmopt.errors import InputError, TailNotConverged, ZeroFrequency
+from qnmopt.errors import (InputError, NumericalError, QnmOptError,
+                           TailNotConverged, ZeroFrequency)
 from qnmopt.field import (_jet, charF, charF_dzF, charF_many, dzF, mode_values,
                           overlap_integrals, phi2_cell_integrals, phi_series,
                           propagate)
@@ -640,3 +641,71 @@ class TestCellIntegrals:
         four = phi2_cell_integrals(B, 2.2 + 0.6j, [0.0, 0.2, 0.37, 0.9, 1.0])
         assert cells.shape == (1,)
         assert abs(cells[0] - four.sum()) < 1e-12 * abs(cells[0])
+
+
+# -- the error contract ---------------------------------------------------------
+
+_WIDE = AdmissibleBounds(0.0, 1e4)
+_PARTS = [0.0, 1e-300, 0.5, -3.0, 40.0, 800.0, 1e6, -1e300, 1.7e308,
+          math.inf, -math.inf, math.nan]
+
+
+@st.composite
+def contract_media(draw):
+    values = draw(st.lists(st.sampled_from([0.0, 1e-300, 0.25, 4.0, 100.0, 1e4])
+                           | st.floats(0.0, 1e4), min_size=1, max_size=8))
+    if draw(st.booleans()):
+        return GridStructure(tuple(values), _WIDE)
+    cuts = draw(st.lists(st.floats(1e-9, 1.0 - 1e-9), min_size=len(values) - 1,
+                         max_size=len(values) - 1, unique=True))
+    return PiecewiseStructure((0.0, *sorted(cuts), 1.0), tuple(values), _WIDE)
+
+
+class TestErrorContract:
+    """Every public function of field ends in a result or a QnmOptError on
+    grid and piecewise media with 0 <= B <= 1e4 and z anywhere, huge and
+    non-finite included; no other exception and no RuntimeWarning escapes.
+    The F evaluators return inf or nan where F overflows, as charF_many
+    does; the sweeps raise NumericalError on values that are not finite."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(B=contract_media(),
+           re=st.sampled_from(_PARTS) | st.floats(-20.0, 20.0),
+           im=st.sampled_from(_PARTS) | st.floats(0.0, 10.0))
+    def test_only_qnmopt_errors_escape(self, B, re, im):
+        z = complex(re, im)
+        calls = [lambda: charF(z, B), lambda: dzF(z, B),
+                 lambda: charF_dzF(z, B), lambda: charF_many([z, 1.0], B),
+                 lambda: propagate(B, z), lambda: overlap_integrals(B, z),
+                 lambda: phi2_cell_integrals(B, z, [0.0, 0.3, 1.0]),
+                 lambda: mode_values(B, z, [0.0, 0.5, 1.0]),
+                 lambda: phi_series(B, z)]
+        for call in calls:
+            try:
+                call()
+            except QnmOptError:
+                pass
+
+    @pytest.mark.parametrize("z", [800j, 1e300j, complex(math.inf),
+                                   complex(math.nan, 1.0)])
+    def test_overflow_is_quiet_in_F_and_raises_in_sweeps(self, z):
+        B = random_bang_bang(AdmissibleBounds(1.0, 4.0),
+                             np.random.default_rng(3), max_switches=7)
+        assert not cmath.isfinite(charF(z, B))
+        assert not all(map(cmath.isfinite, charF_dzF(z, B)))
+        assert not cmath.isfinite(dzF(z, B))
+        for call in (lambda: propagate(B, z), lambda: overlap_integrals(B, z),
+                     lambda: phi2_cell_integrals(B, z, [0.0, 0.5, 1.0])):
+            with pytest.raises(NumericalError, match="not finite"):
+                call()
+
+    @pytest.mark.parametrize("b, z", [(4.0, 1e300j),
+                                      (4.0, complex(1.7e308, 1.7e308)),
+                                      (4.0, complex(math.inf)),
+                                      (0.0, complex(math.nan)),
+                                      (100.0, 10.25)])
+    def test_series_past_the_float_range_does_not_converge(self, b, z):
+        # at |z| = 10.25 on b = 100 the term bound needs 155 terms, and
+        # z^310 is past the float range although the terms are not
+        with pytest.raises(TailNotConverged):
+            phi_series(constant(b), z)

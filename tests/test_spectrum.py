@@ -161,6 +161,21 @@ class TestContourRobustness:
         assert evs[0].multiplicity == 2
         assert abs(evs[0].kappa - kappa) < 1e-6
 
+    @pytest.mark.parametrize("h", [3e-6, 1e-6, 1e-7])
+    def test_windows_under_1e5_across(self, double_fixture, h):
+        # windows this small take moment starts like any other window
+        def square(c):
+            return SpectralWindow(c.real - h, c.real + h, c.imag - h, c.imag + h)
+
+        B, kappa = double_fixture
+        evs = locate(B, square(kappa))
+        assert [ev.multiplicity for ev in evs] == [2]
+        assert abs(evs[0].kappa - kappa) < 1e-6
+        k1 = math.pi / 2 + 1j * LN3_4
+        evs = locate(constant(4.0), square(k1))
+        assert [ev.multiplicity for ev in evs] == [1]
+        assert abs(evs[0].kappa - k1) < 1e-10
+
     def test_concurrent_disjoint_windows(self, random_structures):
         from concurrent.futures import ThreadPoolExecutor
         B = random_structures[0]
