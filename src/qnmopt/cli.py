@@ -83,11 +83,16 @@ def _manifest(command: str, config_path, inputs: list, outputs: list) -> dict:
 
 
 def _load_structure(args) -> tuple:
-    """(structure, its manifest input) from --structure or --preset-constant."""
+    """(structure, its manifest input) from --structure or --preset-constant;
+    --bounds replaces the bounds of either, so a medium outside them is an
+    input error."""
+    bounds = AdmissibleBounds(*args.bounds) if args.bounds else None
     if args.structure:
-        return PiecewiseStructure.load(args.structure), args.structure
+        B = PiecewiseStructure.load(args.structure)
+        if bounds is not None:
+            B = PiecewiseStructure(B.breakpoints, B.values, bounds)
+        return B, args.structure
     if args.preset_constant is not None:
-        bounds = AdmissibleBounds(*args.bounds) if args.bounds else None
         return (constant(args.preset_constant, bounds),
                 f"constant:{args.preset_constant}")
     raise InputError("provide --structure FILE or --preset-constant B")

@@ -6,34 +6,31 @@ principle), with adaptive contour refinement.  Every count is taken on
 rectangles; multiplicity() counts on the squares of half-side r and 2r
 about a zero.  An edge of length l starts from max(16, ceil(2 l int
 sqrt(B) / pi)) samples, about a quarter turn of F apart, so wide windows
-do not alias.  The walk takes the new points of all its contours in one
-charF_many call per round and inserts the midpoint of every segment that
-turns too far.  Each edge refines on its own, so one locate() call keeps
-every finished edge by its corner pair, as (turn, |F| range) and the sums
-of (z - a)^q log F dz, q < 8, from its first corner a, by a fourth-order
-rule on the edge's own uneven samples (_cubic_weights): a child window
-reuses its parent's two uncut edges, and the two halves of a split are
-walked together and evaluate their shared edge once.  The cut half-edges
-are sampled anew, so the children's counts still check the parent's.  |F|
-collapses on a contour where its minimum is below 1e-12 of its maximum
-once its growth exp(|Im z| int sqrt B) is divided out; such a window is
-dilated by 1 + 0.004 k and walked again, k = 1, .., 5, before
-ZeroOnContour.  A contour on which F overflows raises NumericalError.
+do not alias.  The walk puts the edges of all its contours in one flat
+point array, takes the new points in one charF_many call per round and
+inserts the midpoint of every segment that turns too far; the two halves
+of a split are walked together.  A converged contour returns its count,
+its samples and log F on them.  |F| collapses on a contour where its
+minimum is below 1e-12 of its maximum once its growth exp(|Im z| int
+sqrt B) is divided out; such a window is dilated by 1 + 0.004 k and walked
+again, k = 1, .., 5, before ZeroOnContour.  A contour on which F overflows
+raises NumericalError.
 
 locate() combines window bisection with Newton iteration, one depth at a
 time.  A window holding one to eight zeros first takes Newton starts from
-its contour moments: by parts, the cached edge sums give the power sums of
-its zeros (Delves & Lyness, Math. Comp. 21, 1967; Kravanja & Van Barel,
-Computing the Zeros of Analytic Functions, LNM 1727, 2000), Newton's
-identities the polynomial with those zeros, and numpy.roots its roots,
-whatever the window's size; a lone zero whose start falls outside starts
-from the centre.  The window is bisected only when a Newton run fails,
-leaves it or lands on a zero already found.  All Newton iteration is one
-loop, _newton_lockstep, which steps the runs of every window at one depth
-together: each step takes F and the exact dF/dz at all their points from
-one order-1 Taylor product of the layer maps (field._jet).  newton_refine
-is its one-start case.  The windows left are then split one at a time, in
-order, and their halves make the next depth.
+its contour moments: by parts, a fourth-order rule (_cubic_weights) on its
+walk's samples gives the power sums of its zeros in one product (Delves &
+Lyness, Math. Comp. 21, 1967; Kravanja & Van Barel, Computing the Zeros of
+Analytic Functions, LNM 1727, 2000), Newton's identities the polynomial
+with those zeros, and numpy.roots its roots, whatever the window's size; a
+lone zero whose start falls outside starts from the centre.  The window is
+bisected only when a Newton run fails, leaves it or lands on a zero
+already found.  All Newton iteration is one loop, _newton_lockstep, which
+steps the runs of every window at one depth together: each step takes F
+and the exact dF/dz at all their points from one order-1 Taylor product of
+the layer maps (field._jet).  newton_refine is its one-start case.  The
+windows left are then split one at a time, in order, and their halves,
+each with its walk, make the next depth.
 Constant media have a closed-form spectrum that serves as the golden oracle.
 """
 from __future__ import annotations
@@ -183,109 +180,72 @@ def _cubic_weights(pts, starts) -> np.ndarray:
             + 1j * np.bincount(stencil.ravel(), w.imag.ravel(), n))
 
 
-def _log_sums(pts, af, dtheta, starts) -> list:
-    """Per contour piece from its first sample p, the fourth-order sums
-    (_cubic_weights) of (z - p)^q log F dz, q < _MOMENTS.
-
-    log F = log|F| + i theta with theta unwrapped from p, where it is 0;
-    the reader adds the phase its contour has reached at p.
-    """
-    sizes = np.diff(starts, append=len(pts))
-    first = np.repeat(starts, sizes)
-    theta = np.concatenate(([0.0], np.cumsum(np.nan_to_num(dtheta))))
-    with np.errstate(all="ignore"):
-        logf = np.log(af) + 1j * (theta - theta[first])
-        g = (logf * _cubic_weights(pts, starts))[:, None] * np.vander(
-            pts - pts[first], _MOMENTS, increasing=True)
-    return np.add.reduceat(g, starts).tolist()
-
-
-def _walk(B, contours: list, done: dict) -> list:
-    """Zero counts of F inside closed contours, None where |F| collapses.
+def _walk(B, contours: list) -> list:
+    """Per closed contour, None where |F| collapses on it, else (count, z,
+    log F, edge starts): the zero count of F inside, the final samples, log F
+    there with its phase unwrapped from the first corner, where it is 0, and
+    the index in z of each edge's first sample.
 
     A contour is a list of edges, corner pairs (a, b) sampled by
-    _edge_points.  An edge whose corner pair is in done, either way round,
-    costs no evaluation; the other edges share one flat point array, so a
-    round makes one charF_many call for all contours, on the new points
-    only, and gives the midpoint to every segment that turns by pi/2 or
-    more.  A converged contour stores its edges in done as (turn, min, max,
-    G_0, .., G_7), G_q the _log_sums of the edge from a; they are taken
-    once per round in which some contour converges.
+    _edge_points.  The edges of all contours share one flat point array, so
+    a round makes one charF_many call for all contours, on the new points
+    only, and gives the midpoint to every segment of a pending contour that
+    turns by pi/2 or more.
 
-    min and max are those of |F| exp(-|Im z| int sqrt B), F with its growth
-    taken out, and |F| collapses where min < 1e-12 max: on raw |F| a tall
-    contour on a strong medium spans more than 1e12 with no zero near it.
-    Every contour here is positively oriented and F is entire, so a
-    negative count can only come from under-sampling and is refused.
+    |F| is taken as |F| exp(-|Im z| int sqrt B), F with its growth taken
+    out, and collapses where its minimum on the contour is below 1e-12 of its
+    maximum: on raw |F| a tall contour on a strong medium spans more than
+    1e12 with no zero near it.  Every contour here is positively oriented and
+    F is entire, so a negative count can only come from under-sampling and
+    is refused.
     """
-    keys, index, plan = [], {}, []   # keys: corner pair of each new edge
-    for c in contours:
-        # the new edges with their signs; turn and |F| range of cached ones
-        e, sgn, t0, lo0, hi0 = [], [], 0.0, math.inf, -math.inf
-        for key in c:
-            rev = key[::-1]
-            if key in done or rev in done:
-                t, l, h = (done[key] if key in done else done[rev])[:3]
-                t0 += t if key in done else -t
-                lo0, hi0 = min(lo0, l), max(hi0, h)
-                continue
-            if key not in index and rev not in index:
-                index[key] = len(keys)
-                keys.append(key)
-            e.append(index[key] if key in index else index[rev])
-            sgn.append(1.0 if key in index else -1.0)
-        plan.append((np.array(e, dtype=int), np.array(sgn), t0, lo0, hi0))
     _, lengths, values = B.layers
     optical = float(np.dot(lengths, np.sqrt(values)))   # int sqrt(B)
-    pts, starts = _edge_points(np.array(keys, dtype=complex).reshape(-1, 2),
-                               optical)
-    counts: list = [None] * len(contours)
+    pts, starts = _edge_points(
+        np.array([e for c in contours for e in c], dtype=complex), optical)
+    first = np.cumsum([0] + [len(c) for c in contours])   # of each contour
+    out: list = [None] * len(contours)
     pending = list(range(len(contours)))
-    fv = charF_many(pts, B) if len(pts) else pts
+    fv = charF_many(pts, B)
     for rnd in range(_WINDING_ROUNDS):
+        # contour c holds pts[ends[c]:ends[c + 1]]
+        ends = np.append(starts, len(pts))[first]
         af = np.abs(fv)
         with np.errstate(over="ignore", invalid="ignore"):   # caught below
             scaled = af * np.exp(-optical * np.abs(pts.imag))
-        lo = np.minimum.reduceat(scaled, starts)
-        hi = np.maximum.reduceat(scaled, starts)
+        lo = np.minimum.reduceat(scaled, ends[:-1])
+        hi = np.maximum.reduceat(scaled, ends[:-1])
         with np.errstate(all="ignore"):
             dtheta = np.angle(fv[1:] / fv[:-1])
         dtheta[starts[1:] - 1] = 0.0      # no segment joins two edges
         bad = np.abs(dtheta) >= 0.5 * math.pi
-        turn = np.add.reduceat(dtheta, starts)
-        rough = np.logical_or.reduceat(bad, starts)
-        sums = None
+        turn = np.add.reduceat(dtheta, ends[:-1])
+        rough = np.logical_or.reduceat(bad, ends[:-1])
         for c in list(pending):
-            e, sgn, t, l, h = plan[c]
-            fmax = hi[e].max(initial=h)
-            if not math.isfinite(fmax):
+            if not math.isfinite(hi[c]):
                 raise NumericalError("F is not finite on the contour")
-            if fmax == 0.0 or lo[e].min(initial=l) < _CONTOUR_FLOOR * fmax:
+            if hi[c] == 0.0 or lo[c] < _CONTOUR_FLOOR * hi[c]:
                 pending.remove(c)
                 continue
-            if rough[e].any():
+            if rough[c]:
                 continue
-            total = float(np.dot(turn[e], sgn)) + t
+            total = float(turn[c])
             n = round(total / (2.0 * math.pi))
             if abs(total - 2.0 * math.pi * n) > 0.5:
                 raise NumericalError("contour phase sum far from a multiple of 2 pi")
             if n < 0:
                 raise NumericalError("negative winding: contour under-sampled")
-            counts[c] = int(n)
+            a, b = ends[c], ends[c + 1]
+            theta = np.concatenate(([0.0], np.cumsum(dtheta[a:b - 1])))
+            out[c] = (int(n), pts[a:b], np.log(af[a:b]) + 1j * theta,
+                      starts[first[c]:first[c + 1]] - a)
             pending.remove(c)
-            if sums is None:
-                sums = _log_sums(pts, af, dtheta, starts)
-            for j in e.tolist():
-                done[keys[j]] = (float(turn[j]), float(lo[j]), float(hi[j]),
-                                 *sums[j])
         if not pending:
-            return counts
+            return out
         # midpoint of every segment that turns too far on a pending contour
-        live = np.zeros(len(starts), dtype=bool)
-        for c in pending:
-            live[plan[c][0]] = True
-        sizes = np.diff(starts, append=len(pts))
-        i = np.flatnonzero(bad & np.repeat(live, sizes)[:-1])
+        live = np.zeros(len(contours), dtype=bool)
+        live[pending] = True
+        i = np.flatnonzero(bad & np.repeat(live, np.diff(ends))[:-1])
         mids = 0.5 * (pts[i] + pts[i + 1])
         pts = np.insert(pts, i + 1, mids)
         if rnd == _WINDING_ROUNDS - 1 or len(pts) - len(starts) > _MAX_POINTS:
@@ -295,15 +255,16 @@ def _walk(B, contours: list, done: dict) -> list:
     raise NumericalError("contour refinement did not converge")
 
 
-def _counted(counts: list) -> list:
-    if None in counts:
+def _counted(walks: list) -> list:
+    """The zero counts of _walk's contours."""
+    if any(walk is None for walk in walks):
         raise ZeroOnContour("|F| collapsed on the contour")
-    return counts
+    return [walk[0] for walk in walks]
 
 
 def winding_count(B, w: SpectralWindow) -> int:
     """Number of zeros of F inside w, counted with multiplicity."""
-    return _counted(_walk(B, [_rect_edges(w)], {}))[0]
+    return _counted(_walk(B, [_rect_edges(w)]))[0]
 
 
 @np.errstate(all="ignore")   # a product that overflows ends its run
@@ -378,20 +339,22 @@ def _split(w: SpectralWindow, frac: float) -> tuple:
             SpectralWindow(w.re_min, w.re_max, ym, w.im_max))
 
 
-def _window_counts(B, ws: list, done: dict) -> list:
-    """[(count, window)] of the windows ws, walked together.
+def _window_counts(B, ws: list) -> list:
+    """[(window, walk)] of the windows ws, walked together: the _walk of
+    each window's rectangle.
 
     A window whose contour grazes a zero is dilated alone, slightly more on
     each of up to 5 retries; the retries walk only that window.
     """
     out = []
-    for n, w in zip(_walk(B, [_rect_edges(w) for w in ws], done), ws):
+    for walk, w in zip(_walk(B, [_rect_edges(w) for w in ws]), ws):
         for k in range(1, 6):
-            if n is not None:
+            if walk is not None:
                 break
             w = w.dilated(1.0 + 0.004 * k)
-            n = _walk(B, [_rect_edges(w)], done)[0]
-        out.append((_counted([n])[0], w))
+            walk = _walk(B, [_rect_edges(w)])[0]
+        _counted([walk])
+        out.append((w, walk))
     return out
 
 
@@ -403,12 +366,11 @@ def locate(B, w: SpectralWindow, tol: float = 1e-12) -> list:
     eigenvalue whose multiplicity is the cluster's total (exactly what the
     square count of a true multiple zero gives).
     """
-    done: dict = {}
-    level = _window_counts(B, [w], done)
+    level = _window_counts(B, [w])
     found: list = []
     depth = 0
     while level:
-        level = _locate_level(B, level, tol, depth, found, done)
+        level = _locate_level(B, level, tol, depth, found)
         depth += 1
     found = [ev for ev in found if w.contains(ev.kappa, pad=1e-9)]
     found.sort(key=lambda ev: (ev.kappa.real, ev.kappa.imag))
@@ -427,54 +389,42 @@ def locate(B, w: SpectralWindow, tol: float = 1e-12) -> list:
     return out
 
 
-# (z - c)^m = sum_j _BINOM[m, j] (p - c)^_POWER[m, j] (z - p)^j
-_BINOM = np.array([[math.comb(m, j) for j in range(_MOMENTS)]
-                   for m in range(_MOMENTS)], dtype=float)
-_POWER = np.maximum(np.arange(_MOMENTS)[:, None] - np.arange(_MOMENTS), 0)
-
-
-def _power_sums(w: SpectralWindow, n: int, done: dict) -> np.ndarray:
+def _power_sums(w: SpectralWindow, walk: tuple) -> np.ndarray:
     """s_1 .. s_n: the sums of ((zeta - c) / r)^p over the n zeros zeta of
-    F in the counted window w, c its centre and r its half-diagonal.
+    F in the walked window w, c its centre and r its half-diagonal.
 
     By parts from the argument principle (Delves & Lyness, Math. Comp. 21,
-    1967), s_p = n u0^p - p / (2 pi i r^p) oint (z - c)^(p-1) log F dz, with
-    u0 = (z0 - c) / r at the first corner z0 and log F continued from it.
-    The edge sums in done give the integral without a new evaluation:
-    (z - c)^m is expanded about each edge's first sample, a corner within r
-    of c, so the expansion does not cancel.
+    1967), s_p = n u0^p - p / (2 pi i) oint u^(p-1) log F du, u = (z - c) / r
+    and u0 its value at the first corner, from which log F is continued.  One
+    product of the walk's samples with their powers takes the integral by
+    the fourth-order rule (_cubic_weights).  The phase an edge starts from
+    is constant along it, so that part is integrated exactly, (u_end^p -
+    u_start^p) / p: the rule is exact only for p <= 4.
     """
+    n, z, logf, starts = walk
     c, r = w.center, 0.5 * math.hypot(*w.widths)
-    phase, rows = 0.0, []
-    for a, b in _rect_edges(w):
-        sgn = 1.0 if (a, b) in done else -1.0
-        p, q = (a, b) if sgn > 0 else (b, a)
-        turn, _, _, *g = done[p, q]
-        # along p -> q, log F = log|F| + i (at_p + theta), as G_q assumes
-        at_p = phase if sgn > 0 else phase - turn
-        phase += sgn * turn
-        rows.append((sgn, at_p, (p - c) / r, (q - p) / r, g[:n]))
-    sgn, at_p, d, h, g = map(np.array, zip(*rows))
+    u = (z - c) / r
+    at = logf.imag[starts]
+    ends = u[np.append(starts[1:], len(u)) - 1]
+    g = (logf - 1j * np.repeat(at, np.diff(starts, append=len(u)))) \
+        * _cubic_weights(u, starts)
     j = np.arange(1, n + 1)
-    # per edge, oint (z - p)^(j-1) log F dz / r^j; the powers of 1/r
-    # underflow where those of r would overflow
-    edge = g * (1.0 / r) ** j + 1j * at_p[:, None] * h[:, None] ** j / j
-    # acc[m] = oint (z - c)^m log F dz / r^(m+1)
-    expand = _BINOM[:n, :n] * d[:, None, None] ** _POWER[:n, :n]
-    acc = np.einsum("e,emj,ej->m", sgn, expand, edge)
-    u0 = (w.corners()[0] - c) / r
-    return n * u0 ** j - j * acc / (2j * math.pi)
+    # acc[p - 1] = oint u^(p-1) log F du
+    acc = g @ np.vander(u, n, increasing=True) \
+        + 1j * at @ (ends[:, None] ** j - u[starts, None] ** j) / j
+    return n * u[0] ** j - j * acc / (2j * math.pi)
 
 
 @np.errstate(all="ignore")   # sums that overflow give no starts
-def _moment_starts(w: SpectralWindow, n: int, done: dict) -> list:
-    """Newton starts for the n zeros of F in the counted window w.
+def _moment_starts(w: SpectralWindow, walk: tuple) -> list:
+    """Newton starts for the zeros of F in the walked window w.
 
     They are the roots (numpy.roots) of the monic polynomial whose power
     sums are _power_sums, its coefficients by Newton's identities, in the
     scaled variable (z - c) / r.  Empty if the power sums are not finite.
     """
-    s = _power_sums(w, n, done).tolist()
+    n = walk[0]
+    s = _power_sums(w, walk).tolist()
     p = [1.0]   # (-1)^k e_k, e_k the elementary symmetric functions
     for k in range(1, n + 1):
         p.append(-sum(p[k - i] * s[i - 1] for i in range(1, k + 1)) / k)
@@ -484,9 +434,9 @@ def _moment_starts(w: SpectralWindow, n: int, done: dict) -> list:
     return (c + r * np.roots(p)).tolist()
 
 
-def _locate_level(B, level: list, tol: float, depth: int, found: list,
-                  done: dict) -> list:
-    """One depth of locate's bisection over the [(count, window)] of level.
+def _locate_level(B, level: list, tol: float, depth: int,
+                  found: list) -> list:
+    """One depth of locate's bisection over the [(window, walk)] of level.
 
     The Newton starts of all its windows run in one lockstep run.  A window
     whose runs give all its zeros, each simple and inside it, adds them to
@@ -494,12 +444,13 @@ def _locate_level(B, level: list, tol: float, depth: int, found: list,
     come back as the next depth's level.
     """
     plan, starts, leashes = [], [], []
-    for count, w in level:
+    for w, walk in level:
+        count = walk[0]
         if count == 0:
             continue
         if depth > _MAX_DEPTH:
             raise MaxDepthExceeded(f"cannot isolate {count} zeros near {w.center}")
-        zs = _moment_starts(w, count, done) if count <= _MOMENTS else []
+        zs = _moment_starts(w, walk) if count <= _MOMENTS else []
         if count == 1 and not (zs and w.contains(zs[0])):
             zs = [w.center]
         plan.append((count, w, len(zs)))
@@ -520,19 +471,19 @@ def _locate_level(B, level: list, tol: float, depth: int, found: list,
         if len(roots) == count:
             found.extend(roots)
         else:
-            out += _bisect(B, w, count, done)
+            out += _bisect(B, w, count)
     return out
 
 
-def _bisect(B, w: SpectralWindow, count: int, done: dict) -> list:
-    """[(count, half)] of the first split of w whose halves' counts add up
+def _bisect(B, w: SpectralWindow, count: int) -> list:
+    """[(half, walk)] of the first split of w whose halves' counts add up
     to count."""
     for frac in (0.5, 0.5321, 0.4717, 0.5613):
         try:
-            halves = _window_counts(B, _split(w, frac), done)
+            halves = _window_counts(B, _split(w, frac))
         except ZeroOnContour:
             continue
-        if sum(n for n, _ in halves) == count:
+        if sum(walk[0] for _, walk in halves) == count:
             return halves
     raise NumericalError(f"child windings never matched parent near {w.center}")
 
@@ -550,8 +501,7 @@ def multiplicity(B, kappa0: complex, radius: float) -> int:
     if not cmath.isfinite(kappa0):
         raise InputError(f"kappa0 must be finite, not {kappa0!r}")
     inner, outer = _counted(_walk(B, [_square_edges(kappa0, radius),
-                                      _square_edges(kappa0, 2.0 * radius)],
-                                  {}))
+                                      _square_edges(kappa0, 2.0 * radius)]))
     if outer != inner:
         raise NotIsolated(
             f"{outer - inner} extra zeros between the squares about {kappa0}")

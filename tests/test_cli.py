@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
 import math
 import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qnmopt.cli import _CONFIG_OPTIONS, _config_from_json, main
 from qnmopt.medium import AdmissibleBounds, constant
@@ -73,6 +78,56 @@ class TestSpectrum:
         assert code == 4
         assert err.startswith("numerical failure:")
         assert "Traceback" not in err
+
+
+    @pytest.mark.parametrize("bounds, code, rows", [((1, 2), 2, None),
+                                                    ((3, 5), 0, 7)])
+    def test_bounds_apply_to_structure(self, tmp_path, capsys, bounds, code,
+                                       rows):
+        # B = 4 in a file with bounds 0..5: --bounds 1 2 leave it outside
+        struct = tmp_path / "s.json"
+        struct.write_text(json.dumps({"bounds": [0, 5], "values": [4],
+                                      "breakpoints": [0, 1]}))
+        out = tmp_path / "spectrum.csv"
+        assert run(["spectrum", "--structure", struct, "--bounds", *bounds,
+                    "--window", 0.1, 12, 0.05, 3, "--out", out]) == code
+        err = capsys.readouterr().err
+        if rows is None:
+            assert err.startswith("input error:")
+            assert sorted(os.listdir(tmp_path)) == ["s.json"]
+        else:
+            assert len(out.read_text().strip().splitlines()) == 1 + rows
+
+
+class TestSpectrumErrorContract:
+    """The CLI twin of spectrum's error-contract property: on any finite
+    window corners and sizes, spectrum exits 0, 2, 3 or 4, prints no
+    traceback, and leaves no file behind when it fails."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(b=st.sampled_from([-1.0, 0.0, 1e-300, 0.25, 1.0, 4.0, 9.0, 100.0]),
+           re=st.sampled_from([-12.0, 1e6, -1e300, 1e308])
+           | st.floats(-20.0, 20.0),
+           im=st.sampled_from([0.0, 5e-324, 0.05, 80.0, 1e300])
+           | st.floats(0.0, 10.0),
+           size=st.tuples(*[st.sampled_from([0.0, 1e-9, 0.01, 0.3, 2.0,
+                                             1e300])] * 2))
+    def test_exit_codes(self, b, re, im, size):
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as d:
+            out = os.path.join(d, "spectrum.csv")
+            with contextlib.redirect_stderr(err), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                try:
+                    code = run(["spectrum", "--preset-constant", b,
+                                "--window", re, re + size[0], im,
+                                im + size[1], "--out", out])
+                except SystemExit as exc:   # argparse refused the line
+                    code = exc.code
+            assert code in (0, 2, 3, 4)
+            assert "Traceback" not in err.getvalue()
+            if code:
+                assert os.listdir(d) == []
 
 
 class TestOptimize:

@@ -425,7 +425,7 @@ class TestContourAgainstReference:
             contour_log.clear()
             edges = spectrum._square_edges(kappa, h)
             assert [a for a, _ in edges] == cs
-            counts.append(spectrum._counted(spectrum._walk(B, [edges], {}))[0])
+            counts.append(spectrum._counted(spectrum._walk(B, [edges]))[0])
             assert counts[-1] == ref
             assert len(contour_log) == len(ref_log)
             # every final point once, and the 4 corners as both edge ends
@@ -435,15 +435,11 @@ class TestContourAgainstReference:
         assert [multiplicity(B, kappa, h) for h in (1e-3, 0.05)] == [2, 2]
 
 
-def _edge_interior(a, b):
-    """The 15 sampled points of edge (a, b) strictly between its corners."""
-    return a + np.arange(1, 16) / 16 * (b - a)
-
-
 class TestEdgeReuse:
-    """Within one locate call an edge with the same corners is walked once."""
+    """The two halves of a split share each round's charF_many call and
+    nothing else: each gets the walk it gets alone."""
 
-    def test_halves_reuse_parent_and_shared_edges(self, contour_log):
+    def test_halves_together_equal_alone(self, contour_log):
         box = AdmissibleBounds(1.0, 4.0)
         bb = random_bang_bang(box, np.random.default_rng(3), max_switches=7)
         grid = GridStructure(tuple(np.random.default_rng(7).uniform(1, 4, 256)),
@@ -451,64 +447,23 @@ class TestEdgeReuse:
         for B, w in [(bb, SpectralWindow(0.1, 12.0, 0.05, 3.0)),
                      (grid, SpectralWindow(0.1, 12.0, 0.05, 3.0)),
                      (bb, SpectralWindow(0.1, 2.0, 0.05, 8.0))]:
-            done = {}
-            count = spectrum._walk(B, [spectrum._rect_edges(w)], done)[0]
+            halves = spectrum._split(w, 0.5)
             contour_log.clear()
-            # the parent again: all four edges from done
-            assert spectrum._walk(B, [spectrum._rect_edges(w)], done) \
-                == [count]
-            assert contour_log == []
-            halves = spectrum._window_counts(B, spectrum._split(w, 0.5), done)
-            new = np.concatenate(contour_log)
-            rounds = len(contour_log)
-            a, b = spectrum._split(w, 0.5)
-            assert [h for _, h in halves] == [a, b]
-            # each half walked alone, without the cache, gives the same count
-            alone = []
-            for h in (a, b):
+            together = spectrum._walk(B, [spectrum._rect_edges(h)
+                                          for h in halves])
+            rounds, rounds_alone = len(contour_log), []
+            for h, (n, z, logf, starts) in zip(halves, together):
                 contour_log.clear()
-                alone.append((winding_count(B, h), len(contour_log)))
-            assert [n for n, _ in halves] == [n for n, _ in alone]
-            assert sum(n for n, _ in alone) == count
-            # both halves share each round's call
-            assert rounds <= max(r for _, r in alone)
-            parent = spectrum._rect_edges(w)
-            ea, eb = spectrum._rect_edges(a), spectrum._rect_edges(b)
-            shared = [e for e in ea if e[::-1] in eb]
-            cut = [e for e in ea + eb if e not in parent + shared
-                   and e[::-1] not in shared]
-            assert len(shared) == 1 and len(cut) == 4
-            got = _multiset(new)
-            # the parent's two uncut edges: none of their inner points
-            for p, q in parent:
-                if (p, q) in ea + eb:
-                    inner = _multiset(_edge_interior(p, q))
-                    assert not set(inner) & set(got)
-            # the shared edge: each sampled point once
-            (p, q), = shared
-            inner = _multiset(_edge_interior(p, q))
-            assert all(got.count(z) == 1 for z in inner)
-            # the four half-edges: their 15 inner samples taken anew
-            for p, q in cut:
-                assert set(_multiset(_edge_interior(p, q))) <= set(got)
-
-    def test_sibling_reuses_edge_reversed(self, contour_log):
-        B = random_bang_bang(AdmissibleBounds(1.0, 4.0),
-                             np.random.default_rng(3), max_switches=7)
-        a, b = spectrum._split(SpectralWindow(0.1, 12.0, 0.05, 3.0), 0.5)
-        done = {}
-        ca = spectrum._walk(B, [spectrum._rect_edges(a)], done)[0]
-        contour_log.clear()
-        cb = spectrum._walk(B, [spectrum._rect_edges(b)], done)[0]
-        calls = list(contour_log)
-        assert (ca, cb) == (winding_count(B, a), winding_count(B, b))
-        # b's left edge is a's right edge walked backwards, from done
-        (p, q), = [e for e in spectrum._rect_edges(b)
-                   if e[::-1] in spectrum._rect_edges(a)]
-        assert (q, p) in done and (p, q) not in done
-        assert len(calls[0]) == 3 * 17
-        got = set(_multiset(*calls))
-        assert not set(_multiset(_edge_interior(p, q))) & got
+                (n1, z1, logf1, starts1), = spectrum._walk(
+                    B, [spectrum._rect_edges(h)])
+                rounds_alone.append(len(contour_log))
+                assert n == n1
+                assert _bits(z) == _bits(z1)
+                assert _bits(logf) == _bits(logf1)
+                assert starts.tolist() == starts1.tolist()
+            # one call a round for both: as many as the slower half takes
+            assert rounds == max(rounds_alone)
+            assert sum(walk[0] for walk in together) == winding_count(B, w)
 
     def test_only_the_grazing_half_dilates(self, contour_log):
         # the middle sample of the left edge of the parent, and of its left
@@ -521,21 +476,16 @@ class TestEdgeReuse:
             reference_phase_winding(reference_rect_points(a, B), B)
         failed = contour_log[-1]
         contour_log.clear()
-        done = {}
-        (ca, wa), (cb, wb) = spectrum._window_counts(B, spectrum._split(w, 0.5),
-                                                     done)
+        (wa, (ca, *_)), (wb, (cb, *_)) = spectrum._window_counts(
+            B, spectrum._split(w, 0.5))
         calls = list(contour_log)
         assert wa == a.dilated(1.004) and wb == b
-        # of the grazing half's edges only the one b finished is kept
-        ea = spectrum._rect_edges(a)
-        assert [e for e in ea if e in done] \
-            == [e for e in ea if e[::-1] in spectrum._rect_edges(b)]
         assert (ca, cb) == (6, 6) == (winding_count(B, wa), winding_count(B, b))
         assert (ca, cb) == (len(constant_spectrum(4.0, wa)),
                             len(constant_spectrum(4.0, b)))
-        # the first call holds both halves, their shared edge once; the
-        # retry walks the dilated left half alone
-        assert len(calls[0]) == 7 * 17
+        # the first call holds both halves; the retry walks the dilated left
+        # half alone
+        assert len(calls[0]) == 8 * 17
         retry = [len(z) for z in calls].index(4 * 17, 1)
         # the grazing edge is refined as far as the loop got, no further
         batch = np.concatenate(calls[:retry])
@@ -563,7 +513,7 @@ class TestEdgeReuse:
 
         monkeypatch.setattr(spectrum, "charF_many", planted)
         with pytest.raises(NumericalError, match="not finite"):
-            spectrum._window_counts(B, spectrum._split(w, 0.5), {})
+            spectrum._window_counts(B, spectrum._split(w, 0.5))
         with pytest.raises(NumericalError, match="not finite"):
             winding_count(B, h)
         assert winding_count(B, (b, a)[which]) >= 0
@@ -759,7 +709,7 @@ class TestGrowthFloor:
         dist = [max(abs(z.real - c.real), abs(z.imag - c.imag)) for z in near]
         assume(all(abs(d - h) > 1e-6 * h for d in dist))
         edges = spectrum._square_edges(c, h)
-        assert spectrum._counted(spectrum._walk(constant(b), [edges], {})) \
+        assert spectrum._counted(spectrum._walk(constant(b), [edges])) \
             == [sum(d < h for d in dist)]
 
 
@@ -838,7 +788,7 @@ class TestNegativeWinding:
 UNIT_CIRCLE = np.exp(1j * np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False))
 
 
-def reference_locate_rec(B, w, count, tol, depth, found, done):
+def reference_locate_rec(B, w, count, tol, depth, found):
     """The recursion before moment starts: Newton from the centre of a
     window holding one zero, bisection of every other window.  A cluster is
     counted on a 64-point circle, by the per-point loop."""
@@ -863,13 +813,13 @@ def reference_locate_rec(B, w, count, tol, depth, found, done):
         raise MaxDepthExceeded(f"cluster of {count} zeros near {w.center}")
     for frac in (0.5, 0.5321, 0.4717, 0.5613):
         try:
-            (ca, wa), (cb, wb) = spectrum._window_counts(B, spectrum._split(w, frac),
-                                                    done)
+            (wa, (ca, *_)), (wb, (cb, *_)) = spectrum._window_counts(
+                B, spectrum._split(w, frac))
         except ZeroOnContour:
             continue
         if ca + cb == count:
-            reference_locate_rec(B, wa, ca, tol, depth + 1, found, done)
-            reference_locate_rec(B, wb, cb, tol, depth + 1, found, done)
+            reference_locate_rec(B, wa, ca, tol, depth + 1, found)
+            reference_locate_rec(B, wb, cb, tol, depth + 1, found)
             return
     raise NumericalError(f"child windings never matched parent near {w.center}")
 
@@ -877,10 +827,9 @@ def reference_locate_rec(B, w, count, tol, depth, found, done):
 def reference_locate(B, w, tol=1e-12):
     """locate with the bisection-only recursion: the zeros of the walked
     window, kept inside w, sorted, and sub-resolution clusters merged."""
-    done = {}
-    (total, walked), = spectrum._window_counts(B, [w], done)
+    (walked, (total, *_)), = spectrum._window_counts(B, [w])
     found = []
-    reference_locate_rec(B, walked, total, tol, 0, found, done)
+    reference_locate_rec(B, walked, total, tol, 0, found)
     found = sorted((ev for ev in found if w.contains(ev.kappa, pad=1e-9)),
                    key=lambda ev: (ev.kappa.real, ev.kappa.imag))
     out = []
@@ -969,6 +918,25 @@ def grid256_media():
             for _ in range(8)]
 
 
+def constant_windows(b):
+    """(zeros, window, walk) for windows around the first n = 1..8 zeros of
+    constant(b), or the n after the first, with margins of 0.2-0.45 of the
+    zeros' spacing."""
+    B = constant(b)
+    zs = constant_spectrum(b, SpectralWindow(0.1, 80.0, 0.05, 3.0))
+    step = math.pi / math.sqrt(b)
+    for n in range(1, 9):
+        for first, left in ((0, 0.3), (1, 0.2)):
+            group = zs[first:first + n]
+            im = group[0].imag
+            w = SpectralWindow(group[0].real - left * step,
+                               group[-1].real + 0.45 * step,
+                               0.4 * im, im + 0.35 * step)
+            walk, = spectrum._walk(B, [spectrum._rect_edges(w)])
+            assert walk[0] == n
+            yield group, w, walk
+
+
 class TestMomentStarts:
     """Newton starts from the contour moments of log F: the roots of a
     window holding up to eight zeros, without bisecting it."""
@@ -976,29 +944,22 @@ class TestMomentStarts:
     @pytest.mark.parametrize("b", [0.25, 4.0, 9.0])
     def test_starts_near_constant_zeros(self, b):
         # the trapezoid sums put the worst start at 0.26 r (n = 8, b = 0.25)
-        B = constant(b)
-        zs = constant_spectrum(b, SpectralWindow(0.1, 80.0, 0.05, 3.0))
-        step = math.pi / math.sqrt(b)
-        for n in range(1, 9):
-            for first, left in ((0, 0.3), (1, 0.2)):
-                group = zs[first:first + n]
-                im = group[0].imag
-                w = SpectralWindow(group[0].real - left * step,
-                                   group[-1].real + 0.45 * step,
-                                   0.4 * im, im + 0.35 * step)
-                # walked after its left neighbour, w reads their shared
-                # edge reversed
-                wl = SpectralWindow(2 * w.re_min - w.re_max, w.re_min,
-                                    w.im_min, w.im_max)
-                done = {}
-                assert spectrum._walk(B, [spectrum._rect_edges(v)
-                                          for v in (wl, w)], done)[1] == n
-                assert (w.corners()[3], w.corners()[0]) not in done
-                starts = spectrum._moment_starts(w, n, done)
-                r = 0.5 * math.hypot(*w.widths)
-                assert len(starts) == n
-                for z in group:
-                    assert min(abs(z - s) for s in starts) < 0.1 * r
+        for group, w, walk in constant_windows(b):
+            starts = spectrum._moment_starts(w, walk)
+            r = 0.5 * math.hypot(*w.widths)
+            assert len(starts) == len(group)
+            for z in group:
+                assert min(abs(z - s) for s in starts) < 0.1 * r
+
+    @pytest.mark.parametrize("b", [0.25, 4.0, 9.0])
+    def test_power_sums_match_closed_form(self, b):
+        # the quadrature's own error: per-edge sums re-expanded about the
+        # corners missed by at most 0.0918 (b = 9, n = 7)
+        for group, w, walk in constant_windows(b):
+            c, r = w.center, 0.5 * math.hypot(*w.widths)
+            p = np.arange(1, len(group) + 1)
+            want = [sum(((z - c) / r) ** k for z in group) for k in p]
+            assert np.abs(spectrum._power_sums(w, walk) - want).max() < 0.184
 
     def test_triple_root_window(self, triple_fixture, jet_log):
         # bisection never matched the children's counts to the parent's 3
@@ -1027,10 +988,10 @@ class TestMomentStarts:
         assert len(want) == 2
         original = spectrum._moment_starts
 
-        def same_zero(v, n, done):
-            if n == 2:
+        def same_zero(v, walk):
+            if walk[0] == 2:
                 return [want[0] + 1e-3, want[0] - 1e-3j]
-            return original(v, n, done)
+            return original(v, walk)
 
         monkeypatch.setattr(spectrum, "_moment_starts", same_zero)
         got = locate(B, w)
