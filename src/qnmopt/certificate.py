@@ -21,8 +21,8 @@ import numpy as np
 from .errors import (InputError, LostEigenvalue, NoConvergence, NotAtRoot,
                      NumericalError, OnImaginaryAxis, PhaseJump)
 from .field import charF, mode_values
-from .medium import (AdmissibleBounds, PiecewiseStructure, constant,
-                     switch_points)
+from .medium import (AdmissibleBounds, PiecewiseStructure, _as_complex,
+                     constant, switch_points)
 from .spectrum import newton_refine
 
 __all__ = [
@@ -68,7 +68,9 @@ def phase_trace(B: PiecewiseStructure, kappa: complex) -> PhaseTrace:
     Refines until adjacent samples differ by under pi/2; a persistent jump
     signals phi passing through 0, which cannot happen off the real axis
     for positive media, so it is reported as numerical failure (PhaseJump).
+    kappa must be a number (InputError).
     """
+    _as_complex(kappa, "kappa", finite=False)
     if kappa.real == 0.0:
         raise OnImaginaryAxis("phi is real on the axis; the phase is 0 or pi")
     if not abs(charF(kappa, B)) < _ROOT_TOL:
@@ -156,6 +158,7 @@ def switch_alignment(B: PiecewiseStructure, kappa: complex) -> SwitchCertificate
     pi for a down switch); up switches are then measured against omega and
     down switches against omega + pi, modulo 2 pi.
     """
+    _as_complex(kappa, "kappa", finite=False)
     if kappa.real == 0.0:
         raise OnImaginaryAxis("use the axis characterization at Re kappa = 0")
     sw = switch_points(B)  # raises NotBangBang when appropriate
@@ -188,6 +191,7 @@ def nonlinear_residual(B: PiecewiseStructure, kappa: complex,
     half-plane including the reals), and the mismatch is the measure of the
     sample cells where the rebuilt two-valued coefficient disagrees with B.
     """
+    _as_complex(kappa, "kappa", finite=False)
     if not abs(charF(kappa, B)) < _ROOT_TOL:
         raise NotAtRoot(f"kappa = {kappa} is not an eigenvalue")
     b1, b2 = B.bounds.b1, B.bounds.b2
@@ -250,8 +254,9 @@ def self_consistent_solve(kappa_seed: complex, bounds: AdmissibleBounds,
     by the certificate angle, rebuild the two-valued coefficient from the
     sign of Im y^2, and stop once switch points move under _SWITCH_TOL and
     kappa under _KAPPA_TOL.  The seed structure defaults to the constant b2
-    preset.
+    preset.  kappa_seed must be a finite number (InputError).
     """
+    _as_complex(kappa_seed, "kappa_seed", finite=True)
     if not bounds.b1 < bounds.b2:
         raise InputError("need b1 < b2 for a two-valued reconstruction")
     B = B0 if B0 is not None else constant(bounds.b2, bounds)

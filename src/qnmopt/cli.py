@@ -11,6 +11,7 @@ import argparse
 import datetime
 import json
 import os
+import re
 import sys
 import tempfile
 
@@ -292,8 +293,20 @@ def _add_structure_args(p: argparse.ArgumentParser) -> None:
                    metavar=("B1", "B2"))
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that takes every negative float literal, -1e+300
+    and -inf among them, as a value: argparse's own rule knows only
+    -12 and -1.5, and reads the rest as unknown options."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)(e[+-]?\d+)?$|^-(inf|infinity|nan)$",
+            re.IGNORECASE)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="qnmopt",
         description="Quasi-normal eigenvalues of 1-D layered cavities and "
                     "optimization of low-loss resonances.")

@@ -200,7 +200,7 @@ def _jet(z, B, order: int):
         z = complex(z)
         wl = z * beta
         shape = (3 * k + 1, len(beta))
-    g = np.empty(shape, complex)  # rows c_j, a_j, -m_j, 0
+    g = np.zeros(shape, complex)  # rows c_j, a_j, -m_j, 0
     c, s = np.cos(wl, out=g[0]), np.sin(wl)
     # a_0; a masked divide costs a third of the build, so only with b = 0
     if np.count_nonzero(rootb) < len(rootb):
@@ -218,7 +218,6 @@ def _jet(z, B, order: int):
         c, s = np.multiply(bj, s, out=g[j]), bj * c       # -c_j, s_j
         np.negative(c, out=c)
     np.negative(g[2 * k:3 * k], out=g[2 * k:3 * k])
-    g[3 * k] = 0
     # (layers, [points,] 2k, 2k)
     t = g.T[..., _toeplitz_slots(k)]
     while len(t) > 1:
@@ -228,14 +227,20 @@ def _jet(z, B, order: int):
             p[-1] = t[-1] @ p[-1]
         t = p
     if many:
-        return [_read_jet(*r) for r in t[0, :, :2, ::2].tolist()]
+        return list(map(_read_jet, t[0, :, 0, ::2].tolist(),
+                        t[0, :, 1, ::2].tolist()))
     return _read_jet(*t[0, :2, ::2].tolist())
+
+
+@functools.cache
+def _factorials(k: int) -> tuple:
+    return tuple(math.factorial(j) for j in range(k))
 
 
 def _read_jet(ys: list, us: list) -> tuple:
     """(F, F', ..., phi(1)) from the Taylor coefficients of phi and u."""
-    return (*((y - 1j * u) * math.factorial(j)
-              for j, (y, u) in enumerate(zip(ys, us))), ys[0])
+    return (*[(y - 1j * u) * f
+              for y, u, f in zip(ys, us, _factorials(len(ys)))], ys[0])
 
 
 @np.errstate(all="ignore")   # overflow returns inf or nan, as in charF_many

@@ -15,6 +15,7 @@ extremality_measure gives the measure of the cells away from both bounds.
 """
 from __future__ import annotations
 
+import cmath
 import json
 import numbers
 from dataclasses import dataclass
@@ -68,6 +69,17 @@ def _is_int(v) -> bool:
 
 def _is_real(v) -> bool:
     return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+def _as_complex(v, name: str, *, finite: bool) -> complex:
+    """v as a complex number; InputError unless it is a number, and a
+    finite one where finite is set."""
+    if not isinstance(v, numbers.Complex) or isinstance(v, bool):
+        raise InputError(f"{name} must be a number, not {v!r}")
+    z = complex(v)
+    if finite and not cmath.isfinite(z):
+        raise InputError(f"{name} must be finite, not {v!r}")
+    return z
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

@@ -24,10 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (BranchCountMismatch, InputError, NearMultiple,
-                     NoConvergence, NotAtRoot)
+                     NoConvergence, NotAtRoot, NumericalError)
 from .field import _jet, charF_dzF, phi2_cell_integrals
 from .medium import (AdmissibleBounds, GridStructure, PiecewiseStructure,
-                     _is_int, _is_real, _read_only, to_piecewise)
+                     _as_complex, _is_int, _is_real, _read_only, to_piecewise)
 from .spectrum import newton_refine
 
 __all__ = [
@@ -72,16 +72,24 @@ class GradientDensity:
 
 
 def _order_jet(B, kappa: complex, order) -> tuple:
-    """field._jet at an order that must be an integer in 2.._MAX_ORDER."""
+    """field._jet at a finite kappa and an order that must be an integer
+    in 2.._MAX_ORDER; NumericalError where it overflows."""
     if not (_is_int(order) and 2 <= order <= _MAX_ORDER):
         raise InputError(f"order {order!r} is not an integer in "
                          f"2..{_MAX_ORDER}")
-    return _jet(kappa, B, order)
+    with np.errstate(all="ignore"):   # caught below
+        jet = _jet(kappa, B, order)
+    if not all(map(cmath.isfinite, jet)):
+        raise NumericalError(f"the order-{order} jet at {kappa} is not finite")
+    return jet
 
 
 def dzF_higher(B, kappa: complex, order: int) -> complex:
     """d^order F / dz^order for 2 <= order <= 6, exact to rounding: read off
-    one pairwise product of the layer maps' Taylor series (field._jet)."""
+    one pairwise product of the layer maps' Taylor series (field._jet).
+    kappa must be a finite number (InputError); a jet that overflows raises
+    NumericalError."""
+    _as_complex(kappa, "kappa", finite=True)
     return _order_jet(B, kappa, order)[order]
 
 
@@ -92,14 +100,18 @@ def eigenvalue_gradient(B, kappa: complex, n_cells: int | None = None) -> Gradie
     |F| < _ROOT_TOL), the simple-root floor 1e-6 max(1, |F''|), under which
     |F'| raises NearMultiple and the splitting machinery applies instead, and
     the denominator D = -i kappa phi(1) F'(kappa) (F = 0 and the Wronskian).
+    kappa must be a number (InputError) and finite (NotAtRoot); a jet that
+    overflows raises NumericalError.
     """
+    if not cmath.isfinite(_as_complex(kappa, "kappa", finite=False)):
+        raise NotAtRoot(f"kappa = {kappa!r} is not a finite root")
     if n_cells is None:
         if not isinstance(B, GridStructure):
             raise InputError("n_cells required for piecewise structures")
         n_cells = B.n_cells
     elif not (_is_int(n_cells) and n_cells >= 1):
         raise InputError(f"n_cells must be an integer >= 1, got {n_cells!r}")
-    f, df, d2f, phi1 = _jet(kappa, B, 2)
+    f, df, d2f, phi1 = _order_jet(B, kappa, 2)
     if not abs(f) < _ROOT_TOL:
         raise NotAtRoot(f"|F({kappa})| = {abs(f):.3e} >= {_ROOT_TOL:.0e}")
     if abs(df) < 1e-6 * max(1.0, abs(d2f)):
@@ -152,8 +164,9 @@ def splitting_probe(B, kappa0: complex, r: int, direction: GridStructure,
     gives dBF = i kappa0 int phi^2 direction / phi(1), so one order-r jet
     holds phi(1) and F^(r).  r must be an integer in 2..6 and zetas a
     non-empty sequence of distinct finite positive reals, else InputError
-    before any Newton run.
+    before any Newton run, as is a kappa0 that is not a finite number.
     """
+    _as_complex(kappa0, "kappa0", finite=True)
     try:
         zetas = tuple(zetas)
     except TypeError:
@@ -173,6 +186,9 @@ def splitting_probe(B, kappa0: complex, r: int, direction: GridStructure,
                             * float(np.max(np.abs(direction.values)))):
         raise InputError("int phi^2 * direction vanishes; pick another direction")
     jet = _order_jet(B, kappa0, r)
+    if jet[r] == 0 or jet[-1] == 0:
+        raise InputError(f"F^({r}) or phi(1) vanishes at {kappa0}: not an "
+                         f"{r}-fold zero")
     dbf = 1j * kappa0 * w / jet[-1]
     eta = -math.factorial(r) * dbf / jet[r]
     c1_pred = eta ** (1.0 / r)
@@ -283,8 +299,10 @@ def find_double_eigenvalue(seed: tuple, kappa_seed: complex):
 
     A purely imaginary kappa_seed requests a double root on the axis: there
     both layer values stay fixed and (a, Im kappa) solve the two real
-    equations F(i beta) = 0, Im dF/dz (i beta) = 0.
+    equations F(i beta) = 0, Im dF/dz (i beta) = 0.  kappa_seed must be a
+    finite number (InputError).
     """
+    _as_complex(kappa_seed, "kappa_seed", finite=True)
     a, v1, v2 = (float(s) for s in seed)
     axis = kappa_seed.real == 0.0
 

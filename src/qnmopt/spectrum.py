@@ -9,8 +9,12 @@ sqrt(B) / pi)) samples, about a quarter turn of F apart, so wide windows
 do not alias.  The walk puts the edges of all its contours in one flat
 point array, takes the new points in one charF_many call per round and
 inserts the midpoint of every segment that turns too far; the two halves
-of a split are walked together.  A converged contour returns its count,
-its samples and log F on them.  |F| collapses on a contour where its
+of a split are walked together.  Its bookkeeping is a handful of numpy
+calls per round, whatever the number of contours: one array marks every
+edge start and the point count, the midpoints are merged in by one index
+that also moves those marks, and a round reads the per-contour minima,
+maxima, turns and roughness as lists.  A converged contour returns its
+count, its samples and log F on them.  |F| collapses on a contour where its
 minimum is below 1e-12 of its maximum once its growth exp(|Im z| int
 sqrt B) is divided out; such a window is dilated by 1 + 0.004 k and walked
 again, k = 1, .., 5, before ZeroOnContour.  A contour on which F overflows
@@ -22,8 +26,9 @@ its contour moments: by parts, a fourth-order rule (_cubic_weights) on its
 walk's samples gives the power sums of its zeros in one product (Delves &
 Lyness, Math. Comp. 21, 1967; Kravanja & Van Barel, Computing the Zeros of
 Analytic Functions, LNM 1727, 2000), Newton's identities the polynomial
-with those zeros, and numpy.roots its roots, whatever the window's size; a
-lone zero whose start falls outside starts from the centre.  The window is
+with those zeros, and the eigenvalues of its companion matrix (the roots
+numpy.roots would give) the starts, whatever the window's size; a lone
+zero whose start falls outside starts from the centre.  The window is
 bisected only when a Newton run fails, leaves it or lands on a zero
 already found.  All Newton iteration is one loop, _newton_lockstep, which
 steps the runs of every window at one depth together: each step takes F
@@ -36,7 +41,9 @@ Constant media have a closed-form spectrum that serves as the golden oracle.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,6 +130,21 @@ def _square_edges(c: complex, h: float) -> list:
     return list(zip(cs, cs[1:] + cs[:1]))
 
 
+@functools.lru_cache(maxsize=256)
+def _edge_layout(n: tuple) -> tuple:
+    """For edges of n[e] segments, end to end: per sample its edge and its
+    fraction k/n of the way along it, and the index of each edge's first
+    and last sample.  Shared by every call, so read-only."""
+    n = np.array(n)
+    lasts = np.cumsum(n + 1) - 1
+    firsts = lasts - n
+    edge = np.repeat(np.arange(len(n)), n + 1)
+    frac = (np.arange(lasts[-1] + 1) - firsts[edge]) / n[edge]
+    for a in (edge, frac, firsts, lasts):
+        a.flags.writeable = False
+    return edge, frac, firsts, lasts
+
+
 def _edge_points(ab: np.ndarray, optical: float) -> tuple:
     """Starting samples of the edges ab[:, 0] -> ab[:, 1], end to end, and
     the index of the first sample of each.
@@ -131,21 +153,18 @@ def _edge_points(ab: np.ndarray, optical: float) -> tuple:
     a horizontal edge F turns by about |b - a| int sqrt(B) (the phase of
     exp(+-i z int sqrt B)), so n = max(16, ceil(2 |b - a| int sqrt(B) / pi))
     starts every segment at most a quarter turn long; a fixed 16 let wide
-    windows alias to a wrong count.
+    windows alias to a wrong count.  A turn that overflows fails the point
+    budget; the caller silences its warning.
     """
     a, b = ab[:, 0], ab[:, 1]
-    with np.errstate(over="ignore", invalid="ignore"):   # caught below
-        turn = np.abs(b - a) * optical
-    n = np.maximum(np.ceil(turn * (2.0 / math.pi)), _EDGE_MIN)
+    d = b - a
+    n = np.maximum(np.ceil(np.abs(d) * optical * (2.0 / math.pi)), _EDGE_MIN)
     if not n.sum() <= _MAX_POINTS:
         raise NumericalError(f"contour needs more than {_MAX_POINTS} points")
-    n = n.astype(int)
-    size = n + 1
-    ends = np.cumsum(size) - 1
-    k = np.arange(size.sum()) - np.repeat(ends - n, size)
-    pts = np.repeat(a, size) + k / np.repeat(n, size) * np.repeat(b - a, size)
-    pts[ends] = b
-    return pts, ends - n
+    edge, frac, firsts, lasts = _edge_layout(tuple(n.astype(int).tolist()))
+    pts = a[edge] + frac * d[edge]
+    pts[lasts] = b
+    return pts, firsts.copy()
 
 
 def _cubic_weights(pts, starts) -> np.ndarray:
@@ -161,25 +180,35 @@ def _cubic_weights(pts, starts) -> np.ndarray:
     Every piece needs at least three segments.
     """
     n = len(pts)
-    sizes = np.diff(starts, append=n)
-    first = np.repeat(starts, sizes)
-    last = first + np.repeat(sizes, sizes) - 1
-    seg = np.flatnonzero(np.arange(n) < last)   # no segment joins two pieces
-    stencil = np.clip(seg - 1, first[seg], last[seg] - 3)[:, None] + np.arange(4)
-    dz = np.diff(pts)
+    dz = pts[1:] - pts[:-1]
     h = np.abs(dz)
+    nxt = np.concatenate((starts[1:], [n]))   # one past each piece
+    cut = np.ones(n - 1, dtype=bool)
+    cut[nxt[:-1] - 1] = False   # no segment joins two pieces
+    seg = cut.nonzero()[0]
+    # the stencil's first sample: seg - 1 inside a piece, its first sample
+    # at its first segment and its fourth-last at its last
+    lo = seg - 1
+    p = np.arange(len(starts))
+    lo[starts - p] = starts
+    lo[nxt - p - 2] = nxt - 4
+    stencil = lo + np.arange(4)[:, None]   # a column per segment
     u = np.zeros(stencil.shape)    # distances from the stencil's first sample
-    u[:, 1:] = np.cumsum(h[stencil[:, :3]], axis=1)
+    np.cumsum(h[stencil[:3]], axis=0, out=u[1:])
     hs = h[seg]
-    u -= u[stencil == seg[:, None]][:, None] + 0.5 * hs[:, None]
-    e1 = u.sum(axis=1)[:, None] - u
-    e3 = u.prod(axis=1)[:, None] / u     # no midpoint is a sample
-    den = (u[:, :, None] - u[:, None, :] + np.eye(4)).prod(axis=2)
-    w = -(e3 + e1 * (hs * hs / 12.0)[:, None]) / den * dz[seg, None]
-    return (np.bincount(stencil.ravel(), w.real.ravel(), n)
-            + 1j * np.bincount(stencil.ravel(), w.imag.ravel(), n))
+    u -= u[seg - lo, np.arange(len(seg))] + 0.5 * hs
+    e1 = u.sum(axis=0) - u
+    e3 = u.prod(axis=0) / u     # no midpoint is a sample
+    d = u[:, None] - u          # u_i - u_j
+    d.reshape(16, -1)[::5] = 1.0   # the factor j = i
+    w = -(e3 + e1 * (hs * hs / 12.0)) / d.prod(axis=1) * dz[seg]
+    # summed segment by segment, as the samples meet them
+    out = np.zeros(n, complex)
+    np.add.at(out, stencil.T.ravel(), w.T.ravel())
+    return out
 
 
+@np.errstate(all="ignore")   # what overflows is caught below
 def _walk(B, contours: list) -> list:
     """Per closed contour, None where |F| collapses on it, else (count, z,
     log F, edge starts): the zero count of F inside, the final samples, log F
@@ -190,7 +219,8 @@ def _walk(B, contours: list) -> list:
     _edge_points.  The edges of all contours share one flat point array, so
     a round makes one charF_many call for all contours, on the new points
     only, and gives the midpoint to every segment of a pending contour that
-    turns by pi/2 or more.
+    turns by pi/2 or more.  The midpoints and the old points are merged by
+    one index, which also moves the edge starts.
 
     |F| is taken as |F| exp(-|Im z| int sqrt B), F with its growth taken
     out, and collapses where its minimum on the contour is below 1e-12 of its
@@ -203,24 +233,27 @@ def _walk(B, contours: list) -> list:
     optical = float(np.dot(lengths, np.sqrt(values)))   # int sqrt(B)
     pts, starts = _edge_points(
         np.array([e for c in contours for e in c], dtype=complex), optical)
-    first = np.cumsum([0] + [len(c) for c in contours])   # of each contour
+    # marks[first[c]:first[c + 1]] are the edge starts of contour c, and
+    # marks[-1] is the point count
+    marks = np.concatenate((starts, [len(pts)]))
+    first = np.cumsum([0] + [len(c) for c in contours])
     out: list = [None] * len(contours)
     pending = list(range(len(contours)))
     fv = charF_many(pts, B)
     for rnd in range(_WINDING_ROUNDS):
-        # contour c holds pts[ends[c]:ends[c + 1]]
-        ends = np.append(starts, len(pts))[first]
+        starts = marks[:-1]
+        ends = marks[first]          # contour c holds pts[ends[c]:ends[c + 1]]
+        heads = ends[:-1]
         af = np.abs(fv)
-        with np.errstate(over="ignore", invalid="ignore"):   # caught below
-            scaled = af * np.exp(-optical * np.abs(pts.imag))
-        lo = np.minimum.reduceat(scaled, ends[:-1])
-        hi = np.maximum.reduceat(scaled, ends[:-1])
-        with np.errstate(all="ignore"):
-            dtheta = np.angle(fv[1:] / fv[:-1])
+        scaled = af * np.exp(-optical * np.abs(pts.imag))
+        lo = np.minimum.reduceat(scaled, heads).tolist()
+        hi = np.maximum.reduceat(scaled, heads).tolist()
+        ratio = fv[1:] / fv[:-1]
+        dtheta = np.arctan2(ratio.imag, ratio.real)
         dtheta[starts[1:] - 1] = 0.0      # no segment joins two edges
         bad = np.abs(dtheta) >= 0.5 * math.pi
-        turn = np.add.reduceat(dtheta, ends[:-1])
-        rough = np.logical_or.reduceat(bad, ends[:-1])
+        turn = np.add.reduceat(dtheta, heads).tolist()
+        rough = np.logical_or.reduceat(bad, heads).tolist()
         for c in list(pending):
             if not math.isfinite(hi[c]):
                 raise NumericalError("F is not finite on the contour")
@@ -229,29 +262,42 @@ def _walk(B, contours: list) -> list:
                 continue
             if rough[c]:
                 continue
-            total = float(turn[c])
-            n = round(total / (2.0 * math.pi))
-            if abs(total - 2.0 * math.pi * n) > 0.5:
+            n = round(turn[c] / (2.0 * math.pi))
+            if abs(turn[c] - 2.0 * math.pi * n) > 0.5:
                 raise NumericalError("contour phase sum far from a multiple of 2 pi")
             if n < 0:
                 raise NumericalError("negative winding: contour under-sampled")
             a, b = ends[c], ends[c + 1]
-            theta = np.concatenate(([0.0], np.cumsum(dtheta[a:b - 1])))
-            out[c] = (int(n), pts[a:b], np.log(af[a:b]) + 1j * theta,
-                      starts[first[c]:first[c + 1]] - a)
+            logf = np.empty(b - a, complex)
+            np.log(af[a:b], out=logf.real)
+            logf.imag[0] = 0.0
+            np.cumsum(dtheta[a:b - 1], out=logf.imag[1:])
+            out[c] = (int(n), pts[a:b], logf, starts[first[c]:first[c + 1]] - a)
             pending.remove(c)
         if not pending:
             return out
         # midpoint of every segment that turns too far on a pending contour
-        live = np.zeros(len(contours), dtype=bool)
-        live[pending] = True
-        i = np.flatnonzero(bad & np.repeat(live, np.diff(ends))[:-1])
+        if len(pending) < len(contours):
+            live = np.zeros(len(contours), dtype=bool)
+            live[pending] = True
+            bad &= np.repeat(live, ends[1:] - ends[:-1])[:-1]
+        i = bad.nonzero()[0]
+        # the midpoints go to i + 1 + k, the old points to the rest
+        new = i + np.arange(1, len(i) + 1)
+        old = np.ones(len(pts) + len(i), dtype=bool)
+        old[new] = False
         mids = 0.5 * (pts[i] + pts[i + 1])
-        pts = np.insert(pts, i + 1, mids)
+        merged = np.empty(len(old), complex)
+        merged[old] = pts
+        merged[new] = mids
+        pts = merged
         if rnd == _WINDING_ROUNDS - 1 or len(pts) - len(starts) > _MAX_POINTS:
             break
-        fv = np.insert(fv, i + 1, charF_many(mids, B))
-        starts += np.searchsorted(i, starts)
+        merged = np.empty(len(old), complex)
+        merged[old] = fv
+        merged[new] = charF_many(mids, B)
+        fv = merged
+        marks = marks + np.searchsorted(i, marks)
     raise NumericalError("contour refinement did not converge")
 
 
@@ -405,13 +451,16 @@ def _power_sums(w: SpectralWindow, walk: tuple) -> np.ndarray:
     c, r = w.center, 0.5 * math.hypot(*w.widths)
     u = (z - c) / r
     at = logf.imag[starts]
-    ends = u[np.append(starts[1:], len(u)) - 1]
-    g = (logf - 1j * np.repeat(at, np.diff(starts, append=len(u)))) \
-        * _cubic_weights(u, starts)
+    nxt = np.concatenate((starts[1:], [len(u)]))   # one past each edge
+    g = (logf - 1j * np.repeat(at, nxt - starts)) * _cubic_weights(u, starts)
     j = np.arange(1, n + 1)
+    powers = np.empty((len(u), n), complex)   # u^0 .. u^(n-1)
+    powers[:, 0] = 1.0
+    powers[:, 1:] = u[:, None]
+    np.multiply.accumulate(powers[:, 1:], axis=1, out=powers[:, 1:])
     # acc[p - 1] = oint u^(p-1) log F du
-    acc = g @ np.vander(u, n, increasing=True) \
-        + 1j * at @ (ends[:, None] ** j - u[starts, None] ** j) / j
+    acc = g @ powers \
+        + 1j * at @ (u[nxt - 1, None] ** j - u[starts, None] ** j) / j
     return n * u[0] ** j - j * acc / (2j * math.pi)
 
 
@@ -419,19 +468,25 @@ def _power_sums(w: SpectralWindow, walk: tuple) -> np.ndarray:
 def _moment_starts(w: SpectralWindow, walk: tuple) -> list:
     """Newton starts for the zeros of F in the walked window w.
 
-    They are the roots (numpy.roots) of the monic polynomial whose power
-    sums are _power_sums, its coefficients by Newton's identities, in the
-    scaled variable (z - c) / r.  Empty if the power sums are not finite.
+    They are the roots of the monic polynomial whose power sums are
+    _power_sums, its coefficients by Newton's identities, in the scaled
+    variable (z - c) / r: the eigenvalues of its companion matrix, built as
+    numpy.roots builds it.  Empty if the power sums are not finite.
     """
     n = walk[0]
     s = _power_sums(w, walk).tolist()
     p = [1.0]   # (-1)^k e_k, e_k the elementary symmetric functions
     for k in range(1, n + 1):
-        p.append(-sum(p[k - i] * s[i - 1] for i in range(1, k + 1)) / k)
-    if not np.isfinite(p).all():
+        p.append(-sum(map(operator.mul, p[::-1], s)) / k)
+    if not all(map(cmath.isfinite, p)):
         return []
+    # the eigenvalues of the companion matrix, as numpy.roots takes them
+    p = np.array(p)
+    companion = np.zeros((n, n), complex)
+    companion.flat[n::n + 1] = 1.0
+    companion[0] = -p[1:] / p[0]
     c, r = w.center, 0.5 * math.hypot(*w.widths)
-    return (c + r * np.roots(p)).tolist()
+    return (c + r * np.linalg.eigvals(companion)).tolist()
 
 
 def _locate_level(B, level: list, tol: float, depth: int,

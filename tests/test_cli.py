@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qnmopt.cli import _CONFIG_OPTIONS, _config_from_json, main
+from qnmopt.cli import (_CONFIG_OPTIONS, _config_from_json, build_parser,
+                        main)
 from qnmopt.medium import AdmissibleBounds, constant
 from qnmopt.optimize import OptimizeConfig
 
@@ -128,6 +129,45 @@ class TestSpectrumErrorContract:
             assert "Traceback" not in err.getvalue()
             if code:
                 assert os.listdir(d) == []
+
+
+class TestNegativeExponents:
+    """Negative floats in exponent form are values, not unknown options."""
+
+    def test_huge_window_reaches_the_library(self, tmp_path, capsys):
+        out = tmp_path / "spectrum.csv"
+        code = run(["spectrum", "--preset-constant", 4,
+                    "--window", "-1e+300", 0, 0.1, 1, "--out", out])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert err.startswith("numerical failure:")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_small_negative_corner_runs(self, tmp_path):
+        out = tmp_path / "spectrum.csv"
+        assert run(["spectrum", "--preset-constant", 4,
+                    "--window", "-1e-3", 12, 0.05, 3, "--out", out]) == 0
+        # kappa_n = n pi / 2 + i ln3/4, n = 0 .. 7
+        assert len(out.read_text().strip().splitlines()) == 1 + 8
+
+    @pytest.mark.parametrize("argv, dest, want", [
+        (["spectrum", "--window", "-1e-3", "-2E+1", "0.05", "3",
+          "--preset-constant", "-4e0", "--bounds", "-1e0", "4",
+          "--tol", "-1.5e-12"],
+         ["window", "preset_constant", "bounds", "tol"],
+         [[-1e-3, -20.0, 0.05, 3.0], -4.0, [-1.0, 4.0], -1.5e-12]),
+        (["certify", "--kappa-re", "-2.5e+1", "--kappa-im", "-.5e-2"],
+         ["kappa_re", "kappa_im"], [-25.0, -0.005]),
+        (["simulate", "--kappa-re", "-1e1", "--T", "-3e0"],
+         ["kappa_re", "T"], [-10.0, -3.0]),
+        (["splitting-probe", "--fixture-seed", "-7e-1", "4", "-1.5e0",
+          "--zetas", "-1e-3", "-2e-3", "--kappa-im", "-inf"],
+         ["fixture_seed", "zetas", "kappa_im"],
+         [[-0.7, 4.0, -1.5], [-1e-3, -2e-3], -math.inf])])
+    def test_every_float_option(self, argv, dest, want):
+        args = build_parser().parse_args(argv)
+        assert [getattr(args, d) for d in dest] == want
 
 
 class TestOptimize:

@@ -5,9 +5,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qnmopt import field, sensitivity
-from qnmopt.errors import InputError, NearMultiple, NoConvergence, NotAtRoot
+from qnmopt.errors import (InputError, NearMultiple, NoConvergence, NotAtRoot,
+                           NumericalError, QnmOptError)
 from qnmopt.field import (charF, dzF, overlap_integrals,
                           phi2_cell_integrals, propagate)
 from qnmopt.medium import (AdmissibleBounds, GridStructure, PiecewiseStructure,
@@ -526,3 +529,63 @@ class TestNonFiniteKappa:
         B = to_grid(constant(4.0, box14), 16)
         with pytest.raises(NotAtRoot):
             eigenvalue_gradient(B, complex(math.nan, 0.3))
+
+
+_KAPPAS = [0j, 1e-300j, 2.0 + 0.5j, -3.0 + 0.1j, 1e300j,
+           complex(1e200, 1e200), complex(math.inf), complex(math.nan, 1.0),
+           math.inf, 4, np.complex128(1.0 + 1.0j)]
+_NOT_NUMBERS = ["x", None, True, [1.0], "1+2j", object()]
+
+
+class TestErrorContract:
+    """eigenvalue_gradient, dzF_higher and splitting_probe end in a result
+    or a QnmOptError for any kappa, non-numbers among them, and any order,
+    cell count and medium; no other exception and no RuntimeWarning
+    escapes."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(values=st.lists(st.sampled_from([0.0, 1.0, 4.0, 100.0]),
+                           min_size=1, max_size=6),
+           kappa=st.sampled_from(_KAPPAS + _NOT_NUMBERS)
+           | st.complex_numbers(max_magnitude=20.0),
+           order=st.sampled_from([2, 3, 6, 1, 7, 2.0, "3", None]),
+           n_cells=st.sampled_from([None, 1, 8, 0, 2.5]))
+    def test_only_qnmopt_errors_escape(self, values, kappa, order, n_cells):
+        B = GridStructure(tuple(values), AdmissibleBounds(0.0, 100.0))
+        calls = [lambda: eigenvalue_gradient(B, kappa, n_cells),
+                 lambda: dzF_higher(B, kappa, order),
+                 lambda: splitting_probe(to_piecewise(B), kappa, 2,
+                                         uniform_direction(4, B.bounds),
+                                         [1e-3])]
+        for call in calls:
+            try:
+                call()
+            except QnmOptError:
+                pass
+        if kappa in _NOT_NUMBERS:
+            for call in calls:
+                with pytest.raises(InputError, match="must be a number"):
+                    call()
+
+    @pytest.mark.parametrize("kappa", [1e300j, complex(1e200, 1e200)])
+    def test_overflowing_jet_is_numerical_error(self, kappa):
+        B = GridStructure((1.0, 4.0, 2.0), AdmissibleBounds(1.0, 4.0))
+        for call in (lambda: eigenvalue_gradient(B, kappa),
+                     lambda: dzF_higher(B, kappa, 3)):
+            with pytest.raises(NumericalError, match="not finite"):
+                call()
+
+    @pytest.mark.parametrize("kappa", [complex(math.inf), math.inf,
+                                       complex(0.3, math.nan)])
+    def test_non_finite_kappa_is_input_error(self, kappa):
+        B = GridStructure((1.0, 4.0, 2.0), AdmissibleBounds(1.0, 4.0))
+        with pytest.raises(NotAtRoot):
+            eigenvalue_gradient(B, kappa)
+        with pytest.raises(InputError, match="finite"):
+            dzF_higher(B, kappa, 3)
+
+    @pytest.mark.parametrize("kappa_seed", ["x", None, complex(math.inf),
+                                            complex(1.0, math.nan)])
+    def test_double_root_seed_must_be_a_finite_number(self, kappa_seed):
+        with pytest.raises(InputError):
+            find_double_eigenvalue(DOUBLE_SEED, kappa_seed)
