@@ -17,11 +17,14 @@ those maps' truncated Taylor series in z (`_jet`: charF, charF_dzF, dzF,
 the gradient's F'', the splitting probe's F^(r) and, with several points
 stacked behind the layers, locate's lockstep Newton steps).  charF_many
 multiplies the same maps pairwise for many z at once, built from real trig
-of the real and imaginary parts of wL.  `_sweep` keeps the states at every
-layer boundary, which a pairwise product does not give, for the boundary
-data, the mode values and the closed-form layer integrals.  phi_series
-(the power series in z^2) stays outside the kernel as the oracle the tests
-check it against.
+of the real and imaginary parts of wL.  Both read what only the medium
+fixes (sqrt(b), beta = sqrt(b) L, their negatives, 1/sqrt(b), -b, the b = 0
+mask and the Taylor factors L/j and +-beta/j) from `B.layers`, which
+computes each once per medium (medium.Layers).  `_sweep` keeps the states
+at every layer boundary, which a pairwise product does not give, for the
+boundary data, the mode values and the closed-form layer integrals.
+phi_series (the power series in z^2) stays outside the kernel as the
+oracle the tests check it against.
 """
 from __future__ import annotations
 
@@ -34,6 +37,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InputError, NumericalError, TailNotConverged
+from .medium import _reals
 
 __all__ = [
     "BoundaryData", "propagate", "charF", "charF_many", "charF_dzF", "dzF",
@@ -183,41 +187,35 @@ def _jet(z, B, order: int):
     point's tuple is bit-equal to it; a product takes at most
     max(1, _CHUNK // layers) points at a time.
     """
-    _, lengths, values = B.layers
-    k = order + 1
-    rootb = np.sqrt(values)
-    beta = rootb * lengths
+    lay = B.layers
+    lengths, k = lay.lengths, order + 1
     many = isinstance(z, np.ndarray) and z.ndim > 0
     if many:
         step = max(1, _CHUNK // len(lengths))
         if len(z) > step:
             return [v for i in range(0, len(z), step)
                     for v in _jet(z[i:i + step], B, order)]
-        z = z.astype(complex)
-        wl = z[:, None] * beta
-        shape = (3 * k + 1, len(z), len(beta))
+        z = z.astype(complex, copy=False)[:, None]
     else:
         z = complex(z)
-        wl = z * beta
-        shape = (3 * k + 1, len(beta))
-    g = np.zeros(shape, complex)  # rows c_j, a_j, -m_j, 0
+    wl = z * lay.beta
+    g = np.zeros((3 * k + 1,) + wl.shape, complex)  # rows c_j, a_j, -m_j, 0
     c, s = np.cos(wl, out=g[0]), np.sin(wl)
     # a_0; a masked divide costs a third of the build, so only with b = 0
-    if np.count_nonzero(rootb) < len(rootb):
-        np.divide(s, rootb, out=g[k], where=rootb > 0)
-        np.copyto(g[k], np.multiply.outer(z, lengths), where=rootb == 0)
+    if lay.vacuum is None:
+        np.divide(s, lay.rootb, out=g[k])
     else:
-        np.divide(s, rootb, out=g[k])
-    np.multiply(rootb, s, out=g[2 * k])
+        np.divide(s, lay.rootb, out=g[k], where=~lay.vacuum)
+        np.copyto(g[k], z * lengths, where=lay.vacuum)
+    np.multiply(lay.neg_rootb, s, out=g[2 * k])
     # with s_j = beta^j/j! sin(wL + j pi/2): c_j = -(beta/j) s_(j-1),
-    # s_j = (beta/j) c_(j-1) and a_j = (L/j) c_(j-1)
+    # s_j = (beta/j) c_(j-1) and a_j = (L/j) c_(j-1); each product with a
+    # negated factor rounds as the negated product
     for j in range(1, k):
-        np.multiply(lengths / j, c, out=g[k + j])         # a_j
-        np.multiply(values, g[k + j], out=g[2 * k + j])   # m_j
-        bj = beta / j
-        c, s = np.multiply(bj, s, out=g[j]), bj * c       # -c_j, s_j
-        np.negative(c, out=c)
-    np.negative(g[2 * k:3 * k], out=g[2 * k:3 * k])
+        lj, bj, neg_bj = lay.taylor_rows(j)
+        np.multiply(lj, c, out=g[k + j])                      # a_j
+        np.multiply(lay.neg_b, g[k + j], out=g[2 * k + j])    # -m_j
+        c, s = np.multiply(neg_bj, s, out=g[j]), bj * c if j < order else s
     # (layers, [points,] 2k, 2k)
     t = g.T[..., _toeplitz_slots(k)]
     while len(t) > 1:
@@ -262,20 +260,19 @@ def dzF(z: complex, B) -> complex:
     return _jet(z, B, 1)[1]
 
 
-def _layer_matrices(z, rootb, lengths) -> np.ndarray:
+def _layer_matrices(z, lay) -> np.ndarray:
     """Per layer and z, the map [[c, a], [-m, c]] of (phi, phi'/z) (_jet).
 
-    z is a column of points and rootb, lengths are rows of layers; the
-    result has shape (2, 2, points, layers).  c = cos wL, a = sin(wL)/sqrt(b)
-    (zL at b = 0) and m = sqrt(b) sin wL.
+    z is a column of points and lay the medium's Layers, whose constants
+    are rows of layers; the result has shape (2, 2, points, layers).
+    c = cos wL, a = sin(wL)/sqrt(b) (zL at b = 0) and m = sqrt(b) sin wL.
     cos and sin of wL = x + iy come from real trig (Kahan, "Branch cuts for
     complex elementary functions", 1987), a quarter of the cost of numpy's
     complex sin and cos:
         cos wL = cos x cosh y - i sin x sinh y,
         sin wL = sin x cosh y + i cos x sinh y.
     """
-    rl = rootb * lengths
-    x, y = z.real * rl, z.imag * rl
+    x, y = z.real * lay.beta, z.imag * lay.beta
     t = np.empty((2, 2) + x.shape, complex)
     c, s = t[0, 0], t[0, 1]
     np.cos(x, out=c.real)
@@ -287,11 +284,11 @@ def _layer_matrices(z, rootb, lengths) -> np.ndarray:
     ch = np.cosh(y)
     c.real *= ch
     s.real *= ch
-    np.multiply(s, -rootb, out=t[1, 0])
-    s *= 1 / rootb
+    np.multiply(s, lay.neg_rootb, out=t[1, 0])
+    s *= lay.inv_rootb
     t[1, 1] = c
-    if not rootb.all():
-        np.copyto(s, z * lengths, where=rootb == 0)
+    if lay.vacuum is not None:
+        np.copyto(s, z * lay.lengths, where=lay.vacuum)
     return t
 
 
@@ -318,14 +315,13 @@ def charF_many(zs, B) -> np.ndarray:
     """
     zs = np.asarray(zs, dtype=complex)
     flat = zs.ravel()
-    _, lengths, values = B.layers
-    rootb = np.sqrt(values)
+    lay = B.layers
     out = np.empty_like(flat)
-    step = max(1, _CHUNK // len(lengths))
+    step = max(1, _CHUNK // len(lay.lengths))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for k in range(0, len(flat), step):
             z = flat[k:k + step, None]
-            t = _layer_matrices(z, rootb, lengths)
+            t = _layer_matrices(z, lay)
             while t.shape[3] > 1:
                 t = _pair(t)
             out[k:k + step] = t[0, 0, :, 0] - 1j * t[1, 0, :, 0]
@@ -392,10 +388,7 @@ def phi2_cell_integrals(B, z: complex, edges) -> np.ndarray:
     piece is resolved in closed form.  Integrals that are not finite raise
     NumericalError.
     """
-    try:
-        edges = np.asarray(edges, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"edges must be real numbers: {exc}") from None
+    edges = _reals(edges, "edges")
     if not (edges.ndim == 1 and len(edges) >= 2 and edges[0] == 0.0
             and edges[-1] == 1.0 and np.all(edges[1:] > edges[:-1])):
         raise InputError("edges must increase strictly from 0 to 1")

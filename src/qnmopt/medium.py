@@ -7,17 +7,21 @@ cells, the optimizer's design variable).  Values at the breakpoints
 themselves carry no information (measure zero), so canonicalization is
 lossless for every operation in the package.  Both store read-only 1-D
 float arrays, copied once on construction, and expose the same merged
-`layers` arrays, which is all the field solvers read.  One rule merges
-equal neighbours for both (`_merged_layers`); media compare equal when their
-bounds and arrays are equal, element for element.  round_to_extreme snaps a
-grid to a bang-bang medium, each cell to its nearer bound (ties to b1);
-extremality_measure gives the measure of the cells away from both bounds.
+`layers` arrays, which is all the field solvers read; `layers` also
+carries the constants of the layer maps (sqrt(b), sqrt(b) L, ...) that
+the kernels read, each computed once per medium on first read.  One rule
+merges equal neighbours for both (`_merged_layers`); media compare equal
+when their bounds and arrays are equal, element for element.
+round_to_extreme snaps a grid to a bang-bang medium, each cell to its
+nearer bound (ties to b1); extremality_measure gives the measure of the
+cells away from both bounds.
 """
 from __future__ import annotations
 
 import cmath
 import json
 import numbers
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -37,7 +41,8 @@ class AdmissibleBounds:
     b2: float
 
     def __post_init__(self):
-        if not (0.0 <= self.b1 <= self.b2 < np.inf and self.b2 > 0.0):
+        if not (_is_finite_real(self.b1) and _is_finite_real(self.b2)
+                and 0.0 <= self.b1 <= self.b2 and self.b2 > 0.0):
             raise InputError(f"invalid bounds ({self.b1}, {self.b2})")
 
     @property
@@ -50,12 +55,41 @@ class AdmissibleBounds:
                     and np.all(v <= self.b2 + _BOUND_SLACK))
 
 
-class Layers(NamedTuple):
-    """Merged layers of a medium: equal neighbours form one layer."""
-
+class _LayerArrays(NamedTuple):
     breakpoints: np.ndarray  # n + 1 positions, 0 first and 1 last
     lengths: np.ndarray      # n layer lengths
     values: np.ndarray       # n layer values
+
+
+class Layers(_LayerArrays):
+    """Merged layers of a medium: equal neighbours form one layer.
+
+    Unpacks as (breakpoints, lengths, values) and carries, read-only and
+    made on first read, the layer-map constants that the kernels use.
+    """
+
+    rootb = cached_property(lambda lay: _read_only(np.sqrt(lay.values)))
+    beta = cached_property(   # sqrt(b) L
+        lambda lay: _read_only(lay.rootb * lay.lengths))
+    neg_rootb = cached_property(lambda lay: _read_only(-lay.rootb))
+    inv_rootb = cached_property(lambda lay: _read_only(np.divide(  # 0 at b=0
+        1.0, lay.rootb, where=lay.rootb > 0, out=np.zeros_like(lay.rootb))))
+    neg_b = cached_property(lambda lay: _read_only(-lay.values))
+    vacuum = cached_property(   # the b = 0 mask; None if no b is 0
+        lambda lay: None if lay.values.all() else _read_only(lay.values == 0))
+    optical = cached_property(   # int sqrt(B)
+        lambda lay: float(np.dot(lay.lengths, lay.rootb)))
+
+    def taylor_rows(self, j: int) -> tuple:
+        """(L/j, beta/j, -beta/j), j >= 1: the order-j factors of the layer
+        maps' Taylor coefficients (field._jet), kept once made; j = 1
+        shares L and beta."""
+        rows = self.__dict__.setdefault("_taylor", {})
+        if j not in rows:
+            lj, bj = (self.lengths / j, self.beta / j) if j > 1 else (
+                self.lengths, self.beta)
+            rows[j] = tuple(map(_read_only, (lj, bj, self.beta / -j)))
+        return rows[j]
 
     def values_at(self, xs):
         """Values of the layers holding xs (right-open; end layers outside)."""
@@ -69,6 +103,24 @@ def _is_int(v) -> bool:
 
 def _is_real(v) -> bool:
     return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+def _is_finite_real(v) -> bool:
+    return _is_real(v) and abs(v) <= sys.float_info.max
+
+
+def _reals(a, name: str) -> np.ndarray:
+    """A new float array of a; InputError unless a holds real numbers."""
+    try:
+        return np.array(a, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"{name} must be real numbers: {exc}") from None
+
+
+def _box(bounds) -> AdmissibleBounds:
+    if not isinstance(bounds, AdmissibleBounds):
+        raise InputError(f"bounds must be AdmissibleBounds, not {bounds!r}")
+    return bounds
 
 
 def _as_complex(v, name: str, *, finite: bool) -> complex:
@@ -115,15 +167,15 @@ class PiecewiseStructure:
     bounds: AdmissibleBounds
 
     def __post_init__(self):
-        xs = np.array(self.breakpoints, dtype=float)
-        vs = np.array(self.values, dtype=float)
+        xs, vs = _reals(self.breakpoints, "breakpoints"), _reals(
+            self.values, "values")
         if xs.ndim != 1 or vs.ndim != 1 or len(xs) != len(vs) + 1:
             raise InputError("need n+1 breakpoints for n interval values")
         if not (xs[0] == 0 and xs[-1] == 1):
             raise InputError("breakpoints must start at 0 and end at 1")
-        if not np.all(np.diff(xs) > 0):
+        if not np.all(xs[1:] > xs[:-1]):
             raise InputError("breakpoints must be strictly increasing")
-        layers = _merged_layers(xs, vs, self.bounds)
+        layers = _merged_layers(xs, vs, _box(self.bounds))
         object.__setattr__(self, "breakpoints", layers.breakpoints)
         object.__setattr__(self, "values", layers.values)
         object.__setattr__(self, "layers", layers)
@@ -176,7 +228,7 @@ class PiecewiseStructure:
         try:
             bounds = AdmissibleBounds(*map(float, d["bounds"]))
             return cls(d["breakpoints"], d["values"], bounds)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"bad structure record: {exc}") from exc
 
     def save(self, path) -> None:
@@ -196,6 +248,8 @@ class PiecewiseStructure:
 
 def constant(b: float, bounds: AdmissibleBounds | None = None) -> PiecewiseStructure:
     """The constant structure B = b."""
+    if not _is_finite_real(b):
+        raise InputError(f"b must be a finite real, not {b!r}")
     if bounds is None:
         bounds = AdmissibleBounds(min(b, 0.0) if b < 0 else 0.0, max(b, 1.0))
     return PiecewiseStructure((0.0, 1.0), (float(b),), bounds)
@@ -213,7 +267,8 @@ class GridStructure:
     bounds: AdmissibleBounds
 
     def __post_init__(self):
-        vs = np.array(self.values, dtype=float)
+        vs = _reals(self.values, "cell values")
+        _box(self.bounds)
         if vs.ndim != 1 or len(vs) < 1:
             raise InputError("need at least one cell")
         if not np.isfinite(vs).all():
@@ -271,14 +326,14 @@ def to_grid(p: PiecewiseStructure, n_cells: int) -> GridStructure:
 
 def project_to_box(g: GridStructure, bounds: AdmissibleBounds) -> GridStructure:
     """Clip every cell value into [b1, b2]; idempotent."""
-    return GridStructure(np.clip(g.values, bounds.b1, bounds.b2), bounds)
+    return GridStructure(np.clip(g.values, _box(bounds).b1, bounds.b2), bounds)
 
 
 def round_to_extreme(g: GridStructure,
                      bounds: AdmissibleBounds) -> PiecewiseStructure:
     """Snap every cell to its nearer bound, ties to b1."""
-    vs = g.values
-    snapped = np.where(vs - bounds.b1 <= bounds.b2 - vs, bounds.b1, bounds.b2)
+    vs, b1, b2 = g.values, _box(bounds).b1, bounds.b2
+    snapped = np.where(vs - b1 <= b2 - vs, b1, b2)
     return PiecewiseStructure(g.edges, snapped, bounds)
 
 
@@ -300,8 +355,10 @@ def switch_points(p: PiecewiseStructure) -> list:
 def extremality_measure(g: GridStructure, bounds: AdmissibleBounds,
                         eps: float) -> float:
     """Measure of { x : b1 + eps < B(x) < b2 - eps } (cell-count fraction)."""
+    if not _is_finite_real(eps):
+        raise InputError(f"eps must be a finite real, not {eps!r}")
     vs = g.values
-    interior = (vs > bounds.b1 + eps) & (vs < bounds.b2 - eps)
+    interior = (vs > _box(bounds).b1 + eps) & (vs < bounds.b2 - eps)
     return float(np.mean(interior))
 
 
@@ -311,6 +368,7 @@ def random_bang_bang(bounds: AdmissibleBounds, rng,
     if not (_is_int(max_switches) and max_switches >= 1):
         raise InputError(
             f"max_switches must be an integer >= 1, got {max_switches!r}")
+    _box(bounds)
     k = int(rng.integers(1, max_switches + 1))
     xs = np.sort(rng.uniform(0.05, 0.95, size=k))
     # guard against numerically coincident switch points

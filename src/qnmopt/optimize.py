@@ -37,8 +37,9 @@ from .errors import (CollisionDetected, InfeasibleError, InputError,
                      StalledDirection, ZeroFrequency)
 from .field import _jet, charF, mode_values
 from .medium import (AdmissibleBounds, GridStructure, PiecewiseStructure,
-                     _is_int, _is_real, constant, extremality_measure,
-                     project_to_box, round_to_extreme, to_grid)
+                     _box, _is_finite_real, _is_int, constant,
+                     extremality_measure, project_to_box, round_to_extreme,
+                     to_grid)
 from .sensitivity import GradientDensity, _damped_newton, eigenvalue_gradient
 from .spectrum import SpectralWindow, axis_offset, locate, newton_refine
 
@@ -75,11 +76,9 @@ class OptimizeConfig:
     seed_kappa: complex | None = None
 
     def __post_init__(self):
-        if not (_is_real(self.alpha) and math.isfinite(self.alpha)):
+        if not _is_finite_real(self.alpha):
             raise InputError(f"alpha must be a finite real, got {self.alpha!r}")
-        if not isinstance(self.bounds, AdmissibleBounds):
-            raise InputError(
-                f"bounds must be AdmissibleBounds, got {self.bounds!r}")
+        _box(self.bounds)
         if not (_is_int(self.n_cells) and self.n_cells >= 16):
             raise InputError(
                 f"n_cells must be an integer >= 16, got {self.n_cells!r}")
@@ -127,8 +126,8 @@ def _constant_candidates(alpha: float, bounds: AdmissibleBounds) -> list:
     candidate instead of overflowing.  Near the largest floats, where
     edge alpha or pi (m + shift) overflows, pi / alpha is taken first.
     """
-    if not math.isfinite(alpha):
-        raise InputError(f"alpha must be finite, got {alpha}")
+    if not _is_finite_real(alpha):
+        raise InputError(f"alpha must be a finite real, got {alpha!r}")
     if alpha == 0.0:
         return [(bounds.b2, complex(0.0, axis_offset(bounds.b2)))] \
             if bounds.b2 > 1.0 else []

@@ -27,7 +27,8 @@ from .errors import (BranchCountMismatch, InputError, NearMultiple,
                      NoConvergence, NotAtRoot, NumericalError)
 from .field import _jet, charF_dzF, phi2_cell_integrals
 from .medium import (AdmissibleBounds, GridStructure, PiecewiseStructure,
-                     _as_complex, _is_int, _is_real, _read_only, to_piecewise)
+                     _as_complex, _is_finite_real, _is_int, _read_only,
+                     to_piecewise)
 from .spectrum import newton_refine
 
 __all__ = [
@@ -173,7 +174,7 @@ def splitting_probe(B, kappa0: complex, r: int, direction: GridStructure,
         raise InputError(f"zetas must be a sequence, not {zetas!r}") from None
     if not zetas:
         raise InputError("splitting needs at least one zeta")
-    if not all(_is_real(z) and math.isfinite(z) and z > 0 for z in zetas):
+    if not all(_is_finite_real(z) and z > 0 for z in zetas):
         raise InputError(f"zetas must be finite positive reals, not {zetas!r}")
     zetas = tuple(sorted(map(float, zetas), reverse=True))
     if len(set(zetas)) < len(zetas):
@@ -299,11 +300,14 @@ def find_double_eigenvalue(seed: tuple, kappa_seed: complex):
 
     A purely imaginary kappa_seed requests a double root on the axis: there
     both layer values stay fixed and (a, Im kappa) solve the two real
-    equations F(i beta) = 0, Im dF/dz (i beta) = 0.  kappa_seed must be a
-    finite number (InputError).
+    equations F(i beta) = 0, Im dF/dz (i beta) = 0.  seed must be three
+    finite reals and kappa_seed a finite number (InputError).
     """
     _as_complex(kappa_seed, "kappa_seed", finite=True)
-    a, v1, v2 = (float(s) for s in seed)
+    if not (isinstance(seed, (tuple, list)) and len(seed) == 3
+            and all(map(_is_finite_real, seed))):
+        raise InputError(f"seed must be three finite reals, not {seed!r}")
+    a, v1, v2 = map(float, seed)
     axis = kappa_seed.real == 0.0
 
     def residual(q, _):

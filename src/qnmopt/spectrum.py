@@ -51,6 +51,7 @@ import numpy as np
 from .errors import (InputError, MaxDepthExceeded, NotIsolated,
                      NumericalError, ZeroOnContour)
 from .field import _jet, charF, charF_many
+from .medium import _is_real, _read_only
 
 
 __all__ = [
@@ -140,9 +141,7 @@ def _edge_layout(n: tuple) -> tuple:
     firsts = lasts - n
     edge = np.repeat(np.arange(len(n)), n + 1)
     frac = (np.arange(lasts[-1] + 1) - firsts[edge]) / n[edge]
-    for a in (edge, frac, firsts, lasts):
-        a.flags.writeable = False
-    return edge, frac, firsts, lasts
+    return tuple(map(_read_only, (edge, frac, firsts, lasts)))
 
 
 def _edge_points(ab: np.ndarray, optical: float) -> tuple:
@@ -167,6 +166,26 @@ def _edge_points(ab: np.ndarray, optical: float) -> tuple:
     return pts, firsts.copy()
 
 
+@functools.lru_cache(maxsize=256)
+def _stencil_layout(n: int, starts: tuple) -> tuple:
+    """For _cubic_weights on n samples in pieces from starts: the index of
+    each segment, its stencil's samples (a column per segment, stored
+    segment by segment) and the flat index of its first sample among them.
+    Shared by every call, so read-only."""
+    starts = np.array(starts)
+    nxt = np.append(starts[1:], n)   # one past each piece
+    seg = np.delete(np.arange(n - 1), nxt[:-1] - 1)   # none joins two pieces
+    # the stencil's first sample: seg - 1 inside a piece, its first sample
+    # at its first segment and its fourth-last at its last
+    lo = seg - 1
+    p = np.arange(len(starts))
+    lo[starts - p] = starts
+    lo[nxt - p - 2] = nxt - 4
+    stencil = (lo[:, None] + np.arange(4)).T
+    first = (seg - lo) * len(seg) + np.arange(len(seg))
+    return tuple(map(_read_only, (seg, stencil, first)))
+
+
 def _cubic_weights(pts, starts) -> np.ndarray:
     """Per sample, its weight in the fourth-order sums of g dz over each
     contour piece: sum(w * g) over a piece integrates g along it.
@@ -180,31 +199,23 @@ def _cubic_weights(pts, starts) -> np.ndarray:
     Every piece needs at least three segments.
     """
     n = len(pts)
+    seg, stencil, first = _stencil_layout(n, tuple(starts.tolist()))
     dz = pts[1:] - pts[:-1]
     h = np.abs(dz)
-    nxt = np.concatenate((starts[1:], [n]))   # one past each piece
-    cut = np.ones(n - 1, dtype=bool)
-    cut[nxt[:-1] - 1] = False   # no segment joins two pieces
-    seg = cut.nonzero()[0]
-    # the stencil's first sample: seg - 1 inside a piece, its first sample
-    # at its first segment and its fourth-last at its last
-    lo = seg - 1
-    p = np.arange(len(starts))
-    lo[starts - p] = starts
-    lo[nxt - p - 2] = nxt - 4
-    stencil = lo + np.arange(4)[:, None]   # a column per segment
     u = np.zeros(stencil.shape)    # distances from the stencil's first sample
-    np.cumsum(h[stencil[:3]], axis=0, out=u[1:])
+    np.add.accumulate(h[stencil[:3]], axis=0, out=u[1:])
     hs = h[seg]
-    u -= u[seg - lo, np.arange(len(seg))] + 0.5 * hs
-    e1 = u.sum(axis=0) - u
+    u -= u.take(first) + 0.5 * hs
+    e1 = np.add.reduce(u, axis=0) - u
     e3 = u.prod(axis=0) / u     # no midpoint is a sample
     d = u[:, None] - u          # u_i - u_j
     d.reshape(16, -1)[::5] = 1.0   # the factor j = i
-    w = -(e3 + e1 * (hs * hs / 12.0)) / d.prod(axis=1) * dz[seg]
-    # summed segment by segment, as the samples meet them
-    out = np.zeros(n, complex)
-    np.add.at(out, stencil.T.ravel(), w.T.ravel())
+    w = (-(e3 + e1 * (hs * hs / 12.0)) / d.prod(axis=1) * dz[seg]).T.ravel()
+    # summed segment by segment, as the samples meet them (np.add.at's order)
+    samples = stencil.T.ravel()
+    out = np.empty(n, complex)
+    out.real = np.bincount(samples, w.real, n)
+    out.imag = np.bincount(samples, w.imag, n)
     return out
 
 
@@ -229,14 +240,13 @@ def _walk(B, contours: list) -> list:
     F is entire, so a negative count can only come from under-sampling and
     is refused.
     """
-    _, lengths, values = B.layers
-    optical = float(np.dot(lengths, np.sqrt(values)))   # int sqrt(B)
+    optical = B.layers.optical   # int sqrt(B)
     pts, starts = _edge_points(
         np.array([e for c in contours for e in c], dtype=complex), optical)
     # marks[first[c]:first[c + 1]] are the edge starts of contour c, and
     # marks[-1] is the point count
     marks = np.concatenate((starts, [len(pts)]))
-    first = np.cumsum([0] + [len(c) for c in contours])
+    first = np.add.accumulate([0] + [len(c) for c in contours])
     out: list = [None] * len(contours)
     pending = list(range(len(contours)))
     fv = charF_many(pts, B)
@@ -271,7 +281,7 @@ def _walk(B, contours: list) -> list:
             logf = np.empty(b - a, complex)
             np.log(af[a:b], out=logf.real)
             logf.imag[0] = 0.0
-            np.cumsum(dtheta[a:b - 1], out=logf.imag[1:])
+            np.add.accumulate(dtheta[a:b - 1], out=logf.imag[1:])
             out[c] = (int(n), pts[a:b], logf, starts[first[c]:first[c + 1]] - a)
             pending.remove(c)
         if not pending:
@@ -297,7 +307,7 @@ def _walk(B, contours: list) -> list:
         merged[old] = fv
         merged[new] = charF_many(mids, B)
         fv = merged
-        marks = marks + np.searchsorted(i, marks)
+        marks = marks + i.searchsorted(marks)
     raise NumericalError("contour refinement did not converge")
 
 
@@ -410,8 +420,11 @@ def locate(B, w: SpectralWindow, tol: float = 1e-12) -> list:
     Counts stay consistent with winding_count.  Zeros closer together than
     about 1e-6 are below the isolation resolution and come back as a single
     eigenvalue whose multiplicity is the cluster's total (exactly what the
-    square count of a true multiple zero gives).
+    square count of a true multiple zero gives).  tol must be a positive
+    number (InputError).
     """
+    if not (_is_real(tol) and tol > 0):
+        raise InputError(f"tol must be a positive number, not {tol!r}")
     level = _window_counts(B, [w])
     found: list = []
     depth = 0
@@ -452,7 +465,7 @@ def _power_sums(w: SpectralWindow, walk: tuple) -> np.ndarray:
     u = (z - c) / r
     at = logf.imag[starts]
     nxt = np.concatenate((starts[1:], [len(u)]))   # one past each edge
-    g = (logf - 1j * np.repeat(at, nxt - starts)) * _cubic_weights(u, starts)
+    g = (logf - 1j * at.repeat(nxt - starts)) * _cubic_weights(u, starts)
     j = np.arange(1, n + 1)
     powers = np.empty((len(u), n), complex)   # u^0 .. u^(n-1)
     powers[:, 0] = 1.0

@@ -43,7 +43,8 @@ import numpy as np
 
 from .errors import DegenerateMedium, FitUnstable, InputError, NumericalError
 from .field import mode_values
-from .medium import GridStructure, PiecewiseStructure, _is_int, _is_real
+from .medium import (GridStructure, PiecewiseStructure, _is_finite_real,
+                     _is_int)
 
 __all__ = ["SimResult", "simulate", "excite_and_fit", "FitResult",
            "CFL_SAFETY"]
@@ -85,7 +86,7 @@ def _plan(B: Medium, T, m_cells) -> tuple:
         raise InputError(f"m_cells must be a positive integer, not {m_cells!r}")
     if m_cells >= _MAX_FLOATS // _NODE_ROWS:
         raise InputError(f"{m_cells} cells exceed the run size limit")
-    if not _is_real(T) or not math.isfinite(T) or T < 0.0:
+    if not (_is_finite_real(T) and T >= 0.0):
         raise InputError(f"T must be finite and >= 0, not {T!r}")
     b_min = float(B.layers.values.min())
     if b_min <= 0.0:

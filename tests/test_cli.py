@@ -131,6 +131,19 @@ class TestSpectrumErrorContract:
                 assert os.listdir(d) == []
 
 
+class TestSpectrumTol:
+    @pytest.mark.parametrize("tol", ["-1e-3", "0", "nan"])
+    def test_bad_tol_exit_2(self, tmp_path, capsys, tol):
+        # -1e-3 used to bisect to depth 64 and exit 4 with MaxDepthExceeded
+        code = run(["spectrum", "--preset-constant", 4, "--window", 0.1, 5,
+                    0.1, 1, "--tol", tol, "--out", tmp_path / "spectrum.csv"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("input error:") and "tol" in err
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestNegativeExponents:
     """Negative floats in exponent form are values, not unknown options."""
 

@@ -628,7 +628,7 @@ class TestCellIntegrals:
         [], [0.0], [1.0], [0.5, 0.2], [0.0, 0.5, 0.2, 1.0], [0.0, 0.5, 0.5, 1.0],
         [1.0, 0.0], [0.1, 1.0], [0.0, 0.9], [-0.5, 1.0], [0.0, 1.5],
         [0.0, math.nan, 1.0], [0.0, math.inf], [[0.0, 1.0]], ["x", 1.0],
-        [0.0, 1j, 1.0], None])
+        [0.0, 1j, 1.0], None, [0, 10 ** 400, 1]])
     def test_bad_edges_are_input_errors(self, box14, edges):
         # [] raised ValueError and [0.5, 0.2] returned a number
         B = two_layer(0.37, 4.0, 1.0, box14)

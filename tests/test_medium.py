@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qnmopt.errors import InputError, NotBangBang
+from qnmopt.errors import InputError, NotBangBang, QnmOptError
 from qnmopt.medium import (AdmissibleBounds, GridStructure, PiecewiseStructure,
                            constant, extremality_measure, project_to_box,
                            random_bang_bang, round_to_extreme, switch_points,
@@ -271,3 +271,97 @@ class TestRandomBangBang:
         with pytest.raises(InputError):
             random_bang_bang(AdmissibleBounds(1, 4), np.random.default_rng(0),
                              max_switches=max_switches)
+
+
+_REALS = [0.0, 0.25, 0.5, 1.0, 2.5, 4.0, -1.0, 1e-300, 1e300]
+_NOT_REALS = [math.nan, math.inf, -math.inf, 10 ** 400, "x", None, True,
+              1 + 2j, [1.0], object()]
+_ELEMENTS = st.sampled_from(_REALS) | st.sampled_from(_NOT_REALS)
+# arrays of any length, and things that are no 1-D array of numbers at all
+_ARRAYS = st.lists(_ELEMENTS, max_size=6) | st.sampled_from(
+    [5.0, [[0.0, 1.0]], [[0.0], [0.5, 1.0]], "abc", None, {"a": 1.0}, []])
+_BOUNDS = st.sampled_from([AdmissibleBounds(1.0, 4.0),
+                           AdmissibleBounds(0.0, 4.0),
+                           AdmissibleBounds(0.0, 1e300),
+                           (1.0, 4.0), None, "box"]) \
+    | st.tuples(_ELEMENTS, _ELEMENTS)   # built inside the property
+_BOX = AdmissibleBounds(1.0, 4.0)
+_GRID = GridStructure((1.0, 2.5, 4.0), _BOX)
+_PIECES = PiecewiseStructure((0.0, 0.5, 1.0), (1.0, 4.0), _BOX)
+
+
+class TestErrorContract:
+    """Every public entry point of medium ends in a result or a QnmOptError
+    for non-numbers, non-finite values, wrong shapes and bad bounds among
+    its arguments; no other exception and no RuntimeWarning escapes."""
+
+    @staticmethod
+    def _breakpoints(draw):
+        """Breakpoints from 0 to 1 for up to 5 values, or a bad array."""
+        inner = draw(st.lists(st.sampled_from([0.1, 0.25, 0.5, 0.75, 0.9]),
+                              max_size=4, unique=True))
+        return draw(st.sampled_from([(0.0, *sorted(inner), 1.0)])
+                    | _ARRAYS)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_only_qnmopt_errors_escape(self, data):
+        draw = data.draw
+        bounds = draw(_BOUNDS)
+        xs, vs = self._breakpoints(draw), draw(_ARRAYS)
+        b, eps = draw(_ELEMENTS), draw(_ELEMENTS)
+        n_cells = draw(st.sampled_from([1, 8, 64, 0, -3, 2.5, "4", None,
+                                        True]))
+        switches = draw(st.sampled_from([1, 6, 0, 2.5, "3", None, True]))
+        record = draw(st.fixed_dictionaries(
+            {"bounds": _ARRAYS, "breakpoints": _ARRAYS, "values": _ARRAYS})
+            | st.sampled_from([None, [], "record", {"bounds": [1.0, 4.0]},
+                               {"bounds": [0, 10 ** 400], "breakpoints": [0, 1],
+                                "values": [10 ** 400]}]))
+
+        def attempt(call, fallback=None):
+            try:
+                return call()
+            except QnmOptError:
+                return fallback
+
+        if isinstance(bounds, tuple):
+            bounds = attempt(lambda: AdmissibleBounds(*bounds), bounds)
+        p = attempt(lambda: PiecewiseStructure(xs, vs, bounds), _PIECES)
+        g = attempt(lambda: GridStructure(vs, bounds), _GRID)
+        for call in [lambda: constant(b), lambda: constant(b, bounds),
+                     lambda: to_grid(p, n_cells), lambda: to_piecewise(g),
+                     lambda: project_to_box(g, bounds),
+                     lambda: round_to_extreme(g, bounds),
+                     lambda: random_bang_bang(bounds, np.random.default_rng(0),
+                                              switches),
+                     lambda: extremality_measure(g, bounds, eps),
+                     lambda: switch_points(p),
+                     lambda: PiecewiseStructure.from_json_dict(record)]:
+            attempt(call)
+
+    @pytest.mark.parametrize("call", [
+        lambda: AdmissibleBounds("x", 4.0),
+        lambda: AdmissibleBounds(0.0, 10 ** 400),
+        lambda: PiecewiseStructure((0.0, 1.0), (10 ** 400,), _BOX),
+        lambda: PiecewiseStructure((0.0, "x", 1.0), (1.0, 4.0), _BOX),
+        lambda: PiecewiseStructure((0.0, 1.0), (1 + 2j,), _BOX),
+        lambda: PiecewiseStructure((0.0, 1.0), (1.0,), (1.0, 4.0)),
+        lambda: PiecewiseStructure((0.0, math.inf, math.inf, 1.0),
+                                   (1.0, 4.0, 1.0), _BOX),
+        lambda: GridStructure([[1.0], [1.0, 2.0]], _BOX),
+        lambda: GridStructure((1.0,), None),
+        lambda: constant("x"), lambda: constant(None),
+        lambda: project_to_box(_GRID, (1.0, 4.0)),
+        lambda: round_to_extreme(_GRID, None),
+        lambda: extremality_measure(_GRID, _BOX, "x"),
+        lambda: extremality_measure(_GRID, _BOX, math.nan),
+        lambda: random_bang_bang((1.0, 4.0), np.random.default_rng(0)),
+        lambda: PiecewiseStructure.from_json_dict(
+            {"bounds": [0, 10 ** 400], "breakpoints": [0, 1],
+             "values": [1]})])
+    def test_found_escapes(self, call):
+        # each raised TypeError, ValueError, OverflowError, AttributeError
+        # or a RuntimeWarning, or (nan eps) returned 0.0
+        with pytest.raises(InputError):
+            call()

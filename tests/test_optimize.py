@@ -64,10 +64,14 @@ class TestSeeding:
             assert 1.0 <= b <= 4.0 and kappa.real == alpha
             assert kappa.imag == axis_offset(b)
 
-    @pytest.mark.parametrize("alpha", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("alpha", [math.inf, -math.inf, math.nan,
+                                       10 ** 400, "x", None])
     def test_nonfinite_frequency_rejected(self, box14, alpha):
+        # 10 ** 400 raised OverflowError, "x" and None TypeError
         with pytest.raises(InputError):
             best_constant_seed(alpha, box14)
+        with pytest.raises(InputError):
+            constant_upper_bound(alpha, box14)
 
     def test_closed_form_equals_enumeration(self):
         rng = np.random.default_rng(11)
@@ -445,6 +449,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize("bad", [
         {"alpha": math.nan}, {"alpha": math.inf}, {"alpha": -math.inf},
         {"alpha": 1 + 0j}, {"alpha": "1.5"}, {"alpha": True},
+        {"alpha": 10 ** 400},
         {"n_cells": 16.5}, {"n_cells": 16.0}, {"n_cells": True},
         {"n_cells": "64"}, {"max_iters": 2.5}, {"max_iters": -1},
         {"max_iters": False}, {"max_iters": None},

@@ -589,3 +589,11 @@ class TestErrorContract:
     def test_double_root_seed_must_be_a_finite_number(self, kappa_seed):
         with pytest.raises(InputError):
             find_double_eigenvalue(DOUBLE_SEED, kappa_seed)
+
+    @pytest.mark.parametrize("seed", [("x", 1, 2), (0.5, 1), None,
+                                      (0.5, math.nan, 2.0),
+                                      (0.5, True, 2.0), "0.5"])
+    def test_double_root_seed_must_be_three_finite_reals(self, seed):
+        # ('x', 1, 2) and (0.5, 1) raised ValueError, None TypeError
+        with pytest.raises(InputError, match="three finite reals"):
+            find_double_eigenvalue(seed, DOUBLE_KAPPA_SEED)

@@ -1117,6 +1117,17 @@ class TestErrorContract:
             except QnmOptError:
                 pass
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-3, -math.inf, math.nan,
+                                     "1e-12", None, True, 1e-12j])
+    def test_locate_needs_a_positive_tol(self, tol):
+        with pytest.raises(InputError, match="tol must be a positive number"):
+            locate(constant(4.0), SpectralWindow(0.1, 5.0, 0.1, 1.0), tol=tol)
+
+    def test_locate_takes_an_infinite_tol(self):
+        w = SpectralWindow(0.1, 5.0, 0.1, 1.0)
+        assert len(locate(constant(4.0), w, tol=math.inf)) \
+            == len(constant_spectrum(4.0, w))
+
     @pytest.mark.parametrize("bounds", [(0.0, math.inf, 0.05, 3.0),
                                         (0.0, 1.0, 0.05, math.inf),
                                         (-math.inf, 1.0, 0.05, 3.0)])

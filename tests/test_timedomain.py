@@ -290,7 +290,8 @@ class TestAgainstReference:
 class TestInputErrors:
     B = constant(4.0, AdmissibleBounds(1, 4))
 
-    @pytest.mark.parametrize("T", [-1.0, math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("T", [-1.0, math.inf, -math.inf, math.nan,
+                                   10 ** 400])
     def test_bad_duration(self, T):
         with pytest.raises(InputError):
             simulate(self.B, np.zeros(65), np.zeros(65), T, 64)
