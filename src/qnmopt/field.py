@@ -18,13 +18,12 @@ the gradient's F'', the splitting probe's F^(r) and, with several points
 stacked behind the layers, locate's lockstep Newton steps).  charF_many
 multiplies the same maps pairwise for many z at once, built from real trig
 of the real and imaginary parts of wL.  Both read what only the medium
-fixes (sqrt(b), beta = sqrt(b) L, their negatives, 1/sqrt(b), -b, the b = 0
-mask and the Taylor factors L/j and +-beta/j) from `B.layers`, which
-computes each once per medium (medium.Layers).  `_sweep` keeps the states
-at every layer boundary, which a pairwise product does not give, for the
-boundary data, the mode values and the closed-form layer integrals.
-phi_series (the power series in z^2) stays outside the kernel as the
-oracle the tests check it against.
+fixes (sqrt(b), beta = sqrt(b) L, their negatives, -b and the b = 0 mask)
+from `B.layers`, which computes each once per medium (medium.Layers).
+`_sweep` keeps the states at every layer boundary, which a pairwise
+product does not give, for the boundary data, the mode values and the
+closed-form layer integrals.  phi_series (the power series in z^2) stays
+outside the kernel as the oracle the tests check it against.
 """
 from __future__ import annotations
 
@@ -212,7 +211,8 @@ def _jet(z, B, order: int):
     # s_j = (beta/j) c_(j-1) and a_j = (L/j) c_(j-1); each product with a
     # negated factor rounds as the negated product
     for j in range(1, k):
-        lj, bj, neg_bj = lay.taylor_rows(j)
+        lj, bj, neg_bj = (lengths, lay.beta, lay.neg_beta) if j == 1 else (
+            lengths / j, lay.beta / j, lay.beta / -j)
         np.multiply(lj, c, out=g[k + j])                      # a_j
         np.multiply(lay.neg_b, g[k + j], out=g[2 * k + j])    # -m_j
         c, s = np.multiply(neg_bj, s, out=g[j]), bj * c if j < order else s
@@ -285,7 +285,7 @@ def _layer_matrices(z, lay) -> np.ndarray:
     c.real *= ch
     s.real *= ch
     np.multiply(s, lay.neg_rootb, out=t[1, 0])
-    s *= lay.inv_rootb
+    s *= 1 / lay.rootb
     t[1, 1] = c
     if lay.vacuum is not None:
         np.copyto(s, z * lay.lengths, where=lay.vacuum)

@@ -68,28 +68,36 @@ class Layers(_LayerArrays):
     made on first read, the layer-map constants that the kernels use.
     """
 
-    rootb = cached_property(lambda lay: _read_only(np.sqrt(lay.values)))
-    beta = cached_property(   # sqrt(b) L
-        lambda lay: _read_only(lay.rootb * lay.lengths))
-    neg_rootb = cached_property(lambda lay: _read_only(-lay.rootb))
-    inv_rootb = cached_property(lambda lay: _read_only(np.divide(  # 0 at b=0
-        1.0, lay.rootb, where=lay.rootb > 0, out=np.zeros_like(lay.rootb))))
-    neg_b = cached_property(lambda lay: _read_only(-lay.values))
-    vacuum = cached_property(   # the b = 0 mask; None if no b is 0
-        lambda lay: None if lay.values.all() else _read_only(lay.values == 0))
-    optical = cached_property(   # int sqrt(B)
-        lambda lay: float(np.dot(lay.lengths, lay.rootb)))
+    @cached_property
+    def rootb(self) -> np.ndarray:
+        return _read_only(np.sqrt(self.values))
 
-    def taylor_rows(self, j: int) -> tuple:
-        """(L/j, beta/j, -beta/j), j >= 1: the order-j factors of the layer
-        maps' Taylor coefficients (field._jet), kept once made; j = 1
-        shares L and beta."""
-        rows = self.__dict__.setdefault("_taylor", {})
-        if j not in rows:
-            lj, bj = (self.lengths / j, self.beta / j) if j > 1 else (
-                self.lengths, self.beta)
-            rows[j] = tuple(map(_read_only, (lj, bj, self.beta / -j)))
-        return rows[j]
+    @cached_property
+    def beta(self) -> np.ndarray:
+        """sqrt(b) L."""
+        return _read_only(self.rootb * self.lengths)
+
+    @cached_property
+    def neg_rootb(self) -> np.ndarray:
+        return _read_only(-self.rootb)
+
+    @cached_property
+    def neg_beta(self) -> np.ndarray:
+        return _read_only(-self.beta)
+
+    @cached_property
+    def neg_b(self) -> np.ndarray:
+        return _read_only(-self.values)
+
+    @cached_property
+    def vacuum(self) -> np.ndarray | None:
+        """The mask of the layers with b = 0; None if there are none."""
+        return None if self.values.all() else _read_only(self.values == 0)
+
+    @cached_property
+    def optical(self) -> float:
+        """int sqrt(B)."""
+        return float(np.dot(self.lengths, self.rootb))
 
     def values_at(self, xs):
         """Values of the layers holding xs (right-open; end layers outside)."""
@@ -167,8 +175,8 @@ class PiecewiseStructure:
     bounds: AdmissibleBounds
 
     def __post_init__(self):
-        xs, vs = _reals(self.breakpoints, "breakpoints"), _reals(
-            self.values, "values")
+        xs = _reals(self.breakpoints, "breakpoints")
+        vs = _reals(self.values, "values")
         if xs.ndim != 1 or vs.ndim != 1 or len(xs) != len(vs) + 1:
             raise InputError("need n+1 breakpoints for n interval values")
         if not (xs[0] == 0 and xs[-1] == 1):
