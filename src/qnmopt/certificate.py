@@ -21,8 +21,9 @@ import numpy as np
 from .errors import (InputError, LostEigenvalue, NoConvergence, NotAtRoot,
                      NumericalError, OnImaginaryAxis, PhaseJump)
 from .field import charF, mode_values
-from .medium import (AdmissibleBounds, PiecewiseStructure, _as_complex,
-                     constant, switch_points)
+from .medium import (AdmissibleBounds, GridStructure, PiecewiseStructure,
+                     _as_complex, _box, _is_finite_real, _is_int, constant,
+                     switch_points, to_piecewise)
 from .spectrum import newton_refine
 
 __all__ = [
@@ -37,6 +38,15 @@ _MISMATCH_SAMPLES = 4096      # midpoint samples of the nonlinear mismatch
 _FIXED_POINT_ITERS = 40       # rounds of self_consistent_solve
 _SWITCH_TOL = 1e-8            # fixed point: switch movement below this
 _KAPPA_TOL = 1e-10            # fixed point: eigenvalue movement below this
+
+
+def _piecewise(B) -> PiecewiseStructure:
+    """B, a grid in its exact piecewise form; InputError for a non-medium."""
+    if isinstance(B, GridStructure):
+        return to_piecewise(B)
+    if not isinstance(B, PiecewiseStructure):
+        raise InputError(f"B must be a medium, not {B!r}")
+    return B
 
 
 def _wrap_pi(x: float) -> float:
@@ -68,8 +78,9 @@ def phase_trace(B: PiecewiseStructure, kappa: complex) -> PhaseTrace:
     Refines until adjacent samples differ by under pi/2; a persistent jump
     signals phi passing through 0, which cannot happen off the real axis
     for positive media, so it is reported as numerical failure (PhaseJump).
-    kappa must be a number (InputError).
+    B must be a medium and kappa a number (InputError).
     """
+    B = _piecewise(B)
     _as_complex(kappa, "kappa", finite=False)
     if kappa.real == 0.0:
         raise OnImaginaryAxis("phi is real on the axis; the phase is 0 or pi")
@@ -156,8 +167,10 @@ def switch_alignment(B: PiecewiseStructure, kappa: complex) -> SwitchCertificate
 
     omega follows the first switch (its phase for an up switch, shifted by
     pi for a down switch); up switches are then measured against omega and
-    down switches against omega + pi, modulo 2 pi.
+    down switches against omega + pi, modulo 2 pi.  B must be a medium and
+    kappa a number (InputError).
     """
+    B = _piecewise(B)
     _as_complex(kappa, "kappa", finite=False)
     if kappa.real == 0.0:
         raise OnImaginaryAxis("use the axis characterization at Re kappa = 0")
@@ -190,8 +203,13 @@ def nonlinear_residual(B: PiecewiseStructure, kappa: complex,
     The indicator takes 1 only on Im > 0 (zero on the closed lower
     half-plane including the reals), and the mismatch is the measure of the
     sample cells where the rebuilt two-valued coefficient disagrees with B.
+    B must be a medium, kappa a number and omega None or a finite real
+    (InputError).
     """
+    B = _piecewise(B)
     _as_complex(kappa, "kappa", finite=False)
+    if not (omega is None or _is_finite_real(omega)):
+        raise InputError(f"omega must be a finite real, not {omega!r}")
     if not abs(charF(kappa, B)) < _ROOT_TOL:
         raise NotAtRoot(f"kappa = {kappa} is not an eigenvalue")
     b1, b2 = B.bounds.b1, B.bounds.b2
@@ -254,12 +272,15 @@ def self_consistent_solve(kappa_seed: complex, bounds: AdmissibleBounds,
     by the certificate angle, rebuild the two-valued coefficient from the
     sign of Im y^2, and stop once switch points move under _SWITCH_TOL and
     kappa under _KAPPA_TOL.  The seed structure defaults to the constant b2
-    preset.  kappa_seed must be a finite number (InputError).
+    preset.  kappa_seed must be a finite number, bounds AdmissibleBounds,
+    n_grid an integer >= 1 and B0 a medium or None (InputError).
     """
     _as_complex(kappa_seed, "kappa_seed", finite=True)
-    if not bounds.b1 < bounds.b2:
+    if not _box(bounds).b1 < bounds.b2:
         raise InputError("need b1 < b2 for a two-valued reconstruction")
-    B = B0 if B0 is not None else constant(bounds.b2, bounds)
+    if not (_is_int(n_grid) and n_grid >= 1):
+        raise InputError(f"n_grid must be an integer >= 1, not {n_grid!r}")
+    B = _piecewise(B0) if B0 is not None else constant(bounds.b2, bounds)
     kappa = kappa_seed
     history = []
     for it in range(1, _FIXED_POINT_ITERS + 1):

@@ -131,16 +131,21 @@ def _config_from_json(path: str) -> tuple:
         if raw.get("seed_kappa") is not None:
             opts["seed_kappa"] = complex(*map(float, raw["seed_kappa"]))
         cfg = OptimizeConfig(alpha=float(raw["alpha"]), bounds=bounds, **opts)
-    except (KeyError, TypeError, ValueError) as exc:
+        seed_b = raw.get("seed_constant")
+        if seed_b is not None:
+            seed_b = float(seed_b)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"bad config: {exc}") from exc
-    seed_structure = None
-    if raw.get("seed_structure"):
-        p = PiecewiseStructure.load(raw["seed_structure"])
-        seed_structure = to_grid(p, cfg.n_cells)
-    elif raw.get("seed_constant") is not None:
-        seed_structure = to_grid(constant(float(raw["seed_constant"]), bounds),
-                                 cfg.n_cells)
-    return cfg, seed_structure
+    seed_path = raw.get("seed_structure")
+    if seed_path:
+        if not isinstance(seed_path, str):
+            raise InputError(f"seed_structure must be a path, not {seed_path!r}")
+        seed = PiecewiseStructure.load(seed_path)
+    elif seed_b is not None:
+        seed = constant(seed_b, bounds)
+    else:
+        return cfg, None
+    return cfg, to_grid(seed, cfg.n_cells)
 
 
 def _trajectory_rows(trajectory) -> list:

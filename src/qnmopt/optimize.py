@@ -13,7 +13,9 @@ the Im-neutral LP that moves Re kappa back to alpha.  Step sizes and
 tolerances are fixed module constants.  Optimal media take only the values
 b1 and b2, so finalization snaps every cell to its nearer bound and then
 polishes the switch positions continuously with the damped Newton of the
-sensitivity module (_damped_newton).
+sensitivity module (_damped_newton) in its secant form: one
+forward-difference Jacobian, then Broyden updates, so a Newton step costs
+one eigenvalue solve instead of 2n + 1 for n unknowns.
 Multiple-eigenvalue collisions are detected through |dF/dz|: the run stops
 with CollisionDetected, whose `.partial` holds the result so far.
 
@@ -90,6 +92,12 @@ class OptimizeConfig:
                 f"seed_kappa must be complex or None, got {self.seed_kappa!r}")
 
 
+def _config(config) -> OptimizeConfig:
+    if not isinstance(config, OptimizeConfig):
+        raise InputError(f"config must be an OptimizeConfig, not {config!r}")
+    return config
+
+
 @dataclass(frozen=True)
 class IterationRecord:
     iter: int
@@ -128,6 +136,7 @@ def _constant_candidates(alpha: float, bounds: AdmissibleBounds) -> list:
     """
     if not _is_finite_real(alpha):
         raise InputError(f"alpha must be a finite real, got {alpha!r}")
+    _box(bounds)
     if alpha == 0.0:
         return [(bounds.b2, complex(0.0, axis_offset(bounds.b2)))] \
             if bounds.b2 > 1.0 else []
@@ -185,9 +194,14 @@ def step_direction(g: GradientDensity, B: GridStructure,
     Naval Res. Logist. Q. 3, 1956).  B + delta B is bang-bang except for at
     most one marginal cell.  Returns delta B as a float array over the cells
     of B.  StalledDirection signals first-order optimality: a predicted Im
-    decrease no larger than _TOL_GRAD.
+    decrease no larger than _TOL_GRAD.  g must be a GradientDensity on the
+    cells of the GridStructure B (InputError).
     """
-    d = _lp_direction(-g.g.imag, g.g.real, B.values, bounds)
+    if not (isinstance(g, GradientDensity) and isinstance(B, GridStructure)
+            and g.n_cells == B.n_cells):
+        raise InputError("step_direction needs a GradientDensity on the "
+                         "cells of a GridStructure")
+    d = _lp_direction(-g.g.imag, g.g.real, B.values, _box(bounds))
     slope = float(np.dot(g.g.imag, d)) / len(d)
     if slope >= -_TOL_GRAD:
         raise StalledDirection(
@@ -293,9 +307,12 @@ def minimize_im_at_frequency(config: OptimizeConfig,
     Raises ZeroFrequency for a seed_kappa with Im <= 0, InputError for a
     non-finite one or one without B0, and LostEigenvalue /
     CollisionDetected with a .partial attribute carrying the trajectory so
-    far.
+    far.  config must be an OptimizeConfig and B0 a GridStructure or None
+    (InputError).
     """
-    cfg = config
+    cfg = _config(config)
+    if not isinstance(B0, (GridStructure, type(None))):
+        raise InputError(f"B0 must be a GridStructure or None, not {B0!r}")
     if cfg.seed_kappa is not None:
         if not cfg.seed_kappa.imag > 0:
             raise ZeroFrequency("a seed eigenvalue needs Im kappa > 0")
@@ -440,7 +457,8 @@ def _polish_switches(B: PiecewiseStructure, kappa: complex,
 
 def _polish_newton(B: PiecewiseStructure, kappa: complex,
                    cfg: OptimizeConfig):
-    """One damped-Newton pass on Im(dk/dx_j) = lam Re(dk/dx_j), Re k = alpha."""
+    """One damped-Newton pass on Im(dk/dx_j) = lam Re(dk/dx_j), Re k = alpha,
+    with Broyden secant steps (_damped_newton's secant policy)."""
     if B.n_intervals == 1:
         return B, kappa
     vals = B.values
@@ -467,7 +485,8 @@ def _polish_newton(B: PiecewiseStructure, kappa: complex,
     # infeasible difference point has collapsing switches, which
     # _polish_switches drops before it polishes again
     q, r, kappa_cur, why = _damped_newton(
-        residual, np.append(B.breakpoints[1:-1], 0.0), _POLISH_ITERS, kappa)
+        residual, np.append(B.breakpoints[1:-1], 0.0), _POLISH_ITERS, kappa,
+        secant=True)
     if r is None or why == "damping failed":
         return B, kappa
     Bq = build(q[:-1])
@@ -500,6 +519,12 @@ def sweep_I(alphas, config: OptimizeConfig) -> list:
     belongs to its alpha and is dropped.  Per-alpha failures are recorded
     and the sweep continues; entries come back in input order.
     """
+    _config(config)
+    try:
+        alphas = list(alphas)
+    except TypeError:
+        raise InputError(f"alphas must be a sequence, not {alphas!r}") from None
+
     def run(alpha: float) -> SweepEntry:
         cfg = replace(config, alpha=alpha, seed_kappa=None)
         ub = constant_upper_bound(alpha, cfg.bounds)

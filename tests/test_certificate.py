@@ -4,11 +4,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qnmopt.certificate import (nonlinear_residual, phase_trace,
                                 self_consistent_solve, switch_alignment)
-from qnmopt.errors import NotAtRoot, NotBangBang, OnImaginaryAxis
-from qnmopt.medium import AdmissibleBounds, PiecewiseStructure, constant
+from qnmopt.errors import (InputError, NotAtRoot, NotBangBang,
+                           OnImaginaryAxis, QnmOptError)
+from qnmopt.medium import (AdmissibleBounds, GridStructure, PiecewiseStructure,
+                           constant, to_piecewise)
 from qnmopt.spectrum import SpectralWindow, locate, newton_refine
 
 from conftest import LN3_4
@@ -252,3 +256,77 @@ class TestRebuildStructure:
         old = reference_rebuild(B, kappa, 0.25 * math.pi, box14, 64)
         assert new == old
         assert new.values.tolist() == [4.0]
+
+
+_BOX = AdmissibleBounds(1.0, 4.0)
+_MEDIA = [constant(4.0, _BOX),
+          PiecewiseStructure((0.0, 0.3, 1.0), (1.0, 4.0), _BOX),
+          PiecewiseStructure((0.0, 0.4, 0.7, 1.0), (0.0, 4.0, 0.0),
+                             AdmissibleBounds(0.0, 4.0)),
+          PiecewiseStructure((0.0, 0.5, 1.0), (2.0, 3.0), _BOX),
+          GridStructure((4.0, 1.0, 1.0, 4.0), _BOX),
+          GridStructure((0.5, 4.0), _BOX)]   # outside its bounds
+_NOT_MEDIA = ["B", None, (0.0, 1.0)]
+_SEEDS = [math.pi / 2 + 1j * LN3_4, 2.0 + 0.3j, 4.5 + 0.2j, 3.0j, 0j,
+          complex(math.nan, 1.0), complex(math.inf), "x", None]
+
+
+class TestErrorContract:
+    """phase_trace, switch_alignment, nonlinear_residual and
+    self_consistent_solve end in a result or a QnmOptError for any medium,
+    eigenvalue, angle, bounds, grid and seed medium, wrong types among
+    them."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_only_qnmopt_errors_escape(self, data):
+        draw = data.draw
+        B = draw(st.sampled_from(_MEDIA + _NOT_MEDIA))
+        kappa = draw(st.sampled_from(_SEEDS))
+        if draw(st.booleans()) and B in _MEDIA and isinstance(kappa, complex):
+            try:   # often a root, so the checks run past the root test
+                res = newton_refine(B, kappa, tol=1e-10, leash=1.0)
+            except QnmOptError:
+                res = None
+            kappa = kappa if res is None else res[0]
+        omega = draw(st.sampled_from([None, 0.0, 1.0, math.nan, "x"]))
+        bounds = draw(st.sampled_from([_BOX, AdmissibleBounds(0.0, 4.0),
+                                       AdmissibleBounds(2.0, 2.0), (1.0, 4.0),
+                                       None]))
+        n_grid = draw(st.sampled_from([16, 1, 0, -5, 2.5, "x", True]))
+        B0 = draw(st.sampled_from([None] + _MEDIA + _NOT_MEDIA))
+        calls = [lambda: phase_trace(B, kappa),
+                 lambda: switch_alignment(B, kappa),
+                 lambda: nonlinear_residual(B, kappa, omega),
+                 lambda: self_consistent_solve(kappa, bounds, n_grid, B0)]
+        for call in calls:
+            try:
+                call()
+            except QnmOptError:
+                pass
+
+    def test_grid_is_read_in_its_piecewise_form(self):
+        # switch_alignment raised AttributeError on a grid
+        B = GridStructure((4.0, 1.0, 1.0, 4.0), _BOX)
+        kappa = newton_refine(B, 2.0 + 0.3j, tol=1e-10, leash=1.0)[0]
+        assert switch_alignment(B, kappa) \
+            == switch_alignment(to_piecewise(B), kappa)
+
+    @pytest.mark.parametrize("call", [
+        lambda: switch_alignment("B", 1.0 + 0.5j),
+        lambda: phase_trace(None, 1.0 + 0.5j),
+        lambda: nonlinear_residual(constant(4.0), math.pi / 2 + 1j * LN3_4,
+                                   "x"),
+        lambda: self_consistent_solve(1.0 + 0.5j, (1.0, 4.0)),
+        lambda: self_consistent_solve(1.0 + 0.5j, _BOX, 16, "B0")],
+        ids=["switch", "trace", "omega", "bounds", "B0"])
+    def test_wrong_types_are_input_errors(self, call):
+        with pytest.raises(InputError):
+            call()
+
+    @pytest.mark.parametrize("n_grid", [0, -5, 2.5, True, "16"])
+    def test_n_grid_is_a_positive_integer(self, n_grid):
+        # 0 returned a fixed point rebuilt from one sample, -5 raised
+        # ValueError and 2.5 TypeError
+        with pytest.raises(InputError, match="n_grid"):
+            self_consistent_solve(1.0 + 0.5j, _BOX, n_grid)

@@ -277,6 +277,9 @@ class TestOptimize:
         # int() loaded these as 64 cells and 2 iterations without a word
         {"n_cells": 64.7}, {"max_iters": 2.9}, {"n_cells": "64"},
         {"max_iters": True},
+        # a ValueError and an OverflowError traceback, exit 1
+        {"seed_constant": "x"}, {"seed_constant": 10 ** 400},
+        {"alpha": 10 ** 400}, {"seed_structure": ["s.json"]},
     ])
     def test_invalid_run_exit_2(self, tmp_path, capsys, extra):
         cfg = tmp_path / "cfg.json"
@@ -498,6 +501,50 @@ class TestSplittingProbe:
         assert len(out.read_text().splitlines()) == 1 + 4 * 3
         summary = json.loads(open(str(out) + ".summary.json").read())
         assert abs(summary["fitted_exponent"] - 1 / 3) < 0.05
+
+
+class TestCertifySplittingErrorContract:
+    """The CLI twins of certificate's error-contract property: certify and
+    splitting-probe exit 0, 2, 3 or 4, print no traceback and leave no file
+    behind when they fail."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_exit_codes(self, data):
+        draw = data.draw
+        re = draw(st.sampled_from([math.pi, 4.44244, 0.0, -1.5, 1e300, "nan",
+                                   "inf"]))
+        im = draw(st.sampled_from([LN3_4, 1.03017, 0.0, -0.5, 1e300, "nan"]))
+        kappa = ["--kappa-re", re, "--kappa-im", im]
+        medium = draw(st.sampled_from([
+            ["--preset-constant", 4], ["--preset-constant", 4, "--bounds", 1, 4],
+            ["--preset-constant", -1], ["--preset-constant", 4, "--bounds", 4, 1],
+            ["--structure", "s.json"], ["--structure", "missing.json"]]))
+        probe = draw(st.sampled_from([
+            [], ["--fixture-seed", 0.5, 1, 2], ["--fixture-seed", "nan", 1, 2],
+            ["--fixture-seed", 2.0, -1, 3], ["--structure", "s.json", *kappa],
+            kappa]))
+        probe += ["--multiplicity", draw(st.sampled_from([2, 3, 0, -1, 7]))]
+        probe += draw(st.sampled_from([
+            [], ["--zetas", 1e-4, 1e-5], ["--zetas", -1e-3], ["--zetas", 0],
+            ["--zetas", "inf"], ["--zetas", 1e-4, 1e-4]]))
+        for argv in (["certify", *medium, *kappa], ["splitting-probe", *probe]):
+            err = io.StringIO()
+            with tempfile.TemporaryDirectory() as d:
+                struct = os.path.join(d, "s.json")
+                constant(4.0).save(struct)
+                argv = [os.path.join(d, a) if str(a).endswith(".json") else a
+                        for a in argv]
+                with contextlib.redirect_stderr(err), \
+                        contextlib.redirect_stdout(io.StringIO()):
+                    try:
+                        code = run(argv + ["--out", os.path.join(d, "out")])
+                    except SystemExit as exc:   # argparse refused the line
+                        code = exc.code
+                assert code in (0, 2, 3, 4)
+                assert "Traceback" not in err.getvalue()
+                if code:
+                    assert os.listdir(d) == ["s.json"]
 
 
 class TestNonFiniteInput:

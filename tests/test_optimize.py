@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from qnmopt.certificate import switch_alignment
 from qnmopt.errors import (InfeasibleError, InputError, LostEigenvalue,
-                           StalledDirection, ZeroFrequency)
+                           QnmOptError, StalledDirection, ZeroFrequency)
 from qnmopt.field import charF_many
 from qnmopt.medium import (AdmissibleBounds, GridStructure, PiecewiseStructure,
                            constant, random_bang_bang, to_grid)
@@ -599,3 +599,113 @@ class TestSweep:
         entries = sweep_I([0.1], cfg)
         assert entries[0].error is not None
         assert math.isnan(entries[0].I_alpha)
+
+
+class TestSecantPolish:
+    """The switch polish keeps one forward-difference Jacobian by Broyden's
+    update instead of a central-difference one per Newton step (29, 56 and
+    115 residual calls at the acceptance frequencies), and lands where the
+    central-difference polish does."""
+
+    def test_work_and_agreement(self, box14, monkeypatch):
+        import qnmopt.optimize as opt
+        from qnmopt.sensitivity import _damped_newton
+        calls = []
+
+        def policy(secant_on):
+            def damped(residual, q, max_iters, aux=None, secant=False):
+                def counted(qq, a):
+                    calls.append(secant_on)
+                    return residual(qq, a)
+                return _damped_newton(counted, q, max_iters, aux,
+                                      secant=secant and secant_on)
+            return damped
+
+        cfgs = [OptimizeConfig(alpha=alpha, bounds=box14, n_cells=256)
+                for alpha in (math.pi / 2, math.pi, 2 * math.pi)]
+        for cfg, res in [(c, minimize_im_at_frequency(c)) for c in cfgs]:
+            B, k = res.rounded, res.rounded_kappa
+            monkeypatch.setattr(opt, "_damped_newton", policy(True))
+            secant, k_s = opt._polish_switches(B, k, cfg)
+            monkeypatch.setattr(opt, "_damped_newton", policy(False))
+            central, k_c = opt._polish_switches(B, k, cfg)
+            assert secant == res.polished and k_s == res.polished_kappa
+            assert abs(k_s - k_c) <= 1e-12
+            assert secant.n_intervals == central.n_intervals
+            np.testing.assert_allclose(secant.breakpoints, central.breakpoints,
+                                       rtol=0, atol=1e-10)
+        assert 0 < calls.count(True) <= 80
+        assert calls.count(False) >= 150   # the central Newton's 200
+
+
+_ALPHAS = [0.0, math.pi, -2.5, 1.0, 40.0, 1e-3, math.nan, "1", None]
+_BOXES = [AdmissibleBounds(1.0, 4.0), AdmissibleBounds(0.0, 5.0),
+          AdmissibleBounds(0.25, 0.9), AdmissibleBounds(2.0, 2.0),
+          (1.0, 4.0), None, "box"]
+
+
+class TestErrorContract:
+    """OptimizeConfig, minimize_im_at_frequency (with a seed medium),
+    step_direction, best_constant_seed, constant_upper_bound and sweep_I end
+    in a result or a QnmOptError for any inputs, wrong types among them."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_only_qnmopt_errors_escape(self, data):
+        draw = data.draw
+        alpha, bounds = draw(st.sampled_from(_ALPHAS)), \
+            draw(st.sampled_from(_BOXES))
+        seed_kappa = draw(st.sampled_from([None, math.pi + 0.3j, 2.0 + 0j,
+                                           complex(math.nan, 1.0), "x"]))
+        try:
+            cfg = OptimizeConfig(alpha=alpha, bounds=bounds, n_cells=16,
+                                 max_iters=draw(st.sampled_from([0, 1, 3])),
+                                 seed_kappa=seed_kappa)
+        except QnmOptError:
+            cfg = draw(st.sampled_from([None, "config", (1.0, 4.0)]))
+        box = AdmissibleBounds(1.0, 4.0)
+        cells = draw(st.sampled_from([16, 12]))
+        values = draw(st.lists(st.floats(0.0, 5.0), min_size=cells,
+                               max_size=cells))
+        B = GridStructure(values, box)
+        B0 = draw(st.sampled_from([None, B, constant(2.0, box), "B0", values]))
+        g = GradientDensity(1.0 + 0.5j, draw(st.lists(
+            st.complex_numbers(max_magnitude=10.0), min_size=16, max_size=16)),
+            1.0)
+        grad = draw(st.sampled_from([g, g.g, None]))
+        alphas = draw(st.sampled_from([[], [math.pi], [alpha], 3.0, None]))
+        calls = [lambda: minimize_im_at_frequency(cfg, B0),
+                 lambda: step_direction(grad, B, bounds),
+                 lambda: best_constant_seed(alpha, bounds),
+                 lambda: constant_upper_bound(alpha, bounds),
+                 lambda: sweep_I(alphas, cfg)]
+        for call in calls:
+            try:
+                call()
+            except QnmOptError:
+                pass
+
+    @pytest.mark.parametrize("config, B0", [
+        ("config", None), (None, None),
+        (OptimizeConfig(alpha=math.pi, bounds=AdmissibleBounds(1.0, 4.0),
+                        n_cells=16), "B0")])
+    def test_wrong_types_are_input_errors(self, config, B0):
+        # each raised AttributeError
+        with pytest.raises(InputError):
+            minimize_im_at_frequency(config, B0)
+
+    def test_gradient_of_other_grid_is_input_error(self, box14):
+        # raised ValueError from the LP's array shapes
+        g = GradientDensity(1.0 + 0.5j, np.ones(8), 1.0)
+        with pytest.raises(InputError, match="cells"):
+            step_direction(g, to_grid(constant(2.0, box14), 16), box14)
+
+    def test_bounds_must_be_admissible_bounds(self, box14):
+        # each raised AttributeError
+        g = GradientDensity(1.0 + 0.5j, np.ones(16), 1.0)
+        B = to_grid(constant(2.0, box14), 16)
+        for call in (lambda: step_direction(g, B, (1.0, 4.0)),
+                     lambda: best_constant_seed(math.pi, (1.0, 4.0)),
+                     lambda: constant_upper_bound(math.pi, (1.0, 4.0))):
+            with pytest.raises(InputError, match="AdmissibleBounds"):
+                call()

@@ -1158,3 +1158,27 @@ class TestErrorContract:
         # through nan for all 60 steps
         assert newton_refine(constant(4.0), z0) is None
         assert len(jet_log) == 1
+
+
+class TestNewtonAbsoluteStop:
+    """A high-contrast two-layer medium whose zero Newton reaches at the
+    rounding floor of F: |F| grows like exp(Im z int sqrt B), about 1e4
+    here, so the run stays at |F| = 1.8e-12 and never meets tol = 1e-12,
+    and the window is bisected to the depth cap.  23 of the 362 media
+    (x in linspace(0.05, 0.95, 181), both value orders) fail the same way.
+    Newton should stop once it has converged to rounding."""
+
+    MEDIUM = PiecewiseStructure((0.0, 0.605, 1.0), (25.5, 0.5),
+                                AdmissibleBounds(0.5, 25.5))
+    WINDOW = SpectralWindow(19.81, 28.93, 1.79, 5.61)
+
+    def test_found_at_a_looser_tol(self):
+        (ev,) = locate(self.MEDIUM, self.WINDOW, tol=1e-10)
+        assert abs(ev.kappa - (22.4956097472 + 2.6509144072j)) < 1e-9
+        assert 1e-12 < abs(charF(ev.kappa, self.MEDIUM)) < 1e-11
+
+    @pytest.mark.xfail(strict=True, raises=MaxDepthExceeded,
+                       reason="Newton's stop is absolute: |F| < tol only")
+    def test_found_at_the_rounding_floor(self):
+        (ev,) = locate(self.MEDIUM, self.WINDOW, tol=1e-12)
+        assert abs(ev.kappa - (22.4956097472 + 2.6509144072j)) < 1e-9
