@@ -188,9 +188,11 @@ def cmd_optimize(args) -> int:
 
     os.makedirs(args.out_dir, exist_ok=True)
     _write_csv(traj_path, header, _trajectory_rows(res.trajectory))
-    final = res.polished if res.polished is not None else res.rounded
-    final_kappa = (res.polished_kappa if res.polished_kappa is not None
-                   else res.kappa)
+    final, final_kappa = res.polished, res.polished_kappa
+    if final is None:   # the rounded medium, with its own kappa
+        final, final_kappa = res.rounded, res.rounded_kappa
+    if final is None:   # no bang-bang medium: the grid's kappa
+        final_kappa = res.kappa
     record = final.to_json_dict() if final is not None else None
     _write_json(struct_path, {
         "structure": record,

@@ -339,13 +339,12 @@ def mode_values(B, z: complex, xs) -> tuple:
     xs = np.asarray(xs, dtype=float)
     if not xs.size:
         return np.zeros(0, complex), np.zeros(0, complex)
-    if np.any(np.diff(xs) < 0) or xs.min() < -1e-15 or xs.max() > 1 + 1e-15:
+    if (xs[1:] < xs[:-1]).any() or xs.min() < -1e-15 or xs.max() > 1 + 1e-15:
         raise InputError("positions must be sorted inside [0, 1]")
     bps, lengths, values = B.layers
     with np.errstate(over="ignore", invalid="ignore"):   # caught below
-        p, e = (np.array(v) for v in _sweep(z, values, lengths).phi)
-        j = np.clip(np.searchsorted(bps, xs, side="right") - 1, 0,
-                    len(lengths) - 1)
+        p, e = (np.array(v, complex) for v in _sweep(z, values, lengths).phi)
+        j = bps[1:-1].searchsorted(xs, side="right")
         b, p, e = values[j], p[j], e[j]
         _, _, c, sw = _coefficients(z, np.sqrt(b), xs - bps[j])
         z2 = z * z
@@ -390,21 +389,20 @@ def phi2_cell_integrals(B, z: complex, edges) -> np.ndarray:
     """
     edges = _reals(edges, "edges")
     if not (edges.ndim == 1 and len(edges) >= 2 and edges[0] == 0.0
-            and edges[-1] == 1.0 and np.all(edges[1:] > edges[:-1])):
+            and edges[-1] == 1.0 and (edges[1:] > edges[:-1]).all()):
         raise InputError("edges must increase strictly from 0 to 1")
     bps, _, values = B.layers
     cuts = np.union1d(edges, bps)
     mids = 0.5 * (cuts[:-1] + cuts[1:])
-    layer = np.clip(np.searchsorted(bps, mids, side="right") - 1,
-                    0, len(values) - 1)
-    lengths = np.diff(cuts)
+    layer = bps[1:-1].searchsorted(mids, side="right")
+    lengths = cuts[1:] - cuts[:-1]
     with np.errstate(over="ignore", invalid="ignore"):   # caught below
         sweep = _sweep(z, values[layer], lengths)
-        p, e = (np.array(v[:-1]) for v in sweep.phi)
+        p, e = (np.array(v[:-1], complex) for v in sweep.phi)
         pieces = _phi2_integrals(sweep, lengths, p, z * z * e)
     _finite(z, pieces)
     n = len(edges) - 1
-    cell = np.clip(np.searchsorted(edges, mids, side="right") - 1, 0, n - 1)
+    cell = edges[1:-1].searchsorted(mids, side="right")
     return (np.bincount(cell, pieces.real, n)
             + 1j * np.bincount(cell, pieces.imag, n))
 

@@ -50,9 +50,10 @@ class AdmissibleBounds:
         return self.b2 - self.b1
 
     def contains(self, v) -> bool:
-        v = np.asarray(v, dtype=float)
-        return bool(np.all(v >= self.b1 - _BOUND_SLACK)
-                    and np.all(v <= self.b2 + _BOUND_SLACK))
+        v = np.asarray(v, dtype=float)   # empty: True; a NaN: False
+        return not v.size or bool(
+            np.minimum.reduce(v, axis=None) >= self.b1 - _BOUND_SLACK
+            and np.maximum.reduce(v, axis=None) <= self.b2 + _BOUND_SLACK)
 
 
 class _LayerArrays(NamedTuple):
@@ -101,8 +102,8 @@ class Layers(_LayerArrays):
 
     def values_at(self, xs):
         """Values of the layers holding xs (right-open; end layers outside)."""
-        j = np.searchsorted(self.breakpoints, xs, side="right") - 1
-        return self.values[np.clip(j, 0, len(self.values) - 1)]
+        j = self.breakpoints[1:-1].searchsorted(xs, side="right")
+        return self.values[j]
 
 
 def _is_int(v) -> bool:
@@ -157,8 +158,8 @@ def _merged_layers(xs: np.ndarray, vs: np.ndarray,
     if not bounds.contains(vs):
         raise InputError("values outside admissible bounds")
     keep = np.concatenate(([True], vs[1:] != vs[:-1]))
-    xs = np.append(xs[:-1][keep], 1.0)
-    return Layers(*map(_read_only, (xs, np.diff(xs), vs[keep])))
+    xs = np.concatenate((xs[:-1][keep], (1.0,)))
+    return Layers(*map(_read_only, (xs, xs[1:] - xs[:-1], vs[keep])))
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,7 +182,7 @@ class PiecewiseStructure:
             raise InputError("need n+1 breakpoints for n interval values")
         if not (xs[0] == 0 and xs[-1] == 1):
             raise InputError("breakpoints must start at 0 and end at 1")
-        if not np.all(xs[1:] > xs[:-1]):
+        if not (xs[1:] > xs[:-1]).all():
             raise InputError("breakpoints must be strictly increasing")
         layers = _merged_layers(xs, vs, _box(self.bounds))
         object.__setattr__(self, "breakpoints", layers.breakpoints)
@@ -293,9 +294,9 @@ class GridStructure:
     def n_cells(self) -> int:
         return len(self.values)
 
-    @property
+    @cached_property
     def edges(self) -> np.ndarray:
-        return np.linspace(0.0, 1.0, self.n_cells + 1)
+        return _read_only(np.linspace(0.0, 1.0, self.n_cells + 1))
 
     @cached_property
     def layers(self) -> Layers:
@@ -334,7 +335,7 @@ def to_grid(p: PiecewiseStructure, n_cells: int) -> GridStructure:
 
 def project_to_box(g: GridStructure, bounds: AdmissibleBounds) -> GridStructure:
     """Clip every cell value into [b1, b2]; idempotent."""
-    return GridStructure(np.clip(g.values, _box(bounds).b1, bounds.b2), bounds)
+    return GridStructure(g.values.clip(_box(bounds).b1, bounds.b2), bounds)
 
 
 def round_to_extreme(g: GridStructure,
@@ -367,7 +368,7 @@ def extremality_measure(g: GridStructure, bounds: AdmissibleBounds,
         raise InputError(f"eps must be a finite real, not {eps!r}")
     vs = g.values
     interior = (vs > _box(bounds).b1 + eps) & (vs < bounds.b2 - eps)
-    return float(np.mean(interior))
+    return float(np.add.reduce(interior, dtype=float) / len(vs))
 
 
 def random_bang_bang(bounds: AdmissibleBounds, rng,

@@ -212,7 +212,7 @@ def step_direction(g: GradientDensity, B: GridStructure,
 # -- eigenvalue tracking ----------------------------------------------------------
 
 def _trust_radius(B: GridStructure) -> float:
-    mean_b = float(np.mean(B.values))
+    mean_b = float(np.add.reduce(B.values) / B.n_cells)
     return 0.35 * math.pi / math.sqrt(max(mean_b, 1e-6))
 
 
@@ -303,16 +303,21 @@ def minimize_im_at_frequency(config: OptimizeConfig,
     """Conditional-gradient minimization of Im kappa with Re kappa = alpha.
 
     Returns the final grid structure, tracked eigenvalue, per-iteration
-    trajectory, and the rounded + switch-polished bang-bang finalization.
+    trajectory, and the bang-bang finalization: the rounded medium with its
+    kappa and, only when its kappa is within _TOL_FREQ of alpha, the
+    switch-polished one (polished and polished_kappa are None otherwise).
     Raises ZeroFrequency for a seed_kappa with Im <= 0, InputError for a
     non-finite one or one without B0, and LostEigenvalue /
     CollisionDetected with a .partial attribute carrying the trajectory so
-    far.  config must be an OptimizeConfig and B0 a GridStructure or None
-    (InputError).
+    far.  config must be an OptimizeConfig and B0 a GridStructure of
+    config.n_cells cells or None (InputError).
     """
     cfg = _config(config)
     if not isinstance(B0, (GridStructure, type(None))):
         raise InputError(f"B0 must be a GridStructure or None, not {B0!r}")
+    if B0 is not None and B0.n_cells != cfg.n_cells:
+        raise InputError(f"B0 has {B0.n_cells} cells, the config asks for "
+                         f"n_cells = {cfg.n_cells}")
     if cfg.seed_kappa is not None:
         if not cfg.seed_kappa.imag > 0:
             raise ZeroFrequency("a seed eigenvalue needs Im kappa > 0")
@@ -400,11 +405,15 @@ def minimize_im_at_frequency(config: OptimizeConfig,
 
 def _finalize(B: GridStructure, kappa: complex, cfg: OptimizeConfig,
               trajectory: list, status: str) -> OptimizeResult:
+    """The result with the rounded medium and, when its kappa is within
+    _TOL_FREQ of alpha, the switch-polished one."""
     rounded = round_to_extreme(B, cfg.bounds)
     out = OptimizeResult(B, kappa, tuple(trajectory), status)
     try:
         k_r = _track(rounded, kappa, _trust_radius(B))
         polished, k_p = _polish_switches(rounded, k_r, cfg)
+        if not abs(k_p.real - cfg.alpha) <= _TOL_FREQ:
+            polished = k_p = None
         return OptimizeResult(B, kappa, tuple(trajectory), status,
                               rounded, k_r, polished, k_p)
     except (LostEigenvalue, NumericalError, InfeasibleError):
@@ -466,7 +475,7 @@ def _polish_newton(B: PiecewiseStructure, kappa: complex,
 
     def build(xs):
         pts = np.concatenate(([0.0], np.sort(xs), [1.0]))
-        if np.any(np.diff(pts) < 1e-9):
+        if (pts[1:] - pts[:-1] < 1e-9).any():
             return None
         return PiecewiseStructure(pts, vals, bounds)
 

@@ -118,7 +118,8 @@ def eigenvalue_gradient(B, kappa: complex, n_cells: int | None = None) -> Gradie
         raise NotAtRoot(f"|F({kappa})| = {abs(f):.3e} >= {_ROOT_TOL:.0e}")
     if abs(df) < 1e-6 * max(1.0, abs(d2f)):
         raise NearMultiple(f"|dF/dz| = {abs(df):.3e} below the simple-root floor")
-    edges = np.linspace(0.0, 1.0, n_cells + 1)
+    edges = B.edges if isinstance(B, GridStructure) and n_cells == B.n_cells \
+        else np.linspace(0.0, 1.0, n_cells + 1)
     denom = -1j * kappa * phi1 * df
     cells = phi2_cell_integrals(B, kappa, edges)
     g = -kappa ** 2 * cells / denom * n_cells  # cell averages of the density

@@ -66,6 +66,8 @@ _MAX_POINTS = 400_000    # contour points a walk may hold
 _NEWTON_ITERS = 60       # iteration cap of a Newton run
 _EDGE_MIN = 16           # fewest segments on a rectangle edge
 _MOMENTS = 8             # most zeros a window takes from its moments
+_ROUNDING = 8 * np.finfo(float).eps   # |F| / exp(|Im z| int sqrt B) at which
+                                      # a run that has converged may stop
 
 
 @dataclass(frozen=True)
@@ -334,7 +336,7 @@ def _newton_lockstep(B, starts: list, tol: float, leashes: list) -> list:
     """
     z0s = [complex(z) for z in starts]
     zs, out = list(z0s), [None] * len(z0s)
-    asks, closing = list(range(len(zs))), set()   # runs awaiting F, in order
+    asks, closing = list(range(len(zs))), {}   # runs awaiting F, in order
     it = 0
     while asks:
         if len(asks) == 1:
@@ -348,7 +350,8 @@ def _newton_lockstep(B, starts: list, tol: float, leashes: list) -> list:
             z = zs[i]
             if i in closing:   # its last step was step it - 1
                 fz = abs(jet[0])
-                if fz < tol:
+                if fz < tol or closing[i] and fz * math.exp(
+                        -abs(z.imag) * B.layers.optical) < _ROUNDING:
                     out[i] = (z, it - 1, fz)
                 continue
             f, df, _ = jet
@@ -363,7 +366,7 @@ def _newton_lockstep(B, starts: list, tol: float, leashes: list) -> list:
                 out[i] = (z, it, abs(f))
                 continue
             if abs(step) < 1e-14 * scale or it == _NEWTON_ITERS:
-                closing.add(i)
+                closing[i] = abs(step) < 1e-15 * scale   # a few ulps
             still.append(i)
         asks = still
     return out
@@ -378,8 +381,11 @@ def newton_refine(B, z0: complex, tol: float = 1e-12,
     counts as divergence.  Once the step is below 1e-14 (1 + |z|), or after
     60 steps, kappa is accepted if |F(kappa)| (charF) < tol; a step below
     1e-15 (1 + |z|) moves z by a few ulps, so kappa is then the point it
-    left, whose F is in hand, and no charF is taken.  The one-start case of
-    _newton_lockstep.
+    left, whose F is in hand, and no charF is taken.  A run whose step is a
+    few ulps has converged to rounding: where tol is below what F can show
+    there, its kappa is also accepted when |F(kappa)| is within _ROUNDING of
+    F's growth exp(|Im kappa| int sqrt B), and that |F| is its residual.
+    The one-start case of _newton_lockstep.
     """
     return _newton_lockstep(B, [z0], tol, [leash])[0]
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from qnmopt.cli import (_CONFIG_OPTIONS, _config_from_json, build_parser,
                         main)
 from qnmopt.medium import AdmissibleBounds, constant
-from qnmopt.optimize import OptimizeConfig
+from qnmopt.optimize import OptimizeConfig, minimize_im_at_frequency
 
 from conftest import LN3_4
 
@@ -200,6 +200,22 @@ class TestOptimize:
         assert cert["axis"] is True
         assert cert["nonlinear_mismatch"] == 0.0
         assert (out / "run.manifest.json").exists()
+
+    def test_unpolished_run_writes_the_rounded_medium(self, tmp_path):
+        # the rounded medium used to be written with the grid's kappa
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"alpha": 9.4, "bounds": [0.5, 3.0],
+                                   "n_cells": 64}))
+        out = tmp_path / "run"
+        assert run(["optimize", "--config", cfg, "--out-dir", out]) == 0
+        rec = json.loads((out / "structure.json").read_text())
+        res = minimize_im_at_frequency(*_config_from_json(str(cfg)))
+        assert res.polished is None
+        assert rec["structure"] == res.rounded.to_json_dict()
+        assert rec["kappa"] == rec["rounded_kappa"] == \
+            [res.rounded_kappa.real, res.rounded_kappa.imag]
+        assert rec["grid_kappa"] == [res.kappa.real, res.kappa.imag]
+        assert abs(rec["kappa"][0] - 9.4) > 0.01
 
     def test_infeasible_exit_3(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -35,6 +35,14 @@ class TestBounds:
         with pytest.raises(InputError):
             AdmissibleBounds(b1, b2)
 
+    def test_contains(self):
+        b = AdmissibleBounds(1, 4)
+        assert b.contains([]) and b.contains(2.5) and b.contains([[1, 4]])
+        assert b.contains([1 - 1e-13, 4 + 1e-13])
+        assert not b.contains([2.0, 4 + 1e-11])
+        assert not b.contains([0.5, 2.0])
+        assert not b.contains([2.0, math.nan]) and not b.contains(math.nan)
+
 
 class TestPiecewise:
     def test_canonical_merge(self):
@@ -66,6 +74,23 @@ class TestPiecewise:
         assert p.value_at(0.25) == 1.0
         assert p.value_at(0.75) == 4.0
 
+    def test_values_at_matches_clipped_lookup(self):
+        """The interior-breakpoint search equals the clipped search over all
+        breakpoints, ends and points outside [0, 1] included."""
+        rng = np.random.default_rng(3)
+        b = AdmissibleBounds(1, 4)
+        for _ in range(200):
+            n = int(rng.integers(1, 10))
+            p = PiecewiseStructure(
+                np.concatenate(([0.0], np.sort(rng.uniform(0, 1, n - 1)),
+                                [1.0])), np.arange(n) % 2 * 3.0 + 1.0, b)
+            bps, _, vs = p.layers
+            xs = np.concatenate((bps, rng.uniform(-0.5, 1.5, 20),
+                                 [-0.0, -math.inf, math.inf, math.nan]))
+            j = np.clip(np.searchsorted(bps, xs, side="right") - 1, 0,
+                        len(vs) - 1)
+            assert np.array_equal(p.layers.values_at(xs), vs[j])
+
     def test_json_roundtrip(self, tmp_path):
         b = AdmissibleBounds(1, 4)
         p = PiecewiseStructure((0, 0.3, 1.0), (1.0, 4.0), b)
@@ -96,6 +121,13 @@ class TestArrayStorage:
         for a in (p.breakpoints, p.values, g.values, *p.layers, *g.layers):
             with pytest.raises(ValueError):
                 a[0] = 2.0
+
+    def test_grid_edges_made_once(self):
+        g = grid([1.0, 4.0, 2.0, 3.0], AdmissibleBounds(1, 4))
+        assert g.edges is g.edges
+        assert g.edges.tolist() == np.linspace(0.0, 1.0, 5).tolist()
+        with pytest.raises(ValueError):
+            g.edges[1] = 0.5
 
     def test_source_mutation_ignored(self):
         b = AdmissibleBounds(1, 4)

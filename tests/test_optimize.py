@@ -416,14 +416,33 @@ class TestDropThinLayers:
 class TestPolishAcceptance:
     """A switch polish whose damping failed does not replace the rounded
     medium.  On bounds (1, 9) the iterate it stopped at held a 1.9e-9 layer
-    and re-solved to a larger Im k than the grid's."""
+    and re-solved to a larger Im k than the grid's.  At alpha = 5.3 the
+    polish keeps the rounded medium, whose Re k is 3.4e-3 off alpha, so
+    there is no polished result; at 7.7 the polish lands on alpha."""
 
     @pytest.mark.parametrize("alpha", [5.3, 7.7])
     def test_failed_polish_is_not_kept(self, alpha):
         cfg = OptimizeConfig(alpha=alpha, bounds=AdmissibleBounds(1.0, 9.0),
                              n_cells=128)
         res = minimize_im_at_frequency(cfg)
-        assert res.polished_kappa.imag <= res.kappa.imag
+        if alpha == 5.3:
+            assert res.polished is None and res.polished_kappa is None
+            assert abs(res.rounded_kappa.real - alpha) > 1e-3
+            assert res.rounded_kappa.imag <= res.kappa.imag
+        else:
+            assert abs(res.polished_kappa.real - alpha) <= _TOL_FREQ
+            assert res.polished_kappa.imag <= res.kappa.imag
+
+    def test_off_frequency_polish_is_not_reported(self):
+        """Here the polish keeps the rounded medium, 0.013 off alpha: the
+        result has no polished medium, and `qnmopt optimize` writes the
+        rounded one with its own kappa, not the grid's."""
+        cfg = OptimizeConfig(alpha=9.4, bounds=AdmissibleBounds(0.5, 3.0),
+                             n_cells=64)
+        res = minimize_im_at_frequency(cfg)
+        assert res.polished is None and res.polished_kappa is None
+        assert abs(res.rounded_kappa - (9.38704 + 0.06702j)) < 1e-5
+        assert abs(res.kappa.real - 9.4) <= _TOL_FREQ
 
     def test_collapsing_polish_is_kept(self):
         """Here the polish stops at an infeasible difference point: two
@@ -693,6 +712,12 @@ class TestErrorContract:
         # each raised AttributeError
         with pytest.raises(InputError):
             minimize_im_at_frequency(config, B0)
+
+    def test_seed_of_other_grid_is_input_error(self, box14):
+        # a 32-cell seed ran on its own 32 cells
+        cfg = OptimizeConfig(alpha=math.pi, bounds=box14, n_cells=256)
+        with pytest.raises(InputError, match="32 cells.*n_cells = 256"):
+            minimize_im_at_frequency(cfg, to_grid(constant(2.0, box14), 32))
 
     def test_gradient_of_other_grid_is_input_error(self, box14):
         # raised ValueError from the LP's array shapes

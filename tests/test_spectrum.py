@@ -1164,9 +1164,10 @@ class TestNewtonAbsoluteStop:
     """A high-contrast two-layer medium whose zero Newton reaches at the
     rounding floor of F: |F| grows like exp(Im z int sqrt B), about 1e4
     here, so the run stays at |F| = 1.8e-12 and never meets tol = 1e-12,
-    and the window is bisected to the depth cap.  23 of the 362 media
-    (x in linspace(0.05, 0.95, 181), both value orders) fail the same way.
-    Newton should stop once it has converged to rounding."""
+    and the window used to be bisected to the depth cap.  23 of the 362
+    media (x in linspace(0.05, 0.95, 181), both value orders) failed the
+    same way.  Newton stops once it has converged to rounding and reports
+    the |F| it stopped at."""
 
     MEDIUM = PiecewiseStructure((0.0, 0.605, 1.0), (25.5, 0.5),
                                 AdmissibleBounds(0.5, 25.5))
@@ -1177,8 +1178,22 @@ class TestNewtonAbsoluteStop:
         assert abs(ev.kappa - (22.4956097472 + 2.6509144072j)) < 1e-9
         assert 1e-12 < abs(charF(ev.kappa, self.MEDIUM)) < 1e-11
 
-    @pytest.mark.xfail(strict=True, raises=MaxDepthExceeded,
-                       reason="Newton's stop is absolute: |F| < tol only")
     def test_found_at_the_rounding_floor(self):
         (ev,) = locate(self.MEDIUM, self.WINDOW, tol=1e-12)
         assert abs(ev.kappa - (22.4956097472 + 2.6509144072j)) < 1e-9
+        assert ev.residual == abs(charF(ev.kappa, self.MEDIUM)) > 1e-12
+
+    # the switch positions x = linspace(0.05, 0.95, 181)[i] that raised
+    @pytest.mark.parametrize("i", [105, 106, 108, 111, 112, 113, 114, 115,
+                                   117, 119, 121, 122, 123, 124, 126, 127,
+                                   128, 146, 147, 148, 150, 151, 152])
+    def test_sweep_media_that_failed(self, i):
+        x = np.linspace(0.05, 0.95, 181)[i]
+        B = PiecewiseStructure((0.0, x, 1.0), (25.5, 0.5),
+                               AdmissibleBounds(0.5, 25.5))
+        evs = locate(B, self.WINDOW, tol=1e-12)
+        assert sum(ev.multiplicity for ev in evs) == \
+            winding_count(B, self.WINDOW)
+        loose = locate(B, self.WINDOW, tol=1e-10)
+        assert len(evs) == len(loose)
+        assert all(abs(a.kappa - b.kappa) < 1e-9 for a, b in zip(evs, loose))
