@@ -6,36 +6,31 @@ principle), with adaptive contour refinement.  Every count is taken on
 rectangles; multiplicity() counts on the squares of half-side r and 2r
 about a zero.  An edge of length l starts from max(16, ceil(2 l int
 sqrt(B) / pi)) samples, about a quarter turn of F apart, so wide windows
-do not alias.  The walk puts the edges of all its contours in one flat
-point array, takes the new points in one charF_many call per round and
-inserts the midpoint of every segment that turns too far; the two halves
-of a split are walked together.  Its bookkeeping is a handful of numpy
-calls per round, whatever the number of contours: one array marks every
-edge start and the point count, the midpoints are merged in by one index
-that also moves those marks, and a round reads the per-contour minima,
-maxima, turns and roughness as lists.  A converged contour returns its
+do not alias.  A walk takes one closed contour: it puts its four edges in
+one point array, takes the new points in one charF_many call per round and
+inserts the midpoint of every segment that turns too far, merged in by one
+index that also moves the edge starts.  A converged contour returns its
 count, its samples and log F on them.  |F| collapses on a contour where its
 minimum is below 1e-12 of its maximum once its growth exp(|Im z| int
 sqrt B) is divided out; such a window is dilated by 1 + 0.004 k and walked
 again, k = 1, .., 5, before ZeroOnContour.  A contour on which F overflows
 raises NumericalError.
 
-locate() combines window bisection with Newton iteration, one depth at a
-time.  A window holding one to eight zeros first takes Newton starts from
-its contour moments: by parts, a fourth-order rule (_cubic_weights) on its
-walk's samples gives the power sums of its zeros in one product (Delves &
-Lyness, Math. Comp. 21, 1967; Kravanja & Van Barel, Computing the Zeros of
-Analytic Functions, LNM 1727, 2000), Newton's identities the polynomial
-with those zeros, and the eigenvalues of its companion matrix (the roots
-numpy.roots would give) the starts, whatever the window's size; a lone
-zero whose start falls outside starts from the centre.  The window is
-bisected only when a Newton run fails, leaves it or lands on a zero
-already found.  All Newton iteration is one loop, _newton_lockstep, which
-steps the runs of every window at one depth together: each step takes F
-and the exact dF/dz at all their points from one order-1 Taylor product of
-the layer maps (field._jet).  newton_refine is its one-start case.  The
-windows left are then split one at a time, in order, and their halves,
-each with its walk, make the next depth.
+locate() combines window bisection with Newton iteration, one window at a
+time, oldest first.  A window holding one to eight zeros first takes Newton
+starts from its contour moments: by parts, a fourth-order rule
+(_cubic_weights) on its walk's samples gives the power sums of its zeros in
+one product (Delves & Lyness, Math. Comp. 21, 1967; Kravanja & Van Barel,
+Computing the Zeros of Analytic Functions, LNM 1727, 2000), Newton's
+identities the polynomial with those zeros, and the eigenvalues of its
+companion matrix (the roots numpy.roots would give) the starts, whatever
+the window's size; a lone zero whose start falls outside starts from the
+centre.  All Newton iteration is one loop, _newton_lockstep, which steps a
+window's runs together: each step takes F and the exact dF/dz at all their
+points from one order-1 Taylor product of the layer maps (field._jet).
+newton_refine is its one-start case.  The window is bisected only when a
+run fails, leaves it or lands on a zero already found; its halves, each
+with its walk, join the end of the queue.
 Constant media have a closed-form spectrum that serves as the golden oracle.
 """
 from __future__ import annotations
@@ -222,18 +217,17 @@ def _cubic_weights(pts, starts) -> np.ndarray:
 
 
 @np.errstate(all="ignore")   # what overflows is caught below
-def _walk(B, contours: list) -> list:
-    """Per closed contour, None where |F| collapses on it, else (count, z,
-    log F, edge starts): the zero count of F inside, the final samples, log F
-    there with its phase unwrapped from the first corner, where it is 0, and
-    the index in z of each edge's first sample.
+def _walk(B, edges: list):
+    """None where |F| collapses on the closed contour of edges, else (count,
+    z, log F, edge starts): the zero count of F inside, the final samples,
+    log F there with its phase unwrapped from the first corner, where it is
+    0, and the index in z of each edge's first sample.
 
-    A contour is a list of edges, corner pairs (a, b) sampled by
-    _edge_points.  The edges of all contours share one flat point array, so
-    a round makes one charF_many call for all contours, on the new points
-    only, and gives the midpoint to every segment of a pending contour that
-    turns by pi/2 or more.  The midpoints and the old points are merged by
-    one index, which also moves the edge starts.
+    The edges are corner pairs (a, b), sampled end to end by _edge_points.
+    A round makes one charF_many call, on the new points only, and gives the
+    midpoint to every segment that turns by pi/2 or more.  The midpoints and
+    the old points are merged by one index, which also moves the edge
+    starts.  The _MAX_POINTS budget holds for this one contour.
 
     |F| is taken as |F| exp(-|Im z| int sqrt B), F with its growth taken
     out, and collapses where its minimum on the contour is below 1e-12 of its
@@ -243,56 +237,33 @@ def _walk(B, contours: list) -> list:
     is refused.
     """
     optical = B.layers.optical   # int sqrt(B)
-    pts, starts = _edge_points(
-        np.array([e for c in contours for e in c], dtype=complex), optical)
-    # marks[first[c]:first[c + 1]] are the edge starts of contour c, and
-    # marks[-1] is the point count
-    marks = np.concatenate((starts, [len(pts)]))
-    first = np.add.accumulate([0] + [len(c) for c in contours])
-    out: list = [None] * len(contours)
-    pending = list(range(len(contours)))
+    pts, starts = _edge_points(np.array(edges, dtype=complex), optical)
     fv = charF_many(pts, B)
     for rnd in range(_WINDING_ROUNDS):
-        starts = marks[:-1]
-        ends = marks[first]          # contour c holds pts[ends[c]:ends[c + 1]]
-        heads = ends[:-1]
         af = np.abs(fv)
         scaled = af * np.exp(-optical * np.abs(pts.imag))
-        lo = np.minimum.reduceat(scaled, heads).tolist()
-        hi = np.maximum.reduceat(scaled, heads).tolist()
+        hi = scaled.max()
+        if not math.isfinite(hi):
+            raise NumericalError("F is not finite on the contour")
+        if hi == 0.0 or scaled.min() < _CONTOUR_FLOOR * hi:
+            return None
         ratio = fv[1:] / fv[:-1]
         dtheta = np.arctan2(ratio.imag, ratio.real)
         dtheta[starts[1:] - 1] = 0.0      # no segment joins two edges
         bad = np.abs(dtheta) >= 0.5 * math.pi
-        turn = np.add.reduceat(dtheta, heads).tolist()
-        rough = np.logical_or.reduceat(bad, heads).tolist()
-        for c in list(pending):
-            if not math.isfinite(hi[c]):
-                raise NumericalError("F is not finite on the contour")
-            if hi[c] == 0.0 or lo[c] < _CONTOUR_FLOOR * hi[c]:
-                pending.remove(c)
-                continue
-            if rough[c]:
-                continue
-            n = round(turn[c] / (2.0 * math.pi))
-            if abs(turn[c] - 2.0 * math.pi * n) > 0.5:
+        if not bad.any():
+            turn = dtheta.sum()
+            n = round(turn / (2.0 * math.pi))
+            if abs(turn - 2.0 * math.pi * n) > 0.5:
                 raise NumericalError("contour phase sum far from a multiple of 2 pi")
             if n < 0:
                 raise NumericalError("negative winding: contour under-sampled")
-            a, b = ends[c], ends[c + 1]
-            logf = np.empty(b - a, complex)
-            np.log(af[a:b], out=logf.real)
+            logf = np.empty(len(pts), complex)
+            np.log(af, out=logf.real)
             logf.imag[0] = 0.0
-            np.add.accumulate(dtheta[a:b - 1], out=logf.imag[1:])
-            out[c] = (int(n), pts[a:b], logf, starts[first[c]:first[c + 1]] - a)
-            pending.remove(c)
-        if not pending:
-            return out
-        # midpoint of every segment that turns too far on a pending contour
-        if len(pending) < len(contours):
-            live = np.zeros(len(contours), dtype=bool)
-            live[pending] = True
-            bad &= np.repeat(live, ends[1:] - ends[:-1])[:-1]
+            np.add.accumulate(dtheta, out=logf.imag[1:])
+            return int(n), pts, logf, starts
+        # the midpoint of every segment that turns too far
         i = bad.nonzero()[0]
         # the midpoints go to i + 1 + k, the old points to the rest
         new = i + np.arange(1, len(i) + 1)
@@ -309,20 +280,20 @@ def _walk(B, contours: list) -> list:
         merged[old] = fv
         merged[new] = charF_many(mids, B)
         fv = merged
-        marks = marks + i.searchsorted(marks)
+        starts = starts + i.searchsorted(starts)
     raise NumericalError("contour refinement did not converge")
 
 
-def _counted(walks: list) -> list:
-    """The zero counts of _walk's contours."""
-    if any(walk is None for walk in walks):
+def _counted(walk) -> int:
+    """The zero count of a _walk."""
+    if walk is None:
         raise ZeroOnContour("|F| collapsed on the contour")
-    return [walk[0] for walk in walks]
+    return walk[0]
 
 
 def winding_count(B, w: SpectralWindow) -> int:
     """Number of zeros of F inside w, counted with multiplicity."""
-    return _counted(_walk(B, [_rect_edges(w)]))[0]
+    return _counted(_walk(B, _rect_edges(w)))
 
 
 @np.errstate(all="ignore")   # a product that overflows ends its run
@@ -402,20 +373,21 @@ def _split(w: SpectralWindow, frac: float) -> tuple:
 
 
 def _window_counts(B, ws: list) -> list:
-    """[(window, walk)] of the windows ws, walked together: the _walk of
-    each window's rectangle.
+    """[(window, walk)] of the windows ws: the _walk of each window's
+    rectangle.
 
-    A window whose contour grazes a zero is dilated alone, slightly more on
-    each of up to 5 retries; the retries walk only that window.
+    Every window is walked before any is dilated, so a NumericalError on one
+    contour wins over a zero grazing another.  A window whose contour grazes
+    a zero is dilated alone, slightly more on each of up to 5 retries.
     """
     out = []
-    for walk, w in zip(_walk(B, [_rect_edges(w) for w in ws]), ws):
+    for walk, w in zip([_walk(B, _rect_edges(w)) for w in ws], ws):
         for k in range(1, 6):
             if walk is not None:
                 break
             w = w.dilated(1.0 + 0.004 * k)
-            walk = _walk(B, [_rect_edges(w)])[0]
-        _counted([walk])
+            walk = _walk(B, _rect_edges(w))
+        _counted(walk)
         out.append((w, walk))
     return out
 
@@ -431,12 +403,23 @@ def locate(B, w: SpectralWindow, tol: float = 1e-12) -> list:
     """
     if not (_is_real(tol) and tol > 0):
         raise InputError(f"tol must be a positive number, not {tol!r}")
-    level = _window_counts(B, [w])
+    # (depth, window, walk), oldest first; a window that Newton does not
+    # solve is split and its halves join the end
+    work = [(0, *_window_counts(B, [w])[0])]
     found: list = []
-    depth = 0
-    while level:
-        level = _locate_level(B, level, tol, depth, found)
-        depth += 1
+    while work:
+        depth, part, walk = work.pop(0)
+        count = walk[0]
+        if count == 0:
+            continue
+        if depth > _MAX_DEPTH:
+            raise MaxDepthExceeded(
+                f"cannot isolate {count} zeros near {part.center}")
+        roots = _window_roots(B, part, walk, tol)
+        if roots is None:
+            work += [(depth + 1, *half) for half in _bisect(B, part, count)]
+        else:
+            found += roots
     found = [ev for ev in found if w.contains(ev.kappa, pad=1e-9)]
     found.sort(key=lambda ev: (ev.kappa.real, ev.kappa.imag))
     # sub-resolution clusters merge with their multiplicities summed
@@ -508,45 +491,24 @@ def _moment_starts(w: SpectralWindow, walk: tuple) -> list:
     return (c + r * np.linalg.eigvals(companion)).tolist()
 
 
-def _locate_level(B, level: list, tol: float, depth: int,
-                  found: list) -> list:
-    """One depth of locate's bisection over the [(window, walk)] of level.
-
-    The Newton starts of all its windows run in one lockstep run.  A window
-    whose runs give all its zeros, each simple and inside it, adds them to
-    found; the others are split one at a time, in order, and the halves
-    come back as the next depth's level.
-    """
-    plan, starts, leashes = [], [], []
-    for w, walk in level:
-        count = walk[0]
-        if count == 0:
-            continue
-        if depth > _MAX_DEPTH:
-            raise MaxDepthExceeded(f"cannot isolate {count} zeros near {w.center}")
-        zs = _moment_starts(w, walk) if count <= _MOMENTS else []
-        if count == 1 and not (zs and w.contains(zs[0])):
-            zs = [w.center]
-        plan.append((count, w, len(zs)))
-        starts += zs
-        leashes += [4.0 * math.hypot(*w.widths) + 1.0] * len(zs)
-    runs = iter(_newton_lockstep(B, starts, tol, leashes))
-    out = []
-    for count, w, n in plan:
-        # all count zeros, each simple and inside w, or else a split
-        roots: list = []
-        for res in [next(runs) for _ in range(n)]:
-            if res is None or not w.contains(res[0], pad=1e-12) or any(
-                    abs(res[0] - ev.kappa) < 1e-6 * (1.0 + abs(res[0]))
-                    for ev in roots):
-                break
-            kappa, iters, fz = res
-            roots.append(QuasiEigenvalue(kappa, 1, fz, iters))
-        if len(roots) == count:
-            found.extend(roots)
-        else:
-            out += _bisect(B, w, count)
-    return out
+def _window_roots(B, w: SpectralWindow, walk: tuple, tol: float):
+    """All walk[0] zeros of F in the walked window w, each simple and inside
+    it, from one lockstep Newton run of its starts; None, for a split, when
+    a run fails, leaves w or lands on a zero already found."""
+    count = walk[0]
+    zs = _moment_starts(w, walk) if count <= _MOMENTS else []
+    if count == 1 and not (zs and w.contains(zs[0])):
+        zs = [w.center]
+    leash = 4.0 * math.hypot(*w.widths) + 1.0
+    roots: list = []
+    for res in _newton_lockstep(B, zs, tol, [leash] * len(zs)):
+        if res is None or not w.contains(res[0], pad=1e-12) or any(
+                abs(res[0] - ev.kappa) < 1e-6 * (1.0 + abs(res[0]))
+                for ev in roots):
+            return None
+        kappa, iters, fz = res
+        roots.append(QuasiEigenvalue(kappa, 1, fz, iters))
+    return roots if len(roots) == count else None
 
 
 def _bisect(B, w: SpectralWindow, count: int) -> list:
@@ -574,8 +536,8 @@ def multiplicity(B, kappa0: complex, radius: float) -> int:
         raise InputError(f"radius must be finite and positive, got {radius}")
     if not cmath.isfinite(kappa0):
         raise InputError(f"kappa0 must be finite, not {kappa0!r}")
-    inner, outer = _counted(_walk(B, [_square_edges(kappa0, radius),
-                                      _square_edges(kappa0, 2.0 * radius)]))
+    walks = [_walk(B, _square_edges(kappa0, h)) for h in (radius, 2.0 * radius)]
+    inner, outer = map(_counted, walks)
     if outer != inner:
         raise NotIsolated(
             f"{outer - inner} extra zeros between the squares about {kappa0}")

@@ -425,7 +425,7 @@ class TestContourAgainstReference:
             contour_log.clear()
             edges = spectrum._square_edges(kappa, h)
             assert [a for a, _ in edges] == cs
-            counts.append(spectrum._counted(spectrum._walk(B, [edges]))[0])
+            counts.append(spectrum._counted(spectrum._walk(B, edges)))
             assert counts[-1] == ref
             assert len(contour_log) == len(ref_log)
             # every final point once, and the 4 corners as both edge ends
@@ -436,10 +436,10 @@ class TestContourAgainstReference:
 
 
 class TestEdgeReuse:
-    """The two halves of a split share each round's charF_many call and
-    nothing else: each gets the walk it gets alone."""
+    """The two halves of a split are walked one after the other, each alone,
+    before either is dilated."""
 
-    def test_halves_together_equal_alone(self, contour_log):
+    def test_halves_add_up_to_parent(self):
         box = AdmissibleBounds(1.0, 4.0)
         bb = random_bang_bang(box, np.random.default_rng(3), max_switches=7)
         grid = GridStructure(tuple(np.random.default_rng(7).uniform(1, 4, 256)),
@@ -448,22 +448,9 @@ class TestEdgeReuse:
                      (grid, SpectralWindow(0.1, 12.0, 0.05, 3.0)),
                      (bb, SpectralWindow(0.1, 2.0, 0.05, 8.0))]:
             halves = spectrum._split(w, 0.5)
-            contour_log.clear()
-            together = spectrum._walk(B, [spectrum._rect_edges(h)
-                                          for h in halves])
-            rounds, rounds_alone = len(contour_log), []
-            for h, (n, z, logf, starts) in zip(halves, together):
-                contour_log.clear()
-                (n1, z1, logf1, starts1), = spectrum._walk(
-                    B, [spectrum._rect_edges(h)])
-                rounds_alone.append(len(contour_log))
-                assert n == n1
-                assert _bits(z) == _bits(z1)
-                assert _bits(logf) == _bits(logf1)
-                assert starts.tolist() == starts1.tolist()
-            # one call a round for both: as many as the slower half takes
-            assert rounds == max(rounds_alone)
-            assert sum(walk[0] for walk in together) == winding_count(B, w)
+            assert sum(spectrum._counted(spectrum._walk(
+                B, spectrum._rect_edges(h))) for h in halves) \
+                == winding_count(B, w)
 
     def test_only_the_grazing_half_dilates(self, contour_log):
         # the middle sample of the left edge of the parent, and of its left
@@ -476,17 +463,19 @@ class TestEdgeReuse:
             reference_phase_winding(reference_rect_points(a, B), B)
         failed = contour_log[-1]
         contour_log.clear()
-        (wa, (ca, *_)), (wb, (cb, *_)) = spectrum._window_counts(
-            B, spectrum._split(w, 0.5))
+        (wa, (ca, *_)), (wb, (cb, *_)) = spectrum._window_counts(B, (a, b))
         calls = list(contour_log)
         assert wa == a.dilated(1.004) and wb == b
         assert (ca, cb) == (6, 6) == (winding_count(B, wa), winding_count(B, b))
         assert (ca, cb) == (len(constant_spectrum(4.0, wa)),
                             len(constant_spectrum(4.0, b)))
-        # the first call holds both halves; the retry walks the dilated left
-        # half alone
-        assert len(calls[0]) == 8 * 17
-        retry = [len(z) for z in calls].index(4 * 17, 1)
+        # the left half is walked alone, then the right half to its end,
+        # and only then the dilated left half
+        sizes = [len(z) for z in calls]
+        retry = sizes.index(4 * 17, 2)
+        assert sizes[:2] == [4 * 17, 4 * 17] and retry > 2
+        assert np.all(calls[0].real <= a.re_max)
+        assert np.all(np.concatenate(calls[1:retry]).real >= b.re_min)
         # the grazing edge is refined as far as the loop got, no further
         batch = np.concatenate(calls[:retry])
         on_edge = [z[(z.real == w.re_min) & (z.imag > w.im_min)
@@ -497,26 +486,44 @@ class TestEdgeReuse:
         assert np.any(later.real == wa.re_max)
 
     @pytest.mark.parametrize("which", [0, 1])
-    def test_nan_on_third_edge_raises(self, monkeypatch, which):
+    def test_nan_on_third_edge_raises(self, monkeypatch, contour_log, which):
         B = constant(4.0)
         w = SpectralWindow(0.1, 12.0, 0.05, 3.0)
-        a, b = spectrum._split(w, 0.5)
-        h = (a, b)[which]
-        p, q = spectrum._rect_edges(h)[2]
-        bad = p + 8 / 16 * (q - p)
+        # the outer edge of this window's other half grazes the zero
+        # -+pi/2 + i ln3/4 of B = 4
+        grazing = SpectralWindow(-20.0, -math.pi / 2, LN3_4 - 0.2, LN3_4 + 0.2) \
+            if which == 0 else \
+            SpectralWindow(math.pi / 2, 20.0, LN3_4 - 0.2, LN3_4 + 0.2)
+        bad = []
+        for v in (w, grazing):
+            p, q = spectrum._rect_edges(spectrum._split(v, 0.5)[which])[2]
+            bad.append(p + 8 / 16 * (q - p))
         original = spectrum.charF_many
 
         def planted(zs, B):
             out = original(zs, B)
-            out[zs == bad] = math.nan
+            out[np.isin(zs, bad)] = math.nan
             return out
 
         monkeypatch.setattr(spectrum, "charF_many", planted)
+        a, b = spectrum._split(w, 0.5)
+        h = (a, b)[which]
         with pytest.raises(NumericalError, match="not finite"):
             spectrum._window_counts(B, spectrum._split(w, 0.5))
         with pytest.raises(NumericalError, match="not finite"):
             winding_count(B, h)
         assert winding_count(B, (b, a)[which]) >= 0
+        # a graze in the other half does not hide the NaN, and no half is
+        # dilated before both are walked
+        a, b = spectrum._split(grazing, 0.5)
+        with pytest.raises(ZeroOnContour):
+            winding_count(B, (b, a)[which])
+        contour_log.clear()
+        with pytest.raises(NumericalError, match="not finite"):
+            spectrum._window_counts(B, (a, b))
+        assert contour_log
+        for z in contour_log:
+            assert np.all((z.real >= grazing.re_min) & (z.real <= grazing.re_max))
 
 
 class TestRefinementBudget:
@@ -709,8 +716,8 @@ class TestGrowthFloor:
         dist = [max(abs(z.real - c.real), abs(z.imag - c.imag)) for z in near]
         assume(all(abs(d - h) > 1e-6 * h for d in dist))
         edges = spectrum._square_edges(c, h)
-        assert spectrum._counted(spectrum._walk(constant(b), [edges])) \
-            == [sum(d < h for d in dist)]
+        assert spectrum._counted(spectrum._walk(constant(b), edges)) \
+            == sum(d < h for d in dist)
 
 
 class TestNonFiniteContour:
@@ -932,7 +939,7 @@ def constant_windows(b):
             w = SpectralWindow(group[0].real - left * step,
                                group[-1].real + 0.45 * step,
                                0.4 * im, im + 0.35 * step)
-            walk, = spectrum._walk(B, [spectrum._rect_edges(w)])
+            walk = spectrum._walk(B, spectrum._rect_edges(w))
             assert walk[0] == n
             yield group, w, walk
 
