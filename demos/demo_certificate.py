@@ -48,10 +48,10 @@ print(f"\nafter displacing the first switch by 0.05:")
 print(f"   max deviation {cert_bad.max_deviation:.3f} rad -> not optimal")
 print(f"   mismatch {cert_bad.nonlinear_mismatch:.3f}")
 
-# --- the nonlinear eigenvalue problem, solved self-consistently ----------------
+# --- the nonlinear eigenvalue problem, solved by shooting ---------------------
 
 sc = self_consistent_solve(kappa, bounds, n_grid=2048, B0=B)
-print(f"\nself-consistent fixed point in {len(sc.history)} iterations:")
+print(f"\nshooting solution after {len(sc.history) - 1} Newton steps:")
 print(f"   kappa = {sc.kappa:.12f}")
 print(f"   |kappa - optimizer| = {abs(sc.kappa - kappa):.2e}")
 _, mismatch = nonlinear_residual(sc.B, sc.kappa)

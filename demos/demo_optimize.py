@@ -4,7 +4,9 @@ Conditional-gradient steps over media constrained to 1 <= B <= 4, each
 toward the bang-bang vertex of the linearised problem, tracking the
 eigenvalue pinned at Re kappa = alpha.  The optimum is a two-valued
 (bang-bang) structure; the finalization rounds the grid iterate and then
-polishes the switch positions in the continuum.
+solves the paper's nonlinear eigenvalue problem at Re kappa = alpha by
+shooting from the rounded medium, which places the switches in the
+continuum.
 
 Run:  python3 demos/demo_optimize.py
 """

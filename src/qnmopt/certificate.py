@@ -5,10 +5,11 @@ xi(x) the continuous branch of arg phi^2(x, kappa; B) fixed by xi(0) = 0,
 there is a single angle omega such that every low-to-high switch sits on
 the ray xi = omega (mod 2 pi) and every high-to-low switch on xi = omega +
 pi, while xi varies by at most pi across any interval of constancy.  The
-same geometry makes y = e^{i theta} phi solve the nonlinear eigenvalue
-problem whose coefficient is rebuilt from the sign of Im y^2; the
-self-consistent solver iterates exactly that reconstruction to a fixed
-point.
+same geometry makes y = e^{i theta} phi solve the paper's nonlinear
+eigenvalue problem y'' = -kappa^2 B y, y'(0) = 0, F = 0 at x = 1, with
+B = b2 where Im y^2 > 0 and b1 elsewhere.  At a fixed Re kappa its two
+real unknowns are (Im kappa, theta); the optimizer's polish and
+self_consistent_solve both solve it by shooting (_solve_shot).
 """
 from __future__ import annotations
 
@@ -19,11 +20,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (InputError, LostEigenvalue, NoConvergence, NotAtRoot,
-                     NumericalError, OnImaginaryAxis, PhaseJump)
-from .field import charF, mode_values
+                     OnImaginaryAxis, PhaseJump)
+from .field import _coefficients, charF, mode_values
 from .medium import (AdmissibleBounds, GridStructure, PiecewiseStructure,
                      _as_complex, _box, _is_finite_real, _is_int, constant,
                      switch_points, to_piecewise)
+from .sensitivity import _damped_newton
 from .spectrum import newton_refine
 
 __all__ = [
@@ -35,9 +37,8 @@ __all__ = [
 _ROOT_TOL = 1e-7
 _MAX_TRACE_POINTS = 200_000   # phase-trace samples before refinement stops
 _MISMATCH_SAMPLES = 4096      # midpoint samples of the nonlinear mismatch
-_FIXED_POINT_ITERS = 40       # rounds of self_consistent_solve
-_SWITCH_TOL = 1e-8            # fixed point: switch movement below this
-_KAPPA_TOL = 1e-10            # fixed point: eigenvalue movement below this
+_SHOT_ITERS = 20              # damped-Newton iterations of _solve_shot
+_SOLVE_TOL = 1e-8             # the shot's kappa and its medium's eigenvalue
 
 
 def _piecewise(B) -> PiecewiseStructure:
@@ -52,11 +53,6 @@ def _piecewise(B) -> PiecewiseStructure:
 def _wrap_pi(x: float) -> float:
     """Wrap an angle into [-pi, pi)."""
     return (x + math.pi) % (2.0 * math.pi) - math.pi
-
-
-def _circ_dist(a: float, b: float) -> float:
-    """Distance between two angles on the circle."""
-    return abs(_wrap_pi(a - b))
 
 
 @dataclass(frozen=True)
@@ -141,15 +137,6 @@ def _omega_from_trace(trace: PhaseTrace, sw: list,
     return _wrap_pi(omega)
 
 
-def _omega(B: PiecewiseStructure, kappa: complex, b1: float) -> float:
-    """omega of B at kappa: 0 on the imaginary axis and for a leading
-    vacuum layer (b1 = 0), where the switches sit on the real rays."""
-    if kappa.real == 0.0 or (b1 == 0.0 and B.leading_zero_interval() > 0.0):
-        return 0.0
-    sw = switch_points(B)  # NotBangBang before any phase work
-    return _omega_from_trace(phase_trace(B, kappa), sw, b1)
-
-
 def certificate_theta(kappa: complex, omega: float, b1: float,
                       a1: float) -> float:
     """Rotation making y = e^{i theta} phi solve the nonlinear problem."""
@@ -181,7 +168,7 @@ def switch_alignment(B: PiecewiseStructure, kappa: complex) -> SwitchCertificate
     devs = []
     for x, direction in sw:
         target = omega if direction == "up" else omega + math.pi
-        devs.append(_circ_dist(trace.value(x), target))
+        devs.append(abs(_wrap_pi(trace.value(x) - target)))
 
     nodes = [0.0] + [x for x, _ in sw] + [1.0]
     variation = max(abs(trace.value(b) - trace.value(a))
@@ -212,10 +199,12 @@ def nonlinear_residual(B: PiecewiseStructure, kappa: complex,
         raise InputError(f"omega must be a finite real, not {omega!r}")
     if not abs(charF(kappa, B)) < _ROOT_TOL:
         raise NotAtRoot(f"kappa = {kappa} is not an eigenvalue")
-    b1, b2 = B.bounds.b1, B.bounds.b2
-    if omega is None:
-        omega = _omega(B, kappa, b1)
-    theta = certificate_theta(kappa, omega, b1, B.leading_zero_interval())
+    b1, b2, a1 = B.bounds.b1, B.bounds.b2, B.leading_zero_interval()
+    # on the axis and after a leading vacuum layer theta needs no omega
+    if omega is None and kappa.real != 0.0 and not (b1 == 0.0 and a1 > 0.0):
+        sw = switch_points(B)  # NotBangBang before any phase work
+        omega = _omega_from_trace(phase_trace(B, kappa), sw, b1)
+    theta = certificate_theta(kappa, omega, b1, a1)
     xs = (np.arange(_MISMATCH_SAMPLES) + 0.5) / _MISMATCH_SAMPLES
     phi, _ = mode_values(B, kappa, xs)
     y2 = (cmath.exp(1j * theta) ** 2) * phi * phi
@@ -223,6 +212,131 @@ def nonlinear_residual(B: PiecewiseStructure, kappa: complex,
     actual = B.layers.values_at(xs)
     mismatch = float(np.mean(np.abs(rebuilt - actual) > 1e-12))
     return float(theta), mismatch
+
+
+# -- the nonlinear eigenvalue problem, by shooting ----------------------------
+
+def _event(w: complex, p: complex, dp: complex, fall: float, room: float):
+    """(t, short): the first t < room (None if none) at which arg phi,
+    entering a layer of w = kappa sqrt(b) with (phi, phi') = (p, dp), has
+    fallen by `fall`, and by how much its fall at t is short.
+
+    phi = d e^{-iwt} (1 + zeta), zeta = rho e^{2iwt}, so arg phi - arg p =
+    -Re(w) t + Arg(1 + zeta) - Arg(1 + rho), continuous: Im phi'/phi <= 0
+    keeps zeta off (-inf, -1).  Newton, bisecting its bracket as needed.
+    """
+    wp, idp = w * p, 1j * dp
+    rho, a0 = (wp - idp) / (wp + idp), cmath.phase(wp / (wp + idp))
+
+    def xi(t: float) -> tuple:
+        zeta = rho * cmath.exp(2j * w * t)
+        return (fall - w.real * t + cmath.phase(1.0 + zeta) - a0,
+                (w * (zeta - 1.0) / (zeta + 1.0)).real)
+
+    if not xi(room)[0] <= 0.0:   # also a state past the float range
+        return None, 0.0
+    lo, hi, t, last = 0.0, room, 0.0, math.inf
+    for _ in range(60):
+        g, dg = xi(t)
+        lo, hi = (t, hi) if g > 0.0 else (lo, t)
+        step = g / dg if dg < 0.0 else math.inf
+        if abs(step) <= 1e-14:
+            return t - step, g - dg * step
+        # bisect where Newton leaves the bracket or |g| fails to halve
+        t, last = (t - step if lo < t - step < hi and abs(g) < 0.5 * last
+                   else 0.5 * (lo + hi)), abs(g)
+    return t, xi(t)[0]
+
+
+def _shoot(kappa: complex, theta: float, a1: float,
+           bounds: AdmissibleBounds) -> tuple:
+    """(F, breakpoints, values): phi shot from phi(0) = 1, phi'(0) = 0 at
+    Re kappa >= 0, past a vacuum layer [0, a1] when a1 > 0, with B = b2
+    where Im(e^{2i theta} phi^2) > 0, i.e. while the falling eta = arg phi^2
+    + 2 theta is in (0, pi] mod 2 pi.  Each switch is a fall of pi/2 in
+    arg phi (_event); its shortfall is carried into the next.
+    """
+    x, p, dp = a1, 1.0 + 0j, 0j
+    pts, vals = ([0.0, a1], [0.0]) if a1 > 0.0 else ([0.0], [])
+    m = math.ceil(2.0 * theta / math.pi) - 1   # eta in (m pi, (m + 1) pi]
+    fall = theta - 0.5 * m * math.pi
+    while True:
+        b, room = (bounds.b2 if m % 2 == 0 else bounds.b1), 1.0 - x
+        if fall <= 0.0:   # the level was passed within the last event's float
+            t, short = 0.0, fall
+        elif b > 0.0:
+            t, short = _event(kappa * math.sqrt(b), p, dp, fall, room)
+        else:   # phi = p + dp t: arg(1 + v t) = -fall in closed form
+            v, t, short = dp / p, None, 0.0
+            if cmath.phase(1.0 + v * room) <= -fall:
+                t = -math.sin(fall) / (cmath.exp(1j * fall) * v).imag
+        end = t is None or not t < room
+        if end or t > 0.0:   # field's layer map; a layer of zero width goes
+            c, sw = map(complex, _coefficients(
+                kappa, math.sqrt(b), room if end else t)[2:])
+            p, dp = c * p + sw * dp, c * dp - kappa * kappa * b * sw * p
+            x = 1.0 if end else x + t
+            pts.append(x)
+            vals.append(b)
+        if end:
+            return p - 1j * dp / kappa, pts, vals
+        m, fall = m - 1, 0.5 * math.pi + short
+
+
+def _solve_shot(B0: PiecewiseStructure, kappa0: complex, alpha: float,
+                bounds: AdmissibleBounds) -> tuple:
+    """(B, kappa, theta, history) at Re kappa = alpha, shot from the seed
+    medium B0 with its eigenvalue kappa0: _damped_newton drives F of _shoot
+    to zero in (Im kappa, theta), seeded by Im kappa0 and the theta that
+    puts B0's first switch on an event.  On the axis theta = pi/4 and Im
+    kappa is alone; after a leading vacuum layer (b1 = 0), where Im y^2 = 0,
+    theta is certificate_theta's and the layer's length the other unknown.
+    Re kappa < 0 is shot as its mirror.  NoConvergence (with .history)
+    unless newton_refine puts the medium's eigenvalue within _SOLVE_TOL.
+    history holds an (iteration, kappa, switches) record per Newton iterate.
+    """
+    re = abs(alpha)
+    k0 = -kappa0.conjugate() if alpha < 0.0 else kappa0
+    vacuum = re > 0.0 and bounds.b1 == 0.0 and B0.leading_zero_interval() > 0
+    fixed = -0.5 * math.pi if vacuum else 0.25 * math.pi   # certificate_theta
+    q0 = [k0.imag] + ([B0.breakpoints[1]] if vacuum else [])
+    if re > 0.0 and not vacuum:
+        # an up switch sits on eta = pi (mod 2 pi), a down switch on eta = 0
+        up = B0.n_intervals > 1 and B0.values[1] > B0.values[0]
+        xi = cmath.phase(mode_values(B0, k0, B0.breakpoints[1:2])[0][0] ** 2)
+        q0.append(0.5 * (up * math.pi - xi))
+
+    def residual(q, aux):
+        th, a1 = (fixed, q[1]) if vacuum else \
+            (q[1] if len(q) > 1 else fixed, 0.0)
+        if not (q[0] > 0.0 and 0.0 <= a1 < 1.0):
+            return None
+        try:
+            with np.errstate(all="ignore"):
+                F, pts, vals = _shoot(complex(re, q[0]), th, a1, bounds)
+        except (ZeroDivisionError, OverflowError):   # a state past the range
+            return None
+        if not abs(F) < 1e150:   # also one whose square, in |r|, overflows
+            return None
+        r = [F.real, F.imag] if len(q) > 1 else [F.real]   # real on the axis
+        record = (len(aux[0]), complex(alpha, q[0]), np.array(pts[1:-1]))
+        return np.array(r), (aux[0] + (record,), (pts, vals, th))
+
+    q, _, (history, last), why = _damped_newton(
+        residual, np.array(q0), _SHOT_ITERS, ((), None))
+    kappa, res = complex(alpha, q[0]), None
+    if last is not None:
+        try:
+            B = PiecewiseStructure(last[0], last[1], bounds)
+            res = newton_refine(B, kappa, tol=1e-11, leash=0.1)
+        except InputError:   # two events at one float
+            pass
+    if res is None or not abs(res[0] - kappa) < _SOLVE_TOL:
+        err = NoConvergence(f"no solution at Re kappa = {alpha}: {why}")
+        err.history = history
+        raise err
+    theta = 0.5 * math.pi - last[2] if alpha < 0.0 else last[2]   # mirror
+    return B, res[0], theta, history
 
 
 @dataclass(frozen=True)
@@ -235,86 +349,27 @@ class SelfConsistentResult:
     history: tuple               # (iteration, kappa, switch array) records
 
 
-def _rebuild_structure(B: PiecewiseStructure, kappa: complex, theta: float,
-                       bounds: AdmissibleBounds, n_grid: int) -> PiecewiseStructure:
-    """b1 + (b2-b1) chi_{C+}(y^2) as a structure with bisected switch points.
-
-    Every sign change of Im y^2 between grid nodes is bisected at once: each
-    of the 60 halvings evaluates the mode at all bracket midpoints together.
-    """
-    rot = cmath.exp(1j * theta) ** 2
-
-    def positive(xs: np.ndarray) -> np.ndarray:
-        phi, _ = mode_values(B, kappa, xs)
-        return (rot * phi * phi).imag > 0.0
-
-    xs = np.linspace(0.0, 1.0, n_grid + 1)
-    pos = positive(xs)
-    i = np.flatnonzero(pos[:-1] != pos[1:])
-    lo, hi, pos_lo = xs[i], xs[i + 1], pos[i]
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        same = positive(mid) == pos_lo
-        lo = np.where(same, mid, lo)
-        hi = np.where(same, hi, mid)
-    pts = np.concatenate(([0.0], 0.5 * (lo + hi), [1.0]))
-    vals = np.where(positive(0.5 * (pts[:-1] + pts[1:])), bounds.b2, bounds.b1)
-    return PiecewiseStructure(pts, vals, bounds)
-
-
 def self_consistent_solve(kappa_seed: complex, bounds: AdmissibleBounds,
                           n_grid: int = 2048,
                           B0: PiecewiseStructure | None = None
                           ) -> SelfConsistentResult:
-    """Fixed point of the nonlinear reconstruction B <- chi_{C+}(y^2).
-
-    Per round: Newton-locate kappa on the current structure, rotate the mode
-    by the certificate angle, rebuild the two-valued coefficient from the
-    sign of Im y^2, and stop once switch points move under _SWITCH_TOL and
-    kappa under _KAPPA_TOL.  The seed structure defaults to the constant b2
-    preset.  kappa_seed must be a finite number, bounds AdmissibleBounds,
-    n_grid an integer >= 1 and B0 a medium or None (InputError).
+    """B = b1 + (b2 - b1) chi_{C+}(y^2) and y = e^{i theta} phi, solved by
+    shooting (_solve_shot) at the Re kappa of B0's eigenvalue near
+    kappa_seed (LostEigenvalue if there is none); y is sampled on n_grid + 1
+    uniform points.  B0 defaults to the constant b2 preset.  kappa_seed must
+    be a finite number, bounds AdmissibleBounds, n_grid an integer >= 1 and
+    B0 a medium or None (InputError).
     """
     _as_complex(kappa_seed, "kappa_seed", finite=True)
     if not _box(bounds).b1 < bounds.b2:
         raise InputError("need b1 < b2 for a two-valued reconstruction")
     if not (_is_int(n_grid) and n_grid >= 1):
         raise InputError(f"n_grid must be an integer >= 1, not {n_grid!r}")
-    B = _piecewise(B0) if B0 is not None else constant(bounds.b2, bounds)
-    kappa = kappa_seed
-    history = []
-    for it in range(1, _FIXED_POINT_ITERS + 1):
-        res = newton_refine(B, kappa, tol=1e-9, leash=1.0)
-        if res is None:
-            raise LostEigenvalue(f"eigenvalue lost at iteration {it}")
-        kappa_new = res[0]
-        sw_old = B.breakpoints[1:-1] if it > 1 else None
-
-        try:
-            omega = _omega(B, kappa_new, bounds.b1)
-        except (InputError, NumericalError):
-            omega = 0.0
-        theta = certificate_theta(kappa_new, omega, bounds.b1,
-                                  B.leading_zero_interval())
-
-        B_new = _rebuild_structure(B, kappa_new, theta, bounds, n_grid)
-        sw_new = B_new.breakpoints[1:-1]
-        history.append((it, kappa_new, sw_new))
-
-        converged = (sw_old is not None and len(sw_old) == len(sw_new)
-                     and (len(sw_new) == 0
-                          or np.max(np.abs(sw_old - sw_new)) < _SWITCH_TOL)
-                     and abs(kappa_new - kappa) < _KAPPA_TOL)
-        B, kappa = B_new, kappa_new
-        if converged:
-            final = newton_refine(B, kappa, tol=1e-10, leash=0.1)
-            if final is not None:
-                kappa = final[0]
-            xs = np.linspace(0.0, 1.0, n_grid + 1)
-            phi, _ = mode_values(B, kappa, xs)
-            y = cmath.exp(1j * theta) * phi
-            return SelfConsistentResult(B, kappa, theta, xs, y,
-                                        tuple(history))
-    err = NoConvergence(f"no fixed point after {_FIXED_POINT_ITERS} iterations")
-    err.history = tuple(history)
-    raise err
+    B0 = _piecewise(B0) if B0 is not None else constant(bounds.b2, bounds)
+    res = newton_refine(B0, kappa_seed, tol=1e-9, leash=1.0)
+    if res is None:
+        raise LostEigenvalue(f"no eigenvalue of the seed near {kappa_seed}")
+    B, kappa, theta, history = _solve_shot(B0, res[0], res[0].real, bounds)
+    xs = np.linspace(0.0, 1.0, n_grid + 1)
+    y = cmath.exp(1j * theta) * mode_values(B, kappa, xs)[0]
+    return SelfConsistentResult(B, kappa, theta, xs, y, history)

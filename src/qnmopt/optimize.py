@@ -12,18 +12,17 @@ the vertex; a frequency re-pinning correction steps toward the vertex of
 the Im-neutral LP that moves Re kappa back to alpha.  Step sizes and
 tolerances are fixed module constants.  Optimal media take only the values
 b1 and b2, so finalization snaps every cell to its nearer bound and then
-polishes the switch positions continuously with the damped Newton of the
-sensitivity module (_damped_newton) in its secant form: one
-forward-difference Jacobian, then Broyden updates, so a Newton step costs
-one eigenvalue solve instead of 2n + 1 for n unknowns.
+solves the paper's nonlinear eigenvalue problem at Re kappa = alpha by
+shooting from the rounded medium (certificate._solve_shot), which picks
+the switches, and their number, itself.
 Multiple-eigenvalue collisions are detected through |dF/dz|: the run stops
 with CollisionDetected, whose `.partial` holds the result so far.
 
 alpha = 0 runs the same loop.  For a real medium F(i beta) is real and
 dF/dz(i beta) imaginary, so a Newton step from an axis point lands exactly
 on the axis: Re kappa stays 0.0, the pin sees no drift, Re g vanishes so
-every cell heads to the bound that the sign of -Im g picks, and the switch
-polish, whose Jacobian is singular there, keeps the rounded medium.
+every cell heads to the bound that the sign of -Im g picks, and the
+rounded medium is reported as the polished one.
 """
 from __future__ import annotations
 
@@ -37,12 +36,13 @@ import numpy as np
 from .errors import (CollisionDetected, InfeasibleError, InputError,
                      LostEigenvalue, NearMultiple, NumericalError, QnmOptError,
                      StalledDirection, ZeroFrequency)
-from .field import _jet, charF, mode_values
+from .certificate import _solve_shot
+from .field import charF
 from .medium import (AdmissibleBounds, GridStructure, PiecewiseStructure,
                      _box, _is_finite_real, _is_int, constant,
                      extremality_measure, project_to_box, round_to_extreme,
                      to_grid)
-from .sensitivity import GradientDensity, _damped_newton, eigenvalue_gradient
+from .sensitivity import GradientDensity, eigenvalue_gradient
 from .spectrum import SpectralWindow, axis_offset, locate, newton_refine
 
 __all__ = [
@@ -57,8 +57,6 @@ _STEP_SHRINK = 0.5        # Armijo backtracking factor after a rejected one
 _TOL_FREQ = 1e-8          # a pin stops within half of this of alpha
 _TOL_GRAD = 1e-10         # predicted Im decrease at which the flow stalls
 _PIN_ROUNDS = 12          # frequency re-pinning rounds per call
-_POLISH_ITERS = 60        # damped-Newton iterations of the switch polish
-_MIN_LAYER_WIDTH = 1e-4   # the polish drops layers thinner than this
 _SEED_ROOT_TOL = 1e-12    # |F| below which the seed eigenvalue is kept as is
 
 
@@ -305,7 +303,8 @@ def minimize_im_at_frequency(config: OptimizeConfig,
     Returns the final grid structure, tracked eigenvalue, per-iteration
     trajectory, and the bang-bang finalization: the rounded medium with its
     kappa and, only when its kappa is within _TOL_FREQ of alpha, the
-    switch-polished one (polished and polished_kappa are None otherwise).
+    polished one, the shooting solution of the nonlinear eigenvalue problem
+    (polished and polished_kappa are None otherwise).
     Raises ZeroFrequency for a seed_kappa with Im <= 0, InputError for a
     non-finite one or one without B0, and LostEigenvalue /
     CollisionDetected with a .partial attribute carrying the trajectory so
@@ -406,108 +405,28 @@ def minimize_im_at_frequency(config: OptimizeConfig,
 def _finalize(B: GridStructure, kappa: complex, cfg: OptimizeConfig,
               trajectory: list, status: str) -> OptimizeResult:
     """The result with the rounded medium and, when its kappa is within
-    _TOL_FREQ of alpha, the switch-polished one."""
+    _TOL_FREQ of alpha, the polished one: the shooting solution seeded by
+    the rounded medium, unless it is clearly non-local (the rounded medium
+    stands in for a failed or rejected solve)."""
     rounded = round_to_extreme(B, cfg.bounds)
-    out = OptimizeResult(B, kappa, tuple(trajectory), status)
     try:
         k_r = _track(rounded, kappa, _trust_radius(B))
-        polished, k_p = _polish_switches(rounded, k_r, cfg)
-        if not abs(k_p.real - cfg.alpha) <= _TOL_FREQ:
-            polished = k_p = None
-        return OptimizeResult(B, kappa, tuple(trajectory), status,
-                              rounded, k_r, polished, k_p)
     except (LostEigenvalue, NumericalError, InfeasibleError):
-        return out
-
-
-def _switch_sensitivities(B: PiecewiseStructure, kappa: complex) -> np.ndarray:
-    """d kappa / d x_j for each interior breakpoint (value jump * density)."""
-    xs, vals = B.breakpoints[1:-1], B.values
-    _, df, phi1 = _jet(kappa, B, 1)
-    denom = -1j * kappa * phi1 * df   # D of sensitivity.eigenvalue_gradient
-    phi, _ = mode_values(B, kappa, xs)
-    dens = -kappa ** 2 * phi ** 2 / denom
-    return (vals[:-1] - vals[1:]) * dens
-
-
-def _drop_thin_layers(B: PiecewiseStructure):
-    """Remove layers narrower than _MIN_LAYER_WIDTH (collapsed switch pairs the
-    continuum optimum wants gone); equal-valued neighbours re-merge."""
-    while B.n_intervals > 1:
-        thin = np.flatnonzero(B.layers.lengths < _MIN_LAYER_WIDTH)
-        if not thin.size:
-            return B
-        j = thin[0]
-        # the sliver merges into a neighbour
-        B = PiecewiseStructure(np.delete(B.breakpoints, max(j, 1)),
-                               np.delete(B.values, j), B.bounds)
-    return B
-
-
-def _polish_switches(B: PiecewiseStructure, kappa: complex,
-                     cfg: OptimizeConfig):
-    """Continuum refinement of switch positions at fixed values.
-
-    Runs the stationarity Newton solve, and whenever it drives a pair of
-    switches together (a sliver layer the optimum does not want), removes
-    the collapsed layer and re-solves with the reduced switch count.
-    """
-    for _ in range(4):
-        B2, k2 = _polish_newton(B, kappa, cfg)
-        cleaned = _drop_thin_layers(B2)
-        if cleaned is B2:
-            return B2, k2
-        res = newton_refine(cleaned, k2, tol=1e-9, leash=0.3)
-        if res is None:
-            return B2, k2
-        B, kappa = cleaned, res[0]
-    return B, kappa
-
-
-def _polish_newton(B: PiecewiseStructure, kappa: complex,
-                   cfg: OptimizeConfig):
-    """One damped-Newton pass on Im(dk/dx_j) = lam Re(dk/dx_j), Re k = alpha,
-    with Broyden secant steps (_damped_newton's secant policy)."""
-    if B.n_intervals == 1:
-        return B, kappa
-    vals = B.values
-    bounds = B.bounds
-
-    def build(xs):
-        pts = np.concatenate(([0.0], np.sort(xs), [1.0]))
-        if (pts[1:] - pts[:-1] < 1e-9).any():
-            return None
-        return PiecewiseStructure(pts, vals, bounds)
-
-    def residual(q, kappa_near):
-        Bq = build(q[:-1])
-        res = None if Bq is None else \
-            newton_refine(Bq, kappa_near, tol=1e-9, leash=0.5)
-        if res is None:
-            return None
-        kq = res[0]
-        sens = _switch_sensitivities(Bq, kq)
-        return np.append(sens.imag - q[-1] * sens.real, kq.real - cfg.alpha), kq
-
-    # keep the rounded medium after an infeasible start or failed damping
-    # (an iterate away from any stationary point); one stopped by an
-    # infeasible difference point has collapsing switches, which
-    # _polish_switches drops before it polishes again
-    q, r, kappa_cur, why = _damped_newton(
-        residual, np.append(B.breakpoints[1:-1], 0.0), _POLISH_ITERS, kappa,
-        secant=True)
-    if r is None or why == "damping failed":
-        return B, kappa
-    Bq = build(q[:-1])
-    res = newton_refine(Bq, kappa_cur, tol=1e-11, leash=0.5)
-    if res is None:
-        return B, kappa
-    kp = res[0]
-    # pinning Re exactly to alpha may cost a little Im; only reject clearly
-    # non-local outcomes
-    if kp.imag <= 0 or kp.imag > kappa.imag + 0.02 or abs(kp - kappa) > 0.3:
-        return B, kappa
-    return Bq, kp
+        return OptimizeResult(B, kappa, tuple(trajectory), status)
+    polished, k_p = rounded, k_r
+    if cfg.alpha != 0.0:   # on the axis the rounded medium is the answer
+        try:
+            shot, k_s, _, _ = _solve_shot(rounded, k_r, cfg.alpha, cfg.bounds)
+        except NumericalError:
+            pass
+        else:
+            # pinning Re exactly to alpha may cost a little Im
+            if 0.0 < k_s.imag <= k_r.imag + 0.02 and abs(k_s - k_r) <= 0.3:
+                polished, k_p = shot, k_s
+    if not abs(k_p.real - cfg.alpha) <= _TOL_FREQ:
+        polished = k_p = None
+    return OptimizeResult(B, kappa, tuple(trajectory), status,
+                          rounded, k_r, polished, k_p)
 
 
 # -- frequency sweeps ---------------------------------------------------------------

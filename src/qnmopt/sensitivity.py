@@ -12,9 +12,10 @@ simple-root floor.  Multiple eigenvalues instead split along r Puiseux
 branches ~ c1 zeta^(1/r); splitting_probe measures that exponent and
 coefficient against the formula, whose F^(r) (2 <= r <= 6; dzF_higher)
 and phi(1) come off one order-r jet, exact to rounding.  find_double_eigenvalue
-builds the two-layer double root the tests use; it and the optimizer's
-switch polish share one damped-Newton driver, _damped_newton, the polish
-with Broyden secant steps.
+builds the two-layer double root the tests use; it and the shooting solve
+of the paper's nonlinear eigenvalue problem (certificate._solve_shot)
+share one damped-Newton driver, _damped_newton, with central-difference
+Jacobians.
 """
 from __future__ import annotations
 
@@ -240,82 +241,45 @@ _FD_STEP = 1e-7         # relative step of the difference Jacobian
 _HALVINGS = 30          # step halvings tried before damping gives up
 
 
-def _difference_jacobian(residual, q, r, aux, central: bool):
-    """Central differences of residual at q and aux, or forward ones from
-    r = residual(q); None where a difference point is infeasible."""
-    J = np.empty((len(r), len(q)))
-    for j in range(len(q)):
-        e = np.zeros(len(q))
-        e[j] = _FD_STEP * (1.0 + abs(q[j]))
-        rp = residual(q + e, aux)
-        rm = residual(q - e, aux) if central else (r, aux)
-        if rp is None or rm is None:
-            return None
-        J[:, j] = (rp[0] - rm[0]) / (2.0 * e[j] if central else e[j])
-    return J
-
-
-def _damped_newton(residual, q: np.ndarray, max_iters: int, aux=None,
-                   secant=False):
+def _damped_newton(residual, q: np.ndarray, max_iters: int, aux=None):
     """Damped Newton on residual(q, aux) -> (r, aux), or None off the domain.
 
-    aux carries state from one residual call to the next (a root to track
-    from).  By default every step takes a central-difference Jacobian at
-    the current iterate's aux (2n residual calls for n unknowns) and is
-    halved until |r| drops.  With secant set, one forward-difference
-    Jacobian (n calls) is kept by Broyden's rank-one update
-    J += (dr - J dq) dq^T / (dq^T dq) after every accepted step (Math.
-    Comp. 19, 1965), so a step costs one call; a secant step that does not
-    lower |r| at full length, or a singular updated J, is taken again from
-    a fresh forward-difference Jacobian, with the same halving.  The double
-    root of find_double_eigenvalue keeps the central default: a double zero
-    moves like the square root of the residual, and secant steps stop just
-    under _NEWTON_TOL where the last Newton step lands near 1e-15.  Returns
-    (q, r, aux, why) at the last accepted iterate: why is None once
-    |r| < _NEWTON_TOL, else the reason the iteration stopped, and r is None
-    when the start itself is infeasible.
+    aux carries state from one accepted iterate to the next (a record of
+    the iterates); difference and rejected points leave it alone.  Each
+    step takes a central-difference Jacobian (2n residual calls for n
+    unknowns) and is halved until |r| drops.  Returns (q, r, aux, why) at
+    the last accepted iterate: why is None once |r| < _NEWTON_TOL, else the
+    reason the iteration stopped; r is None for an infeasible start.
     """
     out = residual(q, aux)
     if out is None:
         return q, None, aux, "infeasible start"
     r, aux = out
-    J = None   # the secant Jacobian; None takes a fresh one
     for _ in range(max_iters):
         nrm = float(np.linalg.norm(r))
         if nrm < _NEWTON_TOL:
             return q, r, aux, None
-        out = None
-        if J is not None:
-            try:
-                step = np.linalg.solve(J, r)
-            except np.linalg.LinAlgError:
-                pass
-            else:
-                out = residual(q - step, aux)
-                if out is not None and not float(np.linalg.norm(out[0])) < nrm:
-                    out = None
-        if out is None:
-            J = _difference_jacobian(residual, q, r, aux, not secant)
-            if J is None:
+        J = np.empty((len(r), len(q)))
+        for j in range(len(q)):   # central differences
+            e = np.zeros(len(q))
+            e[j] = _FD_STEP * (1.0 + abs(q[j]))
+            rp, rm = residual(q + e, aux), residual(q - e, aux)
+            if rp is None or rm is None:
                 return q, r, aux, "infeasible difference point"
-            try:
-                step = np.linalg.solve(J, r)
-            except np.linalg.LinAlgError:
-                return q, r, aux, "singular Jacobian"
-            lam = 1.0
-            for _ in range(_HALVINGS):
-                out = residual(q - lam * step, aux)
-                if out is not None and float(np.linalg.norm(out[0])) < nrm:
-                    break
-                lam *= 0.5
-            else:
-                return q, r, aux, "damping failed"
-            step = lam * step
-        if secant:   # Broyden's update for the step dq = -step just taken
-            J -= np.outer(out[0] - r + J @ step, step) / (step @ step)
+            J[:, j] = (rp[0] - rm[0]) / (2.0 * e[j])
+        try:
+            step = np.linalg.solve(J, r)
+        except np.linalg.LinAlgError:
+            return q, r, aux, "singular Jacobian"
+        lam = 1.0
+        for _ in range(_HALVINGS):
+            out = residual(q - lam * step, aux)
+            if out is not None and float(np.linalg.norm(out[0])) < nrm:
+                break
+            lam *= 0.5
         else:
-            J = None
-        q = q - step
+            return q, r, aux, "damping failed"
+        q = q - lam * step
         r, aux = out
     if float(np.linalg.norm(r)) < _NEWTON_TOL:
         return q, r, aux, None

@@ -75,7 +75,7 @@ def test_traced_names_exist(monkeypatch):
 
 # defaulted parameters over src/qnmopt; a new option is a deliberate edit here
 MAX_PUBLIC_DEFAULTS = 12
-MAX_PRIVATE_DEFAULTS = 3
+MAX_PRIVATE_DEFAULTS = 2
 
 
 def _defaulted_parameters():

@@ -143,8 +143,8 @@ class TestDegenerateLowerBound:
         assert abs(sc.kappa - res.polished_kappa) < 1e-8
 
     def test_leading_zero_interval_machinery(self):
-        from qnmopt.certificate import (_rebuild_structure, certificate_theta,
-                                        _omega_from_trace)
+        from qnmopt.certificate import (_omega_from_trace, _shoot,
+                                        certificate_theta)
         from qnmopt.medium import switch_points
         bounds = AdmissibleBounds(0.0, 4.0)
         B = PiecewiseStructure((0.0, 0.25, 0.55, 0.8, 1.0),
@@ -158,12 +158,18 @@ class TestDegenerateLowerBound:
         assert omega == 0.0  # switches of the degenerate family sit on R
         theta = certificate_theta(ev.kappa, omega, 0.0, tr.a1)
         assert theta == pytest.approx(-math.pi / 2)
-        # the reconstruction preserves the leading zero interval; the switch
-        # there is a tangential touch of Im y^2 = 0 (quadratic growth), so
-        # the bisected location carries a ~sqrt(eps) boundary fuzz
-        rebuilt = _rebuild_structure(B, ev.kappa, theta, bounds, 1024)
-        assert rebuilt.breakpoints[1] == pytest.approx(0.25, abs=1e-7)
-        assert rebuilt.values[0] == 0.0
+        # the shot keeps the vacuum length a1, the branch's second unknown,
+        # exact; the sampled rebuild meets Im y^2 = 0 there tangentially
+        # (quadratic growth) and finds it to ~sqrt(eps) only
+        _, pts, vals = _shoot(ev.kappa, theta, 0.25, bounds)
+        shot = PiecewiseStructure(pts, vals, bounds)
+        assert shot.values[0] == 0.0
+        assert abs(shot.breakpoints[1] - 0.25) <= 1e-12
+        ref = reference_rebuild(shot, ev.kappa, theta, bounds, 1024)
+        assert ref.values.tolist() == shot.values.tolist()
+        assert ref.breakpoints[1] == pytest.approx(0.25, abs=1e-7)
+        np.testing.assert_allclose(ref.breakpoints[2:], shot.breakpoints[2:],
+                                   rtol=0, atol=1e-12)
 
 
 class TestSelfConsistent:
@@ -188,9 +194,42 @@ class TestSelfConsistent:
         # y = e^{i theta} phi: y(0) = e^{i theta}
         assert abs(res.y[0] - np.exp(1j * res.theta)) < 1e-12
 
+    def test_history_records_each_newton_iterate(self, box14, pi_optimum):
+        # a displaced switch: the seed's eigenvalue leaves the solution, and
+        # Newton takes several iterates back at the seed's Re kappa
+        B = pi_optimum.polished
+        pts = B.breakpoints.copy()
+        pts[1] += 0.01
+        B0 = PiecewiseStructure(pts, B.values, box14)
+        k0 = newton_refine(B0, pi_optimum.polished_kappa, tol=1e-9,
+                           leash=1.0)[0]
+        res = self_consistent_solve(k0, box14, n_grid=100, B0=B0)
+        assert len(res.history) >= 3
+        assert [h[0] for h in res.history] == list(range(len(res.history)))
+        assert all(h[1].real == k0.real for h in res.history)
+        assert abs(res.kappa - res.history[-1][1]) < 1e-10
+        np.testing.assert_allclose(res.history[-1][2], res.B.breakpoints[1:-1],
+                                   rtol=0, atol=1e-12)
+        # n_grid only sets the sampling of y
+        assert len(res.xs) == len(res.y) == 101
+
+    def test_mirror_seed_gives_the_mirror_solution(self, box14, pi_optimum):
+        B, kappa = pi_optimum.polished, pi_optimum.polished_kappa
+        res = self_consistent_solve(kappa, box14, n_grid=64, B0=B)
+        mirror = self_consistent_solve(-kappa.conjugate(), box14, n_grid=64,
+                                       B0=B)
+        assert mirror.B == res.B
+        assert mirror.kappa == -res.kappa.conjugate()
+        # phi is conjugated and theta goes to pi/2 - theta: y to i conj(y),
+        # so Im y^2 and the medium it rebuilds stay the same
+        np.testing.assert_allclose(mirror.y, 1j * np.conj(res.y), rtol=0,
+                                   atol=1e-12)
+
 
 def reference_rebuild(B, kappa, theta, bounds, n_grid):
-    """The per-switch scalar bisection that `_rebuild_structure` replaced."""
+    """b1 + (b2 - b1) chi_{C+}(e^{2i theta} phi^2) with its switches found by
+    scalar bisection of the sign of Im y^2 sampled on n_grid cells: an
+    oracle for the shooting solve that shares no event code with it."""
     import cmath
     from qnmopt.field import mode_values
     xs = np.linspace(0.0, 1.0, n_grid + 1)
@@ -226,36 +265,27 @@ STORED_OPTIMA = (Path(__file__).resolve().parent.parent
 
 
 class TestRebuildStructure:
-    """The batched bisection reproduces the scalar one switch for switch."""
+    """The shooting solve against the scalar bisection of the sampled sign
+    of Im y^2: the solved medium is what reference_rebuild finds from the
+    solved (B, kappa, theta), switch for switch."""
 
     @pytest.mark.parametrize("index", range(3))
     def test_matches_scalar_bisection_on_stored_optima(self, index):
-        from qnmopt.certificate import (_omega_from_trace, _rebuild_structure,
-                                        certificate_theta)
-        from qnmopt.medium import switch_points
         rec = json.loads(STORED_OPTIMA.read_text(encoding="utf-8"))[index]
         B = PiecewiseStructure.from_json_dict(rec["structure"])
-        kappa = newton_refine(B, complex(*rec["kappa"]), tol=1e-9,
-                              leash=1.0)[0]
-        omega = _omega_from_trace(phase_trace(B, kappa), switch_points(B),
-                                  B.bounds.b1)
-        theta = certificate_theta(kappa, omega, B.bounds.b1,
-                                  B.leading_zero_interval())
-        for n_grid in (256, 2048):
-            new = _rebuild_structure(B, kappa, theta, B.bounds, n_grid)
-            old = reference_rebuild(B, kappa, theta, B.bounds, n_grid)
-            assert len(new.breakpoints) > 2
-            assert new.breakpoints.tolist() == old.breakpoints.tolist()
-            assert new.values.tolist() == old.values.tolist()
+        sc = self_consistent_solve(complex(*rec["kappa"]), B.bounds,
+                                   n_grid=2048, B0=B)
+        ref = reference_rebuild(sc.B, sc.kappa, sc.theta, B.bounds, 2048)
+        assert len(sc.B.breakpoints) > 2
+        assert ref.values.tolist() == sc.B.values.tolist()
+        np.testing.assert_allclose(ref.breakpoints, sc.B.breakpoints,
+                                   rtol=0, atol=1e-12)
 
     def test_constant_rebuild_without_switches(self, box14):
-        from qnmopt.certificate import _rebuild_structure
-        B = constant(4.0, box14)
-        kappa = 1j * LN3_4
-        new = _rebuild_structure(B, kappa, 0.25 * math.pi, box14, 64)
-        old = reference_rebuild(B, kappa, 0.25 * math.pi, box14, 64)
-        assert new == old
-        assert new.values.tolist() == [4.0]
+        sc = self_consistent_solve(0.27j, box14, n_grid=64)
+        ref = reference_rebuild(sc.B, sc.kappa, sc.theta, box14, 64)
+        assert ref == sc.B
+        assert sc.B.values.tolist() == [4.0]
 
 
 _BOX = AdmissibleBounds(1.0, 4.0)

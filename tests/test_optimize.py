@@ -15,7 +15,7 @@ from qnmopt.field import charF_many
 from qnmopt.medium import (AdmissibleBounds, GridStructure, PiecewiseStructure,
                            constant, random_bang_bang, to_grid)
 from qnmopt.optimize import (_TOL_FREQ, _TOL_GRAD, OptimizeConfig,
-                             _drop_thin_layers, _lp_direction, _track,
+                             _lp_direction, _track,
                              best_constant_seed, constant_upper_bound,
                              minimize_im_at_frequency, step_direction, sweep_I)
 from qnmopt.sensitivity import GradientDensity, eigenvalue_gradient
@@ -359,6 +359,7 @@ class TestAxisOptimization:
         assert res.rounded_kappa.real == 0.0
         assert res.polished_kappa.real == 0.0
         assert res.polished_kappa.imag <= res.rounded_kappa.imag + 1e-12
+        assert res.polished == res.rounded
 
 
 class TestFrequencyPinning:
@@ -398,45 +399,31 @@ class TestTrackFallback:
             _track(B, self.ROOT + 1.0, 0.05)
 
 
-class TestDropThinLayers:
-    def test_interior_sliver(self, box14):
-        B = PiecewiseStructure((0.0, 0.3, 0.30005, 0.6, 1.0),
-                               (1.0, 4.0, 1.0, 4.0), box14)
-        out = _drop_thin_layers(B)
-        assert out.breakpoints.tolist() == [0.0, 0.6, 1.0]
-        assert out.values.tolist() == [1.0, 4.0]
-
-    def test_leading_sliver(self, box14):
-        B = PiecewiseStructure((0.0, 5e-5, 0.5, 1.0), (4.0, 1.0, 4.0), box14)
-        out = _drop_thin_layers(B)
-        assert out.breakpoints.tolist() == [0.0, 0.5, 1.0]
-        assert out.values.tolist() == [1.0, 4.0]
-
-
 class TestPolishAcceptance:
-    """A switch polish whose damping failed does not replace the rounded
-    medium.  On bounds (1, 9) the iterate it stopped at held a 1.9e-9 layer
-    and re-solved to a larger Im k than the grid's.  At alpha = 5.3 the
-    polish keeps the rounded medium, whose Re k is 3.4e-3 off alpha, so
-    there is no polished result; at 7.7 the polish lands on alpha."""
+    """The shooting solve replaces the rounded medium only with a solution
+    at Re k = alpha.  On bounds (1, 9) at alpha = 5.3 the rounded medium's
+    Re k is 3.4e-3 off alpha; the solve reaches a 10-switch medium at alpha
+    whose Im k is below the grid's and which passes the switch certificate.
+    At 7.7 it lands on alpha with 14 switches."""
 
     @pytest.mark.parametrize("alpha", [5.3, 7.7])
     def test_failed_polish_is_not_kept(self, alpha):
         cfg = OptimizeConfig(alpha=alpha, bounds=AdmissibleBounds(1.0, 9.0),
                              n_cells=128)
         res = minimize_im_at_frequency(cfg)
+        assert abs(res.polished_kappa.real - alpha) <= _TOL_FREQ
+        assert res.polished_kappa.imag <= res.kappa.imag
         if alpha == 5.3:
-            assert res.polished is None and res.polished_kappa is None
             assert abs(res.rounded_kappa.real - alpha) > 1e-3
-            assert res.rounded_kappa.imag <= res.kappa.imag
-        else:
-            assert abs(res.polished_kappa.real - alpha) <= _TOL_FREQ
-            assert res.polished_kappa.imag <= res.kappa.imag
+            cert = switch_alignment(res.polished, res.polished_kappa)
+            assert cert.max_deviation < 0.05
+            assert cert.max_interval_variation <= math.pi + 0.05
 
     def test_off_frequency_polish_is_not_reported(self):
-        """Here the polish keeps the rounded medium, 0.013 off alpha: the
-        result has no polished medium, and `qnmopt optimize` writes the
-        rounded one with its own kappa, not the grid's."""
+        """Here the shooting solve finds no solution and the rounded medium,
+        0.013 off alpha, stays: the result has no polished medium, and
+        `qnmopt optimize` writes the rounded one with its own kappa, not the
+        grid's."""
         cfg = OptimizeConfig(alpha=9.4, bounds=AdmissibleBounds(0.5, 3.0),
                              n_cells=64)
         res = minimize_im_at_frequency(cfg)
@@ -445,10 +432,9 @@ class TestPolishAcceptance:
         assert abs(res.kappa.real - 9.4) <= _TOL_FREQ
 
     def test_collapsing_polish_is_kept(self):
-        """Here the polish stops at an infeasible difference point: two
-        switches collapse, the sliver is dropped and the re-polish lands on
-        a three-interval medium at Re k = alpha that passes the switch
-        certificate."""
+        """Here the rounded medium has three switches and the shot two: it
+        lands on a three-interval medium at Re k = alpha that passes the
+        switch certificate."""
         cfg = OptimizeConfig(alpha=2.2, bounds=AdmissibleBounds(1.0, 4.0),
                              n_cells=128)
         res = minimize_im_at_frequency(cfg)
@@ -456,6 +442,33 @@ class TestPolishAcceptance:
         assert abs(res.polished_kappa.real - 2.2) <= 1e-8
         cert = switch_alignment(res.polished, res.polished_kappa)
         assert cert.max_deviation < 0.05
+
+
+class TestShootingPolish:
+    """The shooting solve lands where the Broyden switch polish it replaced
+    landed, at frequencies and boxes beyond the acceptance set: polished
+    Im k and switch counts recorded from that polish, on box (1, 4) with
+    256 cells and box (1, 9) with 128."""
+
+    RECORD = {(2.5, 4.0, 256): (0.28490695961491347, 2),
+              (4.0, 4.0, 256): (0.09603200971619688, 4),
+              (5.3, 4.0, 256): (0.060731755988195295, 6),
+              (7.7, 4.0, 256): (0.016895275345428232, 8),
+              (9.4, 4.0, 256): (0.008097612016163958, 10),
+              (7.7, 9.0, 128): (0.007539799511467172, 14)}
+
+    @pytest.mark.parametrize("alpha,b2,n_cells", list(RECORD))
+    def test_matches_the_polish_record(self, alpha, b2, n_cells):
+        cfg = OptimizeConfig(alpha=alpha, bounds=AdmissibleBounds(1.0, b2),
+                             n_cells=n_cells)
+        res = minimize_im_at_frequency(cfg)
+        im, n_switches = self.RECORD[alpha, b2, n_cells]
+        assert abs(res.polished_kappa.imag - im) <= 1e-12
+        assert abs(res.polished_kappa.real - alpha) <= _TOL_FREQ
+        assert res.polished.n_intervals == n_switches + 1
+        cert = switch_alignment(res.polished, res.polished_kappa)
+        assert cert.max_deviation < 1e-10
+        assert cert.nonlinear_mismatch == 0.0
 
 
 class TestConfigValidation:
@@ -618,43 +631,6 @@ class TestSweep:
         entries = sweep_I([0.1], cfg)
         assert entries[0].error is not None
         assert math.isnan(entries[0].I_alpha)
-
-
-class TestSecantPolish:
-    """The switch polish keeps one forward-difference Jacobian by Broyden's
-    update instead of a central-difference one per Newton step (29, 56 and
-    115 residual calls at the acceptance frequencies), and lands where the
-    central-difference polish does."""
-
-    def test_work_and_agreement(self, box14, monkeypatch):
-        import qnmopt.optimize as opt
-        from qnmopt.sensitivity import _damped_newton
-        calls = []
-
-        def policy(secant_on):
-            def damped(residual, q, max_iters, aux=None, secant=False):
-                def counted(qq, a):
-                    calls.append(secant_on)
-                    return residual(qq, a)
-                return _damped_newton(counted, q, max_iters, aux,
-                                      secant=secant and secant_on)
-            return damped
-
-        cfgs = [OptimizeConfig(alpha=alpha, bounds=box14, n_cells=256)
-                for alpha in (math.pi / 2, math.pi, 2 * math.pi)]
-        for cfg, res in [(c, minimize_im_at_frequency(c)) for c in cfgs]:
-            B, k = res.rounded, res.rounded_kappa
-            monkeypatch.setattr(opt, "_damped_newton", policy(True))
-            secant, k_s = opt._polish_switches(B, k, cfg)
-            monkeypatch.setattr(opt, "_damped_newton", policy(False))
-            central, k_c = opt._polish_switches(B, k, cfg)
-            assert secant == res.polished and k_s == res.polished_kappa
-            assert abs(k_s - k_c) <= 1e-12
-            assert secant.n_intervals == central.n_intervals
-            np.testing.assert_allclose(secant.breakpoints, central.breakpoints,
-                                       rtol=0, atol=1e-10)
-        assert 0 < calls.count(True) <= 80
-        assert calls.count(False) >= 150   # the central Newton's 200
 
 
 _ALPHAS = [0.0, math.pi, -2.5, 1.0, 40.0, 1e-3, math.nan, "1", None]

@@ -402,43 +402,6 @@ class TestDampedNewton:
             # the last accepted iterate comes back with its residual
             assert r[0] == residual(q, None)[0][0]
 
-    @pytest.mark.parametrize("residual,q0,max_iters,why", [
-        (_scalar(lambda x: x ** 3 - 8.0), 3.0, 60, None),
-        (_scalar(lambda x: x - 1.0, lambda x: x > 0), -1.0, 60,
-         "infeasible start"),
-        # a forward difference steps up only
-        (_scalar(lambda x: x - 1.0, lambda x: x <= 0), 0.0, 60,
-         "infeasible difference point"),
-        (_scalar(lambda x: 1.0 + 0.0 * x), 0.0, 60, "singular Jacobian"),
-        (_scalar(lambda x: 2.0 + x + 2.0 * abs(x)), 0.0, 60,
-         "damping failed"),
-        (_scalar(lambda x: x ** 3 - 8.0), 3.0, 1, "max_iters = 1 reached"),
-    ], ids=["converged", "start", "difference", "singular", "damping",
-            "budget"])
-    def test_secant_stop_reasons(self, residual, q0, max_iters, why):
-        q, r, aux, got = _damped_newton(residual, np.array([q0]), max_iters,
-                                        aux="kept", secant=True)
-        assert got == why
-        assert aux == "kept"
-        if why is None:
-            assert abs(q[0] - 2.0) < 1e-12 and abs(r[0]) < 1e-12
-
-    def test_secant_takes_fewer_calls(self):
-        # a circle cut by a line: one Jacobian of 2 columns, then one call
-        # a step, against 4 + 1 a step for central differences
-        calls = []
-
-        def residual(q, aux):
-            calls.append(aux)
-            return np.array([q @ q - 4.0, q[0] - q[1]]), aux
-
-        for secant in (False, True):
-            q, _, _, why = _damped_newton(residual, np.array([1.5, 1.0]), 60,
-                                          aux=secant, secant=secant)
-            assert why is None
-            np.testing.assert_allclose(q, [math.sqrt(2.0)] * 2, rtol=1e-12)
-        assert calls.count(True) < calls.count(False) * 3 // 4
-
 
 class TestHigherDerivatives:
     def test_second_derivative_of_unit_medium(self):
