@@ -9,7 +9,9 @@ same geometry makes y = e^{i theta} phi solve the paper's nonlinear
 eigenvalue problem y'' = -kappa^2 B y, y'(0) = 0, F = 0 at x = 1, with
 B = b2 where Im y^2 > 0 and b1 elsewhere.  At a fixed Re kappa its two
 real unknowns are (Im kappa, theta); the optimizer's polish and
-self_consistent_solve both solve it by shooting (_solve_shot).
+self_consistent_solve both solve it by shooting (_solve_shot).  Per layer
+arg phi has a closed form (_arg_phi): the shot's switch events solve it,
+and phase_trace evaluates it, with no sampled unwrap to lose turns of 2 pi.
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (InputError, LostEigenvalue, NoConvergence, NotAtRoot,
-                     OnImaginaryAxis, PhaseJump)
+                     OnImaginaryAxis)
 from .field import _coefficients, charF, mode_values
 from .medium import (AdmissibleBounds, GridStructure, PiecewiseStructure,
                      _as_complex, _box, _is_finite_real, _is_int, constant,
@@ -35,7 +37,6 @@ __all__ = [
 ]
 
 _ROOT_TOL = 1e-7
-_MAX_TRACE_POINTS = 200_000   # phase-trace samples before refinement stops
 _MISMATCH_SAMPLES = 4096      # midpoint samples of the nonlinear mismatch
 _SHOT_ITERS = 20              # damped-Newton iterations of _solve_shot
 _SOLVE_TOL = 1e-8             # the shot's kappa and its medium's eigenvalue
@@ -68,13 +69,34 @@ class PhaseTrace:
         return float(np.interp(x, self.xs, self.xi))
 
 
-def phase_trace(B: PiecewiseStructure, kappa: complex) -> PhaseTrace:
-    """Unwrapped phase of phi^2 with adaptive refinement.
+def _arg_phi(w: complex, p: complex, dp: complex, t, start: float) -> tuple:
+    """(arg phi(x0 + t), Im phi'/phi there) on the branch with arg phi(x0)
+    = start, for phi entering a layer of w = kappa sqrt(b) at x0 with
+    (phi, phi') = (p, dp), at Re kappa > 0; t is a float or an array.
 
-    Refines until adjacent samples differ by under pi/2; a persistent jump
-    signals phi passing through 0, which cannot happen off the real axis
-    for positive media, so it is reported as numerical failure (PhaseJump).
-    B must be a medium and kappa a number (InputError).
+    phi = d e^{-iwt} (1 + zeta), zeta = rho e^{2iwt}, rho = (wp - i dp) /
+    (wp + i dp), so arg phi - arg p = -Re(w) t + Arg(1 + zeta) - Arg(1 +
+    rho), continuous: Im phi'/phi <= 0 keeps zeta off (-inf, -1).  At b = 0
+    phi = p + dp t, and it is Arg(1 + (dp/p) t).
+    """
+    exp, arg = (np.exp, np.angle) if isinstance(t, np.ndarray) \
+        else (cmath.exp, cmath.phase)
+    if w == 0.0:
+        v = dp / p
+        return start + arg(1.0 + v * t), (v / (1.0 + v * t)).imag
+    wp, idp = w * p, 1j * dp
+    zeta = (wp - idp) / (wp + idp) * exp(2j * w * t)
+    return (start - w.real * t + arg(1.0 + zeta) - arg(wp / (wp + idp)),
+            (w * (zeta - 1.0) / (zeta + 1.0)).real)
+
+
+def phase_trace(B: PiecewiseStructure, kappa: complex) -> PhaseTrace:
+    """xi = arg phi^2 at 24 points a layer and the breakpoints, in closed
+    form: twice arg phi, carried from layer to layer by _arg_phi from each
+    layer's entry state, with no sampled unwrap.  Re kappa < 0 is traced
+    as its mirror, xi(-conj kappa) = -xi(kappa).
+    B must be a medium and kappa a number (InputError), an eigenvalue
+    (NotAtRoot) off the imaginary axis (OnImaginaryAxis).
     """
     B = _piecewise(B)
     _as_complex(kappa, "kappa", finite=False)
@@ -82,33 +104,19 @@ def phase_trace(B: PiecewiseStructure, kappa: complex) -> PhaseTrace:
         raise OnImaginaryAxis("phi is real on the axis; the phase is 0 or pi")
     if not abs(charF(kappa, B)) < _ROOT_TOL:
         raise NotAtRoot(f"kappa = {kappa} is not an eigenvalue")
-    a1 = B.leading_zero_interval()
-    xs = [0.0]
-    for x0, x1 in zip(B.breakpoints[:-1], B.breakpoints[1:]):
-        n = 24
-        xs.extend(np.linspace(x0, x1, n + 1)[1:])
-    xs = np.unique(np.concatenate((xs, B.breakpoints)))
-
-    for _ in range(40):
-        phi, _ = mode_values(B, kappa, xs)
-        phi2 = phi * phi
-        if np.any(phi2 == 0):
-            raise PhaseJump("phi vanished on a sample point")
-        dphase = np.angle(phi2[1:] / phi2[:-1])
-        bad = np.abs(dphase) >= 0.5 * math.pi
-        if not bad.any():
-            xi = np.concatenate(([0.0], np.cumsum(dphase)))
-            sign = -1 if kappa.real > 0 else (1 if kappa.real < 0 else 0)
-            return PhaseTrace(xs, xi, a1, sign)
-        if len(xs) > _MAX_TRACE_POINTS:
-            break
-        mids = 0.5 * (xs[:-1] + xs[1:])
-        gaps = xs[1:] - xs[:-1]
-        insert = mids[bad & (gaps > 1e-12)]
-        if len(insert) == 0:
-            break
-        xs = np.sort(np.concatenate((xs, insert)))
-    raise PhaseJump("phase continuity not reachable at the floor step")
+    sign, k = (-1, kappa) if kappa.real > 0 else (1, -kappa.conjugate())
+    bps = B.breakpoints
+    p, dp = (v.tolist() for v in mode_values(B, k, bps[:-1]))
+    xs, phases, phase = [np.zeros(1)], [np.zeros(1)], 0.0
+    for x0, x1, w, p0, dp0 in zip(bps[:-1], bps[1:],
+                                  (k * np.sqrt(B.values)).tolist(), p, dp):
+        x = np.linspace(x0, x1, 25)[1:]
+        xs.append(x)
+        phases.append(_arg_phi(w, p0, dp0, x - x0, phase)[0])
+        phase = phases[-1][-1]
+    xs, first = np.unique(np.concatenate(xs), return_index=True)
+    xi = -2.0 * sign * np.concatenate(phases)[first]
+    return PhaseTrace(xs, xi, B.leading_zero_interval(), sign)
 
 
 @dataclass(frozen=True)
@@ -154,8 +162,9 @@ def switch_alignment(B: PiecewiseStructure, kappa: complex) -> SwitchCertificate
 
     omega follows the first switch (its phase for an up switch, shifted by
     pi for a down switch); up switches are then measured against omega and
-    down switches against omega + pi, modulo 2 pi.  B must be a medium and
-    kappa a number (InputError).
+    down switches against omega + pi, modulo 2 pi.  The phases are exact at
+    the switches (phase_trace), and xi is monotone, so an interval's ends
+    give its variation.  B must be a medium and kappa a number (InputError).
     """
     B = _piecewise(B)
     _as_complex(kappa, "kappa", finite=False)
@@ -219,25 +228,15 @@ def nonlinear_residual(B: PiecewiseStructure, kappa: complex,
 def _event(w: complex, p: complex, dp: complex, fall: float, room: float):
     """(t, short): the first t < room (None if none) at which arg phi,
     entering a layer of w = kappa sqrt(b) with (phi, phi') = (p, dp), has
-    fallen by `fall`, and by how much its fall at t is short.
-
-    phi = d e^{-iwt} (1 + zeta), zeta = rho e^{2iwt}, so arg phi - arg p =
-    -Re(w) t + Arg(1 + zeta) - Arg(1 + rho), continuous: Im phi'/phi <= 0
-    keeps zeta off (-inf, -1).  Newton, bisecting its bracket as needed.
+    fallen by `fall`, and by how much its fall at t is short: Newton on
+    _arg_phi started at `fall`, which falls to 0 there, bisecting its
+    bracket as needed.
     """
-    wp, idp = w * p, 1j * dp
-    rho, a0 = (wp - idp) / (wp + idp), cmath.phase(wp / (wp + idp))
-
-    def xi(t: float) -> tuple:
-        zeta = rho * cmath.exp(2j * w * t)
-        return (fall - w.real * t + cmath.phase(1.0 + zeta) - a0,
-                (w * (zeta - 1.0) / (zeta + 1.0)).real)
-
-    if not xi(room)[0] <= 0.0:   # also a state past the float range
+    if not _arg_phi(w, p, dp, room, fall)[0] <= 0.0:   # also past the range
         return None, 0.0
     lo, hi, t, last = 0.0, room, 0.0, math.inf
     for _ in range(60):
-        g, dg = xi(t)
+        g, dg = _arg_phi(w, p, dp, t, fall)
         lo, hi = (t, hi) if g > 0.0 else (lo, t)
         step = g / dg if dg < 0.0 else math.inf
         if abs(step) <= 1e-14:
@@ -245,7 +244,7 @@ def _event(w: complex, p: complex, dp: complex, fall: float, room: float):
         # bisect where Newton leaves the bracket or |g| fails to halve
         t, last = (t - step if lo < t - step < hi and abs(g) < 0.5 * last
                    else 0.5 * (lo + hi)), abs(g)
-    return t, xi(t)[0]
+    return t, _arg_phi(w, p, dp, t, fall)[0]
 
 
 def _shoot(kappa: complex, theta: float, a1: float,
@@ -268,7 +267,7 @@ def _shoot(kappa: complex, theta: float, a1: float,
             t, short = _event(kappa * math.sqrt(b), p, dp, fall, room)
         else:   # phi = p + dp t: arg(1 + v t) = -fall in closed form
             v, t, short = dp / p, None, 0.0
-            if cmath.phase(1.0 + v * room) <= -fall:
+            if _arg_phi(0j, p, dp, room, fall)[0] <= 0.0:
                 t = -math.sin(fall) / (cmath.exp(1j * fall) * v).imag
         end = t is None or not t < room
         if end or t > 0.0:   # field's layer map; a layer of zero width goes

@@ -86,10 +86,6 @@ class CollisionDetected(NumericalError):
 
 # -- certificate --------------------------------------------------------------
 
-class PhaseJump(NumericalError):
-    """Phase trace could not be made continuous at the floor step."""
-
-
 class OnImaginaryAxis(InputError):
     """Re kappa = 0: the ray certificate does not apply; use the axis logic."""
 

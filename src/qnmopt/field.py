@@ -392,7 +392,8 @@ def phi2_cell_integrals(B, z: complex, edges) -> np.ndarray:
             and edges[-1] == 1.0 and (edges[1:] > edges[:-1]).all()):
         raise InputError("edges must increase strictly from 0 to 1")
     bps, _, values = B.layers
-    cuts = np.union1d(edges, bps)
+    cuts = np.sort(np.concatenate((edges, bps)))   # np.union1d, sans wrappers
+    cuts = cuts[np.concatenate(([True], cuts[1:] != cuts[:-1]))]
     mids = 0.5 * (cuts[:-1] + cuts[1:])
     layer = bps[1:-1].searchsorted(mids, side="right")
     lengths = cuts[1:] - cuts[:-1]

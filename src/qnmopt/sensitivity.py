@@ -247,9 +247,10 @@ def _damped_newton(residual, q: np.ndarray, max_iters: int, aux=None):
     aux carries state from one accepted iterate to the next (a record of
     the iterates); difference and rejected points leave it alone.  Each
     step takes a central-difference Jacobian (2n residual calls for n
-    unknowns) and is halved until |r| drops.  Returns (q, r, aux, why) at
-    the last accepted iterate: why is None once |r| < _NEWTON_TOL, else the
-    reason the iteration stopped; r is None for an infeasible start.
+    unknowns) and is halved until |r| drops, but not below the difference
+    step, finer than J resolves.  Returns (q, r, aux, why) at the last
+    accepted iterate: why is None once |r| < _NEWTON_TOL, else the reason
+    the iteration stopped; r is None for an infeasible start.
     """
     out = residual(q, aux)
     if out is None:
@@ -271,12 +272,14 @@ def _damped_newton(residual, q: np.ndarray, max_iters: int, aux=None):
             step = np.linalg.solve(J, r)
         except np.linalg.LinAlgError:
             return q, r, aux, "singular Jacobian"
-        lam = 1.0
+        lam, floor = 1.0, _FD_STEP * (1.0 + np.abs(q))
         for _ in range(_HALVINGS):
             out = residual(q - lam * step, aux)
             if out is not None and float(np.linalg.norm(out[0])) < nrm:
                 break
             lam *= 0.5
+            if (np.abs(lam * step) < floor).all():
+                return q, r, aux, "damping failed"
         else:
             return q, r, aux, "damping failed"
         q = q - lam * step

@@ -1,6 +1,7 @@
 """Public-surface guard: every exported and every traced name resolves, the
-number of package names and of options stays capped, no module imports
-a name it never reads, and importing the package needs numpy alone.
+number of package names, of options and of module-level numeric constants
+stays capped, no module imports a name it never reads, and importing the
+package needs numpy alone.
 
 The benchmark tracer (perfbench/tracer.py) patches library functions by
 name, so deleting or renaming one of them breaks `Tracer.install` with an
@@ -104,6 +105,40 @@ def test_option_count_ratchet():
     assert public <= MAX_PUBLIC_DEFAULTS
     assert private <= MAX_PRIVATE_DEFAULTS
     assert _config_defaults() <= MAX_CONFIG_DEFAULTS
+
+
+# module-level numeric constants over src/qnmopt: numbers and tuples of
+# numbers, by value; a new tuning constant is a deliberate edit here
+MAX_NUMERIC_CONSTANTS = 38
+
+
+def _is_numeric(value) -> bool:
+    if isinstance(value, tuple):
+        return bool(value) and all(map(_is_numeric, value))
+    return isinstance(value, (int, float, complex)) \
+        and not isinstance(value, bool)
+
+
+def _numeric_constants() -> list:
+    """module.name of every module-level name bound to a numeric value."""
+    found = []
+    for name in MODULES:
+        mod = importlib.import_module(f"qnmopt.{name}")
+        tree = ast.parse(Path(mod.__file__).read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) \
+                    else [node.target]
+                found += [f"{name}.{t.id}" for target in targets
+                          for t in ast.walk(target) if isinstance(t, ast.Name)
+                          and _is_numeric(getattr(mod, t.id, None))]
+    return found
+
+
+def test_numeric_constant_ratchet():
+    found = _numeric_constants()
+    assert "field._CHUNK" in found and "timedomain._FIT_WINDOW" in found
+    assert len(found) <= MAX_NUMERIC_CONSTANTS
 
 
 def _unused_imports(path: Path) -> list:

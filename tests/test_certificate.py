@@ -11,8 +11,9 @@ from qnmopt.certificate import (nonlinear_residual, phase_trace,
                                 self_consistent_solve, switch_alignment)
 from qnmopt.errors import (InputError, NotAtRoot, NotBangBang,
                            OnImaginaryAxis, QnmOptError)
+from qnmopt.field import mode_values
 from qnmopt.medium import (AdmissibleBounds, GridStructure, PiecewiseStructure,
-                           constant, to_piecewise)
+                           constant, random_bang_bang, to_piecewise)
 from qnmopt.spectrum import SpectralWindow, locate, newton_refine
 
 from conftest import LN3_4
@@ -50,6 +51,71 @@ class TestPhaseTrace:
     def test_requires_root(self):
         with pytest.raises(NotAtRoot):
             phase_trace(constant(4.0), 1.0 + 0.5j)
+
+
+def unwrapped_phase(B, kappa, at, n=100_001):
+    """Oracle: xi = arg phi^2 at the sorted positions `at`, unwrapped over
+    n uniform samples and the breakpoints.  Each of its steps is asserted
+    below 0.5 rad, far from the pi at which unwrapping turns ambiguous."""
+    xs = np.union1d(np.linspace(0.0, 1.0, n), B.breakpoints)
+    phi, _ = mode_values(B, kappa, xs)
+    steps = np.angle((phi[1:] / phi[:-1]) ** 2)
+    assert np.abs(steps).max() < 0.5
+    return np.interp(at, xs, np.concatenate(([0.0], np.cumsum(steps))))
+
+
+_PHASE_BOXES = [AdmissibleBounds(1.0, 4.0), AdmissibleBounds(0.5, 3.0),
+                AdmissibleBounds(1.0, 9.0), AdmissibleBounds(0.0, 4.0)]
+_PHASE_WINDOWS = [SpectralWindow(0.1, 12.0, 0.05, 3.0),
+                  SpectralWindow(-12.0, -0.1, 0.05, 3.0)]
+
+
+class TestClosedFormPhase:
+    """phase_trace reads arg phi in closed form per layer.  The sampled
+    trace it replaced refined only where two neighbours differed by pi/2,
+    so it could not see a turn of nearly 2 pi next to a near-node of phi:
+    both media below lost one, and the second passed the interval bound."""
+
+    def test_turn_next_to_a_near_node(self):
+        B = PiecewiseStructure((0.0, 0.05107972, 0.50302757, 0.68674601, 1.0),
+                               (4.0, 1.0, 4.0, 1.0), AdmissibleBounds(1.0, 4.0))
+        kappa = newton_refine(B, 13.747343026333944 + 0.4111163735988592j,
+                              tol=1e-12, leash=1e-6)[0]
+        tr = phase_trace(B, kappa)
+        # the sampled trace gave -27.6537953 and 10.9245795
+        assert tr.value(1.0) == pytest.approx(-33.9369806, abs=1e-7)
+        np.testing.assert_allclose(
+            [tr.value(x) for x in B.breakpoints],
+            unwrapped_phase(B, kappa, B.breakpoints), rtol=0, atol=1e-9)
+        cert = switch_alignment(B, kappa)
+        assert cert.max_interval_variation == pytest.approx(13.9097045,
+                                                            abs=1e-7)
+
+    def test_lost_turn_no_longer_passes_the_bound(self):
+        B = PiecewiseStructure((0.0, 0.212812571317, 1.0), (4.0, 0.0),
+                               AdmissibleBounds(0.0, 4.0))
+        kappa = newton_refine(B, 7.572663079519315 + 0.0311997031497557j,
+                              tol=1e-12, leash=1e-6)[0]
+        cert = switch_alignment(B, kappa)
+        # the sampled trace gave 2.8171994, inside pi + 0.05
+        assert cert.max_interval_variation == pytest.approx(6.2853551,
+                                                            abs=1e-7)
+        assert cert.max_interval_variation > math.pi + 0.05
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(box=st.sampled_from(_PHASE_BOXES),
+           window=st.sampled_from(_PHASE_WINDOWS),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_the_dense_unwrap(self, box, window, seed):
+        B = random_bang_bang(box, np.random.default_rng(seed))
+        evs = locate(B, window)
+        assert evs
+        for ev in evs:
+            tr = phase_trace(B, ev.kappa)
+            np.testing.assert_allclose(
+                [tr.value(x) for x in B.breakpoints],
+                unwrapped_phase(B, ev.kappa, B.breakpoints), rtol=0,
+                atol=1e-9)
 
 
 class TestSwitchAlignment:

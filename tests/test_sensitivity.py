@@ -403,6 +403,40 @@ class TestDampedNewton:
             assert r[0] == residual(q, None)[0][0]
 
 
+class TestDampingFloor:
+    """Halving stops once every component of the damped step is below the
+    difference step _FD_STEP (1 + |q|): the central-difference Jacobian
+    resolves nothing finer, so further halvings only spend residual calls."""
+
+    def test_kink_stops_at_the_difference_step(self):
+        calls = []
+        f = _scalar(lambda x: 2.0 + x + 2.0 * abs(x))
+        q, _, _, why = _damped_newton(
+            lambda q, aux: calls.append(q[0]) or f(q, aux), np.array([0.0]),
+            60)
+        assert why == "damping failed" and q[0] == 0.0
+        # the start, two difference points and steps 2, 1, ..., 2^-23: the
+        # next, 2^-24, is below the difference step 1e-7 (30 halvings before)
+        assert len(calls) == 28
+        assert abs(calls[-1]) >= 1e-7 > abs(calls[-1]) / 2
+
+    def test_shooting_polish_at_its_noise_floor(self, monkeypatch):
+        # at alpha = 9.4 on (1, 4), 256 cells, F's noise floor sits above
+        # the Newton tolerance, so the shooting solve ends on 'damping
+        # failed': 21 shots, where 30 halvings took 50, and the same kappa
+        from qnmopt import certificate
+        from qnmopt.optimize import OptimizeConfig, minimize_im_at_frequency
+        shots = []
+        shoot = certificate._shoot
+        monkeypatch.setattr(certificate, "_shoot",
+                            lambda *a: shots.append(a) or shoot(*a))
+        res = minimize_im_at_frequency(OptimizeConfig(
+            alpha=9.4, bounds=AdmissibleBounds(1.0, 4.0), n_cells=256))
+        assert len(shots) == 21
+        want = 9.400000000000183 + 0.008097612016161937j
+        assert abs(res.polished_kappa - want) <= 1e-14 * abs(want)
+
+
 class TestHigherDerivatives:
     def test_second_derivative_of_unit_medium(self):
         # F = e^{iz} for B = 1: every z-derivative is i^k e^{iz}
