@@ -9,7 +9,8 @@ same geometry makes y = e^{i theta} phi solve the paper's nonlinear
 eigenvalue problem y'' = -kappa^2 B y, y'(0) = 0, F = 0 at x = 1, with
 B = b2 where Im y^2 > 0 and b1 elsewhere.  At a fixed Re kappa its two
 real unknowns are (Im kappa, theta); the optimizer's polish and
-self_consistent_solve both solve it by shooting (_solve_shot).  Per layer
+self_consistent_solve both solve it by shooting (_solve_shot), Newton with
+the Jacobian that the shot carries beside phi, one shot a step.  Per layer
 arg phi has a closed form (_arg_phi): the shot's switch events solve it,
 and phase_trace evaluates it, with no sampled unwrap to lose turns of 2 pi.
 """
@@ -38,7 +39,7 @@ __all__ = [
 
 _ROOT_TOL = 1e-7
 _MISMATCH_SAMPLES = 4096      # midpoint samples of the nonlinear mismatch
-_SHOT_ITERS = 20              # damped-Newton iterations of _solve_shot
+_SHOT_ITERS = 20              # Newton steps of _solve_shot, a shot each
 _SOLVE_TOL = 1e-8             # the shot's kappa and its medium's eigenvalue
 
 
@@ -249,16 +250,29 @@ def _event(w: complex, p: complex, dp: complex, fall: float, room: float):
 
 def _shoot(kappa: complex, theta: float, a1: float,
            bounds: AdmissibleBounds) -> tuple:
-    """(F, breakpoints, values): phi shot from phi(0) = 1, phi'(0) = 0 at
-    Re kappa >= 0, past a vacuum layer [0, a1] when a1 > 0, with B = b2
+    """(F, dF, breakpoints, values): phi shot from phi(0) = 1, phi'(0) = 0
+    at Re kappa >= 0, past a vacuum layer [0, a1] when a1 > 0, with B = b2
     where Im(e^{2i theta} phi^2) > 0, i.e. while the falling eta = arg phi^2
     + 2 theta is in (0, pi] mod 2 pi.  Each switch is a fall of pi/2 in
     arg phi (_event); its shortfall is carried into the next.
+
+    dF = (dF/d Im kappa, dF/d mu), mu = theta, or a1 when a1 > 0 (theta is
+    then fixed): the tangents (phi_l, phi'_l) ride along, across a layer by
+    the kappa-derivative of its map, dc = -kappa b L sw and dsw = (L c -
+    sw) / kappa, and at a switch x_j by the jump (A_before - A_after)(phi,
+    phi') dx_j, A_b = [[0, 1], [-kappa^2 b, 0]], where arg phi(x_j) = -theta
+    + const gives dx_j = (-dtheta - Im(phi_l/phi)) / Im(phi'/phi).
     """
     x, p, dp = a1, 1.0 + 0j, 0j
     pts, vals = ([0.0, a1], [0.0]) if a1 > 0.0 else ([0.0], [])
     m = math.ceil(2.0 * theta / math.pi) - 1   # eta in (m pi, (m + 1) pi]
     fall = theta - 0.5 * m * math.pi
+    kk, db = kappa * kappa, bounds.b2 - bounds.b1
+    # tangents in Im kappa (dkappa = i) and mu; the vacuum's end jumps by
+    # (0, kappa^2 b) per unit of a1
+    uk = vk = um = 0j
+    vm = kk * (bounds.b2 if m % 2 == 0 else bounds.b1) if a1 > 0.0 else 0j
+    dth = 0.0 if a1 > 0.0 else 1.0
     while True:
         b, room = (bounds.b2 if m % 2 == 0 else bounds.b1), 1.0 - x
         if fall <= 0.0:   # the level was passed within the last event's float
@@ -271,14 +285,26 @@ def _shoot(kappa: complex, theta: float, a1: float,
                 t = -math.sin(fall) / (cmath.exp(1j * fall) * v).imag
         end = t is None or not t < room
         if end or t > 0.0:   # field's layer map; a layer of zero width goes
-            c, sw = map(complex, _coefficients(
-                kappa, math.sqrt(b), room if end else t)[2:])
+            L = room if end else t
+            c, sw = map(complex, _coefficients(kappa, math.sqrt(b), L)[2:])
+            ksw, dsw = kk * b * sw, (L * c - sw) / kappa
+            dc = -kappa * b * L * sw
+            fp = 1j * (dc * p + dsw * dp)
+            fdp = 1j * (dc * dp - b * (2.0 * kappa * sw + kk * dsw) * p)
+            uk, vk = c * uk + sw * vk + fp, c * vk - ksw * uk + fdp
+            um, vm = c * um + sw * vm, c * vm - ksw * um
             p, dp = c * p + sw * dp, c * dp - kappa * kappa * b * sw * p
             x = 1.0 if end else x + t
             pts.append(x)
             vals.append(b)
         if end:
-            return p - 1j * dp / kappa, pts, vals
+            return (p - 1j * dp / kappa,
+                    (uk - 1j * vk / kappa - dp / kk, um - 1j * vm / kappa),
+                    pts, vals)
+        # b steps to the other bound at x_j: dphi' += kappa^2 (b' - b) phi dx_j
+        jump = kk * (-db if m % 2 == 0 else db) * p / (dp / p).imag
+        vk -= jump * (uk / p).imag
+        vm -= jump * (dth + (um / p).imag)
         m, fall = m - 1, 0.5 * math.pi + short
 
 
@@ -286,7 +312,8 @@ def _solve_shot(B0: PiecewiseStructure, kappa0: complex, alpha: float,
                 bounds: AdmissibleBounds) -> tuple:
     """(B, kappa, theta, history) at Re kappa = alpha, shot from the seed
     medium B0 with its eigenvalue kappa0: _damped_newton drives F of _shoot
-    to zero in (Im kappa, theta), seeded by Im kappa0 and the theta that
+    to zero in (Im kappa, theta) with the shot's own Jacobian, one shot a
+    step and one per halving, seeded by Im kappa0 and the theta that
     puts B0's first switch on an event.  On the axis theta = pi/4 and Im
     kappa is alone; after a leading vacuum layer (b1 = 0), where Im y^2 = 0,
     theta is certificate_theta's and the layer's length the other unknown.
@@ -308,18 +335,21 @@ def _solve_shot(B0: PiecewiseStructure, kappa0: complex, alpha: float,
     def residual(q, aux):
         th, a1 = (fixed, q[1]) if vacuum else \
             (q[1] if len(q) > 1 else fixed, 0.0)
-        if not (q[0] > 0.0 and 0.0 <= a1 < 1.0):
+        # the shot's second unknown is a1 where a1 > 0, else theta
+        if not (q[0] > 0.0 and 0.0 <= a1 < 1.0 and (a1 > 0.0) == vacuum):
             return None
         try:
             with np.errstate(all="ignore"):
-                F, pts, vals = _shoot(complex(re, q[0]), th, a1, bounds)
+                F, dF, pts, vals = _shoot(complex(re, q[0]), th, a1, bounds)
         except (ZeroDivisionError, OverflowError):   # a state past the range
             return None
         if not abs(F) < 1e150:   # also one whose square, in |r|, overflows
             return None
-        r = [F.real, F.imag] if len(q) > 1 else [F.real]   # real on the axis
+        n = len(q)   # F is real on the axis
+        J = np.array([[d.real for d in dF], [d.imag for d in dF]])[:n, :n]
         record = (len(aux[0]), complex(alpha, q[0]), np.array(pts[1:-1]))
-        return np.array(r), (aux[0] + (record,), (pts, vals, th))
+        return (np.array([F.real, F.imag][:n]),
+                (aux[0] + (record,), (pts, vals, th)), J)
 
     q, _, (history, last), why = _damped_newton(
         residual, np.array(q0), _SHOT_ITERS, ((), None))

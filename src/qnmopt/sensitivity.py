@@ -14,8 +14,9 @@ coefficient against the formula, whose F^(r) (2 <= r <= 6; dzF_higher)
 and phi(1) come off one order-r jet, exact to rounding.  find_double_eigenvalue
 builds the two-layer double root the tests use; it and the shooting solve
 of the paper's nonlinear eigenvalue problem (certificate._solve_shot)
-share one damped-Newton driver, _damped_newton, with central-difference
-Jacobians.
+share one damped-Newton helper, _damped_newton: the former with
+central-difference Jacobians, the latter with the exact one that the shot
+carries beside phi.
 """
 from __future__ import annotations
 
@@ -238,52 +239,58 @@ def splitting_probe(B, kappa0: complex, r: int, direction: GridStructure,
 
 _NEWTON_TOL = 1e-12     # stop once |r| drops below this
 _FD_STEP = 1e-7         # relative step of the difference Jacobian
-_HALVINGS = 30          # step halvings tried before damping gives up
 
 
 def _damped_newton(residual, q: np.ndarray, max_iters: int, aux=None):
-    """Damped Newton on residual(q, aux) -> (r, aux), or None off the domain.
+    """Damped Newton on residual(q, aux) -> (r, aux) or (r, aux, J), or None
+    off the domain.
 
     aux carries state from one accepted iterate to the next (a record of
-    the iterates); difference and rejected points leave it alone.  Each
-    step takes a central-difference Jacobian (2n residual calls for n
-    unknowns) and is halved until |r| drops, but not below the difference
-    step, finer than J resolves.  Returns (q, r, aux, why) at the last
-    accepted iterate: why is None once |r| < _NEWTON_TOL, else the reason
-    the iteration stopped; r is None for an infeasible start.
+    the iterates); difference and rejected points leave it alone.  A
+    residual that returns J, its exact Jacobian at q, is called once per
+    step; otherwise each step takes a central-difference Jacobian (2n more
+    calls for n unknowns).  The step is halved until |r| drops, but not
+    below what J resolves: the difference step _FD_STEP (1 + |q|) for a
+    differenced J, rounding, eps (1 + |q|), for an exact one.  Returns (q,
+    r, aux, why) at the last accepted iterate: why is None once |r| <
+    _NEWTON_TOL, else the reason the iteration stopped; r is None for an
+    infeasible start.
     """
     out = residual(q, aux)
     if out is None:
         return q, None, aux, "infeasible start"
-    r, aux = out
+    r, aux = out[:2]
     for _ in range(max_iters):
         nrm = float(np.linalg.norm(r))
         if nrm < _NEWTON_TOL:
             return q, r, aux, None
-        J = np.empty((len(r), len(q)))
-        for j in range(len(q)):   # central differences
-            e = np.zeros(len(q))
-            e[j] = _FD_STEP * (1.0 + abs(q[j]))
-            rp, rm = residual(q + e, aux), residual(q - e, aux)
-            if rp is None or rm is None:
-                return q, r, aux, "infeasible difference point"
-            J[:, j] = (rp[0] - rm[0]) / (2.0 * e[j])
+        if len(out) > 2:
+            J, rel = out[2], np.finfo(float).eps
+        else:
+            J, rel = np.empty((len(r), len(q))), _FD_STEP
+            for j in range(len(q)):   # central differences
+                e = np.zeros(len(q))
+                e[j] = _FD_STEP * (1.0 + abs(q[j]))
+                rp, rm = residual(q + e, aux), residual(q - e, aux)
+                if rp is None or rm is None:
+                    return q, r, aux, "infeasible difference point"
+                J[:, j] = (rp[0] - rm[0]) / (2.0 * e[j])
         try:
             step = np.linalg.solve(J, r)
         except np.linalg.LinAlgError:
+            step = None
+        if step is None or not np.isfinite(step).all():
             return q, r, aux, "singular Jacobian"
-        lam, floor = 1.0, _FD_STEP * (1.0 + np.abs(q))
-        for _ in range(_HALVINGS):
+        lam, floor = 1.0, rel * (1.0 + np.abs(q))
+        while True:
             out = residual(q - lam * step, aux)
             if out is not None and float(np.linalg.norm(out[0])) < nrm:
                 break
             lam *= 0.5
             if (np.abs(lam * step) < floor).all():
                 return q, r, aux, "damping failed"
-        else:
-            return q, r, aux, "damping failed"
         q = q - lam * step
-        r, aux = out
+        r, aux = out[:2]
     if float(np.linalg.norm(r)) < _NEWTON_TOL:
         return q, r, aux, None
     return q, r, aux, f"max_iters = {max_iters} reached"

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qnmopt.certificate import (nonlinear_residual, phase_trace,
@@ -227,7 +227,7 @@ class TestDegenerateLowerBound:
         # the shot keeps the vacuum length a1, the branch's second unknown,
         # exact; the sampled rebuild meets Im y^2 = 0 there tangentially
         # (quadratic growth) and finds it to ~sqrt(eps) only
-        _, pts, vals = _shoot(ev.kappa, theta, 0.25, bounds)
+        _, _, pts, vals = _shoot(ev.kappa, theta, 0.25, bounds)
         shot = PiecewiseStructure(pts, vals, bounds)
         assert shot.values[0] == 0.0
         assert abs(shot.breakpoints[1] - 0.25) <= 1e-12
@@ -352,6 +352,76 @@ class TestRebuildStructure:
         ref = reference_rebuild(sc.B, sc.kappa, sc.theta, box14, 64)
         assert ref == sc.B
         assert sc.B.values.tolist() == [4.0]
+
+
+def plain_shot(kappa, theta, a1, bounds):
+    """The shot's F with no tangents: phi carried from event to event by
+    field's layer map alone, an oracle for _shoot's F, bit for bit."""
+    import cmath
+    from qnmopt.certificate import _arg_phi, _event
+    from qnmopt.field import _coefficients
+    x, p, dp = a1, 1.0 + 0j, 0j
+    m = math.ceil(2.0 * theta / math.pi) - 1
+    fall = theta - 0.5 * m * math.pi
+    while True:
+        b, room = (bounds.b2 if m % 2 == 0 else bounds.b1), 1.0 - x
+        if fall <= 0.0:
+            t, short = 0.0, fall
+        elif b > 0.0:
+            t, short = _event(kappa * math.sqrt(b), p, dp, fall, room)
+        else:
+            v, t, short = dp / p, None, 0.0
+            if _arg_phi(0j, p, dp, room, fall)[0] <= 0.0:
+                t = -math.sin(fall) / (cmath.exp(1j * fall) * v).imag
+        end = t is None or not t < room
+        if end or t > 0.0:
+            c, sw = map(complex, _coefficients(
+                kappa, math.sqrt(b), room if end else t)[2:])
+            p, dp = c * p + sw * dp, c * dp - kappa * kappa * b * sw * p
+            x = 1.0 if end else x + t
+        if end:
+            return p - 1j * dp / kappa
+        m, fall = m - 1, 0.5 * math.pi + short
+
+
+_SHOT_BOXES = [AdmissibleBounds(1.0, 4.0), AdmissibleBounds(0.5, 9.0),
+               AdmissibleBounds(0.0, 4.0)]   # the last with b = 0 layers
+
+
+class TestShotTangents:
+    """_shoot carries F's derivatives in the solve's unknowns beside phi:
+    Im kappa and theta, Im kappa and a1 after a leading vacuum layer, Im
+    kappa alone on the axis."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_match_central_differences(self, data):
+        from qnmopt.certificate import _shoot
+        draw = data.draw
+        bounds = draw(st.sampled_from(_SHOT_BOXES))
+        branch = draw(st.sampled_from(
+            ["theta", "axis"] + ["a1"] * (bounds.b1 == 0.0)))
+        im = draw(st.floats(0.01, 1.0))
+        re = 0.0 if branch == "axis" else draw(st.floats(0.3, 12.0))
+        theta = draw(st.floats(-4.0, 4.0)) if branch == "theta" else \
+            0.25 * math.pi if branch == "axis" else -0.5 * math.pi
+        a1 = draw(st.floats(0.02, 0.95)) if branch == "a1" else 0.0
+        # at theta = k pi / 2 the first switch sits at x = 0, where arg phi
+        # is flat, so F goes as sqrt(theta - k pi / 2) there
+        assume(branch != "theta" or abs(theta - 0.5 * math.pi * round(
+            theta / (0.5 * math.pi))) > 1e-3)
+        F, dF, _, vals = _shoot(complex(re, im), theta, a1, bounds)
+        assert F == plain_shot(complex(re, im), theta, a1, bounds)
+        h = 1e-6
+        moves = [(1j * h, 0.0, 0.0)] + {"theta": [(0.0, h, 0.0)], "axis": [],
+                                       "a1": [(0.0, 0.0, h)]}[branch]
+        for d, (dk, dth, da) in zip(dF, moves):
+            plus, minus = (_shoot(complex(re, im) + s * dk, theta + s * dth,
+                                  a1 + s * da, bounds) for s in (1.0, -1.0))
+            # a switch that enters or leaves at an end is a kink of F
+            assume(plus[3] == minus[3] == vals)
+            fd = (plus[0] - minus[0]) / (2.0 * h)
+            assert abs(d - fd) <= 1e-5 * abs(d)
 
 
 _BOX = AdmissibleBounds(1.0, 4.0)

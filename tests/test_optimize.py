@@ -470,6 +470,21 @@ class TestShootingPolish:
         assert cert.max_deviation < 1e-10
         assert cert.nonlinear_mismatch == 0.0
 
+    @pytest.mark.parametrize("alpha", [math.pi / 2, math.pi, 2 * math.pi, 2.5])
+    def test_one_shot_per_newton_step(self, monkeypatch, alpha):
+        """The shot returns F's exact Jacobian, so each Newton step costs one
+        shot: central differences took 16, 16, 21 and, at the alpha = 2.5
+        kink, 91."""
+        from qnmopt import certificate
+        shots = []
+        shoot = certificate._shoot
+        monkeypatch.setattr(certificate, "_shoot",
+                            lambda *a: shots.append(a) or shoot(*a))
+        res = minimize_im_at_frequency(OptimizeConfig(
+            alpha=alpha, bounds=AdmissibleBounds(1.0, 4.0), n_cells=256))
+        assert res.polished_kappa is not None
+        assert len(shots) <= 6
+
 
 class TestConfigValidation:
     def test_invariants(self, box14):

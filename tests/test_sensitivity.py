@@ -366,10 +366,14 @@ class TestFindDouble:
             find_double_eigenvalue(seed, kappa_seed)
 
 
-def _scalar(f, domain=lambda x: True):
-    """A one-unknown residual for _damped_newton."""
+def _scalar(f, domain=lambda x: True, df=None):
+    """A one-unknown residual for _damped_newton; with df, it returns its
+    exact Jacobian too."""
     def residual(q, aux):
-        return (np.array([f(q[0])]), aux) if domain(q[0]) else None
+        if not domain(q[0]):
+            return None
+        r = np.array([f(q[0])])
+        return (r, aux) if df is None else (r, aux, np.array([[df(q[0])]]))
     return residual
 
 
@@ -387,8 +391,22 @@ class TestDampedNewton:
         (_scalar(lambda x: 2.0 + x + 2.0 * abs(x)), 0.0, 60,
          "damping failed"),
         (_scalar(lambda x: x ** 3 - 8.0), 3.0, 1, "max_iters = 1 reached"),
+        # exact-Jacobian twins; an exact Jacobian has no difference points
+        (_scalar(lambda x: x ** 3 - 8.0, df=lambda x: 3.0 * x * x), 3.0, 60,
+         None),
+        (_scalar(lambda x: x - 2.0, df=lambda x: 1.0), 5.0, 2, None),
+        (_scalar(lambda x: x - 1.0, lambda x: x > 0, lambda x: 1.0), -1.0, 60,
+         "infeasible start"),
+        (_scalar(lambda x: x * x + 1.0, df=lambda x: 2.0 * x), 0.0, 60,
+         "singular Jacobian"),
+        (_scalar(lambda x: 2.0 + x + 2.0 * abs(x),
+                 df=lambda x: 1.0 + 2.0 * np.sign(x)), 0.0, 60,
+         "damping failed"),
+        (_scalar(lambda x: x ** 3 - 8.0, df=lambda x: 3.0 * x * x), 3.0, 1,
+         "max_iters = 1 reached"),
     ], ids=["converged", "last-step", "start", "difference", "singular", "damping",
-            "budget"])
+            "budget", "converged-exact", "last-step-exact", "start-exact",
+            "singular-exact", "damping-exact", "budget-exact"])
     def test_stop_reasons(self, residual, q0, max_iters, why):
         q, r, aux, got = _damped_newton(residual, np.array([q0]), max_iters,
                                         aux="kept")
@@ -404,9 +422,10 @@ class TestDampedNewton:
 
 
 class TestDampingFloor:
-    """Halving stops once every component of the damped step is below the
-    difference step _FD_STEP (1 + |q|): the central-difference Jacobian
-    resolves nothing finer, so further halvings only spend residual calls."""
+    """Halving stops once every component of the damped step is below what
+    the Jacobian resolves: the difference step _FD_STEP (1 + |q|) for a
+    central-difference Jacobian, rounding, eps (1 + |q|), for an exact one.
+    Further halvings only spend residual calls."""
 
     def test_kink_stops_at_the_difference_step(self):
         calls = []
@@ -420,10 +439,27 @@ class TestDampingFloor:
         assert len(calls) == 28
         assert abs(calls[-1]) >= 1e-7 > abs(calls[-1]) / 2
 
+    def test_exact_kink_stops_at_rounding(self):
+        calls = []
+        f = _scalar(lambda x: 2.0 + x + 2.0 * abs(x),
+                    df=lambda x: 1.0 + 2.0 * np.sign(x))
+        q, _, _, why = _damped_newton(
+            lambda q, aux: calls.append(q[0]) or f(q, aux), np.array([0.0]),
+            60)
+        assert why == "damping failed" and q[0] == 0.0
+        # the start and steps 2, 1, ..., 2^-52 = eps: the exact Jacobian
+        # needs no difference points, and halving runs past 1e-7 to rounding
+        eps = np.finfo(float).eps
+        assert len(calls) == 55
+        assert abs(calls[-1]) >= eps > abs(calls[-1]) / 2
+
     def test_shooting_polish_at_its_noise_floor(self, monkeypatch):
         # at alpha = 9.4 on (1, 4), 256 cells, F's noise floor sits above
         # the Newton tolerance, so the shooting solve ends on 'damping
-        # failed': 21 shots, where 30 halvings took 50, and the same kappa
+        # failed'.  With the shot's exact Jacobian halving runs to rounding:
+        # 48 shots, where central differences stopped at the difference step
+        # after 21 and moved kappa by 9e-15 relative; both keep the switch
+        # deviation below 1e-10 (TestShootingPolish)
         from qnmopt import certificate
         from qnmopt.optimize import OptimizeConfig, minimize_im_at_frequency
         shots = []
@@ -432,8 +468,8 @@ class TestDampingFloor:
                             lambda *a: shots.append(a) or shoot(*a))
         res = minimize_im_at_frequency(OptimizeConfig(
             alpha=9.4, bounds=AdmissibleBounds(1.0, 4.0), n_cells=256))
-        assert len(shots) == 21
-        want = 9.400000000000183 + 0.008097612016161937j
+        assert len(shots) == 48
+        want = 9.40000000000027 + 0.008097612016161269j
         assert abs(res.polished_kappa - want) <= 1e-14 * abs(want)
 
 
