@@ -26,7 +26,7 @@ from .errors import (InputError, LostEigenvalue, NoConvergence, NotAtRoot,
                      OnImaginaryAxis)
 from .field import _coefficients, charF, mode_values
 from .medium import (AdmissibleBounds, GridStructure, PiecewiseStructure,
-                     _as_complex, _box, _is_finite_real, _is_int, constant,
+                     _as_complex, _box, _is_int, constant,
                      switch_points, to_piecewise)
 from .sensitivity import _damped_newton
 from .spectrum import newton_refine
@@ -184,44 +184,43 @@ def switch_alignment(B: PiecewiseStructure, kappa: complex) -> SwitchCertificate
     variation = max(abs(trace.value(b) - trace.value(a))
                     for a, b in zip(nodes[:-1], nodes[1:]))
 
-    theta, mismatch = nonlinear_residual(B, kappa, omega=omega)
+    theta = certificate_theta(kappa, omega, B.bounds.b1, trace.a1)
     return SwitchCertificate(
         omega=omega, switch_xs=tuple(x for x, _ in sw),
         deviations=tuple(devs),
         max_deviation=max(devs) if devs else 0.0,
         max_interval_variation=float(variation),
-        theta=theta, nonlinear_mismatch=mismatch)
+        theta=theta, nonlinear_mismatch=_mismatch(B, kappa, theta))
 
 
-def nonlinear_residual(B: PiecewiseStructure, kappa: complex,
-                       omega: float | None = None) -> tuple:
+def nonlinear_residual(B: PiecewiseStructure, kappa: complex) -> tuple:
     """(theta, mismatch): does chi_{C+}((e^{i theta} phi)^2) rebuild B?
 
-    The indicator takes 1 only on Im > 0 (zero on the closed lower
-    half-plane including the reals), and the mismatch is the measure of the
-    sample cells where the rebuilt two-valued coefficient disagrees with B.
-    B must be a medium, kappa a number and omega None or a finite real
-    (InputError).
+    theta (pi/4 on the axis) and the mismatch are switch_alignment's.  B
+    must be a medium and kappa a number (InputError).
     """
     B = _piecewise(B)
     _as_complex(kappa, "kappa", finite=False)
-    if not (omega is None or _is_finite_real(omega)):
-        raise InputError(f"omega must be a finite real, not {omega!r}")
     if not abs(charF(kappa, B)) < _ROOT_TOL:
         raise NotAtRoot(f"kappa = {kappa} is not an eigenvalue")
-    b1, b2, a1 = B.bounds.b1, B.bounds.b2, B.leading_zero_interval()
-    # on the axis and after a leading vacuum layer theta needs no omega
-    if omega is None and kappa.real != 0.0 and not (b1 == 0.0 and a1 > 0.0):
+    b1, a1 = B.bounds.b1, B.leading_zero_interval()
+    omega = None   # theta needs none on the axis or after a leading vacuum
+    if kappa.real != 0.0 and not (b1 == 0.0 and a1 > 0.0):
         sw = switch_points(B)  # NotBangBang before any phase work
         omega = _omega_from_trace(phase_trace(B, kappa), sw, b1)
     theta = certificate_theta(kappa, omega, b1, a1)
+    return float(theta), _mismatch(B, kappa, theta)
+
+
+def _mismatch(B: PiecewiseStructure, kappa: complex, theta: float) -> float:
+    """The share of _MISMATCH_SAMPLES midpoint cells where b1 + (b2 - b1)
+    chi_{C+}((e^{i theta} phi)^2) disagrees with B; the indicator takes 1
+    only on Im > 0 (zero on the closed lower half-plane and the reals)."""
     xs = (np.arange(_MISMATCH_SAMPLES) + 0.5) / _MISMATCH_SAMPLES
     phi, _ = mode_values(B, kappa, xs)
     y2 = (cmath.exp(1j * theta) ** 2) * phi * phi
-    rebuilt = np.where(y2.imag > 0.0, b2, b1)
-    actual = B.layers.values_at(xs)
-    mismatch = float(np.mean(np.abs(rebuilt - actual) > 1e-12))
-    return float(theta), mismatch
+    rebuilt = np.where(y2.imag > 0.0, B.bounds.b2, B.bounds.b1)
+    return float(np.mean(np.abs(rebuilt - B.layers.values_at(xs)) > 1e-12))
 
 
 # -- the nonlinear eigenvalue problem, by shooting ----------------------------
@@ -248,31 +247,26 @@ def _event(w: complex, p: complex, dp: complex, fall: float, room: float):
     return t, _arg_phi(w, p, dp, t, fall)[0]
 
 
-def _shoot(kappa: complex, theta: float, a1: float,
-           bounds: AdmissibleBounds) -> tuple:
+def _shoot(kappa: complex, theta: float, bounds: AdmissibleBounds) -> tuple:
     """(F, dF, breakpoints, values): phi shot from phi(0) = 1, phi'(0) = 0
-    at Re kappa >= 0, past a vacuum layer [0, a1] when a1 > 0, with B = b2
-    where Im(e^{2i theta} phi^2) > 0, i.e. while the falling eta = arg phi^2
-    + 2 theta is in (0, pi] mod 2 pi.  Each switch is a fall of pi/2 in
-    arg phi (_event); its shortfall is carried into the next.
+    at Re kappa >= 0, with B = b2 where Im(e^{2i theta} phi^2) > 0, i.e.
+    while the falling eta = arg phi^2 + 2 theta is in (0, pi] mod 2 pi.
+    Each switch is a fall of pi/2 in arg phi (_event); its shortfall is
+    carried into the next.
 
-    dF = (dF/d Im kappa, dF/d mu), mu = theta, or a1 when a1 > 0 (theta is
-    then fixed): the tangents (phi_l, phi'_l) ride along, across a layer by
-    the kappa-derivative of its map, dc = -kappa b L sw and dsw = (L c -
-    sw) / kappa, and at a switch x_j by the jump (A_before - A_after)(phi,
-    phi') dx_j, A_b = [[0, 1], [-kappa^2 b, 0]], where arg phi(x_j) = -theta
-    + const gives dx_j = (-dtheta - Im(phi_l/phi)) / Im(phi'/phi).
+    dF = (dF/d Im kappa, dF/d theta): the tangents (phi_l, phi'_l) ride
+    along, across a layer by the kappa-derivative of its map, dc = -kappa b
+    L sw and dsw = (L c - sw) / kappa, and at a switch x_j by the jump
+    (A_before - A_after)(phi, phi') dx_j, A_b = [[0, 1], [-kappa^2 b, 0]],
+    where arg phi(x_j) = -theta + const gives dx_j = (-dtheta - Im(phi_l /
+    phi)) / Im(phi'/phi).
     """
-    x, p, dp = a1, 1.0 + 0j, 0j
-    pts, vals = ([0.0, a1], [0.0]) if a1 > 0.0 else ([0.0], [])
+    x, p, dp = 0.0, 1.0 + 0j, 0j
+    pts, vals = [0.0], []
     m = math.ceil(2.0 * theta / math.pi) - 1   # eta in (m pi, (m + 1) pi]
     fall = theta - 0.5 * m * math.pi
     kk, db = kappa * kappa, bounds.b2 - bounds.b1
-    # tangents in Im kappa (dkappa = i) and mu; the vacuum's end jumps by
-    # (0, kappa^2 b) per unit of a1
-    uk = vk = um = 0j
-    vm = kk * (bounds.b2 if m % 2 == 0 else bounds.b1) if a1 > 0.0 else 0j
-    dth = 0.0 if a1 > 0.0 else 1.0
+    uk = vk = um = vm = 0j   # tangents in Im kappa (dkappa = i) and theta
     while True:
         b, room = (bounds.b2 if m % 2 == 0 else bounds.b1), 1.0 - x
         if fall <= 0.0:   # the level was passed within the last event's float
@@ -304,7 +298,7 @@ def _shoot(kappa: complex, theta: float, a1: float,
         # b steps to the other bound at x_j: dphi' += kappa^2 (b' - b) phi dx_j
         jump = kk * (-db if m % 2 == 0 else db) * p / (dp / p).imag
         vk -= jump * (uk / p).imag
-        vm -= jump * (dth + (um / p).imag)
+        vm -= jump * (1.0 + (um / p).imag)
         m, fall = m - 1, 0.5 * math.pi + short
 
 
@@ -315,32 +309,29 @@ def _solve_shot(B0: PiecewiseStructure, kappa0: complex, alpha: float,
     to zero in (Im kappa, theta) with the shot's own Jacobian, one shot a
     step and one per halving, seeded by Im kappa0 and the theta that
     puts B0's first switch on an event.  On the axis theta = pi/4 and Im
-    kappa is alone; after a leading vacuum layer (b1 = 0), where Im y^2 = 0,
-    theta is certificate_theta's and the layer's length the other unknown.
+    kappa is alone.  No event ends a leading vacuum layer (b1 = 0), where
+    phi = 1, so a seed with one is seeded like any other medium: phi(a1) =
+    1 puts its first switch, an up one, on theta = pi/2, a shot from b2.
     Re kappa < 0 is shot as its mirror.  NoConvergence (with .history)
     unless newton_refine puts the medium's eigenvalue within _SOLVE_TOL.
     history holds an (iteration, kappa, switches) record per Newton iterate.
     """
     re = abs(alpha)
     k0 = -kappa0.conjugate() if alpha < 0.0 else kappa0
-    vacuum = re > 0.0 and bounds.b1 == 0.0 and B0.leading_zero_interval() > 0
-    fixed = -0.5 * math.pi if vacuum else 0.25 * math.pi   # certificate_theta
-    q0 = [k0.imag] + ([B0.breakpoints[1]] if vacuum else [])
-    if re > 0.0 and not vacuum:
+    q0 = [k0.imag]
+    if re > 0.0:
         # an up switch sits on eta = pi (mod 2 pi), a down switch on eta = 0
         up = B0.n_intervals > 1 and B0.values[1] > B0.values[0]
         xi = cmath.phase(mode_values(B0, k0, B0.breakpoints[1:2])[0][0] ** 2)
         q0.append(0.5 * (up * math.pi - xi))
 
     def residual(q, aux):
-        th, a1 = (fixed, q[1]) if vacuum else \
-            (q[1] if len(q) > 1 else fixed, 0.0)
-        # the shot's second unknown is a1 where a1 > 0, else theta
-        if not (q[0] > 0.0 and 0.0 <= a1 < 1.0 and (a1 > 0.0) == vacuum):
+        th = q[1] if len(q) > 1 else 0.25 * math.pi   # certificate_theta
+        if not q[0] > 0.0:
             return None
         try:
             with np.errstate(all="ignore"):
-                F, dF, pts, vals = _shoot(complex(re, q[0]), th, a1, bounds)
+                F, dF, pts, vals = _shoot(complex(re, q[0]), th, bounds)
         except (ZeroDivisionError, OverflowError):   # a state past the range
             return None
         if not abs(F) < 1e150:   # also one whose square, in |r|, overflows
@@ -384,10 +375,11 @@ def self_consistent_solve(kappa_seed: complex, bounds: AdmissibleBounds,
                           ) -> SelfConsistentResult:
     """B = b1 + (b2 - b1) chi_{C+}(y^2) and y = e^{i theta} phi, solved by
     shooting (_solve_shot) at the Re kappa of B0's eigenvalue near
-    kappa_seed (LostEigenvalue if there is none); y is sampled on n_grid + 1
-    uniform points.  B0 defaults to the constant b2 preset.  kappa_seed must
-    be a finite number, bounds AdmissibleBounds, n_grid an integer >= 1 and
-    B0 a medium or None (InputError).
+    kappa_seed (LostEigenvalue if there is none), or NoConvergence; y is
+    sampled on n_grid + 1 uniform points.  B0 defaults to the constant b2
+    preset; B never keeps a leading vacuum layer of B0 (_solve_shot).
+    kappa_seed must be a finite number, bounds AdmissibleBounds, n_grid an
+    integer >= 1 and B0 a medium or None (InputError).
     """
     _as_complex(kappa_seed, "kappa_seed", finite=True)
     if not _box(bounds).b1 < bounds.b2:

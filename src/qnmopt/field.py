@@ -27,7 +27,6 @@ outside the kernel as the oracle the tests check it against.
 """
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -36,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InputError, NumericalError, TailNotConverged
-from .medium import _reals
+from .medium import _as_complex, _reals
 
 __all__ = [
     "BoundaryData", "propagate", "charF", "charF_many", "charF_dzF", "dzF",
@@ -331,16 +330,16 @@ def charF_many(zs, B) -> np.ndarray:
 def mode_values(B, z: complex, xs) -> tuple:
     """(phi, phi') evaluated at sorted positions xs in [0, 1].
 
-    A non-finite z raises InputError, values past the float range
-    NumericalError.
+    z must be a finite number and xs a 1-D sequence of sorted reals in
+    [0, 1] (InputError); values past the float range raise NumericalError.
     """
-    if not cmath.isfinite(z):
-        raise InputError(f"z must be finite, not {z!r}")
-    xs = np.asarray(xs, dtype=float)
-    if not xs.size:
+    z = _as_complex(z, "z", finite=True)
+    xs = _reals(xs, "xs")
+    if xs.ndim == 1 and not xs.size:
         return np.zeros(0, complex), np.zeros(0, complex)
-    if (xs[1:] < xs[:-1]).any() or xs.min() < -1e-15 or xs.max() > 1 + 1e-15:
-        raise InputError("positions must be sorted inside [0, 1]")
+    if not (xs.ndim == 1 and xs.min() >= -1e-15 and xs.max() <= 1 + 1e-15
+            and (xs[1:] >= xs[:-1]).all()):   # so that a NaN fails it
+        raise InputError("positions must be 1-D and sorted inside [0, 1]")
     bps, lengths, values = B.layers
     with np.errstate(over="ignore", invalid="ignore"):   # caught below
         p, e = (np.array(v, complex) for v in _sweep(z, values, lengths).phi)

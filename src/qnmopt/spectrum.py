@@ -46,7 +46,7 @@ import numpy as np
 from .errors import (InputError, MaxDepthExceeded, NotIsolated,
                      NumericalError, ZeroOnContour)
 from .field import _jet, charF, charF_many
-from .medium import _is_real, _read_only
+from .medium import _as_complex, _is_finite_real, _is_real, _read_only
 
 
 __all__ = [
@@ -75,9 +75,9 @@ class SpectralWindow:
     im_max: float
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.re_min, self.re_max, self.im_min,
-                                       self.im_max))):
-            raise InputError("window bounds must be finite")
+        if not all(map(_is_finite_real, (self.re_min, self.re_max,
+                                         self.im_min, self.im_max))):
+            raise InputError("window bounds must be finite real numbers")
         if not self.re_min < self.re_max:
             raise InputError("need re_min < re_max")
         if not (0.0 < self.im_min < self.im_max):
@@ -356,8 +356,12 @@ def newton_refine(B, z0: complex, tol: float = 1e-12,
     few ulps has converged to rounding: where tol is below what F can show
     there, its kappa is also accepted when |F(kappa)| is within _ROUNDING of
     F's growth exp(|Im kappa| int sqrt B), and that |F| is its residual.
-    The one-start case of _newton_lockstep.
+    The one-start case of _newton_lockstep.  z0 must be a number and tol
+    and leash real numbers (InputError).
     """
+    _as_complex(z0, "z0", finite=False)
+    if not (_is_real(tol) and _is_real(leash)):
+        raise InputError(f"tol and leash must be real, not {tol!r}, {leash!r}")
     return _newton_lockstep(B, [z0], tol, [leash])[0]
 
 
@@ -530,12 +534,11 @@ def multiplicity(B, kappa0: complex, radius: float) -> int:
 
     Demands no zero between it and the square of half-side 2*radius, so
     the answer is attributable to the single zero at kappa0.  kappa0 must
-    be finite, and radius finite and positive.
+    be a finite number, and radius a finite positive real (InputError).
     """
-    if not (math.isfinite(radius) and radius > 0):
-        raise InputError(f"radius must be finite and positive, got {radius}")
-    if not cmath.isfinite(kappa0):
-        raise InputError(f"kappa0 must be finite, not {kappa0!r}")
+    if not (_is_finite_real(radius) and radius > 0):
+        raise InputError(f"radius must be finite and positive, not {radius!r}")
+    _as_complex(kappa0, "kappa0", finite=True)
     walks = [_walk(B, _square_edges(kappa0, h)) for h in (radius, 2.0 * radius)]
     inner, outer = map(_counted, walks)
     if outer != inner:
@@ -549,7 +552,10 @@ def axis_offset(b: float) -> float:
     log|(s + 1)/(s - 1)| / (2 s), s = sqrt b, as atanh(min(s, 1/s)) / s,
     which keeps full precision at small and large b.  Near b = 1, where
     min(s, 1/s) rounds toward 1, 1 - x comes from the exact b - 1 and
-    atanh x = log1p(2 x / (1 - x)) / 2."""
+    atanh x = log1p(2 x / (1 - x)) / 2.  b must be a nonnegative real
+    (InputError)."""
+    if not (_is_real(b) and b >= 0.0):
+        raise InputError(f"b must be a nonnegative real, not {b!r}")
     if b in (0.0, 1.0):
         raise InputError("no eigenvalues for b in {0, 1}")
     s = math.sqrt(b)
@@ -564,10 +570,11 @@ def constant_spectrum(b: float, w: SpectralWindow) -> list:
     """Closed-form eigenvalues of the constant structure B = b inside w.
 
     Empty for b in {0, 1}; otherwise kappa_n = pi/sqrt(b) * (n or n + 1/2)
-    + i * axis_offset(b) over all integers n.
+    + i * axis_offset(b) over all integers n.  b must be a nonnegative real
+    (InputError).
     """
-    if b < 0:
-        raise InputError("b must be nonnegative")
+    if not (_is_real(b) and b >= 0.0):
+        raise InputError(f"b must be a nonnegative real, not {b!r}")
     if b == 0.0 or b == 1.0:
         return []
     s = math.sqrt(b)

@@ -75,7 +75,7 @@ def test_traced_names_exist(monkeypatch):
 
 
 # defaulted parameters over src/qnmopt; a new option is a deliberate edit here
-MAX_PUBLIC_DEFAULTS = 12
+MAX_PUBLIC_DEFAULTS = 11
 MAX_PRIVATE_DEFAULTS = 2
 
 

@@ -209,8 +209,7 @@ class TestDegenerateLowerBound:
         assert abs(sc.kappa - res.polished_kappa) < 1e-8
 
     def test_leading_zero_interval_machinery(self):
-        from qnmopt.certificate import (_omega_from_trace, _shoot,
-                                        certificate_theta)
+        from qnmopt.certificate import _omega_from_trace, certificate_theta
         from qnmopt.medium import switch_points
         bounds = AdmissibleBounds(0.0, 4.0)
         B = PiecewiseStructure((0.0, 0.25, 0.55, 0.8, 1.0),
@@ -224,18 +223,46 @@ class TestDegenerateLowerBound:
         assert omega == 0.0  # switches of the degenerate family sit on R
         theta = certificate_theta(ev.kappa, omega, 0.0, tr.a1)
         assert theta == pytest.approx(-math.pi / 2)
-        # the shot keeps the vacuum length a1, the branch's second unknown,
-        # exact; the sampled rebuild meets Im y^2 = 0 there tangentially
-        # (quadratic growth) and finds it to ~sqrt(eps) only
-        _, _, pts, vals = _shoot(ev.kappa, theta, 0.25, bounds)
-        shot = PiecewiseStructure(pts, vals, bounds)
-        assert shot.values[0] == 0.0
-        assert abs(shot.breakpoints[1] - 0.25) <= 1e-12
-        ref = reference_rebuild(shot, ev.kappa, theta, bounds, 1024)
-        assert ref.values.tolist() == shot.values.tolist()
-        assert ref.breakpoints[1] == pytest.approx(0.25, abs=1e-7)
-        np.testing.assert_allclose(ref.breakpoints[2:], shot.breakpoints[2:],
-                                   rtol=0, atol=1e-12)
+
+
+_VACUUM_BOUNDS = [AdmissibleBounds(0.0, b2) for b2 in (1.5, 4.0, 9.0, 25.0,
+                                                       100.0)]
+
+
+class TestLeadingVacuumSeeds:
+    """A seed with a leading vacuum layer (b1 = 0) is shot from x = 0 like
+    any other medium: the solve ends in a medium whose eigenvalue
+    newton_refine confirms, with no leading vacuum layer, or in a
+    QnmOptError."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_solve_confirms_or_raises(self, data):
+        from qnmopt.certificate import _SOLVE_TOL, _solve_shot
+        draw = data.draw
+        bounds = draw(st.sampled_from(_VACUUM_BOUNDS))
+        a1 = draw(st.floats(0.02, 0.9))
+        widths = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=2,
+                                        max_size=6)))
+        cuts = a1 + (1.0 - a1) * np.cumsum(widths)[:-1] / widths.sum()
+        pts = [0.0, a1, *cuts, 1.0]
+        B0 = PiecewiseStructure(pts, [(0.0, bounds.b2)[j % 2]
+                                      for j in range(len(pts) - 1)], bounds)
+        z0 = complex(draw(st.floats(0.5, 12.0)), draw(st.floats(0.05, 1.5)))
+        try:
+            if draw(st.booleans()):
+                sc = self_consistent_solve(z0, bounds, n_grid=16, B0=B0)
+                B, kappa = sc.B, sc.kappa
+            else:
+                res = newton_refine(B0, z0, tol=1e-9, leash=1.0)
+                assume(res is not None)
+                k0 = draw(st.sampled_from([res[0], -res[0].conjugate()]))
+                B, kappa, _, _ = _solve_shot(B0, k0, k0.real, bounds)
+        except QnmOptError:
+            return
+        assert B.leading_zero_interval() == 0.0
+        res = newton_refine(B, kappa, tol=1e-11, leash=0.1)
+        assert res is not None and abs(res[0] - kappa) < _SOLVE_TOL
 
 
 class TestSelfConsistent:
@@ -354,13 +381,13 @@ class TestRebuildStructure:
         assert sc.B.values.tolist() == [4.0]
 
 
-def plain_shot(kappa, theta, a1, bounds):
+def plain_shot(kappa, theta, bounds):
     """The shot's F with no tangents: phi carried from event to event by
     field's layer map alone, an oracle for _shoot's F, bit for bit."""
     import cmath
     from qnmopt.certificate import _arg_phi, _event
     from qnmopt.field import _coefficients
-    x, p, dp = a1, 1.0 + 0j, 0j
+    x, p, dp = 0.0, 1.0 + 0j, 0j
     m = math.ceil(2.0 * theta / math.pi) - 1
     fall = theta - 0.5 * m * math.pi
     while True:
@@ -390,8 +417,7 @@ _SHOT_BOXES = [AdmissibleBounds(1.0, 4.0), AdmissibleBounds(0.5, 9.0),
 
 class TestShotTangents:
     """_shoot carries F's derivatives in the solve's unknowns beside phi:
-    Im kappa and theta, Im kappa and a1 after a leading vacuum layer, Im
-    kappa alone on the axis."""
+    Im kappa and theta, Im kappa alone on the axis."""
 
     @settings(max_examples=120, deadline=None, derandomize=True)
     @given(data=st.data())
@@ -399,25 +425,22 @@ class TestShotTangents:
         from qnmopt.certificate import _shoot
         draw = data.draw
         bounds = draw(st.sampled_from(_SHOT_BOXES))
-        branch = draw(st.sampled_from(
-            ["theta", "axis"] + ["a1"] * (bounds.b1 == 0.0)))
+        branch = draw(st.sampled_from(["theta", "axis"]))
         im = draw(st.floats(0.01, 1.0))
         re = 0.0 if branch == "axis" else draw(st.floats(0.3, 12.0))
         theta = draw(st.floats(-4.0, 4.0)) if branch == "theta" else \
-            0.25 * math.pi if branch == "axis" else -0.5 * math.pi
-        a1 = draw(st.floats(0.02, 0.95)) if branch == "a1" else 0.0
+            0.25 * math.pi
         # at theta = k pi / 2 the first switch sits at x = 0, where arg phi
         # is flat, so F goes as sqrt(theta - k pi / 2) there
         assume(branch != "theta" or abs(theta - 0.5 * math.pi * round(
             theta / (0.5 * math.pi))) > 1e-3)
-        F, dF, _, vals = _shoot(complex(re, im), theta, a1, bounds)
-        assert F == plain_shot(complex(re, im), theta, a1, bounds)
+        F, dF, _, vals = _shoot(complex(re, im), theta, bounds)
+        assert F == plain_shot(complex(re, im), theta, bounds)
         h = 1e-6
-        moves = [(1j * h, 0.0, 0.0)] + {"theta": [(0.0, h, 0.0)], "axis": [],
-                                       "a1": [(0.0, 0.0, h)]}[branch]
-        for d, (dk, dth, da) in zip(dF, moves):
+        moves = [(1j * h, 0.0)] + [(0.0, h)] * (branch == "theta")
+        for d, (dk, dth) in zip(dF, moves):
             plus, minus = (_shoot(complex(re, im) + s * dk, theta + s * dth,
-                                  a1 + s * da, bounds) for s in (1.0, -1.0))
+                                  bounds) for s in (1.0, -1.0))
             # a switch that enters or leaves at an end is a kink of F
             assume(plus[3] == minus[3] == vals)
             fd = (plus[0] - minus[0]) / (2.0 * h)
@@ -440,8 +463,7 @@ _SEEDS = [math.pi / 2 + 1j * LN3_4, 2.0 + 0.3j, 4.5 + 0.2j, 3.0j, 0j,
 class TestErrorContract:
     """phase_trace, switch_alignment, nonlinear_residual and
     self_consistent_solve end in a result or a QnmOptError for any medium,
-    eigenvalue, angle, bounds, grid and seed medium, wrong types among
-    them."""
+    eigenvalue, bounds, grid and seed medium, wrong types among them."""
 
     @settings(max_examples=120, deadline=None, derandomize=True)
     @given(data=st.data())
@@ -455,7 +477,6 @@ class TestErrorContract:
             except QnmOptError:
                 res = None
             kappa = kappa if res is None else res[0]
-        omega = draw(st.sampled_from([None, 0.0, 1.0, math.nan, "x"]))
         bounds = draw(st.sampled_from([_BOX, AdmissibleBounds(0.0, 4.0),
                                        AdmissibleBounds(2.0, 2.0), (1.0, 4.0),
                                        None]))
@@ -463,7 +484,7 @@ class TestErrorContract:
         B0 = draw(st.sampled_from([None] + _MEDIA + _NOT_MEDIA))
         calls = [lambda: phase_trace(B, kappa),
                  lambda: switch_alignment(B, kappa),
-                 lambda: nonlinear_residual(B, kappa, omega),
+                 lambda: nonlinear_residual(B, kappa),
                  lambda: self_consistent_solve(kappa, bounds, n_grid, B0)]
         for call in calls:
             try:
@@ -481,11 +502,9 @@ class TestErrorContract:
     @pytest.mark.parametrize("call", [
         lambda: switch_alignment("B", 1.0 + 0.5j),
         lambda: phase_trace(None, 1.0 + 0.5j),
-        lambda: nonlinear_residual(constant(4.0), math.pi / 2 + 1j * LN3_4,
-                                   "x"),
         lambda: self_consistent_solve(1.0 + 0.5j, (1.0, 4.0)),
         lambda: self_consistent_solve(1.0 + 0.5j, _BOX, 16, "B0")],
-        ids=["switch", "trace", "omega", "bounds", "B0"])
+        ids=["switch", "trace", "bounds", "B0"])
     def test_wrong_types_are_input_errors(self, call):
         with pytest.raises(InputError):
             call()

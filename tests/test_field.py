@@ -686,6 +686,16 @@ class TestErrorContract:
             except QnmOptError:
                 pass
 
+    @pytest.mark.parametrize("z, xs", [(2.0 + 0.3j, [0.0, math.nan, 1.0]),
+                                       (2.0 + 0.3j, 0.5),
+                                       (2.0 + 0.3j, [[0.0, 0.5]]),
+                                       ("z", [0.5]), (None, [0.5])])
+    def test_mode_values_input_faults_are_input_errors(self, z, xs):
+        # a NaN position raised NumericalError, a scalar IndexError and a
+        # z that is not a number TypeError
+        with pytest.raises(InputError):
+            mode_values(constant(4.0), z, xs)
+
     @pytest.mark.parametrize("z", [800j, 1e300j, complex(math.inf),
                                    complex(math.nan, 1.0)])
     def test_overflow_is_quiet_in_F_and_raises_in_sweeps(self, z):

@@ -1089,11 +1089,16 @@ def _point(draw):
                    draw(st.sampled_from(_IMAGS) | st.floats(0.0, 10.0)))
 
 
+_NOT_NUMBERS = ["x", None, [1.0]]
+
+
 class TestErrorContract:
     """Every public entry point of spectrum ends in a result or a QnmOptError
     on grid and piecewise media with 0 <= B <= 1e4, windows and points
-    anywhere in the plane (far up it F overflows) and sizes from 0 to
-    infinite; no other exception and no RuntimeWarning escapes."""
+    anywhere in the plane (far up it F overflows), sizes from 0 to infinite
+    and arguments that are not numbers; no other exception and no
+    RuntimeWarning escapes.  constant_spectrum takes a fixed window: its
+    list grows as the window's width times sqrt b."""
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(B=contract_media(), data=st.data())
@@ -1101,18 +1106,32 @@ class TestErrorContract:
         draw = data.draw
         corner = _point(draw)
         w_size = [draw(st.sampled_from(_SIZES)) for _ in range(2)]
-        z0 = _point(draw)
-        radius = draw(st.sampled_from(_SIZES + [-1.0]))
-        leash = draw(st.sampled_from([0.0, 1e-3, 1.0, math.inf, math.nan]))
-        tol = draw(st.sampled_from([1e-12, 1e-3, 0.0, math.inf]))
+        # one point in eight and one window in four hold a non-number
+        z0 = _point(draw) if draw(st.integers(0, 7)) \
+            else draw(st.sampled_from(_NOT_NUMBERS))
+        radius = draw(st.sampled_from(_SIZES + [-1.0] + _NOT_NUMBERS))
+        leash = draw(st.sampled_from([0.0, 1e-3, 1.0, math.inf, math.nan]
+                                     + _NOT_NUMBERS))
+        tol = draw(st.sampled_from([1e-12, 1e-3, 0.0, math.inf]
+                                   + _NOT_NUMBERS))
         zs = [_point(draw) for _ in range(draw(st.integers(0, 4)))]
+        b = draw(st.sampled_from([0.0, 1e-300, 0.25, 1.0, 4.0, 1e300,
+                                  math.inf, -1.0, math.nan, True]
+                                 + _NOT_NUMBERS))
+        sides = [corner.real, corner.real + w_size[0], corner.imag,
+                 corner.imag + w_size[1]]
+        side = draw(st.integers(0, 15))
+        if side < 4:
+            sides[side] = draw(st.sampled_from(_NOT_NUMBERS + [1j, True]))
 
         calls = [lambda: multiplicity(B, z0, radius),
                  lambda: newton_refine(B, z0, tol=tol, leash=leash),
-                 lambda: charF_many(np.array(zs, dtype=complex), B)]
+                 lambda: charF_many(np.array(zs, dtype=complex), B),
+                 lambda: axis_offset(b),
+                 lambda: constant_spectrum(
+                     b, SpectralWindow(-5.0, 5.0, 0.1, 1.0))]
         try:
-            w = SpectralWindow(corner.real, corner.real + w_size[0],
-                               corner.imag, corner.imag + w_size[1])
+            w = SpectralWindow(*sides)
         except QnmOptError:         # the window itself was refused
             pass
         else:
@@ -1123,6 +1142,25 @@ class TestErrorContract:
                 call()
             except QnmOptError:
                 pass
+
+    @pytest.mark.parametrize("call", [
+        lambda: axis_offset(-1.0),
+        lambda: axis_offset(math.nan),
+        lambda: constant_spectrum("4", SpectralWindow(0.1, 5.0, 0.1, 1.0)),
+        lambda: multiplicity(constant(4.0), "x", 0.1),
+        lambda: multiplicity(constant(4.0), 1.0 + 0.3j, None),
+        lambda: newton_refine(constant(4.0), "x"),
+        lambda: newton_refine(constant(4.0), 1.0 + 0.3j, tol="1e-12"),
+        lambda: newton_refine(constant(4.0), 1.0 + 0.3j, leash=None),
+        lambda: SpectralWindow(0.1, "5", 0.1, 1.0)],
+        ids=["axis_offset-negative", "axis_offset-nan",
+             "constant_spectrum-str", "multiplicity-kappa0",
+             "multiplicity-radius", "newton-z0", "newton-tol",
+             "newton-leash", "window-str"])
+    def test_found_escapes(self, call):
+        # each raised ValueError or TypeError, or (nan) returned nan
+        with pytest.raises(InputError):
+            call()
 
     @pytest.mark.parametrize("tol", [0.0, -1e-3, -math.inf, math.nan,
                                      "1e-12", None, True, 1e-12j])
