@@ -57,7 +57,8 @@ __all__ = [
 _CONTOUR_FLOOR = 1e-12   # relative |F| floor on contours
 _MAX_DEPTH = 64
 _WINDING_ROUNDS = 40     # contour refinement rounds before giving up
-_MAX_POINTS = 400_000    # contour points a walk may hold
+_MAX_POINTS = 400_000    # contour points a walk may hold, and eigenvalues
+                         # constant_spectrum may list
 _NEWTON_ITERS = 60       # iteration cap of a Newton run
 _EDGE_MIN = 16           # fewest segments on a rectangle edge
 _MOMENTS = 8             # most zeros a window takes from its moments
@@ -570,8 +571,8 @@ def constant_spectrum(b: float, w: SpectralWindow) -> list:
     """Closed-form eigenvalues of the constant structure B = b inside w.
 
     Empty for b in {0, 1}; otherwise kappa_n = pi/sqrt(b) * (n or n + 1/2)
-    + i * axis_offset(b) over all integers n.  b must be a nonnegative real
-    (InputError).
+    + i * axis_offset(b) over all integers n.  b must be a nonnegative real,
+    and w may hold at most _MAX_POINTS of them (InputError).
     """
     if not (_is_real(b) and b >= 0.0):
         raise InputError(f"b must be a nonnegative real, not {b!r}")
@@ -583,6 +584,10 @@ def constant_spectrum(b: float, w: SpectralWindow) -> list:
         return []
     shift = 0.0 if b > 1.0 else 0.5
     step = math.pi / s
-    n_lo = math.ceil(w.re_min / step - shift)
-    n_hi = math.floor(w.re_max / step - shift)
+    lo, hi = w.re_min / step - shift, w.re_max / step - shift
+    if not (math.isfinite(lo) and math.isfinite(hi)
+            and math.floor(hi) - math.ceil(lo) < _MAX_POINTS):
+        raise InputError(f"the window holds more than {_MAX_POINTS} "
+                         f"eigenvalues of b = {b!r}")
+    n_lo, n_hi = math.ceil(lo), math.floor(hi)
     return [complex((n + shift) * step, im) for n in range(n_lo, n_hi + 1)]

@@ -20,18 +20,28 @@ D^{n+1} carries a ghost entry -D^{n+1}[0] in front (the Neumann mirror
 u[-1] = u[1]), so the Neumann node takes the interior update:
 lam2 (d + d) equals the one-sided 2 lam2 d to the bit.  The Mur node is a
 scalar update whose previous value and neighbour are carried as Python
-floats.  The staggered energy at t = (n + 1/2) dt,
+floats.  V and D each alternate between two preallocated rows.
+
+The staggered energy at t = (n + 1/2) dt,
 
     E^n = h/2 (sum_i w_i B_i (V^n_i / dt)^2 + sum_i D^{n+1}_i D^n_i / h^2),
 
-with trapezoid weights w, is not formed per step: V and D rows of _BLOCK
-(16) consecutive steps are kept in three preallocated buffers of
-(_BLOCK + 1) x (m_cells + 1) floats.  Each block's energies come from one
-squaring pass, one matrix-vector product and one stacked row-dot matmul,
-always over all _BLOCK rows, so a step's energy does not depend on where
-the run stops.  The last V and D rows of a block carry over as row 0 of the
-next.  `excite_and_fit` therefore runs only as far as its fit reads: to the
-end of the 0.9 T window plus half an averaging period and two steps.
+with trapezoid weights w, is not formed per step.  Multiplying the update
+of node i by w_i (u_i^{n+1} - u_i^{n-1}) and summing by parts (the discrete
+energy method; Strikwerda, Finite Difference Schemes and PDEs, 2nd ed.,
+2004, ch. 6) telescopes the interior; the Neumann mirror cancels the term
+at x = 0, so only the flux through the Mur node m is left:
+
+    E^n - E^{n-1} = (u_m^{n+1} - u_m^{n-1}) [(u_m^n - u_{m-1}^n)
+                    + (u_m^{n+1} - 2 u_m^n + u_m^{n-1}) / (2 lam2_m)] / (2h),
+
+with lam2_m = dt^2 / (h^2 B_m).  The loop advances E by this identity in
+Python floats beside the Mur scalars, and every _BLOCK (16) steps resets it
+to the quadratic form of one row.  The reset bounds the rounding of the
+running sum to _BLOCK steps, so down a decay of many decades E keeps its
+relative precision, and makes a step's energy independent of where the run
+stops.  `excite_and_fit` therefore runs only as far as its fit reads: to
+the end of the 0.9 T window plus half an averaging period and two steps.
 """
 from __future__ import annotations
 
@@ -50,11 +60,12 @@ __all__ = ["SimResult", "simulate", "excite_and_fit", "FitResult",
            "CFL_SAFETY"]
 
 CFL_SAFETY = 0.9
-_BLOCK = 16   # time steps whose V and D rows are buffered between energy passes
+_BLOCK = 16   # steps between re-anchorings of the running energy
 _FIT_WINDOW = (0.15, 0.9)   # fraction of T over which log E is fitted
 _MAX_REL_RESIDUAL = 0.05    # largest rms misfit / slope span of a stable fit
 _MAX_FLOATS = 1 << 26       # floats a run may hold: 3 traces + node-length rows
-_NODE_ROWS = 3 * _BLOCK + 16   # node-length arrays a run holds, buffers included
+_NODE_ROWS = 20   # node-length arrays a run holds at its peak: about 19 while
+                 # excite_and_fit builds its mode data, 15 in simulate
 
 Medium = PiecewiseStructure | GridStructure
 
@@ -152,25 +163,31 @@ def simulate(B: Medium, u0, v0, T: float, m_cells: int) -> SimResult:
     w[0] = w[-1] = 0.5
     kin = w * bn / dt ** 2
 
-    # row j of a block holds step n = n0 + j: V[j] = u^{n+1} - u^n and
-    # D[j, 1:] = diff(u^n) behind the Neumann ghost D[j, 0]; row 0 is carried
-    # over from the previous block.  Rows past a short last block hold stale
-    # values, whose energies are dropped.
-    V = np.zeros((_BLOCK + 1, m_cells + 1))
-    D = np.zeros((_BLOCK + 1, m_cells + 1))
-    VV = np.empty((_BLOCK, m_cells + 1))
+    # step n reads V^n = u^{n+1} - u^n from row n % 2 of V and writes V^{n+1}
+    # to the other row; D alternates alike, D[., 1:] = diff(u) behind the
+    # Neumann ghost D[., 0]
+    V = np.zeros((2, m_cells + 1))
+    D = np.zeros((2, m_cells + 1))
     V[0] = u - u_prev
     D[0, 1:] = np.diff(u_prev)
-    rows = [(D[j + 1], D[j + 1, 1:], D[j + 1, :-1], V[j + 1], V[j + 1, :-1],
-             V[j, :-1]) for j in range(_BLOCK)]
-    d_new, d_old = D[1:, None, 1:], D[:-1, 1:, None]
+    rows = [(D[1], D[1, 1:], D[1, :-1], V[1], V[1, :-1], V[0, :-1]),
+            (D[0], D[0, 1:], D[0, :-1], V[0], V[0, :-1], V[1, :-1])]
+    rows *= _BLOCK // 2
     u_hi, u_lo, lam2_lo = u[1:], u[:-1], lam2[:-1]
-    end, pre = u.item(-1), u.item(-2)     # the Mur node and its neighbour
+    # the Mur node at steps n + 1 and n, and its neighbour at step n + 1
+    end, old, pre = u.item(-1), u_prev.item(-1), u.item(-2)
+    flux, kin_end = 0.5 / h, 0.5 / lam2.item(-1)
     sub, mul, add = np.subtract, np.multiply, np.add
     for n0 in range(0, n_steps, _BLOCK):
+        # E^{n0} from its quadratic form; V[1] and D[1] are overwritten by
+        # step n0
+        mul(V[0], V[0], V[1])
+        sub(u_hi, u_lo, D[1, 1:])
+        e = float(0.5 * h * (V[1] @ kin + (D[1, 1:] @ D[0, 1:]) / h ** 2))
         for n, (d_row, d, d_lo, v_row, v, v_old) in zip(range(n0, n_steps),
                                                         rows):
             probe[n] = u[0]
+            energies[n] = e
             sub(u_hi, u_lo, d)
             d_row[0] = -d_row[1]
             # V^{n+1} = V^n + lam2 lap(u^{n+1}) on nodes 0..m-1, then
@@ -183,13 +200,10 @@ def simulate(B: Medium, u0, v0, T: float, m_cells: int) -> SimResult:
             new = pre + mur * (mid - end)
             u[-1] = new
             v_row[-1] = new - end
-            end, pre = new, mid
-        # staggered (conserved-form) energy at t = (n + 1/2) dt
-        np.square(V[:-1], out=VV)
-        e = 0.5 * h * (VV @ kin + (d_new @ d_old)[:, 0, 0] / h ** 2)
-        k = min(_BLOCK, n_steps - n0)
-        energies[n0:n0 + k] = e[:k]
-        V[0], D[0] = V[k], D[k]
+            # E^{n+1} - E^n: the interior sums by parts to the Mur node
+            e += (new - old) * (end - pre
+                                + (new - 2.0 * end + old) * kin_end) * flux
+            old, end, pre = end, new, mid
     if not (np.all(np.isfinite(energies)) and np.all(np.isfinite(probe))):
         raise NumericalError("the run overflowed the float range")
 

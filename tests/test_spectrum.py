@@ -45,6 +45,9 @@ class TestWinding:
         assert winding_count(constant(4.0), w) == 3
 
 
+_MAX_POINTS = spectrum._MAX_POINTS
+
+
 class TestConstantSpectrum:
     def test_unit_empty(self):
         w = SpectralWindow(0.1, 5.0, 0.1, 1.0)
@@ -70,6 +73,24 @@ class TestConstantSpectrum:
         got = constant_spectrum(4.0, w)
         assert len(got) == 3
         assert all(z.real < 0 for z in got)
+
+    @pytest.mark.parametrize("b, w", [
+        (1e16, SpectralWindow(-1e308, 1e308, 1e-20, 1.0)),
+        (4.0, SpectralWindow(-1e6, 1e6, 0.1, 1.0))],
+        ids=["index-overflow", "million-eigenvalues"])
+    def test_too_many_eigenvalues(self, b, w):
+        # the first escaped as OverflowError, the second built 1273239
+        with pytest.raises(InputError, match=f"more than {_MAX_POINTS} eig"):
+            constant_spectrum(b, w)
+
+    def test_size_limit_is_inclusive(self):
+        # b = 4: kappa_n = n pi/2 + i ln3/4
+        step = math.pi / 2.0
+        w = SpectralWindow(0.5 * step, (_MAX_POINTS + 0.5) * step, 0.1, 1.0)
+        assert len(constant_spectrum(4.0, w)) == _MAX_POINTS
+        w = SpectralWindow(0.5 * step, (_MAX_POINTS + 1.5) * step, 0.1, 1.0)
+        with pytest.raises(InputError):
+            constant_spectrum(4.0, w)
 
 
 class TestLocate:
@@ -1097,8 +1118,7 @@ class TestErrorContract:
     on grid and piecewise media with 0 <= B <= 1e4, windows and points
     anywhere in the plane (far up it F overflows), sizes from 0 to infinite
     and arguments that are not numbers; no other exception and no
-    RuntimeWarning escapes.  constant_spectrum takes a fixed window: its
-    list grows as the window's width times sqrt b."""
+    RuntimeWarning escapes."""
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(B=contract_media(), data=st.data())
@@ -1127,16 +1147,15 @@ class TestErrorContract:
         calls = [lambda: multiplicity(B, z0, radius),
                  lambda: newton_refine(B, z0, tol=tol, leash=leash),
                  lambda: charF_many(np.array(zs, dtype=complex), B),
-                 lambda: axis_offset(b),
-                 lambda: constant_spectrum(
-                     b, SpectralWindow(-5.0, 5.0, 0.1, 1.0))]
+                 lambda: axis_offset(b)]
         try:
             w = SpectralWindow(*sides)
         except QnmOptError:         # the window itself was refused
             pass
         else:
             calls += [lambda: winding_count(B, w),
-                      lambda: locate(B, w, tol=tol)]
+                      lambda: locate(B, w, tol=tol),
+                      lambda: constant_spectrum(b, w)]
         for call in calls:
             try:
                 call()
