@@ -21,9 +21,11 @@ of the real and imaginary parts of wL.  Both read what only the medium
 fixes (sqrt(b), beta = sqrt(b) L, their negatives, -b and the b = 0 mask)
 from `B.layers`, which computes each once per medium (medium.Layers).
 `_sweep` keeps the states at every layer boundary, which a pairwise
-product does not give, for the boundary data, the mode values and the
-closed-form layer integrals.  phi_series (the power series in z^2) stays
-outside the kernel as the oracle the tests check it against.
+product does not give, for the boundary data and the overlap integrals;
+inside a layer phi has one closed form, the layer's map from its entry
+state (`_inside`), for the mode values and the cell integrals of phi^2.
+phi_series (the power series in z^2) stays outside the kernel as the
+oracle the tests check it against.
 """
 from __future__ import annotations
 
@@ -90,41 +92,44 @@ def _states(c, a, m, y, dy) -> tuple:
     return ys, dys
 
 
-class _Sweep(NamedTuple):
-    """One pass of a scalar z through a stack of layers."""
-    w: np.ndarray
-    big: np.ndarray
-    c: np.ndarray
-    sw: np.ndarray
-    phi: tuple          # (phi, phi'/z^2) lists at the n + 1 layer boundaries
-    psi: tuple | None   # (psi, psi') lists, when asked for
-
-
-def _sweep(z: complex, values, lengths, psi: bool = False) -> _Sweep:
-    """Coefficients at z and the states of phi (and psi) at every boundary.
+def _sweep(z: complex, values, lengths, psi: bool = False) -> list:
+    """The states of phi (and psi) at every layer boundary, at z.
 
     phi is carried as (phi, e = phi'/z^2), propagated by
     [[c, z^2 sw], [-b sw, c]]: nothing divides by z, so F = phi - i z e and
-    the layer integrals hold at z = 0 and subnormal z alike.
+    the layer integrals hold at z = 0 and subnormal z alike.  Returns the
+    (phi, e) lists, followed by the (psi, psi') lists when psi is set.
     """
-    w, big, c, sw = _coefficients(z, np.sqrt(values), lengths)
+    _, _, c, sw = _coefficients(z, np.sqrt(values), lengths)
     z2 = z * z
     bsw = values * sw
     c_ = c.tolist()
-    return _Sweep(w, big, c, sw,
-                  _states(c_, (z2 * sw).tolist(), bsw.tolist(), 1.0, 0.0),
-                  _states(c_, sw.tolist(), (z2 * bsw).tolist(), 0.0, 1.0)
-                  if psi else None)
+    states = [_states(c_, (z2 * sw).tolist(), bsw.tolist(), 1.0, 0.0)]
+    if psi:
+        states.append(_states(c_, sw.tolist(), (z2 * bsw).tolist(), 0.0, 1.0))
+    return states
 
 
-def _phi2_integrals(sweep: _Sweep, lengths, p, dp):
-    """Per layer, the integral of phi^2 for phi entering it with (p, dp).
+def _inside(z: complex, B, xs) -> tuple:
+    """(phi, phi'/z^2) at sorted positions xs in [0, 1], and their layers:
+    each is its layer's map applied to the layer's entry state (_sweep)."""
+    bps, lengths, values = B.layers
+    p, e = (np.array(v, complex) for v in _sweep(z, values, lengths)[0])
+    j = bps[1:-1].searchsorted(xs, side="right")
+    b, p, e = values[j], p[j], e[j]
+    _, _, c, sw = _coefficients(z, np.sqrt(b), xs - bps[j])
+    return c * p + z * z * sw * e, c * e - b * sw * p, j
+
+
+def _phi2_integrals(w, big, c, sw, lengths, p, dp):
+    """Per piece with _coefficients (w, big, c, sw), the integral of phi^2
+    for phi entering it with (p, dp).
 
     phi = p cos wt + dp sin(wt)/w; int cos^2 = (L + c sw)/2,
     int sin cos / w = sw^2/2 and int sin^2 / w^2 = (L - c sw)/(2 w^2),
     which is L^3/3 where |wL| < _SMALL.
     """
-    w, big, csw, sw = sweep.w, sweep.big, sweep.c * sweep.sw, sweep.sw
+    csw = c * sw
     iss2 = np.where(big, lengths - csw, lengths ** 3 / 1.5)  # twice the last
     np.divide(iss2, w * w, out=iss2, where=big)
     return 0.5 * (p * p * (lengths + csw) + dp * dp * iss2) + p * dp * sw * sw
@@ -144,8 +149,7 @@ def propagate(B, z: complex) -> BoundaryData:
     """
     _, lengths, values = B.layers
     with np.errstate(over="ignore", invalid="ignore"):   # caught below
-        sweep = _sweep(z, values, lengths, psi=True)
-    (p, e), (q, dq) = sweep.phi, sweep.psi
+        (p, e), (q, dq) = _sweep(z, values, lengths, psi=True)
     bd = BoundaryData(p[-1], z * z * e[-1], q[-1], dq[-1])
     _finite(z, list(vars(bd).values()))
     return bd
@@ -340,14 +344,9 @@ def mode_values(B, z: complex, xs) -> tuple:
     if not (xs.ndim == 1 and xs.min() >= -1e-15 and xs.max() <= 1 + 1e-15
             and (xs[1:] >= xs[:-1]).all()):   # so that a NaN fails it
         raise InputError("positions must be 1-D and sorted inside [0, 1]")
-    bps, lengths, values = B.layers
     with np.errstate(over="ignore", invalid="ignore"):   # caught below
-        p, e = (np.array(v, complex) for v in _sweep(z, values, lengths).phi)
-        j = bps[1:-1].searchsorted(xs, side="right")
-        b, p, e = values[j], p[j], e[j]
-        _, _, c, sw = _coefficients(z, np.sqrt(b), xs - bps[j])
-        z2 = z * z
-        phi, dphi = c * p + z2 * sw * e, z2 * (c * e - b * sw * p)
+        phi, e, _ = _inside(z, B, xs)
+        dphi = z * z * e
     _finite(z, phi, dphi)
     return phi, dphi
 
@@ -364,8 +363,7 @@ def overlap_integrals(B, z: complex):
     """
     _, lengths, values = B.layers
     with np.errstate(over="ignore", invalid="ignore"):   # caught below
-        sweep = _sweep(z, values, lengths, psi=True)
-        (p, e), (q, dq) = sweep.phi, sweep.psi
+        (p, e), (q, dq) = _sweep(z, values, lengths, psi=True)
         y = np.array((p[:-1], q[:-1]))
         d = np.array((e[:-1], dq[:-1]))
         a2, apq = ((y * y[0]) @ (values * lengths)).tolist()
@@ -390,19 +388,16 @@ def phi2_cell_integrals(B, z: complex, edges) -> np.ndarray:
     if not (edges.ndim == 1 and len(edges) >= 2 and edges[0] == 0.0
             and edges[-1] == 1.0 and (edges[1:] > edges[:-1]).all()):
         raise InputError("edges must increase strictly from 0 to 1")
-    bps, _, values = B.layers
-    cuts = np.sort(np.concatenate((edges, bps)))   # np.union1d, sans wrappers
-    cuts = cuts[np.concatenate(([True], cuts[1:] != cuts[:-1]))]
-    mids = 0.5 * (cuts[:-1] + cuts[1:])
-    layer = bps[1:-1].searchsorted(mids, side="right")
-    lengths = cuts[1:] - cuts[:-1]
+    cuts = np.sort(np.concatenate((edges, B.layers.breakpoints)))
+    cuts = cuts[np.concatenate(([True], cuts[1:] != cuts[:-1]))]  # np.union1d
+    starts, lengths = cuts[:-1], cuts[1:] - cuts[:-1]
     with np.errstate(over="ignore", invalid="ignore"):   # caught below
-        sweep = _sweep(z, values[layer], lengths)
-        p, e = (np.array(v[:-1], complex) for v in sweep.phi)
-        pieces = _phi2_integrals(sweep, lengths, p, z * z * e)
+        p, e, layer = _inside(z, B, starts)
+        coeffs = _coefficients(z, B.layers.rootb[layer], lengths)
+        pieces = _phi2_integrals(*coeffs, lengths, p, z * z * e)
     _finite(z, pieces)
     n = len(edges) - 1
-    cell = edges[1:-1].searchsorted(mids, side="right")
+    cell = edges[1:-1].searchsorted(starts, side="right")
     return (np.bincount(cell, pieces.real, n)
             + 1j * np.bincount(cell, pieces.imag, n))
 

@@ -132,6 +132,13 @@ def _box(bounds) -> AdmissibleBounds:
     return bounds
 
 
+def _instance(v, cls):
+    """v; InputError unless it is a cls."""
+    if not isinstance(v, cls):
+        raise InputError(f"need a {cls.__name__}, not {type(v).__name__}")
+    return v
+
+
 def _as_complex(v, name: str, *, finite: bool) -> complex:
     """v as a complex number; InputError unless it is a number, and a
     finite one where finite is set."""
@@ -317,6 +324,7 @@ def to_piecewise(g: GridStructure) -> PiecewiseStructure:
 
 def to_grid(p: PiecewiseStructure, n_cells: int) -> GridStructure:
     """Cell averages of p on a uniform grid; exact when breakpoints align."""
+    _instance(p, PiecewiseStructure)
     if not (_is_int(n_cells) and n_cells >= 1):
         raise InputError(f"n_cells must be an integer >= 1, got {n_cells!r}")
     edges = np.linspace(0.0, 1.0, n_cells + 1)
@@ -350,9 +358,10 @@ def switch_points(p: PiecewiseStructure) -> list:
     """Interior breakpoints where a bang-bang structure changes value.
 
     Returns ordered (x, direction) pairs with direction 'up' for b1->b2.
-    Raises NotBangBang for values off the bounds.
+    Raises NotBangBang for values off the bounds, InputError for anything
+    but a PiecewiseStructure.
     """
-    if not p.is_bang_bang():
+    if not _instance(p, PiecewiseStructure).is_bang_bang():
         raise NotBangBang(f"values {p.values.tolist()} not all in "
                           f"{{{p.bounds.b1}, {p.bounds.b2}}}")
     # merged neighbours differ, so every interior breakpoint is a switch

@@ -30,7 +30,7 @@ from .errors import (BranchCountMismatch, InputError, NearMultiple,
                      NoConvergence, NotAtRoot, NumericalError)
 from .field import _jet, charF_dzF, phi2_cell_integrals
 from .medium import (AdmissibleBounds, GridStructure, PiecewiseStructure,
-                     _as_complex, _is_finite_real, _is_int, _read_only,
+                     _as_complex, _is_finite_real, _is_int, _read_only, _reals,
                      to_piecewise)
 from .spectrum import newton_refine
 
@@ -51,7 +51,9 @@ class GradientDensity:
 
     The directional derivative along a cellwise-constant direction d is
     sum_i g[i] d[i] / N (exact: the per-cell integrals of phi^2 are closed
-    form).  g is a read-only complex array, copied once on construction.
+    form).  g is a read-only 1-D complex array, copied once on construction
+    (InputError for anything else); a direction is a grid or a 1-D sequence
+    of N reals (InputError).
     denom_abs records |D|, D the denominator of the module docstring.
     """
 
@@ -60,8 +62,13 @@ class GradientDensity:
     denom_abs: float
 
     def __post_init__(self):
-        object.__setattr__(self, "g",
-                           _read_only(np.array(self.g, dtype=complex)))
+        try:
+            g = np.array(self.g, dtype=complex)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InputError(f"g must be complex numbers: {exc}") from None
+        if g.ndim != 1:
+            raise InputError("g must be a 1-D array of cells")
+        object.__setattr__(self, "g", _read_only(g))
 
     @property
     def n_cells(self) -> int:
@@ -69,7 +76,9 @@ class GradientDensity:
 
     def directional(self, direction) -> complex:
         d = direction.values if isinstance(direction, GridStructure) \
-            else np.asarray(direction, dtype=float)
+            else _reals(direction, "direction")
+        if d.ndim != 1:
+            raise InputError("direction must be a 1-D array of cells")
         if len(d) != self.n_cells:
             raise InputError("direction grid does not match gradient grid")
         return complex(np.dot(self.g, d) / self.n_cells)

@@ -46,7 +46,8 @@ import numpy as np
 from .errors import (InputError, MaxDepthExceeded, NotIsolated,
                      NumericalError, ZeroOnContour)
 from .field import _jet, charF, charF_many
-from .medium import _as_complex, _is_finite_real, _is_real, _read_only
+from .medium import (_as_complex, _instance, _is_finite_real, _is_real,
+                     _read_only)
 
 
 __all__ = [
@@ -293,8 +294,9 @@ def _counted(walk) -> int:
 
 
 def winding_count(B, w: SpectralWindow) -> int:
-    """Number of zeros of F inside w, counted with multiplicity."""
-    return _counted(_walk(B, _rect_edges(w)))
+    """Number of zeros of F inside w, counted with multiplicity; InputError
+    unless w is a SpectralWindow."""
+    return _counted(_walk(B, _rect_edges(_instance(w, SpectralWindow))))
 
 
 @np.errstate(all="ignore")   # a product that overflows ends its run
@@ -403,9 +405,10 @@ def locate(B, w: SpectralWindow, tol: float = 1e-12) -> list:
     Counts stay consistent with winding_count.  Zeros closer together than
     about 1e-6 are below the isolation resolution and come back as a single
     eigenvalue whose multiplicity is the cluster's total (exactly what the
-    square count of a true multiple zero gives).  tol must be a positive
-    number (InputError).
+    square count of a true multiple zero gives).  w must be a SpectralWindow
+    and tol a positive number (InputError).
     """
+    _instance(w, SpectralWindow)
     if not (_is_real(tol) and tol > 0):
         raise InputError(f"tol must be a positive number, not {tol!r}")
     # (depth, window, walk), oldest first; a window that Newton does not
@@ -572,8 +575,10 @@ def constant_spectrum(b: float, w: SpectralWindow) -> list:
 
     Empty for b in {0, 1}; otherwise kappa_n = pi/sqrt(b) * (n or n + 1/2)
     + i * axis_offset(b) over all integers n.  b must be a nonnegative real,
-    and w may hold at most _MAX_POINTS of them (InputError).
+    and w a SpectralWindow that holds at most _MAX_POINTS of them
+    (InputError).
     """
+    _instance(w, SpectralWindow)
     if not (_is_real(b) and b >= 0.0):
         raise InputError(f"b must be a nonnegative real, not {b!r}")
     if b == 0.0 or b == 1.0:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from mpmath.calculus.quadrature import GaussLegendre
 
 from qnmopt import field
 from qnmopt.errors import (InputError, NumericalError, QnmOptError,
@@ -641,6 +642,92 @@ class TestCellIntegrals:
         four = phi2_cell_integrals(B, 2.2 + 0.6j, [0.0, 0.2, 0.37, 0.9, 1.0])
         assert cells.shape == (1,)
         assert abs(cells[0] - four.sum()) < 1e-12 * abs(cells[0])
+
+
+def mp_phi2_cells(B, z, edges):
+    """Per-cell integrals of phi^2 at 40 digits: the state at each layer's
+    entry is exact, phi in a piece (a cell split at the breakpoints) is the
+    layer's map from it, and each piece is integrated by 24-node
+    Gauss-Legendre (a 96-node rule agrees to the last bit of a double)."""
+    with mpmath.workdps(40):
+        rule = GaussLegendre(mpmath.mp).calc_nodes(4, mpmath.mp.prec)
+        z = mpmath.mpc(z.real, z.imag)
+        bps, _, values = B.layers
+        basis = {}
+
+        def advance(b, p, dp, t):
+            w = z * mpmath.sqrt(b)
+            c, s = mpmath.cos(w * t), mpmath.sin(w * t) / w if w else t
+            return c * p + s * dp, c * dp - w * w * s * p
+
+        def integrals(b, length):
+            """int_0^L of cos^2, cos sin / w and sin^2 / w^2 of w t."""
+            if (b, length) not in basis:
+                w, h = z * mpmath.sqrt(b), length / 2
+                acc = [0, 0, 0]
+                for x, weight in rule:
+                    t = h * (x + 1)
+                    c, s = mpmath.cos(w * t), mpmath.sin(w * t) / w if w else t
+                    acc = [acc[0] + weight * c * c, acc[1] + weight * c * s,
+                           acc[2] + weight * s * s]
+                basis[b, length] = [h * a for a in acc]
+            return basis[b, length]
+
+        entry, state = [], (mpmath.mpc(1), mpmath.mpc(0))
+        for x0, x1, b in zip(bps[:-1], bps[1:], values):
+            entry.append(state)
+            state = advance(mpmath.mpf(b), *state,
+                            mpmath.mpf(x1) - mpmath.mpf(x0))
+        cuts = sorted(set(edges.tolist()) | set(bps.tolist()))
+        cells = [mpmath.mpc(0)] * (len(edges) - 1)
+        for a, end in zip(cuts[:-1], cuts[1:]):
+            j = int(bps[1:-1].searchsorted(a, side="right"))
+            b = mpmath.mpf(values[j])
+            p, dp = advance(b, *entry[j], mpmath.mpf(a) - mpmath.mpf(bps[j]))
+            icc, ics, iss = integrals(b, mpmath.mpf(end) - mpmath.mpf(a))
+            k = int(edges[1:-1].searchsorted(a, side="right"))
+            cells[k] += p * p * icc + 2 * p * dp * ics + dp * dp * iss
+        return np.array([complex(v) for v in cells])
+
+
+def _blocky_grid(rng, n_layers, b1, b2):
+    """A 256-cell two-valued grid of n_layers blocks, like the optimizer's."""
+    cuts = np.sort(rng.choice(np.arange(1, 256), n_layers - 1, replace=False))
+    vals = np.empty(256)
+    for i, (a, b) in enumerate(zip((0, *cuts), (*cuts, 256))):
+        vals[a:b] = (b1, b2)[i % 2]
+    return GridStructure(vals, AdmissibleBounds(b1, b2))
+
+
+class TestCellIntegralsAt40Digits:
+    """Each cell is within 1e-14 of the largest cell of a 40-digit
+    reference: phi inside a layer comes from the layer's entry state, so no
+    rounding accumulates over the pieces before it in the layer."""
+
+    @staticmethod
+    def _check(B, z, edges):
+        cells = phi2_cell_integrals(B, z, edges)
+        ref = mp_phi2_cells(B, z, edges)
+        assert np.abs(cells - ref).max() <= 1e-14 * np.abs(cells).max()
+
+    @pytest.mark.parametrize("n_layers, b1, b2, z", [
+        (3, 1.0, 4.0, math.pi / 2 + 0.26j), (5, 1.0, 4.0, math.pi + 0.22j),
+        (9, 1.0, 4.0, 2 * math.pi + 0.16j), (17, 1.0, 9.0, math.pi + 0.09j),
+        (25, 1.0, 9.0, 2 * math.pi + 0.08j), (33, 0.5, 4.0, 2 * math.pi + 0.15j),
+        (45, 0.0, 4.0, 2 * math.pi + 0.01j), (57, 1.0, 9.0, 3 * math.pi + 0.3j)])
+    def test_blocky_grids(self, n_layers, b1, b2, z):
+        B = _blocky_grid(np.random.default_rng(n_layers), n_layers, b1, b2)
+        assert len(B.layers.values) == n_layers
+        self._check(B, z, B.edges)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bang_bang_on_uniform_edges(self, seed):
+        rng = np.random.default_rng(seed)
+        B = random_bang_bang(AdmissibleBounds(1.0, 9.0), rng, 8)
+        edges = np.linspace(0.0, 1.0, 17)
+        assert not np.isin(B.layers.breakpoints, edges[1:-1]).any()
+        self._check(B, complex(rng.uniform(1, 8), rng.uniform(0.05, 0.5)),
+                    edges)
 
 
 # -- the error contract ---------------------------------------------------------

@@ -391,7 +391,8 @@ class TestErrorContract:
         lambda: random_bang_bang((1.0, 4.0), np.random.default_rng(0)),
         lambda: PiecewiseStructure.from_json_dict(
             {"bounds": [0, 10 ** 400], "breakpoints": [0, 1],
-             "values": [1]})])
+             "values": [1]}),
+        lambda: switch_points(_GRID), lambda: to_grid(_GRID, 4)])
     def test_found_escapes(self, call):
         # each raised TypeError, ValueError, OverflowError, AttributeError
         # or a RuntimeWarning, or (nan eps) returned 0.0

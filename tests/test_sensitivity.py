@@ -95,6 +95,20 @@ class TestGradientStorage:
         src[0] = 5.0
         assert g.g.tolist() == [1.0 + 1.0j, 2.0 + 0.0j]
 
+    @pytest.mark.parametrize("direction", ["abc", None, np.ones((16, 1))],
+                             ids=["str", "None", "column"])
+    def test_direction_must_be_1d_reals(self, direction):
+        # "abc" raised ValueError, None and a column TypeError
+        g = GradientDensity(1 + 1j, np.ones(16, complex), 1.0)
+        with pytest.raises(InputError):
+            g.directional(direction)
+
+    @pytest.mark.parametrize("g", ["x", 1.0])
+    def test_g_must_be_a_complex_array(self, g):
+        # "x" raised ValueError, and a scalar TypeError at its first len
+        with pytest.raises(InputError):
+            GradientDensity(1 + 1j, g, 1.0)
+
 
 class TestEigenvalueGradient:
     def test_resolve_oracle_uniform_shift(self, box14):

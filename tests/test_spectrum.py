@@ -1171,13 +1171,18 @@ class TestErrorContract:
         lambda: newton_refine(constant(4.0), "x"),
         lambda: newton_refine(constant(4.0), 1.0 + 0.3j, tol="1e-12"),
         lambda: newton_refine(constant(4.0), 1.0 + 0.3j, leash=None),
-        lambda: SpectralWindow(0.1, "5", 0.1, 1.0)],
+        lambda: SpectralWindow(0.1, "5", 0.1, 1.0),
+        lambda: locate(constant(4.0), (0, 1, 0.1, 1)),
+        lambda: winding_count(constant(4.0), (0, 1, 0.1, 1)),
+        lambda: constant_spectrum(0.0, (0, 1, 0.1, 1))],
         ids=["axis_offset-negative", "axis_offset-nan",
              "constant_spectrum-str", "multiplicity-kappa0",
              "multiplicity-radius", "newton-z0", "newton-tol",
-             "newton-leash", "window-str"])
+             "newton-leash", "window-str", "locate-tuple",
+             "winding_count-tuple", "constant_spectrum-tuple"])
     def test_found_escapes(self, call):
-        # each raised ValueError or TypeError, or (nan) returned nan
+        # each raised ValueError, TypeError or AttributeError, or returned
+        # nan (axis_offset) or [] (constant_spectrum of b = 0 on a tuple)
         with pytest.raises(InputError):
             call()
 
