@@ -25,9 +25,8 @@ import numpy as np
 from .errors import (InputError, LostEigenvalue, NoConvergence, NotAtRoot,
                      OnImaginaryAxis)
 from .field import _coefficients, charF, mode_values
-from .medium import (AdmissibleBounds, GridStructure, PiecewiseStructure,
-                     _as_complex, _box, _is_int, constant,
-                     switch_points, to_piecewise)
+from .medium import (AdmissibleBounds, PiecewiseStructure, _as_complex, _box,
+                     _is_int, _piecewise, constant, switch_points)
 from .sensitivity import _damped_newton
 from .spectrum import newton_refine
 
@@ -41,15 +40,6 @@ _ROOT_TOL = 1e-7
 _MISMATCH_SAMPLES = 4096      # midpoint samples of the nonlinear mismatch
 _SHOT_ITERS = 20              # Newton steps of _solve_shot, a shot each
 _SOLVE_TOL = 1e-8             # the shot's kappa and its medium's eigenvalue
-
-
-def _piecewise(B) -> PiecewiseStructure:
-    """B, a grid in its exact piecewise form; InputError for a non-medium."""
-    if isinstance(B, GridStructure):
-        return to_piecewise(B)
-    if not isinstance(B, PiecewiseStructure):
-        raise InputError(f"B must be a medium, not {B!r}")
-    return B
 
 
 def _wrap_pi(x: float) -> float:
@@ -133,23 +123,21 @@ class SwitchCertificate:
     nonlinear_mismatch: float
 
 
-def _omega_from_trace(trace: PhaseTrace, sw: list,
-                      b1: float) -> float:
-    if b1 == 0.0 and trace.a1 > 0.0:
-        return 0.0  # degenerate family: switches sit on the real rays
+def _omega(xi: list, sw: list) -> float:
+    """The angle of the switch rays from the phases xi at the switches sw:
+    the first switch's, plus pi for a down switch; 0 with no switch.  phi
+    = 1 on a leading vacuum layer (b1 = 0), so there the first switch, an
+    up one, reads xi = 0: that family's switches sit on the real rays."""
     if not sw:
-        return 0.0  # constant structure: certificate reduces to variation
-    x1, direction = sw[0]
-    omega = trace.value(x1)
-    if direction == "down":
-        omega += math.pi
-    return _wrap_pi(omega)
+        return 0.0
+    return _wrap_pi(xi[0] + math.pi if sw[0][1] == "down" else xi[0])
 
 
 def certificate_theta(kappa: complex, omega: float, b1: float,
                       a1: float) -> float:
-    """Rotation making y = e^{i theta} phi solve the nonlinear problem."""
-    if kappa.real == 0.0:
+    """Rotation making y = e^{i theta} phi solve the nonlinear problem;
+    kappa must be a number (InputError)."""
+    if _as_complex(kappa, "kappa", finite=False).real == 0.0:
         return 0.25 * math.pi  # any value in (0, pi/2) works on the axis
     if b1 == 0.0 and a1 > 0.0:
         return -0.5 * math.pi if kappa.real > 0 else 0.0
@@ -173,17 +161,11 @@ def switch_alignment(B: PiecewiseStructure, kappa: complex) -> SwitchCertificate
         raise OnImaginaryAxis("use the axis characterization at Re kappa = 0")
     sw = switch_points(B)  # raises NotBangBang when appropriate
     trace = phase_trace(B, kappa)
-    omega = _omega_from_trace(trace, sw, B.bounds.b1)
-
-    devs = []
-    for x, direction in sw:
-        target = omega if direction == "up" else omega + math.pi
-        devs.append(abs(_wrap_pi(trace.value(x) - target)))
-
-    nodes = [0.0] + [x for x, _ in sw] + [1.0]
-    variation = max(abs(trace.value(b) - trace.value(a))
-                    for a, b in zip(nodes[:-1], nodes[1:]))
-
+    xi = [trace.value(x) for x in [0.0, *(x for x, _ in sw), 1.0]]
+    omega = _omega(xi[1:-1], sw)
+    devs = [abs(_wrap_pi(v - (omega if d == "up" else omega + math.pi)))
+            for v, (_, d) in zip(xi[1:-1], sw)]
+    variation = max(abs(b - a) for a, b in zip(xi[:-1], xi[1:]))
     theta = certificate_theta(kappa, omega, B.bounds.b1, trace.a1)
     return SwitchCertificate(
         omega=omega, switch_xs=tuple(x for x, _ in sw),
@@ -207,7 +189,8 @@ def nonlinear_residual(B: PiecewiseStructure, kappa: complex) -> tuple:
     omega = None   # theta needs none on the axis or after a leading vacuum
     if kappa.real != 0.0 and not (b1 == 0.0 and a1 > 0.0):
         sw = switch_points(B)  # NotBangBang before any phase work
-        omega = _omega_from_trace(phase_trace(B, kappa), sw, b1)
+        trace = phase_trace(B, kappa)
+        omega = _omega([trace.value(x) for x, _ in sw[:1]], sw)
     theta = certificate_theta(kappa, omega, b1, a1)
     return float(theta), _mismatch(B, kappa, theta)
 

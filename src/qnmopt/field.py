@@ -25,7 +25,10 @@ product does not give, for the boundary data and the overlap integrals;
 inside a layer phi has one closed form, the layer's map from its entry
 state (`_inside`), for the mode values and the cell integrals of phi^2.
 phi_series (the power series in z^2) stays outside the kernel as the
-oracle the tests check it against.
+oracle the tests check it against.  Every public function reads its
+medium through medium._medium, a point z through medium._as_complex and
+an array of points through medium._complexes, once per call: anything
+else raises InputError.
 """
 from __future__ import annotations
 
@@ -37,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InputError, NumericalError, TailNotConverged
-from .medium import _as_complex, _reals
+from .medium import _as_complex, _complexes, _medium, _reals
 
 __all__ = [
     "BoundaryData", "propagate", "charF", "charF_many", "charF_dzF", "dzF",
@@ -147,7 +150,8 @@ def propagate(B, z: complex) -> BoundaryData:
     Exact up to rounding for piecewise-constant B; values that are not
     finite raise NumericalError.
     """
-    _, lengths, values = B.layers
+    z = _as_complex(z, "z", finite=False)
+    _, lengths, values = _medium(B).layers
     with np.errstate(over="ignore", invalid="ignore"):   # caught below
         (p, e), (q, dq) = _sweep(z, values, lengths, psi=True)
     bd = BoundaryData(p[-1], z * z * e[-1], q[-1], dq[-1])
@@ -248,19 +252,19 @@ def _read_jet(ys: list, us: list) -> tuple:
 def charF(z: complex, B) -> complex:
     """Characteristic function F(z; B); F(0) = 1 (removable singularity).
     The order-1 product of charF_dzF, so the two agree bit for bit."""
-    return _jet(z, B, 1)[0]
+    return _jet(_as_complex(z, "z", finite=False), _medium(B), 1)[0]
 
 
 @np.errstate(all="ignore")
 def charF_dzF(z: complex, B) -> tuple:
     """(F, dF/dz) at z from one order-1 product (_jet); dF/dz(0) = i int B."""
-    return _jet(z, B, 1)[:2]
+    return _jet(_as_complex(z, "z", finite=False), _medium(B), 1)[:2]
 
 
 @np.errstate(all="ignore")
 def dzF(z: complex, B) -> complex:
     """dF/dz from the order-1 product (_jet); dF/dz(0) = i int B."""
-    return _jet(z, B, 1)[1]
+    return _jet(_as_complex(z, "z", finite=False), _medium(B), 1)[1]
 
 
 def _layer_matrices(z, lay) -> np.ndarray:
@@ -316,9 +320,9 @@ def charF_many(zs, B) -> np.ndarray:
     F is bit-equal whatever the batch around z (the contour walk caches it
     per point); overflow returns inf or nan, without a warning.
     """
-    zs = np.asarray(zs, dtype=complex)
+    zs = _complexes(zs, "zs")
     flat = zs.ravel()
-    lay = B.layers
+    lay = _medium(B).layers
     out = np.empty_like(flat)
     step = max(1, _CHUNK // len(lay.lengths))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -334,9 +338,11 @@ def charF_many(zs, B) -> np.ndarray:
 def mode_values(B, z: complex, xs) -> tuple:
     """(phi, phi') evaluated at sorted positions xs in [0, 1].
 
-    z must be a finite number and xs a 1-D sequence of sorted reals in
-    [0, 1] (InputError); values past the float range raise NumericalError.
+    B must be a medium, z a finite number and xs a 1-D sequence of sorted
+    reals in [0, 1] (InputError); values past the float range raise
+    NumericalError.
     """
+    _medium(B)
     z = _as_complex(z, "z", finite=True)
     xs = _reals(xs, "xs")
     if xs.ndim == 1 and not xs.size:
@@ -361,7 +367,8 @@ def overlap_integrals(B, z: complex):
     int phi v B = (sum b L phi v + sum L e v' - e(1) v(1)) / 2.
     Values that are not finite raise NumericalError.
     """
-    _, lengths, values = B.layers
+    z = _as_complex(z, "z", finite=False)
+    _, lengths, values = _medium(B).layers
     with np.errstate(over="ignore", invalid="ignore"):   # caught below
         (p, e), (q, dq) = _sweep(z, values, lengths, psi=True)
         y = np.array((p[:-1], q[:-1]))
@@ -384,6 +391,8 @@ def phi2_cell_integrals(B, z: complex, edges) -> np.ndarray:
     piece is resolved in closed form.  Integrals that are not finite raise
     NumericalError.
     """
+    _medium(B)
+    z = _as_complex(z, "z", finite=False)
     edges = _reals(edges, "edges")
     if not (edges.ndim == 1 and len(edges) >= 2 and edges[0] == 0.0
             and edges[-1] == 1.0 and (edges[1:] > edges[:-1]).all()):
@@ -452,7 +461,8 @@ def phi_series(B, z: complex) -> SeriesResult:
     range); the result reports that tail bound and a roundoff majorant
     eps * sum |term| for the alternating sum itself.
     """
-    xs, lengths, bvals = (a.tolist() for a in B.layers)
+    z = _as_complex(z, "z", finite=False)
+    xs, lengths, bvals = (a.tolist() for a in _medium(B).layers)
     try:
         r2 = abs(z) ** 2
     except OverflowError:   # past the float range: no sum converges

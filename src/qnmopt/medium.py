@@ -126,6 +126,14 @@ def _reals(a, name: str) -> np.ndarray:
         raise InputError(f"{name} must be real numbers: {exc}") from None
 
 
+def _complexes(a, name: str) -> np.ndarray:
+    """A new complex array of a; InputError unless a holds numbers."""
+    try:
+        return np.array(a, dtype=complex)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"{name} must be complex numbers: {exc}") from None
+
+
 def _box(bounds) -> AdmissibleBounds:
     if not isinstance(bounds, AdmissibleBounds):
         raise InputError(f"bounds must be AdmissibleBounds, not {bounds!r}")
@@ -212,9 +220,6 @@ class PiecewiseStructure:
     def value_at(self, x: float) -> float:
         """Value on the interval containing x (right-open convention)."""
         return float(self.layers.values_at(x))
-
-    def sup(self) -> float:
-        return float(self.values.max())
 
     def inf(self) -> float:
         return float(self.values.min())
@@ -317,8 +322,21 @@ class GridStructure:
 # -- conversions ---------------------------------------------------------
 
 
+def _medium(B):
+    """B; InputError unless it is a medium (PiecewiseStructure or grid)."""
+    if not isinstance(B, (PiecewiseStructure, GridStructure)):
+        raise InputError(f"B must be a medium, not {B!r}")
+    return B
+
+
+def _piecewise(B) -> PiecewiseStructure:
+    """B, a grid in its exact piecewise form; InputError for a non-medium."""
+    return to_piecewise(B) if isinstance(_medium(B), GridStructure) else B
+
+
 def to_piecewise(g: GridStructure) -> PiecewiseStructure:
     """Exact piecewise form of a grid structure (equal neighbours merged)."""
+    g = _instance(g, GridStructure)
     return PiecewiseStructure(g.edges, g.values, g.bounds)
 
 
@@ -343,13 +361,15 @@ def to_grid(p: PiecewiseStructure, n_cells: int) -> GridStructure:
 
 def project_to_box(g: GridStructure, bounds: AdmissibleBounds) -> GridStructure:
     """Clip every cell value into [b1, b2]; idempotent."""
-    return GridStructure(g.values.clip(_box(bounds).b1, bounds.b2), bounds)
+    vs = _instance(g, GridStructure).values
+    return GridStructure(vs.clip(_box(bounds).b1, bounds.b2), bounds)
 
 
 def round_to_extreme(g: GridStructure,
                      bounds: AdmissibleBounds) -> PiecewiseStructure:
     """Snap every cell to its nearer bound, ties to b1."""
-    vs, b1, b2 = g.values, _box(bounds).b1, bounds.b2
+    vs = _instance(g, GridStructure).values
+    b1, b2 = _box(bounds).b1, bounds.b2
     snapped = np.where(vs - b1 <= b2 - vs, b1, b2)
     return PiecewiseStructure(g.edges, snapped, bounds)
 
@@ -375,7 +395,7 @@ def extremality_measure(g: GridStructure, bounds: AdmissibleBounds,
     """Measure of { x : b1 + eps < B(x) < b2 - eps } (cell-count fraction)."""
     if not _is_finite_real(eps):
         raise InputError(f"eps must be a finite real, not {eps!r}")
-    vs = g.values
+    vs = _instance(g, GridStructure).values
     interior = (vs > _box(bounds).b1 + eps) & (vs < bounds.b2 - eps)
     return float(np.add.reduce(interior, dtype=float) / len(vs))
 

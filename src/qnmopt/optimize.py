@@ -26,9 +26,7 @@ rounded medium is reported as the polished one.
 """
 from __future__ import annotations
 
-import cmath
 import math
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -39,9 +37,9 @@ from .errors import (CollisionDetected, InfeasibleError, InputError,
 from .certificate import _solve_shot
 from .field import charF
 from .medium import (AdmissibleBounds, GridStructure, PiecewiseStructure,
-                     _box, _is_finite_real, _is_int, constant,
-                     extremality_measure, project_to_box, round_to_extreme,
-                     to_grid)
+                     _as_complex, _box, _instance, _is_finite_real, _is_int,
+                     constant, extremality_measure, project_to_box,
+                     round_to_extreme, to_grid)
 from .sensitivity import GradientDensity, eigenvalue_gradient
 from .spectrum import SpectralWindow, axis_offset, locate, newton_refine
 
@@ -85,15 +83,8 @@ class OptimizeConfig:
         if not (_is_int(self.max_iters) and self.max_iters >= 0):
             raise InputError(
                 f"max_iters must be an integer >= 0, got {self.max_iters!r}")
-        if not isinstance(self.seed_kappa, (numbers.Complex, type(None))):
-            raise InputError(
-                f"seed_kappa must be complex or None, got {self.seed_kappa!r}")
-
-
-def _config(config) -> OptimizeConfig:
-    if not isinstance(config, OptimizeConfig):
-        raise InputError(f"config must be an OptimizeConfig, not {config!r}")
-    return config
+        if self.seed_kappa is not None:
+            _as_complex(self.seed_kappa, "seed_kappa", finite=False)
 
 
 @dataclass(frozen=True)
@@ -311,7 +302,7 @@ def minimize_im_at_frequency(config: OptimizeConfig,
     far.  config must be an OptimizeConfig and B0 a GridStructure of
     config.n_cells cells or None (InputError).
     """
-    cfg = _config(config)
+    cfg = _instance(config, OptimizeConfig)
     if not isinstance(B0, (GridStructure, type(None))):
         raise InputError(f"B0 must be a GridStructure or None, not {B0!r}")
     if B0 is not None and B0.n_cells != cfg.n_cells:
@@ -320,8 +311,7 @@ def minimize_im_at_frequency(config: OptimizeConfig,
     if cfg.seed_kappa is not None:
         if not cfg.seed_kappa.imag > 0:
             raise ZeroFrequency("a seed eigenvalue needs Im kappa > 0")
-        if not cmath.isfinite(cfg.seed_kappa):
-            raise InputError(f"seed_kappa must be finite, got {cfg.seed_kappa}")
+        _as_complex(cfg.seed_kappa, "seed_kappa", finite=True)
         if B0 is None:
             raise InputError("seed_kappa needs a seed medium B0")
     bounds = cfg.bounds
@@ -447,7 +437,7 @@ def sweep_I(alphas, config: OptimizeConfig) -> list:
     belongs to its alpha and is dropped.  Per-alpha failures are recorded
     and the sweep continues; entries come back in input order.
     """
-    _config(config)
+    _instance(config, OptimizeConfig)
     try:
         alphas = list(alphas)
     except TypeError:

@@ -30,8 +30,8 @@ from .errors import (BranchCountMismatch, InputError, NearMultiple,
                      NoConvergence, NotAtRoot, NumericalError)
 from .field import _jet, charF_dzF, phi2_cell_integrals
 from .medium import (AdmissibleBounds, GridStructure, PiecewiseStructure,
-                     _as_complex, _is_finite_real, _is_int, _read_only, _reals,
-                     to_piecewise)
+                     _as_complex, _complexes, _instance, _is_finite_real,
+                     _is_int, _medium, _piecewise, _read_only, _reals)
 from .spectrum import newton_refine
 
 __all__ = [
@@ -62,10 +62,7 @@ class GradientDensity:
     denom_abs: float
 
     def __post_init__(self):
-        try:
-            g = np.array(self.g, dtype=complex)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise InputError(f"g must be complex numbers: {exc}") from None
+        g = _complexes(self.g, "g")
         if g.ndim != 1:
             raise InputError("g must be a 1-D array of cells")
         object.__setattr__(self, "g", _read_only(g))
@@ -100,10 +97,10 @@ def _order_jet(B, kappa: complex, order) -> tuple:
 def dzF_higher(B, kappa: complex, order: int) -> complex:
     """d^order F / dz^order for 2 <= order <= 6, exact to rounding: read off
     one pairwise product of the layer maps' Taylor series (field._jet).
-    kappa must be a finite number (InputError); a jet that overflows raises
-    NumericalError."""
+    B must be a medium and kappa a finite number (InputError); a jet that
+    overflows raises NumericalError."""
     _as_complex(kappa, "kappa", finite=True)
-    return _order_jet(B, kappa, order)[order]
+    return _order_jet(_medium(B), kappa, order)[order]
 
 
 def eigenvalue_gradient(B, kappa: complex, n_cells: int | None = None) -> GradientDensity:
@@ -113,9 +110,10 @@ def eigenvalue_gradient(B, kappa: complex, n_cells: int | None = None) -> Gradie
     |F| < _ROOT_TOL), the simple-root floor 1e-6 max(1, |F''|), under which
     |F'| raises NearMultiple and the splitting machinery applies instead, and
     the denominator D = -i kappa phi(1) F'(kappa) (F = 0 and the Wronskian).
-    kappa must be a number (InputError) and finite (NotAtRoot); a jet that
-    overflows raises NumericalError.
+    B must be a medium and kappa a number (InputError), and kappa finite
+    (NotAtRoot); a jet that overflows raises NumericalError.
     """
+    _medium(B)
     if not cmath.isfinite(_as_complex(kappa, "kappa", finite=False)):
         raise NotAtRoot(f"kappa = {kappa!r} is not a finite root")
     if n_cells is None:
@@ -178,8 +176,11 @@ def splitting_probe(B, kappa0: complex, r: int, direction: GridStructure,
     gives dBF = i kappa0 int phi^2 direction / phi(1), so one order-r jet
     holds phi(1) and F^(r).  r must be an integer in 2..6 and zetas a
     non-empty sequence of distinct finite positive reals, else InputError
-    before any Newton run, as is a kappa0 that is not a finite number.
+    before any Newton run, as is a B that is not a medium (a grid is read
+    in its piecewise form), a direction that is not a GridStructure and a
+    kappa0 that is not a finite number.
     """
+    B, direction = _piecewise(B), _instance(direction, GridStructure)
     _as_complex(kappa0, "kappa0", finite=True)
     try:
         zetas = tuple(zetas)
@@ -192,8 +193,6 @@ def splitting_probe(B, kappa0: complex, r: int, direction: GridStructure,
     zetas = tuple(sorted(map(float, zetas), reverse=True))
     if len(set(zetas)) < len(zetas):
         raise InputError(f"zetas must be distinct, not {zetas!r}")
-    if isinstance(B, GridStructure):
-        B = to_piecewise(B)
     cells = phi2_cell_integrals(B, kappa0, direction.edges)
     w = complex(np.dot(cells, direction.values))
     if abs(w) < 1e-12 * max(1.0, float(np.max(np.abs(cells)))

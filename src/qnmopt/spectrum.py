@@ -47,7 +47,7 @@ from .errors import (InputError, MaxDepthExceeded, NotIsolated,
                      NumericalError, ZeroOnContour)
 from .field import _jet, charF, charF_many
 from .medium import (_as_complex, _instance, _is_finite_real, _is_real,
-                     _read_only)
+                     _medium, _read_only)
 
 
 __all__ = [
@@ -295,8 +295,9 @@ def _counted(walk) -> int:
 
 def winding_count(B, w: SpectralWindow) -> int:
     """Number of zeros of F inside w, counted with multiplicity; InputError
-    unless w is a SpectralWindow."""
-    return _counted(_walk(B, _rect_edges(_instance(w, SpectralWindow))))
+    unless B is a medium and w a SpectralWindow."""
+    w = _instance(w, SpectralWindow)
+    return _counted(_walk(_medium(B), _rect_edges(w)))
 
 
 @np.errstate(all="ignore")   # a product that overflows ends its run
@@ -359,9 +360,10 @@ def newton_refine(B, z0: complex, tol: float = 1e-12,
     few ulps has converged to rounding: where tol is below what F can show
     there, its kappa is also accepted when |F(kappa)| is within _ROUNDING of
     F's growth exp(|Im kappa| int sqrt B), and that |F| is its residual.
-    The one-start case of _newton_lockstep.  z0 must be a number and tol
-    and leash real numbers (InputError).
+    The one-start case of _newton_lockstep.  B must be a medium, z0 a
+    number and tol and leash real numbers (InputError).
     """
+    _medium(B)
     _as_complex(z0, "z0", finite=False)
     if not (_is_real(tol) and _is_real(leash)):
         raise InputError(f"tol and leash must be real, not {tol!r}, {leash!r}")
@@ -405,9 +407,10 @@ def locate(B, w: SpectralWindow, tol: float = 1e-12) -> list:
     Counts stay consistent with winding_count.  Zeros closer together than
     about 1e-6 are below the isolation resolution and come back as a single
     eigenvalue whose multiplicity is the cluster's total (exactly what the
-    square count of a true multiple zero gives).  w must be a SpectralWindow
-    and tol a positive number (InputError).
+    square count of a true multiple zero gives).  B must be a medium, w a
+    SpectralWindow and tol a positive number (InputError).
     """
+    _medium(B)
     _instance(w, SpectralWindow)
     if not (_is_real(tol) and tol > 0):
         raise InputError(f"tol must be a positive number, not {tol!r}")
@@ -537,9 +540,11 @@ def multiplicity(B, kappa0: complex, radius: float) -> int:
     zero.
 
     Demands no zero between it and the square of half-side 2*radius, so
-    the answer is attributable to the single zero at kappa0.  kappa0 must
-    be a finite number, and radius a finite positive real (InputError).
+    the answer is attributable to the single zero at kappa0.  B must be a
+    medium, kappa0 a finite number and radius a finite positive real
+    (InputError).
     """
+    _medium(B)
     if not (_is_finite_real(radius) and radius > 0):
         raise InputError(f"radius must be finite and positive, not {radius!r}")
     _as_complex(kappa0, "kappa0", finite=True)

@@ -46,15 +46,14 @@ the end of the 0.9 T window plus half an averaging period and two steps.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateMedium, FitUnstable, InputError, NumericalError
 from .field import mode_values
-from .medium import (GridStructure, PiecewiseStructure, _is_finite_real,
-                     _is_int)
+from .medium import (GridStructure, PiecewiseStructure, _as_complex,
+                     _is_finite_real, _is_int, _medium)
 
 __all__ = ["SimResult", "simulate", "excite_and_fit", "FitResult",
            "CFL_SAFETY"]
@@ -91,15 +90,15 @@ def _node_coefficients(B: Medium, m_cells: int) -> np.ndarray:
 def _plan(B: Medium, T, m_cells) -> tuple:
     """(dt, steps) of a run until T on m_cells cells at the CFL-safe step
     dt = CFL_SAFETY dx sqrt(min B), checked before any allocation:
-    InputError for a bad T or m_cells or a run of more than _MAX_FLOATS
-    floats, DegenerateMedium for min B <= 0."""
+    InputError for a B that is not a medium, a bad T or m_cells or a run
+    of more than _MAX_FLOATS floats, DegenerateMedium for min B <= 0."""
     if not _is_int(m_cells) or m_cells < 1:
         raise InputError(f"m_cells must be a positive integer, not {m_cells!r}")
     if m_cells >= _MAX_FLOATS // _NODE_ROWS:
         raise InputError(f"{m_cells} cells exceed the run size limit")
     if not (_is_finite_real(T) and T >= 0.0):
         raise InputError(f"T must be finite and >= 0, not {T!r}")
-    b_min = float(B.layers.values.min())
+    b_min = float(_medium(B).layers.values.min())
     if b_min <= 0.0:
         raise DegenerateMedium("simulation requires min B > 0")
     h = 1.0 / m_cells
@@ -132,11 +131,11 @@ def simulate(B: Medium, u0, v0, T: float, m_cells: int) -> SimResult:
 
     u0, v0 are node arrays of length m_cells + 1 (displacement and
     velocity).  The run takes the CFL-safe step dt = 0.9 dx sqrt(min B)
-    and probes the wall node x = 0.  T must be finite and >= 0, m_cells a
-    positive integer, u0 and v0 real and finite, and the run must fit in
-    _MAX_FLOATS floats; anything else raises InputError.  A run that
-    overflows (huge data) raises NumericalError after its loop instead of
-    warning at every step.
+    and probes the wall node x = 0.  B must be a medium, T finite and >=
+    0, m_cells a positive integer, u0 and v0 real and finite, and the run
+    must fit in _MAX_FLOATS floats; anything else raises InputError.  A
+    run that overflows (huge data) raises NumericalError after its loop
+    instead of warning at every step.
     """
     dt, n_steps = _plan(B, T, m_cells)
     u_prev = _node_array(u0, m_cells)
@@ -226,13 +225,10 @@ def excite_and_fit(B: Medium, kappa: complex, T: float,
     in amplitude).  A log-energy trace that is not straight over the fit
     window (mode mixing, under-resolved grid), or one shorter than the
     averaging period, raises FitUnstable.  The run stops after the last
-    step the fit reads, with the same result as a run until T.
+    step the fit reads, with the same result as a run until T.  B must be
+    a medium and kappa a finite number (InputError).
     """
-    if not isinstance(kappa, numbers.Complex):
-        raise InputError(f"kappa must be a complex number, not {kappa!r}")
-    kappa = complex(kappa)
-    if not (math.isfinite(kappa.real) and math.isfinite(kappa.imag)):
-        raise InputError(f"kappa must be finite, not {kappa!r}")
+    kappa = _as_complex(kappa, "kappa", finite=True)
     dt, _ = _plan(B, T, m_cells)
     p = _averaging_steps(kappa, dt, T)
     # an averaged sample at time t reads the steps within p/2 of it

@@ -1,7 +1,8 @@
 """Public-surface guard: every exported and every traced name resolves, the
 number of package names, of options and of module-level numeric constants
-stays capped, no module imports a name it never reads, and importing the
-package needs numpy alone.
+stays capped, no module imports a name it never reads, importing the
+package needs numpy alone, and a medium or a point of the wrong type is an
+InputError at every entry that reads one.
 
 The benchmark tracer (perfbench/tracer.py) patches library functions by
 name, so deleting or renaming one of them breaks `Tracer.install` with an
@@ -17,9 +18,14 @@ import sys
 from dataclasses import MISSING, fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qnmopt
+from qnmopt import (certificate, field, medium, sensitivity, spectrum,
+                    timedomain)
+from qnmopt.errors import InputError
+from qnmopt.medium import AdmissibleBounds, GridStructure, constant
 from qnmopt.optimize import OptimizeConfig
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -178,3 +184,55 @@ def test_import_loads_no_scipy():
         check=True,
         env={**os.environ, "PYTHONPATH": str(Path(qnmopt.__file__).parents[1])})
     assert out.stdout.strip() == "[]"
+
+
+_B = constant(4.0)
+_WINDOW = spectrum.SpectralWindow(0.1, 5.0, 0.1, 1.0)
+_BOX = AdmissibleBounds(1.0, 4.0)
+_GRID = GridStructure(np.full(16, 4.0), _BOX)
+_NODES = np.zeros(17)
+
+# a point that is not a number, then a medium that is not a medium; each
+# escaped as UFuncTypeError, TypeError, ValueError or AttributeError
+CONTRACT = {
+    "propagate(z)": lambda: field.propagate(_B, "x"),
+    "phi2_cell_integrals(z)": lambda: field.phi2_cell_integrals(_B, "x",
+                                                                [0, 1]),
+    "overlap_integrals(z)": lambda: field.overlap_integrals(_B, None),
+    "dzF(z)": lambda: field.dzF(None, _B),
+    "phi_series(z)": lambda: field.phi_series(_B, "x"),
+    "charF(z)": lambda: field.charF("x", _B),
+    "charF_dzF(z)": lambda: field.charF_dzF("x", _B),
+    "charF_many(zs)": lambda: field.charF_many(["x"], _B),
+    "charF(B)": lambda: field.charF(1.0, None),
+    "charF_many(B)": lambda: field.charF_many([1.0], None),
+    "mode_values(B)": lambda: field.mode_values(None, 1.0, [0.5]),
+    "propagate(B)": lambda: field.propagate(None, 1.0),
+    "locate(B)": lambda: spectrum.locate(None, _WINDOW),
+    "winding_count(B)": lambda: spectrum.winding_count(None, _WINDOW),
+    "multiplicity(B)": lambda: spectrum.multiplicity(None, 1 + 0.5j, 0.1),
+    "newton_refine(B)": lambda: spectrum.newton_refine(None, 1 + 0.5j),
+    "eigenvalue_gradient(B)": lambda: sensitivity.eigenvalue_gradient(
+        None, 1 + 0.5j, 16),
+    "dzF_higher(B)": lambda: sensitivity.dzF_higher(None, 1 + 0.5j, 2),
+    "splitting_probe(B)": lambda: sensitivity.splitting_probe(
+        None, 1 + 0.5j, 2, _GRID, [1e-3]),
+    "simulate(B)": lambda: timedomain.simulate(None, _NODES, _NODES, 1.0, 16),
+    "excite_and_fit(B)": lambda: timedomain.excite_and_fit(None, 1 + 0.5j,
+                                                           1.0, 16),
+    "splitting_probe(direction)": lambda: sensitivity.splitting_probe(
+        _B, 1 + 0.5j, 2, None, [1e-3]),
+    "certificate_theta(kappa)": lambda: certificate.certificate_theta(
+        "x", 0.0, 1.0, 0.0),
+    "to_piecewise(g)": lambda: medium.to_piecewise(None),
+    "project_to_box(g)": lambda: medium.project_to_box(None, _BOX),
+    "round_to_extreme(g)": lambda: medium.round_to_extreme(None, _BOX),
+    "extremality_measure(g)": lambda: medium.extremality_measure(None, _BOX,
+                                                                 0.1),
+}
+
+
+@pytest.mark.parametrize("call", CONTRACT.values(), ids=CONTRACT.keys())
+def test_wrong_type_is_input_error(call):
+    with pytest.raises(InputError):
+        call()

@@ -209,7 +209,7 @@ class TestDegenerateLowerBound:
         assert abs(sc.kappa - res.polished_kappa) < 1e-8
 
     def test_leading_zero_interval_machinery(self):
-        from qnmopt.certificate import _omega_from_trace, certificate_theta
+        from qnmopt.certificate import _omega, certificate_theta
         from qnmopt.medium import switch_points
         bounds = AdmissibleBounds(0.0, 4.0)
         B = PiecewiseStructure((0.0, 0.25, 0.55, 0.8, 1.0),
@@ -219,7 +219,8 @@ class TestDegenerateLowerBound:
         assert tr.a1 == 0.25
         # the mode is exactly 1 on the empty leading interval
         assert np.max(np.abs(tr.xi[tr.xs <= 0.25])) == 0.0
-        omega = _omega_from_trace(tr, switch_points(B), 0.0)
+        sw = switch_points(B)
+        omega = _omega([tr.value(x) for x, _ in sw], sw)
         assert omega == 0.0  # switches of the degenerate family sit on R
         theta = certificate_theta(ev.kappa, omega, 0.0, tr.a1)
         assert theta == pytest.approx(-math.pi / 2)
