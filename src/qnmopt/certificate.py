@@ -26,7 +26,7 @@ from .errors import (InputError, LostEigenvalue, NoConvergence, NotAtRoot,
                      OnImaginaryAxis)
 from .field import _coefficients, charF, mode_values
 from .medium import (AdmissibleBounds, PiecewiseStructure, _as_complex, _box,
-                     _is_int, _piecewise, constant, switch_points)
+                     _is_int, _is_real, _piecewise, constant, switch_points)
 from .sensitivity import _damped_newton
 from .spectrum import newton_refine
 
@@ -57,6 +57,9 @@ class PhaseTrace:
     xi_prime_sign: int       # sign of xi' on (a1, 1]
 
     def value(self, x: float) -> float:
+        """xi at x, interpolated; x must be a real (InputError)."""
+        if not _is_real(x):
+            raise InputError(f"x must be a real number, not {x!r}")
         return float(np.interp(x, self.xs, self.xi))
 
 
@@ -136,11 +139,17 @@ def _omega(xi: list, sw: list) -> float:
 def certificate_theta(kappa: complex, omega: float, b1: float,
                       a1: float) -> float:
     """Rotation making y = e^{i theta} phi solve the nonlinear problem;
-    kappa must be a number (InputError)."""
-    if _as_complex(kappa, "kappa", finite=False).real == 0.0:
+    kappa must be a number and b1 and a1 reals, and omega a real where it
+    is read: off the axis, outside the leading-vacuum family (InputError)."""
+    _as_complex(kappa, "kappa", finite=False)
+    if not (_is_real(b1) and _is_real(a1)):
+        raise InputError(f"b1 and a1 must be real, not {b1!r}, {a1!r}")
+    if kappa.real == 0.0:
         return 0.25 * math.pi  # any value in (0, pi/2) works on the axis
     if b1 == 0.0 and a1 > 0.0:
         return -0.5 * math.pi if kappa.real > 0 else 0.0
+    if not _is_real(omega):
+        raise InputError(f"omega must be a real number, not {omega!r}")
     if kappa.real > 0:
         return 0.5 * (math.pi - omega)
     return -0.5 * omega
@@ -178,21 +187,19 @@ def switch_alignment(B: PiecewiseStructure, kappa: complex) -> SwitchCertificate
 def nonlinear_residual(B: PiecewiseStructure, kappa: complex) -> tuple:
     """(theta, mismatch): does chi_{C+}((e^{i theta} phi)^2) rebuild B?
 
-    theta (pi/4 on the axis) and the mismatch are switch_alignment's.  B
-    must be a medium and kappa a number (InputError).
+    Off the axis and the leading-vacuum family both are switch_alignment's.
+    B must be a medium, kappa a number (InputError) and a root (NotAtRoot).
     """
     B = _piecewise(B)
     _as_complex(kappa, "kappa", finite=False)
     if not abs(charF(kappa, B)) < _ROOT_TOL:
         raise NotAtRoot(f"kappa = {kappa} is not an eigenvalue")
     b1, a1 = B.bounds.b1, B.leading_zero_interval()
-    omega = None   # theta needs none on the axis or after a leading vacuum
     if kappa.real != 0.0 and not (b1 == 0.0 and a1 > 0.0):
-        sw = switch_points(B)  # NotBangBang before any phase work
-        trace = phase_trace(B, kappa)
-        omega = _omega([trace.value(x) for x, _ in sw[:1]], sw)
-    theta = certificate_theta(kappa, omega, b1, a1)
-    return float(theta), _mismatch(B, kappa, theta)
+        cert = switch_alignment(B, kappa)
+        return cert.theta, cert.nonlinear_mismatch
+    theta = certificate_theta(kappa, None, b1, a1)
+    return theta, _mismatch(B, kappa, theta)
 
 
 def _mismatch(B: PiecewiseStructure, kappa: complex, theta: float) -> float:

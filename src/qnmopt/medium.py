@@ -21,6 +21,7 @@ from __future__ import annotations
 import cmath
 import json
 import numbers
+import os
 import sys
 from dataclasses import dataclass
 from functools import cached_property
@@ -50,7 +51,9 @@ class AdmissibleBounds:
         return self.b2 - self.b1
 
     def contains(self, v) -> bool:
-        v = np.asarray(v, dtype=float)   # empty: True; a NaN: False
+        """Whether every value of v lies in the box; v must be real numbers
+        (InputError).  Empty: True; a NaN: False."""
+        v = _reals(v, "v")
         return not v.size or bool(
             np.minimum.reduce(v, axis=None) >= self.b1 - _BOUND_SLACK
             and np.maximum.reduce(v, axis=None) <= self.b2 + _BOUND_SLACK)
@@ -101,8 +104,9 @@ class Layers(_LayerArrays):
         return float(np.dot(self.lengths, self.rootb))
 
     def values_at(self, xs):
-        """Values of the layers holding xs (right-open; end layers outside)."""
-        j = self.breakpoints[1:-1].searchsorted(xs, side="right")
+        """Values of the layers holding xs (right-open; end layers outside);
+        xs must be real numbers (InputError)."""
+        j = self.breakpoints[1:-1].searchsorted(_reals(xs, "xs"), side="right")
         return self.values[j]
 
 
@@ -118,20 +122,29 @@ def _is_finite_real(v) -> bool:
     return _is_real(v) and abs(v) <= sys.float_info.max
 
 
+def _numbers(a, dtype, name: str, what: str) -> np.ndarray:
+    """A new dtype array of a; InputError unless a holds `what`.  numpy
+    reads None as NaN, so where the array holds a NaN and a is not already
+    a numeric array, a None in a is refused."""
+    try:
+        out = np.array(a, dtype=dtype)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"{name} must be {what}: {exc}") from None
+    if not (isinstance(a, np.ndarray) and a.dtype.kind in "biufc") \
+            and np.isnan(out).any() \
+            and any(v is None for v in np.array(a, dtype=object).flat):
+        raise InputError(f"{name} must be {what}, not None")
+    return out
+
+
 def _reals(a, name: str) -> np.ndarray:
     """A new float array of a; InputError unless a holds real numbers."""
-    try:
-        return np.array(a, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InputError(f"{name} must be real numbers: {exc}") from None
+    return _numbers(a, float, name, "real numbers")
 
 
 def _complexes(a, name: str) -> np.ndarray:
     """A new complex array of a; InputError unless a holds numbers."""
-    try:
-        return np.array(a, dtype=complex)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InputError(f"{name} must be complex numbers: {exc}") from None
+    return _numbers(a, complex, name, "complex numbers")
 
 
 def _box(bounds) -> AdmissibleBounds:
@@ -217,13 +230,6 @@ class PiecewiseStructure:
     def n_intervals(self) -> int:
         return len(self.values)
 
-    def value_at(self, x: float) -> float:
-        """Value on the interval containing x (right-open convention)."""
-        return float(self.layers.values_at(x))
-
-    def inf(self) -> float:
-        return float(self.values.min())
-
     def is_bang_bang(self) -> bool:
         vs = self.values
         return bool(np.all((np.abs(vs - self.bounds.b1) <= _BOUND_SLACK)
@@ -253,18 +259,26 @@ class PiecewiseStructure:
             raise InputError(f"bad structure record: {exc}") from exc
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(_path(path), "w", encoding="utf-8") as fh:
             json.dump(self.to_json_dict(), fh, indent=2)
             fh.write("\n")
 
     @classmethod
     def load(cls, path) -> "PiecewiseStructure":
         try:
-            with open(path, "r", encoding="utf-8") as fh:
+            with open(_path(path), "r", encoding="utf-8") as fh:
                 d = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise InputError(f"cannot read structure file {path}: {exc}") from exc
         return cls.from_json_dict(d)
+
+
+def _path(path):
+    """path; InputError unless it names a file (a str, bytes or path-like,
+    not an int, which open() would take for a descriptor)."""
+    if not isinstance(path, (str, bytes, os.PathLike)):
+        raise InputError(f"a path must be a str or path-like, not {path!r}")
+    return path
 
 
 def constant(b: float, bounds: AdmissibleBounds | None = None) -> PiecewiseStructure:
@@ -281,7 +295,7 @@ class GridStructure:
     """Medium sampled on N uniform cells: value[i] on (i/N, (i+1)/N).
 
     Values must be finite; the bounds are checked when `layers` is first
-    read, so the optimizer may build out-of-box grids (`project_to_box`).
+    read, so a grid may hold a direction or an input of `project_to_box`.
     """
 
     values: np.ndarray
@@ -314,9 +328,6 @@ class GridStructure:
     def layers(self) -> Layers:
         """The layers of to_piecewise(self), without building it."""
         return _merged_layers(self.edges, self.values, self.bounds)
-
-    def with_values(self, vs) -> "GridStructure":
-        return GridStructure(vs, self.bounds)
 
 
 # -- conversions ---------------------------------------------------------
@@ -402,11 +413,13 @@ def extremality_measure(g: GridStructure, bounds: AdmissibleBounds,
 
 def random_bang_bang(bounds: AdmissibleBounds, rng,
                      max_switches: int = 6) -> PiecewiseStructure:
-    """Random bang-bang structure: helper for tests and sanity scans."""
+    """Random bang-bang structure: helper for tests and sanity scans; rng
+    must be a numpy Generator (InputError)."""
     if not (_is_int(max_switches) and max_switches >= 1):
         raise InputError(
             f"max_switches must be an integer >= 1, got {max_switches!r}")
     _box(bounds)
+    _instance(rng, np.random.Generator)
     k = int(rng.integers(1, max_switches + 1))
     xs = np.sort(rng.uniform(0.05, 0.95, size=k))
     # guard against numerically coincident switch points

@@ -280,7 +280,7 @@ def _pin_frequency(B: GridStructure, kappa: complex, cfg: OptimizeConfig):
         if abs(dre) < 1e-14:
             return B, kappa, False
         s = max(min(want / dre, 1.0), -1.0)
-        B = project_to_box(B.with_values(vals + s * d), bounds)
+        B = GridStructure((vals + s * d).clip(bounds.b1, bounds.b2), bounds)
         kappa = _track(B, kappa, _trust_radius(B))
     return B, kappa, abs(kappa.real - cfg.alpha) <= 0.5 * _TOL_FREQ
 
@@ -368,7 +368,8 @@ def minimize_im_at_frequency(config: OptimizeConfig,
         accepted = False
         while step >= step_min:
             try:
-                Bt = project_to_box(B.with_values(B.values + step * d), bounds)
+                Bt = GridStructure((B.values + step * d).clip(
+                    bounds.b1, bounds.b2), bounds)
                 kt = _track(Bt, kappa, _trust_radius(B))
                 Bt, kt, pinned = _pin_frequency(Bt, kt, cfg)
             except (LostEigenvalue, NearMultiple):

@@ -31,7 +31,8 @@ from .errors import (BranchCountMismatch, InputError, NearMultiple,
 from .field import _jet, charF_dzF, phi2_cell_integrals
 from .medium import (AdmissibleBounds, GridStructure, PiecewiseStructure,
                      _as_complex, _complexes, _instance, _is_finite_real,
-                     _is_int, _medium, _piecewise, _read_only, _reals)
+                     _is_int, _is_real, _medium, _piecewise, _read_only,
+                     _reals)
 from .spectrum import newton_refine
 
 __all__ = [
@@ -51,9 +52,9 @@ class GradientDensity:
 
     The directional derivative along a cellwise-constant direction d is
     sum_i g[i] d[i] / N (exact: the per-cell integrals of phi^2 are closed
-    form).  g is a read-only 1-D complex array, copied once on construction
-    (InputError for anything else); a direction is a grid or a 1-D sequence
-    of N reals (InputError).
+    form).  g is a read-only 1-D complex array, copied once on construction,
+    kappa a number and denom_abs a real (InputError for anything else); a
+    direction is a grid or a 1-D sequence of N reals (InputError).
     denom_abs records |D|, D the denominator of the module docstring.
     """
 
@@ -62,6 +63,9 @@ class GradientDensity:
     denom_abs: float
 
     def __post_init__(self):
+        _as_complex(self.kappa, "kappa", finite=False)
+        if not _is_real(self.denom_abs):
+            raise InputError(f"denom_abs must be real, not {self.denom_abs!r}")
         g = _complexes(self.g, "g")
         if g.ndim != 1:
             raise InputError("g must be a 1-D array of cells")

@@ -95,10 +95,19 @@ class SpectralWindow:
         return (self.re_max - self.re_min, self.im_max - self.im_min)
 
     def contains(self, z: complex, pad: float = 0.0) -> bool:
+        """Whether z lies in the window grown by pad on every side; z must
+        be a number and pad a real (InputError)."""
+        z = _as_complex(z, "z", finite=False)
+        if not _is_real(pad):
+            raise InputError(f"pad must be a real number, not {pad!r}")
         return (self.re_min - pad <= z.real <= self.re_max + pad
                 and self.im_min - pad <= z.imag <= self.im_max + pad)
 
     def dilated(self, factor: float) -> "SpectralWindow":
+        """The window scaled by factor about its centre, its bottom kept
+        above a quarter of im_min; factor must be a real (InputError)."""
+        if not _is_real(factor):
+            raise InputError(f"factor must be a real number, not {factor!r}")
         c = self.center
         w, h = self.widths
         return SpectralWindow(c.real - 0.5 * factor * w, c.real + 0.5 * factor * w,

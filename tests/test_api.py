@@ -2,7 +2,8 @@
 number of package names, of options and of module-level numeric constants
 stays capped, no module imports a name it never reads, importing the
 package needs numpy alone, and a medium or a point of the wrong type is an
-InputError at every entry that reads one.
+InputError at every entry that reads one: CONTRACT lists the escapes seen,
+and a sweep puts None, then "x", in every argument of every public call.
 
 The benchmark tracer (perfbench/tracer.py) patches library functions by
 name, so deleting or renaming one of them breaks `Tracer.install` with an
@@ -11,6 +12,8 @@ AttributeError long after the change that caused it.
 import ast
 import importlib
 import importlib.util
+import inspect
+import math
 import os
 import pkgutil
 import subprocess
@@ -22,11 +25,13 @@ import numpy as np
 import pytest
 
 import qnmopt
-from qnmopt import (certificate, field, medium, sensitivity, spectrum,
-                    timedomain)
+from qnmopt import (certificate, field, medium, optimize, sensitivity,
+                    spectrum, timedomain)
 from qnmopt.errors import InputError
 from qnmopt.medium import AdmissibleBounds, GridStructure, constant
 from qnmopt.optimize import OptimizeConfig
+
+from conftest import DOUBLE_KAPPA_SEED, DOUBLE_SEED, LN3_4
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = [m.name for m in pkgutil.iter_modules(qnmopt.__path__)]
@@ -191,6 +196,10 @@ _WINDOW = spectrum.SpectralWindow(0.1, 5.0, 0.1, 1.0)
 _BOX = AdmissibleBounds(1.0, 4.0)
 _GRID = GridStructure(np.full(16, 4.0), _BOX)
 _NODES = np.zeros(17)
+_K = complex(0.5 * math.pi, LN3_4)   # an eigenvalue of _B
+_TRACE = certificate.phase_trace(_B, _K)
+_CELLS = np.ones(16, complex)
+_CONFIG = OptimizeConfig(math.pi, _BOX, 16, 0)
 
 # a point that is not a number, then a medium that is not a medium; each
 # escaped as UFuncTypeError, TypeError, ValueError or AttributeError
@@ -229,6 +238,43 @@ CONTRACT = {
     "round_to_extreme(g)": lambda: medium.round_to_extreme(None, _BOX),
     "extremality_measure(g)": lambda: medium.extremality_measure(None, _BOX,
                                                                  0.1),
+    # None read as NaN, a string taken as a point, a bad rng, path or field
+    "charF_many(None)": lambda: field.charF_many(None, _B),
+    "charF_many([None, z])": lambda: field.charF_many([None, 1.0], _B),
+    "values_at(x)": lambda: _B.layers.values_at("x"),
+    "values_at(None)": lambda: _B.layers.values_at(None),
+    "SpectralWindow.contains(z)": lambda: _WINDOW.contains("x"),
+    "SpectralWindow.contains(pad)": lambda: _WINDOW.contains(1 + 0.5j,
+                                                             pad="x"),
+    "SpectralWindow.dilated(factor)": lambda: _WINDOW.dilated("x"),
+    "AdmissibleBounds.contains(x)": lambda: _BOX.contains("x"),
+    "AdmissibleBounds.contains(None)": lambda: _BOX.contains(None),
+    "certificate_theta(omega None)": lambda: certificate.certificate_theta(
+        1 + 0.5j, None, 1.0, 0.0),
+    "certificate_theta(omega x)": lambda: certificate.certificate_theta(
+        1 + 0.5j, "x", 1.0, 0.0),
+    "certificate_theta(b1 None)": lambda: certificate.certificate_theta(
+        1 + 0.5j, 0.0, None, 0.0),
+    "certificate_theta(b1 x)": lambda: certificate.certificate_theta(
+        1 + 0.5j, 0.0, "x", 0.0),
+    "certificate_theta(a1 None)": lambda: certificate.certificate_theta(
+        1 + 0.5j, 0.0, 1.0, None),
+    "certificate_theta(a1 x)": lambda: certificate.certificate_theta(
+        1 + 0.5j, 0.0, 1.0, "x"),
+    "random_bang_bang(rng)": lambda: medium.random_bang_bang(_BOX, None),
+    "PiecewiseStructure.load(None)": lambda: medium.PiecewiseStructure.load(
+        None),
+    "PiecewiseStructure.save(None)": lambda: _B.save(None),
+    "PhaseTrace.value(x)": lambda: _TRACE.value("x"),
+    "PhaseTrace.value(None)": lambda: _TRACE.value(None),
+    "GradientDensity(kappa None)": lambda: sensitivity.GradientDensity(
+        None, _CELLS, 1.0),
+    "GradientDensity(kappa x)": lambda: sensitivity.GradientDensity(
+        "x", _CELLS, 1.0),
+    "GradientDensity(denom_abs None)": lambda: sensitivity.GradientDensity(
+        1 + 0.5j, _CELLS, None),
+    "GradientDensity(denom_abs x)": lambda: sensitivity.GradientDensity(
+        1 + 0.5j, _CELLS, "x"),
 }
 
 
@@ -236,3 +282,144 @@ CONTRACT = {
 def test_wrong_type_is_input_error(call):
     with pytest.raises(InputError):
         call()
+
+
+def _sweep_calls(tmp: Path) -> list:
+    """(callable, arguments of one valid call) for every public function of
+    the package's modules, the constructors of its input types and every
+    public method that takes an argument."""
+    saved = tmp / "B.json"
+    _B.save(saved)
+    two = medium.PiecewiseStructure((0.0, 0.5, 1.0), (1.0, 4.0), _BOX)
+    grad = sensitivity.GradientDensity(1 + 0.5j, _CELLS, 1.0)
+    return [
+        (medium.AdmissibleBounds, (1.0, 4.0)),
+        (medium.GridStructure, (np.full(16, 4.0), _BOX)),
+        (medium.PiecewiseStructure, ((0.0, 0.5, 1.0), (1.0, 4.0), _BOX)),
+        (spectrum.SpectralWindow, (0.1, 5.0, 0.1, 1.0)),
+        (OptimizeConfig, (math.pi, _BOX, 16, 0)),
+        (sensitivity.GradientDensity, (1 + 0.5j, _CELLS, 1.0)),
+        (_BOX.contains, ([2.0],)),
+        (_B.layers.values_at, ([0.5],)),
+        (_B.save, (tmp / "out.json",)),
+        (medium.PiecewiseStructure.load, (saved,)),
+        (medium.PiecewiseStructure.from_json_dict, (_B.to_json_dict(),)),
+        (_WINDOW.contains, (1 + 0.5j,)),
+        (_WINDOW.dilated, (1.1,)),
+        (grad.directional, (np.ones(16),)),
+        (_TRACE.value, (0.5,)),
+        (medium.constant, (4.0,)),
+        (medium.extremality_measure, (_GRID, _BOX, 0.1)),
+        (medium.project_to_box, (_GRID, _BOX)),
+        (medium.random_bang_bang, (_BOX, np.random.default_rng(0))),
+        (medium.round_to_extreme, (_GRID, _BOX)),
+        (medium.switch_points, (two,)),
+        (medium.to_grid, (two, 16)),
+        (medium.to_piecewise, (_GRID,)),
+        (field.propagate, (_B, _K)),
+        (field.charF, (_K, _B)),
+        (field.charF_many, ([_K], _B)),
+        (field.charF_dzF, (_K, _B)),
+        (field.dzF, (_K, _B)),
+        (field.phi_series, (_B, 1 + 0.5j)),
+        (field.overlap_integrals, (_B, _K)),
+        (field.phi2_cell_integrals, (_B, _K, [0.0, 0.5, 1.0])),
+        (field.mode_values, (_B, _K, [0.0, 0.5])),
+        (spectrum.winding_count, (_B, _WINDOW)),
+        (spectrum.locate, (_B, _WINDOW)),
+        (spectrum.multiplicity, (_B, _K, 0.1)),
+        (spectrum.constant_spectrum, (4.0, _WINDOW)),
+        (spectrum.newton_refine, (_B, _K)),
+        (spectrum.axis_offset, (4.0,)),
+        (sensitivity.eigenvalue_gradient, (_B, _K, 16)),
+        (sensitivity.splitting_probe, (_B, _K, 2, _GRID, [1e-3])),
+        (sensitivity.find_double_eigenvalue, (DOUBLE_SEED, DOUBLE_KAPPA_SEED)),
+        (sensitivity.dzF_higher, (_B, _K, 2)),
+        (optimize.step_direction, (grad, _GRID, _BOX)),
+        (optimize.minimize_im_at_frequency, (_CONFIG,)),
+        (optimize.sweep_I, ([math.pi], _CONFIG)),
+        (optimize.constant_upper_bound, (math.pi, _BOX)),
+        (optimize.best_constant_seed, (math.pi, _BOX)),
+        (certificate.phase_trace, (_B, _K)),
+        (certificate.switch_alignment, (_B, _K)),
+        (certificate.nonlinear_residual, (_B, _K)),
+        (certificate.self_consistent_solve, (_K, _BOX, 16)),
+        (certificate.certificate_theta, (1 + 0.5j, 0.0, 1.0, 0.0)),
+        (timedomain.simulate, (_B, _NODES, _NODES, 0.1, 16)),
+        (timedomain.excite_and_fit, (_B, _K, 1.0, 16)),
+    ]
+
+
+# (callable, parameter) pairs where "x" is a valid value: a file to write
+_STRING_OK = {("PiecewiseStructure.save", "path")}
+
+
+def _public_callables() -> set:
+    """Qualified names of what _sweep_calls must cover: every function in a
+    module's __all__ or the package, the input-type constructors, and every
+    public method of an exported class (or of Layers) with an argument."""
+    names = {"AdmissibleBounds", "GridStructure", "PiecewiseStructure",
+             "SpectralWindow", "OptimizeConfig", "GradientDensity"}
+    mods = [importlib.import_module(f"qnmopt.{m}") for m in MODULES]
+    spaces = [(qnmopt, _package_names())] + [
+        (mod, getattr(mod, "__all__", ())) for mod in mods]
+    for space, public in spaces:
+        for obj in (getattr(space, n) for n in public):
+            if inspect.isfunction(obj):
+                names.add(obj.__qualname__)
+            elif inspect.isclass(obj) and obj.__module__.startswith("qnmopt"):
+                names.update(_methods_with_arguments(obj))
+    return names | _methods_with_arguments(medium.Layers)
+
+
+def _methods_with_arguments(cls) -> set:
+    out = set()
+    for name, attr in vars(cls).items():
+        f = getattr(attr, "__func__", attr)
+        if not name.startswith("_") and inspect.isfunction(f) \
+                and len(inspect.signature(f).parameters) > 1:
+            out.add(f"{cls.__name__}.{name}")
+    return out
+
+
+def test_sweep_covers_the_public_surface(tmp_path):
+    swept = {f.__qualname__ for f, _ in _sweep_calls(tmp_path)}
+    assert sorted(_public_callables() - swept) == []
+
+
+def test_sweep_starts_from_valid_calls(tmp_path, monkeypatch):
+    # a base call may fail numerically, never on its input
+    monkeypatch.chdir(tmp_path)
+    for f, args in _sweep_calls(tmp_path):
+        try:
+            f(*args)
+        except InputError as exc:
+            pytest.fail(f"{f.__qualname__}{args!r}: {exc}")
+        except qnmopt.errors.QnmOptError:
+            pass
+
+
+def test_none_or_string_argument_is_input_error(tmp_path, monkeypatch):
+    """None, then "x", in each argument position of each call in turn (None
+    not where it is the default); anything but InputError is reported."""
+    monkeypatch.chdir(tmp_path)   # "x" names no file here
+    escapes = []
+    for f, args in _sweep_calls(tmp_path):
+        sig = inspect.signature(f)
+        for name, param in sig.parameters.items():
+            for bad in (None, "x"):
+                if bad is None and param.default is None \
+                        or bad == "x" and (f.__qualname__, name) in _STRING_OK:
+                    continue
+                call = sig.bind(*args)
+                call.apply_defaults()
+                call.arguments[name] = bad
+                try:
+                    out = f(*call.args, **call.kwargs)
+                except InputError:
+                    continue
+                except Exception as exc:   # reported below
+                    out = exc
+                escapes.append(f"{f.__qualname__}({name}={bad!r}): {out!r}"[
+                    :200])
+    assert escapes == []

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from qnmopt.certificate import (nonlinear_residual, phase_trace,
                                 self_consistent_solve, switch_alignment)
-from qnmopt.errors import (InputError, NotAtRoot, NotBangBang,
-                           OnImaginaryAxis, QnmOptError)
+from qnmopt.errors import (InputError, NoConvergence, NotAtRoot,
+                           NotBangBang, OnImaginaryAxis, QnmOptError)
 from qnmopt.field import mode_values
 from qnmopt.medium import (AdmissibleBounds, GridStructure, PiecewiseStructure,
                            constant, random_bang_bang, to_piecewise)
@@ -446,6 +446,20 @@ class TestShotTangents:
             assume(plus[3] == minus[3] == vals)
             fd = (plus[0] - minus[0]) / (2.0 * h)
             assert abs(d - fd) <= 1e-5 * abs(d)
+
+
+class TestSolveShotFailure:
+    def test_events_at_one_float_do_not_converge(self, monkeypatch):
+        # a shot that solves F = 0 but puts two switches at one float
+        # yields no medium, so the solve reports no solution
+        from qnmopt import certificate
+        monkeypatch.setattr(
+            certificate, "_shoot", lambda kappa, theta, bounds: (
+                0j, (1.0 + 0j, 1j), [0.0, 0.5, 0.5, 1.0], [4.0, 1.0, 4.0]))
+        B0 = constant(4.0, AdmissibleBounds(1.0, 4.0))
+        with pytest.raises(NoConvergence, match="no solution"):
+            certificate._solve_shot(B0, math.pi / 2 + 1j * LN3_4,
+                                    math.pi / 2, B0.bounds)
 
 
 _BOX = AdmissibleBounds(1.0, 4.0)

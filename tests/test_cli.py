@@ -597,3 +597,57 @@ class TestNonFiniteInput:
         assert err.startswith("input error:")
         assert "Traceback" not in err
         assert not out.exists()
+
+
+class TestFailurePaths:
+    """The CLI's own failure paths, reached by making a callee fail."""
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        from qnmopt import cli
+
+        def full(src, dst):
+            raise OSError("no space left on device")
+        monkeypatch.setattr(cli.os, "replace", full)
+        with pytest.raises(OSError, match="no space"):
+            cli._atomic_write(str(tmp_path / "out.csv"), "t,energy\n")
+        assert os.listdir(tmp_path) == []
+
+    def test_no_structure_source_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "spectrum.csv"
+        assert run(["spectrum", "--window", 0.1, 5, 0.1, 1,
+                    "--out", out]) == 2
+        assert "provide --structure FILE" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", [None, "{nope"])
+    def test_unreadable_config_exit_2(self, tmp_path, capsys, text):
+        cfg = tmp_path / "cfg.json"
+        if text is not None:
+            cfg.write_text(text)
+        out = tmp_path / "run"
+        assert run(["optimize", "--config", cfg, "--out-dir", out]) == 2
+        assert "cannot read config" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_run_without_bang_bang_medium(self, tmp_path, monkeypatch):
+        # finalization found no rounded medium: the grid's kappa is the
+        # run's, and the certificate records why there is none
+        from qnmopt import cli
+        from qnmopt.medium import GridStructure
+        from qnmopt.optimize import IterationRecord, OptimizeResult
+        kappa = complex(math.pi, 0.3)
+        grid = GridStructure([4.0] * 16, AdmissibleBounds(1.0, 4.0))
+        res = OptimizeResult(grid, kappa, (IterationRecord(
+            0, kappa, 0.3, 0.0, 0.0, 0.0),), "stalled")
+        monkeypatch.setattr(cli, "minimize_im_at_frequency",
+                            lambda cfg, seed: res)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"alpha": math.pi, "bounds": [1, 4],
+                                   "n_cells": 16}))
+        out = tmp_path / "run"
+        assert run(["optimize", "--config", cfg, "--out-dir", out]) == 0
+        rec = json.loads((out / "structure.json").read_text())
+        assert rec["structure"] is None and rec["rounded_kappa"] is None
+        assert rec["kappa"] == rec["grid_kappa"] == [math.pi, 0.3]
+        assert json.loads((out / "certificate.json").read_text()) == {
+            "error": "no bang-bang finalization available"}

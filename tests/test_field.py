@@ -606,13 +606,13 @@ class TestCellIntegrals:
         edges = np.linspace(0, 1, 17)
         cells = phi2_cell_integrals(B, z, edges)
         mids = 0.5 * (edges[:-1] + edges[1:])
-        weights = np.array([B.value_at(x) for x in mids])
+        weights = B.layers.values_at(mids)
         # cells that straddle the interface need the exact split
         _, i_phi2b, _ = overlap_integrals(B, z)
         edges2 = np.union1d(edges, [0.37])
         cells2 = phi2_cell_integrals(B, z, edges2)
         mids2 = 0.5 * (edges2[:-1] + edges2[1:])
-        w2 = np.array([B.value_at(x) for x in mids2])
+        w2 = B.layers.values_at(mids2)
         assert abs(np.dot(cells2, w2) - i_phi2b) < 1e-12 * max(1, abs(i_phi2b))
 
     def test_free_layer_cells(self):

@@ -71,8 +71,8 @@ class TestPiecewise:
     def test_value_at(self):
         b = AdmissibleBounds(1, 4)
         p = PiecewiseStructure((0, 0.5, 1.0), (1.0, 4.0), b)
-        assert p.value_at(0.25) == 1.0
-        assert p.value_at(0.75) == 4.0
+        assert p.layers.values_at(0.25) == 1.0
+        assert p.layers.values_at(0.75) == 4.0
 
     def test_values_at_matches_clipped_lookup(self):
         """The interior-breakpoint search equals the clipped search over all

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from qnmopt.certificate import switch_alignment
 from qnmopt.errors import (InfeasibleError, InputError, LostEigenvalue,
-                           QnmOptError, StalledDirection, ZeroFrequency)
+                           NearMultiple, NumericalError, QnmOptError,
+                           StalledDirection, ZeroFrequency)
 from qnmopt.field import charF_many
 from qnmopt.medium import (AdmissibleBounds, GridStructure, PiecewiseStructure,
                            constant, random_bang_bang, to_grid)
@@ -725,3 +726,70 @@ class TestErrorContract:
                      lambda: constant_upper_bound(math.pi, (1.0, 4.0))):
             with pytest.raises(InputError, match="AdmissibleBounds"):
                 call()
+
+
+class TestFailureHandlers:
+    """Each failure path of the loop, reached by making its callee fail."""
+
+    @pytest.fixture
+    def opt(self):
+        import qnmopt.optimize as opt
+        return opt
+
+    def test_relocation_failure_is_lost_eigenvalue(self, opt, monkeypatch):
+        def fail(*args, **kwargs):
+            raise NumericalError("F is not finite on the contour")
+        monkeypatch.setattr(opt, "newton_refine", lambda *a, **k: None)
+        monkeypatch.setattr(opt, "locate", fail)
+        with pytest.raises(LostEigenvalue, match="re-location failed"):
+            _track(constant(4.0), math.pi + 1j * LN3_4, 0.5)
+
+    def test_seed_newton_failure_is_infeasible(self, opt, monkeypatch, box14):
+        monkeypatch.setattr(opt, "newton_refine", lambda *a, **k: None)
+        cfg = OptimizeConfig(alpha=math.pi, bounds=box14, n_cells=16,
+                             max_iters=0, seed_kappa=3.0 + 0.3j)
+        B0 = GridStructure(np.full(16, 4.0), box14)
+        with pytest.raises(InfeasibleError, match="did not converge"):
+            minimize_im_at_frequency(cfg, B0)
+
+    def test_unpinned_seed_is_infeasible(self, opt, monkeypatch, box14):
+        monkeypatch.setattr(opt, "_pin_frequency",
+                            lambda B, kappa, cfg: (B, kappa, False))
+        cfg = OptimizeConfig(alpha=math.pi, bounds=box14, n_cells=16,
+                             max_iters=0)
+        with pytest.raises(InfeasibleError, match="cannot be pinned"):
+            minimize_im_at_frequency(cfg)
+
+    @pytest.mark.parametrize("error", [LostEigenvalue, NearMultiple])
+    def test_failed_trial_halves_the_step(self, opt, monkeypatch, box14,
+                                          error):
+        # the seed needs no tracking; every trial step then fails
+        calls = []
+
+        def track(B, kappa, trust):
+            calls.append(B)
+            raise error("trial failed")
+        monkeypatch.setattr(opt, "_track", track)
+        cfg = OptimizeConfig(alpha=math.pi, bounds=box14, n_cells=16,
+                             max_iters=1)
+        res = minimize_im_at_frequency(cfg)
+        # 0.2 halves 21 times to below 1e-7; finalization's track fails too
+        assert len(calls) == 22
+        assert res.status == "stalled" and len(res.trajectory) == 1
+        assert res.rounded is None
+
+    def test_no_accepted_trial_stalls(self, opt, monkeypatch, box14):
+        # the seed pins; every trial then misses the frequency
+        pin = opt._pin_frequency
+        calls = []
+
+        def unpinned(B, kappa, cfg):
+            calls.append(kappa)
+            return pin(B, kappa, cfg) if len(calls) == 1 \
+                else (B, kappa, False)
+        monkeypatch.setattr(opt, "_pin_frequency", unpinned)
+        cfg = OptimizeConfig(alpha=math.pi, bounds=box14, n_cells=16,
+                             max_iters=1)
+        res = minimize_im_at_frequency(cfg)
+        assert len(calls) == 22
+        assert res.status == "stalled" and len(res.trajectory) == 1

@@ -811,6 +811,26 @@ class TestNegativeWinding:
             winding_count(constant(4.0), SpectralWindow(0.1, 12.0, 0.05, 3.0))
 
 
+class TestGivingUp:
+    """locate's two ways of giving up on a window."""
+
+    def test_depth_cap_raises(self, monkeypatch):
+        # Newton never settles a window, so the lone zero is bisected past
+        # the depth cap (lowered, or the windows would hit float resolution)
+        monkeypatch.setattr(spectrum, "_window_roots", lambda *args: None)
+        monkeypatch.setattr(spectrum, "_MAX_DEPTH", 2)
+        with pytest.raises(MaxDepthExceeded, match="cannot isolate 1 zeros"):
+            locate(constant(4.0), SpectralWindow(1.0, 2.0, 0.1, 1.0))
+
+    def test_bisection_gives_up_after_four_splits(self, monkeypatch):
+        def grazed(B, ws):
+            raise ZeroOnContour("|F| collapsed on the contour")
+        monkeypatch.setattr(spectrum, "_window_counts", grazed)
+        with pytest.raises(NumericalError, match="never matched"):
+            spectrum._bisect(constant(4.0), SpectralWindow(1.0, 2.0, 0.1, 1.0),
+                             1)
+
+
 # -- reference: locate by bisection alone ---------------------------------------
 
 UNIT_CIRCLE = np.exp(1j * np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False))

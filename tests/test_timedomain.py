@@ -22,10 +22,10 @@ def reference_simulate(B, u0, v0, T, m_cells):
     """The per-step leapfrog loop that `simulate` replaced, kept as the oracle."""
     xs = np.linspace(0.0, 1.0, m_cells + 1)
     h = 1.0 / m_cells
-    left = np.array([B.value_at(max(x - 0.25 * h, 0.0)) for x in xs])
-    right = np.array([B.value_at(min(x + 0.25 * h, 1.0)) for x in xs])
+    left = np.array([B.layers.values_at(max(x - 0.25 * h, 0.0)) for x in xs])
+    right = np.array([B.layers.values_at(min(x + 0.25 * h, 1.0)) for x in xs])
     bn = 0.5 * (left + right)
-    dt = CFL_SAFETY * h * math.sqrt(B.inf())
+    dt = CFL_SAFETY * h * math.sqrt(B.values.min())
 
     u_prev = np.asarray(u0, dtype=float).copy()
     v_init = np.asarray(v0, dtype=float)
@@ -204,7 +204,7 @@ class TestSimulate:
             "B", "u0", "v0", "T", "m_cells"]
         u0, v0 = gaussian_pulse(m, center=0.2, width=0.1)
         sim = simulate(B, u0, v0, 0.5, m)
-        assert sim.dt == CFL_SAFETY * (1.0 / m) * math.sqrt(B.inf())
+        assert sim.dt == CFL_SAFETY * (1.0 / m) * math.sqrt(B.values.min())
         assert len(sim.times) == math.ceil(0.5 / sim.dt)
 
     def test_degenerate_medium_refused(self):
@@ -226,7 +226,7 @@ class TestAgainstReference:
         m = int(rng.integers(16, 200))
         u0 = rng.normal(size=m + 1)
         v0 = rng.normal(size=m + 1)
-        dt = CFL_SAFETY * math.sqrt(B.inf()) / m
+        dt = CFL_SAFETY * math.sqrt(B.values.min()) / m
         T = (n_steps - 0.5) * dt
         new = assert_matches_blocked(B, u0, v0, T, m)
         ref = reference_simulate(B, u0, v0, T, m)

@@ -37,7 +37,7 @@ def test_tail_matches_direct_form(B, kappa, T):
     if kappa is None:
         kappa = _lowest_mode(B)
     assert kappa.imag >= 0.8
-    assert B.value_at(1.0) != 1.0
+    assert B.layers.values_at(1.0) != 1.0
     u0, v0 = _mode_data(B, kappa, M)
     new = simulate(B, u0, v0, T, M)
     ref = blocked_reference_simulate(B, u0, v0, T, M)
